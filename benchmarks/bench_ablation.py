@@ -2,11 +2,10 @@
 
 * **compile vs interpret** — the paper's Section 1: "we compile the PADS
   description rather than simply interpret it to reduce run-time
-  overhead".  Four execution strategies are measured: interpreted
-  combinators, generated code with the record fast path disabled,
+  overhead".  Three execution strategies are measured: interpreted
+  combinators, generated code with the record fast path disabled, and
   generated code with the fast path (the Section 9 partial-evaluation
-  idea), and the AST-specializing codegen backend that constant-folds
-  the fast path per description.
+  idea).
 * **mask cost** — Section 3: masks let applications "choose which semantic
   conditions to check at run-time".  Measures full checking vs syntax-only
   vs set-only over the same data.
@@ -31,10 +30,7 @@ def body():
 
 @pytest.fixture(scope="module")
 def gen_no_fastpath():
-    # Source backend: the AST backend splits each fast function into
-    # mask-specialized clones, so only the source module has the
-    # uniform ``_fp_*`` surface this ablation knocks out.
-    gen = compile_generated(gallery.SIRIUS, backend="source")
+    gen = compile_generated(gallery.SIRIUS)
     # Disabling the fast path: force every parse through the general body.
     module = gen.module
     for name in list(vars(module)):
@@ -66,12 +62,6 @@ def test_generated_general_only(benchmark, gen_no_fastpath, body):
 @pytest.mark.benchmark(group="ablation-execution")
 def test_generated_with_fastpath(benchmark, sirius_gen, body):
     total, bad = benchmark(_consume, sirius_gen, body)
-    assert total == N and bad == 54
-
-
-@pytest.mark.benchmark(group="ablation-execution")
-def test_generated_ast_specialized(benchmark, sirius_gen_ast, body):
-    total, bad = benchmark(_consume, sirius_gen_ast, body)
     assert total == N and bad == 54
 
 

@@ -11,16 +11,10 @@ stream that exercises the slicing path.  **Correctness is asserted inside
 every benchmark**: plan-driven and reference runs must agree on error
 totals before their timings mean anything.
 
-The generated engine is additionally measured per codegen backend: the
-AST-specializing backend (``backend='ast'``) against the source backend
-on both the vetting and slicing workloads, gated AST-never-slower-than-
-source with the same tolerance as the plan/reference pairs.
-
 Run ``pytest benchmarks/bench_plan.py --benchmark-only
 --benchmark-json=BENCH_plan.json``; feed the JSON to
 ``benchmarks/check_plan_regression.py``, which fails if a plan-driven
-engine regresses more than 5% against its reference twin (or the AST
-backend against the source backend).
+engine regresses more than 5% against its reference twin.
 """
 
 import random
@@ -81,19 +75,6 @@ def test_gen_vet_reference(benchmark, sirius_gen_ref, sirius_body):
     assert tally.records == N_RECORDS
 
 
-@pytest.mark.benchmark(group="plan-gen-vetting")
-def test_gen_vet_ast(benchmark, sirius_gen, sirius_gen_ast, sirius_body):
-    """The AST-specializing backend on the same vetting workload: gated
-    by ``check_plan_regression.py`` to never be slower than the source
-    backend (``test_gen_vet_plan``)."""
-    assert sirius_gen_ast.backend == "ast"
-    base = _vet(sirius_gen, sirius_body)
-    tally = benchmark(_vet, sirius_gen_ast, sirius_body)
-    assert tally.records == base.records == N_RECORDS
-    assert tally.bad_records == base.bad_records
-    assert tally.by_code == base.by_code
-
-
 # -- fixed-width slicing (binary call-detail records) -----------------------
 
 
@@ -139,27 +120,10 @@ def test_interp_calls_reference(benchmark, calls_interp_ref, calls_body):
 @pytest.fixture(scope="module")
 def calls_gen():
     return compile_generated(gallery.CALL_DETAIL, ambient="binary",
-                             discipline=FixedWidthRecords(24),
-                             backend="source")
-
-
-@pytest.fixture(scope="module")
-def calls_gen_ast():
-    return compile_generated(gallery.CALL_DETAIL, ambient="binary",
-                             discipline=FixedWidthRecords(24),
-                             backend="ast")
+                             discipline=FixedWidthRecords(24))
 
 
 @pytest.mark.benchmark(group="plan-slicing")
 def test_gen_calls_plan(benchmark, calls_gen, calls_body):
     assert benchmark(_count_clean, calls_gen, calls_body) == N_RECORDS
 
-
-@pytest.mark.benchmark(group="plan-slicing")
-def test_gen_calls_ast(benchmark, calls_gen, calls_gen_ast, calls_body):
-    """The slicing fast function with probes byte-compare-folded; gated
-    against the source backend (``test_gen_calls_plan``)."""
-    assert calls_gen_ast.backend == "ast"
-    base = _count_clean(calls_gen, calls_body)
-    good = benchmark(_count_clean, calls_gen_ast, calls_body)
-    assert good == base == N_RECORDS

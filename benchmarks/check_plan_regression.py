@@ -6,9 +6,7 @@ compares each plan-driven benchmark's median against its reference-mode
 twin (``fastpath=False``, the pre-refactor parse path).  The plan-driven
 side carries the record fast functions and fused literal runs, so it
 should be *faster*; the gate fails if any engine is more than 5% slower
-than its reference.  The same tolerance gates the AST codegen backend
-against the source backend on both fastpath-eligible workloads — the
-specializer must pay for itself.
+than its reference.
 
 Optionally cross-checks against BENCH_parallel.json: its serial vetting
 benchmark (``test_vet_serial``) measures the identical workload through
@@ -46,10 +44,6 @@ PAIRS = [
     ("test_interp_vet_plan", "test_interp_vet_reference"),
     ("test_gen_vet_plan", "test_gen_vet_reference"),
     ("test_interp_calls_plan", "test_interp_calls_reference"),
-    # The AST-specializing codegen backend must never be slower than the
-    # source backend on fastpath-eligible descriptions (ISSUE PR 8).
-    ("test_gen_vet_ast", "test_gen_vet_plan"),
-    ("test_gen_calls_ast", "test_gen_calls_plan"),
 ]
 
 TOLERANCE = 1.05          # >5% regression fails

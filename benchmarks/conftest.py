@@ -61,16 +61,7 @@ def sirius_interp():
 
 @pytest.fixture(scope="session")
 def sirius_gen():
-    """The generated engine on the source backend — the historical
-    baseline every BENCH_*.json number was recorded against.  The AST
-    backend is measured separately (``sirius_gen_ast``) so the
-    three-way ablation stays apples-to-apples."""
-    return compile_generated(gallery.SIRIUS, backend="source")
-
-
-@pytest.fixture(scope="session")
-def sirius_gen_ast():
-    return compile_generated(gallery.SIRIUS, backend="ast")
+    return compile_generated(gallery.SIRIUS)
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,7 @@
 
 Mirrors the paper's compile-don't-interpret design decision ("we compile
 the PADS description rather than simply interpret it to reduce run-time
-overhead", Section 1).  The ablation benchmark compares the paths.
+overhead", Section 1).  The ablation benchmark compares the two paths.
 
 Typical use::
 
@@ -11,15 +11,9 @@ Typical use::
     rep, pd = gen.parse(data, "entry_t")
 
 ``generate_source`` returns the module source (what ``padsc compile``
-writes to disk); ``compile_generated`` compiles the description through
-one of the registered codegen backends (:mod:`repro.codegen.backends`)
-and wraps the module in a :class:`GeneratedDescription` with the same
-API surface as the interpreted
-:class:`~repro.core.api.CompiledDescription`.  ``backend`` picks the
-compiler: ``"auto"`` (the default) follows the plan's per-description
-``codegen_verdict`` — the AST-specializing backend when there is fast
-code to specialize, the source emitter otherwise — while ``"source"``
-and ``"ast"`` force one.
+writes to disk); ``compile_generated`` generates, ``exec``s and wraps it
+in a :class:`GeneratedDescription` with the same API surface as the
+interpreted :class:`~repro.core.api.CompiledDescription`.
 """
 
 from __future__ import annotations
@@ -34,10 +28,8 @@ from ..core.limits import ParseLimits, record_guard
 from ..core.masks import Mask, P_CheckAndSet
 from ..dsl.parser import parse_description
 from ..dsl.typecheck import check_description
-from ..plan import analyze
-from .backends import CompiledModule, get_backend, select_backend
-from .backends import load_source as load_module  # noqa: F401 - compat
-from .backends.source import generate_source as _emit
+from .emitter import generate_source as _emit
+from .emitter import load_source
 
 __all__ = ["generate_source", "compile_generated", "GeneratedDescription"]
 
@@ -61,18 +53,12 @@ def compile_generated(text: str, *, ambient: str = "ascii",
                       filename: str = "<description>",
                       check: bool = True,
                       fastpath: bool = True,
-                      limits: Optional[ParseLimits] = None,
-                      backend: str = "auto") -> "GeneratedDescription":
-    """Compile, load and wrap a parser module for ``text``."""
-    desc = parse_description(text, filename)
-    if check:
-        check_description(desc, ambient)
-    plan = analyze(desc, ambient)
-    chosen, _reason = select_backend(plan, backend, fastpath=fastpath)
-    compiled = chosen.compile(desc, plan, source_text=text,
-                              fastpath=fastpath)
-    return GeneratedDescription(compiled.module, discipline,
-                                limits=limits, compiled=compiled)
+                      limits: Optional[ParseLimits] = None) -> "GeneratedDescription":
+    """Generate, load and wrap a parser module for ``text``."""
+    py_source = generate_source(text, ambient=ambient, filename=filename,
+                                check=check, fastpath=fastpath)
+    return GeneratedDescription(load_source(py_source), discipline,
+                                py_source, limits=limits, fastpath=fastpath)
 
 
 class GeneratedDescription:
@@ -80,34 +66,24 @@ class GeneratedDescription:
     :class:`~repro.core.api.CompiledDescription` (parse / records / write /
     verify), so clients and tests can swap the two freely."""
 
+    #: The engine tag ``--stats`` and the parse service report; the
+    #: interpreted engine reports ``interp``.
+    backend = "source"
+
     def __init__(self, module, discipline: Optional[RecordDiscipline] = None,
-                 py_source: Optional[str] = None,
-                 limits: Optional[ParseLimits] = None,
-                 compiled: Optional[CompiledModule] = None):
+                 py_source: str = "", limits: Optional[ParseLimits] = None,
+                 fastpath: bool = True):
         self.module = module
-        if compiled is None:
-            compiled = CompiledModule(module=module, backend="source",
-                                      py_source=py_source or "")
-        #: The backend artifact: provenance plus the ``dump()`` view.
-        self.compiled = compiled
-        #: Which codegen backend built the module ('source' or 'ast').
-        self.backend = compiled.backend
-        self._py_source: Optional[str] = None
+        #: The module source that was ``exec``'d to build ``module``.
+        self.py_source = py_source
+        #: Whether the module carries the plan-compiled fast functions;
+        #: parallel workers rebuild with the same setting.
+        self.fastpath = fastpath
         from ..core.io import NewlineRecords
         self.discipline = discipline or NewlineRecords()
         #: Resource budget attached to every source this description opens.
         self.limits = limits
         module.DISCIPLINE = self.discipline
-
-    @property
-    def py_source(self) -> str:
-        """A readable rendering of the generated module: the emitted
-        source (source backend) or a cached ``ast.unparse`` of the
-        specialized tree (AST backend — the ``--dump`` debugging view,
-        never what actually ran)."""
-        if self._py_source is None:
-            self._py_source = self.compiled.dump()
-        return self._py_source
 
     def dump(self) -> str:
         return self.py_source

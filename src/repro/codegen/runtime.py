@@ -1,6 +1,6 @@
 """Runtime support for generated parser modules.
 
-Generated modules (see :mod:`repro.codegen.backends`) inline their control
+Generated modules (see :mod:`repro.codegen.emitter`) inline their control
 flow but share the error-path helpers here, mirroring how the paper's
 generated ``.c`` files link against the PADS runtime library.
 """

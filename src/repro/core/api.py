@@ -321,12 +321,13 @@ def compile_description(text: str, *, ambient: str = "ascii",
     first (paper Section 6).
 
     ``backend`` selects the execution engine: ``None`` (the default)
-    binds the interpreted combinators; ``'auto'``, ``'source'`` or
-    ``'ast'`` compile through the named codegen backend
-    (:mod:`repro.codegen.backends`) and return the generated twin,
-    :class:`~repro.codegen.GeneratedDescription` — same API surface,
-    byte-identical results.
+    binds the interpreted combinators; ``'source'`` emits, loads and
+    returns the generated twin, :class:`~repro.codegen.GeneratedDescription`
+    — same API surface, byte-identical results.
     """
+    if backend not in (None, "source"):
+        raise PadsError(f"unknown backend {backend!r} (expected None for "
+                        f"the interpreter or 'source' for generated code)")
     if base_type_files:
         from .basetypes.userdef import load_base_type_files
         load_base_type_files(base_type_files)
@@ -335,7 +336,7 @@ def compile_description(text: str, *, ambient: str = "ascii",
         return compile_generated(text, ambient=ambient,
                                  discipline=discipline, filename=filename,
                                  check=check, fastpath=fastpath,
-                                 limits=limits, backend=backend)
+                                 limits=limits)
     desc = parse_description(text, filename)
     if check:
         check_description(desc, ambient)
@@ -387,9 +388,9 @@ def description_cache_key(text: str, *, ambient: str = "ascii",
                           fastpath: bool = True) -> str:
     """Content hash over every plan-relevant compile input.
 
-    ``backend=None`` (the interpreted engine) and each codegen backend
-    hash differently; so do ambient codings, record disciplines and the
-    fastpath/reference-mode switch.
+    ``backend=None`` (the interpreted engine) and ``backend='source'``
+    (the generated engine) hash differently; so do ambient codings,
+    record disciplines and the fastpath/reference-mode switch.
     """
     parts = (text, ambient, str(backend), str(bool(fastpath)),
              repr(discipline_key(discipline)))

@@ -90,9 +90,6 @@ class DescSpec:
     #: part of ``key()``: compiled descriptions are limits-independent, so
     #: changing limits never forces a worker recompile.
     limits: Optional[ParseLimits] = None
-    #: Codegen backend for the generated engine ('auto'/'source'/'ast'),
-    #: so workers rebuild with the same specialization as the parent.
-    backend: str = "auto"
     #: Whether the plan-compiled record fast functions are enabled.  Part
     #: of ``key()``: a parent running in reference mode (``fastpath=False``)
     #: must not share a worker-cache slot with a fastpath parent — same
@@ -101,7 +98,7 @@ class DescSpec:
 
     def key(self) -> tuple:
         from .core.api import discipline_key
-        return (self.text, self.ambient, self.engine, self.backend,
+        return (self.text, self.ambient, self.engine,
                 self.fastpath) + discipline_key(self.discipline)
 
 
@@ -113,7 +110,7 @@ def _spec_for(description) -> Optional[DescSpec]:
     if module is not None and hasattr(module, "SOURCE"):
         return DescSpec(module.SOURCE, module.AMBIENT, "generated",
                         description.discipline, limits,
-                        getattr(description, "backend", "auto"))
+                        fastpath=description.fastpath)
     text = getattr(description, "source_text", None)
     ambient = getattr(description, "ambient", None)
     if text is None or ambient is None:
@@ -137,7 +134,6 @@ def _materialise(spec: DescSpec):
             from .codegen import compile_generated
             desc = compile_generated(spec.text, ambient=spec.ambient,
                                      discipline=spec.discipline, check=False,
-                                     backend=spec.backend,
                                      fastpath=spec.fastpath)
         else:
             from .core.api import compile_description

@@ -10,9 +10,8 @@ per-record fastpath verdicts with compiled fast functions.
 Consumers:
 
 * :mod:`repro.core.binding` — builds interpreter nodes from plan nodes;
-* :mod:`repro.codegen.backends` — the codegen backends compile plan
-  nodes to parser modules (including the fast functions, verbatim in
-  the source backend, ``dosem``-specialized in the AST backend);
+* :mod:`repro.codegen.emitter` — emits the generated module from plan
+  nodes (including the fast functions, verbatim);
 * :mod:`repro.plan.runtime` — materialises the same fast functions for
   the interpreter;
 * the AST-walking tools (``tools/xsd.py``, ``tools/datagen.py``,

@@ -70,7 +70,6 @@ def analyze(desc: D.Description, ambient: str = "ascii") -> Plan:
     # Passes 2..5: analysis and optimization over the IR.
     from .passes import (
         attach_batchpaths,
-        attach_codegen_verdicts,
         attach_fastpaths,
         compute_widths,
         fuse_literal_runs,
@@ -79,7 +78,6 @@ def analyze(desc: D.Description, ambient: str = "ascii") -> Plan:
     fuse_literal_runs(plan)
     attach_fastpaths(plan)
     attach_batchpaths(plan)
-    attach_codegen_verdicts(plan)
     return plan
 
 

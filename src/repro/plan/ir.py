@@ -2,7 +2,7 @@
 
 :func:`repro.plan.analyze` lowers a type-checked description once into
 these nodes; the interpreter binder (:mod:`repro.core.binding`), the
-codegen backends (:mod:`repro.codegen.backends`), the record fast path
+codegen emitter (:mod:`repro.codegen.emitter`), the record fast path
 (:mod:`repro.plan.fastpath`) and the AST-walking tools all consume the
 same analyzed facts instead of re-deriving them:
 
@@ -198,12 +198,6 @@ class DeclPlan:
     batch_verdict: Verdict = field(
         default_factory=lambda: Verdict(False, "not analyzed"))
     batch_fn: Optional[Tuple[str, List[str]]] = None
-    #: Codegen-backend choice for this declaration: eligible means the
-    #: AST-specializing backend (:mod:`repro.codegen.backends.astspec`)
-    #: has straight-line fast/batch code worth specializing; otherwise
-    #: the plain source backend is the plan-driven pick.
-    codegen_verdict: Verdict = field(
-        default_factory=lambda: Verdict(False, "not analyzed"))
 
     @property
     def param_names(self) -> List[str]:

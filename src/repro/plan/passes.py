@@ -240,30 +240,3 @@ def attach_batchpaths(plan: Plan) -> None:
             dp.batch_verdict = Verdict(True, reason)
             dp.batch_fn = (fn_name, lines)
 
-
-# -- codegen-backend verdicts -------------------------------------------------
-
-
-def attach_codegen_verdicts(plan: Plan) -> None:
-    """Record, per declaration, which codegen backend the plan would pick.
-
-    The AST-specializing backend (``repro.codegen.backends.astspec``)
-    pays when a record type carries materialized straight-line code to
-    specialize — a fast function or a batch kernel.  For everything else
-    the source backend is already optimal, so ``auto`` selection keeps
-    it.  Runs after :func:`attach_fastpaths` / :func:`attach_batchpaths`
-    because it is a pure function of those verdicts.
-    """
-    for dp in plan.decls.values():
-        if dp.verdict.eligible and dp.batch_verdict.eligible:
-            dp.codegen_verdict = Verdict(
-                True, "ast: fast function and batch kernel to specialize")
-        elif dp.verdict.eligible:
-            dp.codegen_verdict = Verdict(
-                True, "ast: record fast function to specialize")
-        elif dp.batch_verdict.eligible:
-            dp.codegen_verdict = Verdict(
-                True, "ast: batch kernel to specialize")
-        else:
-            dp.codegen_verdict = Verdict(
-                False, f"source (no fast path: {dp.verdict.reason})")

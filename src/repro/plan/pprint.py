@@ -84,8 +84,7 @@ def _decl_lines(dp) -> List[str]:
     lines = [head,
              f"  width: {_width(dp.width)}",
              f"  fastpath: {dp.verdict}",
-             f"  batch: {dp.batch_verdict}",
-             f"  codegen: {dp.codegen_verdict}"]
+             f"  batch: {dp.batch_verdict}"]
 
     if isinstance(dp, StructPlan):
         for i, item in enumerate(dp.items):

@@ -9,9 +9,10 @@ composition of existing library pieces:
 
 * **compile-once** — requests resolve through a content-hash-keyed
   :class:`~repro.core.api.DescriptionCache` whose key covers source
-  text, ambient coding, record discipline, codegen backend and fastpath
-  mode (hashing only the source would let one tenant's compile poison
-  another's: identical source, different backend, one shared module);
+  text, ambient coding, record discipline, engine (``backend``) and
+  fastpath mode (hashing only the source would let one tenant's compile
+  poison another's: identical source, different engine, one shared
+  module);
 * **tenancy / QoS** — each tenant (the ``X-Tenant`` header) gets a
   :class:`~repro.core.limits.ParseLimits` budget attached per-*source*,
   so one cached description serves every budget; a limit hit fails the
@@ -35,7 +36,7 @@ byte *n*; ``format: "text"`` responses are raw bytes rendered through
 
 ``POST /v1/descriptions``
     ``{"source": ..., "ambient": "ascii", "records": "newline",``
-    ``"backend": null|"auto"|"source"|"ast", "fastpath": true}`` —
+    ``"backend": null|"source", "fastpath": true}`` —
     compile (through the cache) and pin a description; returns its
     content-hash ``id``.
 
@@ -376,7 +377,7 @@ class ParseServer:
             raise HttpError(400, "BAD_AMBIENT",
                             f"unknown ambient {ambient!r}")
         backend = payload.get("backend")
-        if backend not in (None, "auto", "source", "ast"):
+        if backend not in (None, "source"):
             raise HttpError(400, "BAD_BACKEND",
                             f"unknown backend {backend!r}")
         discipline = discipline_from_spec(payload.get("records", "newline"))

@@ -50,9 +50,8 @@ def _load(args):
     d = compile_file(args.description, ambient=args.ambient,
                      discipline=_discipline(args), limits=_limits(args),
                      backend=backend)
-    # The resolved choice, for --stats: the interpreter when --backend
-    # was not given, else the codegen backend that actually compiled
-    # (auto resolves per description through the plan's codegen verdicts).
+    # The engine that ran, for --stats: the interpreter unless
+    # --backend source asked for the generated module.
     args._backend_used = getattr(d, "backend", "interp")
     return d
 
@@ -210,31 +209,15 @@ def cmd_check(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    from ..codegen import compile_generated, generate_source
+    from ..codegen import generate_source
     with open(args.description, "r", encoding="utf-8") as handle:
         text = handle.read()
-    backend = getattr(args, "backend", None) or "source"
-    if backend == "source" and not args.dump:
-        source = generate_source(text, ambient=args.ambient,
-                                 filename=args.description)
-        label = "source backend"
-    else:
-        # --dump: the chosen backend's module rendering.  For the AST
-        # backend that is ``ast.unparse`` of the specialized tree — a
-        # debugging view (the real module is compiled from the tree,
-        # never from this text).
-        if backend == "ast" and not args.dump:
-            raise PadsError(
-                "--backend ast compiles an in-memory AST, not module "
-                "source; add --dump to write the unparsed debugging view")
-        gen = compile_generated(text, ambient=args.ambient,
-                                filename=args.description, backend=backend)
-        source = gen.dump()
-        label = f"{gen.backend} backend dump"
+    source = generate_source(text, ambient=args.ambient,
+                             filename=args.description)
     out = args.output or (args.description.rsplit(".", 1)[0] + "_parser.py")
     with open(out, "w", encoding="utf-8") as handle:
         handle.write(source)
-    print(f"wrote {out} ({len(source.splitlines())} lines, {label})")
+    print(f"wrote {out} ({len(source.splitlines())} lines)")
     return 0
 
 
@@ -421,7 +404,6 @@ def cmd_count(args) -> int:
 
 def cmd_plan(args) -> int:
     """Pretty-print the analyzed plan IR for a description."""
-    from ..codegen.backends import select_backend
     from ..plan import format_plan
     try:
         d = _load(args)
@@ -434,8 +416,6 @@ def cmd_plan(args) -> int:
         print(f"padsc: no type named {args.type!r} in description",
               file=sys.stderr)
         return 2
-    chosen, reason = select_backend(d.plan, "auto")
-    print(f"backend (auto): {chosen.name} — {reason}")
     return 0
 
 
@@ -608,8 +588,17 @@ def cmd_cobol(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors (an unknown flag, a bad choice) become the same one
+    ``padsc: ...`` line and exit code 2 as every other invalid
+    invocation (see :func:`main`), not a usage dump."""
+
+    def error(self, message):
+        raise PadsError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="padsc",
         description="PADS: processing ad hoc data sources (PLDI 2005 "
                     "reproduction)")
@@ -664,16 +653,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "batch whenever eligible")
 
     def backend_flag(p):
-        p.add_argument("--backend", choices=["auto", "source", "ast"],
-                       default=None,
-                       help="run through a compiled parser module instead "
-                            "of the interpreter: 'source' is the string "
-                            "emitter, 'ast' the AST-specializing backend, "
-                            "'auto' picks per description from the plan's "
-                            "codegen verdicts; the default stays on the "
-                            "interpreted engine.  Results are "
-                            "byte-identical either way; the resolved "
-                            "choice lands in --stats")
+        p.add_argument("--backend", choices=["source"], default=None,
+                       help="'source' runs the generated parser module "
+                            "instead of the interpreter (the default).  "
+                            "Results are byte-identical either way; the "
+                            "engine that ran lands in --stats")
 
     def durable_flags(p):
         p.add_argument("--checkpoint", nargs="?", const=-1, type=int,
@@ -707,14 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compile", help="generate a Python parser module")
     common(p, data=False)
     p.add_argument("-o", "--output")
-    p.add_argument("--backend", choices=["source", "ast"], default="source",
-                   help="codegen backend; 'ast' requires --dump (its "
-                        "module is compiled from a specialized tree and "
-                        "has no canonical source)")
-    p.add_argument("--dump", action="store_true",
-                   help="write the backend's module rendering — for the "
-                        "ast backend, ast.unparse of the specialized "
-                        "tree (a debugging view, not what runs)")
     p.set_defaults(fn=cmd_compile)
 
     p = sub.add_parser("accum", help="statistical profile (accumulators)")
@@ -955,9 +931,8 @@ def _run(args) -> int:
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return _run(args)
+        return _run(build_parser().parse_args(argv))
     except (PadsError, OSError) as exc:
         # Usage-level failures (missing/unreadable input, a description
         # that fails to compile, a bad --limits spec) get one diagnostic

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from repro import gallery
+from repro.codegen import compile_generated
 from repro.tools.padsc import main
 
 
@@ -50,6 +51,11 @@ class TestCheckAndCompile:
     def test_compile_produces_importable_module(self, clf_file, tmp_path, capsys):
         out = str(tmp_path / "clf_parser.py")
         assert main(["compile", clf_file, "-o", out]) == 0
+        # the file is exactly the module the generated engine runs
+        with open(out, encoding="utf-8") as handle:
+            written = handle.read()
+        assert written == compile_generated(gallery.CLF,
+                                            filename=clf_file).py_source
         sys.path.insert(0, str(tmp_path))
         try:
             import clf_parser  # noqa: F401
@@ -260,6 +266,15 @@ class TestObservabilityFlags:
         assert "records/sec" in captured.err
         assert "records/sec" not in captured.out  # stdout stays data-only
 
+    @pytest.mark.parametrize("extra,engine",
+                             [([], "interp"), (["--backend", "source"],
+                                               "source")],
+                             ids=["interp", "source"])
+    def test_stats_report_engine(self, clf_file, clf_data, capsys, extra,
+                                 engine):
+        assert main(["count", clf_file, clf_data, "--stats"] + extra) == 0
+        assert f"backend: {engine}" in capsys.readouterr().err
+
     def test_stats_json_shape(self, clf_file, clf_data, capsys):
         import json
         assert main(["fmt", clf_file, clf_data, "--record", "entry_t",
@@ -352,13 +367,21 @@ class TestFlagConflictMatrix:
         # budgets with malformed specs
         (["--limits", "nope=1"], "bad --limits entry"),
         (["--limits", "deadline=soon"], "bad --limits value"),
+        # the generated engine is the one emitter: no backend choice
+        (["--backend", "ast"], "invalid choice: 'ast'"),
+        (["--backend", "auto"], "invalid choice: 'auto'"),
+        (["compile", "--dump"], "unrecognized arguments: --dump"),
     ]
 
     @pytest.mark.parametrize("extra,needle", CASES,
                              ids=[" ".join(c[0]) for c in CASES])
     def test_invalid_combo_exits_2(self, clf_file, clf_data, capsys,
                                    extra, needle):
-        rc = main(["count", clf_file, clf_data] + extra)
+        if extra[0] == "compile":
+            argv = ["compile", clf_file] + extra[1:]
+        else:
+            argv = ["count", clf_file, clf_data] + extra
+        rc = main(argv)
         captured = capsys.readouterr()
         assert rc == 2
         assert "Traceback" not in captured.err

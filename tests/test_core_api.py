@@ -222,6 +222,12 @@ class TestApiEntryPoints:
         b, _ = clf.parse(gallery.CLF_SAMPLE.encode())
         assert a == b
 
+    @pytest.mark.parametrize("backend", ["ast", "auto", "llvm"])
+    def test_unknown_backend_is_an_error(self, backend):
+        # None (the interpreter) and 'source' (generated) are the engines.
+        with pytest.raises(PadsError, match="unknown backend"):
+            compile_description(gallery.CLF, backend=backend)
+
     def test_compile_file(self, tmp_path):
         from repro import compile_file
         path = tmp_path / "d.pads"

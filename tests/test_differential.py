@@ -8,11 +8,11 @@ parse results, and both engines report the same (deterministic subset of)
 metrics because the per-field error counters are derived from the pd
 trees both engines already agree on.
 
-The generated engine is additionally crossed over its codegen backends
-(``backend='source'`` vs ``backend='ast'``): the backend choice is an
-implementation detail, so both must stay byte-identical to the
-interpreter on records, pd summaries, observe metrics and accumulator
-reports.
+Both engines are additionally built through the ``backend`` selector of
+:func:`~repro.core.api.compile_description` (``None`` vs ``'source'``):
+the engine choice is an implementation detail, so the generated twin it
+returns must stay byte-identical to the interpreter on records, pd
+summaries, observe metrics and accumulator reports.
 """
 
 import random
@@ -70,14 +70,11 @@ def cases():
 
 @pytest.fixture(scope="module")
 def backend_cases(cases):
-    """Each case's generated engine rebuilt with every forced backend."""
+    """Each case's generated engine, selected by ``backend='source'``."""
     return {
-        name: {
-            backend: compile_generated(
-                interp.source_text, ambient=interp.ambient,
-                discipline=interp.discipline, backend=backend)
-            for backend in ("source", "ast")
-        }
+        name: compile_description(
+            interp.source_text, ambient=interp.ambient,
+            discipline=interp.discipline, backend="source")
         for name, (interp, _gen, _data, _rtype) in cases.items()
     }
 
@@ -277,35 +274,24 @@ class TestLimitsAgree:
 
 @pytest.mark.parametrize("name", list(CASES))
 class TestBackendsAgree:
-    """The source and AST codegen backends against the interpreter.
-
-    All three gallery cases are fastpath-eligible, so ``backend='auto'``
-    resolves to the AST backend and the forced variants pin both code
-    paths explicitly; every backend must match the interpreter on reps,
-    pd summaries and deterministic observe stats, serially and through
-    ``records_parallel`` (whose workers rebuild with the same backend).
+    """``compile_description(backend='source')`` against the interpreter
+    (``backend=None``): the generated twin must match on reps, pd
+    summaries and deterministic observe stats, serially and through
+    ``records_parallel`` (whose workers rebuild the generated module).
     """
-
-    def test_backend_selection_is_plan_driven(self, cases, backend_cases,
-                                              name):
-        interp, gen, _data, rtype = cases[name]
-        assert interp.plan.decl(rtype).codegen_verdict.eligible
-        assert gen.backend == "ast"     # auto picked the specializer
-        assert backend_cases[name]["source"].backend == "source"
-        assert backend_cases[name]["ast"].backend == "ast"
 
     def test_records_and_stats_identical(self, cases, backend_cases, name):
         interp, _gen, data, rtype = cases[name]
+        gen = backend_cases[name]
+        assert gen.backend == "source"
         base_reps, base_pds, base_stats = run_records(interp, data, rtype,
                                                       metered=True)
-        for backend, gen in backend_cases[name].items():
-            for parallel in (False, True):
-                reps, pds, stats = run_records(gen, data, rtype,
-                                               parallel=parallel,
-                                               metered=True)
-                assert reps == base_reps, backend
-                assert pds == base_pds, backend
-                assert stats == base_stats, backend
+        for parallel in (False, True):
+            reps, pds, stats = run_records(gen, data, rtype,
+                                           parallel=parallel, metered=True)
+            assert reps == base_reps, parallel
+            assert pds == base_pds, parallel
+            assert stats == base_stats, parallel
 
     def test_masked_parses_identical(self, cases, backend_cases, name):
         interp, _gen, data, rtype = cases[name]
@@ -314,10 +300,9 @@ class TestBackendsAgree:
         for mask in masks:
             base = [pd_summary(p)
                     for _, p in interp.records(data, rtype, mask)]
-            for backend, gen in backend_cases[name].items():
-                got = [pd_summary(p) for _, p in gen.records(data, rtype,
-                                                             mask)]
-                assert got == base, (backend, mask)
+            got = [pd_summary(p)
+                   for _, p in backend_cases[name].records(data, rtype, mask)]
+            assert got == base, mask
 
     def test_accumulator_reports_identical(self, cases, backend_cases, name):
         interp, _gen, data, rtype = cases[name]
@@ -328,9 +313,7 @@ class TestBackendsAgree:
                 acc.add(rep, pd)
             return acc.full_report()
 
-        base = report(interp)
-        for backend, gen in backend_cases[name].items():
-            assert report(gen) == base, backend
+        assert report(backend_cases[name]) == report(interp)
 
 
 @pytest.mark.parametrize("name", ["clf", "sirius"])

@@ -263,6 +263,14 @@ class TestSerialFallback:
 # -- spec plumbing -------------------------------------------------------------
 
 
+def _rebuilt_has_fast_fn(spec, record_type):
+    """Worker side: rebuild ``spec`` as an unseeded worker does and report
+    whether the module carries the record's plan-compiled fast function."""
+    parallel._COMPILED.pop(spec.key(), None)
+    module = parallel._materialise(spec).module
+    return any(name.startswith(f"_fp_{record_type}") for name in vars(module))
+
+
 class TestDescSpec:
     def test_interp_spec_roundtrip(self):
         desc = gallery.load_clf()
@@ -275,6 +283,19 @@ class TestDescSpec:
         desc = compile_generated(gallery.CLF)
         spec = parallel._spec_for(desc)
         assert spec.engine == "generated"
+
+    def test_generated_spec_keeps_fastpath(self):
+        # A reference-mode generated description must ship fastpath=False:
+        # otherwise it shares the fastpath module's worker-cache slot and
+        # workers that rebuild it get the fast functions back.
+        fast = compile_generated(gallery.CLF)
+        ref = compile_generated(gallery.CLF, fastpath=False)
+        fast_spec, ref_spec = parallel._spec_for(fast), parallel._spec_for(ref)
+        assert fast_spec.key() != ref_spec.key()
+        pool = parallel._pool(JOBS)
+        assert pool.submit(_rebuilt_has_fast_fn, fast_spec, "entry_t").result()
+        assert not pool.submit(_rebuilt_has_fast_fn, ref_spec,
+                               "entry_t").result()
 
     def test_spec_is_picklable(self):
         import pickle

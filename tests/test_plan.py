@@ -49,7 +49,7 @@ class TestEncodings:
     def test_no_second_encodings_table(self):
         # The acceptance criterion in code form: neither engine defines
         # its own ambient table anymore.
-        import repro.codegen.backends.source as emitter
+        import repro.codegen.emitter as emitter
         import repro.core.binding as binding
         assert not hasattr(emitter, "_ENCODINGS")
         assert not hasattr(binding, "_ENCODINGS")
@@ -297,6 +297,6 @@ class TestPlanIsShared:
         check_description(desc, "ascii")
         plan = analyze(desc, "ascii")
         src_shared = generate_source(gallery.CLF)
-        from repro.codegen.backends.source import generate_source as emit
+        from repro.codegen.emitter import generate_source as emit
         assert emit(desc, "ascii", source_text=gallery.CLF,
                     plan=plan) == src_shared

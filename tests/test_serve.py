@@ -137,6 +137,10 @@ class TestService:
                                "records": "fixed:abc"}, 400, "PADS_ERROR"),
                 ("/v1/descriptions", {"source": CLF, "backend": "zig"},
                  400, "BAD_BACKEND"),
+                ("/v1/descriptions", {"source": CLF, "backend": "ast"},
+                 400, "BAD_BACKEND"),
+                ("/v1/descriptions", {"source": CLF, "backend": "auto"},
+                 400, "BAD_BACKEND"),
                 ("/v1/nope", {}, 404, "NOT_FOUND"),
             ]
             for path, doc, want_status, want_error in cases:
