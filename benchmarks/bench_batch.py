@@ -35,7 +35,7 @@ from collections import deque
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro import gallery  # noqa: E402
-from repro.batch import batch_verdict  # noqa: E402
+from repro.batch import batch_verdict, count_records_batch  # noqa: E402
 from repro.codegen import compile_generated  # noqa: E402
 from repro.core.io import FixedWidthRecords  # noqa: E402
 from repro.tools.datagen import call_detail_workload  # noqa: E402
@@ -93,7 +93,7 @@ def main() -> int:
     count_cursor = best_seconds(
         lambda: interp.count_records(data), repeats)
     count_batch = best_seconds(
-        lambda: interp.count_records_batch(data), repeats)
+        lambda: count_records_batch(interp, data), repeats)
     doc["count"] = {
         "cursor_seconds": round(count_cursor, 6),
         "batch_seconds": round(count_batch, 6),

@@ -32,6 +32,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro import gallery, observe  # noqa: E402
 from repro.codegen import compile_generated  # noqa: E402
+from repro.stream import count_records_stream  # noqa: E402
 from repro.tools.datagen import clf_workload  # noqa: E402
 
 WINDOW = 1 << 20
@@ -75,7 +76,7 @@ def main() -> int:
         stream = obs.stats(deterministic=True)["stream"]
 
         t0 = time.perf_counter()
-        counted = gen.count_records_stream(log, window=WINDOW)
+        counted = count_records_stream(gen, log, window=WINDOW)
         count_s = time.perf_counter() - t0
 
         from conftest import machine_line

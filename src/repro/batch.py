@@ -27,17 +27,17 @@ descriptors, accumulators and deterministic metrics (modulo the
 ``batch.*`` counters) are therefore byte-identical to the serial
 reference; the batch engine is an optimisation, never a semantic fork.
 
-Entry points (also exposed as ``records_batch`` / ``accumulate_batch``
-/ ``count_records_batch`` methods on both compiled-description
-engines)::
+Entry points (``records_batch`` is also a method on both
+compiled-description engines; :func:`repro.execute.run` picks this
+engine whenever :func:`batch_gate` allows)::
 
     from repro import gallery
     cd = gallery.load_call_detail()
     for rep, pd in cd.records_batch(DATA, "call_t"):
         ...
 
-Eligibility rules, the engine-selection matrix and the fallback
-semantics are documented in ``docs/BATCH.md``.
+Eligibility rules and the fallback semantics are documented in
+``docs/BATCH.md``; the engine-selection table in ``docs/ARCHITECTURE.md``.
 """
 
 from __future__ import annotations
@@ -48,15 +48,14 @@ from time import perf_counter
 from typing import Iterable, Iterator, Optional, Tuple
 
 from . import observe
-from .core.errors import ErrCode, ErrorTally, PadsError, Pd
+from .core.errors import ErrCode, PadsError, Pd
 from .core.io import FixedWidthRecords, NewlineRecords, Source
 from .core.masks import Mask, P_CheckAndSet
 from .plan.ir import Verdict
-from .tools.accum import DEFAULT_TRACKED, Accumulator
 
 __all__ = [
-    "BATCH_BYTES", "MAX_BATCH_RECORDS", "batch_verdict",
-    "records_batch", "accumulate_batch", "count_records_batch",
+    "BATCH_BYTES", "MAX_BATCH_RECORDS", "batch_verdict", "batch_gate",
+    "records_batch", "count_records_batch",
 ]
 
 #: Feeder span size: how much record-aligned input one grid pass covers.
@@ -117,19 +116,40 @@ def batch_verdict(description, type_name: str) -> Verdict:
     return Verdict(True, f"{width}-byte columns at {stride}-byte pitch")
 
 
-def _runtime_gate(description, mask: Optional[Mask]) -> Optional[str]:
-    """Per-call conditions that force the cursor engine even for an
-    eligible description (mirrors the record fast-path gate)."""
+def batch_gate(description, type_name: Optional[str] = None,
+               mask: Optional[Mask] = None) -> Verdict:
+    """Whether this call may run on the batch engine, with the reason.
+
+    With ``type_name`` it is :func:`batch_verdict` plus the per-call
+    conditions that force the cursor engine even for an eligible
+    description (mirroring the record fast-path gate): attached parse
+    limits, an active tracer, a non-uniform mask.  Without it, it is
+    the record-counting gate: a constant-pitch discipline and no
+    limits, since counting parses no fields.
+    """
+    if type_name is not None:
+        verdict = batch_verdict(description, type_name)
+        if not verdict.eligible:
+            return verdict
     if getattr(description, "limits", None) is not None:
-        return "parse limits attached (budgets are accounted per-cursor)"
+        return Verdict(False, "parse limits attached (budgets are "
+                              "accounted per-cursor)")
+    if type_name is None:
+        disc = description.discipline
+        if isinstance(disc, (FixedWidthRecords, NewlineRecords)):
+            return Verdict(True, f"{type(disc).__name__}: counted by "
+                                 "arithmetic")
+        return Verdict(
+            False, f"{type(disc).__name__} records have no constant pitch")
     obs = observe.CURRENT
     if obs is not None and obs.tracer is not None:
-        return "active tracer (the event stream needs the cursor engine)"
+        return Verdict(False, "active tracer (the event stream needs the "
+                              "cursor engine)")
     m = mask if mask is not None else Mask(P_CheckAndSet)
     if not ((m.bits & 1) and not m.fields and m.compound_level is None
             and m.elts is None):
-        return "non-uniform or non-materialising mask"
-    return None
+        return Verdict(False, "non-uniform or non-materialising mask")
+    return verdict
 
 
 # -- input feeding -------------------------------------------------------------
@@ -340,8 +360,7 @@ def window_records(description, window, type_name: str, mask=None, *,
     them, exactly as for cursor workers) and absolute byte offsets.
     Returns None when the description, mask or window shape must stay
     on the cursor path."""
-    verdict = batch_verdict(description, type_name)
-    if not verdict.eligible or _runtime_gate(description, mask) is not None:
+    if not batch_gate(description, type_name, mask).eligible:
         return None
     feed = _window_feed(window, description.discipline, chunk_bytes)
     if feed is None:
@@ -356,9 +375,9 @@ def window_records(description, window, type_name: str, mask=None, *,
 def window_count(description, window) -> Optional[int]:
     """Batch twin of one worker's record count: pure discipline
     arithmetic over the window, or None to keep the cursor path."""
-    disc = description.discipline
-    if getattr(description, "limits", None) is not None:
+    if not batch_gate(description).eligible:
         return None
+    disc = description.discipline
     if isinstance(disc, FixedWidthRecords):
         width = disc.width
         if window[0] == "bytes":
@@ -366,8 +385,6 @@ def window_count(description, window) -> Optional[int]:
         if window[0] == "file":
             _tag, _path, start, end = window
             return -(-(end - start) // width)
-        return None
-    if not isinstance(disc, NewlineRecords):
         return None
     if window[0] == "bytes":
         buf = window[1]
@@ -402,10 +419,8 @@ def records_batch(description, data, type_name: str, mask=None, *,
     :class:`~repro.core.errors.PadsError` instead (the ``--engine
     batch`` contract), at call time.
     """
-    verdict = batch_verdict(description, type_name)
-    reason = None if verdict.eligible else verdict.reason
-    if reason is None:
-        reason = _runtime_gate(description, mask)
+    gate = batch_gate(description, type_name, mask)
+    reason = None if gate.eligible else gate.reason
     feed = None
     if reason is None:
         feed = _feed(data, description.discipline, chunk_bytes)
@@ -427,39 +442,14 @@ def records_batch(description, data, type_name: str, mask=None, *,
                kernel))
 
 
-def accumulate_batch(description, data, record_type: str, mask=None, *,
-                     tracked: int = DEFAULT_TRACKED,
-                     summaries: bool = False,
-                     strict: bool = False,
-                     chunk_bytes: int = BATCH_BYTES
-                     ) -> Tuple[Accumulator, ErrorTally]:
-    """Batch twin of serial accumulation: folds every record into an
-    :class:`~repro.tools.accum.Accumulator` and an
-    :class:`~repro.core.errors.ErrorTally` (``tally.records`` is the
-    record count), parsing grid-at-a-time when eligible."""
-    acc = Accumulator(description.node(record_type), "<top>", tracked)
-    if summaries:
-        from .tools.summaries import attach_summaries
-        attach_summaries(acc)
-    tally = ErrorTally()
-    for rep, pd in records_batch(description, data, record_type, mask,
-                                 strict=strict, chunk_bytes=chunk_bytes):
-        acc.add(rep, pd)
-        tally.add(pd)
-    return acc, tally
-
-
 def count_records_batch(description, data, *, strict: bool = False,
                         chunk_bytes: int = BATCH_BYTES) -> int:
     """Batch twin of ``count_records``: pure discipline arithmetic —
     terminator counting (newline records) or size division (fixed-width
     records) over record-aligned spans, no field parsing at all."""
     disc = description.discipline
-    reason = None
-    if getattr(description, "limits", None) is not None:
-        reason = "parse limits attached (budgets are accounted per-cursor)"
-    elif not isinstance(disc, (FixedWidthRecords, NewlineRecords)):
-        reason = f"{type(disc).__name__} records have no constant pitch"
+    gate = batch_gate(description)
+    reason = None if gate.eligible else gate.reason
     feed = None
     if reason is None:
         feed = _feed(data, disc, chunk_bytes)

@@ -22,8 +22,9 @@ from time import perf_counter
 from typing import Iterator, Optional, Tuple
 
 from .. import observe
+from ..core.api import DescriptionBase
 from ..core.errors import ErrCode, PadsError, Pd
-from ..core.io import RecordDiscipline, Source
+from ..core.io import RecordDiscipline
 from ..core.limits import ParseLimits, record_guard
 from ..core.masks import Mask, P_CheckAndSet
 from ..dsl.parser import parse_description
@@ -61,7 +62,7 @@ def compile_generated(text: str, *, ambient: str = "ascii",
                                 py_source, limits=limits, fastpath=fastpath)
 
 
-class GeneratedDescription:
+class GeneratedDescription(DescriptionBase):
     """Wrapper giving a generated module the same API as the interpreted
     :class:`~repro.core.api.CompiledDescription` (parse / records / write /
     verify), so clients and tests can swap the two freely."""
@@ -108,20 +109,6 @@ class GeneratedDescription:
         """Interpreted node twin (used by the structural tools)."""
         return self.module._interp().node(name)
 
-    # -- sources ---------------------------------------------------------------
-
-    def open(self, data) -> Source:
-        if isinstance(data, Source):
-            if data.limits is None and self.limits is not None:
-                data.set_limits(self.limits)
-            return data
-        if isinstance(data, str):
-            data = data.encode("latin-1")
-        return Source.from_bytes(data, self.discipline, limits=self.limits)
-
-    def open_file(self, path: str) -> Source:
-        return Source.from_file(path, self.discipline, limits=self.limits)
-
     # -- API -----------------------------------------------------------------------
 
     def parse(self, data, type_name: Optional[str] = None,
@@ -139,9 +126,6 @@ class GeneratedDescription:
                           perf_counter() - t0, start=start,
                           record=src.record_idx)
         return rep, pd
-
-    def parse_source(self, data, mask: Optional[Mask] = None):
-        return self.parse(data, None, mask)
 
     def records(self, data, type_name: str,
                 mask: Optional[Mask] = None) -> Iterator[Tuple[object, Pd]]:
@@ -198,21 +182,11 @@ class GeneratedDescription:
                               record=src.record_idx)
             yield rep, pd
 
-    def count_records(self, data) -> int:
-        """Count records using only the record discipline (no field
-        parsing) — the analogue of the paper's record-counting program."""
-        src = self.open(data)
-        count = 0
-        while src.begin_record():
-            src.end_record()
-            count += 1
-        return count
-
-    # -- batch entry points --------------------------------------------------------
+    # -- batch kernels ------------------------------------------------------------
     #
-    # Vectorized twins (:mod:`repro.batch`): the generated module carries
-    # the columnar kernels in its ``BATCH`` table — the codegen twin of
-    # the interpreter's materialised plan fragments.
+    # The generated module carries the columnar kernels (:mod:`repro.batch`)
+    # in its ``BATCH`` table — the codegen twin of the interpreter's
+    # materialised plan fragments.
 
     @property
     def plan(self):
@@ -224,56 +198,11 @@ class GeneratedDescription:
         type, or None."""
         return getattr(self.module, "BATCH", {}).get(type_name)
 
-    def records_batch(self, data, type_name: str,
-                      mask: Optional[Mask] = None, *,
-                      strict: bool = False):
-        """Vectorized record stream (``records`` twin)."""
-        from ..batch import records_batch
-        return records_batch(self, data, type_name, mask, strict=strict)
-
-    def accumulate_batch(self, data, record_type: str,
-                         mask: Optional[Mask] = None, *,
-                         tracked: int = 1000, summaries: bool = False,
-                         strict: bool = False):
-        """Vectorized accumulation: returns ``(acc, tally)``."""
-        from ..batch import accumulate_batch
-        return accumulate_batch(self, data, record_type, mask,
-                                tracked=tracked, summaries=summaries,
-                                strict=strict)
-
-    def count_records_batch(self, data, *, strict: bool = False) -> int:
-        """Vectorized record counting (``count_records`` twin)."""
-        from ..batch import count_records_batch
-        return count_records_batch(self, data, strict=strict)
-
-    # -- streaming entry points ---------------------------------------------------
+    # -- worker rebuild -----------------------------------------------------------
     #
-    # Bounded-memory twins (:mod:`repro.stream`): read pipes, sockets and
-    # growing files through a sliding window, O(window) memory.
-
-    def records_stream(self, data, type_name: str,
-                       mask: Optional[Mask] = None, **opts):
-        """Bounded-memory record stream (``records`` twin).  ``opts``:
-        ``window``, ``follow``, ``poll_interval``, ``idle_timeout``."""
-        from ..stream import records_stream
-        return records_stream(self, data, type_name, mask, **opts)
-
-    def accumulate_stream(self, data, record_type: str,
-                          mask: Optional[Mask] = None, **opts):
-        """Bounded-memory accumulation: returns ``(acc, tally)``."""
-        from ..stream import accumulate_stream
-        return accumulate_stream(self, data, record_type, mask, **opts)
-
-    def count_records_stream(self, data, **opts) -> int:
-        """Bounded-memory record counting (``count_records`` twin)."""
-        from ..stream import count_records_stream
-        return count_records_stream(self, data, **opts)
-
-    # -- parallel entry points ----------------------------------------------------
-    #
-    # Chunked map-reduce twins (:mod:`repro.parallel`); workers rebuild
-    # this generated module from its embedded SOURCE text, so the fast
-    # path runs in every worker.
+    # Parallel workers (:mod:`repro.parallel`) rebuild this generated
+    # module from its embedded SOURCE text, so the fast path runs in
+    # every worker.
 
     @property
     def source_text(self) -> str:
@@ -282,30 +211,6 @@ class GeneratedDescription:
     @property
     def ambient(self) -> str:
         return self.module.AMBIENT
-
-    def records_parallel(self, data, type_name: str,
-                         mask: Optional[Mask] = None,
-                         *, jobs: Optional[int] = None):
-        """Order-preserving parallel record stream (``records`` twin)."""
-        from ..parallel import parallel_records
-        return parallel_records(self, data, type_name, mask, jobs=jobs)
-
-    def accumulate_parallel(self, data, record_type: str,
-                            mask: Optional[Mask] = None,
-                            *, jobs: Optional[int] = None,
-                            tracked: int = 1000,
-                            header_type: Optional[str] = None,
-                            summaries: bool = False):
-        """Parallel accumulation: returns ``(acc, header_acc, tally)``."""
-        from ..parallel import parallel_accumulate
-        return parallel_accumulate(self, data, record_type, mask, jobs=jobs,
-                                   tracked=tracked, header_type=header_type,
-                                   summaries=summaries)
-
-    def count_records_parallel(self, data, *, jobs: Optional[int] = None) -> int:
-        """Parallel record counting (``count_records`` twin)."""
-        from ..parallel import parallel_count
-        return parallel_count(self, data, jobs=jobs)
 
     def write(self, rep, type_name: Optional[str] = None, *params) -> bytes:
         gen = self._gen(type_name)

@@ -20,10 +20,9 @@ import random
 import threading
 from collections import OrderedDict
 from time import perf_counter
-from typing import Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 from .. import observe
-from ..dsl import ast as D
 from ..dsl.parser import parse_description
 from ..dsl.typecheck import check_description
 from ..expr.eval import Env
@@ -37,7 +36,63 @@ from .types import ArrayNode, PType, RecordNode
 Data = Union[bytes, str, Source]
 
 
-class CompiledDescription:
+class DescriptionBase:
+    """The entry points both engines share verbatim: opening sources,
+    record counting and the streaming and batch record streams.  Each
+    subclass sets ``discipline`` and ``limits`` and supplies ``parse``
+    and ``records``; the other execution modes run through
+    :func:`repro.execute.run`."""
+
+    discipline: RecordDiscipline
+    limits: Optional[ParseLimits]
+
+    def open(self, data: Data) -> Source:
+        # Strings are encoded latin-1 (byte-transparent) everywhere in the
+        # runtime; see the :mod:`repro.core.io` module docstring.
+        if isinstance(data, Source):
+            if data.limits is None and self.limits is not None:
+                data.set_limits(self.limits)
+            return data
+        if isinstance(data, str):
+            data = data.encode("latin-1")
+        return Source.from_bytes(data, self.discipline, limits=self.limits)
+
+    def open_file(self, path: str) -> Source:
+        return Source.from_file(path, self.discipline, limits=self.limits)
+
+    def parse_source(self, data: Data, mask: Optional[Mask] = None):
+        return self.parse(data, None, mask)
+
+    def count_records(self, data: Data) -> int:
+        """Count records using only the record discipline (no field
+        parsing) — the analogue of the paper's record-counting program."""
+        src = self.open(data)
+        count = 0
+        while src.begin_record():
+            src.end_record()
+            count += 1
+        return count
+
+    def records_stream(self, data, type_name: str,
+                       mask: Optional[Mask] = None, **opts):
+        """Bounded-memory record stream (:mod:`repro.stream`): ``data``
+        may be a pipe, socket, fd, growing file or any readable binary
+        object, read through a sliding window.  ``opts``: ``window``,
+        ``follow``, ``poll_interval``, ``idle_timeout``, ``index``."""
+        from ..stream import records_stream
+        return records_stream(self, data, type_name, mask, **opts)
+
+    def records_batch(self, data, type_name: str,
+                      mask: Optional[Mask] = None, *,
+                      strict: bool = False):
+        """Vectorized record stream (:mod:`repro.batch`): eligible input
+        parses grid-at-a-time through a columnar kernel, the rest falls
+        back to the cursor (same results)."""
+        from ..batch import records_batch
+        return records_batch(self, data, type_name, mask, strict=strict)
+
+
+class CompiledDescription(DescriptionBase):
     """A compiled PADS description: the Python stand-in for the paper's
     generated ``.h``/``.c`` library."""
 
@@ -80,22 +135,6 @@ class CompiledDescription:
     def env(self) -> Env:
         return self.bound.global_env
 
-    # -- sources ------------------------------------------------------------------
-
-    def open(self, data: Data) -> Source:
-        # Strings are encoded latin-1 (byte-transparent) everywhere in the
-        # runtime; see the :mod:`repro.core.io` module docstring.
-        if isinstance(data, Source):
-            if data.limits is None and self.limits is not None:
-                data.set_limits(self.limits)
-            return data
-        if isinstance(data, str):
-            data = data.encode("latin-1")
-        return Source.from_bytes(data, self.discipline, limits=self.limits)
-
-    def open_file(self, path: str) -> Source:
-        return Source.from_file(path, self.discipline, limits=self.limits)
-
     # -- parsing entry points --------------------------------------------------------
 
     def parse(self, data: Data, type_name: Optional[str] = None,
@@ -114,9 +153,6 @@ class CompiledDescription:
                           perf_counter() - t0, start=start,
                           record=src.record_idx)
         return rep, pd
-
-    def parse_source(self, data: Data, mask: Optional[Mask] = None):
-        return self.parse(data, None, mask)
 
     def records(self, data: Data, type_name: str,
                 mask: Optional[Mask] = None) -> Iterator[Tuple[object, Pd]]:
@@ -161,48 +197,7 @@ class CompiledDescription:
         src = self.open(data)
         yield from inner.parse_elements(src, mask or Mask(P_CheckAndSet), self.env)
 
-    def count_records(self, data: Data) -> int:
-        """Count records using only the record discipline (no field
-        parsing) — the analogue of the paper's record-counting program."""
-        src = self.open(data)
-        count = 0
-        while src.begin_record():
-            src.end_record()
-            count += 1
-        return count
-
-    # -- streaming entry points --------------------------------------------------
-    #
-    # Bounded-memory twins (:mod:`repro.stream`): ``data`` may be a pipe,
-    # socket, fd, growing file or any readable binary object; it is read
-    # through a sliding window so memory stays O(window) regardless of
-    # input size.
-
-    def records_stream(self, data, type_name: str,
-                       mask: Optional[Mask] = None, **opts):
-        """Bounded-memory record stream (``records`` twin).  ``opts``:
-        ``window``, ``follow``, ``poll_interval``, ``idle_timeout``."""
-        from ..stream import records_stream
-        return records_stream(self, data, type_name, mask, **opts)
-
-    def accumulate_stream(self, data, record_type: str,
-                          mask: Optional[Mask] = None, **opts):
-        """Bounded-memory accumulation: returns ``(acc, tally)``."""
-        from ..stream import accumulate_stream
-        return accumulate_stream(self, data, record_type, mask, **opts)
-
-    def count_records_stream(self, data, **opts) -> int:
-        """Bounded-memory record counting (``count_records`` twin)."""
-        from ..stream import count_records_stream
-        return count_records_stream(self, data, **opts)
-
-    # -- batch entry points --------------------------------------------------------
-    #
-    # Vectorized twins (:mod:`repro.batch`): when the plan proves the
-    # record layout fully static and the record discipline gives records
-    # a constant pitch, thousands of records parse per call through a
-    # columnar kernel.  All of them fall back to the cursor path (same
-    # results, cursor speed) when the description is ineligible.
+    # -- batch kernels ------------------------------------------------------------
 
     def batch_kernel(self, type_name: str):
         """``(static width, batch kernel)`` for a batch-eligible record
@@ -215,60 +210,6 @@ class CompiledDescription:
         if fn is None:
             return None
         return dp.width, fn
-
-    def records_batch(self, data, type_name: str,
-                      mask: Optional[Mask] = None, *,
-                      strict: bool = False):
-        """Vectorized record stream (``records`` twin)."""
-        from ..batch import records_batch
-        return records_batch(self, data, type_name, mask, strict=strict)
-
-    def accumulate_batch(self, data, record_type: str,
-                         mask: Optional[Mask] = None, *,
-                         tracked: int = 1000, summaries: bool = False,
-                         strict: bool = False):
-        """Vectorized accumulation: returns ``(acc, tally)``."""
-        from ..batch import accumulate_batch
-        return accumulate_batch(self, data, record_type, mask,
-                                tracked=tracked, summaries=summaries,
-                                strict=strict)
-
-    def count_records_batch(self, data, *, strict: bool = False) -> int:
-        """Vectorized record counting (``count_records`` twin)."""
-        from ..batch import count_records_batch
-        return count_records_batch(self, data, strict=strict)
-
-    # -- parallel entry points ---------------------------------------------------
-    #
-    # Chunked map-reduce twins of the serial entry points above
-    # (:mod:`repro.parallel`).  ``data`` may additionally be an
-    # ``os.PathLike``, in which case each worker opens its own window of
-    # the file.  All of them fall back to the serial path when ``jobs``
-    # is 1 or the record discipline cannot be chunk-aligned.
-
-    def records_parallel(self, data, type_name: str,
-                         mask: Optional[Mask] = None,
-                         *, jobs: Optional[int] = None):
-        """Order-preserving parallel record stream (``records`` twin)."""
-        from ..parallel import parallel_records
-        return parallel_records(self, data, type_name, mask, jobs=jobs)
-
-    def accumulate_parallel(self, data, record_type: str,
-                            mask: Optional[Mask] = None,
-                            *, jobs: Optional[int] = None,
-                            tracked: int = 1000,
-                            header_type: Optional[str] = None,
-                            summaries: bool = False):
-        """Parallel accumulation: returns ``(acc, header_acc, tally)``."""
-        from ..parallel import parallel_accumulate
-        return parallel_accumulate(self, data, record_type, mask, jobs=jobs,
-                                   tracked=tracked, header_type=header_type,
-                                   summaries=summaries)
-
-    def count_records_parallel(self, data, *, jobs: Optional[int] = None) -> int:
-        """Parallel record counting (``count_records`` twin)."""
-        from ..parallel import parallel_count
-        return parallel_count(self, data, jobs=jobs)
 
     # -- writing -------------------------------------------------------------------
 

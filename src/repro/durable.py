@@ -56,7 +56,7 @@ from .core.io import (
     StreamSource,
 )
 from .observe.metrics import MetricsRegistry
-from .tools.accum import DEFAULT_TRACKED, Accumulator
+from .tools.accum import DEFAULT_TRACKED, Accumulator, record_accumulator
 
 __all__ = [
     "DEFAULT_INDEX_INTERVAL", "DEFAULT_CHECKPOINT_INTERVAL",
@@ -559,15 +559,6 @@ def _open_resume_source(description, path: str, offset: int,
                             limits=limits)
 
 
-def _fresh_accumulator(description, record_type: str, tracked: int,
-                       summaries: bool) -> Accumulator:
-    acc = Accumulator(description.node(record_type), "<top>", tracked)
-    if summaries:
-        from .tools.summaries import attach_summaries
-        attach_summaries(acc)
-    return acc
-
-
 def _maybe_crash(done: int) -> None:
     if _CRASH_AFTER is not None and done >= _CRASH_AFTER:
         raise _InjectedCrash(f"injected crash after {done}")
@@ -742,7 +733,7 @@ def accumulate_durable(description, path, record_type: str, mask=None, *,
                       jobs=jobs, engine=engine, window=window,
                       build_index=build_index, index_interval=index_interval)
     state = run.state
-    acc = _fresh_accumulator(description, record_type, tracked, summaries)
+    acc = record_accumulator(description, record_type, tracked, summaries)
     if state.acc is not None:
         acc.merge(state.acc)
     tally = state.tally if state.tally is not None else ErrorTally()

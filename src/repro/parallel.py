@@ -49,11 +49,12 @@ from . import observe
 from .core.errors import ErrorTally, PadsError
 from .core.io import RecordDiscipline, Source, plan_chunks
 from .core.limits import ParseLimits
-from .tools.accum import DEFAULT_TRACKED, Accumulator
+from .tools.accum import (
+    DEFAULT_TRACKED, Accumulator, fold_records, record_accumulator)
 
 __all__ = [
-    "DescSpec", "parallel_records", "parallel_accumulate", "parallel_count",
-    "parallel_tally", "tally_records", "shutdown",
+    "DescSpec", "split_gate", "parallel_records", "parallel_accumulate",
+    "parallel_count", "parallel_tally", "tally_records", "shutdown",
     "parallel_records_stream", "parallel_count_stream",
     "parallel_accumulate_stream", "STREAM_CHUNK_BYTES",
 ]
@@ -271,27 +272,40 @@ def _healing_map(fn: Callable, tasks: Sequence[tuple], jobs: int,
 # -- planning ------------------------------------------------------------------
 
 
+def split_gate(description, *, stream: bool = False) -> Optional[str]:
+    """Why a run asked to fan out must stay on one core, or None.
+
+    An active tracer pins execution to the serial path so the event
+    stream stays complete and ordered (metrics alone parallelise).  A
+    seekable input also stays serial when the description has no source
+    text to ship to workers, or carries a ``max_errors`` budget: that
+    budget is run-global, and chunked workers each counting from zero
+    would diverge from the serial run.  A live ``stream`` raises on
+    those two instead (:func:`_require_streamable`), never degrading
+    silently.
+    """
+    obs = observe.CURRENT
+    if obs is not None and obs.tracer is not None:
+        return "active tracer (the event stream needs the serial path)"
+    if stream:
+        return None
+    if _spec_for(description) is None:
+        return "description has no source text to ship to workers"
+    limits = getattr(description, "limits", None)
+    if limits is not None and limits.max_errors is not None:
+        return "a run-global max_errors budget needs the serial path"
+    return None
+
+
 def _plan_windows(description, data, jobs: Optional[int],
                   start: int = 0) -> Optional[Tuple[List[tuple], int]]:
     """Record-aligned windows for ``data`` (from offset ``start``), or
     None when the serial path should be used instead."""
     if jobs is None:
         jobs = os.cpu_count() or 1
-    if jobs <= 1:
-        return None
-    obs = observe.CURRENT
-    if obs is not None and obs.tracer is not None:
-        # An active tracer pins execution to the serial path so the event
-        # stream stays complete and ordered (metrics alone parallelise).
+    if jobs <= 1 or split_gate(description) is not None:
         return None
     discipline = description.discipline
-    if _spec_for(description) is None:
-        return None
-    limits = getattr(description, "limits", None)
-    if limits is not None and limits.max_errors is not None:
-        # The error budget is run-global: chunked workers each counting
-        # from zero would diverge from the serial run.  Serial only.
-        return None
     if isinstance(data, os.PathLike):
         path = os.fspath(data)
         size = os.path.getsize(path)
@@ -426,22 +440,15 @@ def _map_accum(task) -> tuple:
     if _WORKER_FAULT is not None:
         _WORKER_FAULT(task)
     desc = _materialise(spec)
-    acc = Accumulator(desc.node(record_type), "<top>", tracked)
-    if summaries:
-        from .tools.summaries import attach_summaries
-        attach_summaries(acc)
+    acc = record_accumulator(desc, record_type, tracked, summaries)
 
     def run():
-        tally = ErrorTally()
         it, src = _window_iter(desc, window, record_type, mask, spec.limits)
         try:
-            for rep, pd in it:
-                acc.add(rep, pd)
-                tally.add(pd)
+            return fold_records(acc, it)
         finally:
             if src is not None:
                 src.close()
-        return tally
 
     if not meter:
         return acc, run(), None
@@ -596,11 +603,7 @@ def parallel_accumulate(description, data, record_type: str, mask=None,
             src.close()
 
     plan = _plan_windows(description, data, jobs, start=start)
-    acc = Accumulator(description.node(record_type), "<top>", tracked)
-    if summaries:
-        from .tools.summaries import attach_summaries
-        attach_summaries(acc)
-    tally = ErrorTally()
+    acc = record_accumulator(description, record_type, tracked, summaries)
 
     if plan is None:
         if header_type is not None and not isinstance(data, os.PathLike):
@@ -611,10 +614,8 @@ def parallel_accumulate(description, data, record_type: str, mask=None,
                                              start=start)
         else:
             records_input = _serial_input(description, data)
-        for rep, pd in description.records(records_input, record_type, mask):
-            acc.add(rep, pd)
-            tally.add(pd)
-        return acc, header_acc, tally
+        return acc, header_acc, fold_records(
+            acc, description.records(records_input, record_type, mask))
 
     windows, jobs = plan
     spec = _spec_for(description)
@@ -622,6 +623,7 @@ def parallel_accumulate(description, data, record_type: str, mask=None,
     cur = observe.CURRENT
     tasks = [(spec, w, record_type, mask, tracked, summaries, cur is not None)
              for w in windows]
+    tally = ErrorTally()
     for part_acc, part_tally, registry in _healing_map(
             _map_accum, tasks, jobs, timeout=_chunk_timeout(spec)):
         if registry is not None and cur is not None:
@@ -736,7 +738,7 @@ def parallel_records_stream(description, data, type_name: str, mask=None,
     if jobs is None:
         jobs = os.cpu_count() or 1
     cur = observe.CURRENT
-    if jobs <= 1 or (cur is not None and cur.tracer is not None):
+    if jobs <= 1 or split_gate(description, stream=True) is not None:
         from .stream import records_stream
         yield from records_stream(description, data, type_name, mask)
         return
@@ -772,8 +774,7 @@ def parallel_count_stream(description, data, *, jobs: Optional[int] = None,
         return description.count_records(data)
     if jobs is None:
         jobs = os.cpu_count() or 1
-    cur = observe.CURRENT
-    if jobs <= 1 or (cur is not None and cur.tracer is not None):
+    if jobs <= 1 or split_gate(description, stream=True) is not None:
         from .stream import count_records_stream
         return count_records_stream(description, data)
     spec = _spec_for(description)
@@ -799,34 +800,24 @@ def parallel_accumulate_stream(description, data, record_type: str,
                                tracked: int = DEFAULT_TRACKED,
                                summaries: bool = False,
                                chunk_bytes: int = STREAM_CHUNK_BYTES):
-    """Pipelined parallel twin of ``accumulate_stream``: returns
+    """Pipelined parallel accumulation over a live stream: returns
     ``(acc, tally)`` where ``tally.records`` is the record count.
     Streams have no random access, so header types (which need a serial
     prefix parse plus seekable chunk planning) are not supported here."""
     if jobs is None:
         jobs = os.cpu_count() or 1
-    cur = observe.CURRENT
+    acc = record_accumulator(description, record_type, tracked, summaries)
     if isinstance(data, Source):
-        acc = Accumulator(description.node(record_type), "<top>", tracked)
-        if summaries:
-            from .tools.summaries import attach_summaries
-            attach_summaries(acc)
-        tally = ErrorTally()
-        for rep, pd in description.records(data, record_type, mask):
-            acc.add(rep, pd)
-            tally.add(pd)
-        return acc, tally
-    if jobs <= 1 or (cur is not None and cur.tracer is not None):
-        from .stream import accumulate_stream
-        return accumulate_stream(description, data, record_type, mask,
-                                 tracked=tracked, summaries=summaries)
+        return acc, fold_records(acc, description.records(data, record_type,
+                                                          mask))
+    if jobs <= 1 or split_gate(description, stream=True) is not None:
+        from .stream import records_stream
+        return acc, fold_records(acc, records_stream(description, data,
+                                                     record_type, mask))
     spec = _spec_for(description)
     _require_streamable(description, spec)
     _seed(description, spec)
-    acc = Accumulator(description.node(record_type), "<top>", tracked)
-    if summaries:
-        from .tools.summaries import attach_summaries
-        attach_summaries(acc)
+    cur = observe.CURRENT
     tally = ErrorTally()
     stream, owns = _binary_stream(data)
     base = 0

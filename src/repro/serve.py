@@ -17,10 +17,12 @@ composition of existing library pieces:
   :class:`~repro.core.limits.ParseLimits` budget attached per-*source*,
   so one cached description serves every budget; a limit hit fails the
   request with a structured 4xx/5xx body, it never takes the server down;
-* **execution** — small payloads parse on a thread-pool executor through
-  the cursor engines (the event loop never blocks on a parse); large
-  payloads route through the self-healing parallel pool
-  (:mod:`repro.parallel`), which persists across requests;
+* **execution** — every request runs on a thread-pool executor (the
+  event loop never blocks on a parse) through :func:`repro.execute.run`,
+  whose planner picks the engine — batch for eligible descriptions,
+  the cursor otherwise — and whose decision each reply reports; large
+  accum/count payloads get ``jobs`` and so the self-healing parallel
+  pool (:mod:`repro.parallel`), which persists across requests;
 * **observability** — each request meters into its *own*
   :class:`~repro.observe.MetricsRegistry`, merged into the
   server-lifetime registry on the event loop at request completion (the
@@ -58,20 +60,18 @@ import base64
 import binascii
 import copy
 import json
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, Optional, Tuple
 
-from . import observe
 from .core.api import DescriptionCache
 from .core.errors import DescriptionError, ErrorTally, PadsError, Pstate
-from .core.io import Source, discipline_from_spec, transparent_encode
+from .core.io import discipline_from_spec, transparent_encode
 from .core.limits import ParseLimits
+from .execute import ExecOptions, run
 from .observe import MetricsRegistry, SIZE_BUCKETS, to_prometheus
-from .tools.accum import Accumulator
 from .tools.fmt import format_value
 
 __all__ = ["ServeConfig", "ParseServer", "ServerThread", "run_server",
@@ -127,7 +127,7 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 0  # 0: ephemeral (the bound port is on ParseServer.port)
     #: Worker processes for the parallel engine on large payloads; 1
-    #: pins every request to the in-process cursor engines.
+    #: keeps every request on the in-process engines.
     jobs: int = 1
     #: Payload bytes at and above which accum/count requests fan out to
     #: the parallel pool (when ``jobs > 1`` and the pool is free).
@@ -165,7 +165,7 @@ class ParseServer:
             max_workers=self.config.workers,
             thread_name_prefix="pads-serve")
         #: The parallel pool is one shared resource: the first large
-        #: request in takes it, concurrent ones fall back to the cursor
+        #: request in takes it, concurrent ones run on the in-process
         #: engines instead of queueing behind it.
         self._parallel_gate = threading.Lock()
         self._server: Optional[asyncio.AbstractServer] = None
@@ -517,11 +517,6 @@ class ParseServer:
         # The latin-1 convention: JSON code points < 256 are the bytes.
         return transparent_encode(data)
 
-    def _open(self, desc, data: bytes, limits: Optional[ParseLimits]):
-        """A fresh per-request Source with the *tenant's* budget (the
-        cached description itself stays limits-free)."""
-        return Source.from_bytes(data, desc.discipline, limits=limits)
-
     def _with_limits(self, desc, limits: Optional[ParseLimits]):
         """A shallow twin of a cached description carrying the tenant
         budget, for engines that read ``description.limits``."""
@@ -530,10 +525,6 @@ class ParseServer:
         twin = copy.copy(desc)
         twin.limits = limits
         return twin
-
-    def _use_parallel(self, data: bytes) -> bool:
-        return (self.config.jobs > 1
-                and len(data) >= self.config.parallel_threshold)
 
     @staticmethod
     def _check_limit(pd, tally: ErrorTally) -> None:
@@ -571,46 +562,47 @@ class ParseServer:
 
     # -- the three modes ---------------------------------------------------
 
-    def _run_count(self, desc, data: bytes, limits, registry):
-        if self._use_parallel(data) and self._parallel_gate.acquire(
-                blocking=False):
-            try:
-                registry.counter("serve.parallel_runs").inc()
-                n = self._with_limits(desc, limits).count_records_parallel(
-                    data, jobs=self.config.jobs)
-            finally:
+    def _run(self, desc, data: bytes, op: str, type_name, limits,
+             registry, **op_args):
+        """One :func:`~repro.execute.run` call with the tenant's budget.
+
+        Serve's only policy is ``jobs``: accum/count payloads at or over
+        ``parallel_threshold`` fan out when ``jobs > 1`` and the pool is
+        free; a busy pool means the in-process engines, not a queue.
+        """
+        gated = (op != "records" and self.config.jobs > 1
+                 and len(data) >= self.config.parallel_threshold
+                 and self._parallel_gate.acquire(blocking=False))
+        try:
+            result = run(self._with_limits(desc, limits), data, op,
+                         type_name, ExecOptions(
+                             jobs=self.config.jobs if gated else 1),
+                         **op_args)
+        finally:
+            if gated:
                 self._parallel_gate.release()
-        else:
-            n = desc.count_records(self._open(desc, data, limits))
-        registry.counter("records.total").inc(n)
-        return {"count": n}, f"{n}\n"
+        if gated:
+            registry.counter("serve.parallel_runs").inc()
+        return result, {"mode": result.mode, "reason": result.reason}
+
+    def _run_count(self, desc, data: bytes, limits, registry):
+        result, engine = self._run(desc, data, "count", None, limits,
+                                   registry)
+        registry.counter("records.total").inc(result.count)
+        return {"count": result.count, "engine": engine}, f"{result.count}\n"
 
     def _run_accum(self, desc, data: bytes, type_name: str, payload: dict,
                    limits, registry):
-        tracked = int(payload.get("tracked", 1000))
-        top = int(payload.get("top", 10))
-        tally = ErrorTally()
-        if self._use_parallel(data) and self._parallel_gate.acquire(
-                blocking=False):
-            try:
-                registry.counter("serve.parallel_runs").inc()
-                acc, _header, tally = self._with_limits(
-                    desc, limits).accumulate_parallel(
-                    data, type_name, jobs=self.config.jobs, tracked=tracked)
-            finally:
-                self._parallel_gate.release()
-            self._tally_limit(tally)
-        else:
-            acc = Accumulator(desc.node(type_name), "<top>", tracked)
-            src = self._open(desc, data, limits)
-            for rep, pd in desc.records(src, type_name):
-                acc.add(rep, pd)
-                tally.add(pd)
-                self._check_limit(pd, tally)
-        report = acc.full_report(top)
-        stats = self._fold_tally(tally, registry)
-        return {"report": report, "count": tally.records,
-                "stats": stats}, report
+        result, engine = self._run(
+            desc, data, "accum", type_name, limits, registry,
+            tracked=int(payload.get("tracked", 1000)),
+            on_record=self._check_limit)
+        # Folds that ran in workers report limit hits only in the tally.
+        self._tally_limit(result.tally)
+        report = result.acc.full_report(int(payload.get("top", 10)))
+        stats = self._fold_tally(result.tally, registry)
+        return {"report": report, "count": result.tally.records,
+                "stats": stats, "engine": engine}, report
 
     def _run_records(self, desc, data: bytes, type_name: str, payload: dict,
                      limits, registry):
@@ -620,8 +612,9 @@ class ParseServer:
         tally = ErrorTally()
         lines = []
         truncated = False
-        src = self._open(desc, data, limits)
-        for rep, pd in desc.records(src, type_name):
+        result, engine = self._run(desc, data, "records", type_name, limits,
+                                   registry)
+        for rep, pd in result.pairs:
             tally.add(pd)
             self._check_limit(pd, tally)
             if len(lines) < max_records:
@@ -629,7 +622,8 @@ class ParseServer:
             else:
                 truncated = True
         stats = self._fold_tally(tally, registry)
-        doc = {"records": lines, "count": tally.records, "stats": stats}
+        doc = {"records": lines, "count": tally.records, "stats": stats,
+               "engine": engine}
         if truncated:
             doc["truncated"] = True
         return doc, "".join(line + "\n" for line in lines)

@@ -9,8 +9,9 @@ bytes resident regardless of input size, and — for chunkable record
 disciplines — can pipeline a live stream into the parallel engine
 without waiting for EOF (:func:`repro.parallel.parallel_records_stream`).
 
-Entry points (also exposed as ``records_stream`` / ``accumulate_stream``
-methods on both compiled-description engines)::
+Entry points (``records_stream`` is also a method on both
+compiled-description engines; :func:`repro.execute.run` reads stdin and
+``follow`` tails through :func:`open_stream`)::
 
     import sys
     from repro import compile_description
@@ -36,19 +37,13 @@ import os
 import pathlib as _pathlib
 from typing import Iterator, Optional, Tuple
 
-from .core.errors import ErrorTally, PadsError, Pd
-from .core.io import (
-    DEFAULT_STREAM_WINDOW,
-    RecordDiscipline,
-    Source,
-    StreamSource,
-)
+from .core.errors import PadsError, Pd
+from .core.io import DEFAULT_STREAM_WINDOW, RecordDiscipline, StreamSource
 from .core.limits import ParseLimits
-from .tools.accum import DEFAULT_TRACKED, Accumulator
 
 __all__ = [
     "DEFAULT_STREAM_WINDOW", "StreamSource", "open_stream",
-    "records_stream", "accumulate_stream", "count_records_stream",
+    "records_stream", "count_records_stream",
 ]
 
 
@@ -137,10 +132,8 @@ def records_stream(description, data, type_name: str, mask=None, *,
     builder, index_path = _index_sink_for(data, follow, index)
     if (builder is None and not follow and not isinstance(data, StreamSource)
             and not isinstance(data, (bytes, bytearray))):
-        from .batch import (
-            BATCH_BYTES, _runtime_gate, batch_verdict, records_batch)
-        if (batch_verdict(description, type_name).eligible
-                and _runtime_gate(description, mask) is None):
+        from .batch import BATCH_BYTES, batch_gate, records_batch
+        if batch_gate(description, type_name, mask).eligible:
             # A str names a *path* here (open_stream semantics), while
             # the batch feeder would read it as literal data.
             feed = _pathlib.Path(data) if isinstance(data, str) else data
@@ -166,34 +159,6 @@ def records_stream(description, data, type_name: str, mask=None, *,
         src.close()
 
 
-def accumulate_stream(description, data, record_type: str, mask=None, *,
-                      tracked: int = DEFAULT_TRACKED,
-                      summaries: bool = False,
-                      window: Optional[int] = None,
-                      follow: bool = False,
-                      poll_interval: float = 0.05,
-                      idle_timeout: Optional[float] = None,
-                      index=False,
-                      ) -> Tuple[Accumulator, ErrorTally]:
-    """Bounded-memory accumulation: fold every record of a stream into
-    an :class:`~repro.tools.accum.Accumulator` and an
-    :class:`~repro.core.errors.ErrorTally` (``tally.records`` is the
-    record count).  The accumulator is O(tracked values), the parse is
-    O(window): profiling a feed never needs the feed in memory."""
-    acc = Accumulator(description.node(record_type), "<top>", tracked)
-    if summaries:
-        from .tools.summaries import attach_summaries
-        attach_summaries(acc)
-    tally = ErrorTally()
-    for rep, pd in records_stream(description, data, record_type, mask,
-                                  window=window, follow=follow,
-                                  poll_interval=poll_interval,
-                                  idle_timeout=idle_timeout, index=index):
-        acc.add(rep, pd)
-        tally.add(pd)
-    return acc, tally
-
-
 def count_records_stream(description, data, *,
                          window: Optional[int] = None,
                          follow: bool = False,
@@ -207,12 +172,9 @@ def count_records_stream(description, data, *,
     finite."""
     builder, index_path = _index_sink_for(data, follow, index)
     if (builder is None and not follow and not isinstance(data, StreamSource)
-            and not isinstance(data, (bytes, bytearray))
-            and getattr(description, "limits", None) is None):
-        from .batch import count_records_batch
-        from .core.io import FixedWidthRecords, NewlineRecords
-        if isinstance(description.discipline,
-                      (FixedWidthRecords, NewlineRecords)):
+            and not isinstance(data, (bytes, bytearray))):
+        from .batch import batch_gate, count_records_batch
+        if batch_gate(description).eligible:
             feed = _pathlib.Path(data) if isinstance(data, str) else data
             return count_records_batch(description, feed)
     src = open_stream(data, description.discipline, window=window,

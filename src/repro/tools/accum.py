@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..core.errors import Pd
+from ..core.errors import ErrorTally, Pd
 from ..core.types import (
     AppNode,
     ArrayNode,
@@ -354,6 +354,33 @@ class Accumulator:
         for child in self.children.values():
             chunks.append(child.full_report(reported))
         return "\n\n".join(chunks)
+
+
+def record_accumulator(description, record_type: str,
+                       tracked: int = DEFAULT_TRACKED,
+                       summaries: bool = False) -> Accumulator:
+    """A fresh ``<top>`` accumulator for ``record_type``, carrying the
+    streaming histogram/quantile summaries (paper Section 9) when
+    ``summaries`` is set."""
+    acc = Accumulator(description.node(record_type), "<top>", tracked)
+    if summaries:
+        from .summaries import attach_summaries
+        attach_summaries(acc)
+    return acc
+
+
+def fold_records(acc: Accumulator, pairs, on_record=None) -> ErrorTally:
+    """Fold ``(rep, pd)`` pairs into ``acc`` and return their
+    :class:`~repro.core.errors.ErrorTally` (``tally.records`` is the
+    record count).  ``on_record(pd, tally)`` runs after each record; an
+    exception it raises ends the fold there."""
+    tally = ErrorTally()
+    for rep, pd in pairs:
+        acc.add(rep, pd)
+        tally.add(pd)
+        if on_record is not None:
+            on_record(pd, tally)
+    return tally
 
 
 def accumulate_records(description, data, record_type: str,

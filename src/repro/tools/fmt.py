@@ -131,27 +131,18 @@ def format_records(description, data, record_type: str, *,
                    none_text: str = "",
                    custom: Optional[Dict[str, Formatter]] = None,
                    skip_errors: bool = False,
-                   jobs: int = 1,
                    pairs=None):
     """The generated formatting *program* (paper: given just the record
     type and a delimiter string).  Yields one formatted line per record.
 
-    ``jobs > 1`` parses records through the parallel engine (order
-    preserved); formatting itself stays in the caller's process.  An
-    already-parsed ``(rep, pd)`` iterable may be supplied as ``pairs``
-    (the streaming entry points produce one), in which case ``data`` and
-    ``jobs`` are ignored.
+    An already-parsed ``(rep, pd)`` iterable may be supplied as ``pairs``
+    (``repro.execute.run``'s ``records`` op produces one on whichever
+    engine it picks), in which case ``data`` is ignored.
     """
     node = description.node(record_type)
-    if pairs is not None:
-        stream = pairs
-    elif jobs and jobs > 1:
-        from ..parallel import parallel_records
-        stream = parallel_records(description, data, record_type, mask,
-                                  jobs=jobs)
-    else:
-        stream = description.records(data, record_type, mask)
-    for rep, pd in stream:
+    if pairs is None:
+        pairs = description.records(data, record_type, mask)
+    for rep, pd in pairs:
         if skip_errors and pd.nerr:
             continue
         yield format_value(node, rep, delims=delims, date_format=date_format,

@@ -28,6 +28,7 @@ from ..core.api import compile_file
 from ..core.errors import DescriptionError, PadsError
 from ..core.io import discipline_from_spec
 from ..core.limits import ParseLimits
+from ..execute import ExecOptions, Result, open_input, run
 
 
 def _discipline(args):
@@ -56,145 +57,21 @@ def _load(args):
     return d
 
 
-def _data_input(args, d):
-    """The input for a subcommand, always streaming: stdin and ``--follow``
-    inputs read through a sliding-window :class:`StreamSource` (no slurp —
-    a pipe of any size parses in O(window) memory), plain files through
-    ``Source.from_file``.  Either way record-at-a-time tools keep only one
-    record's working set resident."""
-    from ..stream import open_stream
-    follow = getattr(args, "follow", None)
-    window = getattr(args, "window", None)
-    idle = None if follow is None or follow < 0 else follow
-    if args.data == "-":
-        return open_stream(sys.stdin.buffer, d.discipline, window=window,
-                           follow=follow is not None, idle_timeout=idle,
-                           limits=d.limits)
-    if follow is not None:
-        return open_stream(args.data, d.discipline, window=window,
-                           follow=True, idle_timeout=idle, limits=d.limits)
-    return d.open_file(args.data)
+def _input(args):
+    """The data argument: ``-`` is stdin (streamed through a sliding
+    window, never slurped), anything else a file path."""
+    return sys.stdin.buffer if args.data == "-" else pathlib.Path(args.data)
 
 
-def _parallel_file(args) -> Optional[pathlib.Path]:
-    """The input as a path when the subcommand should fan out to workers
-    over seekable chunk planning (``--jobs N`` with a real, non-followed
-    file)."""
-    if getattr(args, "jobs", 1) > 1 and args.data != "-" \
-            and getattr(args, "follow", None) is None:
-        return pathlib.Path(args.data)
-    return None
-
-
-def _batch_input(args):
-    """The input for the batch engine's feeder: stdin's buffer, or the
-    file as a *path* (a plain str would be read as literal data)."""
-    if args.data == "-":
-        return sys.stdin.buffer
-    return pathlib.Path(args.data)
-
-
-def _pick_engine(args, d, record_type: Optional[str]) -> str:
-    """Resolve ``--engine`` to the engine that will actually run.
-
-    ``auto`` selects the batch engine exactly when the description,
-    record discipline, and run shape are inside the batch subset;
-    ``batch`` enforces it (ineligible -> PadsError -> exit 2);
-    ``cursor`` pins the ordinary serial loop.  The resolved choice is
-    recorded on ``args`` so ``--stats`` can report it.
-    """
-    choice = getattr(args, "engine", "auto")
-    if choice == "cursor":
-        if getattr(args, "jobs", 1) > 1:
-            raise PadsError("--engine cursor pins the serial cursor loop "
-                            "and cannot be combined with --jobs")
-        args._engine_used = "cursor"
-        return "cursor"
-    if choice == "batch" and getattr(args, "jobs", 1) > 1:
-        # Without this, --jobs wins the dispatch and the forced batch
-        # engine was silently ignored — every invalid combination must
-        # be a diagnostic, never a silent different run.
-        raise PadsError("--engine batch runs the in-process columnar "
-                        "kernels and cannot be combined with --jobs; "
-                        "drop one of the two")
-    from ..batch import _runtime_gate, batch_verdict
-    from ..core.io import FixedWidthRecords, NewlineRecords
-    if record_type is None:
-        # Record counting: geometry-only eligibility (no field parsing).
-        if not isinstance(d.discipline, (FixedWidthRecords, NewlineRecords)):
-            eligible, reason = False, (
-                f"{type(d.discipline).__name__} records have no constant "
-                "pitch")
-        elif getattr(d, "limits", None) is not None:
-            eligible, reason = False, (
-                "parse limits attached (budgets are accounted per-cursor)")
-        else:
-            eligible, reason = True, ""
-    else:
-        v = batch_verdict(d, record_type)
-        eligible, reason = v.eligible, v.reason
-        if eligible:
-            gate = _runtime_gate(d, None)
-            if gate is not None:
-                eligible, reason = False, gate
-    if getattr(args, "follow", None) is not None and eligible:
-        eligible, reason = False, ("--follow tails an unbounded stream "
-                                   "(cursor only)")
-    if choice == "batch" and not eligible:
-        raise PadsError(f"--engine batch: {reason}")
-    args._engine_used = "batch" if eligible else "cursor"
-    return args._engine_used
-
-
-def _durable_opts(args) -> Optional[dict]:
-    """kwargs for the ``repro.durable`` entry points when ``--checkpoint``
-    or ``--resume`` was given, else None (the ordinary dispatch runs).
-
-    Durable runs need a real, seekable file: stdin and ``--follow`` tails
-    have no stable offsets to checkpoint against, and the batch engine
-    has no mid-grid cursor to persist — all three are explicit exit-2
-    diagnostics, never a silent non-durable run.
-    """
-    ckpt = getattr(args, "checkpoint", None)
-    resume = getattr(args, "resume", False)
-    if ckpt is None and not resume:
-        return None
-    from ..durable import DEFAULT_CHECKPOINT_INTERVAL
-    if args.data == "-":
-        raise PadsError("--checkpoint/--resume need a seekable file, "
-                        "not stdin")
-    if getattr(args, "follow", None) is not None:
-        raise PadsError("--follow tails an unbounded stream and cannot be "
-                        "checkpointed; drop one of the two")
-    if getattr(args, "engine", "auto") == "batch":
-        raise PadsError("--engine batch has no mid-grid cursor to "
-                        "checkpoint; use --engine auto or cursor")
-    if getattr(args, "header", None):
-        raise PadsError("--header needs a serial prefix parse and cannot "
-                        "be combined with --checkpoint/--resume")
-    interval = ckpt if isinstance(ckpt, int) and ckpt > 0 \
-        else DEFAULT_CHECKPOINT_INTERVAL
-    window = getattr(args, "window", None)
-    opts = {"interval": interval, "resume": resume,
-            "jobs": getattr(args, "jobs", 1)}
-    if window is not None:
-        opts["engine"] = "stream"
-        opts["window"] = window
-    args._engine_used = "durable"
-    return opts
-
-
-def _stream_jobs(args) -> Optional[int]:
-    """``--jobs N`` on a stdin stream: the pipelined feeder, or an explicit
-    diagnostic (a non-chunkable discipline raises inside the feeder) —
-    never a silent fallback to one core."""
-    jobs = getattr(args, "jobs", 1)
-    if jobs <= 1:
-        return None
-    if getattr(args, "follow", None) is not None:
-        raise PadsError("--follow tails an unbounded stream and cannot be "
-                        "combined with --jobs; drop one of the two")
-    return jobs if args.data == "-" else None
+def _execute(args, op: str, record_type: Optional[str] = None, **op_args):
+    """``(description, Result)`` for a data subcommand: map its flags to
+    :class:`~repro.execute.ExecOptions` (validated before the
+    description compiles) and hand the op to :func:`repro.execute.run`."""
+    options = ExecOptions(jobs=args.jobs, window=args.window,
+                          follow=args.follow, checkpoint=args.checkpoint,
+                          resume=args.resume, engine=args.engine)
+    d = _load(args)
+    return d, run(d, _input(args), op, record_type, options, **op_args)
 
 
 def cmd_check(args) -> int:
@@ -221,74 +98,20 @@ def cmd_compile(args) -> int:
     return 0
 
 
-def cmd_accum(args) -> int:
-    from .accum import Accumulator, accumulate_records
-    d = _load(args)
-    durable_opts = _durable_opts(args)
-    if durable_opts is not None:
-        from ..durable import accumulate_durable
-        acc, tally = accumulate_durable(d, args.data, args.record,
-                                        tracked=args.track,
-                                        summaries=args.summaries,
-                                        **durable_opts)
-        header_acc, count = None, tally.records
-        if args.field:
-            target = acc.field(args.field)
-            _emit_text(target.report(args.top))
-        else:
-            _emit_text(acc.full_report(args.top))
-        print(f"\n{count} records", file=sys.stderr)
-        return 0
-    engine = _pick_engine(args, d, args.record)
-    path = _parallel_file(args)
-    stream_jobs = _stream_jobs(args)
-    if path is not None:
-        acc, header_acc, tally = d.accumulate_parallel(
-            path, args.record, jobs=args.jobs, tracked=args.track,
-            header_type=args.header, summaries=args.summaries)
-        count = tally.records
-    elif stream_jobs is not None:
-        if args.header:
-            raise PadsError("--header needs a serial prefix parse and "
-                            "cannot be combined with --jobs on stdin")
-        from ..parallel import parallel_accumulate_stream
-        acc, tally = parallel_accumulate_stream(
-            d, sys.stdin.buffer, args.record, jobs=stream_jobs,
-            tracked=args.track, summaries=args.summaries)
-        header_acc, count = None, tally.records
-    elif engine == "batch":
-        if args.header:
-            raise PadsError("--header needs a serial prefix parse; use "
-                            "--engine cursor")
-        acc, tally = d.accumulate_batch(_batch_input(args), args.record,
-                                        tracked=args.track,
-                                        summaries=args.summaries)
-        header_acc, count = None, tally.records
-    elif args.summaries:
-        # Attach streaming histograms/quantiles before feeding records.
-        from .summaries import attach_summaries
-        acc = Accumulator(d.node(args.record), "<top>", args.track)
-        attach_summaries(acc)
-        header_acc = None
-        count = 0
-        for rep, pd in d.records(_data_input(args, d), args.record):
-            acc.add(rep, pd)
-            count += 1
-    else:
-        acc, header_acc, count = accumulate_records(
-            d, _data_input(args, d), args.record, header_type=args.header,
-            tracked=args.track)
-    if header_acc is not None:
-        _emit_text(header_acc.full_report(args.top) + "\n")
+def cmd_accum(args) -> Result:
+    _d, result = _execute(args, "accum", args.record, header=args.header,
+                          tracked=args.track, summaries=args.summaries)
+    if result.header_acc is not None:
+        _emit_text(result.header_acc.full_report(args.top) + "\n")
     if args.field:
-        target = acc.field(args.field)
+        target = result.acc.field(args.field)
         _emit_text(target.report(args.top))
         if args.summaries and getattr(target.self_acc, "summaries", None):
             _emit_text("\n" + target.self_acc.summaries.report())
     else:
-        _emit_text(acc.full_report(args.top))
-    print(f"\n{count} records", file=sys.stderr)
-    return 0
+        _emit_text(result.acc.full_report(args.top))
+    print(f"\n{result.tally.records} records", file=sys.stderr)
+    return result
 
 
 def _emit_lines(lines, flush_each: bool = False) -> None:
@@ -313,93 +136,30 @@ def _emit_text(text: str) -> None:
     _emit_lines([text])
 
 
-def cmd_fmt(args) -> int:
+def cmd_fmt(args) -> Result:
     from .fmt import format_records
-    d = _load(args)
-    durable_opts = _durable_opts(args)
-    if durable_opts is not None:
-        from ..durable import records_durable
-        pairs = records_durable(d, args.data, args.record, **durable_opts)
-        _emit_lines(format_records(d, pathlib.Path(args.data), args.record,
-                                   delims=list(args.delims),
-                                   date_format=args.date_format,
-                                   skip_errors=args.skip_errors,
-                                   pairs=pairs))
-        return 0
-    engine = _pick_engine(args, d, args.record)
-    path = _parallel_file(args)
-    stream_jobs = _stream_jobs(args)
-    pairs = None
-    if stream_jobs is not None:
-        from ..parallel import parallel_records_stream
-        pairs = parallel_records_stream(d, sys.stdin.buffer, args.record,
-                                        jobs=stream_jobs)
-    elif path is None and engine == "batch":
-        pairs = d.records_batch(_batch_input(args), args.record)
-    if path is not None or pairs is not None:
-        data = path
-    else:
-        data = _data_input(args, d)
-    _emit_lines(format_records(d, data, args.record, delims=list(args.delims),
+    d, result = _execute(args, "records", args.record)
+    _emit_lines(format_records(d, None, args.record, delims=list(args.delims),
                                date_format=args.date_format,
                                skip_errors=args.skip_errors,
-                               jobs=args.jobs, pairs=pairs),
-                flush_each=getattr(args, "follow", None) is not None)
-    return 0
+                               pairs=result.pairs),
+                flush_each=args.follow is not None)
+    return result
 
 
-def cmd_xml(args) -> int:
+def cmd_xml(args) -> Result:
     from .xml_out import xml_records
-    d = _load(args)
-    durable_opts = _durable_opts(args)
-    if durable_opts is not None:
-        from ..durable import records_durable
-        pairs = records_durable(d, args.data, args.record, **durable_opts)
-        _emit_lines(xml_records(d, pathlib.Path(args.data), args.record,
-                                pairs=pairs))
-        return 0
-    engine = _pick_engine(args, d, args.record)
-    path = _parallel_file(args)
-    stream_jobs = _stream_jobs(args)
-    pairs = None
-    if stream_jobs is not None:
-        from ..parallel import parallel_records_stream
-        pairs = parallel_records_stream(d, sys.stdin.buffer, args.record,
-                                        jobs=stream_jobs)
-    elif path is None and engine == "batch":
-        pairs = d.records_batch(_batch_input(args), args.record)
-    if path is not None or pairs is not None:
-        data = path
-    else:
-        data = _data_input(args, d)
-    _emit_lines(xml_records(d, data, args.record, jobs=args.jobs,
-                            pairs=pairs),
-                flush_each=getattr(args, "follow", None) is not None)
-    return 0
+    d, result = _execute(args, "records", args.record)
+    _emit_lines(xml_records(d, None, args.record, pairs=result.pairs),
+                flush_each=args.follow is not None)
+    return result
 
 
-def cmd_count(args) -> int:
+def cmd_count(args) -> Result:
     """The paper's record-counting program (the Figure 10 floor task)."""
-    d = _load(args)
-    durable_opts = _durable_opts(args)
-    if durable_opts is not None:
-        from ..durable import count_records_durable
-        print(count_records_durable(d, args.data, **durable_opts))
-        return 0
-    engine = _pick_engine(args, d, None)
-    path = _parallel_file(args)
-    stream_jobs = _stream_jobs(args)
-    if path is not None:
-        count = d.count_records_parallel(path, jobs=args.jobs)
-    elif stream_jobs is not None:
-        from ..parallel import parallel_count_stream
-        count = parallel_count_stream(d, sys.stdin.buffer, jobs=stream_jobs)
-    elif engine == "batch":
-        count = d.count_records_batch(_batch_input(args))
-    else:
-        count = d.count_records(_data_input(args, d))
-    print(count)
-    return 0
+    _d, result = _execute(args, "count")
+    print(result.count)
+    return result
 
 
 def cmd_plan(args) -> int:
@@ -433,7 +193,7 @@ def cmd_query(args) -> int:
     from .dataapi import node_new
     from .query import query, query_records
     d = _load(args)
-    data = _data_input(args, d)
+    data = open_input(d, _input(args))
     if args.record:
         # Streaming: one record resident at a time (bounded memory).
         results = query_records(d, data, args.record, args.expr)
@@ -481,7 +241,7 @@ def cmd_view(args) -> int:
     from .view import render_record
     d = _load(args)
     # Skip to the requested record (streaming; only one record resident).
-    src = d.open(_data_input(args, d))
+    src = open_input(d, _input(args))
     for _ in range(args.index):
         if not src.begin_record():
             print(f"padsc: no record {args.index}", file=sys.stderr)
@@ -549,6 +309,7 @@ def cmd_serve(args) -> int:
     from ..serve import ServeConfig, run_server
     if not 0 <= args.port <= 65535:
         raise PadsError(f"--port {args.port} is out of range 0..65535")
+    ExecOptions(jobs=args.jobs)  # the data subcommands' --jobs check
     if args.cache_size < 1:
         raise PadsError("--cache must be at least 1")
     if args.workers < 1:
@@ -877,28 +638,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate_flags(args) -> None:
-    """Cross-cutting flag sanity shared by every subcommand that carries
-    the flag: out-of-range values exit 2 with one diagnostic line instead
-    of tracebacking inside an engine (or silently running serially)."""
-    jobs = getattr(args, "jobs", None)
-    if jobs is not None and jobs < 1:
-        raise PadsError(f"--jobs {jobs} makes no sense; use N >= 1")
-    window = getattr(args, "window", None)
-    if window is not None and window < 1:
-        raise PadsError(f"--window {window} makes no sense; use a positive "
-                        "byte count")
-
-
 def _run(args) -> int:
     """Dispatch a subcommand, wrapped in an observation session when
     ``--stats``/``--trace`` were given.  Stats and trace streams go to
-    stderr by default so stdout stays clean for data pipes."""
-    _validate_flags(args)
+    stderr by default so stdout stays clean for data pipes.  Data
+    subcommands return their :class:`~repro.execute.Result`, whose mode
+    and reason the stats report; the rest return an exit code."""
     stats = getattr(args, "stats", None)
     trace = getattr(args, "trace", None)
     if stats is None and trace is None:
-        return args.fn(args)
+        ret = args.fn(args)
+        return 0 if isinstance(ret, Result) else ret
     opened = sink = None
     if trace is not None:
         if trace == "-":
@@ -908,23 +658,24 @@ def _run(args) -> int:
     try:
         with observe.observed(trace_sink=sink) as obs:
             ret = args.fn(args)
-        engine = getattr(args, "_engine_used", None)
+        result = ret if isinstance(ret, Result) else None
         backend = getattr(args, "_backend_used", None)
         if stats == "json":
             doc = obs.stats()
-            if engine is not None:
-                doc["engine"] = engine
+            if result is not None:
+                doc["engine"] = {"mode": result.mode,
+                                 "reason": result.reason}
             if backend is not None:
                 doc["backend"] = backend
             print(json.dumps(doc, indent=2, sort_keys=True), file=sys.stderr)
         elif stats is not None:
             text = obs.summary()
-            if engine is not None:
-                text += f"\nengine:  {engine}"
+            if result is not None:
+                text += f"\nengine:  {result.mode} ({result.reason})"
             if backend is not None:
                 text += f"\nbackend: {backend}"
             print(text, file=sys.stderr)
-        return ret
+        return 0 if result is not None else ret
     finally:
         if opened is not None:
             opened.close()

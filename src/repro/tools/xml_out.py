@@ -17,7 +17,6 @@ from ..core.errors import Pd
 from ..core.types import (
     AppNode,
     ArrayNode,
-    BaseNode,
     EnumNode,
     OptNode,
     PType,
@@ -149,23 +148,16 @@ def _default_tag(node: PType) -> str:
 
 
 def xml_records(description, data, record_type: str, mask=None,
-                root: str = "source", jobs: int = 1, pairs=None):
+                root: str = "source", pairs=None):
     """Convert a whole source to XML, one element per record (the
-    generated conversion program of Section 5.3.2).  ``jobs > 1`` parses
-    through the parallel engine, order preserved.  An already-parsed
-    ``(rep, pd)`` iterable may be supplied as ``pairs`` (the streaming
-    entry points produce one), in which case ``data``/``jobs`` are
-    ignored."""
+    generated conversion program of Section 5.3.2).  An already-parsed
+    ``(rep, pd)`` iterable may be supplied as ``pairs``
+    (``repro.execute.run``'s ``records`` op produces one on whichever
+    engine it picks), in which case ``data`` is ignored."""
     yield f"<{root}>"
     node = description.node(record_type)
-    if pairs is not None:
-        stream = pairs
-    elif jobs and jobs > 1:
-        from ..parallel import parallel_records
-        stream = parallel_records(description, data, record_type, mask,
-                                  jobs=jobs)
-    else:
-        stream = description.records(data, record_type, mask)
-    for rep, pd in stream:
+    if pairs is None:
+        pairs = description.records(data, record_type, mask)
+    for rep, pd in pairs:
         yield to_xml(node, rep, pd, record_type, indent=1)
     yield f"</{root}>"

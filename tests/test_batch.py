@@ -26,7 +26,6 @@ import pytest
 
 from repro import compile_description, gallery, observe
 from repro.batch import (
-    accumulate_batch,
     batch_verdict,
     count_records_batch,
     records_batch,
@@ -36,7 +35,9 @@ from repro.batch import (
 from repro.codegen import compile_generated
 from repro.core.errors import ErrorTally, PadsError
 from repro.core.io import FixedWidthRecords, NewlineRecords
+from repro.execute import run
 from repro.plan import format_plan
+from repro.stream import count_records_stream
 from repro.tools.datagen import call_detail_workload
 
 from .test_codegen import pd_summary
@@ -281,7 +282,9 @@ class TestDifferential:
 
     def test_accumulate_batch(self, cd):
         data = dirty_data(600)
-        acc_b, tally_b = cd.accumulate_batch(data, "call_t")
+        res = run(cd, data, "accum", "call_t")
+        assert res.mode == "batch"
+        acc_b, tally_b = res.acc, res.tally
         from repro.tools.accum import Accumulator
         acc_s = Accumulator(cd.node("call_t"), "<top>", 1000)
         tally_s = ErrorTally()
@@ -344,7 +347,8 @@ class TestNewlineGrid:
         b"",
     ])
     def test_count_parity(self, rows, blob):
-        assert rows.count_records_batch(blob) == rows.count_records(blob)
+        assert (count_records_batch(rows, blob)
+                == rows.count_records(blob))
 
 
 # ---------------------------------------------------------------------------
@@ -374,14 +378,14 @@ class TestStrictAndCount:
 
     def test_count_parity_fixed_width(self, cd, tmp_path):
         data = clean_data(700)
-        assert cd.count_records_batch(data) == 700
+        assert count_records_batch(cd, data) == 700
         truncated = data[:699 * WIDTH + 3]
-        assert (cd.count_records_batch(truncated)
+        assert (count_records_batch(cd, truncated)
                 == cd.count_records(truncated) == 700)
-        assert cd.count_records_batch(b"") == 0
+        assert count_records_batch(cd, b"") == 0
         path = tmp_path / "cd.dat"
         path.write_bytes(data)
-        assert cd.count_records_batch(path) == 700
+        assert count_records_batch(cd, path) == 700
 
     def test_count_strict(self, cd):
         d = compile_description(gallery.CALL_DETAIL, ambient="binary",
@@ -391,7 +395,7 @@ class TestStrictAndCount:
             gallery.CALL_DETAIL, ambient="binary",
             discipline=FixedWidthRecords(WIDTH),
             limits=ParseLimits(max_record_bytes=1 << 16))
-        assert d.count_records_batch(clean_data(10)) == 10
+        assert count_records_batch(d, clean_data(10)) == 10
         with pytest.raises(PadsError, match="limits"):
             count_records_batch(limited, clean_data(10), strict=True)
 
@@ -468,7 +472,7 @@ class TestEngineIntegration:
         # The grid driver replaced the sliding window entirely.
         assert s["batch"]["batches"] > 0
         assert s["stream"]["refills"] == 0
-        assert call_detail.count_records_stream(str(path)) == 1500
+        assert count_records_stream(call_detail, str(path)) == 1500
 
     def test_follow_keeps_the_cursor_path(self, call_detail, tmp_path):
         data = clean_data(40)

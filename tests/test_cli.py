@@ -251,9 +251,11 @@ class TestObservabilityFlags:
     @staticmethod
     def _deterministic(doc):
         """The projection of a --stats=json doc that must be identical
-        between serial and parallel runs (drop wall-clock values)."""
+        between serial and parallel runs (drop wall-clock values and the
+        engine decision, which names the mode that ran)."""
         doc = dict(doc)
         doc.pop("throughput", None)
+        doc.pop("engine", None)
         doc["latency"] = {name: {"count": hist["count"]}
                          for name, hist in doc["latency"].items()}
         return doc
@@ -274,6 +276,41 @@ class TestObservabilityFlags:
                                  engine):
         assert main(["count", clf_file, clf_data, "--stats"] + extra) == 0
         assert f"backend: {engine}" in capsys.readouterr().err
+
+    #: extra flags -> the mode ``count`` and ``accum`` report on CLF
+    #: (newline records count by arithmetic; CLF fields need the cursor).
+    MODE_CASES = [
+        ([], {"count": "batch", "accum": "serial"}),
+        (["-j", "2"], {"count": "parallel", "accum": "parallel"}),
+        (["-", "-j", "2"], {"count": "parallel-stream",
+                            "accum": "parallel-stream"}),
+        (["--engine", "cursor"], {"count": "serial", "accum": "serial"}),
+        (["--checkpoint"], {"count": "durable", "accum": "durable"}),
+    ]
+
+    @pytest.mark.parametrize("command", ["count", "accum"])
+    @pytest.mark.parametrize("extra,modes", MODE_CASES,
+                             ids=[" ".join(c[0]) or "default"
+                                  for c in MODE_CASES])
+    def test_stats_report_the_mode_that_ran(self, clf_file, big_log, capsys,
+                                            monkeypatch, command, extra,
+                                            modes):
+        import io
+        import json
+        mode = modes[command]
+        data = big_log
+        if extra[:1] == ["-"]:
+            monkeypatch.setattr(sys, "stdin", type(
+                "S", (), {"buffer": io.BytesIO(open(big_log, "rb").read())})())
+            data, extra = "-", extra[1:]
+        argv = [command, clf_file, data, "--stats=json"] + extra
+        if command == "accum":
+            argv += ["--record", "entry_t"]
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        doc = json.loads(err[err.index("{"):])
+        assert doc["engine"]["mode"] == mode
+        assert doc["engine"]["reason"]
 
     def test_stats_json_shape(self, clf_file, clf_data, capsys):
         import json
@@ -337,6 +374,40 @@ class TestObservabilityFlags:
                      "--stats"]) == 2
         assert main(["query", "/nonexistent.pads", str(data), "/a",
                      "--stats=json"]) == 2
+
+
+class TestHeaderOnBatchEligible:
+    """``--header`` forces a serial prefix parse, so ``--engine auto``
+    must pick the cursor on a batch-eligible description (it used to
+    pick batch and then exit 2)."""
+
+    @pytest.fixture
+    def calls(self, tmp_path):
+        import random
+        from repro.tools.datagen import call_detail_workload
+        desc = tmp_path / "calls.pads"
+        desc.write_text(gallery.CALL_DETAIL)
+        data = tmp_path / "calls.bin"
+        data.write_bytes(call_detail_workload(40, random.Random(5)))
+        return [str(desc), str(data), "--record", "call_t", "--ambient",
+                "binary", "--records", f"fixed:{gallery.CALL_DETAIL_WIDTH}"]
+
+    def test_auto_picks_cursor_and_says_why(self, calls, capsys):
+        assert main(["accum"] + calls + ["--header", "call_t",
+                                          "--stats"]) == 0
+        captured = capsys.readouterr()
+        assert "39 records" in captured.err
+        engine = [ln for ln in captured.err.splitlines()
+                  if ln.startswith("engine:")]
+        assert len(engine) == 1
+        assert "serial" in engine[0] and "--header" in engine[0]
+
+    def test_explicit_batch_with_header_exits_2(self, calls, capsys):
+        assert main(["accum"] + calls + ["--header", "call_t",
+                                          "--engine", "batch"]) == 2
+        err = capsys.readouterr().err
+        assert "--header needs a serial prefix parse" in err
+        assert err.strip().count("\n") == 0
 
 
 class TestFlagConflictMatrix:

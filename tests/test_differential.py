@@ -1,7 +1,7 @@
 """Differential sweep hardening the observability layer.
 
 Every gallery description runs through the interpreter and the generated
-engine, serially and through ``records_parallel``, with observability off
+engine, serially and through ``parallel_records``, with observability off
 and on.  All four paths must produce identical values, parse-descriptor
 summaries and accumulator reports — enabling observation never changes
 parse results, and both engines report the same (deterministic subset of)
@@ -25,6 +25,7 @@ from repro.core.api import compile_description
 from repro.core.io import FixedWidthRecords
 from repro.core.limits import ParseLimits
 from repro.core.masks import MaskFlag
+from repro.parallel import parallel_accumulate, parallel_records
 from repro.tools.accum import Accumulator
 from repro.tools.datagen import (
     call_detail_workload,
@@ -84,8 +85,8 @@ def run_records(description, data, record_type, *, parallel=False,
     """One sweep configuration: returns (reps, pd summaries, stats)."""
     def consume():
         if parallel:
-            out = list(description.records_parallel(data, record_type,
-                                                    jobs=JOBS))
+            out = list(parallel_records(description, data, record_type,
+                                        jobs=JOBS))
         else:
             out = list(description.records(data, record_type))
         return [r for r, _ in out], [pd_summary(p) for _, p in out]
@@ -134,7 +135,7 @@ class TestEnginesAgree:
 
 @pytest.mark.parametrize("name", list(CASES))
 class TestSerialParallelAgree:
-    """records vs records_parallel (falls back serially when the record
+    """records vs parallel_records (falls back serially when the record
     discipline cannot be chunk-aligned — still must agree)."""
 
     def test_values_and_pds(self, cases, name):
@@ -162,7 +163,7 @@ class TestPlanDrivenAgainstReference:
 
     The reference side runs serially (parallel workers recompile with
     default settings); the plan-driven side must match it both serially
-    and through ``records_parallel``.
+    and through ``parallel_records``.
     """
 
     def _reference_pair(self, interp):
@@ -211,7 +212,7 @@ class TestPlanDrivenAgainstReference:
         base = report(ref_i)
         assert report(interp) == base
         assert report(gen) == base
-        acc, _hdr, _tally = interp.accumulate_parallel(data, rtype, jobs=JOBS)
+        acc, _hdr, _tally = parallel_accumulate(interp, data, rtype, jobs=JOBS)
         assert acc.full_report() == base
 
 
@@ -277,7 +278,7 @@ class TestBackendsAgree:
     """``compile_description(backend='source')`` against the interpreter
     (``backend=None``): the generated twin must match on reps, pd
     summaries and deterministic observe stats, serially and through
-    ``records_parallel`` (whose workers rebuild the generated module).
+    ``parallel_records`` (whose workers rebuild the generated module).
     """
 
     def test_records_and_stats_identical(self, cases, backend_cases, name):
@@ -340,9 +341,9 @@ class TestAccumulatorsAgree:
         for metered in (False, True):
             if metered:
                 with observe.observed():
-                    acc, _hdr, _tally = interp.accumulate_parallel(
-                        data, rtype, jobs=JOBS)
+                    acc, _hdr, _tally = parallel_accumulate(
+                        interp, data, rtype, jobs=JOBS)
             else:
-                acc, _hdr, _tally = interp.accumulate_parallel(
-                    data, rtype, jobs=JOBS)
+                acc, _hdr, _tally = parallel_accumulate(
+                    interp, data, rtype, jobs=JOBS)
             assert acc.full_report() == base

@@ -138,7 +138,7 @@ class TestIndex:
         # index makes the split possible — sampled offsets ARE record
         # starts.
         import pathlib
-        from repro.parallel import _plan_windows
+        from repro.parallel import _plan_windows, parallel_count
         lp = LengthPrefixedRecords()
         raw = b"".join(len(p).to_bytes(4, "big") + p
                        for p in (b"x" * 40, b"y" * 30, b"z" * 50) * 2000)
@@ -154,7 +154,7 @@ class TestIndex:
         assert plan is not None
         windows, jobs = plan
         assert len(windows) >= 2
-        n = tlv.count_records_parallel(pathlib.Path(str(lp_path)), jobs=2)
+        n = parallel_count(tlv, pathlib.Path(str(lp_path)), jobs=2)
         assert n == 6000
 
     def test_stream_pass_builds_index_as_side_effect(self, tmp_path):

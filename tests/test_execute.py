@@ -1,0 +1,280 @@
+"""The execution planner (:mod:`repro.execute`): one decision table for
+:func:`choose_engine`, plus :func:`run` returning the same results on
+every mode it picks.
+
+The table crosses op × {jobs, follow, window, checkpoint, engine,
+header, limits, tracer} × {call-detail (batch-eligible fixed-width),
+CLF (newline records, dynamic fields)} and pins the chosen mode, the
+reason it gives, and every flag-combination diagnostic — all raised
+from the library, so ``padsc`` and library callers share them.
+"""
+
+import contextlib
+import io
+import pathlib
+import random
+
+import pytest
+
+from repro import compile_description, gallery, observe
+from repro.core.errors import PadsError
+from repro.core.io import FixedWidthRecords, Source
+from repro.core.limits import ParseLimits
+from repro.execute import ExecOptions, choose_engine, run
+from repro.tools.datagen import call_detail_workload, clf_workload
+
+from .test_codegen import pd_summary
+
+FILE = pathlib.Path("input.dat")  # choose_engine never opens its input
+
+
+def _desc(name, limits=None):
+    if name == "calls":
+        return compile_description(
+            gallery.CALL_DETAIL, ambient="binary", limits=limits,
+            discipline=FixedWidthRecords(gallery.CALL_DETAIL_WIDTH))
+    return compile_description(gallery.CLF, limits=limits)
+
+
+def _input(kind):
+    return {"file": FILE, "stdin": io.BytesIO(b""), "bytes": b"",
+            "source": Source(b"")}[kind]
+
+
+RECORD = {"calls": "call_t", "clf": "entry_t"}
+CALLS_GRID = "24-byte columns at 24-byte pitch"
+CLF_WHY = "record width is not static"
+BUDGET = ParseLimits(max_record_bytes=1 << 16)
+ERROR_BUDGET = ParseLimits(max_errors=5)
+
+#: (id, description, op, input, ExecOptions kwargs, extra) -> expected
+#: ``(mode, reason substring)``, or ``PadsError`` with a substring.
+#: ``extra`` may carry ``header``, ``limits`` and ``tracer``.
+TABLE = [
+    # auto: batch whenever the batch gate allows
+    ("calls-records", "calls", "records", "file", {}, {},
+     ("batch", CALLS_GRID)),
+    ("calls-accum", "calls", "accum", "file", {}, {}, ("batch", CALLS_GRID)),
+    ("calls-count", "calls", "count", "file", {}, {},
+     ("batch", "FixedWidthRecords: counted by arithmetic")),
+    ("calls-stdin", "calls", "records", "stdin", {}, {},
+     ("batch", CALLS_GRID)),
+    ("calls-bytes", "calls", "accum", "bytes", {}, {}, ("batch", CALLS_GRID)),
+    ("clf-records", "clf", "records", "file", {}, {}, ("serial", CLF_WHY)),
+    ("clf-accum", "clf", "accum", "file", {}, {}, ("serial", CLF_WHY)),
+    ("clf-count", "clf", "count", "file", {}, {},
+     ("batch", "NewlineRecords: counted by arithmetic")),
+    ("clf-stdin", "clf", "accum", "stdin", {}, {}, ("stream", CLF_WHY)),
+    ("clf-source", "clf", "records", "source", {}, {},
+     ("serial", CLF_WHY)),
+    ("calls-source", "calls", "records", "source", {}, {},
+     ("serial", "open Source")),
+    # window sizes only the sliding window; it forces nothing
+    ("calls-window", "calls", "records", "stdin", {"window": 4096}, {},
+     ("batch", CALLS_GRID)),
+    ("clf-window", "clf", "records", "stdin", {"window": 4096}, {},
+     ("stream", CLF_WHY)),
+    # follow tails need the cursor
+    ("calls-follow", "calls", "records", "file", {"follow": 0.5}, {},
+     ("stream", "--follow")),
+    ("calls-follow-count", "calls", "count", "file", {"follow": -1.0}, {},
+     ("stream", "--follow")),
+    # engine pinning
+    ("calls-cursor", "calls", "records", "file", {"engine": "cursor"}, {},
+     ("serial", "--engine cursor")),
+    ("calls-cursor-stdin", "calls", "count", "stdin", {"engine": "cursor"},
+     {}, ("stream", "--engine cursor")),
+    ("calls-batch", "calls", "accum", "file", {"engine": "batch"}, {},
+     ("batch", CALLS_GRID)),
+    ("clf-count-batch", "clf", "count", "stdin", {"engine": "batch"}, {},
+     ("batch", "NewlineRecords")),
+    # jobs
+    ("calls-jobs", "calls", "records", "file", {"jobs": 2}, {},
+     ("parallel", "--jobs 2")),
+    ("clf-jobs-bytes", "clf", "count", "bytes", {"jobs": 3}, {},
+     ("parallel", "--jobs 3")),
+    ("clf-jobs-stdin", "clf", "accum", "stdin", {"jobs": 2}, {},
+     ("parallel-stream", "--jobs 2")),
+    ("calls-jobs-source", "calls", "records", "source", {"jobs": 2}, {},
+     ("serial", "open Source")),
+    ("clf-jobs-header", "clf", "accum", "file", {"jobs": 2},
+     {"header": "entry_t"}, ("parallel", "--jobs 2")),
+    # header: a serial prefix parse (accum only)
+    ("calls-header", "calls", "accum", "file", {}, {"header": "call_t"},
+     ("serial", "--header needs a serial prefix parse")),
+    ("calls-header-stdin", "calls", "accum", "stdin", {},
+     {"header": "call_t"}, ("stream", "--header")),
+    ("calls-header-records", "calls", "records", "file", {},
+     {"header": "call_t"}, ("batch", CALLS_GRID)),
+    # limits are accounted per cursor
+    ("calls-limits", "calls", "records", "file", {}, {"limits": BUDGET},
+     ("serial", "parse limits attached")),
+    ("calls-limits-count", "calls", "count", "bytes", {},
+     {"limits": BUDGET}, ("serial", "parse limits attached")),
+    ("clf-limits-jobs", "clf", "accum", "file", {"jobs": 2},
+     {"limits": BUDGET}, ("parallel", "--jobs 2")),
+    ("clf-errors-jobs", "clf", "accum", "file", {"jobs": 2},
+     {"limits": ERROR_BUDGET}, ("serial", "max_errors")),
+    # an active tracer pins the serial cursor (count parses no fields)
+    ("calls-tracer", "calls", "records", "file", {}, {"tracer": True},
+     ("serial", "active tracer")),
+    ("calls-tracer-jobs", "calls", "accum", "file", {"jobs": 2},
+     {"tracer": True}, ("serial", "stays on one core: active tracer")),
+    ("clf-tracer-stdin-jobs", "clf", "records", "stdin", {"jobs": 2},
+     {"tracer": True}, ("stream", "active tracer")),
+    ("calls-tracer-count", "calls", "count", "file", {}, {"tracer": True},
+     ("batch", "counted by arithmetic")),
+    # checkpoints
+    ("calls-checkpoint", "calls", "accum", "file", {"checkpoint": 100}, {},
+     ("durable", "--checkpoint")),
+    ("clf-resume", "clf", "count", "file", {"resume": True}, {},
+     ("durable", "--resume")),
+    ("clf-checkpoint-jobs-window", "clf", "records", "file",
+     {"checkpoint": -1, "jobs": 2, "window": 4096}, {},
+     ("durable", "--checkpoint")),
+    ("clf-checkpoint-cursor", "clf", "records", "file",
+     {"checkpoint": -1, "engine": "cursor"}, {}, ("durable", "--checkpoint")),
+    # the flag-combination diagnostics
+    ("jobs-0", "clf", "count", "file", {"jobs": 0}, {},
+     (PadsError, "--jobs 0 makes no sense")),
+    ("jobs-negative", "clf", "count", "file", {"jobs": -3}, {},
+     (PadsError, "--jobs -3")),
+    ("window-0", "clf", "count", "file", {"window": 0}, {},
+     (PadsError, "--window 0 makes no sense")),
+    ("engine-unknown", "clf", "count", "file", {"engine": "gpu"}, {},
+     (PadsError, "unknown engine 'gpu'")),
+    ("cursor-jobs", "calls", "records", "file",
+     {"engine": "cursor", "jobs": 2}, {}, (PadsError, "--engine cursor")),
+    ("batch-jobs", "calls", "records", "file",
+     {"engine": "batch", "jobs": 2}, {}, (PadsError, "--engine batch")),
+    ("follow-jobs", "clf", "count", "file", {"follow": -1.0, "jobs": 2}, {},
+     (PadsError, "--follow tails an unbounded stream and cannot be "
+                 "combined with --jobs")),
+    ("checkpoint-follow", "clf", "count", "file",
+     {"checkpoint": -1, "follow": -1.0}, {},
+     (PadsError, "cannot be checkpointed")),
+    ("checkpoint-batch", "calls", "count", "file",
+     {"checkpoint": -1, "engine": "batch"}, {},
+     (PadsError, "no mid-grid cursor")),
+    ("checkpoint-stdin", "clf", "count", "stdin", {"checkpoint": -1}, {},
+     (PadsError, "need a seekable file, not stdin")),
+    ("resume-bytes", "clf", "count", "bytes", {"resume": True}, {},
+     (PadsError, "need a seekable file")),
+    ("checkpoint-header", "calls", "accum", "file", {"checkpoint": -1},
+     {"header": "call_t"},
+     (PadsError, "cannot be combined with --checkpoint/--resume")),
+    ("header-jobs-stdin", "clf", "accum", "stdin", {"jobs": 2},
+     {"header": "entry_t"},
+     (PadsError, "cannot be combined with --jobs on stdin")),
+    ("batch-header", "calls", "accum", "file", {"engine": "batch"},
+     {"header": "call_t"},
+     (PadsError, "--header needs a serial prefix parse; use --engine "
+                 "cursor")),
+    ("batch-ineligible", "clf", "records", "file", {"engine": "batch"}, {},
+     (PadsError, f"--engine batch: {CLF_WHY}")),
+    ("batch-follow", "calls", "records", "file",
+     {"engine": "batch", "follow": 1.0}, {},
+     (PadsError, "--engine batch: --follow tails")),
+    ("batch-limits", "calls", "count", "file", {"engine": "batch"},
+     {"limits": BUDGET}, (PadsError, "--engine batch: parse limits")),
+    ("batch-tracer", "calls", "records", "file", {"engine": "batch"},
+     {"tracer": True}, (PadsError, "--engine batch: active tracer")),
+    ("unknown-op", "clf", "fmt", "file", {}, {}, (PadsError, "unknown op")),
+]
+
+
+@pytest.mark.parametrize("name,op,kind,opts,extra,expect",
+                         [row[1:] for row in TABLE],
+                         ids=[row[0] for row in TABLE])
+def test_decision_table(name, op, kind, opts, extra, expect):
+    desc = _desc(name, extra.get("limits"))
+
+    def choose():
+        return choose_engine(desc, _input(kind), op, RECORD[name],
+                             ExecOptions(**opts), header=extra.get("header"))
+
+    with (observe.observed(trace=True) if extra.get("tracer")
+          else contextlib.nullcontext()):
+        if expect[0] is PadsError:
+            with pytest.raises(PadsError, match=expect[1].replace(
+                    "(", r"\(").replace(")", r"\)")):
+                choose()
+            return
+        mode, reason = choose()
+    assert (mode, expect[1] in reason) == (expect[0], True), reason
+
+
+# -- run(): one result shape, identical outcomes on every mode ------------------
+
+
+def _reference(desc, data, record_type):
+    pairs = [(rep, pd_summary(pd)) for rep, pd in desc.records(data,
+                                                               record_type)]
+    return pairs, desc.count_records(data)
+
+
+@pytest.fixture(scope="module")
+def calls_data():
+    return call_detail_workload(300, random.Random(3))
+
+
+@pytest.fixture(scope="module")
+def clf_log():
+    return clf_workload(300, random.Random(3))
+
+
+@pytest.mark.parametrize("name", ["calls", "clf"])
+@pytest.mark.parametrize("kind,opts,mode", [
+    ("file", {"engine": "cursor"}, "serial"),
+    ("stdin", {"engine": "cursor", "window": 512}, "stream"),
+    ("file", {"jobs": 2}, "parallel"),
+    ("stdin", {"jobs": 2}, "parallel-stream"),
+    ("file", {"checkpoint": 50}, "durable"),
+], ids=["serial", "stream", "parallel", "parallel-stream", "durable"])
+def test_run_agrees_with_the_serial_reference(tmp_path, calls_data, clf_log,
+                                              name, kind, opts, mode):
+    desc = _desc(name)
+    data = calls_data if name == "calls" else clf_log
+    path = tmp_path / "in.dat"
+    path.write_bytes(data)
+    want_pairs, want_count = _reference(desc, data, RECORD[name])
+    for op in ("records", "accum", "count"):
+        source = path if kind == "file" else io.BytesIO(data)
+        res = run(desc, source, op, RECORD[name], ExecOptions(**opts))
+        assert res.mode == mode and res.reason
+        if op == "records":
+            got = [(rep, pd_summary(pd)) for rep, pd in res.pairs]
+            assert got == want_pairs
+        elif op == "accum":
+            assert res.tally.records == want_count
+            ref = run(desc, data, "accum", RECORD[name],
+                      ExecOptions(engine="cursor"))
+            assert res.acc.full_report() == ref.acc.full_report()
+        else:
+            assert res.count == want_count
+
+
+def test_run_accum_folds_header_then_records(clf_log):
+    desc = _desc("clf")
+    res = run(desc, clf_log, "accum", "entry_t", header="entry_t")
+    assert res.mode == "serial"
+    assert "<header>" in res.header_acc.full_report()
+    assert res.tally.records == clf_log.count(b"\n") - 1
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_on_record_ends_an_in_process_fold(calls_data):
+    desc = _desc("calls")
+    seen = []
+
+    def stop_after_five(pd, tally):
+        seen.append(tally.records)
+        if tally.records == 5:
+            raise _Stop
+
+    with pytest.raises(_Stop):
+        run(desc, calls_data, "accum", "call_t", on_record=stop_after_five)
+    assert seen == [1, 2, 3, 4, 5]

@@ -20,6 +20,7 @@ from repro.observe.metrics import (
     SIZE_BUCKETS,
 )
 from repro.observe.trace import Tracer
+from repro.parallel import parallel_records
 
 DESC = """
 Precord Pstruct entry_t {
@@ -194,7 +195,7 @@ class TestTracer:
     def test_tracer_forces_serial_fallback(self, desc):
         data = "".join(f"{ln}\n" for ln in make_lines(30))
         with observe.observed(trace=True) as obs:
-            out = list(desc.records_parallel(data, "entry_t", jobs=4))
+            out = list(parallel_records(desc, data, "entry_t", jobs=4))
         # Worker-side events could never reach this tracer; a complete
         # event stream proves the serial path ran.
         recs = [e for e in obs.tracer.events if e.kind == "record"]

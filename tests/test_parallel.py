@@ -13,6 +13,7 @@ import pytest
 
 from repro import gallery, parallel
 from repro.codegen import compile_generated
+from repro.execute import ExecOptions, run
 from repro.core.io import (
     FixedWidthRecords,
     NewlineRecords,
@@ -160,7 +161,8 @@ class TestParallelEquivalence:
         serial = clf_desc.count_records(clf_data)
         assert parallel.parallel_count(clf_desc, clf_data, jobs=JOBS) == serial
         assert parallel.parallel_count(clf_desc, clf_file, jobs=JOBS) == serial
-        assert clf_desc.count_records_parallel(clf_data, jobs=JOBS) == serial
+        res = run(clf_desc, clf_data, "count", options=ExecOptions(jobs=JOBS))
+        assert (res.mode, res.count) == ("parallel", serial)
 
     def test_records_order_and_parity(self, clf_desc, clf_data):
         serial = list(clf_desc.records(clf_data, "entry_t"))
@@ -176,7 +178,8 @@ class TestParallelEquivalence:
     def test_records_from_file(self, clf_desc, clf_data, clf_file):
         serial = [pd.nerr for _, pd in clf_desc.records(clf_data, "entry_t")]
         par = [pd.nerr for _, pd in
-               clf_desc.records_parallel(clf_file, "entry_t", jobs=JOBS)]
+               parallel.parallel_records(clf_desc, clf_file, "entry_t",
+                                         jobs=JOBS)]
         assert par == serial
 
     def test_tally(self, clf_desc, clf_data, clf_file):

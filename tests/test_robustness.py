@@ -69,7 +69,8 @@ def _four_ways(interp, gen, data, rtype):
     for engine_label, engine in (("interp", interp), ("gen", gen)):
         for path_label, parallel_ in (("serial", False), ("parallel", True)):
             if parallel_:
-                pairs = list(engine.records_parallel(data, rtype, jobs=JOBS))
+                pairs = list(parallel.parallel_records(engine, data, rtype,
+                                                       jobs=JOBS))
             else:
                 pairs = list(engine.records(data, rtype))
             out.append((engine_label, path_label,
@@ -102,7 +103,8 @@ class TestEdgeInputsPinned:
         assert parallel._plan_windows(interp, data, JOBS) is not None
         serial = [(r, pd_summary(p)) for r, p in interp.records(data, "entry_t")]
         par = [(r, pd_summary(p))
-               for r, p in interp.records_parallel(data, "entry_t", jobs=JOBS)]
+               for r, p in parallel.parallel_records(interp, data, "entry_t",
+                                                     jobs=JOBS)]
         assert par == serial
 
     def test_empty_input_identical_four_ways(self, engine_pairs):
@@ -239,7 +241,8 @@ class TestSelfHealingParallel:
         parallel._WORKER_FAULT = fault
         with observe.observed() as obs:
             out = [(r, pd_summary(p)) for r, p in
-                   interp.records_parallel(data, "entry_t", jobs=JOBS)]
+                   parallel.parallel_records(interp, data, "entry_t",
+                                             jobs=JOBS)]
         parallel._WORKER_FAULT = None
         return out, obs.stats(deterministic=True)["recovery"]
 
@@ -313,7 +316,7 @@ class TestSelfHealingParallel:
                 os._exit(13)
 
         parallel._WORKER_FAULT = crash_all
-        assert interp.count_records_parallel(data, jobs=JOBS) == expected
+        assert parallel.parallel_count(interp, data, jobs=JOBS) == expected
 
 
 class TestFaultHarness:

@@ -33,12 +33,15 @@ import pytest
 from repro.core.api import (DescriptionCache, compile_cached,
                             compile_description, description_cache_key)
 from repro.core.errors import ErrorTally
-from repro.core.io import FixedWidthRecords, transparent_encode
+from repro.core.io import (FixedWidthRecords, discipline_from_spec,
+                           transparent_encode)
 from repro.core.limits import ParseLimits
-from repro.gallery import CLF, CLF_SAMPLE, SIRIUS, SIRIUS_SAMPLE
+from repro.gallery import (CALL_DETAIL, CALL_DETAIL_WIDTH, CLF, CLF_SAMPLE,
+                           SIRIUS, SIRIUS_SAMPLE)
 from repro.observe import MetricsRegistry, to_prometheus
 from repro.serve import LIMIT_STATUS, ServeConfig, ServerThread
 from repro.tools.accum import Accumulator
+from repro.tools.fmt import format_value
 
 PIPE = """\
 Psource Pstruct row_t {
@@ -476,6 +479,22 @@ class TestLimits:
             # one compile served both tenants
             assert st.metrics.value("serve.compile") == 1
 
+    @pytest.mark.parametrize("mode", ["records", "accum"])
+    def test_in_process_request_stops_at_first_limit_hit(self, mode):
+        """A limited in-process request aborts at the first limit-hit
+        record: the two records after it are never parsed."""
+        config = ServeConfig(
+            tenant_limits={"free": ParseLimits(max_record_bytes=8)})
+        data = "a|1\n" + "x" * 64 + "|2\nb|3\nc|4\n"
+        with ServerThread(config) as st:
+            status, doc = post(st.port, "/v1/parse",
+                               {"source": PIPE, "data": data,
+                                "mode": mode, "type": "row_t"},
+                               tenant="free")
+            assert status == 413
+            assert doc["code"] == "RECORD_LIMIT"
+            assert doc["records_parsed"] == 2
+
     def test_limit_status_map_is_total(self):
         from repro.core.errors import ErrCode
         limit_codes = [c.name for c in ErrCode if 500 <= c.value < 510]
@@ -495,8 +514,8 @@ class TestLimits:
 # -- the concurrent-client differential -------------------------------------------
 
 
-def _serial_reference(source, data, type_name):
-    d = compile_description(source)
+def _serial_reference(source, data, type_name, **compile_kw):
+    d = compile_description(source, **compile_kw)
     acc = Accumulator(d.node(type_name), "<top>", 1000)
     tally = ErrorTally()
     for rep, pd in d.records(data, type_name):
@@ -505,52 +524,93 @@ def _serial_reference(source, data, type_name):
     return acc.full_report(10), tally
 
 
+def _call_detail_payload(n=60):
+    """Fixed-width call records, every 7th with call_type over its
+    ``t <= 4`` constraint so the batch grid hands those to the cursor."""
+    import random
+    from repro.tools.datagen import call_detail_workload
+    raw = bytearray(call_detail_workload(n, random.Random(11)))
+    for i in range(0, n, 7):
+        raw[i * CALL_DETAIL_WIDTH + 22] = 99
+    return bytes(raw)
+
+
 class TestConcurrentDifferential:
     def test_n_clients_match_n_serial_runs(self):
-        jobs = [("clf", CLF, CLF_SAMPLE, "entry_t"),
-                ("sirius", SIRIUS, SIRIUS_SAMPLE, "entry_t")]
+        calls = _call_detail_payload()
+        calls_fields = {"source": CALL_DETAIL, "ambient": "binary",
+                        "records": f"fixed:{CALL_DETAIL_WIDTH}"}
+        # name -> (compile fields, data, record type, modes, engine mode)
+        jobs = {
+            "clf": ({"source": CLF}, CLF_SAMPLE.encode("latin-1"),
+                    "entry_t", ("accum",), "serial"),
+            "sirius": ({"source": SIRIUS}, SIRIUS_SAMPLE.encode("latin-1"),
+                       "entry_t", ("accum",), "serial"),
+            "calls": (calls_fields, calls, "call_t",
+                      ("records", "accum", "count"), "batch"),
+        }
         clients_per_job = 4
-        references = {name: _serial_reference(src, data, t)
-                      for name, src, data, t in jobs}
+        references = {}
+        for name, (fields, data, rtype, _modes, _mode) in jobs.items():
+            compile_kw = {"ambient": fields.get("ambient", "ascii"),
+                          "discipline": discipline_from_spec(
+                              fields.get("records", "newline"))}
+            report, tally = _serial_reference(fields["source"], data, rtype,
+                                              **compile_kw)
+            desc = compile_description(fields["source"], **compile_kw)
+            node = desc.node(rtype)
+            references[name] = {
+                "report": report, "tally": tally,
+                "count": desc.count_records(data),
+                "records": [format_value(node, rep)
+                            for rep, _pd in desc.records(data, rtype)]}
         results = {}
         errors = []
         with ServerThread() as st:
-            def client(name, source, data, type_name, idx):
+            def client(name, mode, idx):
+                fields, data, rtype, _modes, _mode = jobs[name]
                 try:
-                    status, doc = post(st.port, "/v1/parse",
-                                       {"source": source, "data": data,
-                                        "mode": "accum",
-                                        "type": type_name})
+                    status, doc = post(st.port, "/v1/parse", dict(
+                        fields, mode=mode, type=rtype,
+                        data_b64=base64.b64encode(data).decode("ascii")))
                     assert status == 200, doc
-                    results[(name, idx)] = doc
+                    results[(name, mode, idx)] = doc
                 except Exception as exc:
                     errors.append(exc)
 
             threads = [
-                threading.Thread(target=client, args=(n, s, d, t, i))
-                for n, s, d, t in jobs for i in range(clients_per_job)]
+                threading.Thread(target=client, args=(name, mode, i))
+                for name, job in jobs.items() for mode in job[3]
+                for i in range(clients_per_job)]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join()
             assert not errors
 
-            # byte-identical reports, every client, both descriptions
-            for (name, _idx), doc in results.items():
-                want_report, want_tally = references[name]
-                assert doc["report"] == want_report
-                assert doc["count"] == want_tally.records
-                assert doc["stats"]["errors"] == want_tally.total_errors
+            # byte-identical replies, every client, every description
+            want_records = want_errors = 0
+            for (name, mode, _idx), doc in results.items():
+                ref = references[name]
+                assert doc["engine"]["mode"] == jobs[name][4], doc["engine"]
+                assert doc["engine"]["reason"]
+                assert doc["count"] == ref["count"] == ref["tally"].records
+                want_records += ref["count"]
+                if mode == "count":
+                    continue
+                assert doc["stats"]["errors"] == ref["tally"].total_errors
+                want_errors += ref["tally"].total_errors
+                if mode == "accum":
+                    assert doc["report"] == ref["report"]
+                else:
+                    assert doc["records"] == ref["records"]
+            assert references["calls"]["tally"].total_errors > 0
 
             # and the server's metric totals are the exact serial sums
-            want_records = clients_per_job * sum(
-                references[name][1].records for name, *_ in jobs)
-            want_errors = clients_per_job * sum(
-                references[name][1].total_errors for name, *_ in jobs)
             assert st.metrics.value("records.total") == want_records
             assert st.metrics.value("errors.total") == want_errors
-            # two distinct descriptions -> exactly two compiles
-            assert st.metrics.value("serve.compile") == 2
+            # three distinct descriptions -> exactly three compiles
+            assert st.metrics.value("serve.compile") == 3
 
 
 # -- parallel delegation ----------------------------------------------------------
