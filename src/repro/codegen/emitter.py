@@ -332,8 +332,8 @@ class Emitter:
             "skip_to_literal as _skip_to_lit, array_resync as _array_resync, "
             "convert_packed as _fp_packed, convert_zoned as _fp_zoned, "
             "record_guard as _record_guard, note_limit as _note_limit)")
-        w.w("from repro.core.basetypes.temporal import parse_date_text "
-            "as _parse_date_text")
+        w.w("from repro.core.basetypes.temporal import parse_date_value "
+            "as _fp_parse_date")
         w.w("")
         w.w(f"AMBIENT = {self.ambient!r}")
         w.w("DISCIPLINE = None  # set by the loader; None means newline records")
@@ -355,13 +355,6 @@ class Emitter:
                 w.w("return thunk()")
             with w.block("except Exception:"):
                 w.w("return None")
-        w.w("")
-        with w.block("def _fp_parse_date(text):"):
-            w.w('"""Fast-path date conversion: datetime -> DateVal."""')
-            w.w("_dt = _parse_date_text(text)")
-            with w.block("if _dt is None:"):
-                w.w("return None")
-            w.w("return DateVal.from_datetime(_dt, text)")
         w.w("")
         for name, (lit, code, phys) in self.enum_literals.items():
             w.w(f"E_{name} = EnumVal({lit!r}, {code}, {phys!r})")

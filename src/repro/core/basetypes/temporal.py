@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import random
+import re
 
 from ..errors import ErrCode
 from ..io import Source
@@ -45,11 +46,39 @@ DATE_FORMATS = (
 )
 
 
+#: The CLF layout (the first of ``DATE_FORMATS``) in a strict form: ASCII
+#: digits, two-digit day, title-case English month, one space before the
+#: offset.  What it accepts, ``strptime`` accepts with the same result.
+_MONTHS = "Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split()
+_MONTH = {name: i for i, name in enumerate(_MONTHS, 1)}
+_CLF_DATE = re.compile(
+    r"(0[1-9]|[12][0-9]|3[01])/(%s)/([0-9]{4}):([01][0-9]|2[0-3]):"
+    r"([0-5][0-9]):([0-5][0-9]) ([+-][0-9]{2}[0-5][0-9])" % "|".join(_MONTHS))
+_OFFSETS: dict = {}  # "-0700" -> timezone, filled as offsets are seen
+
+
 def parse_date_text(text: str):
-    """Parse ``text`` with the ad hoc format list; None when nothing fits."""
+    """Parse ``text`` with the ad hoc format list; None when nothing fits.
+
+    The strict CLF kernel answers first; on any miss the ``DATE_FORMATS``
+    loop decides.  Like ``strptime`` under Python's default ``LC_TIME``,
+    the kernel's month names are English.
+    """
     text = text.strip()
     if not text:
         return None
+    m = _CLF_DATE.fullmatch(text)
+    if m is not None:
+        day, month, year, hour, minute, second, offset = m.groups()
+        try:
+            tz = _OFFSETS.get(offset)
+            if tz is None:  # the sign applies to hours and minutes alike
+                tz = _OFFSETS[offset] = _dt.timezone(_dt.timedelta(
+                    hours=int(offset[:3]), minutes=int(offset[0] + offset[3:])))
+            return _dt.datetime(int(year), _MONTH[month], int(day), int(hour),
+                                int(minute), int(second), tzinfo=tz)
+        except ValueError:
+            pass  # 31/Feb, year 0000, offset >= 24h: the loop decides
     for fmt in DATE_FORMATS:
         try:
             dt = _dt.datetime.strptime(text, fmt)
@@ -61,6 +90,13 @@ def parse_date_text(text: str):
             dt = dt.replace(tzinfo=_dt.timezone.utc)
         return dt
     return None
+
+
+def parse_date_value(text: str):
+    """``text`` as a :class:`DateVal` (UTC epoch plus the raw text), or
+    None when no format fits."""
+    dt = parse_date_text(text)
+    return None if dt is None else DateVal.from_datetime(dt, text)
 
 
 class AsciiDate(BaseType):
@@ -80,12 +116,11 @@ class AsciiDate(BaseType):
                 body = src.take_rest()
         else:
             body = src.take_rest()
-        text = body.decode(self.encoding)
-        dt = parse_date_text(text)
-        if dt is None:
+        value = parse_date_value(body.decode(self.encoding))
+        if value is None:
             src.pos = start
             return self.default(), ErrCode.INVALID_DATE
-        return DateVal.from_datetime(dt, text), ErrCode.NO_ERR
+        return value, ErrCode.NO_ERR
 
     def write(self, value) -> bytes:
         if isinstance(value, DateVal):

@@ -89,7 +89,7 @@ _PREFIX_LEN = 1 << 16
 _INDEX_MAGIC = "padsidx"
 _INDEX_VERSION = 1
 _CKPT_MAGIC = b"PADSCKPT1\n"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2  # bumped when the pickled accumulator layout changes
 
 #: Test hook: raise :class:`_InjectedCrash` once this many records (or,
 #: on the parallel path, chunks) have been processed — *after* any

@@ -41,7 +41,7 @@ from typing import Iterator, NamedTuple, Optional
 from .core.errors import ErrorTally, PadsError
 from .core.io import Source
 from .tools.accum import (DEFAULT_TRACKED, Accumulator, fold_records,
-                          record_accumulator)
+                          header_accumulator, record_accumulator)
 
 __all__ = ["ExecOptions", "Choice", "Result", "OPS", "choose_engine", "run",
            "open_input"]
@@ -303,9 +303,7 @@ def run(desc, data, op: str, record_type: Optional[str] = None,
                     src.close()
             return out
         if op == "accum" and header is not None:
-            out.header_acc = Accumulator(desc.node(header), "<header>",
-                                         tracked)
-            out.header_acc.add(*desc.parse(src, header))
+            out.header_acc = header_accumulator(desc, src, header, tracked)
         pairs = desc.records(src, record_type)
         if owned:
             pairs = _closing(pairs, src)

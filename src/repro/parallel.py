@@ -50,7 +50,7 @@ from .core.errors import ErrorTally, PadsError
 from .core.io import RecordDiscipline, Source, plan_chunks
 from .core.limits import ParseLimits
 from .tools.accum import (
-    DEFAULT_TRACKED, Accumulator, fold_records, record_accumulator)
+    DEFAULT_TRACKED, fold_records, header_accumulator, record_accumulator)
 
 __all__ = [
     "DescSpec", "split_gate", "parallel_records", "parallel_accumulate",
@@ -590,13 +590,11 @@ def parallel_accumulate(description, data, record_type: str, mask=None,
     start = 0
     base = 0  # records consumed before the chunked region (the header)
     if header_type is not None:
-        header_acc = Accumulator(description.node(header_type), "<header>",
-                                 tracked)
         src = description.open(_serial_input(description, data)) \
             if not isinstance(data, os.PathLike) \
             else description.open_file(os.fspath(data))
-        rep, pd = description.parse(src, header_type)
-        header_acc.add(rep, pd)
+        header_acc = header_accumulator(description, src, header_type,
+                                        tracked)
         start = src.pos
         base = src.record_idx + 1
         if isinstance(data, os.PathLike):

@@ -22,17 +22,10 @@ def runtime_namespace(plan: Plan) -> Dict[str, Any]:
     # Lazy imports: repro.codegen imports repro.plan at module level, so
     # this module must not import it back until call time.
     from ..codegen.runtime import convert_packed, convert_zoned
-    from ..core.basetypes.temporal import parse_date_text
+    from ..core.basetypes.temporal import parse_date_value
     from ..core.values import DateVal, EnumVal, FloatVal, Rec, UnionVal
     from ..expr.pycompile import compile_function
     from ..expr.runtime import builtins_table, cdiv, cmod, getmember
-
-    def _fp_parse_date(text):
-        """Fast-path date conversion: datetime -> DateVal."""
-        dt = parse_date_text(text)
-        if dt is None:
-            return None
-        return DateVal.from_datetime(dt, text)
 
     ns: Dict[str, Any] = {
         "Rec": Rec,
@@ -46,7 +39,7 @@ def runtime_namespace(plan: Plan) -> Dict[str, Any]:
         "_member": getmember,
         "_fp_packed": convert_packed,
         "_fp_zoned": convert_zoned,
-        "_fp_parse_date": _fp_parse_date,
+        "_fp_parse_date": parse_date_value,
     }
     for name, (lit, code, phys) in plan.enum_literals.items():
         ns[f"E_{name}"] = EnumVal(lit, code, phys)

@@ -75,6 +75,7 @@ class ScalarAccum:
         self.max = None
         self.total = 0.0
         self.err_codes: Dict[str, int] = {}
+        self.summaries = None  # NumericSummaries, set by attach_summaries
 
     def add(self, value, pd: Optional[Pd]) -> None:
         if pd is not None and pd.nerr > 0:
@@ -86,8 +87,13 @@ class ScalarAccum:
         key = value.epoch if isinstance(value, DateVal) else value
         if isinstance(key, (int, float)) and not isinstance(key, bool):
             self.total += key
-            self.min = key if self.min is None else min(self.min, key)
-            self.max = key if self.max is None else max(self.max, key)
+            # Strict comparisons keep the first of equal values, as min/max do.
+            if self.min is None or key < self.min:
+                self.min = key
+            if self.max is None or key > self.max:
+                self.max = key
+            if self.summaries is not None:
+                self.summaries.add(key)
         try:
             in_table = key in self.values
         except TypeError:
@@ -133,19 +139,9 @@ class ScalarAccum:
         # Invariant maintained by ``add``: tracked_count is the number of
         # adds represented in the table.
         self.tracked_count = sum(self.values.values())
-        mine = getattr(self, "summaries", None)
-        theirs = getattr(other, "summaries", None)
-        if mine is not None and theirs is not None:
-            mine.merge(theirs)
+        if self.summaries is not None and other.summaries is not None:
+            self.summaries.merge(other.summaries)
         return self
-
-    def __getstate__(self):
-        # ``attach_summaries`` rebinds ``add`` to a closure on the
-        # instance; drop it so accumulators can cross process boundaries
-        # (the unpickled copy is only merged/reported, never fed).
-        state = dict(self.__dict__)
-        state.pop("add", None)
-        return state
 
     @property
     def total_count(self) -> int:
@@ -199,7 +195,9 @@ def _fmt(value) -> str:
 
 class Accumulator:
     """A type-shaped accumulator tree (``<type>_acc`` in the paper's
-    Figure 6: ``acc_init`` / ``acc_add`` / ``acc_report``)."""
+    Figure 6: ``acc_init`` / ``acc_add`` / ``acc_report``).  ``add`` is
+    chosen from the node's shape when the tree is built; an unpickled copy
+    has none, since it is only merged and reported."""
 
     def __init__(self, node: PType, name: str = "<top>",
                  tracked: int = DEFAULT_TRACKED):
@@ -225,63 +223,64 @@ class Accumulator:
                 if f.kind == "data":
                     self.children[f.name] = Accumulator(
                         f.node, f"{self.name}.{f.name}", self.tracked)
-        elif isinstance(node, UnionNode):
-            for br in node.branches:
-                self.children[br.name] = Accumulator(
-                    br.node, f"{self.name}.{br.name}", self.tracked)
-        elif isinstance(node, SwitchUnionNode):
-            for case in node.cases:
-                self.children[case.name] = Accumulator(
-                    case.node, f"{self.name}.{case.name}", self.tracked)
+            self.add = self._add_struct
+        elif isinstance(node, (UnionNode, SwitchUnionNode)):
+            arms = node.branches if isinstance(node, UnionNode) else node.cases
+            for arm in arms:
+                self.children[arm.name] = Accumulator(
+                    arm.node, f"{self.name}.{arm.name}", self.tracked)
+            self.add = self._add_union
         elif isinstance(node, OptNode):
             self.children["some"] = Accumulator(
                 node.inner, f"{self.name}.some", self.tracked)
+            self.add = self._add_opt
         elif isinstance(node, ArrayNode):
             self.elts = Accumulator(node.elt, f"{self.name}[]", self.tracked)
             self.lengths = ScalarAccum("int", self.tracked)
-        elif isinstance(node, TypedefNode):
-            pass  # scalar behaviour is enough
+            self.add = self._add_array
+        else:
+            self.add = self._add_scalar
 
     # -- adding -----------------------------------------------------------------
 
-    def add(self, rep, pd: Optional[Pd] = None) -> None:
-        node = self.node
-        while isinstance(node, RecordNode):
-            node = node.inner
-        if isinstance(node, AppNode):
-            node = node.decl_node
+    def _add_scalar(self, rep, pd: Optional[Pd] = None) -> None:
+        self.self_acc.add(rep, pd)
 
-        if isinstance(node, StructNode):
+    def _add_struct(self, rep, pd: Optional[Pd] = None) -> None:
+        self.self_acc.add(None, pd)
+        fields = pd.fields if pd is not None else {}
+        for name, child in self.children.items():
+            try:
+                value = getattr(rep, name)
+            except AttributeError:
+                continue
+            child.add(value, fields.get(name))
+
+    def _add_union(self, rep, pd: Optional[Pd] = None) -> None:
+        tag = getattr(rep, "tag", None)
+        self.self_acc.add(tag, pd)
+        child = self.children.get(tag)
+        if child is not None:
+            child.add(rep.value, pd.branch if pd is not None else None)
+
+    def _add_opt(self, rep, pd: Optional[Pd] = None) -> None:
+        if pd is not None and pd.nerr > 0:
             self.self_acc.add(None, pd)
-            for name, child in self.children.items():
-                try:
-                    value = getattr(rep, name)
-                except AttributeError:
-                    continue
-                child.add(value, pd.fields.get(name) if pd else None)
-        elif isinstance(node, (UnionNode, SwitchUnionNode)):
-            self.self_acc.add(getattr(rep, "tag", None), pd)
-            tag = getattr(rep, "tag", None)
-            if tag in self.children:
-                self.children[tag].add(rep.value, pd.branch if pd else None)
-        elif isinstance(node, OptNode):
-            if pd is not None and pd.nerr > 0:
-                self.self_acc.add(None, pd)
-            elif rep is None:
-                self.self_acc.add("NONE", None)
-            else:
-                self.self_acc.add("SOME", None)
-                self.children["some"].add(rep, pd.branch if pd else None)
-        elif isinstance(node, ArrayNode):
-            self.self_acc.add(None, pd)
-            if rep is not None:
-                self.lengths.add(len(rep), None)
-                elt_pds = pd.elts if pd else []
-                for i, value in enumerate(rep):
-                    elt_pd = elt_pds[i] if i < len(elt_pds) else None
-                    self.elts.add(value, elt_pd)
+        elif rep is None:
+            self.self_acc.add("NONE", None)
         else:
-            self.self_acc.add(rep, pd)
+            self.self_acc.add("SOME", None)
+            self.children["some"].add(rep, pd.branch if pd is not None else None)
+
+    def _add_array(self, rep, pd: Optional[Pd] = None) -> None:
+        self.self_acc.add(None, pd)
+        if rep is None:
+            return
+        self.lengths.add(len(rep), None)
+        elt_pds = pd.elts if pd is not None else []
+        n_pds = len(elt_pds)
+        for i, value in enumerate(rep):
+            self.elts.add(value, elt_pds[i] if i < n_pds else None)
 
     # -- merging ----------------------------------------------------------------
 
@@ -307,9 +306,10 @@ class Accumulator:
     def __getstate__(self):
         # Type nodes may close over interpreter environments and are not
         # picklable; a transferred accumulator only needs its counters
-        # (the receiving side merges it into a tree that kept its nodes).
-        state = dict(self.__dict__)
-        state["node"] = None
+        # (the receiving side merges it into a tree that kept its nodes),
+        # so the bound ``add`` is dropped too.
+        state = dict(self.__dict__, node=None)
+        state.pop("add", None)  # absent on a copy that was unpickled
         return state
 
     # -- reporting ----------------------------------------------------------------
@@ -383,6 +383,16 @@ def fold_records(acc: Accumulator, pairs, on_record=None) -> ErrorTally:
     return tally
 
 
+def header_accumulator(description, src, header_type: str,
+                       tracked: int = DEFAULT_TRACKED,
+                       mask=None) -> Accumulator:
+    """Parse one ``header_type`` at ``src``'s position into a fresh
+    ``<header>`` accumulator; ``src`` is left after the header."""
+    acc = Accumulator(description.node(header_type), "<header>", tracked)
+    acc.add(*description.parse(src, header_type, mask))
+    return acc
+
+
 def accumulate_records(description, data, record_type: str,
                        mask=None, tracked: int = DEFAULT_TRACKED,
                        header_type: Optional[str] = None):
@@ -394,13 +404,9 @@ def accumulate_records(description, data, record_type: str,
     n_records)``.
     """
     src = description.open(data)
-    header_acc = None
-    if header_type is not None:
-        header_acc = Accumulator(description.node(header_type), "<header>",
-                                 tracked)
-        rep, pd = description.parse(src, header_type, mask)
-        header_acc.add(rep, pd)
-    acc = Accumulator(description.node(record_type), "<top>", tracked)
+    header_acc = None if header_type is None else header_accumulator(
+        description, src, header_type, tracked, mask)
+    acc = record_accumulator(description, record_type, tracked)
     count = 0
     for rep, pd in description.records(src, record_type, mask):
         acc.add(rep, pd)

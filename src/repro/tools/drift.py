@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from .accum import Accumulator, ScalarAccum
+from .accum import Accumulator, ScalarAccum, accumulate_records
 
 
 @dataclass
@@ -156,10 +156,6 @@ def compare(old: Accumulator, new: Accumulator, *,
 def profile_and_compare(description, record_type: str,
                         old_data, new_data, mask=None, **thresholds) -> DriftReport:
     """Profile two files and diff the profiles (the Altair daily check)."""
-    old_acc = Accumulator(description.node(record_type))
-    for rep, pd in description.records(old_data, record_type, mask):
-        old_acc.add(rep, pd)
-    new_acc = Accumulator(description.node(record_type))
-    for rep, pd in description.records(new_data, record_type, mask):
-        new_acc.add(rep, pd)
+    old_acc = accumulate_records(description, old_data, record_type, mask)[0]
+    new_acc = accumulate_records(description, new_data, record_type, mask)[0]
     return compare(old_acc, new_acc, **thresholds)

@@ -262,35 +262,16 @@ class NumericSummaries:
 def attach_summaries(accumulator, bins: int = 32, eps: float = 0.01) -> None:
     """Attach :class:`NumericSummaries` to every numeric scalar position
     of an accumulator tree; subsequent ``add`` calls feed them."""
-    from .accum import Accumulator, ScalarAccum
+    from .accum import Accumulator
 
     def visit(acc: Accumulator) -> None:
-        scalar = acc.self_acc
-        if scalar.kind in ("int", "float", "date"):
-            _instrument(scalar, bins, eps)
-        if acc.lengths is not None:
-            _instrument(acc.lengths, bins, eps)
+        for scalar in (acc.self_acc, acc.lengths):
+            if scalar is not None and scalar.summaries is None \
+                    and scalar.kind in ("int", "float", "date"):
+                scalar.summaries = NumericSummaries(bins, eps)
         if acc.elts is not None:
             visit(acc.elts)
         for child in acc.children.values():
             visit(child)
 
     visit(accumulator)
-
-
-def _instrument(scalar, bins: int, eps: float) -> None:
-    from ..core.values import DateVal
-
-    if getattr(scalar, "summaries", None) is not None:
-        return
-    scalar.summaries = NumericSummaries(bins, eps)
-    original_add = scalar.add
-
-    def add_with_summaries(value, pd=None):
-        original_add(value, pd)
-        if pd is None or pd.nerr == 0:
-            key = value.epoch if isinstance(value, DateVal) else value
-            if isinstance(key, (int, float)) and not isinstance(key, bool):
-                scalar.summaries.add(key)
-
-    scalar.add = add_with_summaries

@@ -1,5 +1,6 @@
 """Tests for the base-type library."""
 
+import datetime as _dt
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from repro.core.basetypes import resolve_base_type, base_type_names, is_base_type
 from repro.core.basetypes.base import UnknownBaseType, base_type_arity
+from repro.core.basetypes.temporal import DATE_FORMATS, parse_date_text
 from repro.core.errors import ErrCode
 from repro.core.io import NewlineRecords, Source
 from repro.core.values import DateVal
@@ -257,6 +259,61 @@ class TestDates:
         t = resolve_base_type("Ptimestamp")
         value, code, _ = parse(t, b"1005022800|")
         assert value.epoch == 1005022800
+
+    # The strict CLF kernel in front of the DATE_FORMATS loop must return
+    # exactly what the loop alone returns, for every input.
+
+    @staticmethod
+    def _strptime_loop(text):
+        """The ``DATE_FORMATS`` loop alone: the reference the CLF kernel
+        must agree with."""
+        text = text.strip()
+        if not text:
+            return None
+        for fmt in DATE_FORMATS:
+            try:
+                dt = _dt.datetime.strptime(text, fmt)
+            except ValueError:
+                continue
+            if fmt == "%H:%M:%S":
+                dt = dt.replace(year=1970, month=1, day=1)
+            if dt.tzinfo is None:
+                dt = dt.replace(tzinfo=_dt.timezone.utc)
+            return dt
+        return None
+
+    def _assert_agrees(self, text):
+        got, want = parse_date_text(text), self._strptime_loop(text)
+        if want is None:
+            assert got is None
+        else:
+            assert got == want and got.utcoffset() == want.utcoffset()
+        return got
+
+    @given(st.datetimes(
+        timezones=st.integers(-24 * 60 + 1, 24 * 60 - 1).map(
+            lambda m: _dt.timezone(_dt.timedelta(minutes=m)))))
+    def test_clf_kernel_matches_strptime(self, when):
+        self._assert_agrees(when.strftime("%d/%b/%Y:%H:%M:%S %z"))
+
+    @pytest.mark.parametrize("text, accepted", [
+        ("1/Oct/1997:18:46:51 -0700", True),       # one-digit day
+        ("15/oct/1997:18:46:51 -0700", True),      # month case
+        ("15/OCT/1997:18:46:51 -0700", True),
+        ("15/Oct/1997:18:46:51 Z", True),
+        ("15/Oct/1997:18:46:51 -07:00", True),
+        ("15/Oct/1997:18:46:51  -0700", True),     # two spaces
+        ("15/Oct/1997:18:46:51\t-0700", True),
+        ("15/Oct/\u0661\u0669\u0669\u0667:18:46:51 -0700", True),  # Arabic-Indic
+        ("\u0661\u0665/Oct/1997:18:46:51 -0700", False),
+        ("15/Oct/1997:18:46:51 +2400", False),     # offset >= 24h
+        ("31/Feb/1997:18:46:51 -0700", False),
+        ("15/Oct/0000:18:46:51 -0700", False),
+        ("15/Oct/1997:18:46:60 -0700", False),
+        ("15/Oct/1997:18:46:51 -0700x", False),    # trailing junk
+    ])
+    def test_clf_near_misses_fall_back(self, text, accepted):
+        assert (self._assert_agrees(text) is not None) == accepted
 
 
 class TestNetworkTypes:
