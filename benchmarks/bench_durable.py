@@ -15,8 +15,8 @@ Four numbers, measured on a >= 100 MB synthetic CLF log:
   sampled offsets) versus ``plan_chunks`` (seek + boundary scan per
   probe point).
 * **Checkpoint overhead** — seconds spent inside ``_write_checkpoint``
-  (pickle + fsync + rename) during a checkpointed ``accumulate_durable``
-  over a record-aligned ~8 MB slice, as a fraction of the parse they
+  (pickle + fsync + rename) during a checkpointed accumulation
+  (``durable.drive`` with the ``accum`` fold) over a record-aligned ~8 MB slice, as a fraction of the parse they
   rode on.  The gate holds this under 5%.  A plain-vs-checkpointed A/B
   wall-clock delta and a crash+resume run are also reported, but not
   gated: on a shared box their noise floor is well above the
@@ -38,6 +38,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro import durable, gallery  # noqa: E402
+from repro.execute import Fold  # noqa: E402
 from repro.codegen import compile_generated  # noqa: E402
 from repro.core.io import MIN_CHUNK_BYTES, plan_chunks  # noqa: E402
 from repro.tools.datagen import clf_workload  # noqa: E402
@@ -150,8 +151,8 @@ def main() -> int:
         slice_size = record_slice(log, slice_log, SLICE_BYTES)
 
         def accum(**kw):
-            return durable.accumulate_durable(gen, slice_log, "entry_t",
-                                              build_index=False, **kw)
+            return durable.drive(gen, slice_log, Fold("accum", "entry_t"),
+                                 build_index=False, **kw)
 
         # The gated number is the *instrumented* cost: seconds spent
         # inside _write_checkpoint during the run, over the parse it

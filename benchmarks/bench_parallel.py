@@ -3,8 +3,9 @@
 The paper's Figure 10 tasks (vetting, selection, record counting) are
 embarrassingly parallel — records are independent units of work — yet the
 serial runtime drives them through one core.  This bench runs the same
-tasks through :mod:`repro.parallel` with a 4-worker pool and compares
-against the serial twins.  **Correctness is asserted inside every
+tasks through :func:`repro.execute.run` with ``--jobs 4`` (the parallel
+driver, which folds each chunk inside the workers) and compares against
+the in-process driver.  **Correctness is asserted inside every
 benchmark**: the parallel side must produce byte-identical error totals
 and accumulator reports, not just similar timings.
 
@@ -22,7 +23,7 @@ import time
 
 import pytest
 
-from repro import parallel
+from repro.execute import ExecOptions, run
 from repro.tools.accum import accumulate_records
 
 from .conftest import N_RECORDS
@@ -33,22 +34,28 @@ CORES = os.cpu_count() or 1
 
 def _warm_pool(description, data):
     """First parallel call pays pool + fork startup; do it off the clock."""
-    parallel.parallel_count(description, data, jobs=JOBS)
+    run(description, data, "count", options=ExecOptions(jobs=JOBS))
+
+
+def _vet(description, data, jobs=1):
+    """Vetting: every record parsed, its pd folded into an error tally
+    (inside the workers when ``jobs > 1``)."""
+    res = run(description, data, "tally", "entry_t", ExecOptions(jobs=jobs))
+    assert res.mode == ("parallel" if jobs > 1 else "serial"), res.reason
+    return res.tally
 
 
 @pytest.mark.benchmark(group="parallel-vetting")
 def test_vet_serial(benchmark, sirius_gen, sirius_body):
-    tally = benchmark(parallel.tally_records, sirius_gen, sirius_body,
-                      "entry_t")
+    tally = benchmark(_vet, sirius_gen, sirius_body)
     assert tally.records == N_RECORDS
 
 
 @pytest.mark.benchmark(group="parallel-vetting")
 def test_vet_parallel(benchmark, sirius_gen, sirius_body):
     _warm_pool(sirius_gen, sirius_body)
-    serial = parallel.tally_records(sirius_gen, sirius_body, "entry_t")
-    tally = benchmark(parallel.parallel_tally, sirius_gen, sirius_body,
-                      "entry_t", jobs=JOBS)
+    serial = _vet(sirius_gen, sirius_body)
+    tally = benchmark(_vet, sirius_gen, sirius_body, jobs=JOBS)
     assert tally.records == serial.records
     assert tally.bad_records == serial.bad_records
     assert tally.total_errors == serial.total_errors
@@ -63,8 +70,9 @@ def test_count_serial(benchmark, sirius_gen, sirius_body):
 @pytest.mark.benchmark(group="parallel-count")
 def test_count_parallel(benchmark, sirius_gen, sirius_body):
     _warm_pool(sirius_gen, sirius_body)
-    n = benchmark(parallel.parallel_count, sirius_gen, sirius_body, jobs=JOBS)
-    assert n == N_RECORDS
+    res = benchmark(run, sirius_gen, sirius_body, "count",
+                    options=ExecOptions(jobs=JOBS))
+    assert res.count == N_RECORDS
 
 
 @pytest.mark.benchmark(group="parallel-accum")
@@ -79,9 +87,10 @@ def test_accum_parallel(benchmark, sirius_gen, sirius_body):
     _warm_pool(sirius_gen, sirius_body)
     serial_acc, _hdr, _n = accumulate_records(sirius_gen, sirius_body,
                                               "entry_t")
-    acc, header, tally = benchmark(parallel.parallel_accumulate, sirius_gen,
-                                   sirius_body, "entry_t", jobs=JOBS)
-    assert header is None
+    res = benchmark(run, sirius_gen, sirius_body, "accum", "entry_t",
+                    ExecOptions(jobs=JOBS))
+    acc, tally = res.acc, res.tally
+    assert res.header_acc is None
     assert tally.records == N_RECORDS
     assert (acc.self_acc.good, acc.self_acc.bad) == \
         (serial_acc.self_acc.good, serial_acc.self_acc.bad)
@@ -107,11 +116,11 @@ def test_parallel_speedup():
     _warm_pool(desc, body)
 
     t0 = time.perf_counter()
-    serial = parallel.tally_records(desc, body, "entry_t")
+    serial = _vet(desc, body)
     t_serial = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    par = parallel.parallel_tally(desc, body, "entry_t", jobs=JOBS)
+    par = _vet(desc, body, jobs=JOBS)
     t_parallel = time.perf_counter() - t0
 
     assert par.records == serial.records == n

@@ -21,10 +21,11 @@ import random
 
 import pytest
 
-from repro import gallery, parallel
+from repro import gallery
 from repro.codegen import compile_generated
 from repro.core.api import compile_description
 from repro.core.io import FixedWidthRecords
+from repro.execute import run
 from repro.tools.datagen import call_detail_workload
 
 from .conftest import N_RECORDS
@@ -41,7 +42,7 @@ def sirius_gen_ref():
 
 
 def _vet(description, body):
-    return parallel.tally_records(description, body, "entry_t")
+    return run(description, body, "tally", "entry_t").tally
 
 
 @pytest.mark.benchmark(group="plan-interp-vetting")

@@ -195,7 +195,7 @@ def _cursor_one(description, buf: bytes, pos: int, end: int, base: int,
     """Cursor-parse exactly one record at ``pos`` (absolute ``base +
     pos``), rebasing its pd to the global record index.  Returns
     ``(rep, pd, consumed bytes)``."""
-    from .parallel import _rebase_pd
+    from .execute import _rebase_pd
     src = Source(buf[pos:end], discipline=description.discipline,
                  start=base + pos)
     rep, pd = description.parse(src, type_name, mask)
@@ -413,8 +413,8 @@ def records_batch(description, data, type_name: str, mask=None, *,
     """Batch twin of ``description.records``: yields the identical
     ``(rep, pd)`` stream, parsing eligible input grid-at-a-time.
 
-    Falls back to the cursor engine — silently, like the parallel entry
-    points — when the description, discipline, mask or input shape is
+    Falls back to the cursor engine — silently, like the parallel
+    driver — when the description, discipline, mask or input shape is
     outside the batch subset; ``strict=True`` raises
     :class:`~repro.core.errors.PadsError` instead (the ``--engine
     batch`` contract), at call time.

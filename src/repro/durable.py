@@ -18,12 +18,12 @@ module makes long runs *durable*:
   (:func:`plan_chunks_indexed`) — including for record disciplines that
   cannot be split by scanning at all (length-prefixed records).
 
-* **Checkpointed runs** (``<data>.padsckpt``).  The durable entry
-  points (:func:`records_durable`, :func:`accumulate_durable`,
-  :func:`count_records_durable`) periodically persist an atomic
-  checkpoint — tmp file + fsync + rename — holding the resume offset,
-  the serialized mergeable accumulator/tally/metrics state and the pd
-  error accounting.  After a crash (SIGKILL included; see the
+* **Checkpointed runs** (``<data>.padsckpt``).  The durable driver
+  (:func:`drive`, the ``durable`` mode of :func:`repro.execute.run`)
+  runs any :class:`~repro.execute.Fold` and periodically persists an
+  atomic checkpoint — tmp file + fsync + rename — holding the resume
+  offset, the records done, the fold's mergeable state and the metrics
+  registry.  After a crash (SIGKILL included; see the
   kill-resume scenario in :mod:`repro.faults`) the same call with
   ``resume=True`` continues mid-file and produces final reports,
   error totals and observe metrics identical to an uninterrupted run.
@@ -43,20 +43,14 @@ import pickle
 import zlib
 from bisect import bisect_left
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from . import observe
-from .core.errors import ErrorTally, PadsError, Pd
-from .core.io import (
-    DEFAULT_STREAM_WINDOW,
-    MIN_CHUNK_BYTES,
-    RecordDiscipline,
-    Source,
-    StreamSource,
-)
+from .core.errors import PadsError
+from .core.io import MIN_CHUNK_BYTES, RecordDiscipline, Source, StreamSource
 from .observe.metrics import MetricsRegistry
-from .tools.accum import DEFAULT_TRACKED, Accumulator, record_accumulator
 
 __all__ = [
     "DEFAULT_INDEX_INTERVAL", "DEFAULT_CHECKPOINT_INTERVAL",
@@ -65,8 +59,7 @@ __all__ = [
     "index_path_for", "checkpoint_path_for",
     "build_index", "load_index", "write_index",
     "seek_record", "open_at_record", "plan_chunks_indexed",
-    "indexed_file_chunks",
-    "records_durable", "accumulate_durable", "count_records_durable",
+    "indexed_file_chunks", "drive",
 ]
 
 #: Sample a record-start offset every this many records.  ~8 bytes of
@@ -89,7 +82,7 @@ _PREFIX_LEN = 1 << 16
 _INDEX_MAGIC = "padsidx"
 _INDEX_VERSION = 1
 _CKPT_MAGIC = b"PADSCKPT1\n"
-_CKPT_VERSION = 2  # bumped when the pickled accumulator layout changes
+_CKPT_VERSION = 3  # bumped when the checkpoint payload layout changes
 
 #: Test hook: raise :class:`_InjectedCrash` once this many records (or,
 #: on the parallel path, chunks) have been processed — *after* any
@@ -462,66 +455,45 @@ def _load_checkpoint(path: str) -> Optional[dict]:
     return payload
 
 
-# -- durable run state ---------------------------------------------------------
+# -- durable runs ----------------------------------------------------------------
 
 
 @dataclass
 class _RunState:
-    """Everything a durable run persists between crashes."""
+    """Everything a durable run persists between crashes: where to
+    continue, how many records are done, and the fold's state."""
 
-    mode: str                    # 'records' | 'accumulate' | 'count'
+    op: str
     record_type: Optional[str]
     binding: dict
-    interval: int
-    offset: int = 0              # serial/stream resume offset
+    fold: object = None           # the fold's partial result so far
+    offset: int = 0               # serial/stream resume offset
     records_done: int = 0
-    total_errors: int = 0        # Source.total_errors (max_errors budget)
-    count: int = 0               # count mode
-    tally: Optional[ErrorTally] = None
-    acc: Optional[Accumulator] = None
+    total_errors: int = 0         # Source.total_errors (max_errors budget)
     metrics: Optional[MetricsRegistry] = None
     windows: Optional[list] = None   # parallel chunk plan (pinned on resume)
     chunks_done: int = 0
     index_builder: Optional[dict] = None
-    resumed: bool = False
 
     def payload(self) -> dict:
-        return {
-            "version": _CKPT_VERSION, "mode": self.mode,
-            "record_type": self.record_type, "binding": self.binding,
-            "interval": self.interval, "offset": self.offset,
-            "records_done": self.records_done,
-            "total_errors": self.total_errors, "count": self.count,
-            "tally": self.tally, "acc": self.acc, "metrics": self.metrics,
-            "windows": self.windows, "chunks_done": self.chunks_done,
-            "index_builder": self.index_builder,
-        }
+        return dict(vars(self), version=_CKPT_VERSION)
 
 
-def _resume_state(ckpt_path: str, path: str, mode: str,
-                  record_type: Optional[str], interval: int,
-                  binding: dict) -> Optional[_RunState]:
+def _resume_state(ckpt_path: str, fold, binding: dict) -> Optional[_RunState]:
     """The checkpointed state to continue from, or None (no checkpoint,
     or one that failed validation — the run starts over either way)."""
     payload = _load_checkpoint(ckpt_path)
     if payload is None:
         return None
-    if payload.get("mode") != mode or payload.get("record_type") != record_type:
+    if (payload.get("op"), payload.get("record_type")) != \
+            (fold.op, fold.record_type):
         _reject_checkpoint("mode")
         return None
     if payload.get("binding") != binding:
         _reject_checkpoint("stale")
         return None
-    state = _RunState(mode=mode, record_type=record_type, binding=binding,
-                      interval=payload["interval"],
-                      offset=payload["offset"],
-                      records_done=payload["records_done"],
-                      total_errors=payload["total_errors"],
-                      count=payload["count"], tally=payload["tally"],
-                      acc=payload["acc"], metrics=payload["metrics"],
-                      windows=payload["windows"],
-                      chunks_done=payload["chunks_done"],
-                      index_builder=payload["index_builder"], resumed=True)
+    del payload["version"]
+    state = _RunState(**payload)
     observe.count("checkpoint.resumes")
     observe.count("checkpoint.records_skipped", n=state.records_done)
     return state
@@ -542,13 +514,14 @@ def _metered(restored: Optional[MetricsRegistry]):
 
 
 def _open_resume_source(description, path: str, offset: int,
-                        engine: str, window: Optional[int]) -> Source:
+                        window: Optional[int]) -> Source:
+    """The cursor at ``offset``: a sliding ``window`` when one is given,
+    ``Source.from_file`` otherwise."""
     limits = getattr(description, "limits", None)
-    if engine == "stream":
+    if window is not None:
         handle = open(path, "rb")
         handle.seek(offset)
-        src = StreamSource(handle, description.discipline,
-                           window=window or DEFAULT_STREAM_WINDOW,
+        src = StreamSource(handle, description.discipline, window=window,
                            limits=limits, owns_stream=True)
         # StreamSource has no ``start``: rebase the absolute cursor onto
         # the pre-seeked handle (the buffer is still empty here).
@@ -564,159 +537,28 @@ def _maybe_crash(done: int) -> None:
         raise _InjectedCrash(f"injected crash after {done}")
 
 
-def _finish(ckpt_path: Optional[str], state: _RunState, path: str,
-            discipline: RecordDiscipline) -> None:
-    """Clean completion: publish the side-effect index, drop the
-    checkpoint."""
-    if state.index_builder is not None:
-        builder = IndexBuilder.restore(state.index_builder)
-        write_index(path, builder, discipline)
-    if ckpt_path is not None:
-        try:
-            os.unlink(ckpt_path)
-        except OSError:
-            pass
+def _ticking(items, tick):
+    """``items``, calling ``tick()`` once the consumer is done with each."""
+    for item in items:
+        yield item
+        tick()
 
 
-class _DurableRun:
-    """Shared scaffolding for the three durable entry points: state
-    load/init, checkpoint cadence, index side-effects, completion."""
+def drive(description, path, fold, *, checkpoint=True,
+          interval: int = DEFAULT_CHECKPOINT_INTERVAL,
+          resume: bool = False, jobs: int = 1,
+          window: Optional[int] = None, build_index: bool = True,
+          index_interval: int = DEFAULT_INDEX_INTERVAL):
+    """The durable driver: ``fold`` over the file at ``path`` with
+    periodic atomic checkpoints.  Returns the fold's final state; for
+    ``records``, the lazy pair stream (a resumed run yields only the
+    records after the last checkpoint — the suffix an interrupted
+    ``padsc fmt/xml --resume`` still needs to emit).
 
-    def __init__(self, description, path, mode: str,
-                 record_type: Optional[str], *,
-                 checkpoint, interval: int, resume: bool,
-                 jobs: Optional[int], engine: str, window: Optional[int],
-                 build_index: bool, index_interval: int):
-        self.description = description
-        self.path = os.fspath(path)
-        if not os.path.isfile(self.path):
-            raise PadsError(f"durable runs need a seekable file, "
-                            f"not {self.path!r}")
-        if engine not in ("serial", "stream"):
-            raise PadsError(f"unknown durable engine {engine!r} "
-                            "(use 'serial' or 'stream')")
-        self.mode = mode
-        self.record_type = record_type
-        self.engine = engine
-        self.window = window
-        self.jobs = jobs if jobs is not None else 1
-        cur = observe.CURRENT
-        if cur is not None and cur.tracer is not None:
-            self.jobs = 1  # tracing pins the serial path (complete stream)
-        self.interval = max(1, interval)
-        self.binding = source_binding(self.path)
-        if checkpoint is None and resume:
-            checkpoint = True
-        self.ckpt_path: Optional[str] = None
-        if checkpoint:
-            self.ckpt_path = checkpoint if isinstance(checkpoint, str) \
-                else checkpoint_path_for(self.path)
-        self.state: Optional[_RunState] = None
-        if resume and self.ckpt_path is not None:
-            self.state = _resume_state(self.ckpt_path, self.path, mode,
-                                       record_type, self.interval,
-                                       self.binding)
-        if self.state is None:
-            self.state = _RunState(mode=mode, record_type=record_type,
-                                   binding=self.binding,
-                                   interval=self.interval)
-        # Side-effect index: built when asked for, unless a valid one
-        # already exists.  A resumed run continues its builder from the
-        # checkpoint; a resumed run whose checkpoint predates the flag
-        # (builder is None but records were done) cannot sample the
-        # skipped prefix and skips building.
-        self.index = load_index(self.path, description.discipline)
-        if build_index and self.index is None \
-                and not (self.state.resumed and self.state.index_builder is None):
-            if self.state.index_builder is None:
-                self.state.index_builder = IndexBuilder(index_interval).state()
-
-    # -- pieces ------------------------------------------------------------
-
-    def _sink(self) -> Optional[IndexBuilder]:
-        if self.state.index_builder is None:
-            return None
-        return IndexBuilder.restore(self.state.index_builder)
-
-    def _checkpoint(self, src: Optional[Source],
-                    obs, builder: Optional[IndexBuilder]) -> None:
-        state = self.state
-        if src is not None:
-            state.offset = src.pos
-            state.total_errors = src.total_errors
-        if builder is not None:
-            state.index_builder = builder.state()
-        state.metrics = obs.metrics if obs is not None else None
-        if self.ckpt_path is not None:
-            _write_checkpoint(self.ckpt_path, state.payload())
-
-    def _serial_source(self) -> Source:
-        src = _open_resume_source(self.description, self.path,
-                                  self.state.offset, self.engine, self.window)
-        # Rebase so record indices in locations and metrics continue the
-        # pre-crash numbering.
-        src.record_idx = self.state.records_done - 1
-        src.total_errors = self.state.total_errors
-        builder = self._sink()
-        if builder is not None:
-            src.index_sink = builder
-        return src
-
-    def _plan(self) -> Optional[list]:
-        """The (resume-pinned) parallel window list, or None for the
-        serial path.  Planning prefers the persistent index; the plan is
-        stored in the checkpoint so a resumed run re-reduces the exact
-        same chunks."""
-        if self.jobs <= 1 or self.engine == "stream":
-            return None
-        if self.state.windows is not None:
-            return self.state.windows
-        if self.state.records_done:
-            return None  # resumed mid-serial-pass: stay serial
-        from . import parallel as _parallel
-        plan = _parallel._plan_windows(self.description,
-                                       _PathData(self.path), self.jobs)
-        if plan is None:
-            return None
-        windows, self.jobs = plan
-        self.state.windows = windows
-        # Chunked workers sample no boundaries; the index side effect is
-        # the serial/stream passes' job.
-        self.state.index_builder = None
-        return windows
-
-    def finish(self) -> None:
-        _finish(self.ckpt_path, self.state, self.path,
-                self.description.discipline)
-
-
-class _PathData(os.PathLike):
-    """Minimal PathLike so durable avoids importing pathlib for one call."""
-
-    def __init__(self, path: str):
-        self._path = path
-
-    def __fspath__(self) -> str:
-        return self._path
-
-
-# -- durable entry points ------------------------------------------------------
-
-
-def accumulate_durable(description, path, record_type: str, mask=None, *,
-                       checkpoint=True,
-                       interval: int = DEFAULT_CHECKPOINT_INTERVAL,
-                       resume: bool = False,
-                       jobs: Optional[int] = None,
-                       engine: str = "serial",
-                       window: Optional[int] = None,
-                       tracked: int = DEFAULT_TRACKED,
-                       summaries: bool = False,
-                       build_index: bool = True,
-                       index_interval: int = DEFAULT_INDEX_INTERVAL,
-                       ) -> Tuple[Accumulator, ErrorTally]:
-    """Checkpointed accumulation over a file: ``(acc, tally)``, where
-    ``tally.records`` is the record count.
+    The fold runs in process — a sliding ``window`` when one is given,
+    ``Source.from_file`` otherwise — checkpointing every ``interval``
+    records, or through :func:`repro.parallel.fold_windows` with
+    ``jobs > 1``, checkpointing after every merged window.
 
     ``checkpoint`` is True (default path: ``<path>.padsckpt``), a path,
     or None to run the same loop without persistence.  ``resume=True``
@@ -726,173 +568,131 @@ def accumulate_durable(description, path, record_type: str, mask=None, *,
     same caveats as the parallel engine apply to ``summaries`` and
     value tables past ``tracked``).  A missing/corrupt/stale checkpoint
     is counted in ``checkpoint.rejected`` and the run starts over.
-    ``mask`` is not checkpointed: pass the same mask when resuming.
+    ``fold.mask`` is not checkpointed: pass the same mask when resuming.
     """
-    run = _DurableRun(description, path, "accumulate", record_type,
-                      checkpoint=checkpoint, interval=interval, resume=resume,
-                      jobs=jobs, engine=engine, window=window,
-                      build_index=build_index, index_interval=index_interval)
-    state = run.state
-    acc = record_accumulator(description, record_type, tracked, summaries)
-    if state.acc is not None:
-        acc.merge(state.acc)
-    tally = state.tally if state.tally is not None else ErrorTally()
-    state.acc, state.tally = acc, tally
+    path = os.fspath(path)
+    if not os.path.isfile(path):
+        raise PadsError(f"durable runs need a seekable file, not {path!r}")
+    cur = observe.CURRENT
+    if cur is not None and cur.tracer is not None:
+        jobs = 1  # tracing pins the serial path (complete event stream)
+    interval = max(1, interval)
+    binding = source_binding(path)
+    ckpt_path = None
+    if checkpoint or resume:
+        ckpt_path = checkpoint if isinstance(checkpoint, str) \
+            else checkpoint_path_for(path)
+    state = None
+    if resume and ckpt_path is not None:
+        state = _resume_state(ckpt_path, fold, binding)
+    resumed = state is not None
+    if resumed:
+        # Unpickled accumulators only merge: fold on into a live one.
+        state.fold = fold.merge(fold.zero(description), state.fold)
+    else:
+        state = _RunState(fold.op, fold.record_type, binding,
+                          fold=fold.zero(description))
+    # Side-effect index: built when asked for, unless a valid one
+    # already exists.  A resumed run continues its builder from the
+    # checkpoint; a resumed run whose checkpoint predates the flag
+    # (builder is None but records were done) cannot sample the
+    # skipped prefix and skips building.
+    have_index = load_index(path, description.discipline) is not None
+    if build_index and not have_index and not resumed:
+        state.index_builder = IndexBuilder(index_interval).state()
+    steps = _steps(description, path, fold, state, ckpt_path, interval,
+                   jobs, window)
+    if fold.op == "records":
+        return steps
+    deque(steps, maxlen=0)
+    return state.fold
 
-    with _metered(state.metrics) as obs:
-        windows = run._plan()
-        if windows is None:
-            src = run._serial_source()
-            builder = src.index_sink
-            try:
-                for rep, pd in description.records(src, record_type, mask):
-                    acc.add(rep, pd)
-                    tally.add(pd)
-                    state.records_done += 1
-                    if state.records_done % run.interval == 0:
-                        run._checkpoint(src, obs, builder)
-                    _maybe_crash(state.records_done)
-            finally:
-                src.close()
+
+def _steps(description, path: str, fold, st: _RunState,
+           ckpt_path: Optional[str], interval: int, jobs: int,
+           window: Optional[int]) -> Iterator:
+    """The durable loop: yields the ``records`` fold's pairs; folds the
+    others into ``st.fold``.  Publishes the side-effect index and drops
+    the checkpoint on clean completion."""
+    with _metered(st.metrics) as obs:
+        src = builder = None
+
+        def save() -> None:
+            if src is not None:
+                st.offset, st.total_errors = src.pos, src.total_errors
             if builder is not None:
-                state.index_builder = builder.state()
+                st.index_builder = builder.state()
+            st.metrics = obs.metrics if obs is not None else None
+            if ckpt_path is not None:
+                _write_checkpoint(ckpt_path, st.payload())
+
+        windows = _plan(description, path, st, jobs, window)
+        if windows is not None:
+            from .parallel import fold_windows
+
+            def on_part(done: int) -> None:
+                st.records_done = done
+                st.chunks_done += 1
+                st.offset = windows[st.chunks_done - 1][3]
+                save()
+                _maybe_crash(st.chunks_done)
+
+            out = fold_windows(description, fold, windows[st.chunks_done:],
+                               jobs, st.fold, base=st.records_done,
+                               on_part=on_part)
+            if fold.op == "records":
+                yield from out
         else:
-            _run_parallel_accum(run, description, record_type, mask,
-                                tracked, summaries, acc, tally, obs)
-    run.finish()
-    return acc, tally
+            src = _open_resume_source(description, path, st.offset, window)
+            # Rebase so record indices in locations and metrics continue
+            # the pre-crash numbering.
+            src.record_idx = st.records_done - 1
+            src.total_errors = st.total_errors
+            if st.index_builder is not None:
+                builder = src.index_sink = IndexBuilder.restore(
+                    st.index_builder)
 
+            def tick() -> None:
+                st.records_done += 1
+                if st.records_done % interval == 0:
+                    save()
+                _maybe_crash(st.records_done)
 
-def _run_parallel_accum(run: _DurableRun, description, record_type, mask,
-                        tracked, summaries, acc, tally, obs) -> None:
-    from . import parallel as _parallel
-    state = run.state
-    windows = state.windows[state.chunks_done:]
-    spec = _parallel._spec_for(description)
-    _parallel._seed(description, spec)
-    tasks = [(spec, w, record_type, mask, tracked, summaries, obs is not None)
-             for w in windows]
-    for part_acc, part_tally, registry in _parallel._healing_map(
-            _parallel._map_accum, tasks, run.jobs,
-            timeout=_parallel._chunk_timeout(spec)):
-        if registry is not None and obs is not None:
-            obs.metrics.merge(registry)
-        acc.merge(part_acc)
-        _parallel._rebase_tally(part_tally, state.records_done)
-        state.records_done += part_tally.records
-        tally.merge(part_tally)
-        state.chunks_done += 1
-        state.offset = state.windows[state.chunks_done - 1][3]
-        run._checkpoint(None, obs, None)
-        _maybe_crash(state.chunks_done)
-
-
-def count_records_durable(description, path, *,
-                          checkpoint=True,
-                          interval: int = DEFAULT_CHECKPOINT_INTERVAL,
-                          resume: bool = False,
-                          jobs: Optional[int] = None,
-                          engine: str = "serial",
-                          window: Optional[int] = None,
-                          build_index: bool = True,
-                          index_interval: int = DEFAULT_INDEX_INTERVAL,
-                          ) -> int:
-    """Checkpointed record counting (record discipline only)."""
-    run = _DurableRun(description, path, "count", None,
-                      checkpoint=checkpoint, interval=interval, resume=resume,
-                      jobs=jobs, engine=engine, window=window,
-                      build_index=build_index, index_interval=index_interval)
-    state = run.state
-
-    with _metered(state.metrics) as obs:
-        windows = run._plan()
-        if windows is None:
-            src = run._serial_source()
-            builder = src.index_sink
-            try:
-                while src.begin_record():
-                    src.end_record()
-                    state.count += 1
-                    state.records_done += 1
-                    if state.records_done % run.interval == 0:
-                        run._checkpoint(src, obs, builder)
-                    _maybe_crash(state.records_done)
-            finally:
-                src.close()
+            with src:
+                items = _ticking(fold.items(description, src), tick)
+                if fold.op == "records":
+                    yield from items
+                else:
+                    fold.feed(st.fold, items)
             if builder is not None:
-                state.index_builder = builder.state()
-        else:
-            from . import parallel as _parallel
-            spec = _parallel._spec_for(description)
-            _parallel._seed(description, spec)
-            tasks = [(spec, w) for w in state.windows[state.chunks_done:]]
-            for part in _parallel._healing_map(
-                    _parallel._map_count, tasks, run.jobs,
-                    timeout=_parallel._chunk_timeout(spec)):
-                state.count += part
-                state.records_done += part
-                state.chunks_done += 1
-                state.offset = state.windows[state.chunks_done - 1][3]
-                run._checkpoint(None, obs, None)
-                _maybe_crash(state.chunks_done)
-    run.finish()
-    return state.count
+                st.index_builder = builder.state()
+    if st.index_builder is not None:
+        write_index(path, IndexBuilder.restore(st.index_builder),
+                    description.discipline)
+    if ckpt_path is not None:
+        try:
+            os.unlink(ckpt_path)
+        except OSError:
+            pass
 
 
-def records_durable(description, path, type_name: str, mask=None, *,
-                    checkpoint=True,
-                    interval: int = DEFAULT_CHECKPOINT_INTERVAL,
-                    resume: bool = False,
-                    jobs: Optional[int] = None,
-                    engine: str = "serial",
-                    window: Optional[int] = None,
-                    build_index: bool = True,
-                    index_interval: int = DEFAULT_INDEX_INTERVAL,
-                    ) -> Iterator[Tuple[object, Pd]]:
-    """Checkpointed ``records()``: yields ``(rep, pd)`` with global
-    record indices in locations.  A resumed run yields only the records
-    after the last checkpoint — the suffix an interrupted ``padsc
-    fmt/xml --resume`` still needs to emit."""
-    run = _DurableRun(description, path, "records", type_name,
-                      checkpoint=checkpoint, interval=interval, resume=resume,
-                      jobs=jobs, engine=engine, window=window,
-                      build_index=build_index, index_interval=index_interval)
-    state = run.state
-
-    with _metered(state.metrics) as obs:
-        windows = run._plan()
-        if windows is None:
-            src = run._serial_source()
-            builder = src.index_sink
-            try:
-                for rep, pd in description.records(src, type_name, mask):
-                    yield rep, pd
-                    state.records_done += 1
-                    if state.records_done % run.interval == 0:
-                        run._checkpoint(src, obs, builder)
-                    _maybe_crash(state.records_done)
-            finally:
-                src.close()
-            if builder is not None:
-                state.index_builder = builder.state()
-        else:
-            from . import parallel as _parallel
-            spec = _parallel._spec_for(description)
-            _parallel._seed(description, spec)
-            tasks = [(spec, w, type_name, mask, obs is not None)
-                     for w in state.windows[state.chunks_done:]]
-            for chunk, registry in _parallel._healing_map(
-                    _parallel._map_records, tasks, run.jobs,
-                    timeout=_parallel._chunk_timeout(spec)):
-                if registry is not None and obs is not None:
-                    obs.metrics.merge(registry)
-                cache: dict = {}
-                for rep, pd in chunk:
-                    _parallel._rebase_pd(pd, state.records_done, cache)
-                    yield rep, pd
-                state.records_done += len(chunk)
-                state.chunks_done += 1
-                state.offset = state.windows[state.chunks_done - 1][3]
-                run._checkpoint(None, obs, None)
-                _maybe_crash(state.chunks_done)
-    run.finish()
+def _plan(description, path: str, st: _RunState, jobs: int,
+          window: Optional[int]) -> Optional[list]:
+    """The (resume-pinned) parallel window list, or None for the
+    in-process loop.  Planning prefers the persistent index; the plan is
+    stored in the checkpoint so a resumed run re-reduces the exact same
+    chunks."""
+    if jobs <= 1 or window is not None:
+        return None
+    if st.windows is not None:
+        return st.windows
+    if st.records_done:
+        return None  # resumed mid-serial-pass: stay serial
+    from pathlib import Path
+    from .parallel import _plan_windows
+    st.windows = _plan_windows(description, Path(path), jobs)
+    if st.windows is not None:
+        # Chunked workers sample no boundaries; the index side effect is
+        # the serial/stream passes' job.
+        st.index_builder = None
+    return st.windows

@@ -2,9 +2,10 @@
 
 The paper's tools are small programs over the generated library's
 record-at-a-time entry point (Sections 4, 5.2–5.3): the accumulator,
-the formatter, the XML converter and the record counter.  This module
-describes each of them once, as an *op* over a description and an
-input, and decides in one place which engine runs it::
+the vetter, the formatter, the XML converter and the record counter.
+This module names each of them once, as a :class:`Fold` over the record
+stream, decides in one place which engine runs it, and hands the fold
+to that mode's *driver*::
 
     from repro.execute import ExecOptions, run
 
@@ -13,12 +14,21 @@ input, and decides in one place which engine runs it::
     print(res.mode, res.reason)          # parallel --jobs 4: ...
     print(res.acc.full_report(), res.tally.records)
 
-Ops:
+Ops (one fold each):
 
 * ``"records"`` — ``Result.pairs``, the ``(rep, pd)`` stream in input
   order (lazy: consume it to run the parse);
 * ``"accum"`` — ``Result.acc`` / ``header_acc`` / ``tally``;
+* ``"tally"`` — ``Result.tally`` (the vetter: error accounting only);
 * ``"count"`` — ``Result.count`` (record discipline only, no fields).
+
+Drivers (:data:`DRIVERS`, one per mode): the in-process driver
+(``serial``, ``stream``, ``batch``) feeds the fold the engine's pair
+iterator; :func:`repro.parallel.drive` (``parallel``,
+``parallel-stream``) folds record-aligned windows on a worker pool and
+merges the partial results in input order; :func:`repro.durable.drive`
+(``durable``) runs either of those and checkpoints ``(offset, records
+done, fold state)``.
 
 Inputs: ``bytes``/``str`` (in memory), an :class:`os.PathLike` (a file),
 any readable binary object (a pipe, ``sys.stdin.buffer``), or an open
@@ -29,24 +39,25 @@ It composes the engines' own predicates —
 :func:`repro.batch.batch_gate` and :func:`repro.parallel.split_gate` —
 and every invalid flag combination raises :class:`PadsError` from here.
 The decision table is in ``docs/ARCHITECTURE.md``.  Engines import
-lazily, so ``import repro`` never loads ``durable`` or ``serve``.
+lazily, so ``import repro.execute`` never loads ``durable`` or ``serve``.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple, Optional
 
 from .core.errors import ErrorTally, PadsError
 from .core.io import Source
-from .tools.accum import (DEFAULT_TRACKED, Accumulator, fold_records,
-                          header_accumulator, record_accumulator)
+from .core.masks import Mask
+from .tools.accum import (DEFAULT_TRACKED, Accumulator, header_accumulator,
+                          record_accumulator)
 
-__all__ = ["ExecOptions", "Choice", "Result", "OPS", "choose_engine", "run",
-           "open_input"]
+__all__ = ["ExecOptions", "Choice", "Result", "Fold", "OPS", "DRIVERS",
+           "choose_engine", "run", "open_input", "fold_cursor"]
 
-OPS = ("records", "accum", "count")
+OPS = ("records", "accum", "tally", "count")
 
 
 @dataclass(frozen=True)
@@ -90,7 +101,8 @@ class Choice(NamedTuple):
 class Result:
     """What :func:`run` returns for every op and mode.  ``pairs`` is set
     for ``records``, ``acc``/``header_acc``/``tally`` for ``accum``
-    (``tally.records`` is the record count), ``count`` for ``count``."""
+    (``tally.records`` is the record count), ``tally`` for ``tally``,
+    ``count`` for ``count``."""
 
     mode: str
     reason: str
@@ -99,6 +111,141 @@ class Result:
     header_acc: Optional[Accumulator] = None
     tally: Optional[ErrorTally] = None
     count: Optional[int] = None
+
+
+
+
+# -- the fold ------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Fold:
+    """An op as a fold over the record stream, named once for every
+    driver.
+
+    Its partial result (*state*) is a list of ``(rep, pd)`` pairs for
+    ``records``, an ``(Accumulator, ErrorTally)`` pair for ``accum``, and
+    an :class:`ErrorTally` for ``tally`` and ``count`` (a count moves
+    only ``records``).  A part folded from one window numbers its records
+    from 0: :meth:`rebase` shifts it past the records before it,
+    :meth:`merge` appends it, :meth:`size` says how many records it
+    holds.  Picklable: the parallel driver ships it with every window.
+    """
+
+    op: str
+    record_type: Optional[str] = None
+    mask: Optional[Mask] = None
+    tracked: int = DEFAULT_TRACKED
+    summaries: bool = False
+
+    def zero(self, desc):
+        """The empty partial result."""
+        if self.op == "accum":
+            return (record_accumulator(desc, self.record_type, self.tracked,
+                                       self.summaries), ErrorTally())
+        return [] if self.op == "records" else ErrorTally()
+
+    def items(self, desc, src: Source) -> Iterator:
+        """What the fold consumes at cursor ``src``: ``(rep, pd)`` pairs,
+        or bare record boundaries for ``count``."""
+        if self.op == "count":
+            return _boundaries(src)
+        return desc.records(src, self.record_type, self.mask)
+
+    def feed(self, state, items, on_record=None):
+        """Fold ``items`` into ``state`` in one loop and return it.
+        ``on_record(pd, tally)`` runs after each record of an ``accum``;
+        an exception it raises ends the fold there."""
+        op = self.op
+        if op == "accum":
+            acc, tally = state
+            for rep, pd in items:
+                acc.add(rep, pd)
+                tally.add(pd)
+                if on_record is not None:
+                    on_record(pd, tally)
+        elif op == "tally":
+            for _rep, pd in items:
+                state.add(pd)
+        elif op == "records":
+            state.extend(items)
+        else:
+            for _ in items:
+                state.records += 1
+        return state
+
+    def over(self, desc, src: Source, state, on_record=None):
+        """Fold every record left at cursor ``src`` into ``state``."""
+        if self.op == "count":  # the counting floor: no per-record frame
+            state.records += desc.count_records(src)
+            return state
+        return self.feed(state, self.items(desc, src), on_record)
+
+    def _tally(self, state) -> ErrorTally:
+        return state[1] if self.op == "accum" else state
+
+    def size(self, part) -> int:
+        """How many records ``part`` holds."""
+        return len(part) if self.op == "records" else self._tally(part).records
+
+    def rebase(self, part, base: int) -> None:
+        """Shift ``part``'s record indices past ``base`` earlier records."""
+        if not base:
+            return
+        if self.op == "records":
+            cache: dict = {}
+            for _rep, pd in part:
+                _rebase_pd(pd, base, cache)
+            return
+        loc = self._tally(part).first_error_loc
+        if loc is not None and loc.record >= 0:
+            self._tally(part).first_error_loc = replace(
+                loc, record=loc.record + base)
+
+    def merge(self, state, part):
+        """``state`` followed by the (rebased) ``part``."""
+        if self.op == "records":
+            state.extend(part)
+            return state
+        if self.op == "accum":
+            state[0].merge(part[0])
+        self._tally(state).merge(self._tally(part))
+        return state
+
+
+def _boundaries(src: Source) -> Iterator[None]:
+    while src.begin_record():
+        src.end_record()
+        yield None
+
+
+def _rebase_pd(pd, offset: int, cache: dict) -> None:
+    """Rebase chunk-local record indices in an error pd tree to global.
+
+    Locations are only attached where errors were reported, so clean
+    subtrees (``nerr == 0``) are skipped and the walk costs nothing for
+    the common case.  ``Loc`` is frozen; rebased copies are cached by
+    identity so locations shared between pd nodes stay shared.
+    """
+    if pd is None or pd.nerr == 0 or offset == 0:
+        return
+    loc = pd.loc
+    if loc is not None and loc.record >= 0:
+        new = cache.get(id(loc))
+        if new is None:
+            new = replace(loc, record=loc.record + offset)
+            cache[id(loc)] = new
+        pd.loc = new
+    if pd._fields:
+        for child in pd._fields.values():
+            _rebase_pd(child, offset, cache)
+    if pd._elts:
+        for child in pd._elts:
+            _rebase_pd(child, offset, cache)
+    _rebase_pd(pd.branch, offset, cache)
+
+
+# -- the planner ---------------------------------------------------------------
 
 
 def _kind(data) -> str:
@@ -219,11 +366,77 @@ def open_input(desc, data, options: ExecOptions = ExecOptions()) -> Source:
     return desc.open(data)
 
 
+# -- the drivers ---------------------------------------------------------------
+
+
 def _closing(pairs, src: Source):
     try:
         yield from pairs
     finally:
         src.close()
+
+
+def fold_cursor(desc, fold: Fold, src: Source, *, owned: bool,
+                on_record=None):
+    """Run ``fold`` over every record left at cursor ``src``; ``owned``
+    sources are closed once it is done.  The ``records`` fold's result is
+    the lazy pair stream itself."""
+    if fold.op == "records":
+        pairs = desc.records(src, fold.record_type, fold.mask)
+        return _closing(pairs, src) if owned else pairs
+    try:
+        return fold.over(desc, src, fold.zero(desc), on_record)
+    finally:
+        if owned:
+            src.close()
+
+
+def _in_process(desc, data, fold: Fold, options: ExecOptions, mode: str,
+                header: Optional[str], on_record) -> tuple:
+    """The in-process driver (``serial``, ``stream``, ``batch``): open the
+    input, parse the header if there is one, and feed the fold the
+    engine's pair iterator (``count``: record boundaries, or the batch
+    engine's arithmetic).  Returns ``(state, header_acc)``."""
+    if mode == "batch":
+        from . import batch
+        state = fold.zero(desc)
+        if fold.op == "count":
+            state.records = batch.count_records_batch(desc, data, strict=True)
+            return state, None
+        pairs = batch.records_batch(desc, data, fold.record_type, fold.mask,
+                                    strict=True)
+        if fold.op == "records":
+            return pairs, None
+        return fold.feed(state, pairs, on_record), None
+    src = open_input(desc, data, options)
+    header_acc = None if header is None else header_accumulator(
+        desc, src, header, fold.tracked)
+    return fold_cursor(desc, fold, src, on_record=on_record,
+                       owned=_kind(data) in ("file", "stream")), header_acc
+
+
+def _parallel(desc, data, fold: Fold, options: ExecOptions, mode: str,
+              header: Optional[str], on_record) -> tuple:
+    from . import parallel
+    return parallel.drive(desc, data, fold, options.jobs, header=header,
+                          stream=mode == "parallel-stream")
+
+
+def _durable(desc, data, fold: Fold, options: ExecOptions, mode: str,
+             header: Optional[str], on_record) -> tuple:
+    from . import durable
+    every = options.checkpoint
+    return durable.drive(desc, data, fold, resume=options.resume,
+                         jobs=options.jobs, window=options.window,
+                         interval=every if every is not None and every > 0
+                         else durable.DEFAULT_CHECKPOINT_INTERVAL), None
+
+
+#: Mode -> driver.  ``on_record`` reaches only the in-process driver:
+#: the map-reduce and checkpointed modes fold in their own loops.
+DRIVERS = {"serial": _in_process, "stream": _in_process,
+           "batch": _in_process, "parallel": _parallel,
+           "parallel-stream": _parallel, "durable": _durable}
 
 
 def run(desc, data, op: str, record_type: Optional[str] = None,
@@ -241,75 +454,17 @@ def run(desc, data, op: str, record_type: Optional[str] = None,
     """
     mode, reason = choose_engine(desc, data, op, record_type, options,
                                  header=header)
-    out = Result(mode, reason)
-    jobs = options.jobs
-    if mode == "durable":
-        from . import durable
-        opts = {"resume": options.resume, "jobs": jobs,
-                "interval": options.checkpoint
-                if options.checkpoint is not None and options.checkpoint > 0
-                else durable.DEFAULT_CHECKPOINT_INTERVAL}
-        if options.window is not None:
-            opts.update(engine="stream", window=options.window)
-        if op == "count":
-            out.count = durable.count_records_durable(desc, data, **opts)
-        elif op == "accum":
-            out.acc, out.tally = durable.accumulate_durable(
-                desc, data, record_type, tracked=tracked,
-                summaries=summaries, **opts)
-        else:
-            out.pairs = durable.records_durable(desc, data, record_type,
-                                                **opts)
-        return out
-    if mode == "parallel":
-        from . import parallel
-        if op == "count":
-            out.count = parallel.parallel_count(desc, data, jobs=jobs)
-        elif op == "accum":
-            out.acc, out.header_acc, out.tally = \
-                parallel.parallel_accumulate(
-                    desc, data, record_type, jobs=jobs, tracked=tracked,
-                    header_type=header, summaries=summaries)
-        else:
-            out.pairs = parallel.parallel_records(desc, data, record_type,
-                                                  jobs=jobs)
-        return out
-    if mode == "parallel-stream":
-        from . import parallel
-        if op == "count":
-            out.count = parallel.parallel_count_stream(desc, data, jobs=jobs)
-        elif op == "accum":
-            out.acc, out.tally = parallel.parallel_accumulate_stream(
-                desc, data, record_type, jobs=jobs, tracked=tracked,
-                summaries=summaries)
-        else:
-            out.pairs = parallel.parallel_records_stream(
-                desc, data, record_type, jobs=jobs)
-        return out
-    if mode == "batch":
-        from . import batch
-        if op == "count":
-            out.count = batch.count_records_batch(desc, data, strict=True)
-            return out
-        pairs = batch.records_batch(desc, data, record_type, strict=True)
-    else:
-        src = open_input(desc, data, options)
-        owned = _kind(data) in ("file", "stream")
-        if op == "count":
-            try:
-                out.count = desc.count_records(src)
-            finally:
-                if owned:
-                    src.close()
-            return out
-        if op == "accum" and header is not None:
-            out.header_acc = header_accumulator(desc, src, header, tracked)
-        pairs = desc.records(src, record_type)
-        if owned:
-            pairs = _closing(pairs, src)
+    fold = Fold(op, record_type, tracked=tracked, summaries=summaries)
+    state, header_acc = DRIVERS[mode](desc, data, fold, options, mode,
+                                      header if op == "accum" else None,
+                                      on_record)
+    out = Result(mode, reason, header_acc=header_acc)
     if op == "records":
-        out.pairs = pairs
+        out.pairs = state
+    elif op == "accum":
+        out.acc, out.tally = state
+    elif op == "tally":
+        out.tally = state
     else:
-        out.acc = record_accumulator(desc, record_type, tracked, summaries)
-        out.tally = fold_records(out.acc, pairs, on_record)
+        out.count = state.records
     return out

@@ -342,8 +342,9 @@ def _durable_child(description, path: str, record_type: str,
     as an OOM kill or host reboot."""
     import os as _os
     _os.setsid()
-    from .durable import accumulate_durable
-    accumulate_durable(description, path, record_type, interval=interval)
+    from .durable import drive
+    from .execute import Fold
+    drive(description, path, Fold("accum", record_type), interval=interval)
 
 
 def kill_resume_check(description, path: str, record_type: str, *,
@@ -364,7 +365,8 @@ def kill_resume_check(description, path: str, record_type: str, *,
     import signal
     import time
 
-    from .durable import CHECKPOINT_SUFFIX, INDEX_SUFFIX, accumulate_durable
+    from .durable import CHECKPOINT_SUFFIX, INDEX_SUFFIX, drive
+    from .execute import Fold
 
     rng = rng or random.Random(0)
     ckpt = path + CHECKPOINT_SUFFIX
@@ -373,8 +375,8 @@ def kill_resume_check(description, path: str, record_type: str, *,
             _os.unlink(stale)
 
     # Uninterrupted reference: the same durable loop, no persistence.
-    ref_acc, ref_tally = accumulate_durable(description, path, record_type,
-                                            checkpoint=None)
+    fold = Fold("accum", record_type)
+    ref_acc, ref_tally = drive(description, path, fold, checkpoint=None)
 
     ctx = multiprocessing.get_context("fork")
     victim = ctx.Process(target=_durable_child,
@@ -396,8 +398,8 @@ def kill_resume_check(description, path: str, record_type: str, *,
         victim.join()
         return "victim did not die within the timeout"
 
-    acc, tally = accumulate_durable(description, path, record_type,
-                                    interval=interval, resume=True)
+    acc, tally = drive(description, path, fold, interval=interval,
+                       resume=True)
     if _os.path.exists(ckpt):
         return "checkpoint not cleaned up after completed resume"
     if tally.records != ref_tally.records:

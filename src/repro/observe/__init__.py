@@ -288,7 +288,7 @@ def observed(metrics: Optional[MetricsRegistry] = None, *,
 
     Nests by stacking: the previous observer (if any) is restored on
     exit.  ``trace=True`` (or a ``trace_sink``) attaches a tracer; note
-    that an active tracer pins the parallel entry points to their serial
+    that an active tracer pins the parallel driver to its in-process
     fallback so the event stream stays complete and ordered.
     """
     global CURRENT

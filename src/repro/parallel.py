@@ -1,38 +1,38 @@
-"""Chunked map-reduce execution over record boundaries.
+"""The parallel driver: chunked map-reduce over record boundaries.
 
 The paper's multiple-entry-point design (Section 4) makes records
 independent units of work, and its headline benchmark (Figure 10) is
 throughput over an 11.7M-record file — an embarrassingly parallel
 workload that the serial runtime drives through one core.  This module
-adds the missing execution engine:
+runs any :class:`~repro.execute.Fold` on a process pool:
 
 1. **Plan** — split the input at record boundaries using the record
-   discipline's ``align`` logic (:func:`repro.core.io.plan_chunks`), so
-   every chunk starts exactly where a record starts.
-2. **Map** — fan the chunks out to a process pool.  Each worker process
+   discipline's ``align`` logic (:func:`repro.core.io.plan_chunks`, or
+   a persistent boundary index), so every window starts exactly where a
+   record starts.  A live stream (pipe, socket) is carved into
+   record-aligned windows *as the bytes arrive* (:func:`_stream_chunks`)
+   and pipelined into the pool ``jobs`` windows at a time.
+2. **Map** — one map function, :func:`_fold_window`: each worker
    compiles the description once (or, under ``fork``, inherits the
-   parent's already-compiled description) and parses its chunk through
-   the ordinary serial machinery over a windowed :class:`Source`.
-3. **Reduce** — combine per-chunk results in chunk order: record streams
-   concatenate, accumulators :meth:`~repro.tools.accum.Accumulator.merge`,
-   error tallies :meth:`~repro.core.errors.ErrorTally.merge`, counts sum.
+   parent's already-compiled description) and folds its window through
+   the batch engine or the ordinary cursor.
+3. **Reduce** — one ordered loop, :func:`_reduce`: each partial result
+   is rebased past the records before it and merged in window order
+   (``records`` parts are emitted in order instead).
 
-Every entry point is observationally equivalent to its serial twin and
-falls back to the serial path whenever splitting is impossible or not
-worthwhile: ``jobs <= 1``, a non-chunkable record discipline
-(:class:`~repro.core.io.NoRecords`, length-prefixed records), inputs
-smaller than one chunk, an already-open :class:`Source`, or a
-description whose source text is unavailable.  The parallel path is an
-optimisation, never a semantic fork.
+The driver is observationally equivalent to the in-process one and
+falls back to it whenever there is no plan: ``jobs <= 1``, an active
+tracer, a non-chunkable record discipline (:class:`~repro.core.io.NoRecords`,
+length-prefixed records without an index), inputs smaller than one
+chunk, an already-open :class:`Source`, a ``max_errors`` budget, or a
+description whose source text is unavailable.  A live stream that cannot
+be split is a :class:`PadsError` instead, never a silent degrade.
 
-Inputs may be ``bytes``/``str`` (in-memory, chunks are sliced and shipped
-to workers) or an :class:`os.PathLike` (each worker opens its own windowed
-file handle — the cheap path for large files).  Byte offsets in error
-locations are absolute by construction (windowed Sources preserve them);
-record *indices* come out of workers chunk-local and are rebased to
-global during the reduce, so error locations match the serial run
-exactly.  Known caveat: user base types registered with
-``load_base_type_files`` reach workers only via ``fork``.
+Byte offsets in error locations are absolute by construction (windowed
+Sources preserve them); record *indices* come out of workers
+window-local and are rebased during the reduce, so error locations
+match the serial run exactly.  Known caveat: user base types registered
+with ``load_base_type_files`` reach workers only via ``fork``.
 """
 
 from __future__ import annotations
@@ -40,27 +40,25 @@ from __future__ import annotations
 import io as _stdio
 import os
 import threading
+from collections import deque
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FutTimeout
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import observe
-from .core.errors import ErrorTally, PadsError
+from .core.errors import PadsError
 from .core.io import RecordDiscipline, Source, plan_chunks
 from .core.limits import ParseLimits
-from .tools.accum import (
-    DEFAULT_TRACKED, fold_records, header_accumulator, record_accumulator)
+from .execute import Fold, _kind, fold_cursor, open_input
+from .tools.accum import header_accumulator
 
-__all__ = [
-    "DescSpec", "split_gate", "parallel_records", "parallel_accumulate",
-    "parallel_count", "parallel_tally", "tally_records", "shutdown",
-    "parallel_records_stream", "parallel_count_stream",
-    "parallel_accumulate_stream", "STREAM_CHUNK_BYTES",
-]
+__all__ = ["DescSpec", "split_gate", "drive", "fold_windows", "shutdown",
+           "STREAM_CHUNK_BYTES"]
 
 #: Test/fault-injection hook: when set (before the worker pool is
-#: created, so fork-started workers inherit it), every map function calls
+#: created, so fork-started workers inherit it), the map function calls
 #: it with its task before parsing.  Lets the robustness tests crash or
 #: stall a worker process deterministically; never set in production.
 _WORKER_FAULT: Optional[Callable] = None
@@ -297,12 +295,10 @@ def split_gate(description, *, stream: bool = False) -> Optional[str]:
     return None
 
 
-def _plan_windows(description, data, jobs: Optional[int],
-                  start: int = 0) -> Optional[Tuple[List[tuple], int]]:
+def _plan_windows(description, data, jobs: int,
+                  start: int = 0) -> Optional[List[tuple]]:
     """Record-aligned windows for ``data`` (from offset ``start``), or
     None when the serial path should be used instead."""
-    if jobs is None:
-        jobs = os.cpu_count() or 1
     if jobs <= 1 or split_gate(description) is not None:
         return None
     discipline = description.discipline
@@ -322,7 +318,7 @@ def _plan_windows(description, data, jobs: Optional[int],
                                      start=start)
         if not chunks:
             return None
-        return [("file", path, s, e) for s, e in chunks], jobs
+        return [("file", path, s, e) for s, e in chunks]
     if not discipline.chunkable:
         return None
     if isinstance(data, (bytes, bytearray, str)):
@@ -333,7 +329,7 @@ def _plan_windows(description, data, jobs: Optional[int],
             return None
         # Each worker receives only its slice; ``start`` keeps reported
         # byte offsets absolute.
-        return [("bytes", raw[s:e], s) for s, e in chunks], jobs
+        return [("bytes", raw[s:e], s) for s, e in chunks]
     return None  # an open Source (or anything else): serial only
 
 
@@ -349,112 +345,39 @@ def _open_window(window: tuple, discipline: RecordDiscipline,
     return Source(chunk, discipline=discipline, start=offset, limits=limits)
 
 
-def _serial_input(description, data):
-    if isinstance(data, os.PathLike):
-        return description.open_file(os.fspath(data))
-    return data
+# -- the map function (runs inside workers) -----------------------------------
 
 
-# -- map functions (run inside workers) ----------------------------------------
-
-
-def _window_iter(desc, window, type_name, mask, limits) -> tuple:
-    """One worker window's record stream: the batch engine when the
-    window is grid-eligible (:func:`repro.batch.window_records`), the
-    ordinary cursor walk otherwise.  Both produce chunk-local record
-    indices.  Returns ``(iterator, source-to-close-or-None)``."""
-    from .batch import window_records
-    batched = window_records(desc, window, type_name, mask)
-    if batched is not None:
-        return batched, None
-    src = _open_window(window, desc.discipline, limits)
-    return desc.records(src, type_name, mask), src
-
-
-def _window_records(desc, window, type_name, mask, limits) -> list:
-    it, src = _window_iter(desc, window, type_name, mask, limits)
-    try:
-        return list(it)
-    finally:
-        if src is not None:
-            src.close()
-
-
-def _map_records(task) -> tuple:
-    spec, window, type_name, mask, meter = task
+def _fold_window(task) -> tuple:
+    """Fold one record-aligned window: the batch engine when the window
+    is grid-eligible (:func:`repro.batch.window_records` /
+    :func:`~repro.batch.window_count`), the cursor otherwise.  Returns
+    ``(part, metrics registry or None)``."""
+    spec, window, fold, meter = task
     if _WORKER_FAULT is not None:
         _WORKER_FAULT(task)
     desc = _materialise(spec)
     if not meter:
-        return _window_records(desc, window, type_name, mask,
-                               spec.limits), None
+        return _fold_one(desc, window, fold, spec.limits), None
     with observe.observed() as obs:
-        out = _window_records(desc, window, type_name, mask, spec.limits)
-    return out, obs.metrics
+        part = _fold_one(desc, window, fold, spec.limits)
+    return part, obs.metrics
 
 
-def _map_count(task) -> int:
-    spec, window = task
-    if _WORKER_FAULT is not None:
-        _WORKER_FAULT(task)
-    desc = _materialise(spec)
-    from .batch import window_count
-    batched = window_count(desc, window)
-    if batched is not None:
-        return batched
-    src = _open_window(window, desc.discipline, spec.limits)
-    with src:
-        count = 0
-        while src.begin_record():
-            src.end_record()
-            count += 1
-        return count
-
-
-def _map_tally(task) -> tuple:
-    spec, window, type_name, mask, meter = task
-    if _WORKER_FAULT is not None:
-        _WORKER_FAULT(task)
-    desc = _materialise(spec)
-
-    def run():
-        tally = ErrorTally()
-        it, src = _window_iter(desc, window, type_name, mask, spec.limits)
-        try:
-            for _rep, pd in it:
-                tally.add(pd)
-        finally:
-            if src is not None:
-                src.close()
-        return tally
-
-    if not meter:
-        return run(), None
-    with observe.observed() as obs:
-        tally = run()
-    return tally, obs.metrics
-
-
-def _map_accum(task) -> tuple:
-    spec, window, record_type, mask, tracked, summaries, meter = task
-    if _WORKER_FAULT is not None:
-        _WORKER_FAULT(task)
-    desc = _materialise(spec)
-    acc = record_accumulator(desc, record_type, tracked, summaries)
-
-    def run():
-        it, src = _window_iter(desc, window, record_type, mask, spec.limits)
-        try:
-            return fold_records(acc, it)
-        finally:
-            if src is not None:
-                src.close()
-
-    if not meter:
-        return acc, run(), None
-    with observe.observed() as obs:
-        tally = run()
-    return acc, tally, obs.metrics
+def _fold_one(desc, window: tuple, fold: Fold, limits) -> object:
+    from .batch import window_count, window_records
+    state = fold.zero(desc)
+    if fold.op == "count":
+        n = window_count(desc, window)
+        if n is not None:
+            state.records = n
+            return state
+    else:
+        pairs = window_records(desc, window, fold.record_type, fold.mask)
+        if pairs is not None:
+            return fold.feed(state, pairs)
+    with _open_window(window, desc.discipline, limits) as src:
+        return fold.over(desc, src, state)
 
 
 def _seed(description, spec: DescSpec) -> None:
@@ -462,193 +385,96 @@ def _seed(description, spec: DescSpec) -> None:
     _COMPILED.setdefault(spec.key(), description)
 
 
-# -- reduce helpers ------------------------------------------------------------
+# -- the ordered reduce ----------------------------------------------------------
 
 
-def _rebase_pd(pd, offset: int, cache: dict) -> None:
-    """Rebase chunk-local record indices in an error pd tree to global.
-
-    Locations are only attached where errors were reported, so clean
-    subtrees (``nerr == 0``) are skipped and the walk costs nothing for
-    the common case.  ``Loc`` is frozen; rebased copies are cached by
-    identity so locations shared between pd nodes stay shared.
+def _reduce(fold: Fold, state, parts: Iterator[tuple], base: int,
+            on_part: Optional[Callable[[int], None]]) -> Iterator:
+    """Rebase each worker's part past the ``base`` records before it and
+    merge it into ``state``, in window order; yields the ``records``
+    fold's pairs instead of keeping them.  ``on_part(records done)``
+    runs after each part (for ``records``: once its pairs were consumed).
     """
-    if pd is None or pd.nerr == 0 or offset == 0:
-        return
-    loc = pd.loc
-    if loc is not None and loc.record >= 0:
-        new = cache.get(id(loc))
-        if new is None:
-            new = replace(loc, record=loc.record + offset)
-            cache[id(loc)] = new
-        pd.loc = new
-    if pd._fields:
-        for child in pd._fields.values():
-            _rebase_pd(child, offset, cache)
-    if pd._elts:
-        for child in pd._elts:
-            _rebase_pd(child, offset, cache)
-    _rebase_pd(pd.branch, offset, cache)
-
-
-def _rebase_tally(tally: ErrorTally, offset: int) -> None:
-    loc = tally.first_error_loc
-    if loc is not None and loc.record >= 0 and offset:
-        tally.first_error_loc = replace(loc, record=loc.record + offset)
-
-
-# -- public entry points -------------------------------------------------------
-
-
-def parallel_records(description, data, type_name: str, mask=None,
-                     *, jobs: Optional[int] = None) -> Iterator[tuple]:
-    """Parallel twin of ``description.records``: yields ``(rep, pd)``
-    pairs in input order.  Workers parse whole chunks, the parent yields
-    chunk results in chunk order."""
-    plan = _plan_windows(description, data, jobs)
-    if plan is None:
-        yield from description.records(_serial_input(description, data),
-                                       type_name, mask)
-        return
-    windows, jobs = plan
-    spec = _spec_for(description)
-    _seed(description, spec)
     cur = observe.CURRENT
-    tasks = [(spec, w, type_name, mask, cur is not None) for w in windows]
-    base = 0
-    for chunk, registry in _healing_map(_map_records, tasks, jobs,
-                                        timeout=_chunk_timeout(spec)):
+    for part, registry in parts:
         if registry is not None and cur is not None:
             cur.metrics.merge(registry)
-        cache: dict = {}
-        for rep, pd in chunk:
-            _rebase_pd(pd, base, cache)
-            yield rep, pd
-        base += len(chunk)
-
-
-def parallel_count(description, data, *, jobs: Optional[int] = None) -> int:
-    """Parallel twin of ``description.count_records``."""
-    plan = _plan_windows(description, data, jobs)
-    if plan is None:
-        return description.count_records(_serial_input(description, data))
-    windows, jobs = plan
-    spec = _spec_for(description)
-    _seed(description, spec)
-    tasks = [(spec, w) for w in windows]
-    return sum(_healing_map(_map_count, tasks, jobs,
-                            timeout=_chunk_timeout(spec)))
-
-
-def tally_records(description, data, type_name: str, mask=None) -> ErrorTally:
-    """Serial vetting reducer: fold every record's pd into one tally."""
-    tally = ErrorTally()
-    for _rep, pd in description.records(_serial_input(description, data),
-                                        type_name, mask):
-        tally.add(pd)
-    return tally
-
-
-def parallel_tally(description, data, type_name: str, mask=None,
-                   *, jobs: Optional[int] = None) -> ErrorTally:
-    """Parallel vetting: parse every record, reduce the parse descriptors
-    to an :class:`ErrorTally` inside the workers, merge in chunk order.
-    Identical totals to :func:`tally_records` by construction."""
-    plan = _plan_windows(description, data, jobs)
-    if plan is None:
-        return tally_records(description, data, type_name, mask)
-    windows, jobs = plan
-    spec = _spec_for(description)
-    _seed(description, spec)
-    cur = observe.CURRENT
-    tasks = [(spec, w, type_name, mask, cur is not None) for w in windows]
-    tally = ErrorTally()
-    base = 0
-    for part, registry in _healing_map(_map_tally, tasks, jobs,
-                                       timeout=_chunk_timeout(spec)):
-        if registry is not None and cur is not None:
-            cur.metrics.merge(registry)
-        _rebase_tally(part, base)
-        base += part.records
-        tally.merge(part)
-    return tally
-
-
-def parallel_accumulate(description, data, record_type: str, mask=None,
-                        *, jobs: Optional[int] = None,
-                        tracked: int = DEFAULT_TRACKED,
-                        header_type: Optional[str] = None,
-                        summaries: bool = False):
-    """Parallel twin of :func:`repro.tools.accum.accumulate_records`.
-
-    Returns ``(record_accumulator, header_accumulator_or_None, tally)``
-    where ``tally.records`` is the record count.  When a ``header_type``
-    is given, the header is parsed serially in the parent and chunk
-    planning starts after it.
-    """
-    header_acc = None
-    start = 0
-    base = 0  # records consumed before the chunked region (the header)
-    if header_type is not None:
-        src = description.open(_serial_input(description, data)) \
-            if not isinstance(data, os.PathLike) \
-            else description.open_file(os.fspath(data))
-        header_acc = header_accumulator(description, src, header_type,
-                                        tracked)
-        start = src.pos
-        base = src.record_idx + 1
-        if isinstance(data, os.PathLike):
-            src.close()
-
-    plan = _plan_windows(description, data, jobs, start=start)
-    acc = record_accumulator(description, record_type, tracked, summaries)
-
-    if plan is None:
-        if header_type is not None and not isinstance(data, os.PathLike):
-            records_input = src  # continue from where the header ended
-        elif header_type is not None:
-            records_input = Source.from_file(os.fspath(data),
-                                             description.discipline,
-                                             start=start)
+        fold.rebase(part, base)
+        base += fold.size(part)
+        if fold.op == "records":
+            yield from part
         else:
-            records_input = _serial_input(description, data)
-        return acc, header_acc, fold_records(
-            acc, description.records(records_input, record_type, mask))
+            fold.merge(state, part)
+        if on_part is not None:
+            on_part(base)
 
-    windows, jobs = plan
+
+def fold_windows(description, fold: Fold, windows, jobs: int, state, *,
+                 base: int = 0,
+                 on_part: Optional[Callable[[int], None]] = None):
+    """Fold ``windows`` (record-aligned, in input order) on a pool of
+    ``jobs`` workers and merge the parts into ``state`` after ``base``
+    earlier records.  Returns the final state; for ``records``, the lazy
+    pair stream.  Windows are submitted ``jobs`` at a time, so a live
+    stream's windows are pipelined as they arrive."""
     spec = _spec_for(description)
     _seed(description, spec)
-    cur = observe.CURRENT
-    tasks = [(spec, w, record_type, mask, tracked, summaries, cur is not None)
-             for w in windows]
-    tally = ErrorTally()
-    for part_acc, part_tally, registry in _healing_map(
-            _map_accum, tasks, jobs, timeout=_chunk_timeout(spec)):
-        if registry is not None and cur is not None:
-            cur.metrics.merge(registry)
-        acc.merge(part_acc)
-        _rebase_tally(part_tally, base)
-        base += part_tally.records
-        tally.merge(part_tally)
-    return acc, header_acc, tally
+
+    def parts():
+        meter = observe.CURRENT is not None
+        pending = iter(windows)
+        while tasks := [(spec, w, fold, meter)
+                        for w in islice(pending, jobs)]:
+            yield from _healing_map(_fold_window, tasks, jobs,
+                                    timeout=_chunk_timeout(spec))
+
+    reduced = _reduce(fold, state, parts(), base, on_part)
+    if fold.op == "records":
+        return reduced
+    deque(reduced, maxlen=0)
+    return state
 
 
-# -- pipelined streaming --------------------------------------------------------
-#
-# The streaming twins of the entry points above.  ``plan_chunks`` needs a
-# seekable file of known size; a live stream (pipe, socket, growing file)
-# has neither, so the feeder below carves record-aligned chunks *as the
-# bytes arrive* using the discipline's ``cut`` and ships each batch to
-# the pool without waiting for EOF.  Unlike the seekable entry points
-# these do NOT silently degrade to serial when the stream cannot be
-# chunked — a caller who asked for jobs on a stream gets a
-# :class:`PadsError` diagnostic instead (the CLI turns it into exit 2).
-# The serial path is used only where it is exact policy: ``jobs <= 1``,
-# an active tracer, or an already-open :class:`Source`.
+def drive(description, data, fold: Fold, jobs: int, *,
+          stream: bool = False, header: Optional[str] = None) -> tuple:
+    """The parallel driver: ``(state, header_acc)`` for ``fold`` over
+    ``data`` (see :func:`fold_windows` for the state).
 
-#: Target bytes per shipped chunk.  Large enough to amortise pickling
-#: and per-chunk pool overhead, small enough that a batch of
-#: ``jobs`` chunks stays a modest working set in the parent.
+    Windows are planned over a seekable input (a file, bytes) or, with
+    ``stream``, carved from a live stream as it delivers them.  A
+    ``header`` (seekable inputs) is parsed in the parent and planning
+    starts after it.  No plan means the in-process cursor runs the fold,
+    continuing where the header ended.
+    """
+    owned = _kind(data) in ("file", "stream")
+    src = header_acc = windows = None
+    start = base = 0
+    if header is not None:
+        src = open_input(description, data)
+        header_acc = header_accumulator(description, src, header,
+                                        fold.tracked)
+        start, base = src.pos, src.record_idx + 1
+    if not stream:
+        windows = _plan_windows(description, data, jobs, start)
+    elif src is None and jobs > 1 and not isinstance(data, Source) \
+            and split_gate(description, stream=True) is None:
+        _require_streamable(description, _spec_for(description))
+        windows = _stream_windows(data, description.discipline)
+    if windows is None:
+        if src is None:
+            src = open_input(description, data)
+        return fold_cursor(description, fold, src, owned=owned), header_acc
+    if src is not None and owned:
+        src.close()
+    return fold_windows(description, fold, windows, jobs,
+                        fold.zero(description), base=base), header_acc
+
+
+# -- live streams -----------------------------------------------------------------
+
+#: Target bytes per window carved from a live stream.  Large enough to
+#: amortise pickling and per-chunk pool overhead, small enough that
+#: ``jobs`` windows in flight stay a modest working set in the parent.
 STREAM_CHUNK_BYTES = 1 << 20
 
 
@@ -684,7 +510,7 @@ def _binary_stream(data) -> Tuple[object, bool]:
 
 
 def _stream_chunks(stream, discipline: RecordDiscipline,
-                   chunk_bytes: int = STREAM_CHUNK_BYTES) -> Iterator[tuple]:
+                   chunk_bytes: int) -> Iterator[tuple]:
     """Carve a live stream into record-aligned ``(chunk, offset)`` pieces.
 
     Accumulates at least ``chunk_bytes`` and cuts at the last record
@@ -712,129 +538,12 @@ def _stream_chunks(stream, discipline: RecordDiscipline,
         yield bytes(buf), offset
 
 
-def _batches(iterable, size: int) -> Iterator[list]:
-    batch: list = []
-    for item in iterable:
-        batch.append(item)
-        if len(batch) == size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
-
-
-def parallel_records_stream(description, data, type_name: str, mask=None,
-                            *, jobs: Optional[int] = None,
-                            chunk_bytes: int = STREAM_CHUNK_BYTES
-                            ) -> Iterator[tuple]:
-    """Pipelined parallel twin of ``records_stream``: batches of ``jobs``
-    record-aligned chunks flow through :func:`_healing_map` as the stream
-    delivers them, yielding ``(rep, pd)`` pairs in input order."""
-    if isinstance(data, Source):
-        yield from description.records(data, type_name, mask)
-        return
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    cur = observe.CURRENT
-    if jobs <= 1 or split_gate(description, stream=True) is not None:
-        from .stream import records_stream
-        yield from records_stream(description, data, type_name, mask)
-        return
-    spec = _spec_for(description)
-    _require_streamable(description, spec)
-    _seed(description, spec)
+def _stream_windows(data, discipline: RecordDiscipline) -> Iterator[tuple]:
     stream, owns = _binary_stream(data)
-    base = 0
     try:
-        for batch in _batches(
-                _stream_chunks(stream, description.discipline, chunk_bytes),
-                jobs):
-            tasks = [(spec, ("bytes", chunk, off), type_name, mask,
-                      cur is not None) for chunk, off in batch]
-            for chunk_out, registry in _healing_map(
-                    _map_records, tasks, jobs, timeout=_chunk_timeout(spec)):
-                if registry is not None and cur is not None:
-                    cur.metrics.merge(registry)
-                cache: dict = {}
-                for rep, pd in chunk_out:
-                    _rebase_pd(pd, base, cache)
-                    yield rep, pd
-                base += len(chunk_out)
+        for chunk, offset in _stream_chunks(stream, discipline,
+                                            STREAM_CHUNK_BYTES):
+            yield ("bytes", chunk, offset)
     finally:
         if owns:
             stream.close()
-
-
-def parallel_count_stream(description, data, *, jobs: Optional[int] = None,
-                          chunk_bytes: int = STREAM_CHUNK_BYTES) -> int:
-    """Pipelined parallel twin of ``count_records_stream``."""
-    if isinstance(data, Source):
-        return description.count_records(data)
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs <= 1 or split_gate(description, stream=True) is not None:
-        from .stream import count_records_stream
-        return count_records_stream(description, data)
-    spec = _spec_for(description)
-    _require_streamable(description, spec)
-    _seed(description, spec)
-    stream, owns = _binary_stream(data)
-    total = 0
-    try:
-        for batch in _batches(
-                _stream_chunks(stream, description.discipline, chunk_bytes),
-                jobs):
-            tasks = [(spec, ("bytes", chunk, off)) for chunk, off in batch]
-            total += sum(_healing_map(_map_count, tasks, jobs,
-                                      timeout=_chunk_timeout(spec)))
-    finally:
-        if owns:
-            stream.close()
-    return total
-
-
-def parallel_accumulate_stream(description, data, record_type: str,
-                               mask=None, *, jobs: Optional[int] = None,
-                               tracked: int = DEFAULT_TRACKED,
-                               summaries: bool = False,
-                               chunk_bytes: int = STREAM_CHUNK_BYTES):
-    """Pipelined parallel accumulation over a live stream: returns
-    ``(acc, tally)`` where ``tally.records`` is the record count.
-    Streams have no random access, so header types (which need a serial
-    prefix parse plus seekable chunk planning) are not supported here."""
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    acc = record_accumulator(description, record_type, tracked, summaries)
-    if isinstance(data, Source):
-        return acc, fold_records(acc, description.records(data, record_type,
-                                                          mask))
-    if jobs <= 1 or split_gate(description, stream=True) is not None:
-        from .stream import records_stream
-        return acc, fold_records(acc, records_stream(description, data,
-                                                     record_type, mask))
-    spec = _spec_for(description)
-    _require_streamable(description, spec)
-    _seed(description, spec)
-    cur = observe.CURRENT
-    tally = ErrorTally()
-    stream, owns = _binary_stream(data)
-    base = 0
-    try:
-        for batch in _batches(
-                _stream_chunks(stream, description.discipline, chunk_bytes),
-                jobs):
-            tasks = [(spec, ("bytes", chunk, off), record_type, mask,
-                      tracked, summaries, cur is not None)
-                     for chunk, off in batch]
-            for part_acc, part_tally, registry in _healing_map(
-                    _map_accum, tasks, jobs, timeout=_chunk_timeout(spec)):
-                if registry is not None and cur is not None:
-                    cur.metrics.merge(registry)
-                acc.merge(part_acc)
-                _rebase_tally(part_tally, base)
-                base += part_tally.records
-                tally.merge(part_tally)
-    finally:
-        if owns:
-            stream.close()
-    return acc, tally

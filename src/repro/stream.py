@@ -6,8 +6,10 @@ logs) never have to fit in memory.  This module is that regime's front
 door: it parses from **pipes, sockets and growing files** through a
 sliding window (:class:`repro.core.io.StreamSource`), keeping O(window)
 bytes resident regardless of input size, and — for chunkable record
-disciplines — can pipeline a live stream into the parallel engine
-without waiting for EOF (:func:`repro.parallel.parallel_records_stream`).
+disciplines — can pipeline a live stream into the parallel driver
+without waiting for EOF (:func:`repro.parallel.drive` with
+``stream=True``, the ``parallel-stream`` mode of
+:func:`repro.execute.run`).
 
 Entry points (``records_stream`` is also a method on both
 compiled-description engines; :func:`repro.execute.run` reads stdin and

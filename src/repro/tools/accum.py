@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..core.errors import ErrorTally, Pd
+from ..core.errors import Pd
 from ..core.types import (
     AppNode,
     ArrayNode,
@@ -367,20 +367,6 @@ def record_accumulator(description, record_type: str,
         from .summaries import attach_summaries
         attach_summaries(acc)
     return acc
-
-
-def fold_records(acc: Accumulator, pairs, on_record=None) -> ErrorTally:
-    """Fold ``(rep, pd)`` pairs into ``acc`` and return their
-    :class:`~repro.core.errors.ErrorTally` (``tally.records`` is the
-    record count).  ``on_record(pd, tally)`` runs after each record; an
-    exception it raises ends the fold there."""
-    tally = ErrorTally()
-    for rep, pd in pairs:
-        acc.add(rep, pd)
-        tally.add(pd)
-        if on_record is not None:
-            on_record(pd, tally)
-    return tally
 
 
 def header_accumulator(description, src, header_type: str,

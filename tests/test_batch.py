@@ -450,16 +450,17 @@ class TestWindows:
 
 class TestEngineIntegration:
     def test_parallel_matches_batch_and_serial(self, call_detail, tmp_path):
-        from repro.parallel import parallel_count, parallel_records
+        from repro.execute import ExecOptions, run
+        jobs = ExecOptions(jobs=2)
         data = dirty_data(2000)
         want = _fingerprint(call_detail.records(data, "call_t"))
         assert _fingerprint(
-            parallel_records(call_detail, data, "call_t", jobs=2)) == want
+            run(call_detail, data, "records", "call_t", jobs).pairs) == want
         path = tmp_path / "cd.dat"
         path.write_bytes(data)
         assert _fingerprint(
-            parallel_records(call_detail, path, "call_t", jobs=2)) == want
-        assert parallel_count(call_detail, path, jobs=2) == 2000
+            run(call_detail, path, "records", "call_t", jobs).pairs) == want
+        assert run(call_detail, path, "count", options=jobs).count == 2000
 
     def test_stream_hands_off_to_batch(self, call_detail, tmp_path):
         data = dirty_data(1500)

@@ -1,7 +1,7 @@
 """Differential sweep hardening the observability layer.
 
 Every gallery description runs through the interpreter and the generated
-engine, serially and through ``parallel_records``, with observability off
+engine, serially and on the parallel driver, with observability off
 and on.  All four paths must produce identical values, parse-descriptor
 summaries and accumulator reports — enabling observation never changes
 parse results, and both engines report the same (deterministic subset of)
@@ -25,7 +25,7 @@ from repro.core.api import compile_description
 from repro.core.io import FixedWidthRecords
 from repro.core.limits import ParseLimits
 from repro.core.masks import MaskFlag
-from repro.parallel import parallel_accumulate, parallel_records
+from repro.execute import ExecOptions, run
 from repro.tools.accum import Accumulator
 from repro.tools.datagen import (
     call_detail_workload,
@@ -85,8 +85,8 @@ def run_records(description, data, record_type, *, parallel=False,
     """One sweep configuration: returns (reps, pd summaries, stats)."""
     def consume():
         if parallel:
-            out = list(parallel_records(description, data, record_type,
-                                        jobs=JOBS))
+            out = list(run(description, data, "records", record_type,
+                           ExecOptions(jobs=JOBS)).pairs)
         else:
             out = list(description.records(data, record_type))
         return [r for r, _ in out], [pd_summary(p) for _, p in out]
@@ -96,6 +96,11 @@ def run_records(description, data, record_type, *, parallel=False,
     with observe.observed() as obs:
         reps, pds = consume()
     return reps, pds, obs.stats(deterministic=True)
+
+
+def _parallel_acc(description, data, record_type):
+    return run(description, data, "accum", record_type,
+               ExecOptions(jobs=JOBS)).acc
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -135,7 +140,7 @@ class TestEnginesAgree:
 
 @pytest.mark.parametrize("name", list(CASES))
 class TestSerialParallelAgree:
-    """records vs parallel_records (falls back serially when the record
+    """records vs the parallel driver (falls back serially when the record
     discipline cannot be chunk-aligned — still must agree)."""
 
     def test_values_and_pds(self, cases, name):
@@ -163,7 +168,7 @@ class TestPlanDrivenAgainstReference:
 
     The reference side runs serially (parallel workers recompile with
     default settings); the plan-driven side must match it both serially
-    and through ``parallel_records``.
+    and on the parallel driver.
     """
 
     def _reference_pair(self, interp):
@@ -212,7 +217,7 @@ class TestPlanDrivenAgainstReference:
         base = report(ref_i)
         assert report(interp) == base
         assert report(gen) == base
-        acc, _hdr, _tally = parallel_accumulate(interp, data, rtype, jobs=JOBS)
+        acc = _parallel_acc(interp, data, rtype)
         assert acc.full_report() == base
 
 
@@ -278,7 +283,7 @@ class TestBackendsAgree:
     """``compile_description(backend='source')`` against the interpreter
     (``backend=None``): the generated twin must match on reps, pd
     summaries and deterministic observe stats, serially and through
-    ``parallel_records`` (whose workers rebuild the generated module).
+    the parallel driver (whose workers rebuild the generated module).
     """
 
     def test_records_and_stats_identical(self, cases, backend_cases, name):
@@ -341,9 +346,7 @@ class TestAccumulatorsAgree:
         for metered in (False, True):
             if metered:
                 with observe.observed():
-                    acc, _hdr, _tally = parallel_accumulate(
-                        interp, data, rtype, jobs=JOBS)
+                    acc = _parallel_acc(interp, data, rtype)
             else:
-                acc, _hdr, _tally = parallel_accumulate(
-                    interp, data, rtype, jobs=JOBS)
+                acc = _parallel_acc(interp, data, rtype)
             assert acc.full_report() == base

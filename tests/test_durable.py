@@ -24,7 +24,8 @@ import pytest
 
 from repro import durable, gallery, observe
 from repro.core.api import compile_description
-from repro.core.io import LengthPrefixedRecords
+from repro.core.io import DEFAULT_STREAM_WINDOW, LengthPrefixedRecords
+from repro.execute import ExecOptions, Fold, run
 from repro.faults import GALLERY_TARGETS, kill_resume_check
 from repro.tools.datagen import generate_records
 
@@ -42,6 +43,19 @@ def _gallery_file(tmp_path, name, n=N_RECORDS, seed=20050612):
     path = tmp_path / f"{name}.dat"
     path.write_bytes(data)
     return desc, str(path), rtype, data
+
+
+def _accum(desc, path, rtype, **kw):
+    """A checkpointed accumulation: ``(acc, tally)``."""
+    return durable.drive(desc, path, Fold("accum", rtype), **kw)
+
+
+def _count(desc, path, **kw):
+    return durable.drive(desc, path, Fold("count"), **kw).records
+
+
+def _records(desc, path, rtype, **kw):
+    return durable.drive(desc, path, Fold("records", rtype), **kw)
 
 
 def _crash_at(point):
@@ -138,7 +152,7 @@ class TestIndex:
         # index makes the split possible — sampled offsets ARE record
         # starts.
         import pathlib
-        from repro.parallel import _plan_windows, parallel_count
+        from repro.parallel import _plan_windows
         lp = LengthPrefixedRecords()
         raw = b"".join(len(p).to_bytes(4, "big") + p
                        for p in (b"x" * 40, b"y" * 30, b"z" * 50) * 2000)
@@ -150,12 +164,11 @@ class TestIndex:
             ambient="binary", discipline=lp)
         assert _plan_windows(tlv, pathlib.Path(str(lp_path)), 2) is None
         durable.build_index(tlv, str(lp_path), interval=100)
-        plan = _plan_windows(tlv, pathlib.Path(str(lp_path)), 2)
-        assert plan is not None
-        windows, jobs = plan
-        assert len(windows) >= 2
-        n = parallel_count(tlv, pathlib.Path(str(lp_path)), jobs=2)
-        assert n == 6000
+        windows = _plan_windows(tlv, pathlib.Path(str(lp_path)), 2)
+        assert windows is not None and len(windows) >= 2
+        res = run(tlv, pathlib.Path(str(lp_path)), "count",
+                  options=ExecOptions(jobs=2))
+        assert (res.mode, res.count) == ("parallel", 6000)
 
     def test_stream_pass_builds_index_as_side_effect(self, tmp_path):
         from repro.stream import count_records_stream, records_stream
@@ -176,13 +189,13 @@ class TestIndex:
         # (files under MIN_CHUNK_BYTES always stay serial).
         desc, path, rtype, _data = _gallery_file(tmp_path, "clf", n=3000)
         with observe.observed() as obs:
-            durable.accumulate_durable(desc, path, rtype,
-                                       index_interval=50)
+            _accum(desc, path, rtype,
+                   index_interval=50)
         assert obs.stats()["durable"]["index_built"] == 1
         idx = durable.load_index(path, desc.discipline)
         assert idx is not None and idx.records == 3000
         with observe.observed() as obs2:
-            durable.count_records_durable(desc, path, jobs=2)
+            _count(desc, path, jobs=2)
         assert obs2.stats()["durable"]["index_hits"] >= 1
 
 
@@ -267,24 +280,28 @@ class TestCorruptCheckpoint:
 
     def _interrupted(self, tmp_path):
         desc, path, rtype, _d = _gallery_file(tmp_path, "clf")
-        ref = durable.accumulate_durable(desc, path, rtype, checkpoint=None,
-                                         build_index=False)
+        ref = _accum(desc, path, rtype, checkpoint=None,
+                     build_index=False)
         with _crash_at(300):
             with pytest.raises(durable._InjectedCrash):
-                durable.accumulate_durable(desc, path, rtype,
-                                           interval=CKPT_EVERY,
-                                           build_index=False)
+                _accum(desc, path, rtype,
+                       interval=CKPT_EVERY,
+                       build_index=False)
         ckpt = path + durable.CHECKPOINT_SUFFIX
         assert os.path.exists(ckpt)
         return desc, path, rtype, ref, ckpt
 
-    def _assert_full_rerun(self, desc, path, rtype, ref, rejected=1):
+    def _assert_full_rerun(self, desc, path, rtype, ref, rejected=1,
+                           reason=None):
         with observe.observed() as obs:
-            acc, tally = durable.accumulate_durable(
+            acc, tally = _accum(
                 desc, path, rtype, interval=CKPT_EVERY, resume=True,
                 build_index=False)
             s = obs.stats()["durable"]
             assert s["checkpoint_rejected"] == rejected
+            if reason is not None:
+                assert obs.metrics.value("checkpoint.rejected_reason",
+                                         reason) == rejected
             assert s["checkpoint_resumes"] == 0
             assert s["records_skipped"] == 0
         assert _reports(acc, tally) == _reports(*ref)
@@ -305,60 +322,69 @@ class TestCorruptCheckpoint:
         open(ckpt, "wb").close()
         self._assert_full_rerun(desc, path, rtype, ref)
 
+    def test_older_payload_version(self, tmp_path):
+        # Correctly framed (valid CRC) but written by an older payload
+        # layout: rejected as ``version`` before anything is unpacked.
+        desc, path, rtype, ref, ckpt = self._interrupted(tmp_path)
+        payload = durable._load_checkpoint(ckpt)
+        payload["version"] = durable._CKPT_VERSION - 1
+        durable._write_checkpoint(ckpt, payload)
+        self._assert_full_rerun(desc, path, rtype, ref, reason="version")
+
     def test_stale_source(self, tmp_path):
         desc, path, rtype, ref, ckpt = self._interrupted(tmp_path)
         # The source shrank by one byte after the crash: every offset in
         # the checkpoint is now suspect.  Binding mismatch -> start over.
         blob = open(path, "rb").read()
         open(path, "wb").write(blob[:-1])
-        ref2 = durable.accumulate_durable(desc, path, rtype, checkpoint=None,
-                                          build_index=False)
+        ref2 = _accum(desc, path, rtype, checkpoint=None,
+                      build_index=False)
         self._assert_full_rerun(desc, path, rtype, ref2)
 
     def test_wrong_mode(self, tmp_path):
         desc, path, rtype, ref, ckpt = self._interrupted(tmp_path)
         with observe.observed() as obs:
-            n = durable.count_records_durable(desc, path, interval=CKPT_EVERY,
-                                              resume=True, build_index=False)
+            n = _count(desc, path, interval=CKPT_EVERY,
+                       resume=True, build_index=False)
             assert obs.stats()["durable"]["checkpoint_rejected"] == 1
         assert n == N_RECORDS
 
     def test_missing_is_silent(self, tmp_path):
         desc, path, rtype, _d = _gallery_file(tmp_path, "clf", n=20)
         with observe.observed() as obs:
-            durable.accumulate_durable(desc, path, rtype, resume=True,
-                                       build_index=False)
+            _accum(desc, path, rtype, resume=True,
+                   build_index=False)
             assert obs.stats()["durable"]["checkpoint_rejected"] == 0
 
 
-SERIAL_ENGINES = ["serial", "stream"]
+#: The in-process durable loop reads through ``Source.from_file``
+#: (``window=None``) or a sliding stream window.
+WINDOWS = pytest.mark.parametrize("window", [None, DEFAULT_STREAM_WINDOW],
+                                  ids=["serial", "stream"])
 
 
 class TestCrashResumeDifferential:
     """Interrupt at an arbitrary record, resume, compare everything."""
 
     @pytest.mark.parametrize("name", [t[0] for t in GALLERY_TARGETS])
-    @pytest.mark.parametrize("engine", SERIAL_ENGINES)
-    def test_gallery_serial_and_stream(self, tmp_path, name, engine):
+    @WINDOWS
+    def test_gallery_serial_and_stream(self, tmp_path, name, window):
         desc, path, rtype, _d = _gallery_file(tmp_path, name)
         with observe.observed() as obs_ref:
-            ref = durable.accumulate_durable(desc, path, rtype,
-                                             checkpoint=None, engine=engine,
-                                             build_index=False)
+            ref = _accum(desc, path, rtype, checkpoint=None, window=window,
+                         build_index=False)
         crash_at = 257 if name != "netflow" else 1
         # The interrupted run observes too — that is what makes its
         # metrics part of the checkpoint and the resumed totals whole.
         with _crash_at(crash_at), observe.observed():
             try:
-                durable.accumulate_durable(desc, path, rtype, engine=engine,
-                                           interval=CKPT_EVERY,
-                                           build_index=False)
+                _accum(desc, path, rtype, window=window, interval=CKPT_EVERY,
+                       build_index=False)
             except durable._InjectedCrash:
                 pass
         with observe.observed() as obs_res:
-            out = durable.accumulate_durable(desc, path, rtype, engine=engine,
-                                             interval=CKPT_EVERY, resume=True,
-                                             build_index=False)
+            out = _accum(desc, path, rtype, window=window,
+                         interval=CKPT_EVERY, resume=True, build_index=False)
         assert _reports(*out) == _reports(*ref)
         assert _det_stats(obs_res) == _det_stats(obs_ref)
         assert not os.path.exists(path + durable.CHECKPOINT_SUFFIX)
@@ -368,18 +394,18 @@ class TestCrashResumeDifferential:
         # Before the first checkpoint, exactly on one, just after one,
         # on the final record, and past the end (no crash at all).
         desc, path, rtype, _d = _gallery_file(tmp_path, "clf")
-        ref = durable.accumulate_durable(desc, path, rtype, checkpoint=None,
-                                         build_index=False)
+        ref = _accum(desc, path, rtype, checkpoint=None,
+                     build_index=False)
         with _crash_at(crash_at):
             try:
-                durable.accumulate_durable(desc, path, rtype,
-                                           interval=CKPT_EVERY,
-                                           build_index=False)
+                _accum(desc, path, rtype,
+                       interval=CKPT_EVERY,
+                       build_index=False)
             except durable._InjectedCrash:
                 pass
-        out = durable.accumulate_durable(desc, path, rtype,
-                                         interval=CKPT_EVERY, resume=True,
-                                         build_index=False)
+        out = _accum(desc, path, rtype,
+                     interval=CKPT_EVERY, resume=True,
+                     build_index=False)
         assert _reports(*out) == _reports(*ref)
 
     def test_dirty_data_error_accounting_survives_resume(self, tmp_path):
@@ -396,34 +422,34 @@ class TestCrashResumeDifferential:
         path = tmp_path / "dirty.log"
         path.write_bytes(data)
         with observe.observed() as obs_ref:
-            ref = durable.accumulate_durable(desc, str(path), rtype,
-                                             checkpoint=None,
-                                             build_index=False)
+            ref = _accum(desc, str(path), rtype,
+                         checkpoint=None,
+                         build_index=False)
         assert ref[1].bad_records > 0  # the corruption bites
         with _crash_at(301), observe.observed():
             try:
-                durable.accumulate_durable(desc, str(path), rtype,
-                                           interval=CKPT_EVERY,
-                                           build_index=False)
+                _accum(desc, str(path), rtype,
+                       interval=CKPT_EVERY,
+                       build_index=False)
             except durable._InjectedCrash:
                 pass
         with observe.observed() as obs_res:
-            out = durable.accumulate_durable(desc, str(path), rtype,
-                                             interval=CKPT_EVERY, resume=True,
-                                             build_index=False)
+            out = _accum(desc, str(path), rtype,
+                         interval=CKPT_EVERY, resume=True,
+                         build_index=False)
         assert _reports(*out) == _reports(*ref)
         assert _det_stats(obs_res) == _det_stats(obs_ref)
 
     def test_records_durable_resume_yields_the_suffix(self, tmp_path):
         desc, path, rtype, _d = _gallery_file(tmp_path, "clf")
         whole = [rep for rep, _pd in
-                 durable.records_durable(desc, path, rtype, checkpoint=None,
-                                         build_index=False)]
+                 _records(desc, path, rtype, checkpoint=None,
+                          build_index=False)]
         assert len(whole) == N_RECORDS
         count = 0
         with _crash_at(250):
             try:
-                for _rep, _pd in durable.records_durable(
+                for _rep, _pd in _records(
                         desc, path, rtype, interval=CKPT_EVERY,
                         build_index=False):
                     count += 1
@@ -431,9 +457,9 @@ class TestCrashResumeDifferential:
                 pass
         assert count == 250
         resumed = [rep for rep, _pd in
-                   durable.records_durable(desc, path, rtype,
-                                           interval=CKPT_EVERY, resume=True,
-                                           build_index=False)]
+                   _records(desc, path, rtype,
+                            interval=CKPT_EVERY, resume=True,
+                            build_index=False)]
         # The resumed iterator restarts at the last checkpoint (194 ==
         # 2*97 records were durably done) and replays only the suffix.
         assert resumed == whole[194:]
@@ -442,14 +468,14 @@ class TestCrashResumeDifferential:
         desc, path, rtype, _d = _gallery_file(tmp_path, "clf")
         with _crash_at(300):
             try:
-                durable.accumulate_durable(desc, path, rtype,
-                                           interval=CKPT_EVERY,
-                                           index_interval=50)
+                _accum(desc, path, rtype,
+                       interval=CKPT_EVERY,
+                       index_interval=50)
             except durable._InjectedCrash:
                 pass
         assert durable.load_index(path, desc.discipline) is None
-        durable.accumulate_durable(desc, path, rtype, interval=CKPT_EVERY,
-                                   resume=True, index_interval=50)
+        _accum(desc, path, rtype, interval=CKPT_EVERY,
+               resume=True, index_interval=50)
         idx = durable.load_index(path, desc.discipline)
         assert idx is not None and idx.records == N_RECORDS
         # The stitched-together offsets equal a one-shot build's.
@@ -461,30 +487,29 @@ class TestCrashResumeDifferential:
 class TestParallelDurable:
     def test_parallel_matches_parallel_engine(self, tmp_path):
         import pathlib
-        from repro.parallel import parallel_accumulate
         desc, path, rtype, _d = _gallery_file(tmp_path, "clf", n=3000)
-        ref_acc, _h, ref_tally = parallel_accumulate(
-            desc, pathlib.Path(path), rtype, jobs=2)
-        acc, tally = durable.accumulate_durable(desc, path, rtype, jobs=2,
-                                                build_index=False)
+        ref = run(desc, pathlib.Path(path), "accum", rtype, ExecOptions(jobs=2))
+        ref_acc, ref_tally = ref.acc, ref.tally
+        acc, tally = _accum(desc, path, rtype, jobs=2,
+                            build_index=False)
         assert _reports(acc, tally) == _reports(ref_acc, ref_tally)
 
     def test_parallel_crash_resume_skips_completed_chunks(self, tmp_path):
         desc, path, rtype, _d = _gallery_file(tmp_path, "clf", n=3000)
-        ref = durable.accumulate_durable(desc, path, rtype, jobs=2,
-                                         checkpoint=None, build_index=False)
+        ref = _accum(desc, path, rtype, jobs=2,
+                     checkpoint=None, build_index=False)
         with _crash_at(1):  # parallel path: crash after chunk #1 reduces
             try:
-                durable.accumulate_durable(desc, path, rtype, jobs=2,
-                                           build_index=False)
+                _accum(desc, path, rtype, jobs=2,
+                       build_index=False)
             except durable._InjectedCrash:
                 pass
         ckpt = durable._load_checkpoint(path + durable.CHECKPOINT_SUFFIX)
         assert ckpt is not None and ckpt["chunks_done"] == 1
         assert ckpt["windows"] is not None
         with observe.observed() as obs:
-            out = durable.accumulate_durable(desc, path, rtype, jobs=2,
-                                             resume=True, build_index=False)
+            out = _accum(desc, path, rtype, jobs=2,
+                         resume=True, build_index=False)
             skipped = obs.stats()["durable"]["records_skipped"]
         assert skipped == ckpt["records_done"] > 0
         assert _reports(*out) == _reports(*ref)
@@ -493,12 +518,12 @@ class TestParallelDurable:
         desc, path, rtype, _d = _gallery_file(tmp_path, "clf", n=3000)
         with _crash_at(1):
             try:
-                durable.count_records_durable(desc, path, jobs=2,
-                                              build_index=False)
+                _count(desc, path, jobs=2,
+                       build_index=False)
             except durable._InjectedCrash:
                 pass
-        n = durable.count_records_durable(desc, path, jobs=2, resume=True,
-                                          build_index=False)
+        n = _count(desc, path, jobs=2, resume=True,
+                   build_index=False)
         assert n == 3000
 
 
@@ -516,15 +541,15 @@ class TestKillResume:
 class TestCheckpointFileFormat:
     def test_atomic_write_leaves_no_tmp(self, tmp_path):
         desc, path, rtype, _d = _gallery_file(tmp_path, "clf", n=50)
-        durable.accumulate_durable(desc, path, rtype, interval=10)
+        _accum(desc, path, rtype, interval=10)
         leftovers = [f for f in os.listdir(tmp_path) if ".tmp." in f]
         assert leftovers == []
 
     def test_checkpoint_none_never_touches_disk(self, tmp_path):
         desc, path, rtype, _d = _gallery_file(tmp_path, "clf", n=50)
         before = set(os.listdir(tmp_path))
-        durable.accumulate_durable(desc, path, rtype, checkpoint=None,
-                                   build_index=False)
+        _accum(desc, path, rtype, checkpoint=None,
+               build_index=False)
         assert set(os.listdir(tmp_path)) == before
 
     def test_explicit_checkpoint_path(self, tmp_path):
@@ -532,17 +557,17 @@ class TestCheckpointFileFormat:
         alt = str(tmp_path / "elsewhere.ckpt")
         with _crash_at(200):
             try:
-                durable.accumulate_durable(desc, path, rtype, checkpoint=alt,
-                                           interval=CKPT_EVERY,
-                                           build_index=False)
+                _accum(desc, path, rtype, checkpoint=alt,
+                       interval=CKPT_EVERY,
+                       build_index=False)
             except durable._InjectedCrash:
                 pass
         assert os.path.exists(alt)
-        ref = durable.accumulate_durable(desc, path, rtype, checkpoint=None,
-                                         build_index=False)
-        out = durable.accumulate_durable(desc, path, rtype, checkpoint=alt,
-                                         interval=CKPT_EVERY, resume=True,
-                                         build_index=False)
+        ref = _accum(desc, path, rtype, checkpoint=None,
+                     build_index=False)
+        out = _accum(desc, path, rtype, checkpoint=alt,
+                     interval=CKPT_EVERY, resume=True,
+                     build_index=False)
         assert _reports(*out) == _reports(*ref)
         assert not os.path.exists(alt)
 
@@ -568,8 +593,8 @@ class TestCLI:
         from repro.tools.padsc import main
         desc_file = self._write_desc(tmp_path)
         desc, path, rtype, _d = _gallery_file(tmp_path, "clf")
-        ref = durable.accumulate_durable(desc, path, rtype, checkpoint=None,
-                                         build_index=False)
+        ref = _accum(desc, path, rtype, checkpoint=None,
+                     build_index=False)
         assert main(["accum", desc_file, path, "--record", rtype,
                      "--checkpoint", "100"]) == 0
         full = capsys.readouterr()

@@ -21,7 +21,8 @@ from repro.core.errors import PadsError
 from repro.core.io import FixedWidthRecords, Source
 from repro.core.limits import ParseLimits
 from repro.execute import ExecOptions, choose_engine, run
-from repro.tools.datagen import call_detail_workload, clf_workload
+from repro.tools.datagen import (call_detail_workload, clf_workload,
+                                 sirius_workload)
 
 from .test_codegen import pd_summary
 
@@ -213,6 +214,11 @@ def _reference(desc, data, record_type):
     return pairs, desc.count_records(data)
 
 
+def _tally_key(tally):
+    return (tally.records, tally.bad_records, tally.total_errors,
+            tally.by_code, tally.first_error_code, tally.first_error_loc)
+
+
 @pytest.fixture(scope="module")
 def calls_data():
     return call_detail_workload(300, random.Random(3))
@@ -238,7 +244,8 @@ def test_run_agrees_with_the_serial_reference(tmp_path, calls_data, clf_log,
     path = tmp_path / "in.dat"
     path.write_bytes(data)
     want_pairs, want_count = _reference(desc, data, RECORD[name])
-    for op in ("records", "accum", "count"):
+    ref = run(desc, data, "accum", RECORD[name], ExecOptions(engine="cursor"))
+    for op in ("records", "accum", "tally", "count"):
         source = path if kind == "file" else io.BytesIO(data)
         res = run(desc, source, op, RECORD[name], ExecOptions(**opts))
         assert res.mode == mode and res.reason
@@ -247,9 +254,9 @@ def test_run_agrees_with_the_serial_reference(tmp_path, calls_data, clf_log,
             assert got == want_pairs
         elif op == "accum":
             assert res.tally.records == want_count
-            ref = run(desc, data, "accum", RECORD[name],
-                      ExecOptions(engine="cursor"))
             assert res.acc.full_report() == ref.acc.full_report()
+        elif op == "tally":
+            assert _tally_key(res.tally) == _tally_key(ref.tally)
         else:
             assert res.count == want_count
 
@@ -260,6 +267,26 @@ def test_run_accum_folds_header_then_records(clf_log):
     assert res.mode == "serial"
     assert "<header>" in res.header_acc.full_report()
     assert res.tally.records == clf_log.count(b"\n") - 1
+
+
+@pytest.mark.parametrize("limits", [None, ParseLimits(max_record_bytes=120)],
+                         ids=["plain", "record-bytes"])
+def test_parallel_header_on_a_file_too_small_to_split(tmp_path, limits):
+    # No plan for 40 orders: the parallel driver folds them in process,
+    # numbering records on from the header exactly as the serial run.
+    desc = compile_description(gallery.SIRIUS, limits=limits)
+    path = tmp_path / "orders.dat"
+    path.write_bytes(sirius_workload(40, random.Random(20050612)))
+    serial, par = (run(desc, path, "accum", "entry_t", ExecOptions(jobs=jobs),
+                       header="summary_header_t") for jobs in (1, 2))
+    assert (serial.mode, par.mode) == ("serial", "parallel")
+    assert serial.tally.first_error_loc is not None
+    assert par.tally.first_error_loc == serial.tally.first_error_loc
+    assert par.tally.first_error_code == serial.tally.first_error_code
+    assert (par.tally.records, par.tally.bad_records, par.tally.by_code) == \
+        (serial.tally.records, serial.tally.bad_records, serial.tally.by_code)
+    assert par.acc.full_report() == serial.acc.full_report()
+    assert par.header_acc.full_report() == serial.header_acc.full_report()
 
 
 class _Stop(Exception):

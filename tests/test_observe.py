@@ -20,7 +20,8 @@ from repro.observe.metrics import (
     SIZE_BUCKETS,
 )
 from repro.observe.trace import Tracer
-from repro.parallel import parallel_records
+from repro.execute import Fold
+from repro.parallel import drive
 
 DESC = """
 Precord Pstruct entry_t {
@@ -195,7 +196,8 @@ class TestTracer:
     def test_tracer_forces_serial_fallback(self, desc):
         data = "".join(f"{ln}\n" for ln in make_lines(30))
         with observe.observed(trace=True) as obs:
-            out = list(parallel_records(desc, data, "entry_t", jobs=4))
+            pairs, _hdr = drive(desc, data, Fold("records", "entry_t"), 4)
+            out = list(pairs)
         # Worker-side events could never reach this tracer; a complete
         # event stream proves the serial path ran.
         recs = [e for e in obs.tracer.events if e.kind == "record"]

@@ -1,8 +1,9 @@
-"""Tests for the chunked map-reduce engine (repro.parallel).
+"""Tests for the chunked map-reduce driver (repro.parallel).
 
-Every parallel entry point must be observationally equivalent to its
-serial twin, and must fall back to the serial path — without touching a
-worker pool — whenever splitting is impossible.
+Every fold run on the parallel driver must be observationally equivalent
+to the serial run, and the driver must fall back to the in-process
+cursor — without touching a worker pool — whenever splitting is
+impossible.
 """
 
 import io
@@ -13,7 +14,8 @@ import pytest
 
 from repro import gallery, parallel
 from repro.codegen import compile_generated
-from repro.execute import ExecOptions, run
+from repro.core.errors import ErrorTally
+from repro.execute import ExecOptions, Fold, run
 from repro.core.io import (
     FixedWidthRecords,
     NewlineRecords,
@@ -122,7 +124,7 @@ class TestPlanChunks:
         return out
 
 
-# -- the parallel entry points -------------------------------------------------
+# -- the parallel driver -------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +137,12 @@ def clf_file(clf_data, tmp_path_factory) -> pathlib.Path:
     path = tmp_path_factory.mktemp("parallel") / "clf.log"
     path.write_bytes(clf_data)
     return path
+
+
+def _par(desc, data, op, record_type=None, **kw):
+    res = run(desc, data, op, record_type, ExecOptions(jobs=JOBS), **kw)
+    assert res.mode == "parallel", res.reason
+    return res
 
 
 @pytest.fixture(scope="module", params=["interp", "generated"])
@@ -159,15 +167,12 @@ class TestParallelEquivalence:
 
     def test_count(self, clf_desc, clf_data, clf_file):
         serial = clf_desc.count_records(clf_data)
-        assert parallel.parallel_count(clf_desc, clf_data, jobs=JOBS) == serial
-        assert parallel.parallel_count(clf_desc, clf_file, jobs=JOBS) == serial
-        res = run(clf_desc, clf_data, "count", options=ExecOptions(jobs=JOBS))
-        assert (res.mode, res.count) == ("parallel", serial)
+        assert _par(clf_desc, clf_data, "count").count == serial
+        assert _par(clf_desc, clf_file, "count").count == serial
 
     def test_records_order_and_parity(self, clf_desc, clf_data):
         serial = list(clf_desc.records(clf_data, "entry_t"))
-        par = list(parallel.parallel_records(clf_desc, clf_data, "entry_t",
-                                             jobs=JOBS))
+        par = list(_par(clf_desc, clf_data, "records", "entry_t").pairs)
         assert len(par) == len(serial)
         for (s_rep, s_pd), (p_rep, p_pd) in zip(serial, par):
             assert p_pd.nerr == s_pd.nerr
@@ -178,14 +183,15 @@ class TestParallelEquivalence:
     def test_records_from_file(self, clf_desc, clf_data, clf_file):
         serial = [pd.nerr for _, pd in clf_desc.records(clf_data, "entry_t")]
         par = [pd.nerr for _, pd in
-               parallel.parallel_records(clf_desc, clf_file, "entry_t",
-                                         jobs=JOBS)]
+               _par(clf_desc, clf_file, "records", "entry_t").pairs]
         assert par == serial
 
     def test_tally(self, clf_desc, clf_data, clf_file):
-        serial = parallel.tally_records(clf_desc, clf_data, "entry_t")
+        serial = ErrorTally()
+        for _rep, pd in clf_desc.records(clf_data, "entry_t"):
+            serial.add(pd)
         for data in (clf_data, clf_file):
-            par = parallel.parallel_tally(clf_desc, data, "entry_t", jobs=JOBS)
+            par = _par(clf_desc, data, "tally", "entry_t").tally
             assert par.records == serial.records
             assert par.bad_records == serial.bad_records
             assert par.total_errors == serial.total_errors
@@ -196,23 +202,21 @@ class TestParallelEquivalence:
     def test_accumulate(self, clf_desc, clf_data, clf_file):
         serial_acc, _hdr, n = accumulate_records(clf_desc, clf_data, "entry_t")
         for data in (clf_data, clf_file):
-            acc, header, tally = parallel.parallel_accumulate(
-                clf_desc, data, "entry_t", jobs=JOBS)
-            assert header is None
-            assert tally.records == n
-            assert acc.full_report() == serial_acc.full_report()
+            res = _par(clf_desc, data, "accum", "entry_t")
+            assert res.header_acc is None
+            assert res.tally.records == n
+            assert res.acc.full_report() == serial_acc.full_report()
 
     def test_accumulate_with_header(self):
         desc = gallery.load_sirius()
         data = sirius_workload(1500, random.Random(20050612))
         serial_acc, serial_hdr, n = accumulate_records(
             desc, data, "entry_t", header_type="summary_header_t")
-        acc, header, tally = parallel.parallel_accumulate(
-            desc, data, "entry_t", jobs=JOBS, header_type="summary_header_t")
-        assert header is not None
-        assert header.full_report() == serial_hdr.full_report()
-        assert tally.records == n
-        assert acc.full_report() == serial_acc.full_report()
+        res = _par(desc, data, "accum", "entry_t", header="summary_header_t")
+        assert res.header_acc is not None
+        assert res.header_acc.full_report() == serial_hdr.full_report()
+        assert res.tally.records == n
+        assert res.acc.full_report() == serial_acc.full_report()
 
 
 # -- serial fallback -----------------------------------------------------------
@@ -234,8 +238,8 @@ class TestSerialFallback:
 
     def test_jobs_one_is_serial(self, clf_desc, clf_data):
         assert parallel._plan_windows(clf_desc, clf_data, 1) is None
-        n = parallel.parallel_count(clf_desc, clf_data, jobs=1)
-        assert n == clf_desc.count_records(clf_data)
+        count, _hdr = parallel.drive(clf_desc, clf_data, Fold("count"), 1)
+        assert count.records == clf_desc.count_records(clf_data)
 
     def test_unchunkable_discipline_is_serial(self):
         desc = gallery.load_netflow()  # NoRecords: one packed binary blob
@@ -246,21 +250,20 @@ class TestSerialFallback:
     def test_small_input_is_serial(self, clf_desc):
         data = clf_workload(5, random.Random(1))
         assert parallel._plan_windows(clf_desc, data, JOBS) is None
-        tally = parallel.parallel_tally(clf_desc, data, "entry_t", jobs=JOBS)
-        assert tally.records == 5
+        assert _par(clf_desc, data, "tally", "entry_t").tally.records == 5
 
     def test_open_source_is_serial(self, clf_desc, clf_data):
         src = clf_desc.open(clf_data)
         assert parallel._plan_windows(clf_desc, src, JOBS) is None
-        assert parallel.parallel_count(clf_desc, src, jobs=JOBS) == \
-            clf_desc.count_records(clf_data)
+        count, _hdr = parallel.drive(clf_desc, src, Fold("count"), JOBS)
+        assert count.records == clf_desc.count_records(clf_data)
 
     def test_specless_description_is_serial(self, clf_desc, clf_data,
                                             monkeypatch):
         monkeypatch.setattr(parallel, "_spec_for", lambda d: None)
-        pairs = list(parallel.parallel_records(clf_desc, clf_data, "entry_t",
-                                               jobs=JOBS))
-        assert len(pairs) == clf_desc.count_records(clf_data)
+        pairs, _hdr = parallel.drive(clf_desc, clf_data,
+                                     Fold("records", "entry_t"), JOBS)
+        assert len(list(pairs)) == clf_desc.count_records(clf_data)
 
 
 # -- spec plumbing -------------------------------------------------------------

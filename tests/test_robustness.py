@@ -26,6 +26,7 @@ from repro.core.api import compile_description
 from repro.core.errors import ErrCode, Pstate
 from repro.core.io import FixedWidthRecords
 from repro.core.limits import ParseLimits
+from repro.execute import ExecOptions, run
 from repro.faults import (
     FaultReport,
     boundary_truncations,
@@ -62,6 +63,10 @@ def engine_pairs():
     return _engine_pairs()
 
 
+def _par_records(engine, data, rtype):
+    return run(engine, data, "records", rtype, ExecOptions(jobs=JOBS)).pairs
+
+
 def _four_ways(interp, gen, data, rtype):
     """(engine label, path label, reps, pd summaries) for serial and
     parallel runs of both engines."""
@@ -69,8 +74,7 @@ def _four_ways(interp, gen, data, rtype):
     for engine_label, engine in (("interp", interp), ("gen", gen)):
         for path_label, parallel_ in (("serial", False), ("parallel", True)):
             if parallel_:
-                pairs = list(parallel.parallel_records(engine, data, rtype,
-                                                       jobs=JOBS))
+                pairs = list(_par_records(engine, data, rtype))
             else:
                 pairs = list(engine.records(data, rtype))
             out.append((engine_label, path_label,
@@ -103,8 +107,7 @@ class TestEdgeInputsPinned:
         assert parallel._plan_windows(interp, data, JOBS) is not None
         serial = [(r, pd_summary(p)) for r, p in interp.records(data, "entry_t")]
         par = [(r, pd_summary(p))
-               for r, p in parallel.parallel_records(interp, data, "entry_t",
-                                                     jobs=JOBS)]
+               for r, p in _par_records(interp, data, "entry_t")]
         assert par == serial
 
     def test_empty_input_identical_four_ways(self, engine_pairs):
@@ -241,8 +244,7 @@ class TestSelfHealingParallel:
         parallel._WORKER_FAULT = fault
         with observe.observed() as obs:
             out = [(r, pd_summary(p)) for r, p in
-                   parallel.parallel_records(interp, data, "entry_t",
-                                             jobs=JOBS)]
+                   _par_records(interp, data, "entry_t")]
         parallel._WORKER_FAULT = None
         return out, obs.stats(deterministic=True)["recovery"]
 
@@ -316,7 +318,8 @@ class TestSelfHealingParallel:
                 os._exit(13)
 
         parallel._WORKER_FAULT = crash_all
-        assert parallel.parallel_count(interp, data, jobs=JOBS) == expected
+        assert run(interp, data, "count",
+                   options=ExecOptions(jobs=JOBS)).count == expected
 
 
 class TestFaultHarness:

@@ -27,11 +27,7 @@ except ImportError:  # pragma: no cover - baked-in image has hypothesis
 from repro import gallery, observe
 from repro.core.errors import PadsError
 from repro.core.io import NewlineRecords, StreamSource
-from repro.parallel import (
-    parallel_accumulate_stream,
-    parallel_count_stream,
-    parallel_records_stream,
-)
+from repro.execute import ExecOptions, run
 from repro.stream import open_stream, records_stream
 from repro.tools.accum import Accumulator
 from repro.tools.datagen import clf_workload
@@ -148,11 +144,19 @@ class TestBoundedMemory:
         assert 0 < src.high_water <= 2 * 16
 
 
+def _par_stream(engine, data, op, rtype=None):
+    res = run(engine, io.BytesIO(data), op, rtype, ExecOptions(jobs=3))
+    assert res.mode == "parallel-stream", res.reason
+    return res
+
+
 class TestParallelStream:
     @pytest.fixture(autouse=True)
-    def _clean_pools(self):
+    def _clean_pools(self, monkeypatch):
         from repro import parallel
         parallel.shutdown()
+        # Small windows, so a few hundred records span several chunks.
+        monkeypatch.setattr(parallel, "STREAM_CHUNK_BYTES", 2048)
         yield
         parallel.shutdown()
 
@@ -160,22 +164,20 @@ class TestParallelStream:
         interp, gen, data, rtype = cases["clf"]
         base = slurped(interp, data, rtype)
         for engine in (interp, gen):
-            got = [(r, pd_summary(p)) for r, p in parallel_records_stream(
-                engine, io.BytesIO(data), rtype, jobs=3, chunk_bytes=2048)]
+            got = [(r, pd_summary(p)) for r, p in
+                   _par_stream(engine, data, "records", rtype).pairs]
             assert got == base
 
     def test_count_and_accumulate_match(self, cases):
         interp, _gen, data, rtype = cases["clf"]
         expected = interp.count_records(data)
-        assert parallel_count_stream(interp, io.BytesIO(data), jobs=3,
-                                     chunk_bytes=2048) == expected
+        assert _par_stream(interp, data, "count").count == expected
         acc = Accumulator(interp.node(rtype), "<top>", 1000)
         for rep, pd in interp.records(data, rtype):
             acc.add(rep, pd)
-        par_acc, tally = parallel_accumulate_stream(
-            interp, io.BytesIO(data), rtype, jobs=3, chunk_bytes=2048)
-        assert tally.records == expected
-        assert par_acc.full_report() == acc.full_report()
+        res = _par_stream(interp, data, "accum", rtype)
+        assert res.tally.records == expected
+        assert res.acc.full_report() == acc.full_report()
 
     def test_unchunkable_stream_is_an_explicit_error(self, cases):
         interp, _gen, data, rtype = cases["call_detail"]
@@ -183,8 +185,8 @@ class TestParallelStream:
         from repro.core.io import LengthPrefixedRecords
         sirius_like.discipline = LengthPrefixedRecords(4)
         with pytest.raises(PadsError, match="cannot split"):
-            list(parallel_records_stream(sirius_like, io.BytesIO(b""),
-                                         "entry_t", jobs=3))
+            list(run(sirius_like, io.BytesIO(b""), "records", "entry_t",
+                     ExecOptions(jobs=3)).pairs)
 
 
 class TestLiveSources:
