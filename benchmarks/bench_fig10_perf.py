@@ -81,3 +81,32 @@ def test_count_handwritten(benchmark, sirius_clean):
     """The PERL record-count floor (124s in the paper)."""
     n = benchmark(python_count_records, sirius_clean)
     assert n == sirius_clean.count(b"\n")
+
+
+# -- where the PADS vetting time goes (EXPERIMENTS.md, Figure 10) ---------
+
+
+@pytest.mark.benchmark(group="fig10-attribution")
+def test_vet_write_pads(benchmark, sirius_gen, sirius_body):
+    """The whole Figure 7 program: vet, then write every clean record
+    back in physical form (``entry_t_write2io``)."""
+    def vet_write():
+        clean, errors = pads_vet_sirius(sirius_gen, sirius_body)
+        return [sirius_gen.write(rep, "entry_t") for rep in clean], errors
+
+    written, errors = benchmark(vet_write)
+    assert len(errors) == EXPECTED_BAD
+    assert written == [line + b"\n"
+                       for line in python_vet_sirius(sirius_body)[0]]
+
+
+@pytest.mark.benchmark(group="fig10-attribution")
+def test_vet_fast_fn_only(benchmark, sirius_gen, sirius_body):
+    """The compiled fast function alone over every record's bytes: no
+    record discipline, no record loop, no parse descriptors."""
+    fast = sirius_gen.module.FAST["entry_t"]
+    lines = sirius_body.split(b"\n")[:-1]
+    misses = benchmark(lambda: sum(fast(line, True) is None
+                                   for line in lines))
+    assert misses == EXPECTED_BAD
+

@@ -6,8 +6,9 @@ literal runs.  ``fastpath=False`` disables both, leaving the pre-refactor
 general parse path — the reference each pair below is measured against.
 
 The workload is the same synthetic Sirius vetting task as
-``bench_parallel.py`` (shared fixtures), plus the fixed-width call-detail
-stream that exercises the slicing path.  **Correctness is asserted inside
+``bench_parallel.py`` (shared fixtures), the write-back of its clean
+records through the compiled record writer (``_fw_entry_t``), plus the
+fixed-width call-detail stream that exercises the slicing path.  **Correctness is asserted inside
 every benchmark**: plan-driven and reference runs must agree on error
 totals before their timings mean anything.
 
@@ -74,6 +75,35 @@ def test_gen_vet_plan(benchmark, sirius_gen, sirius_gen_ref, sirius_body):
 def test_gen_vet_reference(benchmark, sirius_gen_ref, sirius_body):
     tally = benchmark(_vet, sirius_gen_ref, sirius_body)
     assert tally.records == N_RECORDS
+
+
+# -- the compiled record writer (Figure 7's entry_t_write2io) ----------------
+
+
+@pytest.fixture(scope="module")
+def sirius_clean_reps(sirius_gen, sirius_body):
+    """The reps of the clean orders: what the vetting program writes."""
+    return [rep for rep, pd in sirius_gen.records(sirius_body, "entry_t")
+            if not pd.nerr]
+
+
+def _write_all(description, reps):
+    return b"".join([description.write(rep, "entry_t") for rep in reps])
+
+
+@pytest.mark.benchmark(group="plan-gen-writing")
+def test_gen_write_plan(benchmark, sirius_gen, sirius_gen_ref,
+                        sirius_clean_reps):
+    base = _write_all(sirius_gen_ref, sirius_clean_reps)
+    out = benchmark(_write_all, sirius_gen, sirius_clean_reps)
+    assert out == base
+    assert "_fw_entry_t" in sirius_gen.py_source
+
+
+@pytest.mark.benchmark(group="plan-gen-writing")
+def test_gen_write_reference(benchmark, sirius_gen_ref, sirius_clean_reps):
+    out = benchmark(_write_all, sirius_gen_ref, sirius_clean_reps)
+    assert out.count(b"\n") == len(sirius_clean_reps)
 
 
 # -- fixed-width slicing (binary call-detail records) -----------------------

@@ -44,6 +44,7 @@ PAIRS = [
     ("test_interp_vet_plan", "test_interp_vet_reference"),
     ("test_gen_vet_plan", "test_gen_vet_reference"),
     ("test_interp_calls_plan", "test_interp_calls_reference"),
+    ("test_gen_write_plan", "test_gen_write_reference"),
 ]
 
 TOLERANCE = 1.05          # >5% regression fails

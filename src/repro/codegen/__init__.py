@@ -18,14 +18,15 @@ interpreted :class:`~repro.core.api.CompiledDescription`.
 
 from __future__ import annotations
 
+from functools import partial
 from time import perf_counter
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 from .. import observe
 from ..core.api import DescriptionBase
-from ..core.errors import ErrCode, PadsError, Pd
+from ..core.errors import PadsError, Pd
 from ..core.io import RecordDiscipline
-from ..core.limits import ParseLimits, record_guard
+from ..core.limits import ParseLimits
 from ..core.masks import Mask, P_CheckAndSet
 from ..dsl.parser import parse_description
 from ..dsl.typecheck import check_description
@@ -127,60 +128,18 @@ class GeneratedDescription(DescriptionBase):
                           record=src.record_idx)
         return rep, pd
 
-    def records(self, data, type_name: str,
-                mask: Optional[Mask] = None) -> Iterator[Tuple[object, Pd]]:
+    def _record_parts(self, type_name: str):
+        """``(fast function or None, general body, default)`` for the
+        shared record loop: a ``Precord`` type's body runs inside the
+        record the loop opened, as its parse wrapper would."""
         gen = self._gen(type_name)
-        src = self.open(data)
-        use_mask = mask or Mask(P_CheckAndSet)
-        # One global load decides between the plain loop and the metered
-        # one, keeping the disabled path free of per-record bookkeeping.
-        obs = observe.CURRENT
-        def parse_bare():
-            # Non-record type parsed record-at-a-time: the record scoping
-            # (and its limit guards) that a Precord wrapper would provide.
-            if not src.begin_record():
-                return None
-            if src.limits is not None:
-                pd = Pd()
-                if not record_guard(src, pd):
-                    src.note_errors(pd.nerr)
-                    return gen.default(), pd
-            rep, pd = gen.parse(src, use_mask)
-            if not src.at_eor() and (use_mask.bits & 2) and pd.nerr == 0:
-                pd.record_error(ErrCode.EXTRA_DATA_AT_EOR, src.here())
-            src.end_record()
-            if src.limits is not None:
-                src.note_errors(pd.nerr)
-            return rep, pd
-
-        if obs is None:
-            while not src.at_eof():
-                if gen.is_record:
-                    rep, pd = gen.parse(src, use_mask)
-                    if pd.err_code == ErrCode.AT_EOF:
-                        return
-                else:
-                    out = parse_bare()
-                    if out is None:
-                        return
-                    rep, pd = out
-                yield rep, pd
-            return
-        while not src.at_eof():
-            start, t0 = src.pos, perf_counter()
-            if gen.is_record:
-                rep, pd = gen.parse(src, use_mask)
-                if pd.err_code == ErrCode.AT_EOF:
-                    return
-            else:
-                out = parse_bare()
-                if out is None:
-                    return
-                rep, pd = out
-            obs.record_parsed(type_name, pd, src.pos - start,
-                              perf_counter() - t0, start=start,
-                              record=src.record_idx)
-            yield rep, pd
+        if not gen.is_record:
+            return None, gen.parse, gen.default
+        module = self.module
+        name = type_name or module.SOURCE_TYPE
+        return (module.FAST.get(name),
+                getattr(module, f"_{name}_body"),
+                partial(module._safe_default, gen.default))
 
     # -- batch kernels ------------------------------------------------------------
     #

@@ -102,6 +102,7 @@ class Emitter:
         self._consts: List[str] = []  # module-level constant definitions
         self._tmp = 0
         self._fastpaths: Dict[str, str] = {}  # type name -> fast fn name
+        self._writers: Dict[str, str] = {}  # type name -> writer fn name
         #: type name -> (static width, batch kernel name); the BATCH table.
         self._batchpaths: Dict[str, Tuple[int, str]] = {}
 
@@ -286,6 +287,11 @@ class Emitter:
                 self._fastpaths[dp.name] = fn_name
                 body.lines.extend(lines)
                 body.w()
+                if dp.write_fn is not None:
+                    fw_name, fw_lines = dp.write_fn
+                    self._writers[dp.name] = fw_name
+                    body.lines.extend(fw_lines)
+                    body.w()
             if self.fastpath and dp.batch_verdict.eligible \
                     and dp.batch_fn is not None:
                 bt_name, bt_lines = dp.batch_fn
@@ -314,7 +320,7 @@ class Emitter:
         return w.source()
 
     def _emit_preamble(self, w: _W) -> None:
-        w.w(f'"""Generated by padsc (repro PADS compiler) — do not edit.')
+        w.w('"""Generated by padsc (repro PADS compiler) — do not edit.')
         w.w("")
         w.w(f"Source description: {self.desc.filename}")
         w.w(f"Ambient coding: {self.ambient}")
@@ -331,7 +337,8 @@ class Emitter:
         w.w("from repro.codegen.runtime import (lit_resync as _lit_resync, "
             "skip_to_literal as _skip_to_lit, array_resync as _array_resync, "
             "convert_packed as _fp_packed, convert_zoned as _fp_zoned, "
-            "record_guard as _record_guard, note_limit as _note_limit)")
+            "record_guard as _record_guard, note_limit as _note_limit, "
+            "fastpath_applies as _fastpath_applies)")
         w.w("from repro.core.basetypes.temporal import parse_date_value "
             "as _fp_parse_date")
         w.w("")
@@ -420,11 +427,7 @@ class Emitter:
             if fast is not None:
                 # Uniform, value-materialising masks take the compiled
                 # one-regex route; None means "let the general parser decide".
-                with w.block("if (mask.bits & 1) and not mask.fields "
-                             "and mask.compound_level is None "
-                             "and mask.elts is None "
-                             "and (src.limits is None "
-                             "or src.limits.fastpath_safe):"):
+                with w.block("if _fastpath_applies(mask, src.limits):"):
                     w.w(f"_rep = {fast}(src.record_bytes(), "
                         "(mask.bits & 4) != 0)")
                     with w.block("if _rep is not None:"):
@@ -636,16 +639,30 @@ class Emitter:
                     w.w("_panic = True")
         scope[fname] = f"v_{fname}"
 
-    def _emit_record_write_prologue(self, w: _W, is_record: bool) -> None:
+    def _emit_record_write_prologue(self, w: _W, is_record: bool,
+                                    writer: Optional[str] = None
+                                    ) -> Optional[_Indent]:
         """Shadow ``out`` with a fresh list for Precord types so the body
-        below needs no target rewriting."""
-        if is_record:
-            w.w("_outer = out")
-            w.w("out = []")
+        below needs no target rewriting.  With a compiled ``writer``
+        the body runs only when the writer returns None; the returned
+        block is closed by the epilogue."""
+        if not is_record:
+            return None
+        w.w("_outer = out")
+        guard = None
+        if writer is not None:
+            w.w(f"_content = {writer}(rep)")
+            guard = w.block("if _content is None:")
+            guard.__enter__()
+        w.w("out = []")
+        return guard
 
-    def _emit_record_write_epilogue(self, w: _W, is_record: bool) -> None:
+    def _emit_record_write_epilogue(self, w: _W, is_record: bool,
+                                    guard: Optional[_Indent] = None) -> None:
         if is_record:
             w.w("_content = b''.join(out)")
+            if guard is not None:
+                guard.__exit__(None, None, None)
             with w.block("if DISCIPLINE is None:"):
                 w.w("_outer.append(_content + b'\\n')")
             with w.block("else:"):
@@ -657,9 +674,10 @@ class Emitter:
         scope = self.params_scope(decl)
         with w.block(f"def {name}_write(rep, out{self.params_sig(decl)}):"):
             w.w(f'"""Append {name}\'s physical form to ``out``."""')
-            self._emit_record_write_prologue(w, decl.is_record)
+            guard = self._emit_record_write_prologue(
+                w, decl.is_record, self._writers.get(name))
             self._struct_write_body(w, decl, scope)
-            self._emit_record_write_epilogue(w, decl.is_record)
+            self._emit_record_write_epilogue(w, decl.is_record, guard)
         w.w()
 
     def _struct_write_body(self, w: _W, decl: StructPlan,
@@ -1258,6 +1276,12 @@ class Emitter:
                     f"{n}_default, {params!r}, {entry.is_record!r}),")
         w.w("}")
         w.w()
+        w.w("# Fast-path record types: name -> compiled fast function.")
+        w.w("FAST = {")
+        with _Indent(w):
+            for name, fn_name in self._fastpaths.items():
+                w.w(f"{name!r}: {fn_name},")
+        w.w("}")
         w.w("# Batch-eligible record types: name -> (static width, kernel).")
         w.w("BATCH = {")
         with _Indent(w):

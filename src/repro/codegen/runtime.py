@@ -12,7 +12,11 @@ from typing import List, Optional
 from .. import observe
 from ..core.errors import ErrCode, Pd, Pstate
 from ..core.io import Source
-from ..core.limits import note_limit, record_guard  # noqa: F401 - re-export
+from ..core.limits import (  # noqa: F401 - re-export
+    fastpath_applies,
+    note_limit,
+    record_guard,
+)
 from ..core.types import MAX_RESYNC_SCAN
 
 

@@ -19,6 +19,7 @@ import hashlib
 import random
 import threading
 from collections import OrderedDict
+from functools import partial
 from time import perf_counter
 from typing import Dict, Iterator, Optional, Tuple, Union
 
@@ -29,19 +30,72 @@ from ..expr.eval import Env
 from .binding import BoundDescription, bind_description
 from .errors import ErrCode, PadsError, Pd
 from .io import NewlineRecords, RecordDiscipline, Source
-from .limits import ParseLimits
+from .limits import ParseLimits, fastpath_applies, record_guard
 from .masks import Mask, P_CheckAndSet
 from .types import ArrayNode, PType, RecordNode
 
 Data = Union[bytes, str, Source]
 
 
+def _record_loop(src: Source, mask: Mask, fast, body, default):
+    """The record loop both engines share.
+
+    ``fast`` is the record's compiled fast function, already cleared by
+    the caller when it does not apply to this pass; ``body(src, mask)``
+    is the engine's general parse of one value inside an open record and
+    ``default()`` the value a limit-refused record yields.  Record
+    discipline, record numbering and the index sink stay inside
+    ``begin_record``/``end_record``.
+    """
+    dosem = (mask.bits & 4) != 0
+    do_syn = mask.bits & 2
+    limits = src.limits
+    while not src.at_eof():
+        if not src.begin_record():
+            return
+        if limits is not None:
+            pd = Pd()
+            if not record_guard(src, pd):
+                src.note_errors(pd.nerr)
+                yield default(), pd
+                continue
+        if fast is not None:
+            rep = fast(src.record_bytes(), dosem)
+            if rep is not None:
+                # Clean record: empty descriptor, identical to the general
+                # parse (clean children are omitted from descriptors).
+                src.pos = src.rec_end
+                src.end_record()
+                yield rep, Pd()
+                continue
+        rep, pd = body(src, mask)
+        if not src.at_eor() and do_syn and pd.nerr == 0:
+            pd.record_error(ErrCode.EXTRA_DATA_AT_EOR, src.here())
+        src.end_record()
+        if limits is not None:
+            src.note_errors(pd.nerr)
+        yield rep, pd
+
+
+def _counting(fast, metrics, type_name: str):
+    """``fast`` bumping the ``fastpath.hit``/``fastpath.miss`` counters
+    of ``type_name`` (the metered pass only)."""
+    hit = metrics.counter("fastpath.hit", type_name)
+    miss = metrics.counter("fastpath.miss", type_name)
+
+    def counted(line, dosem):
+        rep = fast(line, dosem)
+        (miss if rep is None else hit).inc()
+        return rep
+    return counted
+
+
 class DescriptionBase:
     """The entry points both engines share verbatim: opening sources,
-    record counting and the streaming and batch record streams.  Each
-    subclass sets ``discipline`` and ``limits`` and supplies ``parse``
-    and ``records``; the other execution modes run through
-    :func:`repro.execute.run`."""
+    record counting, the record loop and the streaming and batch record
+    streams.  Each subclass sets ``discipline`` and ``limits`` and
+    supplies ``parse`` and ``_record_parts``; the other execution modes
+    run through :func:`repro.execute.run`."""
 
     discipline: RecordDiscipline
     limits: Optional[ParseLimits]
@@ -62,6 +116,38 @@ class DescriptionBase:
 
     def parse_source(self, data: Data, mask: Optional[Mask] = None):
         return self.parse(data, None, mask)
+
+    def records(self, data: Data, type_name: str,
+                mask: Optional[Mask] = None) -> Iterator[Tuple[object, Pd]]:
+        """Record-at-a-time entry point (paper Section 4).
+
+        Repeatedly parses ``type_name`` until end of input.  The type need
+        not be declared ``Precord``; when it isn't, each iteration opens a
+        record scope around it, matching how the paper's loop in Figure 7
+        drives ``entry_t_read``.  Whether the record's compiled fast
+        function applies is decided once per call
+        (:func:`~repro.core.limits.fastpath_applies`).
+        """
+        src = self.open(data)
+        use_mask = mask or Mask(P_CheckAndSet)
+        fast, body, default = self._record_parts(type_name)
+        if fast is not None and not fastpath_applies(use_mask, src.limits):
+            fast = None
+        # One global load decides between the plain loop and the metered
+        # one, keeping the disabled path free of per-record bookkeeping.
+        obs = observe.CURRENT
+        if obs is None:
+            yield from _record_loop(src, use_mask, fast, body, default)
+            return
+        if fast is not None:
+            fast = _counting(fast, obs.metrics, type_name)
+        start, t0 = src.pos, perf_counter()
+        for rep, pd in _record_loop(src, use_mask, fast, body, default):
+            obs.record_parsed(type_name, pd, src.pos - start,
+                              perf_counter() - t0, start=start,
+                              record=src.record_idx)
+            yield rep, pd
+            start, t0 = src.pos, perf_counter()
 
     def count_records(self, data: Data) -> int:
         """Count records using only the record discipline (no field
@@ -154,38 +240,19 @@ class CompiledDescription(DescriptionBase):
                           record=src.record_idx)
         return rep, pd
 
-    def records(self, data: Data, type_name: str,
-                mask: Optional[Mask] = None) -> Iterator[Tuple[object, Pd]]:
-        """Record-at-a-time entry point (paper Section 4).
-
-        Repeatedly parses ``type_name`` until end of input.  The type need
-        not be declared ``Precord``; when it isn't, each iteration opens a
-        record scope around it, matching how the paper's loop in Figure 7
-        drives ``entry_t_read``.
-        """
-        src = self.open(data)
+    def _record_parts(self, type_name: str):
+        """``(fast function or None, general body, default)`` for the
+        shared record loop.  A non-``Precord`` type gets no fast path,
+        and neither does a traced pass: the fast function would skip
+        the per-field trace events the general parse emits."""
         node = self.node(type_name)
-        use_mask = mask or Mask(P_CheckAndSet)
-        wrapped = node if isinstance(node, RecordNode) else RecordNode(node)
-        # One global load decides between the plain loop and the metered
-        # one, keeping the disabled path free of per-record bookkeeping.
-        obs = observe.CURRENT
-        if obs is None:
-            while not src.at_eof():
-                rep, pd = wrapped.parse(src, use_mask, self.env)
-                if pd.err_code == ErrCode.AT_EOF:
-                    return
-                yield rep, pd
-            return
-        while not src.at_eof():
-            start, t0 = src.pos, perf_counter()
-            rep, pd = wrapped.parse(src, use_mask, self.env)
-            if pd.err_code == ErrCode.AT_EOF:
-                return
-            obs.record_parsed(type_name, pd, src.pos - start,
-                              perf_counter() - t0, start=start,
-                              record=src.record_idx)
-            yield rep, pd
+        fast = None
+        if isinstance(node, RecordNode):
+            node, fast = node.inner, node.fast_fn
+            if observe.current_tracer() is not None:
+                fast = None
+        return (fast, partial(node.parse, env=self.env),
+                partial(node.default, self.env))
 
     def array_elements(self, data: Data, type_name: str,
                        mask: Optional[Mask] = None):

@@ -16,7 +16,7 @@ AST-walking tools rely on this).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..dsl import ast as D
 from ..expr.eval import Env
@@ -97,12 +97,12 @@ class BoundDescription:
     # -- binding ----------------------------------------------------------------
 
     def _bind(self) -> None:
-        fast_fns = {}
-        self.batch_fns: Dict[str, object] = {}
+        fast_fns: Dict[str, Callable] = {}
+        write_fns: Dict[str, Callable] = {}
+        self.batch_fns: Dict[str, Callable] = {}
         if self.fastpath:
-            from ..plan.runtime import materialize_batch_fns, materialize_fast_fns
-            fast_fns = materialize_fast_fns(self.plan)
-            self.batch_fns = materialize_batch_fns(self.plan)
+            from ..plan.runtime import materialize_fns
+            fast_fns, write_fns, self.batch_fns = materialize_fns(self.plan)
         for kind, entry in self.plan.order:
             if kind == "func":
                 self.global_env.funcs[entry.name] = entry.func
@@ -114,6 +114,7 @@ class BoundDescription:
                 record.plan = entry
                 if entry.verdict.eligible:
                     record.fast_fn = fast_fns.get(entry.name)
+                    record.write_fn = write_fns.get(entry.name)
                 node = record
             self.nodes[entry.name] = node
             self.params[entry.name] = entry.param_names

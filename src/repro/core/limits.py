@@ -124,6 +124,19 @@ class ParseLimits:
         return self.max_array_elems is None and self.max_depth is None
 
 
+def fastpath_applies(mask, limits: Optional[ParseLimits]) -> bool:
+    """Whether a record's plan-compiled fast function may stand in for
+    the general parse under ``mask`` and ``limits``: a uniform mask that
+    materialises values and no limit a clean record could trip.  Both
+    engines' record ``parse`` wrappers test this per call; the shared
+    record loop (``DescriptionBase.records``) tests it once per pass.
+    The interpreter also requires that no tracer is installed, because
+    only its general parse emits per-field trace events."""
+    return bool((mask.bits & 1) and not mask.fields
+                and mask.compound_level is None and mask.elts is None
+                and (limits is None or limits.fastpath_safe))
+
+
 def note_limit(pd: Pd, code: ErrCode, loc: Loc) -> None:
     """Record a limit hit on ``pd``: 5xx error, PANIC+LIMIT state, counter."""
     pd.record_error(code, loc, panic=True)

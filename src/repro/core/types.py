@@ -30,10 +30,10 @@ from .. import observe
 from ..expr import ast as E
 from ..expr.eval import Env, EvalError, eval_expr
 from .basetypes.base import BaseType
-from .errors import ErrCode, Loc, Pd, Pstate
+from .errors import ErrCode, Pd, Pstate
 from .io import Source
-from .limits import note_limit, record_guard
-from .masks import Mask, MaskFlag
+from .limits import fastpath_applies, note_limit, record_guard
+from .masks import Mask
 from .values import EnumVal, Rec, UnionVal
 
 # How far ahead resynchronisation scans for a literal before giving up and
@@ -1228,6 +1228,10 @@ class RecordNode(PType):
     #: verdict is eligible): ``fn(record_bytes, do_sem) -> rep | None``.
     #: ``None`` means "not this fast way" — the general parser re-parses.
     fast_fn: Optional[Callable] = None
+    #: Plan-compiled writer (``_fw_<name>``, set beside ``fast_fn``):
+    #: ``fn(rep) -> content bytes | None``.  ``None`` means "not this
+    #: fast way" — the general writer runs and raises any error.
+    write_fn: Optional[Callable] = None
 
     def __init__(self, inner: PType):
         self.inner = inner
@@ -1248,10 +1252,8 @@ class RecordNode(PType):
                 src.note_errors(pd.nerr)
                 return self.inner.default(env), pd
         fast = self.fast_fn
-        if (fast is not None and (mask.bits & 1) and not mask.fields
-                and mask.compound_level is None and mask.elts is None
-                and observe.current_tracer() is None
-                and (limits is None or limits.fastpath_safe)):
+        if (fast is not None and fastpath_applies(mask, limits)
+                and observe.current_tracer() is None):
             rep = fast(src.record_bytes(), (mask.bits & 4) != 0)
             if rep is not None:
                 # Clean record: empty descriptor, identical to the general
@@ -1268,9 +1270,13 @@ class RecordNode(PType):
         return rep, pd
 
     def write(self, rep, out: List[bytes], env: Env) -> None:
-        inner: List[bytes] = []
-        self.inner.write(rep, inner, env)
-        content = b"".join(inner)
+        content = None
+        if self.write_fn is not None:
+            content = self.write_fn(rep)
+        if content is None:
+            inner: List[bytes] = []
+            self.inner.write(rep, inner, env)
+            content = b"".join(inner)
         discipline = None
         if env.bound("_pads_discipline"):
             discipline = env.lookup("_pads_discipline")

@@ -215,6 +215,15 @@ class ParseObserver:
             },
         }
         if not deterministic:
+            # Record fast-function outcomes per type: an execution
+            # decision, not a parse result (the batch engine and the
+            # reference build never consult it), so it stays out of the
+            # deterministic projection the differential tests compare.
+            hits = snap.get("fastpath.hit", {})
+            misses = snap.get("fastpath.miss", {})
+            doc["fastpath"] = {t: {"hit": hits.get(t, 0),
+                                   "miss": misses.get(t, 0)}
+                               for t in sorted(set(hits) | set(misses))}
             wall = self.elapsed()
             doc["throughput"] = {
                 "wall_seconds": wall,
@@ -269,6 +278,9 @@ class ParseObserver:
                          f"index-built: {d['index_built']} "
                          f"index-hits: {d['index_hits']} "
                          f"index-rejected: {d['index_rejected']}")
+        for type_name, fp in s["fastpath"].items():
+            lines.append(f"fastpath: {type_name}: {fp['hit']} hit, "
+                         f"{fp['miss']} miss")
         for type_name, hist in sorted(s["latency"].items()):
             count_ = hist["count"] if isinstance(hist, dict) else hist
             mean = (hist["sum"] / count_ * 1e6) if isinstance(hist, dict) and count_ else 0.0

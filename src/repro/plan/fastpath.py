@@ -1113,6 +1113,212 @@ class BatchPath:
         return off + count * width
 
 
+class WritePath:
+    """Compiles one record plan to a *writer*, ``_fw_<name>(rep) ->
+    bytes | None``: the record's content built as one ``str`` and encoded
+    once (latin-1, which maps every code point below 256 to its byte).
+
+    Contract (the write-side twin of the parse fast path): the writer
+    returns exactly the bytes the general writer appends for the record's
+    content, or ``None`` on any value the general writer would reject —
+    a string holding its terminator, non-ASCII text in an ASCII field, an
+    unknown union tag, an ``int()`` that fails — and the caller then runs
+    the general writer, which raises the error.  The writer adds no check
+    the general writer lacks.  Fields whose bytes are not their latin-1
+    spelling (binary, EBCDIC, other encodings) go through their base
+    type's own ``write``, decoded latin-1 so the one encode restores them.
+    """
+
+    def __init__(self, plan: Plan, decl: StructPlan):
+        self.plan = plan
+        self.decl = decl
+        self.tmpid = 0
+        self.aux: List[str] = []
+
+    def temp(self) -> str:
+        self.tmpid += 1
+        return f"_w{self.tmpid}"
+
+    def build(self) -> Tuple[str, List[str]]:
+        """(writer name, module source lines); raises NotEligible."""
+        w = _W(depth=2)  # inside def + try
+        parts = self.struct_parts(self.decl.items, "rep", w)
+        name = self.decl.name
+        fn_name = f"_fw_{name}"
+        out = [f"def {fn_name}(rep):",
+               f'    """Compiled writer for {name}: one str, encoded once."""',
+               "    try:"]
+        content = self.concat(parts, w)
+        out.extend(w.lines)
+        out.append(f"        return {content}.encode('latin-1')")
+        out.append("    except Exception:")
+        out.append("        return None")
+        out.extend(self.aux)
+        return fn_name, out
+
+    # -- parts: (kind, text) with kind "lit" (literal text), "str" (an
+    # expression yielding a str) or "fmt" (one an f-string formats) -----
+
+    def concat(self, parts: List[Tuple[str, str]], w: _W) -> str:
+        """One str expression joining ``parts`` (an f-string unless it is
+        a lone literal or str; expressions an f-string cannot hold are
+        bound first)."""
+        if not parts:
+            return "''"
+        if len(parts) == 1 and parts[0][0] != "fmt":
+            kind, text = parts[0]
+            return repr(text) if kind == "lit" else text
+        template = ""
+        for kind, text in parts:
+            if kind == "lit":
+                template += text.replace("{", "{{").replace("}", "}}")
+                continue
+            if not _FSTRING_SAFE.fullmatch(text):
+                var = self.temp()
+                w.w(f"{var} = {text}")
+                text = var
+            template += "{" + text + "}"
+        return "f" + repr(template)
+
+    def bind(self, val: str, w: _W) -> str:
+        """``val`` as a name, so it is evaluated once."""
+        if val.isidentifier():
+            return val
+        var = self.temp()
+        w.w(f"{var} = {val}")
+        return var
+
+    def checked(self, expr: str, fails, w: _W) -> List[Tuple[str, str]]:
+        """Bind ``expr``; the writer returns None when ``fails(name)``
+        holds."""
+        var = self.temp()
+        w.w(f"{var} = {expr}")
+        with w.block(f"if {fails(var)}:"):
+            w.w("return None")
+        return [("str", var)]
+
+    # -- struct --------------------------------------------------------------
+
+    def struct_parts(self, items, ref: str, w: _W) -> List[Tuple[str, str]]:
+        parts: List[Tuple[str, str]] = []
+        for item in items:
+            if isinstance(item, LitItem):
+                lit = item.literal
+                if lit.kind in ("char", "string"):
+                    parts.append(("lit", lit.raw.decode("latin-1")))
+                elif lit.kind not in ("eor", "eof"):
+                    raise NotEligible(f"cannot write a {lit.kind} literal")
+                continue
+            if isinstance(item, ComputeItem):
+                continue  # computed fields have no physical form
+            assert isinstance(item, DataItem)
+            parts.extend(self.use_parts(item.type, f"{ref}.{item.name}", w))
+        return parts
+
+    # -- type uses -----------------------------------------------------------
+
+    def use_parts(self, use: Use, val: str, w: _W) -> List[Tuple[str, str]]:
+        if isinstance(use, OptUse):
+            v = self.bind(val, w)
+            out = self.temp()
+            with w.block(f"if {v} is None:"):
+                w.w(f"{out} = ''")
+            with w.block("else:"):
+                sub = self.use_parts(use.inner, v, w)
+                w.w(f"{out} = {self.concat(sub, w)}")
+            return [("str", out)]
+        if isinstance(use, RefUse):
+            decl = self.plan.decls[use.name]
+            if decl.params or decl.is_record:
+                raise NotEligible(f"nested {use.name}")
+            return self.decl_parts(decl, val, w)
+        if isinstance(use, BaseUse) and use.static is not None:
+            return self.base_parts(use, val, w)
+        raise NotEligible(f"cannot write {type(use).__name__}")
+
+    def decl_parts(self, decl, val: str, w: _W) -> List[Tuple[str, str]]:
+        if isinstance(decl, StructPlan):
+            return self.struct_parts(decl.items, self.bind(val, w), w)
+        if isinstance(decl, TypedefPlan):
+            return self.use_parts(decl.base, val, w)
+        if isinstance(decl, EnumPlan):
+            map_name = f"_fwenum_{self.decl.name}_{decl.name}"
+            entries = {item.name: self.plan.encode(item.physical)
+                       .decode("latin-1") for item in decl.items}
+            if not any(ln.startswith(map_name + " =") for ln in self.aux):
+                self.aux.append(f"{map_name} = {entries!r}")
+            return self.checked(f"{map_name}.get(str({val}))",
+                                lambda v: f"{v} is None", w)
+        if isinstance(decl, UnionPlan) and not isinstance(decl, SwitchPlan):
+            v = self.bind(val, w)
+            tag, out = self.temp(), self.temp()
+            w.w(f"{tag} = {v}.tag")
+            for i, br in enumerate(decl.branches):
+                with w.block(f"{'elif' if i else 'if'} {tag} == {br.name!r}:"):
+                    sub = self.use_parts(br.type, f"{v}.value", w)
+                    w.w(f"{out} = {self.concat(sub, w)}")
+            with w.block("else:"):
+                w.w("return None")
+            return [("str", out)]
+        if isinstance(decl, ArrayPlan):
+            sep = ""
+            if decl.sep is not None:
+                if decl.sep.kind in ("char", "string"):
+                    sep = decl.sep.raw.decode("latin-1")
+                elif decl.sep.kind not in ("eor", "eof"):
+                    raise NotEligible(f"cannot write a {decl.sep.kind} "
+                                      "separator")
+            elts, elt, out = self.temp(), self.temp(), self.temp()
+            w.w(f"{elts} = []")
+            with w.block(f"for {elt} in {val}:"):
+                sub = self.use_parts(decl.elt, elt, w)
+                w.w(f"{elts}.append({self.concat(sub, w)})")
+            w.w(f"{out} = {sep!r}.join({elts})")
+            return [("str", out)]
+        raise NotEligible(f"cannot write {type(decl).__name__}")
+
+    def base_parts(self, use: BaseUse, val: str,
+                   w: _W) -> List[Tuple[str, str]]:
+        inst = use.static
+        kind = type(inst)
+        if kind in (_ints.AsciiInt, _net.PhoneNumber):
+            # Formatting an exact int is str(); int() of any int is exact.
+            return [("fmt", f"int({val})")]
+        if kind in (_strs.AsciiChar, _strs.RestOfRecord):
+            return [("str", f"str({val})")]
+        if kind is _strs.TerminatedString and inst.encoding == "latin-1":
+            return self.checked(f"str({val})",
+                                lambda v: f"{inst.term_char!r} in {v}", w)
+        if kind in (_net.ZipCode, _net.Ipv4, _net.Hostname):
+            return self.checked(f"str({val})",
+                                lambda v: f"not {v}.isascii()", w)
+        if kind is _tmp.AsciiDate and inst.encoding == "latin-1":
+            v = self.bind(val, w)
+            return [("str", f"({v}.raw if isinstance({v}, DateVal) "
+                            f"else str({v}))")]
+        if kind is _ints.AsciiIntFW:
+            n = inst.nchars
+            v = self.temp()
+            w.w(f"{v} = int({val})")
+            return self.checked(
+                f"'-' + str(-{v}).rjust({n - 1}, '0') if {v} < 0 "
+                f"else str({v}).rjust({n}, '0')", lambda t: f"len({t}) > {n}", w)
+        if kind is _ints.BinaryInt:
+            return [("str", f"int({val}).to_bytes({inst.nbytes}, "
+                            f"{inst.byteorder!r}, signed={inst.signed})"
+                            ".decode('latin-1')")]
+        # Any other base type: its own write, spelled as latin-1 text.
+        const = self.temp()
+        self.aux.append(f"_fwbt_{self.decl.name}{const} = _resolve("
+                        f"{use.name!r}, {use.static_args!r}, AMBIENT)")
+        return [("str", f"_fwbt_{self.decl.name}{const}.write({val})"
+                        ".decode('latin-1')")]
+
+
+#: Expressions an f-string replacement field can hold verbatim.
+_FSTRING_SAFE = re.compile(r"[\w.(), ]+")
+
+
 def _miss_on_failure(lines: List[str]) -> List[str]:
     """Rewrite :func:`base_conv`'s bail-out idiom (``return None``) to
     the batch kernels' per-record one (``raise _BT_MISS``), keeping one
@@ -1176,6 +1382,12 @@ def _string_kind(use: Use) -> Optional[str]:
     if isinstance(inst, (_strs.TerminatedString, _strs.FixedString)):
         return "string"
     return None
+
+
+def compile_write(plan: Plan, decl: StructPlan) -> Tuple[str, List[str]]:
+    """Compile the record writer for a record the parse fast path
+    covers; raises :class:`NotEligible` when a member has no writer."""
+    return WritePath(plan, decl).build()
 
 
 def compile_fast(plan: Plan, decl: StructPlan) -> Tuple[str, List[str], str]:

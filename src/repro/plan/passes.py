@@ -175,7 +175,7 @@ def fuse_literal_runs(plan: Plan) -> None:
 
 def attach_fastpaths(plan: Plan) -> None:
     import re
-    from .fastpath import NotEligible, compile_fast
+    from .fastpath import NotEligible, compile_fast, compile_write
     for dp in plan.decls.values():
         if dp.params:
             dp.verdict = Verdict(False, "parameterised type")
@@ -197,6 +197,10 @@ def attach_fastpaths(plan: Plan) -> None:
         else:
             dp.verdict = Verdict(True, reason)
             dp.fast_fn = (fn_name, lines)
+            try:
+                dp.write_fn = compile_write(plan, dp)
+            except NotEligible:
+                pass  # the general writer serves this record
 
 
 # -- batch-engine verdicts ----------------------------------------------------

@@ -11,7 +11,7 @@ longer belong to codegen alone.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, Tuple
 
 from .ir import Plan
 
@@ -26,6 +26,7 @@ def runtime_namespace(plan: Plan) -> Dict[str, Any]:
     from ..core.values import DateVal, EnumVal, FloatVal, Rec, UnionVal
     from ..expr.pycompile import compile_function
     from ..expr.runtime import builtins_table, cdiv, cmod, getmember
+    from . import resolve_base
 
     ns: Dict[str, Any] = {
         "Rec": Rec,
@@ -40,6 +41,8 @@ def runtime_namespace(plan: Plan) -> Dict[str, Any]:
         "_fp_packed": convert_packed,
         "_fp_zoned": convert_zoned,
         "_fp_parse_date": parse_date_value,
+        "_resolve": resolve_base,
+        "AMBIENT": plan.ambient,
     }
     for name, (lit, code, phys) in plan.enum_literals.items():
         ns[f"E_{name}"] = EnumVal(lit, code, phys)
@@ -48,33 +51,27 @@ def runtime_namespace(plan: Plan) -> Dict[str, Any]:
     return ns
 
 
-def materialize_fast_fns(plan: Plan) -> Dict[str, Callable]:
-    """``{type name: fast function}`` for every eligible record plan."""
-    fns: Dict[str, Callable] = {}
-    ns: Dict[str, Any] = {}
-    for dp in plan.decls.values():
-        if dp.fast_fn is None or not dp.verdict.eligible:
-            continue
-        if not ns:
-            ns = runtime_namespace(plan)
-        name, lines = dp.fast_fn
-        exec("\n".join(lines), ns)
-        fns[dp.name] = ns[name]
-    return fns
+Fns = Dict[str, Callable]
 
 
-def materialize_batch_fns(plan: Plan) -> Dict[str, Callable]:
-    """``{type name: batch kernel}`` for every batch-eligible record
-    plan — the interpreter twin of the ``_bt_*`` functions a generated
-    module carries in its ``BATCH`` table."""
-    fns: Dict[str, Callable] = {}
+def materialize_fns(plan: Plan) -> Tuple[Fns, Fns, Fns]:
+    """``(fast functions, record writers, batch kernels)``, each
+    ``{type name: function}``, exec'd into one runtime namespace — the
+    interpreter twin of the ``_fp_*``/``_fw_*``/``_bt_*`` functions a
+    generated module carries."""
+    tables: Tuple[Fns, Fns, Fns] = ({}, {}, {})
     ns: Dict[str, Any] = {}
     for dp in plan.decls.values():
-        if dp.batch_fn is None or not dp.batch_verdict.eligible:
-            continue
-        if not ns:
-            ns = runtime_namespace(plan)
-        name, lines = dp.batch_fn
-        exec("\n".join(lines), ns)
-        fns[dp.name] = ns[name]
-    return fns
+        fast = dp.verdict.eligible
+        compiled = (dp.fast_fn if fast else None,
+                    dp.write_fn if fast else None,
+                    dp.batch_fn if dp.batch_verdict.eligible else None)
+        for table, fragment in zip(tables, compiled):
+            if fragment is None:
+                continue
+            if not ns:
+                ns = runtime_namespace(plan)
+            name, lines = fragment
+            exec("\n".join(lines), ns)
+            table[dp.name] = ns[name]
+    return tables

@@ -14,7 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Mask, P_Check, P_CheckAndSet, P_Set, compile_description, gallery
 from repro.codegen import compile_generated, generate_source
+from repro.core.io import FixedWidthRecords
 from repro.core.masks import MaskFlag
+from repro.tools.datagen import (
+    call_detail_workload,
+    clf_workload,
+    sirius_workload,
+)
 
 from .test_codegen import pd_summary  # reuse the structural fingerprint
 
@@ -303,3 +309,151 @@ def test_fastpath_equals_interpreter_on_mutated_rows(fp_pair, seed, data):
     rg, pg = gen.parse(blob, "row_t")
     assert pd_summary(pi) == pd_summary(pg), blob
     assert ri == rg
+
+
+# ---------------------------------------------------------------------------
+# The compiled record writer (_fw_<type>) against the general writer
+# ---------------------------------------------------------------------------
+
+
+def _billing():
+    import importlib.resources as res
+    from repro.tools.cobol import translate
+    tr = translate((res.files("repro.gallery") / "billing.cpy").read_text(),
+                   "billing.cpy")
+    return tr.pads_source, {"ambient": "ebcdic",
+                            "discipline": FixedWidthRecords(tr.record_width)}
+
+
+def _sirius_inputs():
+    header, entries = sirius_workload(300, random.Random(4)).split(b"\n", 1)
+    return {"summary_header_t": header + b"\n", "entry_t": entries}
+
+
+#: case -> (description text and compile options, {record type: workload
+#: bytes or None when only generate() reps are checked}).
+WRITER_CASES = {
+    "clf": (lambda: (gallery.CLF, {}),
+            lambda: {"entry_t": clf_workload(400, random.Random(3))}),
+    "sirius": (lambda: (gallery.SIRIUS, {}), _sirius_inputs),
+    "call_detail": (
+        lambda: (gallery.CALL_DETAIL,
+                 {"ambient": "binary",
+                  "discipline": FixedWidthRecords(gallery.CALL_DETAIL_WIDTH)}),
+        lambda: {"call_t": call_detail_workload(300, random.Random(5))}),
+    "regulus": (lambda: (gallery.REGULUS, {}), lambda: {"util_t": None}),
+    "billing": (_billing, lambda: {"billing_record_t": None}),
+    "fp_desc": (lambda: (FP_DESC, {}), lambda: {"row_t": None}),
+}
+
+
+def _build(case, engine, fastpath):
+    text, kw = WRITER_CASES[case][0]()
+    if engine == "source":
+        return compile_generated(text, fastpath=fastpath, **kw)
+    return compile_description(text, fastpath=fastpath, **kw)
+
+
+def _writer(desc, rtype):
+    """The record's compiled writer on either engine, or None."""
+    if hasattr(desc, "module"):
+        return getattr(desc.module, f"_fw_{rtype}", None)
+    return desc.node(rtype).write_fn
+
+
+@pytest.fixture(scope="module", params=["interp", "source"])
+def writer_engine(request):
+    return request.param
+
+
+@pytest.mark.parametrize("case", list(WRITER_CASES))
+def test_writer_matches_the_general_writer(case, writer_engine):
+    fast = _build(case, writer_engine, True)
+    ref = _build(case, writer_engine, False)
+    gen_reps = _build(case, "interp", False)  # generate() is interpreted
+    rng = random.Random(17)
+    for rtype, data in WRITER_CASES[case][1]().items():
+        writer = _writer(fast, rtype)
+        assert writer is not None and _writer(ref, rtype) is None
+        reps = [gen_reps.generate(rtype, rng) for _ in range(60)]
+        if data is not None:
+            parsed = list(fast.records(data, rtype))
+            reps += [rep for rep, _pd in parsed]
+            if case in ("clf", "sirius") and rtype == "entry_t":
+                # Error records hold default values; they are written too.
+                assert any(pd.nerr for _rep, pd in parsed)
+        for rep in reps:
+            assert writer(rep) is not None, rep
+            assert fast.write(rep, rtype) == ref.write(rep, rtype), rep
+
+
+def _sirius_rep(desc):
+    rep, pd = desc.parse(gallery.SIRIUS_SAMPLE.split("\n", 2)[1] + "\n",
+                         "entry_t")
+    assert pd.nerr == 0
+    return rep
+
+
+def _bad_terminator(rep):
+    rep.header.order_type = "a|b"
+
+
+def _bad_zip(rep):
+    rep.header.zip_code = "0790é"
+
+
+def _bad_tag(rep):
+    from repro.core.values import UnionVal
+    rep.header.ramp = UnionVal("nope", 1)
+
+
+def _bad_int(rep):
+    rep.header.order_num = None
+
+
+def _bad_latin1(rep):
+    rep.header.stream = "caf€"
+
+
+@pytest.mark.parametrize("mutate,exc", [
+    (_bad_terminator, ValueError), (_bad_zip, UnicodeEncodeError),
+    (_bad_tag, ValueError), (_bad_int, TypeError),
+    (_bad_latin1, UnicodeEncodeError)],
+    ids=["terminator", "non-ascii-zip", "union-tag", "none-int",
+         "non-latin1-string"])
+def test_bad_reps_raise_the_general_writers_error(mutate, exc,
+                                                   writer_engine):
+    fast = _build("sirius", writer_engine, True)
+    ref = _build("sirius", writer_engine, False)
+    rep = _sirius_rep(fast)
+    mutate(rep)
+    assert _writer(fast, "entry_t")(rep) is None
+    with pytest.raises(exc) as got:
+        fast.write(rep, "entry_t")
+    with pytest.raises(exc) as want:
+        ref.write(rep, "entry_t")
+    assert str(got.value) == str(want.value)
+
+
+def test_write2io_output_unchanged():
+    import io
+    fast = _build("sirius", "source", True)
+    ref = _build("sirius", "source", False)
+    assert "_fw_entry_t(rep)" in fast.py_source
+    assert "_fw_" not in ref.py_source
+    for rep, _pd in fast.records(_sirius_inputs()["entry_t"], "entry_t"):
+        a, b = io.BytesIO(), io.BytesIO()
+        assert fast.module.entry_t_write2io(a, rep) == \
+            ref.module.entry_t_write2io(b, rep)
+        assert a.getvalue() == b.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.binary(min_size=0, max_size=48).filter(lambda b: b"\n" not in b))
+def test_writer_equals_general_writer_on_parsed_garbage(fp_pair, payload):
+    interp, gen = fp_pair
+    ref = compile_description(FP_DESC, fastpath=False)
+    rep, _pd = interp.parse(payload + b"\n", "row_t")
+    want = ref.write(rep, "row_t")
+    assert interp.write(rep, "row_t") == want
+    assert gen.write(rep, "row_t") == want

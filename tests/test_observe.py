@@ -257,3 +257,52 @@ Psource Parray src_t { pair_t[]; };
             list(d.records("1|2;\n3 garbage |4;\n", "pair_t"))
         resync = obs.stats()["resync"]
         assert resync["literal"] + resync["field_skip"] > 0
+
+
+class TestFastpathCounters:
+    """The metered record loop counts, per record type, the records the
+    compiled fast function parsed (``hit``) and the ones it handed to
+    the general parser (``miss``)."""
+
+    @staticmethod
+    def _sirius(n):
+        import random
+        from repro.tools.datagen import sirius_workload
+        # The benchmark's shape: 1 sort violation + 53 syntax errors.
+        return sirius_workload(n, random.Random(1)).split(b"\n", 1)[1]
+
+    @pytest.mark.parametrize("engine", ["interp", "source"])
+    def test_sirius_hits_and_misses(self, engine):
+        from repro.codegen import compile_generated
+        d = (compile_description(gallery.SIRIUS) if engine == "interp"
+             else compile_generated(gallery.SIRIUS))
+        with observe.observed() as obs:
+            n = sum(1 for _ in d.records(self._sirius(1000), "entry_t"))
+        assert n == 1000
+        assert obs.stats()["fastpath"] == {
+            "entry_t": {"hit": n - 54, "miss": 54}}
+        assert "fastpath: entry_t: 946 hit, 54 miss" in obs.summary()
+        assert "fastpath" not in obs.stats(deterministic=True)
+
+    def test_absent_when_the_fast_path_does_not_apply(self):
+        from repro.core.masks import Mask, P_CheckAndSet, P_Set
+        data = self._sirius(600)
+        ref = compile_description(gallery.SIRIUS, fastpath=False)
+        fast = compile_description(gallery.SIRIUS)
+        per_field = Mask(P_CheckAndSet, fields={"header": Mask(P_Set)})
+        for d, kwargs in ((ref, {}), (fast, {"mask": per_field}),
+                          (fast, {"trace": True})):
+            with observe.observed(trace=kwargs.pop("trace", False)) as obs:
+                list(d.records(data, "entry_t", kwargs.get("mask")))
+            assert obs.stats()["fastpath"] == {}
+
+    def test_padsc_stats_print_them(self, tmp_path, capsys):
+        from repro.tools.padsc import main
+        desc_file = tmp_path / "sirius.pads"
+        desc_file.write_text(gallery.SIRIUS)
+        data = tmp_path / "orders.dat"
+        data.write_bytes(self._sirius(600))
+        assert main(["accum", str(desc_file), str(data), "--record",
+                     "entry_t", "--stats"]) == 0
+        assert "fastpath: entry_t: 546 hit, 54 miss" in \
+            capsys.readouterr().err

@@ -25,7 +25,7 @@ except ImportError:  # pragma: no cover - baked-in image has hypothesis
     HAVE_HYPOTHESIS = False
 
 from repro import gallery, observe
-from repro.core.errors import PadsError
+from repro.core.errors import ErrCode, PadsError
 from repro.core.io import NewlineRecords, StreamSource
 from repro.execute import ExecOptions, run
 from repro.stream import open_stream, records_stream
@@ -245,3 +245,146 @@ class TestLiveSources:
     def test_open_stream_passthrough(self):
         src = StreamSource(io.BytesIO(b"x\n"), NewlineRecords())
         assert open_stream(src, NewlineRecords()) is src
+
+
+# ---------------------------------------------------------------------------
+# The shared record loop against the per-record reference path
+# ---------------------------------------------------------------------------
+
+
+def _reference(engine):
+    """``engine`` rebuilt with ``fastpath=False``: no compiled fast
+    function, so every record takes the general per-record path."""
+    from repro.codegen import compile_generated
+    from repro.core.api import compile_description
+    build = compile_generated if hasattr(engine, "module") \
+        else compile_description
+    return build(engine.source_text, ambient=engine.ambient,
+                 discipline=engine.discipline, fastpath=False,
+                 limits=engine.limits)
+
+
+def _outcome(pairs):
+    """Reps, pd summaries and locations, plus the first error's record
+    as the vetting tally reports it."""
+    from repro.core.errors import ErrorTally
+    tally, out = ErrorTally(), []
+    for rep, pd in pairs:
+        tally.add(pd)
+        out.append((rep, pd_summary(pd), pd.loc))
+    first = tally.first_error_loc
+    return out, None if first is None else first.record
+
+
+def _crlf_unterminated(data):
+    """CRLF-terminated records whose last record has no terminator."""
+    return data.replace(b"\n", b"\r\n")[:-2]
+
+
+@pytest.fixture(scope="module")
+def references(cases):
+    return {name: (_reference(interp), _reference(gen))
+            for name, (interp, gen, _data, _rtype) in cases.items()}
+
+
+@pytest.mark.parametrize("engine", [0, 1], ids=["interp", "source"])
+@pytest.mark.parametrize("name", list(CASES))
+class TestSharedRecordLoop:
+    def _pair(self, cases, references, name, engine):
+        fast = cases[name][engine]
+        ref = references[name][engine]
+        return fast, ref, cases[name][2], cases[name][3]
+
+    def test_matches_the_reference_and_takes_the_fast_path(
+            self, cases, references, name, engine):
+        fast, ref, data, rtype = self._pair(cases, references, name, engine)
+        with observe.observed() as obs:
+            got = _outcome(fast.records(data, rtype))
+        assert got == _outcome(ref.records(data, rtype))
+        assert obs.stats()["fastpath"][rtype]["hit"] > 0
+
+    def test_windows_that_split_records(self, cases, references, name,
+                                        engine):
+        fast, ref, data, rtype = self._pair(cases, references, name, engine)
+        want = _outcome(ref.records(data, rtype))
+        for window in (1, 7, 64):
+            src = open_stream(io.BytesIO(data), fast.discipline,
+                              window=window)
+            assert _outcome(fast.records_stream(src, rtype)) == want, window
+
+    def test_record_index_after_partial_iteration(self, cases, references,
+                                                  name, engine):
+        import itertools
+        fast, ref, data, rtype = self._pair(cases, references, name, engine)
+        for k in (1, 7, 40):
+            seen = []
+            for desc in (fast, ref):
+                src = desc.open(data)
+                pairs = list(itertools.islice(desc.records(src, rtype), k))
+                seen.append((_outcome(pairs), src.record_idx, src.pos))
+            assert seen[0] == seen[1], k
+
+    def test_crlf_and_unterminated_final_record(self, cases, references,
+                                                name, engine):
+        fast, ref, data, rtype = self._pair(cases, references, name, engine)
+        if name == "call_detail":
+            pytest.skip("fixed-width records have no terminator")
+        data = _crlf_unterminated(data)
+        want = _outcome(ref.records(data, rtype))
+        assert _outcome(fast.records(data, rtype)) == want
+        src = open_stream(io.BytesIO(data), fast.discipline, window=7)
+        assert _outcome(fast.records_stream(src, rtype)) == want
+
+    def test_index_sidecar_identical(self, cases, references, name, engine,
+                                     tmp_path):
+        from repro.durable import index_path_for
+        fast, ref, data, rtype = self._pair(cases, references, name, engine)
+        path = tmp_path / "input.dat"
+        path.write_bytes(data)
+        sidecars = []
+        for desc in (fast, ref):
+            got = _outcome(desc.records_stream(str(path), rtype, index=True))
+            sidecars.append(open(index_path_for(str(path)), "rb").read())
+            os.remove(index_path_for(str(path)))
+        assert got == _outcome(ref.records(data, rtype))
+        assert sidecars[0] == sidecars[1]
+
+    def test_error_budget_and_tracer(self, cases, references, name,
+                                     engine):
+        """An error budget runs the record-boundary guard before every
+        record; a tracer keeps the interpreter on its general parse (the
+        only one emitting per-field events).  Neither changes a result
+        or a trace event."""
+        from repro.core.limits import ParseLimits
+        fast, ref, data, rtype = self._pair(cases, references, name, engine)
+        for d in (fast, ref):
+            d.limits = ParseLimits(max_errors=3)
+        try:
+            got = _outcome(fast.records(data, rtype))
+            assert got == _outcome(ref.records(data, rtype))
+        finally:
+            fast.limits = ref.limits = None
+        if name != "call_detail":  # the call-detail sample is clean
+            assert got[0][-1][1][2] == ErrCode.ERROR_BUDGET_EXCEEDED
+        with observe.observed(trace=True) as obs:
+            got = _outcome(fast.records(data, rtype))
+        events = list(obs.tracer.events)
+        # The generated engine emits record events only, either way.
+        assert bool(obs.stats()["fastpath"]) == (engine == 1)
+        with observe.observed(trace=True) as obs:
+            assert got == _outcome(ref.records(data, rtype))
+        assert events == list(obs.tracer.events)
+
+
+class TestNonRecordTypeInTheLoop:
+    """A type not declared ``Precord`` is still read record-at-a-time:
+    the loop opens the record scope and runs the general parser."""
+
+    @pytest.mark.parametrize("engine", [0, 1], ids=["interp", "source"])
+    def test_matches_the_reference(self, cases, references, engine):
+        fast, ref = cases["sirius"][engine], references["sirius"][engine]
+        data = cases["sirius"][2]
+        got = _outcome(fast.records(data, "order_header_t"))
+        assert got == _outcome(ref.records(data, "order_header_t"))
+        # The events after the header are data past the struct.
+        assert got[0] and all(summary[1] for _rep, summary, _loc in got[0])
