@@ -7,10 +7,13 @@ general parse path — the reference each pair below is measured against.
 
 The workload is the same synthetic Sirius vetting task as
 ``bench_parallel.py`` (shared fixtures), the write-back of its clean
-records through the compiled record writer (``_fw_entry_t``), plus the
-fixed-width call-detail stream that exercises the slicing path.  **Correctness is asserted inside
+records through the compiled record writer (``_fw_entry_t``), the
+Section 5.2 accumulator fold over parsed CLF records (clean records
+through the compiled adder; its reference is the same fold through the
+tree walk, ``Accumulator.walk``), plus the fixed-width call-detail
+stream that exercises the slicing path.  **Correctness is asserted inside
 every benchmark**: plan-driven and reference runs must agree on error
-totals before their timings mean anything.
+totals (or reports) before their timings mean anything.
 
 Run ``pytest benchmarks/bench_plan.py --benchmark-only
 --benchmark-json=BENCH_plan.json``; feed the JSON to
@@ -27,6 +30,7 @@ from repro.codegen import compile_generated
 from repro.core.api import compile_description
 from repro.core.io import FixedWidthRecords
 from repro.execute import run
+from repro.tools.accum import record_accumulator
 from repro.tools.datagen import call_detail_workload
 
 from .conftest import N_RECORDS
@@ -104,6 +108,40 @@ def test_gen_write_plan(benchmark, sirius_gen, sirius_gen_ref,
 def test_gen_write_reference(benchmark, sirius_gen_ref, sirius_clean_reps):
     out = benchmark(_write_all, sirius_gen_ref, sirius_clean_reps)
     assert out.count(b"\n") == len(sirius_clean_reps)
+
+
+# -- the compiled accumulator adder (Section 5.2's <type>_acc_add) -----------
+#
+# The pair times the fold alone, over records parsed once: the parse is the
+# same code on both sides, and on a noisy host its spread would swamp the
+# accumulator's share.  perfbench ``clf-accum`` carries the end-to-end number.
+
+
+@pytest.fixture(scope="module")
+def clf_pairs(clf_interp, clf_file):
+    return list(clf_interp.records(clf_file, "entry_t"))
+
+
+def _accum(description, pairs, walk=False):
+    acc = record_accumulator(description, "entry_t")
+    add = acc.walk if walk else acc.add
+    for rep, pd in pairs:
+        add(rep, pd)
+    return acc
+
+
+@pytest.mark.benchmark(group="plan-interp-accum")
+def test_interp_accum_plan(benchmark, clf_interp, clf_pairs):
+    base = _accum(clf_interp, clf_pairs, walk=True)
+    acc = benchmark(_accum, clf_interp, clf_pairs)
+    assert acc.full_report() == base.full_report()
+    assert acc.self_acc.total_count == N_RECORDS and acc._adder is not None
+
+
+@pytest.mark.benchmark(group="plan-interp-accum")
+def test_interp_accum_reference(benchmark, clf_interp, clf_pairs):
+    acc = benchmark(_accum, clf_interp, clf_pairs, walk=True)
+    assert acc.self_acc.total_count == N_RECORDS and acc._adder is None
 
 
 # -- fixed-width slicing (binary call-detail records) -----------------------

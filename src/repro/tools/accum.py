@@ -48,10 +48,22 @@ DEFAULT_TRACKED = 1000
 DEFAULT_REPORTED = 10
 
 
+def _unwrap(node: PType) -> PType:
+    """The type under any ``Precord``, ``Ptypedef`` and type application:
+    the one whose shape an accumulator mirrors."""
+    while True:
+        if isinstance(node, RecordNode):
+            node = node.inner
+        elif isinstance(node, TypedefNode):
+            node = node.base
+        elif isinstance(node, AppNode):
+            node = node.decl_node
+        else:
+            return node
+
+
 def _kind_of(node: PType) -> str:
-    while isinstance(node, (RecordNode, TypedefNode, AppNode)):
-        node = getattr(node, "inner", None) or getattr(node, "base", None) \
-            or getattr(node, "decl_node", None)
+    node = _unwrap(node)
     if isinstance(node, BaseNode):
         if node._static is not None:
             return node._static.kind
@@ -195,9 +207,15 @@ def _fmt(value) -> str:
 
 class Accumulator:
     """A type-shaped accumulator tree (``<type>_acc`` in the paper's
-    Figure 6: ``acc_init`` / ``acc_add`` / ``acc_report``).  ``add`` is
-    chosen from the node's shape when the tree is built; an unpickled copy
-    has none, since it is only merged and reported."""
+    Figure 6: ``acc_init`` / ``acc_add`` / ``acc_report``).
+
+    ``add`` sends a clean record (``pd`` None or ``pd.nerr == 0``) through
+    a compiled adder — one straight-line function for the whole tree,
+    bound on the first add (:mod:`repro.tools.adder`) — and a record with
+    errors through ``walk``, the tree walk chosen from the node's shape
+    when the tree is built.  The walk is the reference semantics and the
+    only error path.  An unpickled copy has neither, since it is only
+    merged and reported."""
 
     def __init__(self, node: PType, name: str = "<top>",
                  tracked: int = DEFAULT_TRACKED):
@@ -208,14 +226,11 @@ class Accumulator:
         self.children: Dict[str, Accumulator] = {}
         self.elts: Optional[Accumulator] = None
         self.lengths: Optional[ScalarAccum] = None
+        self._adder = None
         self._build()
 
     def _build(self) -> None:
-        node = self.node
-        while isinstance(node, (RecordNode,)):
-            node = node.inner
-        if isinstance(node, AppNode):
-            node = node.decl_node
+        node = _unwrap(self.node)
         if isinstance(node, StructNode):
             # Pcompute fields are derived values, not data positions, so
             # they are not profiled.
@@ -223,25 +238,37 @@ class Accumulator:
                 if f.kind == "data":
                     self.children[f.name] = Accumulator(
                         f.node, f"{self.name}.{f.name}", self.tracked)
-            self.add = self._add_struct
+            self.form = "struct"
         elif isinstance(node, (UnionNode, SwitchUnionNode)):
             arms = node.branches if isinstance(node, UnionNode) else node.cases
             for arm in arms:
                 self.children[arm.name] = Accumulator(
                     arm.node, f"{self.name}.{arm.name}", self.tracked)
-            self.add = self._add_union
+            self.form = "union"
         elif isinstance(node, OptNode):
             self.children["some"] = Accumulator(
                 node.inner, f"{self.name}.some", self.tracked)
-            self.add = self._add_opt
+            self.form = "opt"
         elif isinstance(node, ArrayNode):
             self.elts = Accumulator(node.elt, f"{self.name}[]", self.tracked)
             self.lengths = ScalarAccum("int", self.tracked)
-            self.add = self._add_array
+            self.form = "array"
         else:
-            self.add = self._add_scalar
+            self.form = "scalar"
+        self.walk = getattr(self, f"_add_{self.form}")
 
     # -- adding -----------------------------------------------------------------
+
+    def add(self, rep, pd: Optional[Pd] = None) -> None:
+        """Profile one value: the same counts as ``walk(rep, pd)``."""
+        if pd is not None and pd.nerr:
+            self.walk(rep, pd)
+            return
+        adder = self._adder
+        if adder is None:
+            from .adder import bind_adder
+            adder = self._adder = bind_adder(self)
+        adder(rep)
 
     def _add_scalar(self, rep, pd: Optional[Pd] = None) -> None:
         self.self_acc.add(rep, pd)
@@ -254,14 +281,14 @@ class Accumulator:
                 value = getattr(rep, name)
             except AttributeError:
                 continue
-            child.add(value, fields.get(name))
+            child.walk(value, fields.get(name))
 
     def _add_union(self, rep, pd: Optional[Pd] = None) -> None:
         tag = getattr(rep, "tag", None)
         self.self_acc.add(tag, pd)
         child = self.children.get(tag)
         if child is not None:
-            child.add(rep.value, pd.branch if pd is not None else None)
+            child.walk(rep.value, pd.branch if pd is not None else None)
 
     def _add_opt(self, rep, pd: Optional[Pd] = None) -> None:
         if pd is not None and pd.nerr > 0:
@@ -270,7 +297,7 @@ class Accumulator:
             self.self_acc.add("NONE", None)
         else:
             self.self_acc.add("SOME", None)
-            self.children["some"].add(rep, pd.branch if pd is not None else None)
+            self.children["some"].walk(rep, pd.branch if pd is not None else None)
 
     def _add_array(self, rep, pd: Optional[Pd] = None) -> None:
         self.self_acc.add(None, pd)
@@ -280,7 +307,7 @@ class Accumulator:
         elt_pds = pd.elts if pd is not None else []
         n_pds = len(elt_pds)
         for i, value in enumerate(rep):
-            self.elts.add(value, elt_pds[i] if i < n_pds else None)
+            self.elts.walk(value, elt_pds[i] if i < n_pds else None)
 
     # -- merging ----------------------------------------------------------------
 
@@ -307,9 +334,9 @@ class Accumulator:
         # Type nodes may close over interpreter environments and are not
         # picklable; a transferred accumulator only needs its counters
         # (the receiving side merges it into a tree that kept its nodes),
-        # so the bound ``add`` is dropped too.
-        state = dict(self.__dict__, node=None)
-        state.pop("add", None)  # absent on a copy that was unpickled
+        # so the bound ``walk`` and the compiled adder are dropped too.
+        state = dict(self.__dict__, node=None, _adder=None)
+        state.pop("walk", None)  # absent on a copy that was unpickled
         return state
 
     # -- reporting ----------------------------------------------------------------

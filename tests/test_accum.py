@@ -1,5 +1,6 @@
 """Tests for accumulators (paper Section 5.2)."""
 
+import functools
 import hashlib
 import pickle
 import random
@@ -272,3 +273,188 @@ class TestGoldenReports:
         for rep, pd in gen.records(data, rtype):
             getattr(module, f"{rtype}_acc_add")(acc, pd, rep)
         assert _digest(acc) == GOLDEN[name][2][0]
+
+
+# -- the compiled adder ----------------------------------------------------------
+#
+# ``Accumulator.add`` sends clean records through one generated function
+# per tree shape; ``walk`` is the tree walk it unrolls and the reference
+# every test below compares against.
+
+ENGINES = ("interp", "gen")
+
+
+@functools.lru_cache(maxsize=None)
+def _target(name, engine):
+    """``name``'s record pairs, from its golden data (or error-injected
+    datagen data) followed by a clean source, on ``engine``."""
+    _, text, unit, ambient, discipline = \
+        {t[0]: t for t in GALLERY_TARGETS}[name]
+    rng = random.Random(7)
+    if name in GOLDEN:
+        desc, bad, rtype = _golden_input(name)
+    else:
+        desc = compile_description(text, ambient=ambient,
+                                   discipline=discipline)
+        rtype = unit
+        bad = generate_source(desc, rtype, 80, rng,
+                              ErrorInjector(0.25, [garble_byte]))
+    # ``unit`` differs from ``rtype`` for netflow: packets, which the
+    # golden record type reads as one source-level array.
+    clean = generate_source(desc, unit, 20, rng)
+    if engine == "gen":
+        desc = compile_description(text, ambient=ambient,
+                                   discipline=discipline, backend="source")
+    return desc, rtype, tuple(pair for data in (bad, clean)
+                              for pair in desc.records(data, rtype))
+
+
+def _walk(acc, pairs):
+    for rep, pd in pairs:
+        acc.walk(rep, pd)
+    return acc
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("name", [t[0] for t in GALLERY_TARGETS])
+class TestCompiledAdder:
+    def test_matches_tree_walk(self, name, engine):
+        desc, rtype, pairs = _target(name, engine)
+        assert any(pd.nerr for _, pd in pairs)
+        for summaries in (False, True):
+            fast = _fold(record_accumulator(desc, rtype, summaries=summaries),
+                         pairs)
+            ref = _walk(record_accumulator(desc, rtype, summaries=summaries),
+                        pairs)
+            assert fast._adder is not None
+            assert _digest(fast) == _digest(ref)
+
+    def test_small_value_table(self, name, engine):
+        """First-seen admission past ``tracked_limit``."""
+        desc, rtype, pairs = _target(name, engine)
+        fast = _fold(record_accumulator(desc, rtype, tracked=3), pairs)
+        ref = _walk(record_accumulator(desc, rtype, tracked=3), pairs)
+        assert _digest(fast) == _digest(ref)
+
+    def test_pd_none_adds(self, name, engine):
+        """With no descriptor every record, error reps included (their
+        default and partial values), takes the compiled adder."""
+        desc, rtype, pairs = _target(name, engine)
+        bare = [(rep, None) for rep, _ in pairs]
+        fast = _fold(record_accumulator(desc, rtype, summaries=True), bare)
+        ref = _walk(record_accumulator(desc, rtype, summaries=True), bare)
+        assert _digest(fast) == _digest(ref)
+
+    def test_summaries_attached_after_adds(self, name, engine):
+        from repro.tools.summaries import attach_summaries
+        desc, rtype, pairs = _target(name, engine)
+        half = len(pairs) // 2
+        fast = _fold(record_accumulator(desc, rtype), pairs[:half])
+        ref = _walk(record_accumulator(desc, rtype), pairs[:half])
+        attach_summaries(fast)
+        attach_summaries(ref)
+        assert _digest(_fold(fast, pairs[half:])) == \
+            _digest(_walk(ref, pairs[half:]))
+
+    def test_pickled_three_way_merge(self, name, engine):
+        desc, rtype, pairs = _target(name, engine)
+        cut = [0, len(pairs) // 3, 2 * len(pairs) // 3, len(pairs)]
+        merged = {}
+        for how, fold in (("fast", _fold), ("ref", _walk)):
+            merged[how] = record_accumulator(desc, rtype, summaries=True)
+            for lo, hi in zip(cut, cut[1:]):
+                part = fold(record_accumulator(desc, rtype, summaries=True),
+                            pairs[lo:hi])
+                merged[how].merge(pickle.loads(pickle.dumps(part)))
+        assert _digest(merged["fast"]) == _digest(merged["ref"])
+
+    def test_error_records_take_only_the_walk(self, name, engine):
+        desc, rtype, pairs = _target(name, engine)
+        acc = record_accumulator(desc, rtype)
+        compiled = []
+        acc._adder = compiled.append
+        _fold(acc, pairs)
+        assert compiled == [rep for rep, pd in pairs if not pd.nerr]
+
+
+class TestAdderTemplate:
+    def test_compiled_once_per_shape(self, clf):
+        from repro.execute import Fold
+        from repro.tools.adder import _adder_template
+        pairs = list(clf.records(gallery.CLF_SAMPLE, "entry_t"))
+        _fold(record_accumulator(clf, "entry_t"), pairs)
+        compiled = _adder_template.cache_info().misses
+        again = _fold(record_accumulator(clf, "entry_t"), pairs)
+        acc, _tally = Fold("accum", "entry_t").zero(clf)
+        _fold(acc, pairs)
+        # A separately compiled description of the same text shares it too.
+        _fold(record_accumulator(compile_description(gallery.CLF),
+                                 "entry_t"), pairs)
+        assert _adder_template.cache_info().misses == compiled
+        assert again._adder is not acc._adder
+        assert again.full_report() == acc.full_report()
+
+    def test_unpickled_copy_has_no_adder(self, clf):
+        pairs = list(clf.records(gallery.CLF_SAMPLE, "entry_t"))
+        acc = _fold(record_accumulator(clf, "entry_t", summaries=True), pairs)
+        copy = pickle.loads(pickle.dumps(acc))
+        assert copy._adder is None and not hasattr(copy, "walk")
+        merged = record_accumulator(clf, "entry_t", summaries=True)
+        merged.merge(copy)
+        assert _digest(merged) == _digest(acc)
+
+    def test_odd_reps_match_the_walk(self, clf):
+        """Values outside each position's inlined type take
+        ``ScalarAccum.add`` or the node's walk, as the tree walk does."""
+        from repro.core.values import DateVal, Rec, UnionVal
+        (rep, _), _ = list(clf.records(gallery.CLF_SAMPLE, "entry_t"))
+        fields = dict(rep.items())
+        odd = [dict(fields, length=True), dict(fields, length=2.5),
+               dict(fields, length=[1]), dict(fields, response=None),
+               dict(fields, date=1000), dict(fields, date=DateVal(7)),
+               dict(fields, client=None), dict(fields, client=5),
+               dict(fields, client=UnionVal(7, "x")),
+               dict(fields, client=UnionVal("nope", "x")),
+               dict(fields, remoteID=UnionVal("id", ["unhashable"])),
+               dict(fields, request=Rec(meth="GET", req_uri="/")),
+               {k: v for k, v in fields.items() if k != "auth"}]
+        reps = [rep] + [Rec(**f) for f in odd] + [None, 3]
+        fast = record_accumulator(clf, "entry_t", summaries=True)
+        ref = record_accumulator(clf, "entry_t", summaries=True)
+        for value in reps:
+            fast.add(value)
+            ref.walk(value, None)
+        assert _digest(fast) == _digest(ref)
+
+    def test_deep_tree_falls_back_to_the_walk(self):
+        """Subtrees nested past the inline depth are handed to their
+        node's walk, so any description compiles."""
+        depth = 110  # past CPython's 100 levels of indentation
+        decls = ["Pstruct s0_t { Puint8 a; };"]
+        for i in range(1, depth):
+            decls.append(f"Pstruct s{i}_t {{ s{i - 1}_t f; ':'; Puint8 n; }};")
+        decls.append(f"Precord Pstruct rec_t {{ s{depth - 1}_t top; }};")
+        desc = compile_description("\n".join(decls))
+        data = b"".join(b"%d" % i + b":%d" % (i % 3) * (depth - 1) + b"\n"
+                        for i in range(6))
+        pairs = list(desc.records(data, "rec_t"))
+        assert pairs and not any(pd.nerr for _, pd in pairs)
+        fast = _fold(record_accumulator(desc, "rec_t"), pairs)
+        assert _digest(fast) == _digest(_walk(record_accumulator(
+            desc, "rec_t"), pairs))
+        assert fast.field("top" + ".f" * (depth - 1) + ".a").self_acc.good == 6
+
+
+def test_typedef_of_a_struct_is_profiled_by_field():
+    """A ``Ptypedef`` over a compound type descends into it like the
+    type it names (it was one opaque, untracked scalar)."""
+    desc = compile_description(
+        "Pstruct pair_t { Puint8 a; ','; Puint8 b; };\n"
+        "Ptypedef pair_t tpair_t;\n"
+        "Precord Pstruct rec_t { tpair_t p; };")
+    pairs = list(desc.records(b"1,2\n3,4\n1,9\n", "rec_t"))
+    for fold in (_fold, _walk):
+        acc = fold(record_accumulator(desc, "rec_t"), pairs)
+        assert acc.field("p.a").self_acc.values == {1: 2, 3: 1}
+        assert acc.field("p.b").self_acc.max == 9
+        assert acc.field("p").self_acc.values == {None: 3}
