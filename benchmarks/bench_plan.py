@@ -10,8 +10,10 @@ The workload is the same synthetic Sirius vetting task as
 records through the compiled record writer (``_fw_entry_t``), the
 Section 5.2 accumulator fold over parsed CLF records (clean records
 through the compiled adder; its reference is the same fold through the
-tree walk, ``Accumulator.walk``), plus the fixed-width call-detail
-stream that exercises the slicing path.  **Correctness is asserted inside
+tree walk, ``Accumulator.walk``), the interpreter's general path over
+the CLF records that miss the record fast function (member fast
+functions against none), plus the fixed-width call-detail stream that
+exercises the slicing path.  **Correctness is asserted inside
 every benchmark**: plan-driven and reference runs must agree on error
 totals (or reports) before their timings mean anything.
 
@@ -142,6 +144,56 @@ def test_interp_accum_plan(benchmark, clf_interp, clf_pairs):
 def test_interp_accum_reference(benchmark, clf_interp, clf_pairs):
     acc = benchmark(_accum, clf_interp, clf_pairs, walk=True)
     assert acc.self_acc.total_count == N_RECORDS and acc._adder is None
+
+
+# -- the general path on error records (member fast functions) --------------
+#
+# Only the `-` byte-count records of the CLF workload: each one misses the
+# record fast function on its last member.  The plan side runs the member
+# fast functions for the six clean members and interprets ``length``; the
+# reference interprets all seven.
+
+
+@pytest.fixture(scope="module")
+def clf_dash_records(clf_file):
+    lines = clf_file.split(b"\n")
+    return b"\n".join(ln for ln in lines if ln.endswith(b" -")) + b"\n"
+
+
+@pytest.fixture(scope="module")
+def clf_interp_ref():
+    return compile_description(gallery.CLF, fastpath=False)
+
+
+def _parse_all(description, body):
+    return list(description.records(body, "entry_t"))
+
+
+def _pd_tree(pd):
+    """A pd and all its children: state, counts, code, location, tag."""
+    return (int(pd.pstate), pd.nerr, int(pd.err_code), pd.loc, pd.tag,
+            pd.neerr, pd.first_error,
+            sorted((k, _pd_tree(v)) for k, v in (pd._fields or {}).items()),
+            [_pd_tree(e) for e in (pd._elts or [])],
+            None if pd.branch is None else _pd_tree(pd.branch))
+
+
+@pytest.mark.benchmark(group="plan-interp-errors")
+def test_interp_errors_plan(benchmark, clf_interp, clf_interp_ref,
+                           clf_dash_records):
+    base = _parse_all(clf_interp_ref, clf_dash_records)
+    pairs = benchmark(_parse_all, clf_interp, clf_dash_records)
+    assert [rep for rep, _ in pairs] == [rep for rep, _ in base]
+    assert [_pd_tree(pd) for _, pd in pairs] == \
+        [_pd_tree(pd) for _, pd in base]
+    assert pairs and all(pd.nerr for _, pd in pairs)
+
+
+@pytest.mark.benchmark(group="plan-interp-errors")
+def test_interp_errors_reference(benchmark, clf_interp_ref,
+                                 clf_dash_records):
+    pairs = benchmark(_parse_all, clf_interp_ref, clf_dash_records)
+    assert pairs and all(pd.nerr for _, pd in pairs)
 
 
 # -- fixed-width slicing (binary call-detail records) -----------------------

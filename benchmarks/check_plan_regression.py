@@ -5,9 +5,10 @@ Reads the pytest-benchmark JSON produced by ``bench_plan.py`` and
 compares each plan-driven benchmark's median against its reference-mode
 twin (``fastpath=False``, the pre-refactor parse path; for the
 accumulator pair, the same fold through the tree walk instead of the
-compiled adder).  The plan-driven side carries the record fast functions,
-fused literal runs and the compiled adder, so it should be *faster*; the
-gate fails if any engine is more than 5% slower than its reference.
+compiled adder).  The plan-driven side carries the record and member
+fast functions, fused literal runs and the compiled adder, so it should
+be *faster*; the gate fails if any engine is more than 5% slower than
+its reference.
 
 Optionally cross-checks against BENCH_parallel.json: its serial vetting
 benchmark (``test_vet_serial``) measures the identical workload through
@@ -47,6 +48,7 @@ PAIRS = [
     ("test_interp_calls_plan", "test_interp_calls_reference"),
     ("test_gen_write_plan", "test_gen_write_reference"),
     ("test_interp_accum_plan", "test_interp_accum_reference"),
+    ("test_interp_errors_plan", "test_interp_errors_reference"),
 ]
 
 TOLERANCE = 1.05          # >5% regression fails

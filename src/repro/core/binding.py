@@ -16,6 +16,7 @@ AST-walking tools rely on this).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from ..dsl import ast as D
@@ -100,9 +101,11 @@ class BoundDescription:
         fast_fns: Dict[str, Callable] = {}
         write_fns: Dict[str, Callable] = {}
         self.batch_fns: Dict[str, Callable] = {}
+        self.runtime = None
         if self.fastpath:
-            from ..plan.runtime import materialize_fns
-            fast_fns, write_fns, self.batch_fns = materialize_fns(self.plan)
+            from ..plan.runtime import Runtime
+            self.runtime = Runtime(self.plan)
+            fast_fns, write_fns, self.batch_fns = self.runtime.tables()
         for kind, entry in self.plan.order:
             if kind == "func":
                 self.global_env.funcs[entry.name] = entry.func
@@ -173,11 +176,14 @@ class BoundDescription:
                                               node=self._type(item.type),
                                               constraint=item.constraint))
             node = StructNode(dp.name, fields, dp.where)
-            if dp.fused_runs and self.fastpath:
-                # Literal-prefix fusion (plan pass): match whole runs of
-                # adjacent literals with a single comparison.
-                node.fused = {start: (end, raw)
-                              for start, end, raw in dp.fused_runs}
+            if self.runtime is not None:
+                # Member fast functions, compiled on first use.
+                node.compile_members = partial(self.runtime.members, dp)
+                if dp.fused_runs:
+                    # Literal-prefix fusion (plan pass): match whole runs
+                    # of adjacent literals with a single comparison.
+                    node.fused = {start: (end, raw)
+                                  for start, end, raw in dp.fused_runs}
             return node
 
         if isinstance(dp, SwitchPlan):

@@ -705,6 +705,18 @@ class Source:
         """The full payload of the current record."""
         return self._slice(self.rec_start, self.rec_end)
 
+    def match_member(self, fn, dosem: bool):
+        """Run a compiled member fast function at the cursor of the open
+        record, whose bytes are all buffered.  ``fn(buf, pos, end, dosem)
+        -> (rep, end_pos) | None`` reads the buffer in place, bounded by
+        the record's end.  On a hit the cursor moves to the member's end
+        and the hit is returned; on None nothing moves."""
+        base = self._base
+        hit = fn(self._buf, self.pos - base, self.rec_end - base, dosem)
+        if hit is not None:
+            self.pos = hit[1] + base
+        return hit
+
     # -- checkpoints -------------------------------------------------------------
 
     def mark(self) -> tuple:

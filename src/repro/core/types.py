@@ -288,6 +288,13 @@ class StructNode(PType):
     #: falls back to the per-literal code (and its resync behavior) at an
     #: unchanged cursor.
     fused: Dict[int, Tuple[int, bytes]] = {}
+    #: Builds the member fast functions, one per entry of ``fields``
+    #: (None where a member has none): ``fn(buf, pos, end, dosem) ->
+    #: (rep, end_pos) | None``.  Set by the binder when fast paths are on
+    #: and called on the first general parse that may use them; the
+    #: result is kept in ``members``.
+    compile_members: Optional[Callable[[], tuple]] = None
+    members: Optional[tuple] = None
 
     def __init__(self, name: str, fields: Sequence[StructField],
                  where: Optional[E.Expr] = None):
@@ -314,6 +321,18 @@ class StructNode(PType):
         # Hoisted once per struct parse: the per-field tracing cost when
         # disabled is a single local ``is None`` test.
         tracer = observe.current_tracer()
+        # Member fast functions stand in for clean members under the
+        # record fast path's own conditions, inside an open (so wholly
+        # buffered) record; a None result leaves the member to its
+        # combinator, which stays the only error path.
+        members = None
+        if (self.compile_members is not None and tracer is None
+                and src.in_record and fastpath_applies(mask, src.limits)):
+            members = self.members
+            if members is None:
+                # Threads racing here each build an equivalent tuple.
+                members = self.members = self.compile_members()
+            dosem = (mask.bits & 4) != 0
 
         fused = self.fused
 
@@ -376,10 +395,16 @@ class StructNode(PType):
             # Data field.
             fmask = mask.for_field(f.name)
             start = src.pos
+            hit = None
+            if members is not None and members[i] is not None:
+                hit = src.match_member(members[i], dosem)
             if tracer is not None:
                 tracer.enter(f.name, getattr(f.node, "name", f.node.kind),
                              start, src.record_idx)
-            value, child = f.node.parse(src, fmask, scope)
+            if hit is None:
+                value, child = f.node.parse(src, fmask, scope)
+            else:
+                value, child = hit[0], Pd()
             if tracer is not None:
                 if child.nerr == 0:
                     outcome, code = "ok", ""

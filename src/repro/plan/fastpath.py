@@ -27,6 +27,13 @@ the *same* fast function serves the generated module (where the
 namespace is the module globals) and the interpreter (where
 :mod:`repro.plan.runtime` materialises it).
 
+The regex compiler also emits *member* fast functions
+(:func:`compile_member`), one per data member of a struct, under the
+same contract for one member matched inside the buffered record.  The
+interpreter's general struct parse compiles them on first use and runs
+them before each member's combinator, so an error record interprets
+only the members that fail.
+
 Eligibility is decided here, once, and recorded on the plan node as a
 :class:`~repro.plan.ir.Verdict` with a human-readable reason; anything
 out of scope (switched unions, parameterised types, dynamic sizes,
@@ -61,10 +68,12 @@ from .ir import (
     TypedefPlan,
     UnionPlan,
     Use,
+    Verdict,
 )
 from .passes import fixed_width_of
 
 _HOST_GUARD = rb"(?![A-Za-z0-9.\-])"
+_IP_OCTET = rb"(?:25[0-5]|2[0-4]\d|1\d\d|[1-9]?\d)"
 
 
 class NotEligible(Exception):
@@ -155,11 +164,28 @@ def _static_fixed(use: Use) -> Optional[Tuple[object, int]]:
 
 
 class FastPath:
-    """Compiles one record plan to an anchored regex plus converter."""
+    """Compiles one record plan, or one data member of a struct, to an
+    anchored regex plus converter.
 
-    def __init__(self, plan: Plan, decl: StructPlan):
+    The two flavours share every fragment and the one wrapper,
+    :meth:`emit`; they differ only in how the regex is applied and what
+    the function returns:
+
+    * the **record** fast function ``_fp_<type>(line, dosem) -> rep |
+      None`` fullmatches the whole record;
+    * a **member** fast function ``_fm_<type>__<member>(buf, pos, end,
+      dosem) -> (rep, end_pos) | None`` matches one member at ``pos`` in
+      the buffered record, without copying it.  The interpreter's general
+      struct parse runs it before a member's combinator.
+    """
+
+    def __init__(self, plan: Plan, decl: StructPlan,
+                 member: Optional[str] = None):
         self.plan = plan
         self.decl = decl
+        self.member = member
+        #: Namespaces every module-level name this compiler emits.
+        self.tag = decl.name if member is None else f"{decl.name}__{member}"
         self.gid = 0
         self.tmpid = 0
         self.aux: List[str] = []  # extra module-level sources
@@ -175,9 +201,9 @@ class FastPath:
         return f"_t{self.tmpid}"
 
     def auxname(self, stem: str, g: str) -> str:
-        # Namespaced by record type so two records in one module never
-        # collide on their auxiliary maps/regexes.
-        return f"_{stem}_{self.decl.name}_{g}"
+        # Namespaced by record type (and member) so two fast functions in
+        # one namespace never collide on their auxiliary maps/regexes.
+        return f"_{stem}_{self.tag}_{g}"
 
     def cexpr(self, expr: E.Expr, scope: Dict[str, str]) -> str:
         return self.plan.cexpr(expr, scope)
@@ -192,27 +218,50 @@ class FastPath:
         var = self.temp()
         pattern = self.compile_struct_body(decl.items, decl.where, var,
                                            w, is_tail=True)
-        name = decl.name
-        rx_name = f"_fprx_{name}"
-        fn_name = f"_fp_{name}"
+        return (*self.emit(pattern, var, w, decl.name),
+                "anchored regex over the record")
+
+    def build_member(self, item: DataItem) -> Tuple[str, List[str]]:
+        """(member fast function name, module source lines); raises
+        NotEligible.  The member is never the record's tail: a Peor
+        terminator is only compiled against the end of a whole record."""
+        w = _W(depth=2)
+        var = self.temp()
+        pattern = self.compile_use(item.type, var, w, {}, is_tail=False)
+        return self.emit(pattern, var, w,
+                         f"member {self.decl.name}.{item.name}")
+
+    def emit(self, pattern: bytes, var: str, w: _W,
+             what: str) -> Tuple[str, List[str]]:
+        """Wrap a converter body (``w``, leaving the value in ``var``)
+        into the fast function of this compiler's flavour: the compiled
+        regex, one ``groups()`` call, the converter, and ``except ->
+        None``."""
         full = b"(?s:" + pattern + b")"
         compiled = re.compile(full)  # fail analysis, not import
-        out: List[str] = []
-        out.append(f"{rx_name} = __import__('re').compile({full!r})")
-        out.append(f"def {fn_name}(_line, dosem):")
-        out.append(f'    """Compiled fast path for {name}: one anchored regex '
-                   'plus conversion."""')
-        out.append(f"    _m = {rx_name}.fullmatch(_line)")
-        out.append("    if _m is None:")
-        out.append("        return None")
-        out.append("    _gs = _m.groups()")
-        out.append("    try:")
-        out.extend(_index_groups(w.lines, compiled.groupindex))
-        out.append(f"        return {var}")
-        out.append("    except Exception:")
-        out.append("        return None")
-        out.extend(self.aux)
-        return fn_name, out, "anchored regex over the record"
+        stem = "fp" if self.member is None else "fm"
+        rx_name, fn_name = f"_{stem}rx_{self.tag}", f"_{stem}_{self.tag}"
+        if self.member is None:
+            args, call, result = "_line", "fullmatch(_line)", var
+        else:
+            args, call, result = ("_buf, _pos, _end", "match(_buf, _pos, _end)",
+                                  f"({var}, _m.end())")
+        return fn_name, [
+            f"{rx_name} = __import__('re').compile({full!r})",
+            f"def {fn_name}({args}, dosem):",
+            f'    """Compiled fast path for {what}: one anchored regex plus '
+            'conversion."""',
+            f"    _m = {rx_name}.{call}",
+            "    if _m is None:",
+            "        return None",
+            "    _gs = _m.groups()",
+            "    try:",
+            *_index_groups(w.lines, compiled.groupindex),
+            f"        return {result}",
+            "    except Exception:",
+            "        return None",
+            *self.aux,
+        ]
 
     # -- struct --------------------------------------------------------------
 
@@ -230,7 +279,9 @@ class FastPath:
                 if lit.kind == "char" or lit.kind == "string":
                     pattern += re.escape(lit.raw)
                 elif lit.kind == "eor":
-                    pass  # end-of-record is the fullmatch anchor
+                    # The end of the subject: the record's end under
+                    # fullmatch, the match's ``end`` bound for a member.
+                    pattern += b"\\Z"
                 else:
                     raise NotEligible(f"literal kind {lit.kind}")
                 continue
@@ -364,8 +415,11 @@ class FastPath:
         sep = decl.sep.raw if decl.sep is not None else None
 
         # Tail arrays: Pterm(Peor), no size bounds, last member of the record.
-        if decl.term is not None and decl.term.kind == "eor" and is_tail \
+        if decl.term is not None and decl.term.kind == "eor" \
                 and decl.min_size is None and decl.max_size is None:
+            if not is_tail:
+                raise NotEligible("Peor-terminated array (compiled only as "
+                                  "the record's last member)")
             return self._tail_array(decl, sep, var, w)
 
         # Fixed-count arrays of fixed-width elements (Cobol OCCURS):
@@ -592,11 +646,12 @@ class FastPath:
             return grp(b"(?>\\d+)")
 
         if isinstance(inst, _net.Ipv4):
-            body = (b"(?>\\d{1,3}\\.\\d{1,3}\\.\\d{1,3}\\.\\d{1,3})"
+            # Octets 0-255 without leading zeros, so the text is the value
+            # the general parser rebuilds from the octets; "010" and "256"
+            # miss and go to the general parser.
+            body = (b"(?>" + b"\\.".join([_IP_OCTET] * 4) + b")"
                     + _HOST_GUARD)
             w.w(f"{var} = {ref}.decode('ascii')")
-            with w.block(f"if any(int(_o) > 255 for _o in {var}.split('.')):"):
-                w.w("return None")
             return grp(body)
 
         if isinstance(inst, _net.Hostname):
@@ -1388,6 +1443,22 @@ def compile_write(plan: Plan, decl: StructPlan) -> Tuple[str, List[str]]:
     """Compile the record writer for a record the parse fast path
     covers; raises :class:`NotEligible` when a member has no writer."""
     return WritePath(plan, decl).build()
+
+
+def compile_member(plan: Plan, decl: StructPlan, item: DataItem
+                   ) -> Tuple[Optional[Tuple[str, List[str]]], Verdict]:
+    """``(fragment, verdict)`` for the member fast function of data member
+    ``item`` of struct ``decl``: ``fn(buf, pos, end, dosem) -> (rep,
+    end_pos) | None``.  The fragment is ``(name, module source lines)``,
+    or None when the member is outside the fast-path subset; the verdict
+    says which, with the reason (``padsc plan`` prints it)."""
+    try:
+        fragment = FastPath(plan, decl, member=item.name).build_member(item)
+    except NotEligible as exc:
+        return None, Verdict(False, str(exc) or "not eligible")
+    except re.error as exc:
+        return None, Verdict(False, f"regex error: {exc}")
+    return fragment, Verdict(True, "anchored regex over the member")
 
 
 def compile_fast(plan: Plan, decl: StructPlan) -> Tuple[str, List[str], str]:

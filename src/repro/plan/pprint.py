@@ -4,6 +4,9 @@ Shows, per declaration, what the analysis derived: resolved base types,
 static byte widths, separators/terminators, resync literal sets, fused
 literal runs, and the fastpath-eligibility verdict with its reason —
 the answer to "why did (or didn't) my description get the fast path?".
+Each struct data member also shows whether it gets a member fast
+function, which error records' general parses run before interpreting
+the member.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ def _lit_text(lit: LitPlan) -> str:
     return text
 
 
-def _decl_lines(dp) -> List[str]:
+def _decl_lines(plan: Plan, dp) -> List[str]:
     head = f"{_KEYWORDS.get(dp.kind, dp.kind)} {dp.name}"
     if dp.params:
         head += "(:" + ", ".join(n for _, n in dp.params) + ":)"
@@ -87,6 +90,7 @@ def _decl_lines(dp) -> List[str]:
              f"  batch: {dp.batch_verdict}"]
 
     if isinstance(dp, StructPlan):
+        from .fastpath import compile_member
         for i, item in enumerate(dp.items):
             if isinstance(item, LitItem):
                 lines.append(f"  [{i}] literal {_lit_text(item.literal)}")
@@ -97,6 +101,9 @@ def _decl_lines(dp) -> List[str]:
                 w = f"  ({_width(item.type.width)})"
                 lines.append(f"  [{i}] {item.name} : "
                              f"{describe_use(item.type)}{w}")
+                # The compiler's own answer, not a second eligibility test.
+                _, verdict = compile_member(plan, dp, item)
+                lines.append(f"      member fastpath: {verdict}")
         if dp.scan_literals:
             lits = ", ".join(repr(b) for b in dp.scan_literals)
             lines.append(f"  resync literals: {lits}")
@@ -149,13 +156,13 @@ def format_plan(plan: Plan, type_name: Optional[str] = None) -> str:
     if type_name is not None:
         if type_name not in plan.decls:
             raise KeyError(f"no declaration named {type_name!r}")
-        out.extend(_decl_lines(plan.decls[type_name]))
+        out.extend(_decl_lines(plan, plan.decls[type_name]))
         return "\n".join(out) + "\n"
     for kind, entry in plan.order:
         if kind == "func":
             out.append(f"Pfunction {entry.name}")
             out.append("")
             continue
-        out.extend(_decl_lines(entry))
+        out.extend(_decl_lines(plan, entry))
         out.append("")
     return "\n".join(out).rstrip("\n") + "\n"

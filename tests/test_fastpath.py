@@ -7,6 +7,7 @@ equivalence corners — maximal munch, ordered-choice commitment, guard
 steering, constraint fallback — plus eligibility boundaries.
 """
 
+import io
 import random
 
 import pytest
@@ -14,13 +15,22 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Mask, P_Check, P_CheckAndSet, P_Set, compile_description, gallery
 from repro.codegen import compile_generated, generate_source
-from repro.core.io import FixedWidthRecords
+from repro.core.errors import ErrCode
+from repro.core.io import FixedWidthRecords, NewlineRecords, Source
+from repro.core.limits import ParseLimits
 from repro.core.masks import MaskFlag
+from repro.core.types import StructNode
+from repro.faults import GALLERY_TARGETS
+from repro.observe import observed
+from repro.plan.runtime import Runtime
 from repro.tools.datagen import (
+    ErrorInjector,
     call_detail_workload,
     clf_workload,
+    plan_injector,
     sirius_workload,
 )
+from repro.tools.datagen import generate_source as generate_data
 
 from .test_codegen import pd_summary  # reuse the structural fingerprint
 
@@ -457,3 +467,267 @@ def test_writer_equals_general_writer_on_parsed_garbage(fp_pair, payload):
     want = ref.write(rep, "row_t")
     assert interp.write(rep, "row_t") == want
     assert gen.write(rep, "row_t") == want
+
+
+# ---------------------------------------------------------------------------
+# Member fast functions: the interpreter's general struct parse runs the
+# compiled function of every clean member and interprets only the member
+# that fails.  Contract: reps, whole pd trees (locations included) and the
+# cursor equal the fastpath=False reference.
+# ---------------------------------------------------------------------------
+
+
+def pd_tree(pd):
+    """The whole pd tree: pd_summary plus every error location."""
+    return (int(pd.pstate), pd.nerr, int(pd.err_code), pd.loc, pd.tag,
+            pd.neerr, pd.first_error,
+            tuple(sorted((k, pd_tree(v))
+                         for k, v in (pd._fields or {}).items())),
+            tuple(pd_tree(e) for e in (pd._elts or [])),
+            None if pd.branch is None else pd_tree(pd.branch))
+
+
+def parsed(desc, data, rtype, mask=None, limits=None, src=None):
+    """``(rep, pd tree, cursor)`` after each record."""
+    if src is None:
+        src = Source.from_bytes(data, desc.discipline, limits=limits)
+    return [(rep, pd_tree(pd), src.pos)
+            for rep, pd in desc.records(src, rtype, mask)]
+
+
+@pytest.fixture
+def member_calls(monkeypatch):
+    """Names of the member fast functions run, in call order."""
+    calls = []
+    run = Source.match_member
+
+    def counted(self, fn, dosem):
+        calls.append(fn.__name__)
+        return run(self, fn, dosem)
+    monkeypatch.setattr(Source, "match_member", counted)
+    return calls
+
+
+def _gallery_input(name, ref, rtype):
+    rng = random.Random(20050612)
+    if name == "clf":
+        lines = clf_workload(300, rng).split(b"\n")
+        injector = ErrorInjector(0.3)
+        return b"\n".join(injector.maybe_corrupt(line, rng) for line in lines)
+    if name == "sirius":
+        return sirius_workload(200, rng, syntax_errors=20,
+                               sort_violations=2).split(b"\n", 1)[1]
+    return generate_data(ref, rtype, 150, rng,
+                         plan_injector(ref, rtype, 0.3))
+
+
+@pytest.mark.parametrize("target", GALLERY_TARGETS, ids=lambda t: t[0])
+def test_member_fns_match_the_reference_on_the_gallery(target, member_calls):
+    name, text, rtype, ambient, discipline = target
+    desc = compile_description(text, ambient=ambient, discipline=discipline)
+    ref = compile_description(text, ambient=ambient, discipline=discipline,
+                              fastpath=False)
+    data = _gallery_input(name, ref, rtype)
+    got = parsed(desc, data, rtype)
+    assert got == parsed(ref, data, rtype)
+    assert any(pd[1] for _, pd, _ in got), "no error records to exercise"
+    if name in ("clf", "sirius"):
+        assert member_calls, "the error records never ran a member function"
+
+
+@pytest.fixture(scope="module")
+def fp_ref():
+    interp = compile_description(FP_DESC)
+    return interp, compile_description(FP_DESC, fastpath=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.binary(min_size=0, max_size=48).filter(lambda b: b"\n" not in b))
+def test_member_fns_match_the_reference_on_random_bytes(fp_ref, payload):
+    interp, ref = fp_ref
+    data = payload + b"\n"
+    assert parsed(interp, data, "row_t") == parsed(ref, data, "row_t")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_member_fns_match_the_reference_on_mutated_rows(fp_ref, seed, data):
+    interp, ref = fp_ref
+    rep = interp.generate("row_t", random.Random(seed))
+    raw = bytearray(interp.write(rep, "row_t"))
+    for _ in range(data.draw(st.integers(1, 3))):
+        if len(raw) > 1:
+            idx = data.draw(st.integers(0, len(raw) - 2))
+            raw[idx] = data.draw(st.integers(32, 126))
+    blob = bytes(raw)
+    assert parsed(interp, blob, "row_t") == parsed(ref, blob, "row_t")
+
+
+def test_clean_member_keeps_its_own_constraint(fp_ref, member_calls):
+    # Every member is clean, but n fails `n < 200`: the member function
+    # returns 250 and the struct's own check reports the violation.
+    interp, ref = fp_ref
+    data = b"ALPHA|-|07988|250|1,2\n"
+    got = parsed(interp, data, "row_t")
+    assert got == parsed(ref, data, "row_t")
+    assert got[0][1][2] == int(ErrCode.USER_CONSTRAINT_VIOLATION)
+    assert "_fm_row_t__n" in member_calls
+
+
+@pytest.fixture(scope="module")
+def clf_dash():
+    """The `-` byte-count records of a CLF log: each fails the record fast
+    path on its last member only."""
+    lines = clf_workload(600, random.Random(2)).split(b"\n")
+    return b"\n".join(ln for ln in lines if ln.endswith(b" -")) + b"\n"
+
+
+@pytest.fixture
+def clf_pair():
+    return (compile_description(gallery.CLF),
+            compile_description(gallery.CLF, fastpath=False))
+
+
+def test_error_record_interprets_only_the_failing_member(clf_pair, clf_dash,
+                                                         member_calls):
+    desc, ref = clf_pair
+    got = parsed(desc, clf_dash, "entry_t")
+    assert got == parsed(ref, clf_dash, "entry_t")
+    assert got and all(list(dict(pd[7])) == ["length"] for _, pd, _ in got)
+    per_record = member_calls[:7]
+    assert per_record == [f"_fm_entry_t__{m}" for m in (
+        "client", "remoteID", "auth", "date", "request", "response",
+        "length")]
+
+
+@pytest.mark.parametrize("opener", [
+    lambda data: Source(data, discipline=NewlineRecords(), start=1000),
+    lambda data: Source.from_stream(io.BytesIO(data), NewlineRecords(),
+                                    window=4096),
+], ids=["offset-window", "stream"])
+def test_member_fns_read_buffers_that_do_not_start_at_zero(
+        clf_pair, clf_dash, member_calls, opener):
+    # The member functions index the source's buffer, whose first byte
+    # is not offset 0 in a windowed or trimmed source.
+    desc, ref = clf_pair
+    data = clf_dash * 8
+    got = parsed(desc, None, "entry_t", src=opener(data))
+    assert got == parsed(ref, None, "entry_t", src=opener(data))
+    assert len(got) == 8 * clf_dash.count(b"\n") and member_calls
+
+
+def test_member_fns_compile_lazily_once_per_struct(monkeypatch, clf_dash):
+    compiled = []
+    build = Runtime.members
+
+    def counted(self, decl):
+        compiled.append(decl.name)
+        return build(self, decl)
+    monkeypatch.setattr(Runtime, "members", counted)
+    desc = compile_description(gallery.CLF)
+    structs = [n for n in desc.bound.nodes.values()
+               if isinstance(getattr(n, "inner", n), StructNode)]
+    assert structs and compiled == []
+    assert all(getattr(n, "inner", n).members is None for n in structs)
+    list(desc.records(clf_dash, "entry_t"))
+    list(desc.records(clf_dash, "entry_t"))
+    # request_t's general parse never runs: its member function hits.
+    assert compiled == ["entry_t"]
+    bad_request = clf_dash.replace(b'"GET ', b'"GOT ', 1)
+    list(desc.records(bad_request, "entry_t"))
+    assert sorted(compiled) == ["entry_t", "request_t"]
+
+
+def test_reference_builds_have_no_member_fns():
+    ref = compile_description(gallery.SIRIUS, fastpath=False)
+    nodes = [getattr(n, "inner", n) for n in ref.bound.nodes.values()]
+    assert all(n.compile_members is None
+               for n in nodes if isinstance(n, StructNode))
+
+
+def test_member_fns_off_under_a_tracer(clf_pair, clf_dash, member_calls):
+    desc, ref = clf_pair
+    traces = []
+    for d in (desc, ref):
+        with observed(trace=True) as obs:
+            list(d.records(clf_dash, "entry_t"))
+        traces.append(obs.tracer.to_jsonl())
+    assert traces[0] == traces[1] and "entry_t" in traces[0]
+    assert member_calls == []
+
+
+@pytest.mark.parametrize("mask", [
+    Mask(P_CheckAndSet).with_field("length", MaskFlag.SYN_CHECK),
+    Mask(P_CheckAndSet, compound_level=MaskFlag.SET | MaskFlag.SYN_CHECK),
+], ids=["per-field", "compound_level"])
+def test_record_members_off_under_non_uniform_masks(clf_pair, clf_dash,
+                                                    member_calls, mask):
+    desc, ref = clf_pair
+    assert parsed(desc, clf_dash, "entry_t", mask) == \
+        parsed(ref, clf_dash, "entry_t", mask)
+    # The test is the mask each struct parses under: entry_t's is not
+    # uniform, so none of its members run compiled.
+    assert not [c for c in member_calls if c.startswith("_fm_entry_t__")]
+
+
+@pytest.mark.parametrize("limits", [ParseLimits(max_depth=64),
+                                    ParseLimits(max_array_elems=1000)],
+                         ids=["max_depth", "max_array_elems"])
+def test_member_fns_off_under_limits(clf_pair, clf_dash, member_calls,
+                                     limits):
+    desc, ref = clf_pair
+    assert parsed(desc, clf_dash, "entry_t", limits=limits) == \
+        parsed(ref, clf_dash, "entry_t", limits=limits)
+    assert member_calls == []
+
+
+def test_member_fns_off_outside_a_record(clf_pair, member_calls):
+    desc, ref = clf_pair
+    data = b'"GET /a HTTP/1.1"'
+    got = desc.parse(data, "request_t")
+    want = ref.parse(data, "request_t")
+    assert got[0] == want[0] and pd_tree(got[1]) == pd_tree(want[1])
+    assert member_calls == []
+
+
+ZERO_PADDED = (b'61.253.50.051 - - [06/Apr/1997:03:46:37 -0700] '
+               b'"GET /a HTTP/1.1" 304 3946\n')
+
+
+@pytest.mark.parametrize("engine", ["interp", "gen"])
+def test_zero_padded_ipv4_is_normalised_like_the_reference(engine):
+    build = compile_description if engine == "interp" else compile_generated
+    desc = build(gallery.CLF)
+    ref = compile_description(gallery.CLF, fastpath=False)
+    got = parsed(desc, ZERO_PADDED, "entry_t")
+    assert got == parsed(ref, ZERO_PADDED, "entry_t")
+    assert got[0][0].client.value == "61.253.50.51"
+
+
+MID_RECORD_EOR = """
+    Pstruct inner_t { Puint8 a; Peor; };
+    Precord Pstruct row_t { inner_t x; Popt Pchar c; };
+"""
+
+
+@pytest.mark.parametrize("engine", ["interp", "gen"])
+def test_mid_record_peor_matches_only_at_the_record_end(engine):
+    # "5x": inner_t's Peor is not at the end, an error for the general
+    # parser; the record fast function used to accept it as clean.
+    build = compile_description if engine == "interp" else compile_generated
+    desc = build(MID_RECORD_EOR)
+    ref = compile_description(MID_RECORD_EOR, fastpath=False)
+    for data in (b"5x\n", b"5\n", b"5x\n5\n"):
+        assert parsed(desc, data, "row_t") == parsed(ref, data, "row_t")
+    assert parsed(desc, b"5x\n", "row_t")[0][1][1] == 1
+
+
+def test_padsc_plan_shows_each_member_decision():
+    from repro.plan import format_plan
+    text = format_plan(compile_description(gallery.SIRIUS).bound.plan,
+                       "entry_t")
+    header, events = text.split("[0] header")[1].split("[1] events")
+    assert "member fastpath: eligible: anchored regex over the member" \
+        in header
+    assert ("member fastpath: not eligible: Peor-terminated array "
+            "(compiled only as the record's last member)") in events
