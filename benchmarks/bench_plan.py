@@ -10,9 +10,10 @@ The workload is the same synthetic Sirius vetting task as
 records through the compiled record writer (``_fw_entry_t``), the
 Section 5.2 accumulator fold over parsed CLF records (clean records
 through the compiled adder; its reference is the same fold through the
-tree walk, ``Accumulator.walk``), the interpreter's general path over
-the CLF records that miss the record fast function (member fast
-functions against none), plus the fixed-width call-detail stream that
+tree walk, ``Accumulator.walk``), the delimited formatter over the clean
+CLF records (compiled against the formatting walk), the interpreter's
+general path over the CLF records that miss the record fast function
+(member fast functions against none), plus the fixed-width call-detail stream that
 exercises the slicing path.  **Correctness is asserted inside
 every benchmark**: plan-driven and reference runs must agree on error
 totals (or reports) before their timings mean anything.
@@ -33,6 +34,7 @@ from repro.core.api import compile_description
 from repro.core.io import FixedWidthRecords
 from repro.execute import run
 from repro.tools.accum import record_accumulator
+from repro.tools.fmt import FormatSpec, _join, formatter
 from repro.tools.datagen import call_detail_workload
 
 from .conftest import N_RECORDS
@@ -144,6 +146,40 @@ def test_interp_accum_plan(benchmark, clf_interp, clf_pairs):
 def test_interp_accum_reference(benchmark, clf_interp, clf_pairs):
     acc = benchmark(_accum, clf_interp, clf_pairs, walk=True)
     assert acc.self_acc.total_count == N_RECORDS and acc._adder is None
+
+
+# -- the compiled delimited formatter (Section 5.3.1's <type>_fmt2io) ------
+#
+# Formatting alone, over the clean records parsed once: the compiled
+# formatter against the tree walk it is checked by.  perfbench
+# ``serve-mix`` (records mode) carries the end-to-end number.
+
+
+@pytest.fixture(scope="module")
+def clf_clean_reps(clf_pairs):
+    return [rep for rep, pd in clf_pairs if pd.nerr == 0]
+
+
+def _format_all(node, reps, walk=False):
+    if walk:
+        spec = FormatSpec(("|",), "%D:%T")
+        return [_join(node, rep, spec, spec.mask, 0) for rep in reps]
+    fmt = formatter(node, delims=("|",), date_format="%D:%T")
+    return [fmt(rep) for rep in reps]
+
+
+@pytest.mark.benchmark(group="plan-fmt")
+def test_fmt_plan(benchmark, clf_interp, clf_clean_reps):
+    node = clf_interp.node("entry_t")
+    base = _format_all(node, clf_clean_reps, walk=True)
+    assert benchmark(_format_all, node, clf_clean_reps) == base
+
+
+@pytest.mark.benchmark(group="plan-fmt")
+def test_fmt_reference(benchmark, clf_interp, clf_clean_reps):
+    lines = benchmark(_format_all, clf_interp.node("entry_t"),
+                      clf_clean_reps, walk=True)
+    assert len(lines) == len(clf_clean_reps) > N_RECORDS // 2
 
 
 # -- the general path on error records (member fast functions) --------------

@@ -5,10 +5,11 @@ Reads the pytest-benchmark JSON produced by ``bench_plan.py`` and
 compares each plan-driven benchmark's median against its reference-mode
 twin (``fastpath=False``, the pre-refactor parse path; for the
 accumulator pair, the same fold through the tree walk instead of the
-compiled adder).  The plan-driven side carries the record and member
-fast functions, fused literal runs and the compiled adder, so it should
-be *faster*; the gate fails if any engine is more than 5% slower than
-its reference.
+compiled adder; for the formatter pair, the formatting walk instead of
+the compiled formatter).  The plan-driven side carries the record and
+member fast functions, fused literal runs, the compiled adder and the
+compiled formatter, so it should be *faster*; the gate fails if any
+engine is more than 5% slower than its reference.
 
 Optionally cross-checks against BENCH_parallel.json: its serial vetting
 benchmark (``test_vet_serial``) measures the identical workload through
@@ -49,6 +50,7 @@ PAIRS = [
     ("test_gen_write_plan", "test_gen_write_reference"),
     ("test_interp_accum_plan", "test_interp_accum_reference"),
     ("test_interp_errors_plan", "test_interp_errors_reference"),
+    ("test_fmt_plan", "test_fmt_reference"),
 ]
 
 TOLERANCE = 1.05          # >5% regression fails

@@ -72,7 +72,7 @@ from .core.io import discipline_from_spec, transparent_encode
 from .core.limits import ParseLimits
 from .execute import ExecOptions, run
 from .observe import MetricsRegistry, SIZE_BUCKETS, to_prometheus
-from .tools.fmt import format_value
+from .tools.fmt import formatter
 
 __all__ = ["ServeConfig", "ParseServer", "ServerThread", "run_server",
            "LIMIT_STATUS"]
@@ -283,7 +283,11 @@ class ParseServer:
         if headers.get("transfer-encoding"):
             raise HttpError(400, "BAD_REQUEST",
                             "chunked request bodies are not supported")
-        length = int(headers.get("content-length", "0") or "0")
+        length = headers.get("content-length", "0") or "0"
+        if not (length.isascii() and length.isdigit()):
+            raise HttpError(400, "BAD_REQUEST",
+                            f"bad Content-Length {length!r}")
+        length = int(length)
         if length > self.config.max_body:
             raise HttpError(413, "REQUEST_TOO_LARGE",
                             f"request body over {self.config.max_body} bytes")
@@ -403,9 +407,13 @@ class ParseServer:
                                body: bytes) -> Tuple[int, str, bytes]:
         payload = self._payload(body)
         loop = asyncio.get_running_loop()
-        desc, key, hit = await loop.run_in_executor(
-            self._executor, self._compile, payload)
-        self._note_cache(hit)
+        registry = MetricsRegistry()
+        try:
+            desc, key, hit = await loop.run_in_executor(
+                self._executor, self._resolved, self._compile, payload,
+                registry)
+        finally:
+            self.metrics.merge(registry)
         with self._desc_lock:
             self._descriptions[key] = (desc, payload.get("records",
                                                          "newline"))
@@ -417,12 +425,19 @@ class ParseServer:
                "types": desc.type_names}
         return 200, "application/json", self._json_body(doc)
 
-    def _note_cache(self, hit: bool) -> None:
+    @staticmethod
+    def _resolved(resolve, payload: dict, registry: MetricsRegistry):
+        """``resolve(payload)``, metering the cache hit or the compile."""
+        t0 = perf_counter()
+        desc, key, hit = resolve(payload)
         if hit:
-            self.metrics.counter("serve.cache.hits").inc()
+            registry.counter("serve.cache.hits").inc()
         else:
-            self.metrics.counter("serve.cache.misses").inc()
-            self.metrics.counter("serve.compile").inc()
+            registry.counter("serve.cache.misses").inc()
+            registry.counter("serve.compile").inc()
+            registry.histogram("serve.compile_seconds", timing=True).observe(
+                perf_counter() - t0)
+        return desc, key, hit
 
     # -- parse requests ----------------------------------------------------
 
@@ -437,7 +452,7 @@ class ParseServer:
         try:
             doc, raw, hit = await loop.run_in_executor(
                 self._executor, self._execute, payload, tenant, limits,
-                registry)
+                registry, perf_counter())
         finally:
             # Merge-at-completion, on the event loop: the reduce path the
             # registry algebra is built for.  Failed and limited requests
@@ -451,18 +466,16 @@ class ParseServer:
 
     def _execute(self, payload: dict, tenant: str,
                  limits: Optional[ParseLimits],
-                 registry: MetricsRegistry):
-        """Blocking request execution (runs on the executor).
+                 registry: MetricsRegistry, submitted: float):
+        """Blocking request execution (runs on the executor, which took
+        it at ``perf_counter()`` time ``submitted``).
 
         Returns ``(json_doc, raw_body_or_None, cache_hit)``; raises
         :class:`LimitExceeded` when the tenant budget is hit.
         """
-        desc, key, hit = self._resolve(payload)
-        if hit:
-            registry.counter("serve.cache.hits").inc()
-        else:
-            registry.counter("serve.cache.misses").inc()
-            registry.counter("serve.compile").inc()
+        registry.histogram("serve.queue_seconds", timing=True).observe(
+            perf_counter() - submitted)
+        desc, key, hit = self._resolved(self._resolve, payload, registry)
         data = self._data_bytes(payload)
         mode = payload.get("mode", "records")
         out_format = payload.get("format", "json")
@@ -562,6 +575,15 @@ class ParseServer:
 
     # -- the three modes ---------------------------------------------------
 
+    @staticmethod
+    def _count_param(payload: dict, name: str, default: int) -> int:
+        value = payload.get(name, default)
+        if type(value) is not int or value < 0:
+            raise HttpError(400, "BAD_PARAM",
+                            f"{name!r} must be a non-negative integer, "
+                            f"not {value!r}")
+        return value
+
     def _run(self, desc, data: bytes, op: str, type_name, limits,
              registry, **op_args):
         """One :func:`~repro.execute.run` call with the tenant's budget.
@@ -593,22 +615,24 @@ class ParseServer:
 
     def _run_accum(self, desc, data: bytes, type_name: str, payload: dict,
                    limits, registry):
+        top = self._count_param(payload, "top", 10)
         result, engine = self._run(
             desc, data, "accum", type_name, limits, registry,
-            tracked=int(payload.get("tracked", 1000)),
+            tracked=self._count_param(payload, "tracked", 1000),
             on_record=self._check_limit)
         # Folds that ran in workers report limit hits only in the tally.
         self._tally_limit(result.tally)
-        report = result.acc.full_report(int(payload.get("top", 10)))
+        report = result.acc.full_report(top)
         stats = self._fold_tally(result.tally, registry)
         return {"report": report, "count": result.tally.records,
                 "stats": stats, "engine": engine}, report
 
     def _run_records(self, desc, data: bytes, type_name: str, payload: dict,
                      limits, registry):
-        delims = list(str(payload.get("delims", "|")))
-        max_records = int(payload.get("max_records", DEFAULT_MAX_RECORDS))
-        node = desc.node(type_name)
+        max_records = self._count_param(payload, "max_records",
+                                        DEFAULT_MAX_RECORDS)
+        fmt = formatter(desc.node(type_name),
+                        delims=str(payload.get("delims", "|")))
         tally = ErrorTally()
         lines = []
         truncated = False
@@ -618,7 +642,7 @@ class ParseServer:
             tally.add(pd)
             self._check_limit(pd, tally)
             if len(lines) < max_records:
-                lines.append(format_value(node, rep, delims=delims))
+                lines.append(fmt(rep))
             else:
                 truncated = True
         stats = self._fold_tally(tally, registry)

@@ -23,6 +23,8 @@ library runs.
 
 import base64
 import json
+import logging
+import socket
 import sys
 import threading
 import urllib.error
@@ -176,6 +178,72 @@ class TestService:
                                  "mode": "count", "format": "text"},
                                 raw=True)
             assert (status, body) == (200, b"2\n")
+
+
+# -- malformed client input: structured 400s, never a 500 or a dropped socket ----
+
+
+@pytest.fixture(scope="class")
+def server():
+    with ServerThread() as st:
+        yield st
+
+
+def _raw_exchange(port, head: bytes) -> bytes:
+    """Send ``head`` on a fresh socket and read until the server closes."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(head)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+class TestRequestValidation:
+    @pytest.mark.parametrize("mode,name,value", [
+        ("records", "max_records", "x"),
+        ("records", "max_records", -1),
+        ("records", "max_records", True),
+        ("records", "max_records", 2.5),
+        ("accum", "top", "x"),
+        ("accum", "top", False),
+        ("accum", "top", None),
+        ("accum", "tracked", [1]),
+        ("accum", "tracked", -3),
+    ])
+    def test_bad_numeric_param_is_400(self, server, mode, name, value):
+        status, body = post(server.port, "/v1/parse",
+                            {"source": CLF, "data": CLF_SAMPLE,
+                             "type": "entry_t", "mode": mode, name: value})
+        assert status == 400, body
+        assert body["error"] == "BAD_PARAM" and repr(name) in body["message"]
+
+    @pytest.mark.parametrize("mode,name", [
+        ("records", "max_records"), ("accum", "top"), ("accum", "tracked")])
+    def test_good_numeric_param(self, server, mode, name):
+        status, body = post(server.port, "/v1/parse",
+                            {"source": CLF, "data": CLF_SAMPLE,
+                             "type": "entry_t", "mode": mode, name: 1})
+        assert status == 200, body
+        if name == "max_records":
+            assert len(body["records"]) == 1 and body["truncated"]
+
+    @pytest.mark.parametrize("length", [b"abc", b"-5", b"1.5", b"\xb2"])
+    def test_bad_content_length_gets_a_400(self, caplog, length):
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with ServerThread() as st:
+                reply = _raw_exchange(
+                    st.port, b"POST /v1/parse HTTP/1.1\r\nContent-Length: "
+                    + length + b"\r\n\r\n")
+                status, doc = get(st.port, "/healthz", raw=False)
+                assert (status, doc) == (200, {"status": "ok"})
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), reply
+        assert b"Connection: close" in head
+        assert json.loads(body)["error"] == "BAD_REQUEST"
+        assert not [r for r in caplog.records if r.name == "asyncio"]
 
 
 # -- bugfix 1: cache keying -------------------------------------------------------
@@ -674,6 +742,26 @@ class TestMetricsEndpoint:
         reg.counter("b").inc()
         reg.counter("a", "x").inc()
         assert to_prometheus(reg) == to_prometheus(reg)
+
+    def test_queue_and_compile_timers(self):
+        """One queue-wait observation per parse request, one compile
+        timing per cache miss (registration included), on ``/metrics``."""
+        with ServerThread() as st:
+            _, reg = post(st.port, "/v1/descriptions", {"source": CLF})
+            for doc in ({"id": reg["id"]}, {"source": PIPE},
+                        {"source": PIPE}, {"source": CLF}):
+                status, _ = post(st.port, "/v1/parse", dict(
+                    doc, data=CLF_SAMPLE, mode="count"))
+                assert status == 200
+            queue = st.metrics.value("serve.queue_seconds")
+            compile_ = st.metrics.value("serve.compile_seconds")
+            assert queue["count"] == 4
+            assert compile_["count"] == st.metrics.value(
+                "serve.cache.misses") == 2
+            _, text = get(st.port, "/metrics")
+            lines = text.decode().splitlines()
+            assert "pads_serve_queue_seconds_count 4" in lines
+            assert "pads_serve_compile_seconds_count 2" in lines
 
     def test_live_scrape_has_serve_families(self):
         with ServerThread() as st:
