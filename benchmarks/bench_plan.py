@@ -13,8 +13,10 @@ through the compiled adder; its reference is the same fold through the
 tree walk, ``Accumulator.walk``), the delimited formatter over the clean
 CLF records (compiled against the formatting walk), the interpreter's
 general path over the CLF records that miss the record fast function
-(member fast functions against none), plus the fixed-width call-detail stream that
-exercises the slicing path.  **Correctness is asserted inside
+(member fast functions against none), the record loop framing Sirius
+records a buffered block at a time (against one ``bounds`` step per
+record), plus the fixed-width call-detail stream that exercises the
+slicing path.  **Correctness is asserted inside
 every benchmark**: plan-driven and reference runs must agree on error
 totals (or reports) before their timings mean anything.
 
@@ -31,7 +33,8 @@ import pytest
 from repro import gallery
 from repro.codegen import compile_generated
 from repro.core.api import compile_description
-from repro.core.io import FixedWidthRecords
+from repro.core.errors import ErrorTally
+from repro.core.io import FixedWidthRecords, NewlineRecords, RecordDiscipline
 from repro.execute import run
 from repro.tools.accum import record_accumulator
 from repro.tools.fmt import FormatSpec, _join, formatter
@@ -230,6 +233,47 @@ def test_interp_errors_reference(benchmark, clf_interp_ref,
                                  clf_dash_records):
     pairs = benchmark(_parse_all, clf_interp_ref, clf_dash_records)
     assert pairs and all(pd.nerr for _, pd in pairs)
+
+
+# -- block framing in the shared record loop ---------------------------------
+#
+# The same Sirius description on the same bytes, framed a buffered block at
+# a time (``NewlineRecords.frame_block``) against a newline discipline with
+# the bulk method removed, so every record takes the per-record
+# ``begin_record`` → ``bounds`` step.  Fast and general parses are the same
+# code on both sides.
+
+
+class _PerRecordNewline(NewlineRecords):
+    frame_block = RecordDiscipline.frame_block
+
+
+@pytest.fixture(scope="module")
+def sirius_per_record():
+    return compile_description(gallery.SIRIUS, discipline=_PerRecordNewline())
+
+
+def _frame_tally(description, body):
+    tally = ErrorTally()
+    for _rep, pd in description.records(body, "entry_t"):
+        tally.add(pd)
+    return tally
+
+
+@pytest.mark.benchmark(group="plan-framing")
+def test_frame_plan(benchmark, sirius_interp, sirius_per_record,
+                    sirius_body):
+    base = _frame_tally(sirius_per_record, sirius_body)
+    tally = benchmark(_frame_tally, sirius_interp, sirius_body)
+    assert tally.records == base.records == N_RECORDS
+    assert tally.bad_records == base.bad_records
+    assert tally.by_code == base.by_code
+
+
+@pytest.mark.benchmark(group="plan-framing")
+def test_frame_reference(benchmark, sirius_per_record, sirius_body):
+    tally = benchmark(_frame_tally, sirius_per_record, sirius_body)
+    assert tally.records == N_RECORDS
 
 
 # -- fixed-width slicing (binary call-detail records) -----------------------

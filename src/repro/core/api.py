@@ -43,16 +43,14 @@ def _record_loop(src: Source, mask: Mask, fast, body, default):
     ``fast`` is the record's compiled fast function, already cleared by
     the caller when it does not apply to this pass; ``body(src, mask)``
     is the engine's general parse of one value inside an open record and
-    ``default()`` the value a limit-refused record yields.  Record
-    discipline, record numbering and the index sink stay inside
-    ``begin_record``/``end_record``.
+    ``default()`` the value a limit-refused record yields.  Records are
+    framed a buffered block at a time (``Source.frames``); record
+    numbering and the index sink stay inside the source.
     """
     dosem = (mask.bits & 4) != 0
     do_syn = mask.bits & 2
     limits = src.limits
-    while not src.at_eof():
-        if not src.begin_record():
-            return
+    for payload in src.frames():
         if limits is not None:
             pd = Pd()
             if not record_guard(src, pd):
@@ -60,11 +58,11 @@ def _record_loop(src: Source, mask: Mask, fast, body, default):
                 yield default(), pd
                 continue
         if fast is not None:
-            rep = fast(src.record_bytes(), dosem)
+            rep = fast(src.record_bytes() if payload is None else payload,
+                       dosem)
             if rep is not None:
                 # Clean record: empty descriptor, identical to the general
                 # parse (clean children are omitted from descriptors).
-                src.pos = src.rec_end
                 src.end_record()
                 yield rep, Pd()
                 continue
@@ -152,12 +150,7 @@ class DescriptionBase:
     def count_records(self, data: Data) -> int:
         """Count records using only the record discipline (no field
         parsing) — the analogue of the paper's record-counting program."""
-        src = self.open(data)
-        count = 0
-        while src.begin_record():
-            src.end_record()
-            count += 1
-        return count
+        return sum(1 for _ in self.open(data).boundaries())
 
     def records_stream(self, data, type_name: str,
                        mask: Optional[Mask] = None, **opts):

@@ -44,7 +44,7 @@ from __future__ import annotations
 import io as _stdio
 import os
 from time import monotonic, sleep
-from typing import BinaryIO, List, Optional, Tuple
+from typing import BinaryIO, Iterator, List, Optional, Tuple
 
 from .. import observe
 from .errors import ErrCode as _EC
@@ -83,7 +83,9 @@ class RecordDiscipline:
     (after any length prefix), where it ends, and where the next record
     starts — or ``None`` when no complete record begins at ``pos`` (at end
     of input).  Implementations may call ``src._ensure``/``src._find`` to
-    pull more data from the underlying stream.
+    pull more data from the underlying stream.  ``bounds`` is the one
+    definition of a record; ``frame_block`` is a bulk shortcut that must
+    agree with it.
     """
 
     name = "none"
@@ -95,6 +97,19 @@ class RecordDiscipline:
 
     def bounds(self, src: "Source", pos: int):  # pragma: no cover - abstract
         raise NotImplementedError
+
+    def frame_block(self, src: "Source", pos: int):
+        """Frame, in one pass, the complete records already buffered at
+        ``pos``, reading at most ``_CHUNK`` bytes and never refilling.
+
+        Returns an iterator of ``(content_start, content_end, next_start,
+        payload)``, one per record and equal to what ``bounds`` would
+        give record for record, or ``None`` when no complete record fits
+        (the caller then takes one ``bounds`` step).  Leaving records out
+        is always correct: only what ``bounds`` would frame identically
+        may be framed here.
+        """
+        return None
 
     def align(self, handle: BinaryIO, offset: int, size: int,
               origin: int = 0) -> Optional[int]:
@@ -172,8 +187,28 @@ class NewlineRecords(RecordDiscipline):
             end -= 1
         return pos, end, nl + 1
 
+    def frame_block(self, src: "Source", pos: int):
+        # Everything up to the last newline in the capped block is whole
+        # lines; the unterminated tail is left to ``bounds``.
+        buf = src._buf
+        lo = pos - src._base
+        cut = buf.rfind(b"\n", lo, lo + _CHUNK)
+        if cut < 0:
+            return None
+        return _newline_frames(bytes(buf[lo:cut]).split(b"\n"), pos)
+
     def trailer(self, content: bytes) -> bytes:
         return b"\n"
+
+
+def _newline_frames(lines: List[bytes], pos: int):
+    for line in lines:
+        nxt = pos + len(line) + 1
+        if line[-1:] == b"\r":
+            yield pos, nxt - 2, nxt, line[:-1]
+        else:
+            yield pos, nxt - 1, nxt, line
+        pos = nxt
 
 
 class FixedWidthRecords(RecordDiscipline):
@@ -206,6 +241,17 @@ class FixedWidthRecords(RecordDiscipline):
         # A short final record is still surfaced; the parser will report
         # RECORD_TOO_SHORT when it runs out of bytes.
         return pos, pos + have, pos + have
+
+    def frame_block(self, src: "Source", pos: int):
+        # Whole records only: a short final record is left to ``bounds``.
+        w = self.width
+        lo = pos - src._base
+        size = min(len(src._buf) - lo, _CHUNK) // w * w
+        if size <= 0:
+            return None
+        data = bytes(src._buf[lo:lo + size])
+        return ((pos + i, pos + i + w, pos + i + w, data[i:i + w])
+                for i in range(0, size, w))
 
 
 class LengthPrefixedRecords(RecordDiscipline):
@@ -691,6 +737,50 @@ class Source:
         sink = self.index_sink
         if sink is not None:
             sink.note(self.record_idx, self.rec_next)
+
+    def frames(self) -> Iterator[Optional[bytes]]:
+        """Open each remaining record in turn and yield its payload; the
+        caller seals it (``end_record``) before resuming.
+
+        The state at each yield is exactly what ``begin_record`` leaves,
+        but records are framed a buffered block at a time
+        (``discipline.frame_block``: one pass per block of at most
+        ``_CHUNK`` bytes, trimmed once per block).  Whatever no block
+        frames — an unterminated final record, one that straddles a
+        refill or outgrows the block, every record of a discipline
+        without a block framer — takes one ``begin_record`` step, and
+        then payload is None (read it with ``record_bytes``).  If the
+        caller leaves the cursor anywhere but the sealed record's
+        ``rec_next``, the rest of the block is dropped and framing
+        starts again at the cursor.
+        """
+        discipline = self.discipline
+        while True:
+            self._trim()
+            block = None if self.in_record \
+                else discipline.frame_block(self, self.pos)
+            if block is None:
+                if not self.begin_record():
+                    return
+                yield None
+                continue
+            for start, end, nxt, payload in block:
+                self.rec_start = start
+                self.rec_end = end
+                self.rec_next = nxt
+                self.pos = start
+                self.in_record = True
+                self.record_idx += 1
+                yield payload
+                if self.pos != nxt:
+                    break
+
+    def boundaries(self) -> Iterator[None]:
+        """Seal every remaining record without parsing it, yielding after
+        each — the record-counting floor, index builds and seeks."""
+        for _ in self.frames():
+            self.end_record()
+            yield
 
     def skip_to_eor(self) -> int:
         """Panic recovery: jump to end-of-record.  Returns bytes skipped."""

@@ -45,6 +45,7 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, List, Optional, Tuple
 
 from . import observe
@@ -321,8 +322,7 @@ def build_index(description, path: str, *,
     src = Source.from_file(os.fspath(path), description.discipline)
     src.index_sink = builder
     with src:
-        while src.begin_record():
-            src.end_record()
+        deque(src.boundaries(), maxlen=0)
     target = write_index(os.fspath(path), builder, description.discipline,
                          out=out)
     idx = load_index(os.fspath(path), description.discipline,
@@ -358,11 +358,9 @@ def open_at_record(description, path: str, n: int,
                            limits=getattr(description, "limits", None),
                            start=offset)
     src.record_idx = base - 1
-    for _ in range(n - base):
-        if not src.begin_record():
-            src.close()
-            return None
-        src.end_record()
+    if sum(1 for _ in islice(src.boundaries(), n - base)) < n - base:
+        src.close()
+        return None
     observe.count("index.hits")
     return src
 

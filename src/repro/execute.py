@@ -149,7 +149,7 @@ class Fold:
         """What the fold consumes at cursor ``src``: ``(rep, pd)`` pairs,
         or bare record boundaries for ``count``."""
         if self.op == "count":
-            return _boundaries(src)
+            return src.boundaries()
         return desc.records(src, self.record_type, self.mask)
 
     def feed(self, state, items, on_record=None):
@@ -211,12 +211,6 @@ class Fold:
             state[0].merge(part[0])
         self._tally(state).merge(self._tally(part))
         return state
-
-
-def _boundaries(src: Source) -> Iterator[None]:
-    while src.begin_record():
-        src.end_record()
-        yield None
 
 
 def _rebase_pd(pd, offset: int, cache: dict) -> None:

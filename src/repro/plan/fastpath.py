@@ -444,7 +444,12 @@ class FastPath:
         self.aux.append(f"def {conv_name}(_m, dosem):")
         self.aux.append("    _gs = _m.groups()")
         self.aux.append("    try:")
-        self.aux.extend(_index_groups(sub.lines, elt_compiled.groupindex))
+        # The converter answers ``(ok, value)``: a failed element check
+        # emitted as ``return None`` must fail the pair, not the unpack.
+        self.aux.extend(
+            line.replace("return None", "return (False, None)")
+            if line.strip() == "return None" else line
+            for line in _index_groups(sub.lines, elt_compiled.groupindex))
         self.aux.append(f"        return (True, {evar})")
         self.aux.append("    except Exception:")
         self.aux.append("        return (False, None)")

@@ -94,6 +94,7 @@ LIMIT_STATUS: Dict[str, int] = {
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 413: "Payload Too Large",
             422: "Unprocessable Entity", 429: "Too Many Requests",
+            431: "Request Header Fields Too Large",
             500: "Internal Server Error", 503: "Service Unavailable"}
 
 #: Default cap on records echoed back by ``mode: records``.
@@ -108,6 +109,16 @@ class HttpError(Exception):
         self.status = status
         self.code = code
         self.message = message
+
+
+async def _read_line(reader: asyncio.StreamReader, status: int, code: str,
+                     what: str) -> bytes:
+    """One request-head line; a line over the reader's buffer limit is a
+    structured refusal, not an unhandled ``LimitOverrunError``."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise HttpError(status, code, f"{what} too long") from None
 
 
 class LimitExceeded(HttpError):
@@ -266,7 +277,7 @@ class ParseServer:
                 pass
 
     async def _read_request(self, reader: asyncio.StreamReader):
-        line = await reader.readline()
+        line = await _read_line(reader, 400, "BAD_REQUEST", "request line")
         if not line:
             return None
         try:
@@ -275,7 +286,8 @@ class ParseServer:
             raise HttpError(400, "BAD_REQUEST", "malformed request line")
         headers: Dict[str, str] = {}
         while True:
-            raw = await reader.readline()
+            raw = await _read_line(reader, 431, "HEADER_TOO_LARGE",
+                                   "header line")
             if raw in (b"\r\n", b"\n", b""):
                 break
             name, _sep, value = raw.decode("latin-1").partition(":")

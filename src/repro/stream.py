@@ -185,11 +185,8 @@ def count_records_stream(description, data, *,
                       limits=getattr(description, "limits", None))
     if builder is not None:
         src.index_sink = builder
-    count = 0
     with src:
-        while src.begin_record():
-            src.end_record()
-            count += 1
+        count = sum(1 for _ in src.boundaries())
     if builder is not None:
         _publish_index(builder, index_path, description.discipline)
     return count

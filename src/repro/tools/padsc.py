@@ -21,6 +21,7 @@ import argparse
 import json
 import pathlib
 import sys
+from itertools import islice
 from typing import Optional
 
 from .. import observe
@@ -242,11 +243,9 @@ def cmd_view(args) -> int:
     d = _load(args)
     # Skip to the requested record (streaming; only one record resident).
     src = open_input(d, _input(args))
-    for _ in range(args.index):
-        if not src.begin_record():
-            print(f"padsc: no record {args.index}", file=sys.stderr)
-            return 1
-        src.end_record()
+    if sum(1 for _ in islice(src.boundaries(), args.index)) < args.index:
+        print(f"padsc: no record {args.index}", file=sys.stderr)
+        return 1
     _emit_text(render_record(d, src, args.record))
     return 0
 

@@ -731,3 +731,25 @@ def test_padsc_plan_shows_each_member_decision():
         in header
     assert ("member fastpath: not eligible: Peor-terminated array "
             "(compiled only as the record's last member)") in events
+
+
+OVERFLOW_EVENT = (b"9153|9153|1|0|0|0|0||152268|LOC_6|0|FRDW1|DUO|"
+                  b"LOC_CRTE|1001476800|x|99999999999\n")
+
+
+@pytest.mark.parametrize("engine", ["interp", "gen"])
+def test_tail_array_element_converter_always_returns_a_pair(engine):
+    # The Sirius event converter's Puint32 check fails on 99999999999; it
+    # must answer (False, None), not a bare None the record function
+    # cannot unpack.
+    build = compile_description if engine == "interp" else compile_generated
+    desc = build(gallery.SIRIUS)
+    ns = desc.bound.runtime.ns if engine == "interp" else vars(desc.module)
+    (conv,) = [v for k, v in ns.items() if k.startswith("_fpelt_entry_t")]
+    (rx,) = [v for k, v in ns.items() if k.startswith("_fperx_entry_t")]
+    assert conv(rx.match(b"x|99999999999"), True) == (False, None)
+    assert conv(rx.match(b"x|99"), True)[0] is True
+    ref = compile_description(gallery.SIRIUS, fastpath=False)
+    got = parsed(desc, OVERFLOW_EVENT, "entry_t")
+    assert got == parsed(ref, OVERFLOW_EVENT, "entry_t")
+    assert got[0][1][1] == 1

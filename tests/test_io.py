@@ -1,17 +1,26 @@
 """Tests for the Source byte cursor and record disciplines."""
 
 import io
+import os
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro import compile_description
 from repro.core.io import (
     FixedWidthRecords,
     LengthPrefixedRecords,
     NewlineRecords,
     NoRecords,
+    RecordDiscipline,
     Source,
+    StreamSource,
+    plan_file_chunks,
 )
+from repro.core.limits import ParseLimits
+from repro.durable import IndexBuilder
+
+from .test_fastpath import pd_tree
 
 
 class TestCursorBasics:
@@ -287,3 +296,164 @@ class TestFromStringEncoding:
         src = Source.from_string("café\n", NewlineRecords())
         src.begin_record()
         assert src.record_bytes() == b"caf\xe9"
+
+
+# -- block framing against per-record ``bounds`` framing ----------------------
+#
+# ``Source.frames`` frames a buffered block at a time through
+# ``discipline.frame_block``.  The reference below is the same discipline
+# with the bulk method removed, so every record takes the per-record
+# ``begin_record`` → ``bounds`` step.  Both must give equal reps and pds
+# and leave the cursor in the same state after every record.
+
+
+class PerRecordNewline(NewlineRecords):
+    frame_block = RecordDiscipline.frame_block
+
+
+class PerRecordFixed(FixedWidthRecords):
+    frame_block = RecordDiscipline.frame_block
+
+
+ROW = "Precord Pstruct row_t { Puint16 n; '|'; Pstring(:'|':) s; };"
+CELL = "Precord Pstruct cell_t { Puint8_FW(:1:) d; Pstring_FW(:2:) s; };"
+#: ``pair_t`` is not a record, but its members are: the loop's record
+#: closes inside the body and the next one opens there, so the cursor
+#: leaves the frame and the loop must frame again from it.
+PAIRS = ("Precord Pstruct half_t { Puint16 n; };\n"
+         "Pstruct pair_t { half_t a; half_t b; };")
+
+_LONG = 1 << 16  # the block cap
+
+
+def _state(src):
+    return (src.pos, src.record_idx, src.in_record, src.rec_start,
+            src.rec_end, src.rec_next)
+
+
+def _run(desc, open_src, rtype, limits, interval):
+    src = open_src(desc.discipline)
+    if limits is not None:
+        src.set_limits(limits)
+    builder = src.index_sink = IndexBuilder(interval)
+    with src:
+        out = [(rep, pd_tree(pd), _state(src))
+               for rep, pd in desc.records(src, rtype)]
+    return out, (builder.offsets, builder.records, builder.end)
+
+
+def _walk(discipline, open_src, interval):
+    src = open_src(discipline)
+    builder = src.index_sink = IndexBuilder(interval)
+    with src:
+        states = [_state(src) for _ in src.boundaries()]
+    return states, (builder.offsets, builder.records, builder.end)
+
+
+def _assert_same(block_desc, ref_desc, open_src, rtype, limits=None,
+                 interval=3):
+    got = _run(block_desc, open_src, rtype, limits, interval)
+    assert got == _run(ref_desc, open_src, rtype, limits, interval)
+    walked = _walk(block_desc.discipline, open_src, interval)
+    assert walked == _walk(ref_desc.discipline, open_src, interval)
+    return got
+
+
+def _openers(data, window, tmp_dir):
+    """Every way a record loop meets ``data``: slurped bytes, a sliding
+    window of ``window`` bytes, and each range ``plan_file_chunks``
+    cuts the file into."""
+    path = os.path.join(tmp_dir, "frames.dat")
+    with open(path, "wb") as handle:
+        handle.write(data)
+    yield lambda disc: Source.from_bytes(data, disc)
+    yield lambda disc: StreamSource(io.BytesIO(data), disc, window=window)
+    for start, end in plan_file_chunks(path, NewlineRecords(), 3,
+                                       min_chunk=1) or ():
+        yield lambda disc, s=start, e=end: Source.from_file(
+            path, disc, start=s, end=e)
+
+
+_line = st.one_of(
+    st.text("0123456789|ab\r", max_size=12).map(str.encode),
+    st.sampled_from([_LONG - 3, _LONG + 5]).map(lambda n: b"7|" + b"a" * n))
+_limits = st.one_of(
+    st.none(),
+    st.builds(ParseLimits,
+              max_record_bytes=st.none() | st.integers(1, 12),
+              max_errors=st.none() | st.integers(1, 5),
+              deadline=st.sampled_from([None, 1e-9, 1e6])))
+
+
+@pytest.fixture(scope="module")
+def framing_descs():
+    return {name: (compile_description(text, discipline=block),
+                   compile_description(text, discipline=ref))
+            for name, text, block, ref in (
+                ("row", ROW, NewlineRecords(), PerRecordNewline()),
+                ("pair", PAIRS, NewlineRecords(), PerRecordNewline()),
+                ("cell", CELL, FixedWidthRecords(3), PerRecordFixed(3)))}
+
+
+@pytest.fixture(scope="module")
+def frames_dir(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("frames"))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(_line, max_size=12),
+       crlf=st.booleans(), terminated=st.booleans(),
+       window=st.sampled_from([1, 3, 7, 64, 1 << 20]),
+       limits=_limits, interval=st.integers(1, 4))
+def test_block_framing_matches_per_record_bounds(
+        framing_descs, frames_dir, lines, crlf, terminated, window, limits,
+        interval):
+    data = b"".join(ln + (b"\r\n" if crlf else b"\n") for ln in lines)
+    if lines and not terminated:
+        data = data[:-2 if crlf else -1]
+    if len(data) > _LONG:  # a refill per byte of a long line is slow
+        window = max(window, 64)
+    for name, rtype in (("row", "row_t"), ("pair", "pair_t")):
+        block, ref = framing_descs[name]
+        for open_src in _openers(data, window, frames_dir):
+            _assert_same(block, ref, open_src, rtype, limits, interval)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.binary(max_size=40), window=st.sampled_from([1, 2, 5, 64]),
+       limits=_limits, interval=st.integers(1, 4))
+def test_fixed_width_block_framing_matches_per_record_bounds(
+        framing_descs, data, window, limits, interval):
+    # Lengths that are not a multiple of the width end in a short record.
+    block, ref = framing_descs["cell"]
+    for open_src in (lambda disc: Source.from_bytes(data, disc),
+                     lambda disc: StreamSource(io.BytesIO(data), disc,
+                                               window=window)):
+        _assert_same(block, ref, open_src, "cell_t", limits, interval)
+
+
+def test_records_past_the_block_cap_take_the_bounds_step(framing_descs):
+    block, ref = framing_descs["row"]
+    data = b"1|a\n" + b"2|" + b"b" * (3 * _LONG) + b"\n3|c\n"
+    got = _assert_same(block, ref, lambda disc: Source.from_bytes(data, disc),
+                       "row_t")
+    assert [rep.n for rep, _pd, _state in got[0]] == [1, 2, 3]
+    # A block never copies more than the cap out of a slurped input.
+    src = Source.from_bytes(b"ab\n" * _LONG, NewlineRecords())
+    assert list(src.discipline.frame_block(src, 0))[-1][2] <= _LONG
+    wide = b"x" * (_LONG + 7)
+    assert [s[:2] for s in _walk(
+        FixedWidthRecords(_LONG + 3), lambda d: Source.from_bytes(wide, d),
+        1)[0]] == [(_LONG + 3, 0), (_LONG + 7, 1)]
+
+
+def test_one_block_frames_every_buffered_record():
+    src = Source.from_bytes(b"a\r\nbb\n\nccc", NewlineRecords())
+    frames = list(src.discipline.frame_block(src, 0))
+    assert frames == [(0, 1, 3, b"a"), (3, 5, 6, b"bb"), (6, 6, 7, b"")]
+    assert [s[:2] for s in _walk(NewlineRecords(),
+                                 lambda d: Source.from_bytes(
+                                     b"a\r\nbb\n\nccc", d), 1)[0]] == [
+        (3, 0), (6, 1), (7, 2), (10, 3)]

@@ -245,6 +245,27 @@ class TestRequestValidation:
         assert json.loads(body)["error"] == "BAD_REQUEST"
         assert not [r for r in caplog.records if r.name == "asyncio"]
 
+    @pytest.mark.parametrize("head,status,code", [
+        (b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n",
+         431, "HEADER_TOO_LARGE"),
+        (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+         400, "BAD_REQUEST"),
+    ], ids=["header-line", "request-line"])
+    def test_overlong_head_line_gets_a_structured_reply(self, caplog, head,
+                                                        status, code):
+        # Lines past the 64 KiB stream-reader limit used to escape the
+        # handler as a LimitOverrunError: no reply, a logged task error.
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with ServerThread() as st:
+                reply = _raw_exchange(st.port, head)
+                assert get(st.port, "/healthz", raw=False) == (
+                    200, {"status": "ok"})
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 %d " % status), reply[:200]
+        assert b"Connection: close" in head
+        assert json.loads(body)["error"] == code
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+
 
 # -- bugfix 1: cache keying -------------------------------------------------------
 
