@@ -110,3 +110,24 @@ def test_vet_fast_fn_only(benchmark, sirius_gen, sirius_body):
                                    for line in lines))
     assert misses == EXPECTED_BAD
 
+
+
+@pytest.mark.benchmark(group="fig10-attribution")
+def test_vet_keep_reps_pads(benchmark, sirius_gen, sirius_body):
+    """Vetting that keeps every record's rep and parse descriptor, as a
+    program that loads a file and then works on its records would.  The
+    cyclic collector runs as it would in that program."""
+    pairs = benchmark(lambda: list(sirius_gen.records(sirius_body,
+                                                      "entry_t")))
+    assert len(pairs) == sirius_body.count(b"\n")
+    assert sum(pd.nerr > 0 for _rep, pd in pairs) == EXPECTED_BAD
+
+
+@pytest.mark.benchmark(group="fig10-attribution")
+def test_vet_drop_reps_pads(benchmark, sirius_gen, sirius_body):
+    """The same vetting keeping only the bad records' indices: each rep
+    is dropped as soon as it is checked.  The gap to
+    ``test_vet_keep_reps_pads`` is what keeping the reps costs."""
+    bad = benchmark(lambda: [i for i, (_rep, pd) in enumerate(
+        sirius_gen.records(sirius_body, "entry_t")) if pd.nerr])
+    assert len(bad) == EXPECTED_BAD

@@ -32,6 +32,7 @@ from ..dsl import ast as D
 from ..expr import ast as E
 from ..expr.pycompile import compile_function
 from ..plan import analyze
+from ..plan.fastpath import rec_names
 from ..plan.ir import (
     ArrayPlan,
     BaseUse,
@@ -117,6 +118,10 @@ class Emitter:
         self._const_count += 1
         self._consts.append(f"{name} = {expr}")
         return name
+
+    def rec_class(self, decl: StructPlan) -> str:
+        """The module constant bound to ``decl``'s rep class."""
+        return self.const(f"_rec_class({rec_names(decl)!r})")
 
     def resolver(self, scope: Dict[str, str]):
         return self.plan.resolver(scope)
@@ -329,7 +334,9 @@ class Emitter:
         w.w("from repro.core.errors import ErrCode, Loc, Pd, Pstate")
         w.w("from repro.core.io import Source")
         w.w("from repro.core.masks import Mask, MaskFlag, P_CheckAndSet")
-        w.w("from repro.core.values import DateVal, EnumVal, FloatVal, Rec, UnionVal")
+        w.w("from repro.core.values import (DateVal, EnumVal, FloatVal, "
+            "UnionVal, rec_class as _rec_class)")
+        w.w("_onew = object.__new__")
         w.w("from repro.plan import resolve_base as _resolve")
         w.w("from repro.core.basetypes.strings import RegexMatchString as _RegexME")
         w.w("from repro.expr.runtime import cdiv as _cdiv, cmod as _cmod, "
@@ -488,11 +495,11 @@ class Emitter:
                     continue
                 self._emit_struct_member(w, decl, members, i, scope)
                 i += 1
-            # Build the rep.
-            field_args = ", ".join(
-                f"{f.name}=v_{f.name}" for f in members
-                if isinstance(f, (DataItem, ComputeItem)))
-            w.w(f"rep = Rec({field_args})")
+            # Build the rep: allocate its class, store each slot.
+            w.w(f"rep = _onew({self.rec_class(decl)})")
+            for f in members:
+                if isinstance(f, (DataItem, ComputeItem)):
+                    w.w(f"rep.{f.name} = v_{f.name}")
             if decl.where is not None:
                 wscope = dict(scope)
                 for f in members:
@@ -739,8 +746,8 @@ class Emitter:
                 else:
                     w.w(f"v_{item.name} = {self.use_default_expr(item.type, scope)}")
                 scope[item.name] = f"v_{item.name}"
-                args.append(f"{item.name}=v_{item.name}")
-            w.w(f"return Rec({', '.join(args)})")
+                args.append(f"v_{item.name}")
+            w.w(f"return {self.rec_class(decl)}({', '.join(args)})")
         w.w()
 
     # -- Punion ----------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .errors import ErrCode, Pd, Pstate
 from .io import Source
 from .limits import fastpath_applies, note_limit, record_guard
 from .masks import Mask
-from .values import EnumVal, Rec, UnionVal
+from .values import EnumVal, UnionVal, rec_class
 
 # How far ahead resynchronisation scans for a literal before giving up and
 # panicking to end-of-record.
@@ -301,6 +301,15 @@ class StructNode(PType):
         self.name = name
         self.fields = list(fields)
         self.where = where
+        #: Per field, its position in the rep (None for a literal), and
+        #: the rep class those positions fill.
+        self.slots: List[Optional[int]] = []
+        names: List[str] = []
+        for f in self.fields:
+            self.slots.append(None if f.kind == "literal" else len(names))
+            if f.kind != "literal":
+                names.append(f.name)
+        self.rec_class = rec_class(tuple(names))
 
     def data_fields(self) -> List[StructField]:
         return [f for f in self.fields if f.kind == "data"]
@@ -316,7 +325,8 @@ class StructNode(PType):
     def parse(self, src: Source, mask: Mask, env: Env):
         pd = Pd()
         scope = env.child()
-        values: Dict[str, object] = {}
+        slots = self.slots
+        values: List[object] = [None] * len(self.rec_class.__rec_fields__)
         panicked = False
         # Hoisted once per struct parse: the per-field tracing cost when
         # disabled is a single local ``is None`` test.
@@ -346,12 +356,12 @@ class StructNode(PType):
             f = self.fields[i]
             if panicked:
                 if f.kind == "data":
-                    values[f.name] = f.node.default(scope)
+                    values[slots[i]] = f.node.default(scope)
                     child = Pd()
                     child.pstate = Pstate.PANIC
                     pd.fields[f.name] = child
                 elif f.kind == "compute":
-                    values[f.name] = None
+                    values[slots[i]] = None
                 i += 1
                 continue
 
@@ -378,13 +388,13 @@ class StructNode(PType):
 
             if f.kind == "compute":
                 try:
-                    values[f.name] = eval_expr(f.expr, scope)
+                    values[slots[i]] = eval_expr(f.expr, scope)
                 except EvalError:
-                    values[f.name] = None
+                    values[slots[i]] = None
                     pd.record_error(ErrCode.USER_CONSTRAINT_VIOLATION, src.here())
-                scope.vars[f.name] = values[f.name]
+                scope.vars[f.name] = values[slots[i]]
                 if f.constraint is not None and mask.do_sem \
-                        and values[f.name] is not None:
+                        and values[slots[i]] is not None:
                     ok, failed = _eval_constraint(f.constraint, scope)
                     if not ok or failed:
                         pd.record_error(ErrCode.USER_CONSTRAINT_VIOLATION,
@@ -421,7 +431,7 @@ class StructNode(PType):
                 if not ok or failed:
                     child.record_error(ErrCode.USER_CONSTRAINT_VIOLATION,
                                        src.loc_from(start))
-            values[f.name] = value
+            values[slots[i]] = value
             scope.vars[f.name] = value
             if child.nerr:
                 # Clean children are omitted from the descriptor: one Pd per
@@ -443,13 +453,13 @@ class StructNode(PType):
                         for k in range(i + 1, j):
                             skipped = self.fields[k]
                             if skipped.kind == "data":
-                                values[skipped.name] = skipped.node.default(scope)
-                                scope.vars[skipped.name] = values[skipped.name]
+                                values[slots[k]] = skipped.node.default(scope)
+                                scope.vars[skipped.name] = values[slots[k]]
                                 sk_pd = Pd()
                                 sk_pd.pstate = Pstate.PANIC
                                 pd.fields[skipped.name] = sk_pd
                             elif skipped.kind == "compute":
-                                values[skipped.name] = None
+                                values[slots[k]] = None
                                 scope.vars[skipped.name] = None
                         i = j + 1
                         continue
@@ -458,7 +468,7 @@ class StructNode(PType):
                 panicked = True
             i += 1
 
-        rep = Rec(**values)
+        rep = self.rec_class(*values)
         if self.where is not None and mask.level_sem and pd.nerr == 0:
             ok, failed = _eval_constraint(self.where, scope)
             if not ok or failed:
@@ -478,13 +488,9 @@ class StructNode(PType):
                 scope.vars[f.name] = value
 
     def default(self, env: Env):
-        values = {}
-        for f in self.fields:
-            if f.kind == "data":
-                values[f.name] = f.node.default(env)
-            elif f.kind == "compute":
-                values[f.name] = None
-        return Rec(**values)
+        return self.rec_class(*[f.node.default(env) if f.kind == "data"
+                                else None
+                                for f in self.fields if f.kind != "literal"])
 
     def verify(self, rep, env: Env) -> bool:
         scope = env.child()
@@ -516,17 +522,18 @@ class StructNode(PType):
         last_error = None
         for _ in range(512):
             scope = env.child()
-            values: Dict[str, object] = {}
+            values: List[object] = []
             try:
                 for f in self.fields:
                     if f.kind == "literal":
                         continue
                     if f.kind == "compute":
                         try:
-                            values[f.name] = eval_expr(f.expr, scope)
+                            value = eval_expr(f.expr, scope)
                         except EvalError:
-                            values[f.name] = None
-                        scope.vars[f.name] = values[f.name]
+                            value = None
+                        values.append(value)
+                        scope.vars[f.name] = value
                         if f.constraint is not None:
                             ok, failed = _eval_constraint(f.constraint, scope)
                             if not ok or failed:
@@ -537,7 +544,7 @@ class StructNode(PType):
                         continue
                     value = _generate_constrained(f.node, f.constraint,
                                                   f.name, rng, scope)
-                    values[f.name] = value
+                    values.append(value)
                     scope.vars[f.name] = value
             except ValueError as exc:
                 # A field constraint may be unsatisfiable for the earlier
@@ -549,7 +556,7 @@ class StructNode(PType):
                 ok, failed = _eval_constraint(self.where, scope)
                 if not ok or failed:
                     continue
-            return Rec(**values)
+            return self.rec_class(*values)
         raise ValueError(
             f"could not generate a {self.name} satisfying its constraints"
             + (f" ({last_error})" if last_error else ""))

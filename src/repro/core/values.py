@@ -4,7 +4,8 @@ The paper maps each PADS type onto a canonical C representation (Section
 4): structs to C structs, unions to tagged unions, arrays to length+data,
 enums to C enums.  The Python analogues:
 
-* :class:`Rec` — struct values with attribute access and field order,
+* :class:`Rec` — struct values with attribute access and field order, one
+  ``__slots__`` class per struct shape (:func:`rec_class`),
 * :class:`UnionVal` — tagged union values,
 * ``list`` — arrays (``length`` is exposed to constraints by the
   expression evaluator),
@@ -17,47 +18,124 @@ enums to C enums.  The Python analogues:
 from __future__ import annotations
 
 import datetime as _dt
-from typing import Iterator, Optional
+import threading
+import weakref
+from typing import Iterator, List, Optional, Tuple
 
 
 class Rec:
     """A struct value: ordered named fields with attribute access.
 
-    The keyword dict is adopted as the instance ``__dict__`` directly, so
-    construction is one pointer assignment and field reads are ordinary
-    C-speed attribute lookups — this type is instantiated once per parsed
-    struct, which makes it one of the hottest allocations in the system.
+    Every struct shape (its tuple of field names, in declaration order)
+    has its own ``__slots__`` subclass of this class, made once by
+    :func:`rec_class` -- the Python twin of the paper's generated
+    representation type.  A value carries no per-instance dict: the
+    compiled parsers bind the class when the description is bound and
+    fill its slots directly, and field reads are slot lookups.
+
+    ``Rec(**fields)`` returns an instance of the class for those field
+    names, so ``Rec(a=1, b=2)`` and a parsed struct with fields ``a, b``
+    share a type and compare equal.  Values keep the mapping API
+    (``[]``, ``in``, iteration, ``keys``, ``items``, ``==`` across
+    shapes); an existing field may be reassigned, but a name that is not
+    a field of the struct raises ``AttributeError``, and there is no
+    ``__dict__`` (``vars(rep)`` fails; use ``dict(rep.items())``).
     """
 
-    def __init__(self, **fields):
-        self.__dict__ = fields
+    __slots__ = ()
+    #: The field names of this shape, in declaration order.
+    __rec_fields__: Tuple[str, ...] = ()
+
+    def __new__(cls, **fields):
+        return rec_class(tuple(fields))(*fields.values())
+
+    def __reduce__(self):
+        # By value: the worker that unpickles rebuilds (or finds) the
+        # class for these names, so reps cross parallel and durable
+        # workers as the same shape.
+        names = self.__rec_fields__
+        return _rebuild, (names, tuple(getattr(self, n) for n in names))
 
     def __getitem__(self, name: str):
-        return self.__dict__[name]
+        if name in self.__rec_fields__:
+            return getattr(self, name)
+        raise KeyError(name)
 
     def __setitem__(self, name: str, value) -> None:
-        self.__dict__[name] = value
+        if name not in self.__rec_fields__:
+            raise AttributeError(f"'Rec' object has no field {name!r}")
+        setattr(self, name, value)
 
     def __contains__(self, name: str) -> bool:
-        return name in self.__dict__
+        return name in self.__rec_fields__
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self.__dict__)
+        return iter(self.__rec_fields__)
 
-    def items(self):
-        return self.__dict__.items()
+    def items(self) -> List[Tuple[str, object]]:
+        return [(n, getattr(self, n)) for n in self.__rec_fields__]
 
-    def keys(self):
-        return self.__dict__.keys()
+    def keys(self) -> Tuple[str, ...]:
+        return self.__rec_fields__
 
     def __eq__(self, other) -> bool:
+        if type(other) is type(self):
+            names = self.__rec_fields__
+            return ([getattr(self, n) for n in names]
+                    == [getattr(other, n) for n in names])
         if isinstance(other, Rec):
-            return self.__dict__ == other.__dict__
+            return dict(self.items()) == dict(other.items())
         return NotImplemented
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items())
+        inner = ", ".join(f"{k}={v!r}" for k, v in self.items())
         return f"Rec({inner})"
+
+
+#: One class per shape for the whole process, so the ``Rec`` constructor,
+#: every description and unpickling agree on it.  Held weakly: the shapes
+#: of descriptions no longer in use (a long-running ``padsc serve``
+#: compiles whatever its tenants send) are freed with them.
+_CLASSES: "weakref.WeakValueDictionary[Tuple[str, ...], type]" = \
+    weakref.WeakValueDictionary()
+_MAKING = threading.Lock()
+
+
+def rec_class(names: Tuple[str, ...]) -> type:
+    """The :class:`Rec` subclass for struct field names ``names``, made
+    on first request and shared by every later one.
+
+    Its constructor takes the field values positionally, in ``names``
+    order.  The compiled parsers skip even that call: they allocate with
+    ``object.__new__`` and store each slot.
+    """
+    cls = _CLASSES.get(names)
+    if cls is None:
+        with _MAKING:
+            cls = _CLASSES.get(names)
+            if cls is None:
+                cls = _CLASSES[names] = _make_class(names)
+    return cls
+
+
+def _make_class(names: Tuple[str, ...]) -> type:
+    args = "".join(f", _{i}" for i in range(len(names)))
+    stores = "".join(f"    self.{n} = _{i}\n" for i, n in enumerate(names))
+    ns = {"_new": object.__new__}
+    exec(f"def __new__(cls{args}):\n    self = _new(cls)\n{stores}"
+         "    return self\n", ns)
+    # A class name of underscores only turns off the private-name
+    # mangling of slots such as ``__x``.
+    cls = type("_", (Rec,), {"__slots__": names, "__rec_fields__": names,
+                             "__new__": ns["__new__"],
+                             "__module__": __name__})
+    cls.__name__ = cls.__qualname__ = "Rec"
+    return cls
+
+
+def _rebuild(names: Tuple[str, ...], values: tuple) -> Rec:
+    """Unpickle one :class:`Rec` (see ``Rec.__reduce__``)."""
+    return rec_class(names)(*values)
 
 
 class UnionVal:

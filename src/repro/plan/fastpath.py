@@ -45,6 +45,11 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Optional, Tuple
 
+try:  # the regex parser, for its width analysis
+    from re import _parser  # type: ignore[attr-defined]
+except ImportError:  # Python 3.10
+    import sre_parse as _parser  # type: ignore[no-redef]
+
 from ..core.basetypes import cobol as _cobol
 from ..core.basetypes import integers as _ints
 from ..core.basetypes import misc as _misc
@@ -189,6 +194,8 @@ class FastPath:
         self.gid = 0
         self.tmpid = 0
         self.aux: List[str] = []  # extra module-level sources
+        #: Which form each compiled tail array took, for the verdict.
+        self.tail_forms: List[str] = []
 
     # -- small helpers -------------------------------------------------------
 
@@ -216,10 +223,11 @@ class FastPath:
         decl = self.decl
         w = _W(depth=2)  # inside def + try
         var = self.temp()
-        pattern = self.compile_struct_body(decl.items, decl.where, var,
-                                           w, is_tail=True)
-        return (*self.emit(pattern, var, w, decl.name),
-                "anchored regex over the record")
+        pattern = self.compile_struct_body(decl, var, w, is_tail=True)
+        reason = "anchored regex over the record"
+        if self.tail_forms:
+            reason += f" ({'; '.join(self.tail_forms)})"
+        return (*self.emit(pattern, var, w, decl.name), reason)
 
     def build_member(self, item: DataItem) -> Tuple[str, List[str]]:
         """(member fast function name, module source lines); raises
@@ -265,14 +273,13 @@ class FastPath:
 
     # -- struct --------------------------------------------------------------
 
-    def compile_struct_body(self, items, where: Optional[E.Expr], var: str,
-                            w: _W, is_tail: bool,
-                            outer_scope: Optional[Dict[str, str]] = None) -> bytes:
+    def compile_struct_body(self, decl: StructPlan, var: str, w: _W,
+                            is_tail: bool) -> bytes:
         pattern = b""
-        scope: Dict[str, str] = dict(outer_scope or {})
+        scope: Dict[str, str] = {}
         field_vars: List[Tuple[str, str]] = []
-        last_idx = len(items) - 1
-        for i, item in enumerate(items):
+        last_idx = len(decl.items) - 1
+        for i, item in enumerate(decl.items):
             tail_here = is_tail and i == last_idx
             if isinstance(item, LitItem):
                 lit = item.literal
@@ -304,13 +311,10 @@ class FastPath:
                 with w.block(f"if dosem and not "
                              f"({self.cexpr(item.constraint, scope)}):"):
                     w.w("return None")
-        # Direct construction: adopt a dict literal as the instance dict,
-        # skipping the kwargs-packing __init__ call (~2x faster).
-        entries = ", ".join(f"{n!r}: {v}" for n, v in field_vars)
-        w.w(f"{var} = Rec.__new__(Rec)")
-        w.w(f"{var}.__dict__ = {{{entries}}}")
-        if where is not None:
-            with w.block(f"if dosem and not ({self.cexpr(where, scope)}):"):
+        _build_rec(w, var, _rec_binding(self.aux, decl), field_vars)
+        if decl.where is not None:
+            with w.block(f"if dosem and not "
+                         f"({self.cexpr(decl.where, scope)}):"):
                 w.w("return None")
         return pattern
 
@@ -335,8 +339,7 @@ class FastPath:
     def compile_decl_use(self, decl, var: str, w: _W,
                          scope: Dict[str, str], is_tail: bool) -> bytes:
         if isinstance(decl, StructPlan):
-            return self.compile_struct_body(decl.items, decl.where, var, w,
-                                            is_tail)
+            return self.compile_struct_body(decl, var, w, is_tail)
         if isinstance(decl, SwitchPlan):
             raise NotEligible("switched union")
         if isinstance(decl, UnionPlan):
@@ -363,7 +366,9 @@ class FastPath:
             w.w(f"{var} = {inner}")
         with w.block("else:"):
             w.w(f"{var} = None")
-        return b"(?:(?P<" + g.encode() + b">" + pattern + b"))?"
+        # Atomic: once the member matches it is present, as in the general
+        # parser; a failure later in the record must not make it absent.
+        return b"(?>(?P<" + g.encode() + b">" + pattern + b")?)"
 
     def compile_union(self, decl: UnionPlan, var: str, w: _W,
                       is_tail: bool) -> bytes:
@@ -432,14 +437,66 @@ class FastPath:
     def _tail_array(self, decl: ArrayPlan, sep: Optional[bytes],
                     var: str, w: _W) -> bytes:
         g = self.group()
-        # Standalone anchored element regex + converter function.
-        evar = "_ev"
-        sub = _W(2)
+        evar = self.temp()
+        sub = _W()
         elt_pattern = self.compile_use(decl.elt, evar, sub, {}, False)
+        elt_full = b"(?s:" + elt_pattern + b")"
+        groupindex = re.compile(elt_full).groupindex
+        span_var = self.temp()
+        w.w(f"{span_var} = _m.group({g!r})")
+        w.w(f"{var} = []")
+        if _one_call(elt_full, groupindex, sub.lines):
+            self.tail_forms.append(f"tail array {decl.name}: one fullmatch "
+                                   "+ findall")
+            self._tail_one_call(elt_pattern, groupindex, sub, sep, g, evar,
+                                span_var, var, w)
+        else:
+            self.tail_forms.append(f"tail array {decl.name}: per-element "
+                                   "loop (an element, or an optional part "
+                                   "of one, may match empty)")
+            self._tail_loop(elt_full, groupindex, sub, sep, g, evar,
+                            span_var, var, w)
+        if decl.where is not None:
+            ascope = {"elts": var, "length": f"len({var})"}
+            with w.block(f"if dosem and not "
+                         f"({self.cexpr(decl.where, ascope)}):"):
+                w.w("return None")
+        # The span is everything to end-of-record.
+        return b"(?P<" + g.encode() + b">.*)"
+
+    def _tail_one_call(self, elt_pattern: bytes, groupindex, sub: _W,
+                       sep: Optional[bytes], g: str, evar: str,
+                       span_var: str, var: str, w: _W) -> None:
+        """One ``fullmatch`` checks the whole tail is ``E (sep E)*`` with
+        each ``E`` committed (atomic) to the match the general parser's
+        element parse picks; one ``findall`` then yields every element's
+        groups, converted inline.  Sound only when ``E`` never matches
+        empty (see :func:`_one_call`)."""
+        bare = _GROUP_OPEN.sub(b"(?:", elt_pattern)
+        s = re.escape(sep) if sep is not None else b""
+        check = b"(?s:(?:(?>" + bare + b")(?:" + s + b"(?>" + bare + b"))*)?)"
+        rows = (b"(?s:(?>" + elt_pattern + b")"
+                + (b"(?:" + s + b"|\\Z)" if sep is not None else b"") + b")")
+        check_name = self.auxname("fpav", g)
+        rows_name = self.auxname("fpfa", g)
+        self.aux.append(f"{check_name} = __import__('re').compile("
+                        f"{check!r}).fullmatch")
+        self.aux.append(f"{rows_name} = __import__('re').compile("
+                        f"{rows!r}).findall")
+        with w.block(f"if {span_var}:"):
+            with w.block(f"if {check_name}({span_var}) is None:"):
+                w.w("return None")
+            with w.block(f"for _eg in {rows_name}({span_var}):"):
+                w.lines.extend("    " * w.depth + line
+                               for line in _row_groups(sub.lines, groupindex))
+                w.w(f"{var}.append({evar})")
+
+    def _tail_loop(self, elt_full: bytes, groupindex, sub: _W,
+                   sep: Optional[bytes], g: str, evar: str, span_var: str,
+                   var: str, w: _W) -> None:
+        """One anchored ``match`` and one converter call per element."""
         conv_name = self.auxname("fpelt", g)
         rx_name = self.auxname("fperx", g)
-        elt_full = b"(?s:" + elt_pattern + b")"
-        elt_compiled = re.compile(elt_full)
         self.aux.append(f"{rx_name} = __import__('re').compile({elt_full!r})")
         self.aux.append(f"def {conv_name}(_m, dosem):")
         self.aux.append("    _gs = _m.groups()")
@@ -447,16 +504,12 @@ class FastPath:
         # The converter answers ``(ok, value)``: a failed element check
         # emitted as ``return None`` must fail the pair, not the unpack.
         self.aux.extend(
-            line.replace("return None", "return (False, None)")
-            if line.strip() == "return None" else line
-            for line in _index_groups(sub.lines, elt_compiled.groupindex))
+            "        " + (line.replace("return None", "return (False, None)")
+                          if line.strip() == "return None" else line)
+            for line in _index_groups(sub.lines, groupindex))
         self.aux.append(f"        return (True, {evar})")
         self.aux.append("    except Exception:")
         self.aux.append("        return (False, None)")
-
-        span_var = self.temp()
-        w.w(f"{span_var} = _m.group({g!r})")
-        w.w(f"{var} = []")
         with w.block(f"if {span_var}:"):
             w.w("_apos = 0")
             w.w(f"_alen = len({span_var})")
@@ -477,13 +530,6 @@ class FastPath:
                                  "_apos):"):
                         w.w("return None")
                     w.w(f"_apos += {len(sep)}")
-        if decl.where is not None:
-            ascope = {"elts": var, "length": f"len({var})"}
-            with w.block(f"if dosem and not "
-                         f"({self.cexpr(decl.where, ascope)}):"):
-                w.w("return None")
-        # The span is everything to end-of-record.
-        return b"(?P<" + g.encode() + b">.*)"
 
     def _fixed_array(self, decl: ArrayPlan, count: int, var: str,
                      w: _W) -> bytes:
@@ -725,7 +771,7 @@ class SlicePath:
             raise _NotFixed("record width not static")
         w = _W(depth=2)  # inside def + try
         var = self.temp()
-        end = self.compile_struct(decl.items, decl.where, var, w, 0, None)
+        end = self.compile_struct(decl, var, w, 0)
         if end != total:
             raise _NotFixed("layout does not cover the record")  # paranoia
         name = decl.name
@@ -746,12 +792,11 @@ class SlicePath:
 
     # -- struct --------------------------------------------------------------
 
-    def compile_struct(self, items, where: Optional[E.Expr], var: str,
-                       w: _W, off: int,
-                       outer_scope: Optional[Dict[str, str]]) -> int:
-        scope: Dict[str, str] = dict(outer_scope or {})
+    def compile_struct(self, decl: StructPlan, var: str, w: _W,
+                       off: int) -> int:
+        scope: Dict[str, str] = {}
         field_vars: List[Tuple[str, str]] = []
-        for item in items:
+        for item in decl.items:
             if isinstance(item, LitItem):
                 lit = item.literal
                 if lit.kind in ("char", "string"):
@@ -786,11 +831,10 @@ class SlicePath:
                 with w.block(f"if dosem and not "
                              f"({self.cexpr(item.constraint, scope)}):"):
                     w.w("return None")
-        entries = ", ".join(f"{n!r}: {v}" for n, v in field_vars)
-        w.w(f"{var} = Rec.__new__(Rec)")
-        w.w(f"{var}.__dict__ = {{{entries}}}")
-        if where is not None:
-            with w.block(f"if dosem and not ({self.cexpr(where, scope)}):"):
+        _build_rec(w, var, _rec_binding(self.aux, decl), field_vars)
+        if decl.where is not None:
+            with w.block(f"if dosem and not "
+                         f"({self.cexpr(decl.where, scope)}):"):
                 w.w("return None")
         return off
 
@@ -821,8 +865,7 @@ class SlicePath:
     def compile_decl_use(self, decl, var: str, w: _W, off: int,
                          scope: Dict[str, str]) -> int:
         if isinstance(decl, StructPlan):
-            return self.compile_struct(decl.items, decl.where, var, w, off,
-                                       None)
+            return self.compile_struct(decl, var, w, off)
         if isinstance(decl, EnumPlan):
             lens = {len(item.raw) for item in decl.items}
             if len(lens) != 1:
@@ -935,7 +978,7 @@ class BatchPath:
             raise NotEligible("record width is not static")
         w = _W(depth=0)               # re-indented under both loop bodies
         var = self.temp()
-        end = self.compile_struct(decl.items, decl.where, var, w, 0, None)
+        end = self.compile_struct(decl, var, w, 0)
         if end != total:
             raise NotEligible("layout does not cover the record")
         fmt = self.prefix + "".join(self.fmt)
@@ -1017,12 +1060,11 @@ class BatchPath:
 
     # -- struct --------------------------------------------------------------
 
-    def compile_struct(self, items, where: Optional[E.Expr], var: str,
-                       w: _W, off: int,
-                       outer_scope: Optional[Dict[str, str]]) -> int:
-        scope: Dict[str, str] = dict(outer_scope or {})
+    def compile_struct(self, decl: StructPlan, var: str, w: _W,
+                       off: int) -> int:
+        scope: Dict[str, str] = {}
         field_vars: List[Tuple[str, str]] = []
-        for item in items:
+        for item in decl.items:
             if isinstance(item, LitItem):
                 lit = item.literal
                 if lit.kind in ("char", "string"):
@@ -1053,11 +1095,10 @@ class BatchPath:
                 with w.block(f"if dosem and not "
                              f"({self.cexpr(item.constraint, scope)}):"):
                     w.w("raise _BT_MISS")
-        entries = ", ".join(f"{n!r}: {v}" for n, v in field_vars)
-        w.w(f"{var} = Rec.__new__(Rec)")
-        w.w(f"{var}.__dict__ = {{{entries}}}")
-        if where is not None:
-            with w.block(f"if dosem and not ({self.cexpr(where, scope)}):"):
+        _build_rec(w, var, _rec_binding(self.aux, decl), field_vars)
+        if decl.where is not None:
+            with w.block(f"if dosem and not "
+                         f"({self.cexpr(decl.where, scope)}):"):
                 w.w("raise _BT_MISS")
         return off
 
@@ -1117,8 +1158,7 @@ class BatchPath:
     def compile_decl_use(self, decl, var: str, w: _W, off: int,
                          scope: Dict[str, str]) -> int:
         if isinstance(decl, StructPlan):
-            return self.compile_struct(decl.items, decl.where, var, w, off,
-                                       None)
+            return self.compile_struct(decl, var, w, off)
         if isinstance(decl, EnumPlan):
             lens = {len(item.raw) for item in decl.items}
             if len(lens) != 1:
@@ -1405,6 +1445,33 @@ def compile_batch(plan: Plan, decl: StructPlan) -> Tuple[str, List[str], str]:
     return built
 
 
+def rec_names(decl: StructPlan) -> Tuple[str, ...]:
+    """The field names of ``decl``'s rep, in order: its data and computed
+    members (the key of its class, :func:`~repro.core.values.rec_class`)."""
+    return tuple(item.name for item in decl.items
+                 if isinstance(item, (DataItem, ComputeItem)))
+
+
+def _rec_binding(aux: List[str], decl: StructPlan) -> str:
+    """Module-level name of ``decl``'s rep class; its binding is added to
+    ``aux`` once, so the class is looked up when the fragment is loaded,
+    not per record."""
+    name = f"_rc_{decl.name}"
+    line = f"{name} = _rec_class({rec_names(decl)!r})"
+    if line not in aux:
+        aux.append(line)
+    return name
+
+
+def _build_rec(w: _W, var: str, cls: str,
+               field_vars: List[Tuple[str, str]]) -> None:
+    """Construct rep ``var`` of class ``cls``: allocate it and store each
+    slot (cheaper than a call to the class's constructor)."""
+    w.w(f"{var} = _onew({cls})")
+    for name, value in field_vars:
+        w.w(f"{var}.{name} = {value}")
+
+
 _GROUP_REF = re.compile(r"_m\.group\('(g\d+)'\)")
 
 
@@ -1417,6 +1484,62 @@ def _index_groups(lines: List[str], groupindex: Dict[str, int]) -> List[str]:
         return f"_gs[{groupindex[m.group(1)] - 1}]"
 
     return [_GROUP_REF.sub(repl, line) for line in lines]
+
+
+#: The opening of one of the compiler's own (named) capture groups; an
+#: escaped literal never contains ``(?P<`` since ``re.escape`` escapes ``?``.
+_GROUP_OPEN = re.compile(rb"\(\?P<g\d+>")
+#: A presence test on an optional member's or a union branch's group.
+_PRESENT = re.compile(r"_m\.group\('(g\d+)'\) is not None")
+
+
+def _min_widths(pattern: bytes) -> Tuple[int, Dict[int, int]]:
+    """``(minimum match width of pattern, {group number: minimum width of
+    that group})``, from the regex parser's own width analysis."""
+    widths: Dict[int, int] = {}
+
+    def visit(node) -> None:
+        if isinstance(node, _parser.SubPattern):
+            for op, av in node.data:
+                if op is _parser.SUBPATTERN and av[0] is not None:
+                    widths[av[0]] = av[-1].getwidth()[0]
+                visit(av)
+        elif isinstance(node, (tuple, list)):
+            for child in node:
+                visit(child)
+
+    tree = _parser.parse(pattern)
+    visit(tree)
+    return tree.getwidth()[0], widths
+
+
+def _one_call(elt_full: bytes, groupindex: Dict[str, int],
+              lines: List[str]) -> bool:
+    """Whether a tail array of this element may take the one-call form.
+
+    ``findall`` reports a group that did not take part as ``b""``, where
+    a ``match`` reports None, and it yields an extra empty match at the
+    end of the span when the element can match empty.  So the element
+    must never match empty, and neither may any group the converter tests
+    for presence (an optional member, a union branch)."""
+    total, widths = _min_widths(elt_full)
+    if total == 0:
+        return False
+    return all(widths[groupindex[name]] > 0
+               for line in lines for name in _PRESENT.findall(line))
+
+
+def _row_groups(lines: List[str], groupindex: Dict[str, int]) -> List[str]:
+    """Rewrite an element converter's group references to one ``findall``
+    row ``_eg``: a tuple, or the lone group's bytes when the element has
+    one group.  A presence test becomes a truth test, which
+    :func:`_one_call` made exact."""
+    lone = len(groupindex) == 1
+
+    def ref(m: "re.Match") -> str:
+        return "_eg" if lone else f"_eg[{groupindex[m.group(1)] - 1}]"
+
+    return [_GROUP_REF.sub(ref, _PRESENT.sub(ref, line)) for line in lines]
 
 
 def _guard_literal(constraint: Optional[E.Expr], name: str):

@@ -1,12 +1,12 @@
 """Materialise plan-compiled fast functions for the interpreter.
 
 The fast-path compilers in :mod:`repro.plan.fastpath` emit plain source
-fragments over a small runtime namespace (``Rec``, ``UnionVal``, enum
-constants, helper functions, the packed/zoned/date converters).  In a
-generated module that namespace *is* the module globals; here the same
-fragments are exec'd into an equivalent namespace so the interpreted
-engine gets the identical fast functions — the record-level speedups no
-longer belong to codegen alone.  The interpreter alone also loads the
+fragments over a small runtime namespace (the rep-class factory,
+``UnionVal``, enum constants, helper functions, the packed/zoned/date
+converters).  In a generated module that namespace *is* the module
+globals; here the same fragments are exec'd into an equivalent namespace
+so the interpreted engine gets the identical fast functions — the
+record-level speedups no longer belong to codegen alone.  The interpreter alone also loads the
 member fast functions, lazily, into the same namespace.
 """
 
@@ -25,13 +25,14 @@ def runtime_namespace(plan: Plan) -> Dict[str, Any]:
     # this module must not import it back until call time.
     from ..codegen.runtime import convert_packed, convert_zoned
     from ..core.basetypes.temporal import parse_date_value
-    from ..core.values import DateVal, EnumVal, FloatVal, Rec, UnionVal
+    from ..core.values import DateVal, EnumVal, FloatVal, UnionVal, rec_class
     from ..expr.pycompile import compile_function
     from ..expr.runtime import builtins_table, cdiv, cmod, getmember
     from . import resolve_base
 
     ns: Dict[str, Any] = {
-        "Rec": Rec,
+        "_rec_class": rec_class,
+        "_onew": object.__new__,
         "UnionVal": UnionVal,
         "FloatVal": FloatVal,
         "DateVal": DateVal,

@@ -36,10 +36,17 @@ class TestRec:
         assert dict(rec.items()) == {"a": 1, "b": "x"}
 
     def test_mutation(self):
-        rec = Rec(a=1)
+        # A field may be reassigned; a struct's fields are fixed by its
+        # shape, so a new one cannot be added.
+        rec = Rec(a=1, b=2)
         rec.a = 5
         rec["b"] = 7
         assert rec.a == 5 and rec.b == 7
+        with pytest.raises(AttributeError):
+            rec.c = 1
+        with pytest.raises(AttributeError):
+            rec["c"] = 1
+        assert rec == Rec(a=5, b=7)
 
     def test_equality(self):
         assert Rec(a=1, b=2) == Rec(a=1, b=2)

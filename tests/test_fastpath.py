@@ -711,6 +711,18 @@ MID_RECORD_EOR = """
 
 
 @pytest.mark.parametrize("engine", ["interp", "gen"])
+def test_popt_member_commits_like_the_general_parser(engine):
+    # "123": the general parser reads a = 123, then b fails.  The record
+    # regex used to backtrack into a = None, b = 123 and call it clean.
+    text = "Precord Pstruct r_t { Popt Puint8 a; Puint8 b; };"
+    build = compile_description if engine == "interp" else compile_generated
+    ref = compile_description(text, fastpath=False)
+    for data in (b"123\n", b"12\n", b"\n"):
+        assert parsed(build(text), data, "r_t") == parsed(ref, data, "r_t")
+    assert parsed(build(text), b"123\n", "r_t")[0][1][1] == 1
+
+
+@pytest.mark.parametrize("engine", ["interp", "gen"])
 def test_mid_record_peor_matches_only_at_the_record_end(engine):
     # "5x": inner_t's Peor is not at the end, an error for the general
     # parser; the record fast function used to accept it as clean.
@@ -737,19 +749,146 @@ OVERFLOW_EVENT = (b"9153|9153|1|0|0|0|0||152268|LOC_6|0|FRDW1|DUO|"
                   b"LOC_CRTE|1001476800|x|99999999999\n")
 
 
+#: A tail array whose element may match empty keeps the per-element loop
+#: and its converter; its constraint fails on "bad".
+CHECKED_WORDS = """
+    Ptypedef Pstring(:';':) word_t : word_t w => { w != "bad" };
+    Parray words_t { word_t[] : Psep(';') && Pterm(Peor); };
+    Precord Pstruct row_t { Puint8 id; '|'; words_t words; };
+"""
+
+
+def _namespace(desc, engine):
+    return desc.bound.runtime.ns if engine == "interp" else vars(desc.module)
+
+
 @pytest.mark.parametrize("engine", ["interp", "gen"])
 def test_tail_array_element_converter_always_returns_a_pair(engine):
-    # The Sirius event converter's Puint32 check fails on 99999999999; it
-    # must answer (False, None), not a bare None the record function
-    # cannot unpack.
+    # A failed element check must answer (False, None), not a bare None
+    # the record function cannot unpack.
     build = compile_description if engine == "interp" else compile_generated
+    desc = build(CHECKED_WORDS)
+    ns = _namespace(desc, engine)
+    (conv,) = [v for k, v in ns.items() if k.startswith("_fpelt_row_t")]
+    (rx,) = [v for k, v in ns.items() if k.startswith("_fperx_row_t")]
+    assert conv(rx.match(b"bad"), True) == (False, None)
+    assert conv(rx.match(b"good"), True)[0] is True
+    ref = compile_description(CHECKED_WORDS, fastpath=False)
+    for data in (b"1|a;bad;c\n", b"1|a;;c\n", b"1|\n", b"1|a;\n"):
+        assert parsed(desc, data, "row_t") == parsed(ref, data, "row_t")
+    # The Sirius event's Puint32 check fails on 99999999999 inside the
+    # one-call form: the record falls back to the general parser.
     desc = build(gallery.SIRIUS)
-    ns = desc.bound.runtime.ns if engine == "interp" else vars(desc.module)
-    (conv,) = [v for k, v in ns.items() if k.startswith("_fpelt_entry_t")]
-    (rx,) = [v for k, v in ns.items() if k.startswith("_fperx_entry_t")]
-    assert conv(rx.match(b"x|99999999999"), True) == (False, None)
-    assert conv(rx.match(b"x|99"), True)[0] is True
+    assert not [k for k in _namespace(desc, engine) if k.startswith("_fpelt")]
     ref = compile_description(gallery.SIRIUS, fastpath=False)
     got = parsed(desc, OVERFLOW_EVENT, "entry_t")
     assert got == parsed(ref, OVERFLOW_EVENT, "entry_t")
     assert got[0][1][1] == 1
+
+
+def test_padsc_plan_shows_each_tail_array_form():
+    from repro.plan import format_plan
+    sirius = format_plan(compile_description(gallery.SIRIUS).bound.plan,
+                         "entry_t")
+    assert ("fastpath: eligible: anchored regex over the record (tail "
+            "array eventSeq: one fullmatch + findall)") in sirius
+    words = format_plan(compile_description(CHECKED_WORDS).bound.plan,
+                        "row_t")
+    assert ("(tail array words_t: per-element loop (an element, or an "
+            "optional part of one, may match empty))") in words
+
+
+#: Tail-array element shapes for the differential property: ``(element
+#: declarations, element type, separator, strategy for one element's
+#: text)``.  Elements are mostly well formed, with some junk (overflows,
+#: stray separators, empty text) mixed in.
+_NUM = st.integers(0, 300).map(str)
+_WORD = st.text("abxyz", max_size=4)
+_JUNK = st.text("ab|;:xn0123456789", max_size=4)
+
+
+def _mostly(valid):
+    return st.one_of(valid, valid, valid, _JUNK)
+
+
+TAIL_SHAPES = {
+    "scalar": ("", "Puint8", ";", _mostly(_NUM)),
+    "sirius_event": ("""
+        Pstruct ev_t { Pstring(:'|':) state; '|'; Puint32 tstamp; };
+        """, "ev_t", "|", _mostly(st.tuples(_WORD, _NUM).map("|".join))),
+    "union": ("""
+        Pstruct tagged_t { "n"; Puint8 n; };
+        Punion u_t { Puint8 num; tagged_t tag; Pchar c; };
+        """, "u_t", ";", _mostly(st.one_of(_NUM, _NUM.map("n".__add__),
+                                          st.sampled_from("abn;")))),
+    "popt": ("""
+        Pstruct o_t { Popt Puint8 a; ':'; Pstring(:';':) b; };
+        """, "o_t", ";", _mostly(st.tuples(st.one_of(st.just(""), _NUM),
+                                           _WORD).map(":".join))),
+    "popt_empty": ("""
+        Pstruct e_t { Popt Pstring(:':':) a; ':'; Puint8 b; };
+        """, "e_t", ";", _mostly(st.tuples(_WORD, _NUM).map(":".join))),
+    "no_sep": ("""
+        Pstruct p_t { 'x'; Puint8 v; };
+        """, "p_t", None, _mostly(_NUM.map("x".__add__))),
+    "min_width_0": ("", "Pstring(:';':)", ";", _mostly(_WORD)),
+}
+
+
+def _tail_desc(shape):
+    decls, elt, sep, _ = TAIL_SHAPES[shape]
+    term = f"Psep('{sep}') && Pterm(Peor)" if sep else "Pterm(Peor)"
+    return f"""{decls}
+        Parray tail_t {{ {elt}[] : {term}; }};
+        Precord Pstruct row_t {{ Puint8 id; '|'; tail_t tail; }};
+    """
+
+
+@pytest.fixture(scope="module")
+def tail_builds():
+    return {shape: (compile_description(_tail_desc(shape)),
+                    compile_generated(_tail_desc(shape)),
+                    compile_description(_tail_desc(shape), fastpath=False))
+            for shape in TAIL_SHAPES}
+
+
+@st.composite
+def _tails(draw):
+    shape = draw(st.sampled_from(sorted(TAIL_SHAPES)))
+    sep = TAIL_SHAPES[shape][2] or ""
+    elts = draw(st.lists(TAIL_SHAPES[shape][3], max_size=5))
+    return shape, ("7|" + sep.join(elts)).encode("latin-1")
+
+
+def test_tail_array_forms():
+    # An element that may match empty, or whose optional member may, keeps
+    # the per-element loop; every other shape gets the one-call form.
+    for shape in TAIL_SHAPES:
+        verdict = compile_description(_tail_desc(shape)).bound.plan \
+            .decls["row_t"].verdict
+        form = ("per-element loop" if shape in ("min_width_0", "popt_empty")
+                else "one fullmatch + findall")
+        assert form in verdict.reason, (shape, verdict)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_tails())
+def test_tail_array_fast_path_equals_the_general_parser(tail_builds, case):
+    shape, line = case
+    interp, gen, ref = tail_builds[shape]
+    data = line + b"\n"
+    want = parsed(ref, data, "row_t")
+    assert parsed(interp, data, "row_t") == want, (shape, line)
+    assert parsed(gen, data, "row_t") == want, (shape, line)
+
+
+@pytest.mark.parametrize("engine", ["interp", "gen"])
+def test_min_width_0_tail_keeps_the_general_parsers_elements(engine):
+    # findall would add an empty match at the end of "1|;n1034": the
+    # general parser reads two elements.
+    build = compile_description if engine == "interp" else compile_generated
+    desc = build(_tail_desc("min_width_0"))
+    ref = compile_description(_tail_desc("min_width_0"), fastpath=False)
+    got = parsed(desc, b"1|;n1034\n", "row_t")
+    assert got == parsed(ref, b"1|;n1034\n", "row_t")
+    assert list(got[0][0].tail) == ["", "n1034"]
