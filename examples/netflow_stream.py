@@ -42,7 +42,6 @@ def main() -> None:
     print(f"== streaming {len(stream)} bytes of netflow exports ==")
 
     src = Source.from_bytes(stream, NoRecords())
-    node = netflow.node("nf_packet_t")
 
     packets = flows = bad = 0
     octets_by_proto = Counter()
@@ -51,7 +50,7 @@ def main() -> None:
     mask = Mask(P_CheckAndSet)
     while not src.at_eof():
         before = src.pos
-        pkt, pd = node.parse(src, mask, netflow.env)
+        pkt, pd = netflow.parse(src, "nf_packet_t", mask)
         packets += 1
         if pd.nerr:
             bad += 1

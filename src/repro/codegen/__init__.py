@@ -19,15 +19,12 @@ interpreted :class:`~repro.core.api.CompiledDescription`.
 from __future__ import annotations
 
 from functools import partial
-from time import perf_counter
-from typing import Optional, Tuple
+from typing import Optional
 
-from .. import observe
 from ..core.api import DescriptionBase
-from ..core.errors import PadsError, Pd
+from ..core.errors import PadsError
 from ..core.io import RecordDiscipline
 from ..core.limits import ParseLimits
-from ..core.masks import Mask, P_CheckAndSet
 from ..dsl.parser import parse_description
 from ..dsl.typecheck import check_description
 from .emitter import generate_source as _emit
@@ -112,21 +109,8 @@ class GeneratedDescription(DescriptionBase):
 
     # -- API -----------------------------------------------------------------------
 
-    def parse(self, data, type_name: Optional[str] = None,
-              mask: Optional[Mask] = None, *params) -> Tuple[object, Pd]:
-        if isinstance(type_name, Mask):
-            type_name, mask = None, type_name
-        gen = self._gen(type_name)
-        src = self.open(data)
-        obs = observe.CURRENT
-        if obs is None:
-            return gen.parse(src, mask or Mask(P_CheckAndSet), *params)
-        start, t0 = src.pos, perf_counter()
-        rep, pd = gen.parse(src, mask or Mask(P_CheckAndSet), *params)
-        obs.record_parsed(type_name or self.source_type, pd, src.pos - start,
-                          perf_counter() - t0, start=start,
-                          record=src.record_idx)
-        return rep, pd
+    def _parser(self, type_name: Optional[str]):
+        return self._gen(type_name).parse
 
     def _record_parts(self, type_name: str):
         """``(fast function or None, general body, default)`` for the

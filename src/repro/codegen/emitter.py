@@ -205,8 +205,6 @@ class Emitter:
             w.w(f"{val}, {code} = {inst}.parse(src, bool({mask_expr}.bits & 4))")
             with w.block(f"if {code}:"):
                 w.w(f"{pd}.record_error({code}, src.loc_from({start}))")
-            with w.block(f"elif not ({mask_expr}.bits & 1):"):
-                w.w(f"{val} = {inst}.default()")
 
     def _emit_base_parse(self, w: _W, inst: str, mask_expr: str,
                          val: str, pd: str) -> None:
@@ -217,8 +215,6 @@ class Emitter:
         w.w(f"{pd} = Pd()")
         with w.block(f"if {code}:"):
             w.w(f"{pd}.record_error({code}, src.loc_from({start}))")
-        with w.block(f"elif not ({mask_expr}.bits & 1):"):
-            w.w(f"{val} = {inst}.default()")
 
     def emit_use_write(self, w: _W, use: Use, val: str,
                        scope: Dict[str, str]) -> None:
@@ -340,7 +336,7 @@ class Emitter:
         w.w("from repro.plan import resolve_base as _resolve")
         w.w("from repro.core.basetypes.strings import RegexMatchString as _RegexME")
         w.w("from repro.expr.runtime import cdiv as _cdiv, cmod as _cmod, "
-            "getmember as _member, builtins_table as _B")
+            "member as _member, BUILTINS as _B")
         w.w("from repro.codegen.runtime import (lit_resync as _lit_resync, "
             "skip_to_literal as _skip_to_lit, array_resync as _array_resync, "
             "convert_packed as _fp_packed, convert_zoned as _fp_zoned, "
@@ -516,14 +512,23 @@ class Emitter:
         self._emit_struct_verify(w, decl)
         self._emit_struct_default(w, decl)
 
-    def _emit_bool_check(self, w: _W, expr: E.Expr, scope: Dict[str, str],
-                         on_fail: str) -> None:
+    def _emit_holds(self, w: _W, expr: E.Expr, scope: Dict[str, str]) -> str:
+        """Emit the check form of ``expr``; the name of the flag saying
+        whether it held (an exception while evaluating it is a
+        failure)."""
         ok = self.tmp("ok")
+        w.w(f"{ok} = True")
         with w.block("try:"):
-            w.w(f"{ok} = bool({self.cexpr(expr, scope)})")
+            for line in self.plan.check(expr, scope, f"{ok} = False"):
+                w.w(line)
         with w.block("except Exception:"):
             w.w(f"{ok} = False")
-        with w.block(f"if not {ok}:"):
+        return ok
+
+    def _emit_bool_check(self, w: _W, expr: E.Expr, scope: Dict[str, str],
+                         on_fail: str) -> None:
+        """Run ``on_fail`` unless ``expr`` holds."""
+        with w.block(f"if not {self._emit_holds(w, expr, scope)}:"):
             w.w(on_fail)
 
     def _next_literal_info(self, members, i: int):
@@ -773,10 +778,7 @@ class Emitter:
                     bscope = dict(scope)
                     bscope[br.name] = "_bv"
                     with w.block("if _ok:"):
-                        with w.block("try:"):
-                            w.w(f"_ok = bool({self.cexpr(br.constraint, bscope)})")
-                        with w.block("except Exception:"):
-                            w.w("_ok = False")
+                        w.w(f"_ok = {self._emit_holds(w, br.constraint, bscope)}")
                 with w.block("if _ok:"):
                     w.w("src.commit(_bst)")
                     w.w(f"pd.tag = {br.name!r}")
@@ -795,30 +797,14 @@ class Emitter:
         scope = self.params_scope(decl)
         self._parse_header(w, decl)
         cases = decl.cases
-        default_idx = next((k for k, c in enumerate(cases) if c.value is None), -1)
         with _Indent(w):
             if not decl.is_record:
                 w.w(f'"""Parse one {name} (Pswitch on a selector '
                     'expression)."""')
                 w.w("if mask is None: mask = Mask(P_CheckAndSet)")
             _guard = self._begin_depth_guard(w, decl)
-            w.w("_case = None")
-            with w.block("try:"):
-                w.w(f"_sel = {self.cexpr(decl.selector, scope)}")
-            with w.block("except Exception:"):
-                w.w("_case = -1")
-            with w.block("if _case is None:"):
-                for k, case in enumerate(cases):
-                    if case.value is None:
-                        continue
-                    with w.block("try:"):
-                        with w.block(f"if _case is None and _sel == "
-                                     f"{self.cexpr(case.value, scope)}:"):
-                            w.w(f"_case = {k}")
-                    with w.block("except Exception:"):
-                        w.w("pass")
-                with w.block("if _case is None:"):
-                    w.w(f"_case = {default_idx}")
+            for line in self.plan.pick(decl, scope):
+                w.w(line)
             with w.block("if _case == -1:"):
                 w.w("pd.record_error(ErrCode.SWITCH_NO_CASE, src.here(), "
                     "panic=True)")
@@ -883,24 +869,9 @@ class Emitter:
         name = decl.name
         scope = self.params_scope(decl)
         cases = decl.cases
-        default_idx = next((k for k, c in enumerate(cases) if c.value is None), -1)
         with w.block(f"def {name}_verify(rep{self.params_sig(decl)}):"):
-            w.w("_case = None")
-            with w.block("try:"):
-                w.w(f"_sel = {self.cexpr(decl.selector, scope)}")
-            with w.block("except Exception:"):
-                w.w("return False")
-            for k, case in enumerate(cases):
-                if case.value is None:
-                    continue
-                with w.block("try:"):
-                    with w.block(f"if _case is None and _sel == "
-                                 f"{self.cexpr(case.value, scope)}:"):
-                        w.w(f"_case = {k}")
-                with w.block("except Exception:"):
-                    w.w("pass")
-            with w.block("if _case is None:"):
-                w.w(f"_case = {default_idx}")
+            for line in self.plan.pick(decl, scope):
+                w.w(line)
             with w.block("if _case == -1:"):
                 w.w("return False")
             for k, case in enumerate(cases):
@@ -989,12 +960,7 @@ class Emitter:
                     w.w("break")
                 if decl.ended is not None:
                     w.w("_length = len(elts)")
-                    ok = self.tmp("ok")
-                    with w.block("try:"):
-                        w.w(f"{ok} = bool({self.cexpr(decl.ended, ascope)})")
-                    with w.block("except Exception:"):
-                        w.w(f"{ok} = False")
-                    with w.block(f"if {ok}:"):
+                    with w.block(f"if {self._emit_holds(w, decl.ended, ascope)}:"):
                         w.w("break")
                 if term_check is not None:
                     with w.block(f"if {term_check}:"):
@@ -1047,12 +1013,7 @@ class Emitter:
                 w.w("_first = False")
                 if decl.last is not None:
                     w.w("_length = len(elts)")
-                    ok = self.tmp("ok")
-                    with w.block("try:"):
-                        w.w(f"{ok} = bool({self.cexpr(decl.last, ascope)})")
-                    with w.block("except Exception:"):
-                        w.w(f"{ok} = False")
-                    with w.block(f"if {ok}:"):
+                    with w.block(f"if {self._emit_holds(w, decl.last, ascope)}:"):
                         w.w("break")
                 if decl.sep is None:
                     with w.block("if src.pos == _before:"):

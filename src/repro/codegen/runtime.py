@@ -7,10 +7,10 @@ generated ``.c`` files link against the PADS runtime library.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from .. import observe
-from ..core.errors import ErrCode, Pd, Pstate
+from ..core.errors import ErrCode, Pd
 from ..core.io import Source
 from ..core.limits import (  # noqa: F401 - re-export
     fastpath_applies,
@@ -116,12 +116,3 @@ def convert_zoned(raw: bytes, digits: int, decimals: int):
         from fractions import Fraction
         return float(Fraction(value, 10 ** decimals))
     return value
-
-
-def begin_record_or_eof(src: Source, pd: Pd) -> bool:
-    if src.in_record:
-        return True
-    if src.begin_record():
-        return True
-    pd.record_error(ErrCode.AT_EOF, src.here(), panic=True)
-    return False

@@ -26,7 +26,6 @@ from typing import Dict, Iterator, Optional, Tuple, Union
 from .. import observe
 from ..dsl.parser import parse_description
 from ..dsl.typecheck import check_description
-from ..expr.eval import Env
 from .binding import BoundDescription, bind_description
 from .errors import ErrCode, PadsError, Pd
 from .io import NewlineRecords, RecordDiscipline, Source
@@ -112,6 +111,26 @@ class DescriptionBase:
     def open_file(self, path: str) -> Source:
         return Source.from_file(path, self.discipline, limits=self.limits)
 
+    def parse(self, data: Data, type_name: Optional[str] = None,
+              mask: Optional[Mask] = None, *params) -> Tuple[object, Pd]:
+        """Parse one value of ``type_name`` (default: the Psource type);
+        the generated engine also takes a parameterised type's
+        arguments."""
+        if isinstance(type_name, Mask):  # allow parse(data, mask)
+            type_name, mask = None, type_name
+        src = self.open(data)
+        mask = mask or Mask(P_CheckAndSet)
+        start, t0 = src.pos, perf_counter()
+        rep, pd = self._parser(type_name)(src, mask, *params)
+        obs = observe.CURRENT
+        if obs is not None:
+            obs.record_parsed(type_name or self.source_type, pd,
+                              src.pos - start, perf_counter() - t0,
+                              start=start, record=src.record_idx)
+        if not mask.sets_all:
+            rep = self.node(type_name).unset(rep, mask, {})
+        return rep, pd
+
     def parse_source(self, data: Data, mask: Optional[Mask] = None):
         return self.parse(data, None, mask)
 
@@ -135,12 +154,25 @@ class DescriptionBase:
         # one, keeping the disabled path free of per-record bookkeeping.
         obs = observe.CURRENT
         if obs is None:
-            yield from _record_loop(src, use_mask, fast, body, default)
+            pairs = _record_loop(src, use_mask, fast, body, default)
+        else:
+            pairs = self._metered(src, use_mask, fast, body, default,
+                                  obs, type_name)
+        if use_mask.sets_all:
+            yield from pairs
             return
+        # Parsing ignores SET, so checks see the parsed values; the rep
+        # gets the default at each base position the mask leaves unset.
+        node = self.node(type_name)
+        for rep, pd in pairs:
+            yield node.unset(rep, use_mask, {}), pd
+
+    @staticmethod
+    def _metered(src, mask, fast, body, default, obs, type_name: str):
         if fast is not None:
             fast = _counting(fast, obs.metrics, type_name)
         start, t0 = src.pos, perf_counter()
-        for rep, pd in _record_loop(src, use_mask, fast, body, default):
+        for rep, pd in _record_loop(src, mask, fast, body, default):
             obs.record_parsed(type_name, pd, src.pos - start,
                               perf_counter() - t0, start=start,
                               record=src.record_idx)
@@ -188,7 +220,9 @@ class CompiledDescription(DescriptionBase):
         self.source_text = source_text
         #: Resource budget attached to every source this description opens.
         self.limits = limits
-        bound.global_env.vars["_pads_discipline"] = self.discipline
+        for node in bound.nodes.values():
+            if isinstance(node, RecordNode):
+                node.discipline = self.discipline
 
     # -- introspection ----------------------------------------------------------
 
@@ -210,28 +244,11 @@ class CompiledDescription(DescriptionBase):
             return self.bound.source_node
         return self.bound.node(name)
 
-    @property
-    def env(self) -> Env:
-        return self.bound.global_env
-
     # -- parsing entry points --------------------------------------------------------
 
-    def parse(self, data: Data, type_name: Optional[str] = None,
-              mask: Optional[Mask] = None) -> Tuple[object, Pd]:
-        """Parse one value of ``type_name`` (default: the Psource type)."""
-        if isinstance(type_name, Mask):  # allow parse(data, mask)
-            type_name, mask = None, type_name
-        src = self.open(data)
+    def _parser(self, type_name: Optional[str]):
         node = self.node(type_name)
-        obs = observe.CURRENT
-        if obs is None:
-            return node.parse(src, mask or Mask(P_CheckAndSet), self.env)
-        start, t0 = src.pos, perf_counter()
-        rep, pd = node.parse(src, mask or Mask(P_CheckAndSet), self.env)
-        obs.record_parsed(type_name or self.source_type, pd, src.pos - start,
-                          perf_counter() - t0, start=start,
-                          record=src.record_idx)
-        return rep, pd
+        return lambda src, mask: node.parse(src, mask, {})
 
     def _record_parts(self, type_name: str):
         """``(fast function or None, general body, default)`` for the
@@ -244,8 +261,7 @@ class CompiledDescription(DescriptionBase):
             node, fast = node.inner, node.fast_fn
             if observe.current_tracer() is not None:
                 fast = None
-        return (fast, partial(node.parse, env=self.env),
-                partial(node.default, self.env))
+        return fast, partial(node.parse, scope={}), partial(node.default, {})
 
     def array_elements(self, data: Data, type_name: str,
                        mask: Optional[Mask] = None):
@@ -255,7 +271,7 @@ class CompiledDescription(DescriptionBase):
         if not isinstance(inner, ArrayNode):
             raise PadsError(f"{type_name} is not a Parray")
         src = self.open(data)
-        yield from inner.parse_elements(src, mask or Mask(P_CheckAndSet), self.env)
+        yield from inner.parse_elements(src, mask or Mask(P_CheckAndSet), {})
 
     # -- batch kernels ------------------------------------------------------------
 
@@ -277,7 +293,7 @@ class CompiledDescription(DescriptionBase):
         """Render ``rep`` back into its physical form (``write2io``)."""
         node = self.node(type_name)
         out = []
-        node.write(rep, out, self.env)
+        node.write(rep, out, {})
         return b"".join(out)
 
     # -- verification / generation ------------------------------------------------------
@@ -285,15 +301,15 @@ class CompiledDescription(DescriptionBase):
     def verify(self, rep, type_name: Optional[str] = None) -> bool:
         """Re-check semantic constraints on an in-memory value
         (``entry_t_verify`` in the paper's Figure 7)."""
-        return self.node(type_name).verify(rep, self.env)
+        return self.node(type_name).verify(rep, {})
 
     def default(self, type_name: Optional[str] = None):
-        return self.node(type_name).default(self.env)
+        return self.node(type_name).default({})
 
     def generate(self, type_name: Optional[str] = None,
                  rng: Optional[random.Random] = None):
         """Generate a random in-memory value conforming to the type."""
-        return self.node(type_name).generate(rng or random.Random(), self.env)
+        return self.node(type_name).generate(rng or random.Random(), {})
 
     def generate_bytes(self, type_name: Optional[str] = None,
                        rng: Optional[random.Random] = None) -> bytes:

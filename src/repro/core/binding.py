@@ -5,9 +5,11 @@ every derived fact (the ambient-coding table, resolved base types,
 literal byte forms, fused literal runs, fastpath verdicts) comes from
 the one analysis shared with the code generator.  One
 :class:`~repro.core.types.PType` node is built per declaration, in
-declaration order (legal because PADS types are declared before use),
-along with the *global environment* holding user helper functions, enum
-literal values and the expression builtins.
+declaration order (legal because PADS types are declared before use).
+Every expression site is compiled into the description's runtime
+namespace (:class:`~repro.plan.runtime.Runtime`, which also holds the
+helper functions and enum literals) with the names it may see, and all
+of them are exec'd at once when binding ends.
 
 Each runtime node keeps a ``plan`` attribute pointing at the plan node
 it was built from, so plan facts stay reachable from a bound tree (the
@@ -17,10 +19,9 @@ AST-walking tools rely on this).
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..dsl import ast as D
-from ..expr.eval import Env
 from ..plan import analyze
 from ..plan.ir import (
     ArrayPlan,
@@ -41,6 +42,7 @@ from ..plan.ir import (
     UnionPlan,
     Use,
 )
+from ..plan.runtime import Runtime
 from .basetypes.strings import RegexMatchString
 from .errors import PadsError
 from .types import (
@@ -63,7 +65,8 @@ from .types import (
 
 
 class BoundDescription:
-    """The result of binding: runtime nodes plus the global environment."""
+    """The result of binding: runtime nodes plus the runtime namespace
+    their compiled code lives in."""
 
     def __init__(self, desc: D.Description, ambient: str,
                  plan: Optional[Plan] = None, fastpath: bool = True):
@@ -74,7 +77,6 @@ class BoundDescription:
         self.fastpath = fastpath
         self.nodes: Dict[str, PType] = {}
         self.params: Dict[str, List[str]] = {}
-        self.global_env = Env({})
         self._bind()
 
     # -- lookup ----------------------------------------------------------------
@@ -101,17 +103,15 @@ class BoundDescription:
         fast_fns: Dict[str, Callable] = {}
         write_fns: Dict[str, Callable] = {}
         self.batch_fns: Dict[str, Callable] = {}
-        self.runtime = None
+        self.runtime = Runtime(self.plan)
         if self.fastpath:
-            from ..plan.runtime import Runtime
-            self.runtime = Runtime(self.plan)
             fast_fns, write_fns, self.batch_fns = self.runtime.tables()
         for kind, entry in self.plan.order:
             if kind == "func":
-                self.global_env.funcs[entry.name] = entry.func
                 continue
-            node = self._bind_decl(entry)
+            node = self._bind_decl(entry, tuple(entry.param_names))
             node.plan = entry
+            node.params = tuple(entry.param_names)
             if entry.is_record:
                 record = RecordNode(node)
                 record.plan = entry
@@ -121,62 +121,66 @@ class BoundDescription:
                 node = record
             self.nodes[entry.name] = node
             self.params[entry.name] = entry.param_names
+        self.runtime.define()
 
     def _literal(self, lit: LitPlan) -> LiteralNode:
         node = LiteralNode(lit.kind, lit.value, self.encoding)
         node.plan = lit
         return node
 
-    def _type(self, use: Use) -> PType:
+    def _type(self, use: Use, names: Sequence[str]) -> PType:
+        """The node for ``use``; ``names`` are those its arguments see."""
         if isinstance(use, RefUse):
             decl_node = self.nodes[use.name]
             pnames = self.params[use.name]
             if pnames:
-                node = AppNode(use.name, decl_node, pnames, use.args,
-                               self.global_env)
+                node = AppNode(use.name, decl_node, pnames)
+                self.runtime.site(node, "args", tuple(use.args), names)
                 node.plan = use
                 return node
             # Shared declaration node; its ``plan`` is the DeclPlan.
             return decl_node
-        node = self._type_node(use)
+        node = self._type_node(use, names)
         node.plan = use
         return node
 
-    def _type_node(self, use: Use) -> PType:
+    def _type_node(self, use: Use, names: Sequence[str]) -> PType:
         if isinstance(use, OptUse):
-            return OptNode(self._type(use.inner))
+            return OptNode(self._type(use.inner, names))
         if isinstance(use, RegexUse):
-            pattern = use.pattern
-            return BaseNode(f'Pre "{pattern}"',
-                            lambda args, p=pattern: RegexMatchString(p), ())
+            return BaseNode(f'Pre "{use.pattern}"',
+                            RegexMatchString(use.pattern))
         assert isinstance(use, BaseUse)
         if use.static is not None:
-            # Statically resolved during analysis: close over the instance.
-            return BaseNode(use.name, lambda args, inst=use.static: inst,
-                            use.args)
-        plan = self.plan
-        return BaseNode(use.name,
-                        lambda a, n=use.name, p=plan: p.resolve(n, a),
-                        use.args)
+            # Statically resolved during analysis.
+            return BaseNode(use.name, use.static)
+        node = BaseNode(use.name, resolver=partial(self.plan.resolve, use.name))
+        self.runtime.site(node, "args", tuple(use.args), names)
+        return node
 
-    def _bind_decl(self, dp: DeclPlan) -> PType:
+    def _bind_decl(self, dp: DeclPlan, params: tuple) -> PType:
         if isinstance(dp, StructPlan):
             fields = []
+            names = list(params)
             for item in dp.items:
                 if isinstance(item, LitItem):
                     fields.append(StructField("literal",
                                               node=self._literal(item.literal)))
-                elif isinstance(item, ComputeItem):
-                    fields.append(StructField("compute", name=item.name,
-                                              expr=item.expr,
-                                              constraint=item.constraint))
+                    continue
+                if isinstance(item, ComputeItem):
+                    field = StructField("compute", name=item.name)
+                    self.runtime.site(field, "expr", item.expr, names)
                 else:
                     assert isinstance(item, DataItem)
-                    fields.append(StructField("data", name=item.name,
-                                              node=self._type(item.type),
-                                              constraint=item.constraint))
-            node = StructNode(dp.name, fields, dp.where)
-            if self.runtime is not None:
+                    field = StructField("data", name=item.name,
+                                        node=self._type(item.type, names))
+                names = names + [item.name]
+                self.runtime.site(field, "constraint", item.constraint,
+                                  names, True)
+                fields.append(field)
+            node = StructNode(dp.name, fields)
+            self.runtime.site(node, "where", dp.where, names, True)
+            if self.fastpath:
                 # Member fast functions, compiled on first use.
                 node.compile_members = partial(self.runtime.members, dp)
                 if dp.fused_runs:
@@ -187,38 +191,47 @@ class BoundDescription:
             return node
 
         if isinstance(dp, SwitchPlan):
-            cases = [SwitchCaseRT(c.value, c.name, self._type(c.type),
-                                  c.constraint)
-                     for c in dp.cases]
-            return SwitchUnionNode(dp.name, dp.selector, cases)
+            cases = []
+            for c in dp.cases:
+                case = SwitchCaseRT(c.name, self._type(c.type, params))
+                self.runtime.site(case, "constraint", c.constraint,
+                                  params + (c.name,), True)
+                cases.append(case)
+            node = SwitchUnionNode(dp.name, cases)
+            self.runtime.site(node, "pick", dp, params)
+            return node
 
         if isinstance(dp, UnionPlan):
-            branches = [UnionBranch(b.name, self._type(b.type), b.constraint)
-                        for b in dp.branches]
-            return UnionNode(dp.name, branches, dp.where)
+            branches = []
+            for b in dp.branches:
+                branch = UnionBranch(b.name, self._type(b.type, params))
+                self.runtime.site(branch, "constraint", b.constraint,
+                                  params + (b.name,), True)
+                branches.append(branch)
+            return UnionNode(dp.name, branches)
 
         if isinstance(dp, ArrayPlan):
-            return ArrayNode(
-                dp.name, self._type(dp.elt),
+            inner = params + ("elts", "length")
+            node = ArrayNode(
+                dp.name, self._type(dp.elt, inner),
                 sep=self._literal(dp.sep) if dp.sep else None,
                 term=self._literal(dp.term) if dp.term else None,
-                min_size=dp.min_size, max_size=dp.max_size,
-                last=dp.last, ended=dp.ended, longest=dp.longest,
-                where=dp.where)
+                longest=dp.longest)
+            self.runtime.site(node, "min_size", dp.min_size, params)
+            self.runtime.site(node, "max_size", dp.max_size, params)
+            for attr in ("last", "ended", "where"):
+                self.runtime.site(node, attr, getattr(dp, attr), inner, True)
+            return node
 
         if isinstance(dp, EnumPlan):
             items = [(it.name, it.code, it.physical) for it in dp.items]
-            node = EnumNode(dp.name, items, self.encoding)
-            # Enum literals become global constants usable in constraints
-            # (`m == LINK` in the paper's chkVersion).
-            from .values import EnumVal
-            for name, code, physical in items:
-                self.global_env.vars[name] = EnumVal(name, code, physical)
-            return node
+            return EnumNode(dp.name, items, self.encoding)
 
         if isinstance(dp, TypedefPlan):
-            return TypedefNode(dp.name, self._type(dp.base),
-                               dp.var, dp.constraint)
+            node = TypedefNode(dp.name, self._type(dp.base, params), dp.var)
+            self.runtime.site(node, "constraint", dp.constraint,
+                              params + (dp.var,), True)
+            return node
 
         raise PadsError(f"cannot bind declaration {dp!r}")
 

@@ -604,10 +604,6 @@ class Source:
         k = self.avail(n)
         return self._slice(self.pos, self.pos + k)
 
-    def peek_byte(self) -> int:
-        b = self.peek(1)
-        return b[0] if b else -1
-
     def first_byte(self) -> int:
         """The byte at the cursor (or -1), without allocation — the hot
         path for single-character literal matching in generated parsers."""

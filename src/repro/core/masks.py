@@ -50,7 +50,9 @@ class Mask:
     types, ``compound_level`` gates type-level predicates (``Pwhere``,
     struct constraints); ``fields`` and ``elts`` give child masks.  Missing
     children default to this node's ``base`` flag, so ``Mask(P_Check)``
-    checks everything without materialising anything, and the default mask
+    checks everything without materialising anything (``SET`` never
+    changes which errors are reported: checks see the parsed values
+    whatever the rep holds), and the default mask
     checks and sets everything — matching ``P_CheckAndSet`` initialisation
     via ``entry_t_m_init`` in the paper's Figure 7.
     """
@@ -116,6 +118,17 @@ class Mask:
     @property
     def level_sem(self) -> bool:
         return bool(int(self.level) & 4)
+
+    @property
+    def sets_all(self) -> bool:
+        """Whether ``SET`` is on at this position and every one below.
+        ``SET`` only decides what the rep holds: parsing ignores it, and
+        the description's entry points put defaults at unset positions
+        afterwards."""
+        return bool(self.bits & 1) and all(
+            child.sets_all if isinstance(child, Mask) else child & 1
+            for child in self.fields.values()) and (
+                self.elts is None or self.elts.sets_all)
 
     def with_field(self, name: str, child: "Mask | MaskFlag") -> "Mask":
         """Functional update: return a copy with ``name`` overridden."""

@@ -14,10 +14,17 @@ the paper's generated C code:
 * ``verify`` re-checks semantic constraints against an in-memory value
   (``entry_t_verify`` in the paper's Figure 7),
 * ``generate`` produces random conforming data (the generator the paper
-  lists as future work; we use it in place of AT&T's proprietary feeds).
+  lists as future work; we use it in place of AT&T's proprietary feeds),
+* ``unset`` puts the defaults a mask's unset positions hold into a parsed
+  rep: parsing ignores ``SET``, so constraints always see parsed values.
 
-The interpreted combinators and the code generator (:mod:`repro.codegen`)
-must agree; a property test cross-checks them.
+Every expression site (constraint, ``Pwhere``, selector, array bound,
+type argument) is a function the binder compiled from the plan
+(:meth:`repro.plan.runtime.Runtime.site`), called with a flat *scope*: a
+dict of the declaration's parameters plus the fields parsed so far.  A
+node never mutates the scope it is given.  The interpreted combinators
+and the code generator (:mod:`repro.codegen`) must agree; a property test
+cross-checks them.
 """
 
 from __future__ import annotations
@@ -28,7 +35,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import observe
 from ..expr import ast as E
-from ..expr.eval import Env, EvalError, eval_expr
 from .basetypes.base import BaseType
 from .errors import ErrCode, Pd, Pstate
 from .io import Source
@@ -41,6 +47,26 @@ from .values import EnumVal, UnionVal, rec_class
 MAX_RESYNC_SCAN = 4096
 
 
+#: The flat expression scope nodes pass down; see the module docstring.
+Scope = Dict[str, object]
+#: A compiled expression site: ``fn(scope)``.
+Site = Callable[[Scope], object]
+
+
+def _own(node: "PType", scope: Scope) -> Scope:
+    """A fresh scope for ``node``'s own fields: its parameters when it
+    has some (a parameterised type is always reached through an
+    ``AppNode``, which passes exactly them), else empty."""
+    return dict(scope) if node.params else {}
+
+
+def _with(node: "PType", scope: Scope, name: str, value) -> Scope:
+    """``node``'s own scope plus ``name`` bound to ``value``."""
+    s = _own(node, scope)
+    s[name] = value
+    return s
+
+
 def _depth_guarded(parse):
     """Wrap a compound node's ``parse`` with the ``max_depth`` budget.
 
@@ -49,15 +75,15 @@ def _depth_guarded(parse):
     the parse returns.  A refused level yields the type's default rep with
     a NEST_LIMIT pd — the same shape the generated engine emits.
     """
-    def guarded(self, src: Source, mask: Mask, env: Env):
+    def guarded(self, src: Source, mask: Mask, scope: Scope):
         limits = src.limits
         if limits is None or limits.max_depth is None:
-            return parse(self, src, mask, env)
+            return parse(self, src, mask, scope)
         pd = Pd()
         if not src.push_depth(pd):
-            return self.default(env), pd
+            return self.default(scope), pd
         try:
-            return parse(self, src, mask, env)
+            return parse(self, src, mask, scope)
         finally:
             src.pop_depth()
     return guarded
@@ -71,38 +97,32 @@ class PType:
     #: The plan-IR node this runtime node was bound from (set by
     #: :mod:`repro.core.binding`); tools read analyzed facts through it.
     plan: Optional[object] = None
+    #: The declaration's parameter names (set by the binder).
+    params: Tuple[str, ...] = ()
 
-    def parse(self, src: Source, mask: Mask, env: Env) -> Tuple[object, Pd]:
+    def parse(self, src: Source, mask: Mask, scope: Scope) -> Tuple[object, Pd]:
         raise NotImplementedError
 
-    def write(self, rep, out: List[bytes], env: Env) -> None:
+    def write(self, rep, out: List[bytes], scope: Scope) -> None:
         raise NotImplementedError
 
-    def default(self, env: Env):
+    def default(self, scope: Scope):
         return None
 
-    def verify(self, rep, env: Env) -> bool:
+    def verify(self, rep, scope: Scope) -> bool:
         """Re-check semantic constraints on an in-memory value."""
         return True
 
-    def generate(self, rng: random.Random, env: Env):
+    def generate(self, rng: random.Random, scope: Scope):
         raise NotImplementedError(f"{self.name} cannot generate data")
 
-    def to_bytes(self, rep, env: Optional[Env] = None) -> bytes:
-        out: List[bytes] = []
-        self.write(rep, out, env or Env({}))
-        return b"".join(out)
+    def unset(self, rep, mask: Mask, scope: Scope):
+        """``rep`` with the default at every base position ``mask``
+        leaves unset (``SET`` decides only what the rep holds)."""
+        return rep
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}>"
-
-
-def _eval_constraint(expr: E.Expr, env: Env) -> Tuple[bool, bool]:
-    """Evaluate a constraint; returns (ok, evaluation_failed)."""
-    try:
-        return bool(eval_expr(expr, env)), False
-    except EvalError:
-        return False, True
 
 
 # ---------------------------------------------------------------------------
@@ -114,32 +134,27 @@ class BaseNode(PType):
 
     ``Pstring_FW(:hdr.len:)`` must re-resolve its width for every parse, so
     when any argument is non-constant the factory is re-applied per parse
-    with arguments evaluated in the current environment.
+    to the arguments ``args(scope)`` evaluates (a site the binder sets).
     """
 
     kind = "base"
+    args: Optional[Site] = None
 
-    def __init__(self, name: str, resolver: Callable[[tuple], BaseType],
-                 arg_exprs: Sequence[E.Expr] = ()):
+    def __init__(self, name: str, static: Optional[BaseType] = None,
+                 resolver: Optional[Callable[[tuple], BaseType]] = None):
         self.name = name
+        self._static = static
         self._resolver = resolver
-        self.arg_exprs = list(arg_exprs)
-        self._static: Optional[BaseType] = None
-        if all(isinstance(a, (E.IntLit, E.StrLit, E.CharLit, E.FloatLit, E.BoolLit))
-               for a in self.arg_exprs):
-            args = tuple(a.value for a in self.arg_exprs)
-            self._static = resolver(args)
 
-    def instance(self, env: Env) -> BaseType:
+    def instance(self, scope: Scope) -> BaseType:
         if self._static is not None:
             return self._static
-        args = tuple(eval_expr(a, env) for a in self.arg_exprs)
-        return self._resolver(args)
+        return self._resolver(self.args(scope))
 
-    def parse(self, src: Source, mask: Mask, env: Env):
+    def parse(self, src: Source, mask: Mask, scope: Scope):
         pd = Pd()
         try:
-            base = self.instance(env)
+            base = self.instance(scope)
         except Exception:
             # Data-dependent parameters can be garbage on malformed input
             # (e.g. a zero-width Pstring_FW(:n:)); report, don't crash.
@@ -150,21 +165,22 @@ class BaseNode(PType):
         value, code = base.parse(src, mask.do_sem)
         if code != ErrCode.NO_ERR:
             pd.record_error(code, src.loc_from(start))
-        if not mask.do_set and code == ErrCode.NO_ERR:
-            value = base.default()
         return value, pd
 
-    def write(self, rep, out: List[bytes], env: Env) -> None:
-        out.append(self.instance(env).write(rep))
+    def write(self, rep, out: List[bytes], scope: Scope) -> None:
+        out.append(self.instance(scope).write(rep))
 
-    def default(self, env: Env):
+    def default(self, scope: Scope):
         try:
-            return self.instance(env).default()
+            return self.instance(scope).default()
         except Exception:
             return None
 
-    def generate(self, rng: random.Random, env: Env):
-        return self.instance(env).generate(rng)
+    def generate(self, rng: random.Random, scope: Scope):
+        return self.instance(scope).generate(rng)
+
+    def unset(self, rep, mask: Mask, scope: Scope):
+        return rep if mask.bits & 1 else self.default(scope)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +236,7 @@ class LiteralNode(PType):
             return m.start() if m else -1
         return -1
 
-    def parse(self, src: Source, mask: Mask, env: Env):
+    def parse(self, src: Source, mask: Mask, scope: Scope):
         pd = Pd()
         start = src.pos
         n = self.matches_at(src)
@@ -230,7 +246,7 @@ class LiteralNode(PType):
         src.skip(n)
         return None, pd
 
-    def write(self, rep, out: List[bytes], env: Env) -> None:
+    def write(self, rep, out: List[bytes], scope: Scope) -> None:
         if self.lit_kind in ("char", "string"):
             out.append(self.raw)
         elif self.lit_kind == "regex":
@@ -238,16 +254,8 @@ class LiteralNode(PType):
             # literals are read-only and excluded from write round-trips.
             raise ValueError("cannot write a regex literal")
 
-    def generate(self, rng: random.Random, env: Env):
+    def generate(self, rng: random.Random, scope: Scope):
         return None
-
-    def generate_bytes(self, rng: random.Random) -> bytes:
-        if self.lit_kind in ("char", "string"):
-            return self.raw
-        if self.lit_kind == "regex":
-            from ..util.regexgen import sample_regex
-            return sample_regex(self.value, rng).encode(self.encoding)
-        return b""
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +263,16 @@ class LiteralNode(PType):
 # ---------------------------------------------------------------------------
 
 class StructField:
-    """One member of a struct: literal, data field, or computed field."""
+    """One member of a struct: literal, data field, or computed field.
+    ``constraint`` (a check site) and ``expr`` (a computed field's value
+    site) are set by the binder."""
 
     __slots__ = ("kind", "name", "node", "constraint", "expr")
 
     def __init__(self, kind: str, name: Optional[str] = None,
                  node: Optional[PType] = None,
-                 constraint: Optional[E.Expr] = None,
-                 expr: Optional[E.Expr] = None):
+                 constraint: Optional[Site] = None,
+                 expr: Optional[Site] = None):
         self.kind = kind  # 'literal' | 'data' | 'compute'
         self.name = name
         self.node = node
@@ -297,7 +307,7 @@ class StructNode(PType):
     members: Optional[tuple] = None
 
     def __init__(self, name: str, fields: Sequence[StructField],
-                 where: Optional[E.Expr] = None):
+                 where: Optional[Site] = None):
         self.name = name
         self.fields = list(fields)
         self.where = where
@@ -311,9 +321,6 @@ class StructNode(PType):
                 names.append(f.name)
         self.rec_class = rec_class(tuple(names))
 
-    def data_fields(self) -> List[StructField]:
-        return [f for f in self.fields if f.kind == "data"]
-
     def _next_literal(self, idx: int) -> Optional[Tuple[int, LiteralNode]]:
         for j in range(idx + 1, len(self.fields)):
             f = self.fields[j]
@@ -322,9 +329,9 @@ class StructNode(PType):
         return None
 
     @_depth_guarded
-    def parse(self, src: Source, mask: Mask, env: Env):
+    def parse(self, src: Source, mask: Mask, scope: Scope):
         pd = Pd()
-        scope = env.child()
+        s = _own(self, scope)
         slots = self.slots
         values: List[object] = [None] * len(self.rec_class.__rec_fields__)
         panicked = False
@@ -356,7 +363,7 @@ class StructNode(PType):
             f = self.fields[i]
             if panicked:
                 if f.kind == "data":
-                    values[slots[i]] = f.node.default(scope)
+                    values[slots[i]] = f.node.default(s)
                     child = Pd()
                     child.pstate = Pstate.PANIC
                     pd.fields[f.name] = child
@@ -388,17 +395,15 @@ class StructNode(PType):
 
             if f.kind == "compute":
                 try:
-                    values[slots[i]] = eval_expr(f.expr, scope)
-                except EvalError:
-                    values[slots[i]] = None
+                    value = f.expr(s)
+                except Exception:
+                    value = None
                     pd.record_error(ErrCode.USER_CONSTRAINT_VIOLATION, src.here())
-                scope.vars[f.name] = values[slots[i]]
+                values[slots[i]] = s[f.name] = value
                 if f.constraint is not None and mask.do_sem \
-                        and values[slots[i]] is not None:
-                    ok, failed = _eval_constraint(f.constraint, scope)
-                    if not ok or failed:
-                        pd.record_error(ErrCode.USER_CONSTRAINT_VIOLATION,
-                                        src.here())
+                        and value is not None and not f.constraint(s):
+                    pd.record_error(ErrCode.USER_CONSTRAINT_VIOLATION,
+                                    src.here())
                 i += 1
                 continue
 
@@ -412,7 +417,7 @@ class StructNode(PType):
                 tracer.enter(f.name, getattr(f.node, "name", f.node.kind),
                              start, src.record_idx)
             if hit is None:
-                value, child = f.node.parse(src, fmask, scope)
+                value, child = f.node.parse(src, fmask, s)
             else:
                 value, child = hit[0], Pd()
             if tracer is not None:
@@ -425,14 +430,11 @@ class StructNode(PType):
                 tracer.exit(getattr(f.node, "name", f.node.kind), start,
                             src.pos, src.record_idx, outcome, code)
             stuck = child.nerr > 0 and child.err_code.is_syntactic() and src.pos == start
-            if f.constraint is not None and fmask.do_sem and child.nerr == 0:
-                scope.vars[f.name] = value
-                ok, failed = _eval_constraint(f.constraint, scope)
-                if not ok or failed:
-                    child.record_error(ErrCode.USER_CONSTRAINT_VIOLATION,
-                                       src.loc_from(start))
-            values[slots[i]] = value
-            scope.vars[f.name] = value
+            values[slots[i]] = s[f.name] = value
+            if f.constraint is not None and fmask.do_sem and child.nerr == 0 \
+                    and not f.constraint(s):
+                child.record_error(ErrCode.USER_CONSTRAINT_VIOLATION,
+                                   src.loc_from(start))
             if child.nerr:
                 # Clean children are omitted from the descriptor: one Pd per
                 # *errored* position keeps descriptors cheap on clean data.
@@ -453,14 +455,13 @@ class StructNode(PType):
                         for k in range(i + 1, j):
                             skipped = self.fields[k]
                             if skipped.kind == "data":
-                                values[slots[k]] = skipped.node.default(scope)
-                                scope.vars[skipped.name] = values[slots[k]]
+                                values[slots[k]] = s[skipped.name] = \
+                                    skipped.node.default(s)
                                 sk_pd = Pd()
                                 sk_pd.pstate = Pstate.PANIC
                                 pd.fields[skipped.name] = sk_pd
                             elif skipped.kind == "compute":
-                                values[slots[k]] = None
-                                scope.vars[skipped.name] = None
+                                values[slots[k]] = s[skipped.name] = None
                         i = j + 1
                         continue
                 pd.pstate |= Pstate.PANIC
@@ -469,59 +470,63 @@ class StructNode(PType):
             i += 1
 
         rep = self.rec_class(*values)
-        if self.where is not None and mask.level_sem and pd.nerr == 0:
-            ok, failed = _eval_constraint(self.where, scope)
-            if not ok or failed:
-                pd.record_error(ErrCode.WHERE_CLAUSE_VIOLATION, src.here())
+        if self.where is not None and mask.level_sem and pd.nerr == 0 \
+                and not self.where(s):
+            pd.record_error(ErrCode.WHERE_CLAUSE_VIOLATION, src.here())
         return rep, pd
 
-    def write(self, rep, out: List[bytes], env: Env) -> None:
-        scope = env.child()
+    def write(self, rep, out: List[bytes], scope: Scope) -> None:
+        s = _own(self, scope)
         for f in self.fields:
             if f.kind == "literal":
-                f.node.write(None, out, scope)
+                f.node.write(None, out, s)
             elif f.kind == "compute":
-                scope.vars[f.name] = getattr(rep, f.name, None)
+                s[f.name] = getattr(rep, f.name, None)
             else:
-                value = getattr(rep, f.name)
-                f.node.write(value, out, scope)
-                scope.vars[f.name] = value
+                value = s[f.name] = getattr(rep, f.name)
+                f.node.write(value, out, s)
 
-    def default(self, env: Env):
-        return self.rec_class(*[f.node.default(env) if f.kind == "data"
+    def default(self, scope: Scope):
+        s = _own(self, scope)
+        return self.rec_class(*[f.node.default(s) if f.kind == "data"
                                 else None
                                 for f in self.fields if f.kind != "literal"])
 
-    def verify(self, rep, env: Env) -> bool:
-        scope = env.child()
+    def verify(self, rep, scope: Scope) -> bool:
+        s = _own(self, scope)
         for f in self.fields:
             if f.kind == "literal":
                 continue
             try:
-                value = getattr(rep, f.name)
+                value = s[f.name] = getattr(rep, f.name)
             except AttributeError:
                 return False
-            scope.vars[f.name] = value
-            if f.kind == "data":
-                if not f.node.verify(value, scope):
-                    return False
-            if f.constraint is not None:
-                ok, failed = _eval_constraint(f.constraint, scope)
-                if not ok or failed:
-                    return False
-        if self.where is not None:
-            ok, failed = _eval_constraint(self.where, scope)
-            if not ok or failed:
+            if f.kind == "data" and not f.node.verify(value, s):
                 return False
-        return True
+            if f.constraint is not None and not f.constraint(s):
+                return False
+        return self.where is None or self.where(s)
 
-    def generate(self, rng: random.Random, env: Env):
+    def unset(self, rep, mask: Mask, scope: Scope):
+        if rep is None:
+            return rep
+        s = _own(self, scope)
+        for f in self.fields:
+            if f.kind == "data":
+                value = s[f.name] = getattr(rep, f.name)
+                setattr(rep, f.name,
+                        f.node.unset(value, mask.for_field(f.name), s))
+            elif f.kind == "compute":
+                s[f.name] = getattr(rep, f.name)
+        return rep
+
+    def generate(self, rng: random.Random, scope: Scope):
         # Rejection sampling over the whole struct.  The bound is generous
         # because derived-field constraints (Pbitfields ranges) can only be
         # satisfied by re-rolling the underlying data fields.
         last_error = None
         for _ in range(512):
-            scope = env.child()
+            s = _own(self, scope)
             values: List[object] = []
             try:
                 for f in self.fields:
@@ -529,52 +534,50 @@ class StructNode(PType):
                         continue
                     if f.kind == "compute":
                         try:
-                            value = eval_expr(f.expr, scope)
-                        except EvalError:
+                            value = f.expr(s)
+                        except Exception:
                             value = None
                         values.append(value)
-                        scope.vars[f.name] = value
-                        if f.constraint is not None:
-                            ok, failed = _eval_constraint(f.constraint, scope)
-                            if not ok or failed:
-                                # Derived value violates its constraint
-                                # (e.g. a Pbitfields range): resample.
-                                raise ValueError(
-                                    f"computed field {f.name} constraint")
+                        s[f.name] = value
+                        if f.constraint is not None and not f.constraint(s):
+                            # Derived value violates its constraint
+                            # (e.g. a Pbitfields range): resample.
+                            raise ValueError(
+                                f"computed field {f.name} constraint")
                         continue
                     value = _generate_constrained(f.node, f.constraint,
-                                                  f.name, rng, scope)
+                                                  f.name, rng, s)
                     values.append(value)
-                    scope.vars[f.name] = value
             except ValueError as exc:
                 # A field constraint may be unsatisfiable for the earlier
                 # fields drawn (e.g. chkVersion with meth == LINK); resample
                 # the whole struct.
                 last_error = exc
                 continue
-            if self.where is not None:
-                ok, failed = _eval_constraint(self.where, scope)
-                if not ok or failed:
-                    continue
+            if self.where is not None and not self.where(s):
+                continue
             return self.rec_class(*values)
         raise ValueError(
             f"could not generate a {self.name} satisfying its constraints"
             + (f" ({last_error})" if last_error else ""))
 
 
-def _generate_constrained(node: PType, constraint: Optional[E.Expr],
-                          name: str, rng: random.Random, scope: Env,
+def _generate_constrained(node: PType, constraint: Optional[Site],
+                          name: str, rng: random.Random, scope: Scope,
                           attempts: int = 64):
-    """Generate a value satisfying an optional field constraint.
+    """Generate a value satisfying an optional field constraint, and
+    bind it as ``scope[name]``.
 
-    Uses a solve-by-retry loop, with a fast path for equality constraints
-    of the shape ``field == literal``.
+    Uses a solve-by-retry loop, with fast paths for constraints (read
+    from the site's AST) of the shape ``field == literal`` or integer
+    bounds on the field.
     """
     if constraint is not None:
-        lit = _equality_literal(constraint, name)
+        lit = _equality_literal(constraint.expr, name)
         if lit is not None:
+            scope[name] = lit
             return lit
-        bounds = _int_bounds(constraint, name)
+        bounds = _int_bounds(constraint.expr, name)
         if bounds is not None:
             lo, hi = bounds
             nlo, nhi = _node_int_bounds(node, scope)
@@ -584,31 +587,25 @@ def _generate_constrained(node: PType, constraint: Optional[E.Expr],
             hi = (1 << 32) - 1 if hi is None else hi
             if lo <= hi:
                 for _ in range(attempts):
-                    value = rng.randint(lo, hi)
-                    scope.vars[name] = value
-                    ok, failed = _eval_constraint(constraint, scope)
-                    if ok and not failed:
+                    value = scope[name] = rng.randint(lo, hi)
+                    if constraint(scope):
                         return value
     for _ in range(attempts):
-        value = node.generate(rng, scope)
-        if constraint is None:
-            return value
-        scope.vars[name] = value
-        ok, failed = _eval_constraint(constraint, scope)
-        if ok and not failed:
+        value = scope[name] = node.generate(rng, scope)
+        if constraint is None or constraint(scope):
             return value
     raise ValueError(
         f"could not generate a value for {name!r} satisfying its constraint")
 
 
-def _node_int_bounds(node: PType, env: Env):
+def _node_int_bounds(node: PType, scope: Scope):
     """The natural integer range of a node, when it has one."""
     if isinstance(node, TypedefNode):
-        return _node_int_bounds(node.base, env)
+        return _node_int_bounds(node.base, scope)
     if isinstance(node, BaseNode):
         try:
-            inst = node.instance(env)
-        except EvalError:
+            inst = node.instance(scope)
+        except Exception:
             return None, None
         if inst.kind == "int":
             return getattr(inst, "lo", None), getattr(inst, "hi", None)
@@ -666,7 +663,7 @@ def _equality_literal(constraint: E.Expr, name: str):
 class UnionBranch:
     __slots__ = ("name", "node", "constraint")
 
-    def __init__(self, name: str, node: PType, constraint: Optional[E.Expr] = None):
+    def __init__(self, name: str, node: PType, constraint: Optional[Site] = None):
         self.name = name
         self.node = node
         self.constraint = constraint
@@ -678,29 +675,27 @@ class UnionNode(PType):
 
     kind = "union"
 
-    def __init__(self, name: str, branches: Sequence[UnionBranch],
-                 where: Optional[E.Expr] = None):
+    def __init__(self, name: str, branches: Sequence[UnionBranch]):
         self.name = name
         self.branches = list(branches)
-        self.where = where
+
+    def _guard(self, br: UnionBranch, value, scope: Scope) -> bool:
+        """Whether ``value`` passes ``br``'s constraint, if any."""
+        return br.constraint is None or br.constraint(
+            _with(self, scope, br.name, value))
 
     @_depth_guarded
-    def parse(self, src: Source, mask: Mask, env: Env):
+    def parse(self, src: Source, mask: Mask, scope: Scope):
         pd = Pd()
         start_loc = src.here()
         for br in self.branches:
             state = src.mark()
             bmask = mask.for_field(br.name)
-            value, child = br.node.parse(src, bmask, env)
-            ok = child.nerr == 0
-            if ok and br.constraint is not None:
-                scope = env.child({br.name: value})
-                cok, failed = _eval_constraint(br.constraint, scope)
-                # A failing branch guard redirects to the next branch even
-                # when semantic checking is masked off — the guard decides
-                # *which* branch the data belongs to (paper: auth_id_t).
-                ok = cok and not failed
-            if ok:
+            value, child = br.node.parse(src, bmask, scope)
+            # A failing branch guard redirects to the next branch even
+            # when semantic checking is masked off — the guard decides
+            # *which* branch the data belongs to (paper: auth_id_t).
+            if child.nerr == 0 and self._guard(br, value, scope):
                 src.commit(state)
                 pd.tag = br.name
                 tracer = observe.current_tracer()
@@ -717,30 +712,32 @@ class UnionNode(PType):
         pd.record_error(ErrCode.UNION_MATCH_FAILURE, start_loc, panic=True)
         return UnionVal("<none>", None), pd
 
-    def write(self, rep, out: List[bytes], env: Env) -> None:
+    def write(self, rep, out: List[bytes], scope: Scope) -> None:
         for br in self.branches:
             if br.name == rep.tag:
-                br.node.write(rep.value, out, env)
+                br.node.write(rep.value, out, scope)
                 return
         raise ValueError(f"unknown union branch {rep.tag!r} for {self.name}")
 
-    def default(self, env: Env):
+    def default(self, scope: Scope):
         br = self.branches[0]
-        return UnionVal(br.name, br.node.default(env))
+        return UnionVal(br.name, br.node.default(scope))
 
-    def verify(self, rep, env: Env) -> bool:
+    def verify(self, rep, scope: Scope) -> bool:
         for br in self.branches:
             if br.name == rep.tag:
-                if not br.node.verify(rep.value, env):
-                    return False
-                if br.constraint is not None:
-                    scope = env.child({br.name: rep.value})
-                    ok, failed = _eval_constraint(br.constraint, scope)
-                    return ok and not failed
-                return True
+                return (br.node.verify(rep.value, scope)
+                        and self._guard(br, rep.value, scope))
         return False
 
-    def generate(self, rng: random.Random, env: Env):
+    def unset(self, rep, mask: Mask, scope: Scope):
+        for br in self.branches:
+            if br.name == rep.tag:
+                return UnionVal(rep.tag, br.node.unset(
+                    rep.value, mask.for_field(br.name), scope))
+        return rep
+
+    def generate(self, rng: random.Random, scope: Scope):
         order = list(self.branches)
         rng.shuffle(order)
         last = None
@@ -748,19 +745,19 @@ class UnionNode(PType):
             for _ in range(16):
                 try:
                     value = _generate_constrained(br.node, br.constraint,
-                                                  br.name, rng, env.child())
+                                                  br.name, rng, _own(self, scope))
                 except (ValueError, NotImplementedError) as exc:
                     last = exc
                     break
                 candidate = UnionVal(br.name, value)
-                if self._unambiguous(candidate, env):
+                if self._unambiguous(candidate, scope):
                     return candidate
         if last is not None:
             raise ValueError(f"no generatable branch in union {self.name}: {last}")
         raise ValueError(
             f"could not generate an unambiguous value for union {self.name}")
 
-    def _unambiguous(self, candidate: UnionVal, env: Env) -> bool:
+    def _unambiguous(self, candidate: UnionVal, scope: Scope) -> bool:
         """Check that the candidate's physical form parses back to the same
         branch — an *earlier* branch may otherwise capture it (the paper's
         ordered-branch semantics), which would break write/parse round
@@ -768,21 +765,20 @@ class UnionNode(PType):
         from .io import NoRecords, Source
         out: List[bytes] = []
         try:
-            self.write(candidate, out, env)
+            self.write(candidate, out, scope)
         except Exception:
             return True  # unserialisable here (e.g. regex literal): accept
         src = Source.from_bytes(b"".join(out), NoRecords())
-        rep, pd = self.parse(src, Mask(), env)
+        rep, pd = self.parse(src, Mask(), scope)
         return (pd.nerr == 0 and rep.tag == candidate.tag
                 and rep.value == candidate.value and src.at_eof())
 
 
 class SwitchCaseRT:
-    __slots__ = ("value_expr", "name", "node", "constraint")
+    __slots__ = ("name", "node", "constraint")
 
-    def __init__(self, value_expr: Optional[E.Expr], name: str, node: PType,
-                 constraint: Optional[E.Expr] = None):
-        self.value_expr = value_expr  # None = Pdefault
+    def __init__(self, name: str, node: PType,
+                 constraint: Optional[Site] = None):
         self.name = name
         self.node = node
         self.constraint = constraint
@@ -795,69 +791,64 @@ class SwitchUnionNode(PType):
 
     kind = "union"
 
-    def __init__(self, name: str, selector: E.Expr, cases: Sequence[SwitchCaseRT]):
+    #: ``pick(scope)``: the index of the case the selector picks, or -1
+    #: (a site the binder sets, see :meth:`repro.plan.ir.Plan.pick`).
+    pick: Optional[Site] = None
+
+    def __init__(self, name: str, cases: Sequence[SwitchCaseRT]):
         self.name = name
-        self.selector = selector
         self.cases = list(cases)
 
-    def _pick(self, env: Env) -> Optional[SwitchCaseRT]:
-        try:
-            sel = eval_expr(self.selector, env)
-        except EvalError:
-            return None
-        default = None
-        for case in self.cases:
-            if case.value_expr is None:
-                default = case
-                continue
-            try:
-                if eval_expr(case.value_expr, env) == sel:
-                    return case
-            except EvalError:
-                continue
-        return default
+    def _pick(self, scope: Scope) -> Optional[SwitchCaseRT]:
+        k = self.pick(scope)
+        return None if k < 0 else self.cases[k]
 
     @_depth_guarded
-    def parse(self, src: Source, mask: Mask, env: Env):
+    def parse(self, src: Source, mask: Mask, scope: Scope):
         pd = Pd()
-        case = self._pick(env)
+        case = self._pick(scope)
         if case is None:
             pd.record_error(ErrCode.SWITCH_NO_CASE, src.here(), panic=True)
             return UnionVal("<none>", None), pd
-        value, child = case.node.parse(src, mask.for_field(case.name), env)
+        value, child = case.node.parse(src, mask.for_field(case.name), scope)
         pd.branch = child
         pd.tag = case.name
         pd.absorb(child)
-        if case.constraint is not None and mask.do_sem and child.nerr == 0:
-            scope = env.child({case.name: value})
-            ok, failed = _eval_constraint(case.constraint, scope)
-            if not ok or failed:
-                pd.record_error(ErrCode.USER_CONSTRAINT_VIOLATION, src.here())
+        if case.constraint is not None and mask.do_sem and child.nerr == 0 \
+                and not case.constraint(_with(self, scope, case.name, value)):
+            pd.record_error(ErrCode.USER_CONSTRAINT_VIOLATION, src.here())
         return UnionVal(case.name, value), pd
 
-    def write(self, rep, out: List[bytes], env: Env) -> None:
+    def write(self, rep, out: List[bytes], scope: Scope) -> None:
         for case in self.cases:
             if case.name == rep.tag:
-                case.node.write(rep.value, out, env)
+                case.node.write(rep.value, out, scope)
                 return
         raise ValueError(f"unknown switch branch {rep.tag!r} for {self.name}")
 
-    def default(self, env: Env):
+    def default(self, scope: Scope):
         case = self.cases[0]
-        return UnionVal(case.name, case.node.default(env))
+        return UnionVal(case.name, case.node.default(scope))
 
-    def verify(self, rep, env: Env) -> bool:
-        case = self._pick(env)
+    def verify(self, rep, scope: Scope) -> bool:
+        case = self._pick(scope)
         if case is None or case.name != rep.tag:
             return False
-        return case.node.verify(rep.value, env)
+        return case.node.verify(rep.value, scope)
 
-    def generate(self, rng: random.Random, env: Env):
-        case = self._pick(env)
+    def unset(self, rep, mask: Mask, scope: Scope):
+        for case in self.cases:
+            if case.name == rep.tag:
+                return UnionVal(rep.tag, case.node.unset(
+                    rep.value, mask.for_field(case.name), scope))
+        return rep
+
+    def generate(self, rng: random.Random, scope: Scope):
+        case = self._pick(scope)
         if case is None:
             raise ValueError(f"switch selector has no case for {self.name}")
         value = _generate_constrained(case.node, case.constraint, case.name,
-                                      rng, env.child())
+                                      rng, _own(self, scope))
         return UnionVal(case.name, value)
 
 
@@ -878,9 +869,9 @@ class OptNode(PType):
         self.inner = inner
         self.name = f"Popt {inner.name}"
 
-    def parse(self, src: Source, mask: Mask, env: Env):
+    def parse(self, src: Source, mask: Mask, scope: Scope):
         state = src.mark()
-        value, child = self.inner.parse(src, mask, env)
+        value, child = self.inner.parse(src, mask, scope)
         if child.nerr == 0:
             src.commit(state)
             pd = Pd()
@@ -891,22 +882,25 @@ class OptNode(PType):
         pd.tag = "none"
         return None, pd
 
-    def write(self, rep, out: List[bytes], env: Env) -> None:
+    def write(self, rep, out: List[bytes], scope: Scope) -> None:
         if rep is not None:
-            self.inner.write(rep, out, env)
+            self.inner.write(rep, out, scope)
 
-    def default(self, env: Env):
+    def default(self, scope: Scope):
         return None
 
-    def verify(self, rep, env: Env) -> bool:
+    def verify(self, rep, scope: Scope) -> bool:
         if rep is None:
             return True
-        return self.inner.verify(rep, env)
+        return self.inner.verify(rep, scope)
 
-    def generate(self, rng: random.Random, env: Env):
+    def unset(self, rep, mask: Mask, scope: Scope):
+        return None if rep is None else self.inner.unset(rep, mask, scope)
+
+    def generate(self, rng: random.Random, scope: Scope):
         if rng.random() < 0.25:
             return None
-        return self.inner.generate(rng, env)
+        return self.inner.generate(rng, scope)
 
 
 # ---------------------------------------------------------------------------
@@ -924,12 +918,12 @@ class ArrayNode(PType):
     def __init__(self, name: str, elt: PType, *,
                  sep: Optional[LiteralNode] = None,
                  term: Optional[LiteralNode] = None,
-                 min_size: Optional[E.Expr] = None,
-                 max_size: Optional[E.Expr] = None,
-                 last: Optional[E.Expr] = None,
-                 ended: Optional[E.Expr] = None,
+                 min_size: Optional[Site] = None,
+                 max_size: Optional[Site] = None,
+                 last: Optional[Site] = None,
+                 ended: Optional[Site] = None,
                  longest: bool = False,
-                 where: Optional[E.Expr] = None):
+                 where: Optional[Site] = None):
         self.name = name
         self.elt = elt
         self.sep = sep
@@ -941,34 +935,33 @@ class ArrayNode(PType):
         self.longest = longest
         self.where = where
 
-    def _size_bounds(self, env: Env) -> Tuple[Optional[int], Optional[int]]:
+    def _size_bounds(self, scope: Scope) -> Tuple[Optional[int], Optional[int]]:
         lo = hi = None
         if self.min_size is not None:
-            lo = int(eval_expr(self.min_size, env))
+            lo = int(self.min_size(scope))
         if self.max_size is not None:
-            hi = int(eval_expr(self.max_size, env))
+            hi = int(self.max_size(scope))
         return lo, hi
 
     def _at_term(self, src: Source) -> bool:
         return self.term is not None and self.term.matches_at(src) >= 0
 
     @_depth_guarded
-    def parse(self, src: Source, mask: Mask, env: Env):
+    def parse(self, src: Source, mask: Mask, scope: Scope):
         pd = Pd()
         emask = mask.for_elements()
         elts: List[object] = []
+        s = _with(self, scope, "elts", elts)
         try:
-            lo, hi = self._size_bounds(env)
-        except EvalError:
+            lo, hi = self._size_bounds(s)
+        except Exception:
             pd.record_error(ErrCode.ARRAY_SIZE_ERR, src.here(), panic=True)
             return [], pd
         alim = src.limits.max_array_elems if src.limits is not None else None
-        array_env = env.child()
 
-        def pred_env() -> Env:
-            array_env.vars["elts"] = elts
-            array_env.vars["length"] = len(elts)
-            return array_env
+        def holds(pred: Site) -> bool:
+            s["length"] = len(elts)
+            return pred(s)
 
         first = True
         while True:
@@ -977,10 +970,8 @@ class ArrayNode(PType):
                 break
             if hi is not None and len(elts) >= hi:
                 break
-            if self.ended is not None:
-                ok, failed = _eval_constraint(self.ended, pred_env())
-                if ok and not failed:
-                    break
+            if self.ended is not None and holds(self.ended):
+                break
             if self._at_term(src):
                 # The terminator is left unconsumed (it belongs to the
                 # enclosing type); Peor/Peof consume nothing anyway.
@@ -999,13 +990,13 @@ class ArrayNode(PType):
             before = src.pos
             if self.longest or (first and (lo is None or lo == 0)):
                 state = src.mark()
-                value, child = self.elt.parse(src, emask, array_env)
+                value, child = self.elt.parse(src, emask, s)
                 if child.nerr > 0 and self.longest:
                     src.restore(state)
                     break
                 src.commit(state)
             else:
-                value, child = self.elt.parse(src, emask, array_env)
+                value, child = self.elt.parse(src, emask, s)
 
             if child.nerr > 0:
                 pd.neerr += 1
@@ -1021,20 +1012,17 @@ class ArrayNode(PType):
             elts.append(value)
             first = False
 
-            if self.last is not None:
-                ok, failed = _eval_constraint(self.last, pred_env())
-                if ok and not failed:
-                    break
+            if self.last is not None and holds(self.last):
+                break
             if src.pos == before and self.sep is None:
                 # Zero-width element and no separator: avoid spinning.
                 break
 
         if lo is not None and len(elts) < lo and mask.do_syn:
             pd.record_error(ErrCode.ARRAY_SIZE_ERR, src.here())
-        if self.where is not None and mask.level_sem and pd.nerr == 0:
-            ok, failed = _eval_constraint(self.where, pred_env())
-            if not ok or failed:
-                pd.record_error(ErrCode.WHERE_CLAUSE_VIOLATION, src.here())
+        if self.where is not None and mask.level_sem and pd.nerr == 0 \
+                and not holds(self.where):
+            pd.record_error(ErrCode.WHERE_CLAUSE_VIOLATION, src.here())
         return elts, pd
 
     def _resync(self, src: Source) -> bool:
@@ -1057,20 +1045,19 @@ class ArrayNode(PType):
             return True
         return False
 
-    def parse_elements(self, src: Source, mask: Mask, env: Env):
+    def parse_elements(self, src: Source, mask: Mask, scope: Scope):
         """Element-at-a-time entry point (paper Section 4: reading an array
-        one element at a time to support very large sources)."""
+        one element at a time to support very large sources).  Yields
+        ``(rep, pd)`` per element; the predicates see the parsed
+        values."""
         emask = mask.for_elements()
-        array_env = env.child()
         elts: List[object] = []
+        s = _with(self, scope, "elts", elts)
         first = True
         while True:
-            array_env.vars["elts"] = elts
-            array_env.vars["length"] = len(elts)
-            if self.ended is not None:
-                ok, failed = _eval_constraint(self.ended, array_env)
-                if ok and not failed:
-                    return
+            s["length"] = len(elts)
+            if self.ended is not None and self.ended(s):
+                return
             if self._at_term(src) or src.at_end():
                 return
             if not first and self.sep is not None:
@@ -1078,48 +1065,49 @@ class ArrayNode(PType):
                 if n < 0:
                     return
                 src.skip(n)
-            value, child = self.elt.parse(src, emask, array_env)
+            value, child = self.elt.parse(src, emask, s)
             elts.append(value)
             first = False
-            yield value, child
-            if self.last is not None:
-                ok, failed = _eval_constraint(self.last, array_env)
-                if ok and not failed:
-                    return
+            yield self.elt.unset(value, emask, s), child
+            s["length"] = len(elts)
+            if self.last is not None and self.last(s):
+                return
 
-    def write(self, rep, out: List[bytes], env: Env) -> None:
+    def write(self, rep, out: List[bytes], scope: Scope) -> None:
         for i, value in enumerate(rep):
             if i and self.sep is not None:
-                self.sep.write(None, out, env)
-            self.elt.write(value, out, env)
+                self.sep.write(None, out, scope)
+            self.elt.write(value, out, scope)
 
-    def default(self, env: Env):
+    def default(self, scope: Scope):
         return []
 
-    def verify(self, rep, env: Env) -> bool:
-        scope = env.child({"elts": rep, "length": len(rep)})
+    def verify(self, rep, scope: Scope) -> bool:
+        s = _with(self, scope, "elts", rep)
+        s["length"] = len(rep)
         try:
-            lo, hi = self._size_bounds(scope)
-        except EvalError:
+            lo, hi = self._size_bounds(s)
+        except Exception:
             return False
         if lo is not None and len(rep) < lo:
             return False
         if hi is not None and len(rep) > hi:
             return False
         for value in rep:
-            if not self.elt.verify(value, scope):
+            if not self.elt.verify(value, s):
                 return False
-        if self.where is not None:
-            ok, failed = _eval_constraint(self.where, scope)
-            if not ok or failed:
-                return False
-        return True
+        return self.where is None or self.where(s)
 
-    def generate(self, rng: random.Random, env: Env, size: Optional[int] = None):
-        scope = env.child()
+    def unset(self, rep, mask: Mask, scope: Scope):
+        emask = mask.for_elements()
+        s = _with(self, scope, "elts", rep)
+        return [self.elt.unset(value, emask, s) for value in rep]
+
+    def generate(self, rng: random.Random, scope: Scope, size: Optional[int] = None):
+        s = _own(self, scope)
         try:
-            lo, hi = self._size_bounds(scope)
-        except EvalError:
+            lo, hi = self._size_bounds(s)
+        except Exception:
             lo = hi = None
         lo_eff = lo if lo is not None else 0
         if size is None:
@@ -1132,12 +1120,11 @@ class ArrayNode(PType):
         trial_size = size
         while True:
             for _ in range(32):
-                elts = [self.elt.generate(rng, scope) for _ in range(trial_size)]
+                elts = [self.elt.generate(rng, s) for _ in range(trial_size)]
                 if self.where is None:
                     return elts
-                wscope = env.child({"elts": elts, "length": len(elts)})
-                ok, failed = _eval_constraint(self.where, wscope)
-                if ok and not failed:
+                s["elts"], s["length"] = elts, len(elts)
+                if self.where(s):
                     return elts
             if trial_size <= lo_eff:
                 raise ValueError(
@@ -1164,7 +1151,7 @@ class EnumNode(PType):
         self._by_name = {n: (n, c, p) for n, c, p in self.items}
         self._ordered = sorted(self.items, key=lambda it: -len(it[2]))
 
-    def parse(self, src: Source, mask: Mask, env: Env):
+    def parse(self, src: Source, mask: Mask, scope: Scope):
         pd = Pd()
         for name, code, physical in self._ordered:
             raw = physical.encode(self.encoding)
@@ -1172,22 +1159,22 @@ class EnumNode(PType):
                 src.skip(len(raw))
                 return EnumVal(name, code, physical), pd
         pd.record_error(ErrCode.INVALID_ENUM, src.here())
-        return self.default(env), pd
+        return self.default(scope), pd
 
-    def write(self, rep, out: List[bytes], env: Env) -> None:
+    def write(self, rep, out: List[bytes], scope: Scope) -> None:
         name = str(rep)
         if name not in self._by_name:
             raise ValueError(f"{name!r} is not a member of {self.name}")
         out.append(self._by_name[name][2].encode(self.encoding))
 
-    def default(self, env: Env):
+    def default(self, scope: Scope):
         name, code, physical = self.items[0]
         return EnumVal(name, code, physical)
 
-    def verify(self, rep, env: Env) -> bool:
+    def verify(self, rep, scope: Scope) -> bool:
         return str(rep) in self._by_name
 
-    def generate(self, rng: random.Random, env: Env):
+    def generate(self, rng: random.Random, scope: Scope):
         name, code, physical = rng.choice(self.items)
         return EnumVal(name, code, physical)
 
@@ -1203,43 +1190,40 @@ class TypedefNode(PType):
     kind = "typedef"
 
     def __init__(self, name: str, base: PType, var: Optional[str],
-                 constraint: Optional[E.Expr]):
+                 constraint: Optional[Site] = None):
         self.name = name
         self.base = base
         self.var = var
         self.constraint = constraint
 
-    def parse(self, src: Source, mask: Mask, env: Env):
+    def parse(self, src: Source, mask: Mask, scope: Scope):
         start = src.pos
-        value, pd = self.base.parse(src, mask, env)
-        if self.constraint is not None and mask.do_sem and pd.nerr == 0:
-            scope = env.child({self.var: value})
-            ok, failed = _eval_constraint(self.constraint, scope)
-            if not ok or failed:
-                pd.record_error(ErrCode.TYPEDEF_CONSTRAINT_VIOLATION,
-                                src.loc_from(start))
+        value, pd = self.base.parse(src, mask, scope)
+        if self.constraint is not None and mask.do_sem and pd.nerr == 0 \
+                and not self.constraint(_with(self, scope, self.var, value)):
+            pd.record_error(ErrCode.TYPEDEF_CONSTRAINT_VIOLATION,
+                            src.loc_from(start))
         return value, pd
 
-    def write(self, rep, out: List[bytes], env: Env) -> None:
-        self.base.write(rep, out, env)
+    def write(self, rep, out: List[bytes], scope: Scope) -> None:
+        self.base.write(rep, out, scope)
 
-    def default(self, env: Env):
-        return self.base.default(env)
+    def default(self, scope: Scope):
+        return self.base.default(scope)
 
-    def verify(self, rep, env: Env) -> bool:
-        if not self.base.verify(rep, env):
-            return False
-        if self.constraint is not None:
-            scope = env.child({self.var: rep})
-            ok, failed = _eval_constraint(self.constraint, scope)
-            return ok and not failed
-        return True
+    def verify(self, rep, scope: Scope) -> bool:
+        return self.base.verify(rep, scope) and (
+            self.constraint is None
+            or self.constraint(_with(self, scope, self.var, rep)))
 
-    def generate(self, rng: random.Random, env: Env):
+    def unset(self, rep, mask: Mask, scope: Scope):
+        return self.base.unset(rep, mask, scope)
+
+    def generate(self, rng: random.Random, scope: Scope):
         if self.constraint is not None:
             return _generate_constrained(self.base, self.constraint, self.var,
-                                         rng, env.child())
-        return self.base.generate(rng, env)
+                                         rng, _own(self, scope))
+        return self.base.generate(rng, scope)
 
 
 # ---------------------------------------------------------------------------
@@ -1264,25 +1248,28 @@ class RecordNode(PType):
     #: ``fn(rep) -> content bytes | None``.  ``None`` means "not this
     #: fast way" — the general writer runs and raises any error.
     write_fn: Optional[Callable] = None
+    #: The description's record discipline, framing written records
+    #: (set by the compiled description; None means newline records).
+    discipline = None
 
     def __init__(self, inner: PType):
         self.inner = inner
         self.name = inner.name
 
-    def parse(self, src: Source, mask: Mask, env: Env):
+    def parse(self, src: Source, mask: Mask, scope: Scope):
         if src.in_record:
             # Already inside a record (nested Precord): parse plainly.
-            return self.inner.parse(src, mask, env)
+            return self.inner.parse(src, mask, scope)
         if not src.begin_record():
             pd = Pd()
             pd.record_error(ErrCode.AT_EOF, src.here(), panic=True)
-            return self.inner.default(env), pd
+            return self.inner.default(scope), pd
         limits = src.limits
         if limits is not None:
             pd = Pd()
             if not record_guard(src, pd):
                 src.note_errors(pd.nerr)
-                return self.inner.default(env), pd
+                return self.inner.default(scope), pd
         fast = self.fast_fn
         if (fast is not None and fastpath_applies(mask, limits)
                 and observe.current_tracer() is None):
@@ -1293,7 +1280,7 @@ class RecordNode(PType):
                 src.pos = src.rec_end
                 src.end_record()
                 return rep, Pd()
-        rep, pd = self.inner.parse(src, mask, env)
+        rep, pd = self.inner.parse(src, mask, scope)
         if not src.at_eor() and mask.do_syn and pd.nerr == 0:
             pd.record_error(ErrCode.EXTRA_DATA_AT_EOR, src.here())
         src.end_record()
@@ -1301,79 +1288,84 @@ class RecordNode(PType):
             src.note_errors(pd.nerr)
         return rep, pd
 
-    def write(self, rep, out: List[bytes], env: Env) -> None:
+    def write(self, rep, out: List[bytes], scope: Scope) -> None:
         content = None
         if self.write_fn is not None:
             content = self.write_fn(rep)
         if content is None:
             inner: List[bytes] = []
-            self.inner.write(rep, inner, env)
+            self.inner.write(rep, inner, scope)
             content = b"".join(inner)
-        discipline = None
-        if env.bound("_pads_discipline"):
-            discipline = env.lookup("_pads_discipline")
+        discipline = self.discipline
         if discipline is None:
             out.append(content + b"\n")
         else:
             out.append(discipline.header(content) + content
                        + discipline.trailer(content))
 
-    def default(self, env: Env):
-        return self.inner.default(env)
+    def default(self, scope: Scope):
+        return self.inner.default(scope)
 
-    def verify(self, rep, env: Env) -> bool:
-        return self.inner.verify(rep, env)
+    def verify(self, rep, scope: Scope) -> bool:
+        return self.inner.verify(rep, scope)
 
-    def generate(self, rng: random.Random, env: Env):
-        return self.inner.generate(rng, env)
+    def unset(self, rep, mask: Mask, scope: Scope):
+        return self.inner.unset(rep, mask, scope)
+
+    def generate(self, rng: random.Random, scope: Scope):
+        return self.inner.generate(rng, scope)
 
 
 class AppNode(PType):
     """Application of a parameterised declared type: ``foo(:x, y:)``.
 
-    Arguments are evaluated in the *caller's* environment; the callee's
-    body sees only its parameters plus globals (C-like scoping).
+    Arguments are evaluated in the *caller's* scope by ``args`` (a site
+    the binder sets); the callee's body sees only its parameters plus
+    globals (C-like scoping).
     """
 
     kind = "app"
+    args: Optional[Site] = None
 
-    def __init__(self, name: str, decl_node: PType, param_names: Sequence[str],
-                 arg_exprs: Sequence[E.Expr], global_env: Env):
+    def __init__(self, name: str, decl_node: PType, param_names: Sequence[str]):
         self.name = name
         self.decl_node = decl_node
         self.param_names = list(param_names)
-        self.arg_exprs = list(arg_exprs)
-        self.global_env = global_env
 
-    def _callee_env(self, env: Env) -> Env:
-        args = {}
-        for pname, aexpr in zip(self.param_names, self.arg_exprs):
-            args[pname] = eval_expr(aexpr, env)
-        return self.global_env.child(args)
+    def _callee(self, scope: Scope) -> Scope:
+        return dict(zip(self.param_names, self.args(scope)))
 
-    def parse(self, src: Source, mask: Mask, env: Env):
+    def parse(self, src: Source, mask: Mask, scope: Scope):
         try:
-            callee = self._callee_env(env)
-        except EvalError:
+            callee = self._callee(scope)
+        except Exception:
             pd = Pd()
             pd.record_error(ErrCode.USER_CONSTRAINT_VIOLATION, src.here(), panic=True)
             return None, pd
         return self.decl_node.parse(src, mask, callee)
 
-    def write(self, rep, out: List[bytes], env: Env) -> None:
-        self.decl_node.write(rep, out, self._callee_env(env))
+    def write(self, rep, out: List[bytes], scope: Scope) -> None:
+        self.decl_node.write(rep, out, self._callee(scope))
 
-    def default(self, env: Env):
+    def default(self, scope: Scope):
         try:
-            return self.decl_node.default(self._callee_env(env))
-        except EvalError:
+            return self.decl_node.default(self._callee(scope))
+        except Exception:
             return None
 
-    def verify(self, rep, env: Env) -> bool:
+    def verify(self, rep, scope: Scope) -> bool:
         try:
-            return self.decl_node.verify(rep, self._callee_env(env))
-        except EvalError:
+            callee = self._callee(scope)
+        except Exception:
             return False
+        return self.decl_node.verify(rep, callee)
 
-    def generate(self, rng: random.Random, env: Env):
-        return self.decl_node.generate(rng, self._callee_env(env))
+    def unset(self, rep, mask: Mask, scope: Scope):
+        try:
+            callee = self._callee(scope)
+        except Exception:
+            return rep
+        return self.decl_node.unset(rep, mask, callee)
+
+    def generate(self, rng: random.Random, scope: Scope):
+        return self.decl_node.generate(rng, self._callee(scope))

@@ -26,7 +26,7 @@ from ..core.basetypes.base import base_type_arity, is_base_type
 from ..core.errors import DescriptionError
 from ..expr import ast as E
 from ..expr.ast import free_names
-from ..expr.eval import BUILTINS
+from ..expr.runtime import BUILTINS
 from . import ast as D
 
 _PSEUDO_ARRAY_VARS = {"elts", "length"}

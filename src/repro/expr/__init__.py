@@ -3,42 +3,8 @@
 PADS constraints, ``Pwhere`` clauses, switched-union selectors, array
 termination predicates and helper functions (like ``chkVersion`` in the
 paper's Figure 4) are written in a C-like expression language.  This
-package provides its AST (shared with the DSL parser), a direct
-interpreter used by the combinator runtime, and a compiler to Python
-expressions used by the code generator.
+package holds its AST (:mod:`.ast`, shared with the DSL parser), the
+compiler to Python both engines run (:mod:`.pycompile`, with the helpers
+compiled code calls in :mod:`.runtime`) and a reference interpreter
+(:mod:`.eval`) that only the tests use.
 """
-
-from .ast import (
-    Binary,
-    Block,
-    BoolLit,
-    Call,
-    CharLit,
-    ExprStmt,
-    FloatLit,
-    Forall,
-    ForStmt,
-    FuncDef,
-    If,
-    Index,
-    IntLit,
-    Member,
-    Name,
-    Assign,
-    Return,
-    StrLit,
-    Ternary,
-    Unary,
-    VarDecl,
-    While,
-)
-from .eval import EvalError, Env, eval_expr, call_function
-from .pycompile import compile_expr, compile_function
-
-__all__ = [
-    "Binary", "Block", "BoolLit", "Call", "CharLit", "ExprStmt", "FloatLit",
-    "Forall", "ForStmt", "FuncDef", "If", "Index", "IntLit", "Member",
-    "Name", "Assign", "Return", "StrLit", "Ternary", "Unary", "VarDecl",
-    "While", "EvalError", "Env", "eval_expr", "call_function",
-    "compile_expr", "compile_function",
-]

@@ -1,9 +1,10 @@
-"""Direct interpreter for the embedded expression language.
+"""Reference interpreter for the embedded expression language.
 
-The combinator runtime evaluates constraints with this interpreter; the
-code generator instead compiles the same ASTs to Python (see
-:mod:`repro.expr.pycompile`).  Both must agree — a property test in the
-test suite checks them against each other on random expressions.
+Nothing at run time uses this module: both engines run expressions
+compiled to Python by :mod:`repro.expr.pycompile`.  It stays as the
+independent statement of the semantics that ``tests/test_expr.py`` and
+``tests/test_expr_functions_equiv.py`` check the compiler against (on
+random expressions among others).
 
 Semantics follow C where it matters for descriptions:
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Optional
 
 from . import ast as E
+from .runtime import BUILTINS, member
 
 
 class EvalError(Exception):
@@ -156,7 +158,10 @@ def eval_expr(expr: E.Expr, env: Env) -> Any:
         return eval_expr(expr.then if eval_expr(expr.cond, env) else expr.other, env)
     if isinstance(expr, E.Member):
         obj = eval_expr(expr.obj, env)
-        return member(obj, expr.name)
+        try:
+            return member(obj, expr.name)
+        except (AttributeError, KeyError) as exc:
+            raise EvalError(f"no field {expr.name!r}") from exc
     if isinstance(expr, E.Index):
         obj = eval_expr(expr.obj, env)
         idx = eval_expr(expr.index, env)
@@ -191,24 +196,6 @@ def eval_expr(expr: E.Expr, env: Env) -> Any:
                 return True
         return False
     raise EvalError(f"cannot evaluate {type(expr).__name__}")
-
-
-def member(obj: Any, name: str) -> Any:
-    """Field access over runtime representations.
-
-    Works for struct reps (attribute access), union reps (``tag``/value
-    projection), arrays (``length``/``elts``) and plain dicts.
-    """
-    if isinstance(obj, dict):
-        if name in obj:
-            return obj[name]
-        raise EvalError(f"no field {name!r}")
-    if isinstance(obj, (list, tuple)) and name == "length":
-        return len(obj)
-    try:
-        return getattr(obj, name)
-    except AttributeError as exc:
-        raise EvalError(f"no field {name!r} on {type(obj).__name__}") from exc
 
 
 def call_function(fn: E.FuncDef, args: list, env: Env) -> Any:
@@ -292,26 +279,3 @@ def exec_stmt(stmt: E.Stmt, env: Env) -> None:
         eval_expr(stmt.expr, env)
         return
     raise EvalError(f"cannot execute {type(stmt).__name__}")
-
-
-def _strlen(s: Any) -> int:
-    return len(s)
-
-
-def _substr(s: str, start: int, length: int) -> str:
-    return s[start:start + length]
-
-
-BUILTINS: Dict[str, Callable] = {
-    "strlen": _strlen,
-    "substr": _substr,
-    "abs": abs,
-    "min": min,
-    "max": max,
-    "length": len,
-    "tolower": lambda s: s.lower(),
-    "toupper": lambda s: s.upper(),
-    "startswith": lambda s, p: s.startswith(p),
-    "endswith": lambda s, p: s.endswith(p),
-    "contains": lambda s, p: p in s,
-}

@@ -1,22 +1,29 @@
 """Compile embedded-language ASTs to Python source.
 
 The PADS compiler in the paper inlines constraint checks into the generated
-C parser.  Our code generator does the same for Python: every constraint,
-``Pwhere`` clause and helper function is translated to Python source by
-this module and embedded in the generated parser module.
+C parser.  This module is the one evaluator the runtime has: every
+constraint, ``Pwhere`` clause, selector, array bound, type argument and
+helper function is translated to Python source here (through
+:meth:`repro.plan.ir.Plan.cexpr` / :meth:`~repro.plan.ir.Plan.check`),
+then embedded in a generated parser module or exec'd into the
+interpreter's runtime namespace (:mod:`repro.plan.runtime`).
 
-The translation must agree with the interpreter in :mod:`repro.expr.eval`;
+:mod:`repro.expr.eval` is kept only as the reference semantics:
 ``tests/test_expr.py`` cross-checks the two on randomly generated
 expressions.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 from . import ast as E
 
 Resolver = Callable[[str], str]
+
+#: Iterations a compiled ``while``/``for`` loop may run before it raises,
+#: so a runaway helper is an evaluation failure, not a hung parse.
+LOOP_BOUND = 10_000_000
 
 _BINOP = {
     "+": "+", "-": "-", "*": "*",
@@ -74,19 +81,37 @@ def compile_expr(expr: E.Expr, resolve: Optional[Resolver] = None) -> str:
         if isinstance(e, E.Call):
             args = ", ".join(go(a) for a in e.args)
             return f"{r(e.func)}({args})"
-        if isinstance(e, E.Forall):
-            shadow = _shadowing(r, e.var)
-            body = compile_expr(e.body, shadow)
-            return (f"all({body} for {e.var} in "
-                    f"range(int({go(e.lo)}), int({go(e.hi)}) + 1))")
-        if isinstance(e, E.Exists):
-            shadow = _shadowing(r, e.var)
-            body = compile_expr(e.body, shadow)
-            return (f"any({body} for {e.var} in "
+        if isinstance(e, (E.Forall, E.Exists)):
+            body = compile_expr(e.body, _shadowing(r, e.var))
+            return (f"{'all' if isinstance(e, E.Forall) else 'any'}({body} "
+                    f"for {e.var} in "
                     f"range(int({go(e.lo)}), int({go(e.hi)}) + 1))")
         raise TypeError(f"cannot compile {type(e).__name__}")
 
     return go(expr)
+
+
+def compile_check(expr: E.Expr, resolve: Resolver, fail: str) -> List[str]:
+    """``expr`` as statements that run ``fail`` (one statement) when it
+    is false and fall through when it holds.
+
+    A top-level ``Pforall``/``Pexists`` becomes a ``for`` loop that stops
+    at the first deciding element, instead of a generator per element;
+    its variable is renamed ``_q_<var>`` so it cannot clobber a local of
+    the enclosing function.  Any other expression is one ``if not``.
+    Exceptions propagate, so the caller decides what they mean.
+    """
+    if not isinstance(expr, (E.Forall, E.Exists)):
+        return [f"if not ({compile_expr(expr, resolve)}):", f"    {fail}"]
+    var = f"_q_{expr.var}"
+    body = compile_expr(expr.body, lambda n: var if n == expr.var
+                        else resolve(n))
+    head = (f"for {var} in range(int({compile_expr(expr.lo, resolve)}), "
+            f"int({compile_expr(expr.hi, resolve)}) + 1):")
+    if isinstance(expr, E.Forall):
+        return [head, f"    if not ({body}):", f"        {fail}",
+                "        break"]
+    return [head, f"    if {body}:", "        break", "else:", f"    {fail}"]
 
 
 def _shadowing(resolve: Resolver, var: str) -> Resolver:
@@ -113,7 +138,7 @@ def compile_function(fn: E.FuncDef, resolve: Optional[Resolver] = None,
         return outer(name)
 
     lines = [f"def {name_prefix}{fn.name}({', '.join(p for _, p in fn.params)}):"]
-    body = _compile_block(fn.body, r, bound, indent=1)
+    body = _compile_block(fn.body, r, bound, indent=1, loops=[0])
     if not body:
         body = ["    return None"]
     lines.extend(body)
@@ -121,17 +146,30 @@ def compile_function(fn: E.FuncDef, resolve: Optional[Resolver] = None,
     return "\n".join(lines)
 
 
-def _compile_block(block: E.Block, r: Resolver, bound: set, indent: int) -> list:
+def _compile_block(block: E.Block, r: Resolver, bound: set, indent: int,
+                   loops: list) -> list:
     out: list = []
     for stmt in block.stmts:
-        out.extend(_compile_stmt(stmt, r, bound, indent))
+        out.extend(_compile_stmt(stmt, r, bound, indent, loops))
     return out
 
 
-def _compile_stmt(stmt: E.Stmt, r: Resolver, bound: set, indent: int) -> list:
+def _loop_guard(pad: str, loops: list) -> tuple:
+    """(init line, in-body lines) counting a loop's iterations against
+    :data:`LOOP_BOUND`; ``loops`` numbers the function's loops."""
+    loops[0] += 1
+    n = f"_loop{loops[0]}"
+    return (f"{pad}{n} = 0",
+            [f"{pad}    {n} += 1", f"{pad}    if {n} > {LOOP_BOUND}:",
+             f"{pad}        raise RuntimeError('loop exceeded iteration "
+             "bound')"])
+
+
+def _compile_stmt(stmt: E.Stmt, r: Resolver, bound: set, indent: int,
+                  loops: list) -> list:
     pad = "    " * indent
     if isinstance(stmt, E.Block):
-        return _compile_block(stmt, r, set(bound), indent)
+        return _compile_block(stmt, r, set(bound), indent, loops)
     if isinstance(stmt, E.VarDecl):
         bound.add(stmt.name)
         init = compile_expr(stmt.init, r) if stmt.init is not None else "0"
@@ -152,27 +190,31 @@ def _compile_stmt(stmt: E.Stmt, r: Resolver, bound: set, indent: int) -> list:
         return [f"{pad}{target} {op} {value}"]
     if isinstance(stmt, E.If):
         out = [f"{pad}if {compile_expr(stmt.cond, r)}:"]
-        out.extend(_compile_stmt(stmt.then, r, set(bound), indent + 1) or [f"{pad}    pass"])
+        out.extend(_compile_stmt(stmt.then, r, set(bound), indent + 1, loops)
+                   or [f"{pad}    pass"])
         if stmt.other is not None:
             out.append(f"{pad}else:")
-            out.extend(_compile_stmt(stmt.other, r, set(bound), indent + 1) or [f"{pad}    pass"])
+            out.extend(_compile_stmt(stmt.other, r, set(bound), indent + 1,
+                                     loops) or [f"{pad}    pass"])
         return out
     if isinstance(stmt, E.While):
-        out = [f"{pad}while {compile_expr(stmt.cond, r)}:"]
-        out.extend(_compile_stmt(stmt.body, r, set(bound), indent + 1) or [f"{pad}    pass"])
-        return out
+        init, guard = _loop_guard(pad, loops)
+        out = [init, f"{pad}while {compile_expr(stmt.cond, r)}:"]
+        out.extend(_compile_stmt(stmt.body, r, set(bound), indent + 1, loops))
+        return out + guard
     if isinstance(stmt, E.ForStmt):
         out = []
         inner_bound = set(bound)
         if stmt.init is not None:
-            out.extend(_compile_stmt(stmt.init, r, inner_bound, indent))
+            out.extend(_compile_stmt(stmt.init, r, inner_bound, indent, loops))
+        init, guard = _loop_guard(pad, loops)
         cond = compile_expr(stmt.cond, r) if stmt.cond is not None else "True"
-        out.append(f"{pad}while {cond}:")
-        body = _compile_stmt(stmt.body, r, inner_bound, indent + 1) or [f"{pad}    pass"]
-        out.extend(body)
+        out += [init, f"{pad}while {cond}:"]
+        out.extend(_compile_stmt(stmt.body, r, inner_bound, indent + 1, loops))
         if stmt.step is not None:
-            out.extend(_compile_stmt(stmt.step, r, inner_bound, indent + 1))
-        return out
+            out.extend(_compile_stmt(stmt.step, r, inner_bound, indent + 1,
+                                     loops))
+        return out + guard
     if isinstance(stmt, E.Return):
         value = compile_expr(stmt.value, r) if stmt.value is not None else "None"
         return [f"{pad}return {value}"]

@@ -1,16 +1,15 @@
-"""Helpers imported by code generated from PADS expressions.
+"""Helpers imported by code compiled from PADS expressions.
 
-Generated Python modules (see :mod:`repro.codegen`) compile description
-expressions down to Python expressions; the few places where C semantics
-and Python semantics differ are routed through these helpers so that the
-interpreter (:mod:`repro.expr.eval`) and generated code always agree.
+Generated parser modules and the interpreter's runtime namespace
+(:mod:`repro.plan.runtime`) both run expressions compiled by
+:mod:`repro.expr.pycompile`; the few places where C semantics and Python
+semantics differ are routed through these helpers, and the builtin
+functions descriptions may call live here.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
-from .eval import BUILTINS, member
+from typing import Any, Callable, Dict
 
 
 def cdiv(a: Any, b: Any) -> Any:
@@ -28,6 +27,30 @@ def cmod(a: Any, b: Any) -> Any:
     return a % b
 
 
-# Re-exported so generated modules have a single import site.
-getmember = member
-builtins_table = BUILTINS
+def member(obj: Any, name: str) -> Any:
+    """Field access over runtime representations.
+
+    Works for struct reps (attribute access), union reps (``tag``/value
+    projection), arrays (``length``) and plain dicts; a missing field
+    raises ``KeyError``/``AttributeError``.
+    """
+    if isinstance(obj, dict):
+        return obj[name]
+    if isinstance(obj, (list, tuple)) and name == "length":
+        return len(obj)
+    return getattr(obj, name)
+
+
+BUILTINS: Dict[str, Callable] = {
+    "strlen": len,
+    "substr": lambda s, start, length: s[start:start + length],
+    "abs": abs,
+    "min": min,
+    "max": max,
+    "length": len,
+    "tolower": lambda s: s.lower(),
+    "toupper": lambda s: s.upper(),
+    "startswith": lambda s, p: s.startswith(p),
+    "endswith": lambda s, p: s.endswith(p),
+    "contains": lambda s, p: p in s,
+}

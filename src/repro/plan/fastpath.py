@@ -105,6 +105,15 @@ class _W:
         return _I(self)
 
 
+def _check(w: _W, plan: Plan, expr: E.Expr, scope: Dict[str, str],
+           fail: str) -> None:
+    """Emit, under ``dosem``, the check form of ``expr``
+    (:meth:`Plan.check`) running ``fail`` when it is false."""
+    with w.block("if dosem:"):
+        for line in plan.check(expr, scope, fail):
+            w.w(line)
+
+
 class _I:
     def __init__(self, w):
         self.w = w
@@ -212,9 +221,6 @@ class FastPath:
         # one namespace never collide on their auxiliary maps/regexes.
         return f"_{stem}_{self.tag}_{g}"
 
-    def cexpr(self, expr: E.Expr, scope: Dict[str, str]) -> str:
-        return self.plan.cexpr(expr, scope)
-
     # -- entry point ---------------------------------------------------------
 
     def build(self) -> Tuple[str, List[str], str]:
@@ -294,13 +300,11 @@ class FastPath:
                 continue
             if isinstance(item, ComputeItem):
                 fvar = self.temp()
-                w.w(f"{fvar} = {self.cexpr(item.expr, scope)}")
+                w.w(f"{fvar} = {self.plan.cexpr(item.expr, scope)}")
                 scope[item.name] = fvar
                 field_vars.append((item.name, fvar))
                 if item.constraint is not None:
-                    with w.block(f"if dosem and not "
-                                 f"({self.cexpr(item.constraint, scope)}):"):
-                        w.w("return None")
+                    _check(w, self.plan, item.constraint, scope, "return None")
                 continue
             assert isinstance(item, DataItem)
             fvar = self.temp()
@@ -308,14 +312,10 @@ class FastPath:
             scope[item.name] = fvar
             field_vars.append((item.name, fvar))
             if item.constraint is not None:
-                with w.block(f"if dosem and not "
-                             f"({self.cexpr(item.constraint, scope)}):"):
-                    w.w("return None")
+                _check(w, self.plan, item.constraint, scope, "return None")
         _build_rec(w, var, _rec_binding(self.aux, decl), field_vars)
         if decl.where is not None:
-            with w.block(f"if dosem and not "
-                         f"({self.cexpr(decl.where, scope)}):"):
-                w.w("return None")
+            _check(w, self.plan, decl.where, scope, "return None")
         return pattern
 
     # -- type uses -----------------------------------------------------------
@@ -396,8 +396,9 @@ class FastPath:
                     # the general parser would pick a later branch, so the
                     # fast path must bail out.
                     bscope = {br.name: bvar}
-                    sub.w(f"if not ({self.cexpr(br.constraint, bscope)}):")
-                    sub.w("    return None")
+                    for line in self.plan.check(br.constraint, bscope,
+                                                "return None"):
+                        sub.w(line)
             header = "if" if first else "elif"
             w.w(f"{header} _m.group({g!r}) is not None:")
             w.lines.extend(sub.lines)
@@ -458,9 +459,7 @@ class FastPath:
                             span_var, var, w)
         if decl.where is not None:
             ascope = {"elts": var, "length": f"len({var})"}
-            with w.block(f"if dosem and not "
-                         f"({self.cexpr(decl.where, ascope)}):"):
-                w.w("return None")
+            _check(w, self.plan, decl.where, ascope, "return None")
         # The span is everything to end-of-record.
         return b"(?P<" + g.encode() + b">.*)"
 
@@ -553,9 +552,7 @@ class FastPath:
             w.w(f"{var}.append({evar})")
         if decl.where is not None:
             ascope = {"elts": var, "length": f"len({var})"}
-            with w.block(f"if dosem and not "
-                         f"({self.cexpr(decl.where, ascope)}):"):
-                w.w("return None")
+            _check(w, self.plan, decl.where, ascope, "return None")
         return (b"(?P<" + g.encode() + b">" +
                 b".{%d}" % (width * count) + b")")
 
@@ -577,9 +574,7 @@ class FastPath:
         pattern = self.compile_use(decl.base, var, w, scope, is_tail)
         if decl.constraint is not None:
             cscope = {decl.var: var}
-            with w.block(f"if dosem and not "
-                         f"({self.cexpr(decl.constraint, cscope)}):"):
-                w.w("return None")
+            _check(w, self.plan, decl.constraint, cscope, "return None")
         return pattern
 
     # -- regex-typed fields --------------------------------------------------
@@ -759,9 +754,6 @@ class SlicePath:
         self.tmpid += 1
         return f"_t{self.tmpid}"
 
-    def cexpr(self, expr: E.Expr, scope: Dict[str, str]) -> str:
-        return self.plan.cexpr(expr, scope)
-
     def build(self) -> Tuple[str, List[str], str]:
         """(fast function name, module source lines, verdict reason);
         raises _NotFixed when the layout is not sliceable."""
@@ -814,13 +806,11 @@ class SlicePath:
                 continue
             if isinstance(item, ComputeItem):
                 fvar = self.temp()
-                w.w(f"{fvar} = {self.cexpr(item.expr, scope)}")
+                w.w(f"{fvar} = {self.plan.cexpr(item.expr, scope)}")
                 scope[item.name] = fvar
                 field_vars.append((item.name, fvar))
                 if item.constraint is not None:
-                    with w.block(f"if dosem and not "
-                                 f"({self.cexpr(item.constraint, scope)}):"):
-                        w.w("return None")
+                    _check(w, self.plan, item.constraint, scope, "return None")
                 continue
             assert isinstance(item, DataItem)
             fvar = self.temp()
@@ -828,14 +818,10 @@ class SlicePath:
             scope[item.name] = fvar
             field_vars.append((item.name, fvar))
             if item.constraint is not None:
-                with w.block(f"if dosem and not "
-                             f"({self.cexpr(item.constraint, scope)}):"):
-                    w.w("return None")
+                _check(w, self.plan, item.constraint, scope, "return None")
         _build_rec(w, var, _rec_binding(self.aux, decl), field_vars)
         if decl.where is not None:
-            with w.block(f"if dosem and not "
-                         f"({self.cexpr(decl.where, scope)}):"):
-                w.w("return None")
+            _check(w, self.plan, decl.where, scope, "return None")
         return off
 
     # -- type uses -----------------------------------------------------------
@@ -884,9 +870,7 @@ class SlicePath:
             off = self.compile_use(decl.base, var, w, off, scope)
             if decl.constraint is not None:
                 cscope = {decl.var: var}
-                with w.block(f"if dosem and not "
-                             f"({self.cexpr(decl.constraint, cscope)}):"):
-                    w.w("return None")
+                _check(w, self.plan, decl.constraint, cscope, "return None")
             return off
         if isinstance(decl, ArrayPlan):
             return self.compile_array(decl, var, w, off)
@@ -914,9 +898,7 @@ class SlicePath:
             w.w(f"{var}.append({evar})")
         if decl.where is not None:
             ascope = {"elts": var, "length": f"len({var})"}
-            with w.block(f"if dosem and not "
-                         f"({self.cexpr(decl.where, ascope)}):"):
-                w.w("return None")
+            _check(w, self.plan, decl.where, ascope, "return None")
         return off + count * width
 
 
@@ -958,9 +940,6 @@ class BatchPath:
     def temp(self) -> str:
         self.tmpid += 1
         return f"_f{self.tmpid}"
-
-    def cexpr(self, expr: E.Expr, scope: Dict[str, str]) -> str:
-        return self.plan.cexpr(expr, scope)
 
     def slot(self, code: str) -> str:
         """Allocate one unpacked column; returns its tuple reference."""
@@ -1078,13 +1057,11 @@ class BatchPath:
                 continue
             if isinstance(item, ComputeItem):
                 fvar = self.temp()
-                w.w(f"{fvar} = {self.cexpr(item.expr, scope)}")
+                w.w(f"{fvar} = {self.plan.cexpr(item.expr, scope)}")
                 scope[item.name] = fvar
                 field_vars.append((item.name, fvar))
                 if item.constraint is not None:
-                    with w.block(f"if dosem and not "
-                                 f"({self.cexpr(item.constraint, scope)}):"):
-                        w.w("raise _BT_MISS")
+                    _check(w, self.plan, item.constraint, scope, "raise _BT_MISS")
                 continue
             assert isinstance(item, DataItem)
             fvar = self.temp()
@@ -1092,14 +1069,10 @@ class BatchPath:
             scope[item.name] = fvar
             field_vars.append((item.name, fvar))
             if item.constraint is not None:
-                with w.block(f"if dosem and not "
-                             f"({self.cexpr(item.constraint, scope)}):"):
-                    w.w("raise _BT_MISS")
+                _check(w, self.plan, item.constraint, scope, "raise _BT_MISS")
         _build_rec(w, var, _rec_binding(self.aux, decl), field_vars)
         if decl.where is not None:
-            with w.block(f"if dosem and not "
-                         f"({self.cexpr(decl.where, scope)}):"):
-                w.w("raise _BT_MISS")
+            _check(w, self.plan, decl.where, scope, "raise _BT_MISS")
         return off
 
     # -- type uses -----------------------------------------------------------
@@ -1177,9 +1150,7 @@ class BatchPath:
             off = self.compile_use(decl.base, var, w, off, scope)
             if decl.constraint is not None:
                 cscope = {decl.var: var}
-                with w.block(f"if dosem and not "
-                             f"({self.cexpr(decl.constraint, cscope)}):"):
-                    w.w("raise _BT_MISS")
+                _check(w, self.plan, decl.constraint, cscope, "raise _BT_MISS")
             return off
         if isinstance(decl, ArrayPlan):
             return self.compile_array(decl, var, w, off)
@@ -1207,9 +1178,7 @@ class BatchPath:
         w.w(f"{var} = [{', '.join(evars)}]")
         if decl.where is not None:
             ascope = {"elts": var, "length": f"len({var})"}
-            with w.block(f"if dosem and not "
-                         f"({self.cexpr(decl.where, ascope)}):"):
-                w.w("raise _BT_MISS")
+            _check(w, self.plan, decl.where, ascope, "raise _BT_MISS")
         return off + count * width
 
 

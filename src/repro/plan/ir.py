@@ -25,8 +25,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..dsl import ast as D
 from ..expr import ast as E
-from ..expr.eval import BUILTINS
-from ..expr.pycompile import compile_expr
+from ..expr.runtime import BUILTINS
+from ..expr.pycompile import compile_check, compile_expr
 from .encodings import encoding_for
 
 
@@ -335,3 +335,28 @@ class Plan:
 
     def cexpr(self, expr: E.Expr, scope: Dict[str, str]) -> str:
         return compile_expr(expr, self.resolver(scope))
+
+    def check(self, expr: E.Expr, scope: Dict[str, str],
+              fail: str) -> List[str]:
+        """``expr`` as check statements running ``fail`` when it is
+        false (:func:`~repro.expr.pycompile.compile_check`): the form
+        every constraint, ``Pwhere`` and ``Pforall`` site is emitted in."""
+        return compile_check(expr, self.resolver(scope), fail)
+
+    def pick(self, decl: "SwitchPlan", scope: Dict[str, str]) -> List[str]:
+        """Lines setting ``_case`` to the index of the case ``decl``'s
+        selector picks: the first whose value equals it (a value that
+        fails to evaluate matches nothing), else the ``Pdefault`` case;
+        -1 when the selector fails or no case applies."""
+        default = next((k for k, c in enumerate(decl.cases)
+                        if c.value is None), -1)
+        lines = ["_case = None", "try:",
+                 f"    _sel = {self.cexpr(decl.selector, scope)}",
+                 "except Exception:", "    _case = -1"]
+        for k, case in enumerate(decl.cases):
+            if case.value is not None:
+                lines += ["if _case is None:", "    try:",
+                          f"        if _sel == {self.cexpr(case.value, scope)}:",
+                          f"            _case = {k}",
+                          "    except Exception:", "        pass"]
+        return lines + ["if _case is None:", f"    _case = {default}"]

@@ -1,4 +1,4 @@
-"""Materialise plan-compiled fast functions for the interpreter.
+"""Materialise plan-compiled code for the interpreter.
 
 The fast-path compilers in :mod:`repro.plan.fastpath` emit plain source
 fragments over a small runtime namespace (the rep-class factory,
@@ -8,6 +8,12 @@ globals; here the same fragments are exec'd into an equivalent namespace
 so the interpreted engine gets the identical fast functions — the
 record-level speedups no longer belong to codegen alone.  The interpreter alone also loads the
 member fast functions, lazily, into the same namespace.
+
+Every expression site of the description (constraints, ``Pwhere``,
+selectors, array bounds and predicates, type arguments) is compiled
+here too, by the same translator the generated engine inlines, into one
+function per site over a flat scope dict (:meth:`Runtime.site`), so the
+interpreter evaluates expressions exactly as generated code does.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .fastpath import compile_member
-from .ir import DataItem, Plan, StructPlan
+from .ir import DataItem, Plan, StructPlan, SwitchPlan
 
 
 def runtime_namespace(plan: Plan) -> Dict[str, Any]:
@@ -27,7 +33,7 @@ def runtime_namespace(plan: Plan) -> Dict[str, Any]:
     from ..core.basetypes.temporal import parse_date_value
     from ..core.values import DateVal, EnumVal, FloatVal, UnionVal, rec_class
     from ..expr.pycompile import compile_function
-    from ..expr.runtime import builtins_table, cdiv, cmod, getmember
+    from ..expr.runtime import BUILTINS, cdiv, cmod, member
     from . import resolve_base
 
     ns: Dict[str, Any] = {
@@ -37,10 +43,10 @@ def runtime_namespace(plan: Plan) -> Dict[str, Any]:
         "FloatVal": FloatVal,
         "DateVal": DateVal,
         "EnumVal": EnumVal,
-        "_B": builtins_table,
+        "_B": BUILTINS,
         "_cdiv": cdiv,
         "_cmod": cmod,
-        "_member": getmember,
+        "_member": member,
         "_fp_packed": convert_packed,
         "_fp_zoned": convert_zoned,
         "_fp_parse_date": parse_date_value,
@@ -49,8 +55,8 @@ def runtime_namespace(plan: Plan) -> Dict[str, Any]:
     }
     for name, (lit, code, phys) in plan.enum_literals.items():
         ns[f"E_{name}"] = EnumVal(lit, code, phys)
-    for fn in plan.functions.values():
-        exec(compile_function(fn, plan.resolver({}), name_prefix="fn_"), ns)
+    exec("\n".join(compile_function(fn, plan.resolver({}), name_prefix="fn_")
+                   for fn in plan.functions.values()), ns)
     return ns
 
 
@@ -69,6 +75,8 @@ class Runtime:
     def __init__(self, plan: Plan):
         self.plan = plan
         self.ns: Optional[Dict[str, Any]] = None
+        self._sites: List[str] = []
+        self._pending: List[Tuple[Any, str, str, Any]] = []
 
     def load(self, fragment: Tuple[str, List[str]]) -> Callable:
         """Exec one ``(name, source lines)`` fragment; its function."""
@@ -77,6 +85,51 @@ class Runtime:
         name, lines = fragment
         exec("\n".join(lines), self.ns)
         return self.ns[name]
+
+    def site(self, obj: Any, attr: str, expr: Any, names,
+             check: bool = False) -> None:
+        """Compile the expression site ``expr`` into a function of one
+        flat scope dict holding ``names`` (the declaration's parameters
+        and the fields parsed so far), to be set as ``obj.attr`` by
+        :meth:`define`.  A ``check`` site returns whether ``expr``
+        holds, any exception counting as a failure; a value site returns
+        the value (a tuple for a tuple of argument expressions) and lets
+        exceptions propagate; a :class:`SwitchPlan` site returns the
+        index of the case its selector picks (:meth:`Plan.pick`).  The
+        function keeps its AST as ``expr``."""
+        if expr is None:
+            return
+        name = f"_x{len(self._pending)}"
+        scope = {n: f"_s[{n!r}]" for n in names}
+        self._sites.append(f"def {name}(_s):")
+        if isinstance(expr, SwitchPlan):
+            self._sites += ["    " + line
+                            for line in self.plan.pick(expr, scope)]
+            self._sites.append("    return _case")
+        elif check:
+            self._sites += ["    try:",
+                            *("        " + line for line in self.plan.check(
+                                expr, scope, "return False")),
+                            "    except Exception:",
+                            "        return False",
+                            "    return True"]
+        elif isinstance(expr, tuple):
+            self._sites.append("    return (" + "".join(
+                f"{self.plan.cexpr(a, scope)}, " for a in expr) + ")")
+        else:
+            self._sites.append(f"    return {self.plan.cexpr(expr, scope)}")
+        self._pending.append((obj, attr, name, expr))
+
+    def define(self) -> None:
+        """Exec every site function at once and set each on its node
+        (called once, when binding ends)."""
+        if self.ns is None:
+            self.ns = runtime_namespace(self.plan)
+        exec("\n".join(self._sites), self.ns)
+        for obj, attr, name, expr in self._pending:
+            fn = self.ns[name]
+            fn.expr = expr
+            setattr(obj, attr, fn)
 
     def tables(self) -> Tuple[Fns, Fns, Fns]:
         """``(fast functions, record writers, batch kernels)``, each

@@ -7,17 +7,15 @@ recognised.  ``padsc view desc.pads data --record t`` prints it.
 
 Spans are collected by a *shadow tree*: each runtime node is wrapped in a
 tracing proxy that records ``(path, start, end, value)`` around the real
-parse, with union/opt wrappers discarding the events of losing branch
-attempts.  The underlying parsers do all the work, so what the view shows
-is exactly what the parser did.
+parse, and the source drops the events of every attempt it rewinds (a
+losing union branch, an absent option).  The underlying parsers do all
+the work, so what the view shows is exactly what the parser did.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from ..core.errors import Pd
-from ..core.io import Source
 from ..core.masks import Mask, P_CheckAndSet
 from ..core.types import (
     AppNode,
@@ -77,82 +75,47 @@ class _TracedLeaf(PType):
         self.name = inner.name
         self.kind = inner.kind
 
-    def parse(self, src, mask, env):
+    def parse(self, src, mask, scope):
         start = src.pos
-        rep, pd = self.inner.parse(src, mask, env)
+        rep, pd = self.inner.parse(src, mask, scope)
         if pd.nerr == 0:
             self.tracer.record(self.path, start, src.pos, rep, self.inner.kind)
         else:
             self.tracer.record(self.path, start, src.pos, None, "error")
         return rep, pd
 
-    def default(self, env):
-        return self.inner.default(env)
+    def default(self, scope):
+        return self.inner.default(scope)
 
 
-class _TracedUnion(UnionNode):
-    """UnionNode whose losing branch attempts leave no trace events."""
-
-    def __init__(self, name, branches, tracer: Tracer):
-        super().__init__(name, branches)
-        self.tracer = tracer
-
-    def parse(self, src, mask, env):
-        # Same protocol as UnionNode.parse, with event truncation around
-        # each backtracked attempt.
-        from ..core.errors import ErrCode
-        from ..core.types import _eval_constraint
-        from ..core.values import UnionVal
-
-        pd = Pd()
-        start_loc = src.here()
-        for br in self.branches:
-            state = src.mark()
-            mark = self.tracer.mark()
-            value, child = br.node.parse(src, mask.for_field(br.name), env)
-            ok = child.nerr == 0
-            if ok and br.constraint is not None:
-                scope = env.child({br.name: value})
-                cok, failed = _eval_constraint(br.constraint, scope)
-                ok = cok and not failed
-            if ok:
-                src.commit(state)
-                pd.tag = br.name
-                return UnionVal(br.name, value), pd
-            src.restore(state)
-            self.tracer.truncate(mark)
-        pd.record_error(ErrCode.UNION_MATCH_FAILURE, start_loc, panic=True)
-        return UnionVal("<none>", None), pd
-
-
-class _TracedOpt(OptNode):
-    def __init__(self, inner, tracer: Tracer):
-        super().__init__(inner)
-        self.tracer = tracer
-
-    def parse(self, src, mask, env):
-        state = src.mark()
-        mark = self.tracer.mark()
-        value, child = self.inner.parse(src, mask, env)
-        if child.nerr == 0:
-            src.commit(state)
-            pd = Pd()
-            pd.tag = "some"
-            return value, pd
-        src.restore(state)
-        self.tracer.truncate(mark)
-        pd = Pd()
-        pd.tag = "none"
-        return None, pd
+def _rewinding(src, tracer: Tracer):
+    """``src``, made to drop the trace events recorded since a
+    checkpoint whenever it is rewound to it."""
+    mark, restore, commit = src.mark, src.restore, src.commit
+    src.mark = lambda: (mark(), tracer.mark())
+    src.restore = lambda state: (restore(state[0]), tracer.truncate(state[1]))
+    src.commit = lambda state: commit(state[0])
+    return src
 
 
 def _shadow(node: PType, path: str, tracer: Tracer) -> PType:
-    """Build the tracing shadow of a runtime node tree."""
+    """Build the tracing shadow of a runtime node tree.  A shadowed
+    compound keeps its compiled sites and parameters but none of its
+    fast functions: every member must parse through its traced node."""
+    shadow = _shadow_node(node, path, tracer)
+    if shadow is not node:
+        shadow.params = node.params
+    return shadow
+
+
+def _shadow_node(node: PType, path: str, tracer: Tracer) -> PType:
     if isinstance(node, RecordNode):
         return RecordNode(_shadow(node.inner, path, tracer))
     if isinstance(node, AppNode):
-        return AppNode(node.name, _shadow(node.decl_node, path, tracer),
-                       node.param_names, node.arg_exprs, node.global_env)
+        app = AppNode(node.name, _shadow(node.decl_node, path, tracer),
+                      node.param_names)
+        app.args = node.args
+        return app
     if isinstance(node, TypedefNode):
         return TypedefNode(node.name,
                            _TracedLeaf(node.base, path, tracer)
@@ -182,15 +145,17 @@ def _shadow(node: PType, path: str, tracer: Tracer) -> PType:
                                               tracer),
                                 br.constraint)
                     for br in node.branches]
-        return _TracedUnion(node.name, branches, tracer)
+        return UnionNode(node.name, branches)
     if isinstance(node, SwitchUnionNode):
-        cases = [SwitchCaseRT(c.value_expr, c.name,
+        cases = [SwitchCaseRT(c.name,
                               _shadow_child(c.node, f"{path}<{c.name}>", tracer),
                               c.constraint)
                  for c in node.cases]
-        return SwitchUnionNode(node.name, node.selector, cases)
+        switch = SwitchUnionNode(node.name, cases)
+        switch.pick = node.pick
+        return switch
     if isinstance(node, OptNode):
-        return _TracedOpt(_shadow_child(node.inner, path, tracer), tracer)
+        return OptNode(_shadow_child(node.inner, path, tracer))
     if isinstance(node, ArrayNode):
         return ArrayNode(node.name,
                          _shadow_child(node.elt, path + "[]", tracer),
@@ -215,7 +180,7 @@ def trace_record(description, data, type_name: str,
     shadowed = _shadow(node, "", tracer)
     if not isinstance(shadowed, RecordNode):
         shadowed = RecordNode(shadowed)
-    src = description.open(data)
+    src = _rewinding(description.open(data), tracer)
     # Capture the record's bytes without consuming, so the dump and the
     # span table describe the same record.
     state = src.mark()
@@ -225,8 +190,7 @@ def trace_record(description, data, type_name: str,
     payload = src.record_bytes()
     rec_base = src.rec_start
     src.restore(state)
-    rep, pd = shadowed.parse(src, mask or Mask(P_CheckAndSet),
-                             description.env)
+    rep, pd = shadowed.parse(src, mask or Mask(P_CheckAndSet), {})
     return rep, pd, tracer.events, payload, rec_base
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from repro.expr import ast as E
 from repro.expr.eval import BUILTINS, Env, EvalError, call_function, eval_expr
 from repro.expr.pycompile import compile_expr, compile_function
-from repro.expr.runtime import cdiv, cmod, getmember
+from repro.expr.runtime import cdiv, cmod, member
 from repro.dsl.parser import parse_description
 
 
@@ -169,7 +169,7 @@ class TestCompiler:
     def run_compiled(self, text, **vars):
         expr = parse_expr(text)
         code = compile_expr(expr)
-        ns = {"_cdiv": cdiv, "_cmod": cmod, "_member": getmember, **BUILTINS, **vars}
+        ns = {"_cdiv": cdiv, "_cmod": cmod, "_member": member, **BUILTINS, **vars}
         return eval(code, ns)  # noqa: S307 - test-controlled input
 
     @pytest.mark.parametrize("text,vars,expected", [
@@ -197,7 +197,7 @@ class TestCompiler:
         """)
         fn = desc.functions()["clamp"]
         src = compile_function(fn)
-        ns = {"_cdiv": cdiv, "_cmod": cmod, "_member": getmember}
+        ns = {"_cdiv": cdiv, "_cmod": cmod, "_member": member}
         exec(src, ns)  # noqa: S102 - test-controlled input
         assert ns["clamp"](5, 0, 3) == 3
         assert ns["clamp"](-5, 0, 3) == 0
@@ -243,7 +243,7 @@ def test_interpreter_and_compiler_agree(expr, a, b):
         interp_err = True
 
     code = compile_expr(expr)
-    ns = {"_cdiv": cdiv, "_cmod": cmod, "_member": getmember, "a": a, "b": b}
+    ns = {"_cdiv": cdiv, "_cmod": cmod, "_member": member, "a": a, "b": b}
     try:
         compiled = eval(code, ns)  # noqa: S307
         comp_err = None
@@ -254,3 +254,48 @@ def test_interpreter_and_compiler_agree(expr, a, b):
     assert interp_err == comp_err
     if interp_err is None:
         assert interpreted == compiled
+
+
+# ---------------------------------------------------------------------------
+# Property: the statement-level check form (a top-level quantifier as a
+# `for` loop) agrees with the interpreter, errors and short-circuit order
+# included.
+# ---------------------------------------------------------------------------
+
+_i_int_expr = st.deferred(lambda: st.one_of(
+    st.integers(-5, 5).map(E.IntLit),
+    st.sampled_from(["a", "b", "i"]).map(E.Name),
+    st.tuples(st.sampled_from(["+", "-", "*", "/", "%"]), _i_int_expr,
+              _i_int_expr).map(lambda t: E.Binary(t[0], t[1], t[2])),
+))
+
+_i_bool_expr = st.deferred(lambda: st.one_of(
+    st.booleans().map(E.BoolLit),
+    st.tuples(st.sampled_from(["==", "!=", "<", "<=", ">", ">="]),
+              _i_int_expr, _i_int_expr).map(lambda t: E.Binary(*t)),
+    st.tuples(st.sampled_from(["&&", "||"]), _i_bool_expr, _i_bool_expr)
+      .map(lambda t: E.Binary(t[0], t[1], t[2])),
+))
+
+_bound = st.one_of(st.integers(-2, 6).map(E.IntLit),
+                   st.sampled_from(["a", "b"]).map(E.Name))
+
+
+@given(quant=st.sampled_from([E.Forall, E.Exists]), lo=_bound, hi=_bound,
+       body=_i_bool_expr, a=st.integers(-4, 4), b=st.integers(-4, 4))
+def test_check_form_agrees_with_interpreter(quant, lo, hi, body, a, b):
+    from repro.expr.pycompile import compile_check
+    expr = quant("i", lo, hi, body)
+    try:
+        interpreted = bool(eval_expr(expr, Env({"a": a, "b": b})))
+    except EvalError:
+        interpreted = None
+    lines = compile_check(expr, lambda n: n, "return False")
+    ns = {"_cdiv": cdiv, "_cmod": cmod}
+    exec("def check(a, b):\n" + "".join(f"    {line}\n" for line in lines)
+         + "    return True\n", ns)  # noqa: S102 - test-built source
+    try:
+        compiled = ns["check"](a, b)
+    except ZeroDivisionError:
+        compiled = None
+    assert compiled == interpreted

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.dsl.parser import parse_description
 from repro.expr.eval import BUILTINS, Env, EvalError, call_function
 from repro.expr.pycompile import compile_function
-from repro.expr.runtime import cdiv, cmod, getmember
+from repro.expr.runtime import cdiv, cmod, member
 
 FUNCTIONS = """
     int clamp(int x, int lo, int hi) {
@@ -69,7 +69,7 @@ def both():
     fns = desc.functions()
     env = Env({}, funcs=fns)
 
-    compiled_ns = {"_cdiv": cdiv, "_cmod": cmod, "_member": getmember}
+    compiled_ns = {"_cdiv": cdiv, "_cmod": cmod, "_member": member}
     resolver = (lambda n: f"fn_{n}" if n in fns else
                 (f"_B[{n!r}]" if n in BUILTINS else n))
     compiled_ns["_B"] = BUILTINS
