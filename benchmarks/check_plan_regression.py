@@ -8,15 +8,15 @@ accumulator pair, the same fold through the tree walk instead of the
 compiled adder; for the formatter pair, the formatting walk instead of
 the compiled formatter; for the framing pair, a newline discipline that
 frames one record per ``bounds`` step instead of a block at a time).
-The plan-driven side carries the record and member fast functions, fused
-literal runs, the compiled adder, the compiled formatter and the block
-framer, so it should be *faster*; the gate fails if any engine is more
-than 5% slower than its reference.
+The plan-driven side carries the record and member fast functions, the
+compiled record writer, the compiled adder, the compiled formatter and
+the block framer, so it should be *faster*; the gate fails if any pair
+is more than 5% slower than its reference.
 
 Optionally cross-checks against BENCH_parallel.json: its serial vetting
-benchmark (``test_vet_serial``) measures the identical workload through
-the plan-driven generated engine, so the two medians must agree within
-a generous tolerance (guarding against the smoke comparing different
+benchmark (``test_vet_serial``) measures the identical workload as
+``test_interp_vet_plan``, so the two medians must agree within a
+generous tolerance (guarding against the smoke comparing different
 workloads after a refactor).
 
 Also gates BENCH_batch.json when given: the batch engine's acceptance
@@ -47,9 +47,8 @@ import sys
 #: be slower than ``TOLERANCE`` times the second.
 PAIRS = [
     ("test_interp_vet_plan", "test_interp_vet_reference"),
-    ("test_gen_vet_plan", "test_gen_vet_reference"),
     ("test_interp_calls_plan", "test_interp_calls_reference"),
-    ("test_gen_write_plan", "test_gen_write_reference"),
+    ("test_interp_write_plan", "test_interp_write_reference"),
     ("test_interp_accum_plan", "test_interp_accum_reference"),
     ("test_interp_errors_plan", "test_interp_errors_reference"),
     ("test_fmt_plan", "test_fmt_reference"),
@@ -96,15 +95,15 @@ def main(argv):
 
     if len(argv) > 1:
         par = medians(argv[1])
-        if "test_gen_vet_plan" in plan and "test_vet_serial" in par:
-            a, b = plan["test_gen_vet_plan"], par["test_vet_serial"]
+        if "test_interp_vet_plan" in plan and "test_vet_serial" in par:
+            a, b = plan["test_interp_vet_plan"], par["test_vet_serial"]
             ratio = max(a, b) / min(a, b) if min(a, b) else float("inf")
             verdict = "OK" if ratio <= CROSS_TOLERANCE else "MISMATCH"
             print(f"cross-check vs BENCH_parallel test_vet_serial: "
                   f"{a:.4f}s vs {b:.4f}s -> {ratio:.3f}x ({verdict})")
             if ratio > CROSS_TOLERANCE:
                 failures.append(
-                    f"plan/gen vetting median diverges {ratio:.3f}x from "
+                    f"plan vetting median diverges {ratio:.3f}x from "
                     f"BENCH_parallel's serial vetting (limit "
                     f"{CROSS_TOLERANCE}x) — are the workloads still the "
                     "same?")

@@ -37,11 +37,11 @@ Data = Union[bytes, str, Source]
 
 
 def _record_loop(src: Source, mask: Mask, fast, body, default):
-    """The record loop both engines share.
+    """The record loop.
 
     ``fast`` is the record's compiled fast function, already cleared by
     the caller when it does not apply to this pass; ``body(src, mask)``
-    is the engine's general parse of one value inside an open record and
+    is the general parse of one value inside an open record and
     ``default()`` the value a limit-refused record yields.  Records are
     framed a buffered block at a time (``Source.frames``); record
     numbering and the index sink stay inside the source.
@@ -87,125 +87,11 @@ def _counting(fast, metrics, type_name: str):
     return counted
 
 
-class DescriptionBase:
-    """The entry points both engines share verbatim: opening sources,
-    record counting, the record loop and the streaming and batch record
-    streams.  Each subclass sets ``discipline`` and ``limits`` and
-    supplies ``parse`` and ``_record_parts``; the other execution modes
-    run through :func:`repro.execute.run`."""
-
-    discipline: RecordDiscipline
-    limits: Optional[ParseLimits]
-
-    def open(self, data: Data) -> Source:
-        # Strings are encoded latin-1 (byte-transparent) everywhere in the
-        # runtime; see the :mod:`repro.core.io` module docstring.
-        if isinstance(data, Source):
-            if data.limits is None and self.limits is not None:
-                data.set_limits(self.limits)
-            return data
-        if isinstance(data, str):
-            data = data.encode("latin-1")
-        return Source.from_bytes(data, self.discipline, limits=self.limits)
-
-    def open_file(self, path: str) -> Source:
-        return Source.from_file(path, self.discipline, limits=self.limits)
-
-    def parse(self, data: Data, type_name: Optional[str] = None,
-              mask: Optional[Mask] = None, *params) -> Tuple[object, Pd]:
-        """Parse one value of ``type_name`` (default: the Psource type);
-        the generated engine also takes a parameterised type's
-        arguments."""
-        if isinstance(type_name, Mask):  # allow parse(data, mask)
-            type_name, mask = None, type_name
-        src = self.open(data)
-        mask = mask or Mask(P_CheckAndSet)
-        start, t0 = src.pos, perf_counter()
-        rep, pd = self._parser(type_name)(src, mask, *params)
-        obs = observe.CURRENT
-        if obs is not None:
-            obs.record_parsed(type_name or self.source_type, pd,
-                              src.pos - start, perf_counter() - t0,
-                              start=start, record=src.record_idx)
-        if not mask.sets_all:
-            rep = self.node(type_name).unset(rep, mask, {})
-        return rep, pd
-
-    def parse_source(self, data: Data, mask: Optional[Mask] = None):
-        return self.parse(data, None, mask)
-
-    def records(self, data: Data, type_name: str,
-                mask: Optional[Mask] = None) -> Iterator[Tuple[object, Pd]]:
-        """Record-at-a-time entry point (paper Section 4).
-
-        Repeatedly parses ``type_name`` until end of input.  The type need
-        not be declared ``Precord``; when it isn't, each iteration opens a
-        record scope around it, matching how the paper's loop in Figure 7
-        drives ``entry_t_read``.  Whether the record's compiled fast
-        function applies is decided once per call
-        (:func:`~repro.core.limits.fastpath_applies`).
-        """
-        src = self.open(data)
-        use_mask = mask or Mask(P_CheckAndSet)
-        fast, body, default = self._record_parts(type_name)
-        if fast is not None and not fastpath_applies(use_mask, src.limits):
-            fast = None
-        # One global load decides between the plain loop and the metered
-        # one, keeping the disabled path free of per-record bookkeeping.
-        obs = observe.CURRENT
-        if obs is None:
-            pairs = _record_loop(src, use_mask, fast, body, default)
-        else:
-            pairs = self._metered(src, use_mask, fast, body, default,
-                                  obs, type_name)
-        if use_mask.sets_all:
-            yield from pairs
-            return
-        # Parsing ignores SET, so checks see the parsed values; the rep
-        # gets the default at each base position the mask leaves unset.
-        node = self.node(type_name)
-        for rep, pd in pairs:
-            yield node.unset(rep, use_mask, {}), pd
-
-    @staticmethod
-    def _metered(src, mask, fast, body, default, obs, type_name: str):
-        if fast is not None:
-            fast = _counting(fast, obs.metrics, type_name)
-        start, t0 = src.pos, perf_counter()
-        for rep, pd in _record_loop(src, mask, fast, body, default):
-            obs.record_parsed(type_name, pd, src.pos - start,
-                              perf_counter() - t0, start=start,
-                              record=src.record_idx)
-            yield rep, pd
-            start, t0 = src.pos, perf_counter()
-
-    def count_records(self, data: Data) -> int:
-        """Count records using only the record discipline (no field
-        parsing) — the analogue of the paper's record-counting program."""
-        return sum(1 for _ in self.open(data).boundaries())
-
-    def records_stream(self, data, type_name: str,
-                       mask: Optional[Mask] = None, **opts):
-        """Bounded-memory record stream (:mod:`repro.stream`): ``data``
-        may be a pipe, socket, fd, growing file or any readable binary
-        object, read through a sliding window.  ``opts``: ``window``,
-        ``follow``, ``poll_interval``, ``idle_timeout``, ``index``."""
-        from ..stream import records_stream
-        return records_stream(self, data, type_name, mask, **opts)
-
-    def records_batch(self, data, type_name: str,
-                      mask: Optional[Mask] = None, *,
-                      strict: bool = False):
-        """Vectorized record stream (:mod:`repro.batch`): eligible input
-        parses grid-at-a-time through a columnar kernel, the rest falls
-        back to the cursor (same results)."""
-        from ..batch import records_batch
-        return records_batch(self, data, type_name, mask, strict=strict)
-
-
-class CompiledDescription(DescriptionBase):
+class CompiledDescription:
     """A compiled PADS description: the Python stand-in for the paper's
-    generated ``.h``/``.c`` library."""
+    generated ``.h``/``.c`` library.  A parameterised type's arguments
+    follow the type name (``parse(data, "p_t", None, 3)``); they are
+    bound to the declaration's parameter names."""
 
     def __init__(self, bound: BoundDescription,
                  discipline: Optional[RecordDiscipline] = None,
@@ -244,24 +130,131 @@ class CompiledDescription(DescriptionBase):
             return self.bound.source_node
         return self.bound.node(name)
 
+    def _entry(self, type_name: Optional[str], params: tuple):
+        """``type_name``'s node and the scope binding ``params`` to the
+        declaration's parameter names."""
+        node = self.node(type_name)
+        name = type_name or self.source_type
+        names = self.bound.params[name]
+        if len(params) != len(names):
+            raise PadsError(f"{name} takes {len(names)} parameter(s) "
+                            f"({', '.join(names)}), {len(params)} given")
+        return node, (dict(zip(names, params)) if names else {})
+
+    # -- sources -------------------------------------------------------------------
+
+    def open(self, data: Data) -> Source:
+        # Strings are encoded latin-1 (byte-transparent) everywhere in the
+        # runtime; see the :mod:`repro.core.io` module docstring.
+        if isinstance(data, Source):
+            if data.limits is None and self.limits is not None:
+                data.set_limits(self.limits)
+            return data
+        if isinstance(data, str):
+            data = data.encode("latin-1")
+        return Source.from_bytes(data, self.discipline, limits=self.limits)
+
+    def open_file(self, path: str) -> Source:
+        return Source.from_file(path, self.discipline, limits=self.limits)
+
     # -- parsing entry points --------------------------------------------------------
 
-    def _parser(self, type_name: Optional[str]):
-        node = self.node(type_name)
-        return lambda src, mask: node.parse(src, mask, {})
+    def parse(self, data: Data, type_name: Optional[str] = None,
+              mask: Optional[Mask] = None, *params) -> Tuple[object, Pd]:
+        """Parse one value of ``type_name`` (default: the Psource type)."""
+        if isinstance(type_name, Mask):  # allow parse(data, mask)
+            type_name, mask = None, type_name
+        node, scope = self._entry(type_name, params)
+        src = self.open(data)
+        mask = mask or Mask(P_CheckAndSet)
+        start, t0 = src.pos, perf_counter()
+        rep, pd = node.parse(src, mask, scope)
+        obs = observe.CURRENT
+        if obs is not None:
+            obs.record_parsed(type_name or self.source_type, pd,
+                              src.pos - start, perf_counter() - t0,
+                              start=start, record=src.record_idx)
+        if not mask.sets_all:
+            rep = node.unset(rep, mask, scope)
+        return rep, pd
 
-    def _record_parts(self, type_name: str):
-        """``(fast function or None, general body, default)`` for the
-        shared record loop.  A non-``Precord`` type gets no fast path,
-        and neither does a traced pass: the fast function would skip
-        the per-field trace events the general parse emits."""
-        node = self.node(type_name)
+    def parse_source(self, data: Data, mask: Optional[Mask] = None):
+        return self.parse(data, None, mask)
+
+    def records(self, data: Data, type_name: str,
+                mask: Optional[Mask] = None) -> Iterator[Tuple[object, Pd]]:
+        """Record-at-a-time entry point (paper Section 4).
+
+        Repeatedly parses ``type_name`` until end of input.  The type need
+        not be declared ``Precord``; when it isn't, each iteration opens a
+        record scope around it, matching how the paper's loop in Figure 7
+        drives ``entry_t_read``.  Whether the record's compiled fast
+        function applies is decided here, once per call
+        (:func:`~repro.core.limits.fastpath_applies`); a non-``Precord``
+        type has none, and neither has a traced pass, since the fast
+        function would skip the per-field trace events the general parse
+        emits.
+        """
+        src = self.open(data)
+        use_mask = mask or Mask(P_CheckAndSet)
+        node = body = self.node(type_name)
         fast = None
         if isinstance(node, RecordNode):
-            node, fast = node.inner, node.fast_fn
-            if observe.current_tracer() is not None:
-                fast = None
-        return fast, partial(node.parse, scope={}), partial(node.default, {})
+            body = node.inner
+            if (fastpath_applies(use_mask, src.limits)
+                    and observe.current_tracer() is None):
+                fast = node.fast_fn
+        parse, default = partial(body.parse, scope={}), partial(body.default, {})
+        # One global load decides between the plain loop and the metered
+        # one, keeping the disabled path free of per-record bookkeeping.
+        obs = observe.CURRENT
+        if obs is None:
+            pairs = _record_loop(src, use_mask, fast, parse, default)
+        else:
+            pairs = self._metered(src, use_mask, fast, parse, default,
+                                  obs, type_name)
+        if use_mask.sets_all:
+            yield from pairs
+            return
+        # Parsing ignores SET, so checks see the parsed values; the rep
+        # gets the default at each base position the mask leaves unset.
+        for rep, pd in pairs:
+            yield node.unset(rep, use_mask, {}), pd
+
+    @staticmethod
+    def _metered(src, mask, fast, body, default, obs, type_name: str):
+        if fast is not None:
+            fast = _counting(fast, obs.metrics, type_name)
+        start, t0 = src.pos, perf_counter()
+        for rep, pd in _record_loop(src, mask, fast, body, default):
+            obs.record_parsed(type_name, pd, src.pos - start,
+                              perf_counter() - t0, start=start,
+                              record=src.record_idx)
+            yield rep, pd
+            start, t0 = src.pos, perf_counter()
+
+    def count_records(self, data: Data) -> int:
+        """Count records using only the record discipline (no field
+        parsing) — the analogue of the paper's record-counting program."""
+        return sum(1 for _ in self.open(data).boundaries())
+
+    def records_stream(self, data, type_name: str,
+                       mask: Optional[Mask] = None, **opts):
+        """Bounded-memory record stream (:mod:`repro.stream`): ``data``
+        may be a pipe, socket, fd, growing file or any readable binary
+        object, read through a sliding window.  ``opts``: ``window``,
+        ``follow``, ``poll_interval``, ``idle_timeout``, ``index``."""
+        from ..stream import records_stream
+        return records_stream(self, data, type_name, mask, **opts)
+
+    def records_batch(self, data, type_name: str,
+                      mask: Optional[Mask] = None, *,
+                      strict: bool = False):
+        """Vectorized record stream (:mod:`repro.batch`): eligible input
+        parses grid-at-a-time through a columnar kernel, the rest falls
+        back to the cursor (same results)."""
+        from ..batch import records_batch
+        return records_batch(self, data, type_name, mask, strict=strict)
 
     def array_elements(self, data: Data, type_name: str,
                        mask: Optional[Mask] = None):
@@ -289,22 +282,24 @@ class CompiledDescription(DescriptionBase):
 
     # -- writing -------------------------------------------------------------------
 
-    def write(self, rep, type_name: Optional[str] = None) -> bytes:
+    def write(self, rep, type_name: Optional[str] = None, *params) -> bytes:
         """Render ``rep`` back into its physical form (``write2io``)."""
-        node = self.node(type_name)
+        node, scope = self._entry(type_name, params)
         out = []
-        node.write(rep, out, {})
+        node.write(rep, out, scope)
         return b"".join(out)
 
     # -- verification / generation ------------------------------------------------------
 
-    def verify(self, rep, type_name: Optional[str] = None) -> bool:
+    def verify(self, rep, type_name: Optional[str] = None, *params) -> bool:
         """Re-check semantic constraints on an in-memory value
         (``entry_t_verify`` in the paper's Figure 7)."""
-        return self.node(type_name).verify(rep, {})
+        node, scope = self._entry(type_name, params)
+        return node.verify(rep, scope)
 
-    def default(self, type_name: Optional[str] = None):
-        return self.node(type_name).default({})
+    def default(self, type_name: Optional[str] = None, *params):
+        node, scope = self._entry(type_name, params)
+        return node.default(scope)
 
     def generate(self, type_name: Optional[str] = None,
                  rng: Optional[random.Random] = None):
@@ -318,14 +313,23 @@ class CompiledDescription(DescriptionBase):
         return self.write(rep, type_name)
 
 
+def bind_text(text: str, *, ambient: str = "ascii",
+              filename: str = "<description>", check: bool = True,
+              fastpath: bool = True) -> BoundDescription:
+    """Parse, typecheck, analyze and bind description source."""
+    desc = parse_description(text, filename)
+    if check:
+        check_description(desc, ambient)
+    return bind_description(desc, ambient, fastpath=fastpath)
+
+
 def compile_description(text: str, *, ambient: str = "ascii",
                         discipline: Optional[RecordDiscipline] = None,
                         filename: str = "<description>",
                         check: bool = True,
                         fastpath: bool = True,
                         limits: Optional[ParseLimits] = None,
-                        base_type_files: Optional[list] = None,
-                        backend: Optional[str] = None):
+                        base_type_files: Optional[list] = None):
     """Parse, typecheck, analyze and bind a PADS description.
 
     ``ambient`` selects the ambient coding ('ascii', 'binary', 'ebcdic');
@@ -336,28 +340,12 @@ def compile_description(text: str, *, ambient: str = "ascii",
     resource budget attached to every source the description opens;
     ``base_type_files`` lists user base-type specification files to load
     first (paper Section 6).
-
-    ``backend`` selects the execution engine: ``None`` (the default)
-    binds the interpreted combinators; ``'source'`` emits, loads and
-    returns the generated twin, :class:`~repro.codegen.GeneratedDescription`
-    — same API surface, byte-identical results.
     """
-    if backend not in (None, "source"):
-        raise PadsError(f"unknown backend {backend!r} (expected None for "
-                        f"the interpreter or 'source' for generated code)")
     if base_type_files:
         from .basetypes.userdef import load_base_type_files
         load_base_type_files(base_type_files)
-    if backend is not None:
-        from ..codegen import compile_generated
-        return compile_generated(text, ambient=ambient,
-                                 discipline=discipline, filename=filename,
-                                 check=check, fastpath=fastpath,
-                                 limits=limits)
-    desc = parse_description(text, filename)
-    if check:
-        check_description(desc, ambient)
-    bound = bind_description(desc, ambient, fastpath=fastpath)
+    bound = bind_text(text, ambient=ambient, filename=filename, check=check,
+                      fastpath=fastpath)
     return CompiledDescription(bound, discipline, source_text=text,
                                limits=limits)
 
@@ -377,12 +365,12 @@ def compile_file(path: str, **kwargs):
 # The key MUST cover every compile input that changes the produced
 # artifact — not just the source text.  Hashing only the source is a
 # cross-tenant poisoning bug: two tenants sending identical source with
-# different backends (interpreted vs generated), ambients, record
-# disciplines or fastpath settings would share one compiled module, and
-# whichever compiled first would silently serve the other tenant's
-# requests with the wrong engine.  ``ParseLimits`` are deliberately NOT
-# part of the key: limits are per-*source* state (attached when a cursor
-# opens), so the same compiled description serves every budget.
+# different ambients, record disciplines or fastpath settings would share
+# one compiled description, and whichever compiled first would silently
+# serve the other tenant's requests with the wrong plan.  ``ParseLimits``
+# are deliberately NOT part of the key: limits are per-*source* state
+# (attached when a cursor opens), so the same compiled description serves
+# every budget.
 
 
 def discipline_key(discipline) -> tuple:
@@ -401,15 +389,11 @@ def discipline_key(discipline) -> tuple:
 
 
 def description_cache_key(text: str, *, ambient: str = "ascii",
-                          discipline=None, backend: Optional[str] = None,
-                          fastpath: bool = True) -> str:
-    """Content hash over every plan-relevant compile input.
-
-    ``backend=None`` (the interpreted engine) and ``backend='source'``
-    (the generated engine) hash differently; so do ambient codings,
-    record disciplines and the fastpath/reference-mode switch.
-    """
-    parts = (text, ambient, str(backend), str(bool(fastpath)),
+                          discipline=None, fastpath: bool = True) -> str:
+    """Content hash over every plan-relevant compile input: the source,
+    the ambient coding, the record discipline and the
+    fastpath/reference-mode switch."""
+    parts = (text, ambient, str(bool(fastpath)),
              repr(discipline_key(discipline)))
     h = hashlib.sha256()
     for part in parts:
@@ -463,8 +447,8 @@ class DescriptionCache:
             return desc
 
     def get_or_compile(self, text: str, *, ambient: str = "ascii",
-                       discipline=None, backend: Optional[str] = None,
-                       fastpath: bool = True, check: bool = True,
+                       discipline=None, fastpath: bool = True,
+                       check: bool = True,
                        filename: str = "<description>"):
         """``(description, key, hit)`` for the given compile inputs.
 
@@ -473,8 +457,7 @@ class DescriptionCache:
         one cached artifact serves every tenant.
         """
         key = description_cache_key(text, ambient=ambient,
-                                    discipline=discipline, backend=backend,
-                                    fastpath=fastpath)
+                                    discipline=discipline, fastpath=fastpath)
         while True:
             with self._lock:
                 desc = self._entries.get(key)
@@ -494,7 +477,7 @@ class DescriptionCache:
             desc = compile_description(text, ambient=ambient,
                                        discipline=discipline,
                                        filename=filename, check=check,
-                                       fastpath=fastpath, backend=backend)
+                                       fastpath=fastpath)
         except BaseException:
             with self._lock:
                 self._inflight.pop(key, None)

@@ -1,9 +1,9 @@
-"""Bind an analyzed plan to runtime type nodes (the interpreted engine).
+"""Bind an analyzed plan to runtime type nodes (the one parsing engine).
 
 Binding consumes the plan IR (:mod:`repro.plan`) — not the raw AST — so
 every derived fact (the ambient-coding table, resolved base types,
-literal byte forms, fused literal runs, fastpath verdicts) comes from
-the one analysis shared with the code generator.  One
+literal byte forms, fastpath verdicts) comes from the one analysis
+shared with the module emitter and the tools.  One
 :class:`~repro.core.types.PType` node is built per declaration, in
 declaration order (legal because PADS types are declared before use).
 Every expression site is compiled into the description's runtime
@@ -183,11 +183,6 @@ class BoundDescription:
             if self.fastpath:
                 # Member fast functions, compiled on first use.
                 node.compile_members = partial(self.runtime.members, dp)
-                if dp.fused_runs:
-                    # Literal-prefix fusion (plan pass): match whole runs
-                    # of adjacent literals with a single comparison.
-                    node.fused = {start: (end, raw)
-                                  for start, end, raw in dp.fused_runs}
             return node
 
         if isinstance(dp, SwitchPlan):
@@ -199,6 +194,8 @@ class BoundDescription:
                 cases.append(case)
             node = SwitchUnionNode(dp.name, cases)
             self.runtime.site(node, "pick", dp, params)
+            self.runtime.site(node, "where", dp.where,
+                              params + tuple(c.name for c in dp.cases), True)
             return node
 
         if isinstance(dp, UnionPlan):
@@ -208,7 +205,11 @@ class BoundDescription:
                 self.runtime.site(branch, "constraint", b.constraint,
                                   params + (b.name,), True)
                 branches.append(branch)
-            return UnionNode(dp.name, branches)
+            node = UnionNode(dp.name, branches)
+            self.runtime.site(node, "where", dp.where,
+                              params + tuple(b.name for b in dp.branches),
+                              True)
+            return node
 
         if isinstance(dp, ArrayPlan):
             inner = params + ("elts", "length")

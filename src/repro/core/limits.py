@@ -7,9 +7,9 @@ module covers *resource* hostility: inputs crafted (or corrupted) so that
 an otherwise correct parser scans, allocates, or recurses without bound.
 
 :class:`ParseLimits` is an immutable budget attached to a
-:class:`~repro.core.io.Source` (``src.limits``).  Both engines — the
-interpreted combinators and the generated modules — consult the same
-cursor-level state, so limit semantics are identical by construction:
+:class:`~repro.core.io.Source` (``src.limits``).  The type combinators and the record loop consult the
+same cursor-level state, so limit semantics are identical on every
+path:
 
 * ``max_record_bytes`` — records longer than this are skipped whole
   (``RECORD_LIMIT``), never parsed.
@@ -116,7 +116,7 @@ class ParseLimits:
 
         The fast fns parse a whole clean record with no element or depth
         accounting, so any limit a *clean* record could trip must disable
-        them to keep both engines' results identical to the general path.
+        them to keep results identical to the general path.
         Record-length, deadline and error budgets are enforced at the
         record boundary (before the fast path is consulted) and scan caps
         only matter on error paths the fast path never takes.
@@ -127,11 +127,11 @@ class ParseLimits:
 def fastpath_applies(mask, limits: Optional[ParseLimits]) -> bool:
     """Whether a record's plan-compiled fast function may stand in for
     the general parse under ``mask`` and ``limits``: a uniform mask that
-    materialises values and no limit a clean record could trip.  Both
-    engines' record ``parse`` wrappers test this per call; the shared
-    record loop (``DescriptionBase.records``) tests it once per pass.
-    The interpreter also requires that no tracer is installed, because
-    only its general parse emits per-field trace events."""
+    materialises values and no limit a clean record could trip.
+    ``RecordNode.parse`` and the struct member fast path test this per
+    call; the record loop (``CompiledDescription.records``) tests it
+    once per pass.  Each also requires that no tracer is installed,
+    because only the general parse emits per-field trace events."""
     return bool((mask.bits & 1) and not mask.fields
                 and mask.compound_level is None and mask.elts is None
                 and (limits is None or limits.fastpath_safe))
@@ -147,12 +147,13 @@ def note_limit(pd: Pd, code: ErrCode, loc: Loc) -> None:
 def record_guard(src, pd: Pd) -> bool:
     """Enforce record-boundary limits on an open record.
 
-    Called (by both engines) right after ``begin_record`` succeeds, with
-    the record's pd.  Returns True when parsing may proceed.  On a limit
-    hit it records the 5xx error and repositions the cursor — past the
-    offending record for ``RECORD_LIMIT``, to end-of-input for the
-    run-terminating budgets — and returns False; the caller yields the
-    type's default rep with the limit pd.
+    Called (by the record loop and ``RecordNode.parse``) right after
+    ``begin_record`` succeeds, with the record's pd.  Returns True when
+    parsing may proceed.  On a limit hit it records the 5xx error and
+    repositions the cursor — past the offending record for
+    ``RECORD_LIMIT``, to end-of-input for the run-terminating budgets —
+    and returns False; the caller yields the type's default rep with the
+    limit pd.
     """
     limits = src.limits
     if limits is None:

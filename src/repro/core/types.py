@@ -22,9 +22,10 @@ Every expression site (constraint, ``Pwhere``, selector, array bound,
 type argument) is a function the binder compiled from the plan
 (:meth:`repro.plan.runtime.Runtime.site`), called with a flat *scope*: a
 dict of the declaration's parameters plus the fields parsed so far.  A
-node never mutates the scope it is given.  The interpreted combinators
-and the code generator (:mod:`repro.codegen`) must agree; a property test
-cross-checks them.
+node never mutates the scope it is given.  These combinators and the
+plan-compiled record and member fast functions
+(:mod:`repro.plan.fastpath`) must agree; the differential tests
+cross-check them against ``fastpath=False``.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def _depth_guarded(parse):
     Without a depth limit this is one attribute test; with one, the level
     is entered through ``Source.push_depth`` and always released, however
     the parse returns.  A refused level yields the type's default rep with
-    a NEST_LIMIT pd — the same shape the generated engine emits.
+    a NEST_LIMIT pd.
     """
     def guarded(self, src: Source, mask: Mask, scope: Scope):
         limits = src.limits
@@ -292,12 +293,6 @@ class StructNode(PType):
 
     kind = "struct"
 
-    #: Fused literal runs from the plan's literal-prefix fusion pass:
-    #: ``{start index: (end index, concatenated bytes)}`` over ``fields``.
-    #: ``Source.match_bytes`` consumes only on success, so a fused miss
-    #: falls back to the per-literal code (and its resync behavior) at an
-    #: unchanged cursor.
-    fused: Dict[int, Tuple[int, bytes]] = {}
     #: Builds the member fast functions, one per entry of ``fields``
     #: (None where a member has none): ``fn(buf, pos, end, dosem) ->
     #: (rep, end_pos) | None``.  Set by the binder when fast paths are on
@@ -351,15 +346,8 @@ class StructNode(PType):
                 members = self.members = self.compile_members()
             dosem = (mask.bits & 4) != 0
 
-        fused = self.fused
-
         i = 0
         while i < len(self.fields):
-            if not panicked and i in fused:
-                end, raw = fused[i]
-                if src.match_bytes(raw):
-                    i = end + 1
-                    continue
             f = self.fields[i]
             if panicked:
                 if f.kind == "data":
@@ -671,9 +659,13 @@ class UnionBranch:
 
 class UnionNode(PType):
     """``Punion`` — ordered alternatives; "the first branch that parses
-    without error is taken" (paper Section 3)."""
+    without error is taken" (paper Section 3).  The ``Pwhere`` clause
+    (a check site the binder sets) sees the taken branch's value under
+    its name; it is checked after the branch is chosen and does not
+    steer the choice."""
 
     kind = "union"
+    where: Optional[Site] = None
 
     def __init__(self, name: str, branches: Sequence[UnionBranch]):
         self.name = name
@@ -698,6 +690,10 @@ class UnionNode(PType):
             if child.nerr == 0 and self._guard(br, value, scope):
                 src.commit(state)
                 pd.tag = br.name
+                if self.where is not None and mask.level_sem \
+                        and not self.where(_with(self, scope, br.name, value)):
+                    pd.record_error(ErrCode.WHERE_CLAUSE_VIOLATION,
+                                    src.here())
                 tracer = observe.current_tracer()
                 if tracer is not None:
                     # The taken branch, emitted after the fact so rejected
@@ -727,7 +723,9 @@ class UnionNode(PType):
         for br in self.branches:
             if br.name == rep.tag:
                 return (br.node.verify(rep.value, scope)
-                        and self._guard(br, rep.value, scope))
+                        and self._guard(br, rep.value, scope)
+                        and (self.where is None or self.where(
+                            _with(self, scope, br.name, rep.value))))
         return False
 
     def unset(self, rep, mask: Mask, scope: Scope):
@@ -794,6 +792,8 @@ class SwitchUnionNode(PType):
     #: ``pick(scope)``: the index of the case the selector picks, or -1
     #: (a site the binder sets, see :meth:`repro.plan.ir.Plan.pick`).
     pick: Optional[Site] = None
+    #: The ``Pwhere`` check, as on :class:`UnionNode`.
+    where: Optional[Site] = None
 
     def __init__(self, name: str, cases: Sequence[SwitchCaseRT]):
         self.name = name
@@ -817,6 +817,9 @@ class SwitchUnionNode(PType):
         if case.constraint is not None and mask.do_sem and child.nerr == 0 \
                 and not case.constraint(_with(self, scope, case.name, value)):
             pd.record_error(ErrCode.USER_CONSTRAINT_VIOLATION, src.here())
+        if self.where is not None and mask.level_sem and pd.nerr == 0 \
+                and not self.where(_with(self, scope, case.name, value)):
+            pd.record_error(ErrCode.WHERE_CLAUSE_VIOLATION, src.here())
         return UnionVal(case.name, value), pd
 
     def write(self, rep, out: List[bytes], scope: Scope) -> None:
@@ -834,7 +837,9 @@ class SwitchUnionNode(PType):
         case = self._pick(scope)
         if case is None or case.name != rep.tag:
             return False
-        return case.node.verify(rep.value, scope)
+        return case.node.verify(rep.value, scope) and (
+            self.where is None
+            or self.where(_with(self, scope, case.name, rep.value)))
 
     def unset(self, rep, mask: Mask, scope: Scope):
         for case in self.cases:

@@ -1,6 +1,6 @@
 """Reference interpreter for the embedded expression language.
 
-Nothing at run time uses this module: both engines run expressions
+Nothing at run time uses this module: every expression site runs
 compiled to Python by :mod:`repro.expr.pycompile`.  It stays as the
 independent statement of the semantics that ``tests/test_expr.py`` and
 ``tests/test_expr_functions_equiv.py`` check the compiler against (on

@@ -12,7 +12,7 @@ description (gallery or user-written) it
    structural boundary, literal deletion and duplication, separator
    duplication, encoding garbage, raw binary noise — reusing the
    plan-derived mutators so corruption aims at real structure, and
-3. parses every corrupted source through both engines under a
+3. parses every corrupted source under a
    :class:`~repro.core.limits.ParseLimits` budget, checking the
    never-crash invariants:
 
@@ -66,18 +66,17 @@ DEFAULT_LIMITS = ParseLimits(deadline=10.0, max_scan=4096)
 
 @dataclass
 class FaultFailure:
-    """One violated invariant: which description/engine/mutation, what
-    broke, and the corrupted input that triggered it (for replay)."""
+    """One violated invariant: which description/mutation, what broke,
+    and the corrupted input that triggered it (for replay)."""
 
     description: str
-    engine: str
     mutation: str
     kind: str  # 'exception' | 'no-progress' | 'accounting' | 'deadline'
     detail: str
     data: bytes
 
     def __str__(self) -> str:
-        return (f"{self.description}/{self.engine}/{self.mutation}: "
+        return (f"{self.description}/{self.mutation}: "
                 f"{self.kind}: {self.detail}")
 
 
@@ -85,7 +84,7 @@ class FaultFailure:
 class FaultReport:
     """Aggregate result of a fuzz sweep."""
 
-    cases: int = 0    #: (source, engine) runs executed
+    cases: int = 0    #: corrupted sources run
     records: int = 0  #: records parsed across all runs
     errors: int = 0   #: pd errors observed (proof the corruption bites)
     failures: List[FaultFailure] = field(default_factory=list)
@@ -263,38 +262,26 @@ def fuzz_description(text: str, record_type: str, *,
                      n_records: int = 12,
                      seed: int = 0,
                      limits: Optional[ParseLimits] = None,
-                     engines: Sequence[str] = ("interp", "generated"),
                      wall_cap: float = 30.0) -> FaultReport:
-    """Fuzz one description through both engines; never raises for data
-    reasons (a description that fails to *compile* still raises — that is
-    a caller error, not a data error)."""
-    from .codegen import compile_generated
+    """Fuzz one description; never raises for data reasons (a
+    description that fails to *compile* still raises — that is a caller
+    error, not a data error)."""
     from .core.api import compile_description
 
     limits = limits if limits is not None else DEFAULT_LIMITS
     rng = random.Random(seed)
-    built = {}
-    for engine in engines:
-        if engine == "generated":
-            built[engine] = compile_generated(
-                text, ambient=ambient, discipline=discipline, limits=limits)
-        else:
-            built[engine] = compile_description(
-                text, ambient=ambient, discipline=discipline, limits=limits)
-    reference = next(iter(built.values()))
-    sources = _fault_sources(reference, record_type, n_records, rng)
-
+    desc = compile_description(text, ambient=ambient, discipline=discipline,
+                               limits=limits)
     report = FaultReport()
-    for engine, desc in built.items():
-        for label, data in sources:
-            count, errors, violation = _never_crash(desc, data, record_type,
-                                                    wall_cap)
-            report.cases += 1
-            report.records += count
-            report.errors += errors
-            if violation is not None:
-                report.failures.append(FaultFailure(
-                    name, engine, label, violation[0], violation[1], data))
+    for label, data in _fault_sources(desc, record_type, n_records, rng):
+        count, errors, violation = _never_crash(desc, data, record_type,
+                                                wall_cap)
+        report.cases += 1
+        report.records += count
+        report.errors += errors
+        if violation is not None:
+            report.failures.append(FaultFailure(
+                name, label, violation[0], violation[1], data))
     return report
 
 
@@ -444,8 +431,7 @@ def kill_resume_gallery(*, n_records: int = 2000, seed: int = 0,
             report.records += n_records
             if detail is not None:
                 report.failures.append(FaultFailure(
-                    name, "durable", "kill-resume", "divergence", detail,
-                    data[:256]))
+                    name, "kill-resume", "divergence", detail, data[:256]))
         finally:
             for leftover in (path, path + ".padsckpt", path + ".padsidx"):
                 if _os.path.exists(leftover):

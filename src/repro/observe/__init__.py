@@ -21,7 +21,7 @@ and the per-field trace hooks hoist that check to one local-variable
 test per field.  Enabling observation never changes parse results —
 the differential test sweep (``tests/test_differential.py``) asserts
 identical values, parse descriptors and accumulator output with and
-without it, across both engines and the parallel path.
+without it, serially and on the parallel path.
 
 Usage::
 

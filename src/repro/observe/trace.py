@@ -4,8 +4,8 @@ The interpreter's structural combinators (:mod:`repro.core.types`) emit
 one ``enter`` event when they begin parsing a named position (a struct
 field, an array element, a union's taken branch) and one ``exit`` event
 when they finish, carrying the byte span consumed, the outcome
-(``ok`` / ``err`` / ``panic``) and the first error code.  Both engines
-additionally emit ``record`` events from their record loops.
+(``ok`` / ``err`` / ``panic``) and the first error code.  The record
+loop additionally emits ``record`` events.
 
 Events are plain tuples rendered to JSONL on demand, so a trace can be
 post-processed with nothing but ``json.loads``.  The tracer keeps a path

@@ -78,12 +78,11 @@ _WEDGE_TIMEOUT: Optional[float] = None
 @dataclass(frozen=True)
 class DescSpec:
     """A picklable recipe for rebuilding a compiled description inside a
-    worker process: the description source text, the ambient coding, which
-    engine to use ('generated' or 'interp') and the record discipline."""
+    worker process: the description source text, the ambient coding and
+    the record discipline."""
 
     text: str
     ambient: str
-    engine: str
     discipline: RecordDiscipline
     #: Resource budget each worker attaches to its window's Source.  Not
     #: part of ``key()``: compiled descriptions are limits-independent, so
@@ -97,7 +96,7 @@ class DescSpec:
 
     def key(self) -> tuple:
         from .core.api import discipline_key
-        return (self.text, self.ambient, self.engine,
+        return (self.text, self.ambient,
                 self.fastpath) + discipline_key(self.discipline)
 
 
@@ -105,17 +104,12 @@ def _spec_for(description) -> Optional[DescSpec]:
     """Build a spec for a description, or None when it cannot be shipped
     to workers (no source text — e.g. a hand-constructed binding)."""
     limits = getattr(description, "limits", None)
-    module = getattr(description, "module", None)
-    if module is not None and hasattr(module, "SOURCE"):
-        return DescSpec(module.SOURCE, module.AMBIENT, "generated",
-                        description.discipline, limits,
-                        fastpath=description.fastpath)
     text = getattr(description, "source_text", None)
     ambient = getattr(description, "ambient", None)
     if text is None or ambient is None:
         return None
     fastpath = getattr(getattr(description, "bound", None), "fastpath", True)
-    return DescSpec(text, ambient, "interp", description.discipline, limits,
+    return DescSpec(text, ambient, description.discipline, limits,
                     fastpath=fastpath)
 
 
@@ -129,16 +123,10 @@ def _materialise(spec: DescSpec):
     key = spec.key()
     desc = _COMPILED.get(key)
     if desc is None:
-        if spec.engine == "generated":
-            from .codegen import compile_generated
-            desc = compile_generated(spec.text, ambient=spec.ambient,
-                                     discipline=spec.discipline, check=False,
-                                     fastpath=spec.fastpath)
-        else:
-            from .core.api import compile_description
-            desc = compile_description(spec.text, ambient=spec.ambient,
-                                       discipline=spec.discipline, check=False,
-                                       fastpath=spec.fastpath)
+        from .core.api import compile_description
+        desc = compile_description(spec.text, ambient=spec.ambient,
+                                   discipline=spec.discipline, check=False,
+                                   fastpath=spec.fastpath)
         _COMPILED[key] = desc
     return desc
 

@@ -4,16 +4,16 @@ A type-checked description is lowered **once** (:func:`analyze`) into a
 typed IR (:mod:`repro.plan.ir`) carrying every derived fact the
 consumers used to re-compute independently: the ambient-coding table,
 resolved base types, literal byte forms and resync sets, terminators
-and separators, static-width analysis, fused literal runs, and
-per-record fastpath verdicts with compiled fast functions.
+and separators, static-width analysis, and per-record fastpath
+verdicts with compiled fast functions.
 
 Consumers:
 
-* :mod:`repro.core.binding` — builds interpreter nodes from plan nodes;
-* :mod:`repro.codegen.emitter` — emits the generated module from plan
-  nodes (including the fast functions, verbatim);
-* :mod:`repro.plan.runtime` — materialises the same fast functions for
-  the interpreter;
+* :mod:`repro.core.binding` — builds the runtime nodes from plan nodes;
+* :mod:`repro.plan.runtime` — materialises the compiled fast functions
+  and expression sites for those nodes;
+* :mod:`repro.codegen.emitter` — emits the Figure 6 module over a bound
+  description (including the fast functions, verbatim);
 * the AST-walking tools (``tools/xsd.py``, ``tools/datagen.py``,
   ``tools/cobol.py``) and the ``padsc plan`` pretty-printer.
 

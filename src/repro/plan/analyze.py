@@ -72,10 +72,8 @@ def analyze(desc: D.Description, ambient: str = "ascii") -> Plan:
         attach_batchpaths,
         attach_fastpaths,
         compute_widths,
-        fuse_literal_runs,
     )
     compute_widths(plan)
-    fuse_literal_runs(plan)
     attach_fastpaths(plan)
     attach_batchpaths(plan)
     return plan

@@ -22,10 +22,10 @@ clean parse descriptor**, or ``None`` — in which case the caller
 re-parses the record with the general (error-reporting) parser.  Errors
 therefore cost one extra parse, while clean records — the vast majority
 in the paper's workloads — run at compiled speed.  The compiled
-function is a plain source fragment over a small runtime namespace, so
-the *same* fast function serves the generated module (where the
-namespace is the module globals) and the interpreter (where
-:mod:`repro.plan.runtime` materialises it).
+function is a plain source fragment over a small runtime namespace:
+:mod:`repro.plan.runtime` materialises it for the bound description,
+and a generated module carries it verbatim (its globals are the same
+namespace).
 
 The regex compiler also emits *member* fast functions
 (:func:`compile_member`), one per data member of a struct, under the
@@ -399,6 +399,10 @@ class FastPath:
                     for line in self.plan.check(br.constraint, bscope,
                                                 "return None"):
                         sub.w(line)
+            if decl.where is not None:
+                # Checked after the choice, as the general parser does.
+                _check(sub, self.plan, decl.where, {br.name: bvar},
+                       "return None")
             header = "if" if first else "elif"
             w.w(f"{header} _m.group({g!r}) is not None:")
             w.lines.extend(sub.lines)

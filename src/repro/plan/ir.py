@@ -1,8 +1,8 @@
 """The plan IR: a typed middle layer between the DSL AST and the engines.
 
 :func:`repro.plan.analyze` lowers a type-checked description once into
-these nodes; the interpreter binder (:mod:`repro.core.binding`), the
-codegen emitter (:mod:`repro.codegen.emitter`), the record fast path
+these nodes; the binder (:mod:`repro.core.binding`), the module
+emitter (:mod:`repro.codegen.emitter`), the record fast path
 (:mod:`repro.plan.fastpath`) and the AST-walking tools all consume the
 same analyzed facts instead of re-deriving them:
 
@@ -10,7 +10,6 @@ same analyzed facts instead of re-deriving them:
 * base-type uses with their statically resolved instances,
 * literal byte forms, struct resync literal sets, array terminators,
 * static-size / fixed-width analysis results,
-* fused literal runs (adjacent literals matched as one),
 * a per-record fastpath-eligibility verdict with a human-readable
   reason, plus the compiled fast function when eligible.
 
@@ -213,9 +212,6 @@ class StructPlan(DeclPlan):
     items: List[Item] = field(default_factory=list)
     #: Encoded char/string literal members, in order — the resync scan set.
     scan_literals: List[bytes] = field(default_factory=list)
-    #: Adjacent-literal runs fused into one match: (start, end, raw bytes),
-    #: indices inclusive over ``items``.
-    fused_runs: List[Tuple[int, int, bytes]] = field(default_factory=list)
 
 
 @dataclass

@@ -6,13 +6,12 @@ Three passes run after lowering, in order:
   declaration and type use with its byte width when the physical form
   is provably fixed (binary words, packed/zoned decimals, fixed-width
   strings and integers, structs/arrays/enums built only from those).
-* :func:`fuse_literal_runs` — literal-prefix fusion: adjacent scannable
-  literal members of a struct are fused into one byte string so both
-  engines match them with a single comparison.
 * :func:`attach_fastpaths` — record the fastpath-eligibility verdict
   (with its reason) for every declaration, and compile the fast
-  function for eligible ``Precord`` structs.  Both engines read the
-  verdict instead of re-deriving eligibility structurally.
+  function for eligible ``Precord`` structs.  The binder, the emitter
+  and ``padsc plan`` read the verdict instead of re-deriving
+  eligibility structurally.
+* :func:`attach_batchpaths` — the same for the columnar batch kernels.
 """
 
 from __future__ import annotations
@@ -137,37 +136,6 @@ def _decl_width(plan: Plan, dp) -> Optional[int]:
         return _use_width(plan, dp.base)
 
     return None
-
-
-# -- literal-prefix fusion ---------------------------------------------------
-
-
-def fuse_literal_runs(plan: Plan) -> None:
-    """Fuse runs of two or more adjacent char/string literal members.
-
-    ``Source.match_bytes`` consumes only on success, so matching the
-    concatenation is observationally identical to matching each literal
-    in turn on the clean path; a fused miss falls back to the original
-    per-literal code (with its resync behavior) at an unchanged cursor.
-    """
-    for dp in plan.decls.values():
-        if not isinstance(dp, StructPlan):
-            continue
-        items = dp.items
-        i = 0
-        while i < len(items):
-            if not (isinstance(items[i], LitItem)
-                    and items[i].literal.scannable):
-                i += 1
-                continue
-            j = i
-            while (j + 1 < len(items) and isinstance(items[j + 1], LitItem)
-                   and items[j + 1].literal.scannable):
-                j += 1
-            if j > i:
-                raw = b"".join(items[k].literal.raw for k in range(i, j + 1))
-                dp.fused_runs.append((i, j, raw))
-            i = j + 1
 
 
 # -- fastpath verdicts -------------------------------------------------------

@@ -1,8 +1,8 @@
 """Pretty-print an analyzed plan (the ``padsc plan`` subcommand).
 
 Shows, per declaration, what the analysis derived: resolved base types,
-static byte widths, separators/terminators, resync literal sets, fused
-literal runs, and the fastpath-eligibility verdict with its reason —
+static byte widths, separators/terminators, resync literal sets, and
+the fastpath-eligibility verdict with its reason —
 the answer to "why did (or didn't) my description get the fast path?".
 Each struct data member also shows whether it gets a member fast
 function, which error records' general parses run before interpreting
@@ -107,8 +107,6 @@ def _decl_lines(plan: Plan, dp) -> List[str]:
         if dp.scan_literals:
             lits = ", ".join(repr(b) for b in dp.scan_literals)
             lines.append(f"  resync literals: {lits}")
-        for start, end, raw in dp.fused_runs:
-            lines.append(f"  fused literal run: items {start}..{end} -> {raw!r}")
     elif isinstance(dp, SwitchPlan):
         lines.append("  switched on a selector expression")
         for c in dp.cases:

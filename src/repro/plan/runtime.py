@@ -1,19 +1,17 @@
-"""Materialise plan-compiled code for the interpreter.
+"""Materialise plan-compiled code for a bound description.
 
 The fast-path compilers in :mod:`repro.plan.fastpath` emit plain source
 fragments over a small runtime namespace (the rep-class factory,
 ``UnionVal``, enum constants, helper functions, the packed/zoned/date
-converters).  In a generated module that namespace *is* the module
-globals; here the same fragments are exec'd into an equivalent namespace
-so the interpreted engine gets the identical fast functions — the
-record-level speedups no longer belong to codegen alone.  The interpreter alone also loads the
-member fast functions, lazily, into the same namespace.
+converters).  A generated module (:mod:`repro.codegen`) imports the
+same names and carries the same fragments; here they are exec'd into
+one namespace per bound description, which also holds the member fast
+functions, loaded lazily.
 
 Every expression site of the description (constraints, ``Pwhere``,
 selectors, array bounds and predicates, type arguments) is compiled
-here too, by the same translator the generated engine inlines, into one
-function per site over a flat scope dict (:meth:`Runtime.site`), so the
-interpreter evaluates expressions exactly as generated code does.
+here too, into one function per site over a flat scope dict
+(:meth:`Runtime.site`).
 """
 
 from __future__ import annotations
@@ -27,9 +25,6 @@ from .ir import DataItem, Plan, StructPlan, SwitchPlan
 def runtime_namespace(plan: Plan) -> Dict[str, Any]:
     """Globals a plan-compiled fast function needs, mirroring the
     preamble of a generated module."""
-    # Lazy imports: repro.codegen imports repro.plan at module level, so
-    # this module must not import it back until call time.
-    from ..codegen.runtime import convert_packed, convert_zoned
     from ..core.basetypes.temporal import parse_date_value
     from ..core.values import DateVal, EnumVal, FloatVal, UnionVal, rec_class
     from ..expr.pycompile import compile_function
@@ -58,6 +53,55 @@ def runtime_namespace(plan: Plan) -> Dict[str, Any]:
     exec("\n".join(compile_function(fn, plan.resolver({}), name_prefix="fn_")
                    for fn in plan.functions.values()), ns)
     return ns
+
+
+def convert_packed(raw: bytes, digits: int, decimals: int):
+    """COMP-3 bytes -> value, or None when invalid (fast-path converter)."""
+    nibbles = []
+    for b in raw:
+        nibbles.append(b >> 4)
+        nibbles.append(b & 0x0F)
+    sign = nibbles[-1]
+    body = nibbles[:-1]
+    if len(body) > digits:
+        body = body[-digits:]
+    if sign not in (0x0C, 0x0D, 0x0F) or any(n > 9 for n in body):
+        return None
+    value = 0
+    for n in body:
+        value = value * 10 + n
+    if sign == 0x0D:
+        value = -value
+    if decimals:
+        from fractions import Fraction
+        return float(Fraction(value, 10 ** decimals))
+    return value
+
+
+def convert_zoned(raw: bytes, digits: int, decimals: int):
+    """Zoned-decimal bytes -> value, or None when invalid."""
+    value = 0
+    negative = False
+    last = len(raw) - 1
+    for i, b in enumerate(raw):
+        zone, digit = b & 0xF0, b & 0x0F
+        if digit > 9:
+            return None
+        if zone == 0xF0:
+            pass
+        elif i == last and zone == 0xC0:
+            pass
+        elif i == last and zone == 0xD0:
+            negative = True
+        else:
+            return None
+        value = value * 10 + digit
+    if negative:
+        value = -value
+    if decimals:
+        from fractions import Fraction
+        return float(Fraction(value, 10 ** decimals))
+    return value
 
 
 Fns = Dict[str, Callable]
@@ -133,9 +177,8 @@ class Runtime:
 
     def tables(self) -> Tuple[Fns, Fns, Fns]:
         """``(fast functions, record writers, batch kernels)``, each
-        ``{type name: function}`` — the interpreter twin of the
-        ``_fp_*``/``_fw_*``/``_bt_*`` functions a generated module
-        carries."""
+        ``{type name: function}`` — the ``_fp_*``/``_fw_*``/``_bt_*``
+        functions a generated module also carries."""
         tables: Tuple[Fns, Fns, Fns] = ({}, {}, {})
         for dp in self.plan.decls.values():
             fast = dp.verdict.eligible

@@ -9,10 +9,9 @@ composition of existing library pieces:
 
 * **compile-once** — requests resolve through a content-hash-keyed
   :class:`~repro.core.api.DescriptionCache` whose key covers source
-  text, ambient coding, record discipline, engine (``backend``) and
-  fastpath mode (hashing only the source would let one tenant's compile
-  poison another's: identical source, different engine, one shared
-  module);
+  text, ambient coding, record discipline and fastpath mode (hashing
+  only the source would let one tenant's compile poison another's:
+  identical source, different discipline, one shared description);
 * **tenancy / QoS** — each tenant (the ``X-Tenant`` header) gets a
   :class:`~repro.core.limits.ParseLimits` budget attached per-*source*,
   so one cached description serves every budget; a limit hit fails the
@@ -38,7 +37,7 @@ byte *n*; ``format: "text"`` responses are raw bytes rendered through
 
 ``POST /v1/descriptions``
     ``{"source": ..., "ambient": "ascii", "records": "newline",``
-    ``"backend": null|"source", "fastpath": true}`` —
+    ``"fastpath": true}`` —
     compile (through the cache) and pin a description; returns its
     content-hash ``id``.
 
@@ -392,15 +391,11 @@ class ParseServer:
         if ambient not in ("ascii", "binary", "ebcdic"):
             raise HttpError(400, "BAD_AMBIENT",
                             f"unknown ambient {ambient!r}")
-        backend = payload.get("backend")
-        if backend not in (None, "source"):
-            raise HttpError(400, "BAD_BACKEND",
-                            f"unknown backend {backend!r}")
         discipline = discipline_from_spec(payload.get("records", "newline"))
         fastpath = bool(payload.get("fastpath", True))
         return self.cache.get_or_compile(
             source, ambient=ambient, discipline=discipline,
-            backend=backend, fastpath=fastpath, filename="<request>")
+            fastpath=fastpath, filename="<request>")
 
     def _resolve(self, payload: dict):
         """Resolve a request to ``(description, id, cache_hit)`` by
@@ -432,7 +427,6 @@ class ParseServer:
             self.metrics.gauge("serve.descriptions").set(
                 len(self._descriptions))
         doc = {"id": key, "cached": hit,
-               "backend": getattr(desc, "backend", "interp"),
                "source_type": desc.source_type,
                "types": desc.type_names}
         return 200, "application/json", self._json_body(doc)

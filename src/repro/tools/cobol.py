@@ -334,7 +334,7 @@ def translate(copybook_text: str, source_name: str = "<copybook>") -> Translatio
     record_type = record_types[0]
 
     # Record width: prefer the plan's static-width analysis of the
-    # translated description (the same fact both engines consume); the
+    # translated description (the same fact the binder consumes); the
     # copybook's own byte arithmetic is the fallback for layouts the
     # analysis cannot size (e.g. REDEFINES overlays of unequal widths).
     record_width = roots[0].byte_width()

@@ -48,14 +48,8 @@ def _load(args):
     if getattr(args, "base_types", None):
         from ..core.basetypes.userdef import load_base_type_files
         load_base_type_files(args.base_types)
-    backend = getattr(args, "backend", None)
-    d = compile_file(args.description, ambient=args.ambient,
-                     discipline=_discipline(args), limits=_limits(args),
-                     backend=backend)
-    # The engine that ran, for --stats: the interpreter unless
-    # --backend source asked for the generated module.
-    args._backend_used = getattr(d, "backend", "interp")
-    return d
+    return compile_file(args.description, ambient=args.ambient,
+                        discipline=_discipline(args), limits=_limits(args))
 
 
 def _input(args):
@@ -412,13 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "ordinary serial loop, 'auto' (default) picks "
                             "batch whenever eligible")
 
-    def backend_flag(p):
-        p.add_argument("--backend", choices=["source"], default=None,
-                       help="'source' runs the generated parser module "
-                            "instead of the interpreter (the default).  "
-                            "Results are byte-identical either way; the "
-                            "engine that ran lands in --stats")
-
     def durable_flags(p):
         p.add_argument("--checkpoint", nargs="?", const=-1, type=int,
                        default=None, metavar="INTERVAL",
@@ -468,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     jobs_flag(p)
     stream_flags(p)
     engine_flag(p)
-    backend_flag(p)
     durable_flags(p)
     obs_flags(p)
     p.set_defaults(fn=cmd_accum)
@@ -482,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     jobs_flag(p)
     stream_flags(p)
     engine_flag(p)
-    backend_flag(p)
     durable_flags(p)
     obs_flags(p)
     p.set_defaults(fn=cmd_fmt)
@@ -493,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     jobs_flag(p)
     stream_flags(p)
     engine_flag(p)
-    backend_flag(p)
     durable_flags(p)
     obs_flags(p)
     p.set_defaults(fn=cmd_xml)
@@ -504,7 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     jobs_flag(p)
     stream_flags(p)
     engine_flag(p)
-    backend_flag(p)
     durable_flags(p)
     obs_flags(p)
     p.set_defaults(fn=cmd_count)
@@ -565,7 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true",
                    help="validate the existing index against the data "
                         "file (CRCs, source binding) instead of building")
-    backend_flag(p)
     obs_flags(p)
     p.set_defaults(fn=cmd_index)
 
@@ -658,21 +640,16 @@ def _run(args) -> int:
         with observe.observed(trace_sink=sink) as obs:
             ret = args.fn(args)
         result = ret if isinstance(ret, Result) else None
-        backend = getattr(args, "_backend_used", None)
         if stats == "json":
             doc = obs.stats()
             if result is not None:
                 doc["engine"] = {"mode": result.mode,
                                  "reason": result.reason}
-            if backend is not None:
-                doc["backend"] = backend
             print(json.dumps(doc, indent=2, sort_keys=True), file=sys.stderr)
         elif stats is not None:
             text = obs.summary()
             if result is not None:
                 text += f"\nengine:  {result.mode} ({result.reason})"
-            if backend is not None:
-                text += f"\nbackend: {backend}"
             print(text, file=sys.stderr)
         return 0 if result is not None else ret
     finally:

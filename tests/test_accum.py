@@ -8,6 +8,7 @@ import random
 import pytest
 
 from repro import compile_description, gallery
+from repro.codegen import compile_generated
 from repro.faults import GALLERY_TARGETS
 from repro.tools.accum import (
     Accumulator,
@@ -265,9 +266,8 @@ class TestGoldenReports:
 
     def test_generated_acc_add(self, name):
         desc, data, rtype = _golden_input(name)
-        gen = compile_description(desc.source_text, ambient=desc.ambient,
-                                  discipline=desc.discipline,
-                                  backend="source")
+        gen = compile_generated(desc.source_text, ambient=desc.ambient,
+                                discipline=desc.discipline)
         module = gen.module
         acc = getattr(module, f"{rtype}_acc_init")()
         for rep, pd in gen.records(data, rtype):
@@ -303,8 +303,8 @@ def _target(name, engine):
     # golden record type reads as one source-level array.
     clean = generate_source(desc, unit, 20, rng)
     if engine == "gen":
-        desc = compile_description(text, ambient=ambient,
-                                   discipline=discipline, backend="source")
+        desc = compile_generated(text, ambient=ambient,
+                                 discipline=discipline)
     return desc, rtype, tuple(pair for data in (bad, clean)
                               for pair in desc.records(data, rtype))
 

@@ -1,12 +1,18 @@
 """Tests for the ``padsc`` command line."""
 
+import os
+import pathlib
+import subprocess
 import sys
 
 import pytest
 
-from repro import gallery
+from repro import compile_description, gallery
 from repro.codegen import compile_generated
+from repro.core.io import Source
 from repro.tools.padsc import main
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -59,12 +65,42 @@ class TestCheckAndCompile:
         sys.path.insert(0, str(tmp_path))
         try:
             import clf_parser  # noqa: F401
-            src = clf_parser.Source.from_bytes(gallery.CLF_SAMPLE.encode())
-            rep, pd = clf_parser.entry_t_parse(src)
+            src = Source.from_bytes(gallery.CLF_SAMPLE.encode())
+            rep, pd = clf_parser.entry_t_read(src)
             assert pd.nerr == 0 and rep.response == 200
         finally:
             sys.path.remove(str(tmp_path))
             sys.modules.pop("clf_parser", None)
+
+    def test_compiled_module_runs_in_a_fresh_interpreter(self, clf_file,
+                                                         tmp_path, capsys):
+        # Nothing presets the module's description: its first call
+        # compiles the embedded SOURCE, and the Figure 6 functions must
+        # then reproduce compile_description record for record.
+        out = tmp_path / "clf_parser.py"
+        assert main(["compile", clf_file, "-o", str(out)]) == 0
+        script = (
+            "import io, sys\n"
+            "import clf_parser as m\n"
+            "from repro.core.io import Source\n"
+            "assert m._INTERP is None\n"
+            "src = Source.from_bytes(sys.stdin.buffer.read())\n"
+            "while not src.at_eof():\n"
+            "    rep, pd = m.entry_t_read(src)\n"
+            "    buf = io.BytesIO()\n"
+            "    m.entry_t_write2io(buf, rep)\n"
+            "    print(repr(rep), pd.nerr, buf.getvalue())\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(tmp_path), str(SRC)]))
+        result = subprocess.run([sys.executable, "-c", script],
+                                input=gallery.CLF_SAMPLE.encode(), env=env,
+                                capture_output=True, timeout=120)
+        assert result.returncode == 0, result.stderr.decode()
+        ref = compile_description(gallery.CLF)
+        want = "".join(f"{rep!r} {pd.nerr} {ref.write(rep, 'entry_t')}\n"
+                       for rep, pd in ref.records(gallery.CLF_SAMPLE,
+                                                  "entry_t"))
+        assert result.stdout.decode() == want
 
 
 class TestDataTools:
@@ -268,15 +304,6 @@ class TestObservabilityFlags:
         assert "records/sec" in captured.err
         assert "records/sec" not in captured.out  # stdout stays data-only
 
-    @pytest.mark.parametrize("extra,engine",
-                             [([], "interp"), (["--backend", "source"],
-                                               "source")],
-                             ids=["interp", "source"])
-    def test_stats_report_engine(self, clf_file, clf_data, capsys, extra,
-                                 engine):
-        assert main(["count", clf_file, clf_data, "--stats"] + extra) == 0
-        assert f"backend: {engine}" in capsys.readouterr().err
-
     #: extra flags -> the mode ``count`` and ``accum`` report on CLF
     #: (newline records count by arithmetic; CLF fields need the cursor).
     MODE_CASES = [
@@ -438,9 +465,9 @@ class TestFlagConflictMatrix:
         # budgets with malformed specs
         (["--limits", "nope=1"], "bad --limits entry"),
         (["--limits", "deadline=soon"], "bad --limits value"),
-        # the generated engine is the one emitter: no backend choice
-        (["--backend", "ast"], "invalid choice: 'ast'"),
-        (["--backend", "auto"], "invalid choice: 'auto'"),
+        # one engine: there is no backend to choose
+        (["--backend", "ast"], "unrecognized arguments: --backend ast"),
+        (["--backend", "auto"], "unrecognized arguments: --backend auto"),
         (["compile", "--dump"], "unrecognized arguments: --dump"),
     ]
 

@@ -1,8 +1,10 @@
 """Tests for the code generator.
 
-The core property: generated parsers are observationally identical to the
-interpreted combinators — same reps, same parse-descriptor summaries, same
-write-back bytes — over clean and corrupted inputs.
+``compile_generated`` binds a description once and loads its generated
+Figure 6 module over it: the description and the module's functions must
+give exactly what ``compile_description`` gives — same reps, same
+parse-descriptor summaries, same write-back bytes — over clean and
+corrupted inputs.
 """
 
 import random
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import FixedWidthRecords, Mask, NoRecords, P_Check, P_CheckAndSet, P_Set
-from repro import compile_description, gallery
+from repro import PadsError, compile_description, gallery
 from repro.codegen import compile_generated, generate_source
 from repro.core.masks import MaskFlag
 from repro.tools.datagen import clf_workload, sirius_workload
@@ -130,15 +132,24 @@ class TestGeneratedBinary:
 class TestGeneratedModuleSurface:
     """Figure 6: the generated library exposes the full tool surface."""
 
-    FUNCTIONS = ["parse", "read", "write", "write2io", "verify", "m_init",
+    FUNCTIONS = ["read", "write2io", "verify", "m_init",
                  "fmt2io", "write_xml_2io", "acc_init", "acc_add",
-                 "acc_report", "node_new", "node_kthChild", "default"]
+                 "acc_report", "node_new", "node_kthChild"]
 
     def test_api_surface(self, clf_gen):
         module = clf_gen.module
         for tname in ("entry_t", "request_t", "client_t", "clt_t"):
             for fn in self.FUNCTIONS:
                 assert hasattr(module, f"{tname}_{fn}"), f"{tname}_{fn} missing"
+
+    def test_module_runs_on_the_bound_description(self, clf_gen):
+        # One bind: the module's functions reach the nodes gen.records runs.
+        module = clf_gen.module
+        assert module._interp() is clf_gen
+        assert module.FAST["entry_t"].__name__ == \
+            clf_gen.node("entry_t").fast_fn.__name__
+        rep, pd = module.entry_t_read(gallery.CLF_SAMPLE)
+        assert pd.nerr == 0 and module.entry_t_verify(rep)
 
     def test_write2io(self, clf_gen):
         import io
@@ -190,6 +201,38 @@ class TestGeneratedModuleSurface:
                           if l.strip() and not l.strip().startswith("/-")])
         gen_lines = len(generate_source(gallery.SIRIUS).splitlines())
         assert gen_lines / desc_lines > 10
+
+
+# ---------------------------------------------------------------------------
+# Parameterised types: arguments bind to the declaration's parameters
+# ---------------------------------------------------------------------------
+
+PARAM_DESC = "Pstruct p_t(:Puint32 n:) { Pstring_FW(:n:) s; };"
+
+
+@pytest.mark.parametrize("build", [compile_description, compile_generated],
+                         ids=["interp", "gen"])
+def test_parameterised_type_round_trips(build):
+    desc = build(PARAM_DESC)
+    rep, pd = desc.parse(b"abc", "p_t", None, 3)
+    assert pd.nerr == 0 and rep.s == "abc"
+    assert desc.write(rep, "p_t", 3) == b"abc"
+    assert desc.verify(rep, "p_t", 3)
+    assert desc.default("p_t", 3).s == ""
+    rep, pd = desc.parse(b"abcdef", "p_t", None, 4)
+    assert pd.nerr == 0 and rep.s == "abcd"
+    for call in (lambda: desc.parse(b"abc", "p_t"),
+                 lambda: desc.write(rep, "p_t"),
+                 lambda: desc.verify(rep, "p_t", 1, 2)):
+        with pytest.raises(PadsError, match="p_t takes 1 parameter"):
+            call()
+
+
+def test_parameterised_type_through_the_module():
+    module = compile_generated(PARAM_DESC).module
+    rep, pd = module.p_t_read(b"abc", None, 3)
+    assert pd.nerr == 0 and rep.s == "abc"
+    assert module.p_t_verify(rep, 3)
 
 
 # ---------------------------------------------------------------------------

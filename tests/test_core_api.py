@@ -231,8 +231,8 @@ class TestApiEntryPoints:
 
     @pytest.mark.parametrize("backend", ["ast", "auto", "llvm"])
     def test_unknown_backend_is_an_error(self, backend):
-        # None (the interpreter) and 'source' (generated) are the engines.
-        with pytest.raises(PadsError, match="unknown backend"):
+        # One engine: compile_description has no backend to select.
+        with pytest.raises(TypeError, match="backend"):
             compile_description(gallery.CLF, backend=backend)
 
     def test_compile_file(self, tmp_path):

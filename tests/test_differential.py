@@ -1,18 +1,13 @@
 """Differential sweep hardening the observability layer.
 
-Every gallery description runs through the interpreter and the generated
-engine, serially and on the parallel driver, with observability off
-and on.  All four paths must produce identical values, parse-descriptor
-summaries and accumulator reports — enabling observation never changes
-parse results, and both engines report the same (deterministic subset of)
-metrics because the per-field error counters are derived from the pd
-trees both engines already agree on.
-
-Both engines are additionally built through the ``backend`` selector of
-:func:`~repro.core.api.compile_description` (``None`` vs ``'source'``):
-the engine choice is an implementation detail, so the generated twin it
-returns must stay byte-identical to the interpreter on records, pd
-summaries, observe metrics and accumulator reports.
+Every gallery description runs through ``compile_description`` and
+``compile_generated`` (the same engine, bound a second time under its
+generated module), serially and on the parallel driver, with
+observability off and on.  All paths must produce identical values,
+parse-descriptor summaries and accumulator reports — enabling
+observation never changes parse results, and every build reports the
+same (deterministic subset of) metrics because the per-field error
+counters are derived from the pd trees.
 """
 
 import random
@@ -71,11 +66,12 @@ def cases():
 
 @pytest.fixture(scope="module")
 def backend_cases(cases):
-    """Each case's generated engine, selected by ``backend='source'``."""
+    """Each case built again by ``compile_generated`` from the
+    interpreter's own compile inputs."""
     return {
-        name: compile_description(
+        name: compile_generated(
             interp.source_text, ambient=interp.ambient,
-            discipline=interp.discipline, backend="source")
+            discipline=interp.discipline)
         for name, (interp, _gen, _data, _rtype) in cases.items()
     }
 
@@ -280,16 +276,15 @@ class TestLimitsAgree:
 
 @pytest.mark.parametrize("name", list(CASES))
 class TestBackendsAgree:
-    """``compile_description(backend='source')`` against the interpreter
-    (``backend=None``): the generated twin must match on reps, pd
-    summaries and deterministic observe stats, serially and through
-    the parallel driver (whose workers rebuild the generated module).
+    """A generated build from the interpreter's compile inputs must match
+    it on reps, pd summaries and deterministic observe stats, serially
+    and through the parallel driver (whose workers rebuild the
+    description from its source text).
     """
 
     def test_records_and_stats_identical(self, cases, backend_cases, name):
         interp, _gen, data, rtype = cases[name]
         gen = backend_cases[name]
-        assert gen.backend == "source"
         base_reps, base_pds, base_stats = run_records(interp, data, rtype,
                                                       metered=True)
         for parallel in (False, True):

@@ -892,3 +892,35 @@ def test_min_width_0_tail_keeps_the_general_parsers_elements(engine):
     got = parsed(desc, b"1|;n1034\n", "row_t")
     assert got == parsed(ref, b"1|;n1034\n", "row_t")
     assert list(got[0][0].tail) == ["", "n1034"]
+
+
+#: A union's Pwhere, checked after the branch is chosen: ``1 == 2``
+#: never holds, ``a > 6`` holds for the second record only.
+UNION_WHERE = """
+    Punion u_t {{ Puint8 a : a > 5; Pstring(:" ":) s; }} Pwhere {{ {} }};
+    Precord Pstruct r_t {{ u_t u; }};
+"""
+
+
+@pytest.mark.parametrize("fastpath", [True, False])
+def test_union_pwhere_is_checked(fastpath):
+    never = compile_description(UNION_WHERE.format("1 == 2"),
+                                fastpath=fastpath)
+    (rep, pd), = never.records(b"7\n", "r_t")
+    assert rep.u.tag == "a" and rep.u.value == 7
+    assert pd.nerr == 1
+    assert pd.fields["u"].err_code == ErrCode.WHERE_CLAUSE_VIOLATION
+    assert not never.verify(rep, "r_t")
+    # Semantic checks off: the clause is not evaluated.
+    (_rep, pd), = never.records(b"7\n", "r_t", Mask(P_Set))
+    assert pd.nerr == 0
+
+    holds = compile_description(UNION_WHERE.format("a > 6"),
+                                fastpath=fastpath)
+    got = [(r.u.tag, p.nerr) for r, p in holds.records(b"6\n7\nxy\n", "r_t")]
+    assert got == [("a", 1), ("a", 0), ("s", 1)]
+    clean = compile_description(UNION_WHERE.format("a > 6").replace(
+        "Pwhere { a > 6 }", ""), fastpath=fastpath)
+    assert [(r, p.nerr) for r, p in clean.records(b"7\n", "r_t")] == \
+        [(r, p.nerr) for r, p in holds.records(b"7\n", "r_t")]
+    assert holds.verify(holds.parse(b"7\n", "r_t")[0], "r_t")

@@ -1,11 +1,10 @@
 """Tests for the plan IR (repro.plan): the analyzed middle layer.
 
-Pins the facts both engines now consume from one analysis instead of
-re-deriving independently: the ambient-coding table (with an EBCDIC
-regression through both engines), static widths, fastpath verdicts and
-their reasons, fused literal runs (interpreter and codegen observing the
-same per-literal fallback semantics), and the ``padsc plan``
-pretty-printer.
+Pins the facts the binder, the fast-path compilers and the tools consume
+from one analysis instead of re-deriving independently: the
+ambient-coding table (with an EBCDIC regression), static widths,
+fastpath verdicts and their reasons, adjacent-literal parses matching
+the reference, and the ``padsc plan`` pretty-printer.
 """
 
 import random
@@ -156,7 +155,7 @@ Psource Parray rows_t {
 
 
 # ---------------------------------------------------------------------------
-# Optimization passes: literal fusion + fixed-width slicing
+# Adjacent literals + fixed-width slicing
 # ---------------------------------------------------------------------------
 
 FUSED_DESC = """
@@ -176,24 +175,15 @@ Psource Parray pairs_t {
 
 
 class TestLiteralFusion:
-    def test_adjacent_literals_fuse(self):
-        plan = _analyze(FUSED_DESC)
-        decl = plan.decl("pair_t")
-        assert (0, 1, b"<<[") in decl.fused_runs
-        assert (3, 4, b"]::(") in decl.fused_runs
-
     def test_fused_parse_identical_to_reference(self):
         fast = compile_description(FUSED_DESC)
         ref = compile_description(FUSED_DESC, fastpath=False)
         gen = compile_generated(FUSED_DESC)
         gen_ref = compile_generated(FUSED_DESC, fastpath=False)
-        assert "_lrun" in gen.py_source
-        assert "_lrun" not in gen_ref.py_source
 
         clean = b"<<[7]::(9)\n<<[12]::(0)\n"
-        # Corruptions hitting inside and across the fused runs: the fused
-        # match fails without consuming, so per-literal resync behaves
-        # exactly as the reference engines.
+        # Corruptions hitting inside and across the adjacent-literal
+        # runs: per-literal resync behaves exactly as the reference.
         corrupt = (b"<<[7]::(9)\n"
                    b"<[7]::(9)\n"        # first run broken at byte 1
                    b"<<7]::(9)\n"        # missing '[' inside run

@@ -4,8 +4,8 @@ concurrency fixes that make the library safe to serve from.
 Four regression suites ride along with the service tests, one per
 bugfix:
 
-* compiled-description cache keying — the key must cover backend,
-  ambient, record discipline and fastpath mode, not just source text
+* compiled-description cache keying — the key must cover ambient,
+  record discipline and fastpath mode, not just source text
   (``TestCacheKeying``);
 * registry merge-after-request — sharing one ``MetricsRegistry`` across
   threads loses counts; per-request registries merged at completion are
@@ -32,8 +32,8 @@ import urllib.request
 
 import pytest
 
-from repro.core.api import (DescriptionCache, compile_cached,
-                            compile_description, description_cache_key)
+from repro.core.api import (DescriptionCache, compile_description,
+                            description_cache_key)
 from repro.core.errors import ErrorTally
 from repro.core.io import (FixedWidthRecords, discipline_from_spec,
                            transparent_encode)
@@ -140,12 +140,6 @@ class TestService:
                  "PADS_ERROR"),
                 ("/v1/parse", {"source": CLF, "data": "x",
                                "records": "fixed:abc"}, 400, "PADS_ERROR"),
-                ("/v1/descriptions", {"source": CLF, "backend": "zig"},
-                 400, "BAD_BACKEND"),
-                ("/v1/descriptions", {"source": CLF, "backend": "ast"},
-                 400, "BAD_BACKEND"),
-                ("/v1/descriptions", {"source": CLF, "backend": "auto"},
-                 400, "BAD_BACKEND"),
                 ("/v1/nope", {}, 404, "NOT_FOUND"),
             ]
             for path, doc, want_status, want_error in cases:
@@ -273,19 +267,9 @@ class TestRequestValidation:
 class TestCacheKeying:
     """The compiled-description cache key must cover every input that
     changes compilation, not just the source text.  Under source-only
-    keying one tenant's ``backend: source`` registration would be served
-    to another tenant who asked for the interpreter (cross-tenant cache
+    keying one tenant's fixed-width registration would be served to
+    another tenant who asked for newline records (cross-tenant cache
     poisoning); each of these asserts fails in that world."""
-
-    def test_key_covers_backend(self):
-        d_interp = compile_cached(PIPE)
-        d_source = compile_cached(PIPE, backend="source")
-        assert d_interp is not d_source
-        assert getattr(d_interp, "backend", "interp") == "interp"
-        assert getattr(d_source, "backend", None) == "source"
-        # and the same request comes back from the cache
-        assert compile_cached(PIPE) is d_interp
-        assert compile_cached(PIPE, backend="source") is d_source
 
     def test_key_covers_discipline_ambient_fastpath(self):
         base = description_cache_key(PIPE)
@@ -294,7 +278,6 @@ class TestCacheKeying:
             PIPE, discipline=FixedWidthRecords(8)) != base
         assert description_cache_key(PIPE, ambient="binary") != base
         assert description_cache_key(PIPE, fastpath=False) != base
-        assert description_cache_key(PIPE, backend="source") != base
         assert description_cache_key(PIPE + " ") != base
 
     def test_cache_stats_and_eviction(self):
@@ -331,18 +314,6 @@ class TestCacheKeying:
         assert len({ident for ident, _hit in results}) == 1
         assert sum(1 for _i, hit in results if not hit) == 1
 
-    def test_serve_registers_distinct_backends(self):
-        with ServerThread() as st:
-            _, a = post(st.port, "/v1/descriptions", {"source": PIPE})
-            _, b = post(st.port, "/v1/descriptions",
-                        {"source": PIPE, "backend": "source"})
-            assert a["id"] != b["id"]
-            assert a["backend"] == "interp" and b["backend"] == "source"
-            for reg in (a, b):
-                status, doc = post(st.port, "/v1/parse",
-                                   {"id": reg["id"], "data": PIPE_DATA,
-                                    "mode": "count"})
-                assert status == 200 and doc["count"] == 3
 
     def test_compile_once_across_requests(self):
         """Acceptance: N requests with the same inline source compile
