@@ -17,12 +17,13 @@ Typical use::
 ``generate_source`` returns the module source (what ``padsc compile``
 writes to disk); ``compile_generated`` binds the description once and
 returns it as a :class:`GeneratedDescription`, whose ``module`` is that
-source loaded with the description preset as the one its functions run
-on.
+source loaded, on first access, with the description preset as the one
+its functions run on.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional
 
 from ..core.api import CompiledDescription, bind_text
@@ -72,10 +73,18 @@ class GeneratedDescription(CompiledDescription):
                  source_text: Optional[str] = None,
                  limits: Optional[ParseLimits] = None, py_source: str = ""):
         super().__init__(bound, discipline, source_text, limits)
-        #: The module source that was ``exec``'d to build ``module``.
+        #: The module source that is ``exec``'d to build ``module``.
         self.py_source = py_source
-        self.module = load_source(py_source)
-        self.module._INTERP = self
+
+    @cached_property
+    def module(self):
+        """The generated module over this description, loaded on first
+        access: the bind already compiled the fragments it carries, so a
+        description used only through ``parse``/``records``/``write``
+        never compiles them twice."""
+        module = load_source(self.py_source)
+        module._INTERP = self
+        return module
 
     def dump(self) -> str:
         return self.py_source

@@ -837,9 +837,10 @@ class SwitchUnionNode(PType):
         case = self._pick(scope)
         if case is None or case.name != rep.tag:
             return False
-        return case.node.verify(rep.value, scope) and (
-            self.where is None
-            or self.where(_with(self, scope, case.name, rep.value)))
+        own = _with(self, scope, case.name, rep.value)
+        return (case.node.verify(rep.value, scope)
+                and (case.constraint is None or case.constraint(own))
+                and (self.where is None or self.where(own)))
 
     def unset(self, rep, mask: Mask, scope: Scope):
         for case in self.cases:

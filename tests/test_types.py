@@ -221,6 +221,22 @@ class TestSwitchedUnion:
         rep, _ = d.parse(b"1:hey!", "rec_t")
         assert d.write(rep, "rec_t") == b"1:hey"  # '!' is the string term, not part of data
 
+    @pytest.mark.parametrize("fastpath", [True, False])
+    def test_verify_checks_the_case_constraint(self, fastpath):
+        # verify must re-check what parse checked: the chosen case's own
+        # constraint, not only its node and the Pwhere.
+        d = c("""
+          Punion s_t(:Puint8 k:) {
+            Pswitch (k) { Pcase 1: Puint8 a : a > 5;
+                          Pdefault: Pstring(:";":) s; }
+          };
+          Precord Pstruct r_t { Puint8 k; '|'; s_t(:k:) v; };
+        """, fastpath=fastpath)
+        got = [(r, p.nerr) for r, p in d.records(b"1|3\n1|9\n2|3\n", "r_t")]
+        assert [(r.v.tag, nerr) for r, nerr in got] == \
+            [("a", 1), ("a", 0), ("s", 0)]
+        assert [d.verify(r, "r_t") for r, _nerr in got] == [False, True, True]
+
 
 class TestOpt:
     DESC = """
