@@ -19,7 +19,7 @@ import hashlib
 import random
 import threading
 from collections import OrderedDict
-from functools import partial
+from functools import cached_property, partial
 from time import perf_counter
 from typing import Dict, Iterator, Optional, Tuple, Union
 
@@ -28,7 +28,7 @@ from ..dsl.parser import parse_description
 from ..dsl.typecheck import check_description
 from .binding import BoundDescription, bind_description
 from .errors import ErrCode, PadsError, Pd
-from .io import NewlineRecords, RecordDiscipline, Source
+from .io import NewlineRecords, NoRecords, RecordDiscipline, Source
 from .limits import ParseLimits, fastpath_applies, record_guard
 from .masks import Mask, P_CheckAndSet
 from .types import ArrayNode, PType, RecordNode
@@ -124,6 +124,15 @@ class CompiledDescription:
     def plan(self):
         """The analyzed plan IR the description was bound from."""
         return self.bound.plan
+
+    @cached_property
+    def work_per_byte(self) -> Optional[int]:
+        """Interpreter steps one parse may take per input byte, or None
+        when a parsed value can make the work outgrow the bytes
+        (:func:`repro.plan.cost.work_per_byte`)."""
+        from ..plan.cost import work_per_byte
+        return work_per_byte(self.plan, record_scoped=not isinstance(
+            self.discipline, NoRecords))
 
     def node(self, name: Optional[str] = None) -> PType:
         if name is None:

@@ -13,7 +13,7 @@ import pytest
 
 from repro import compile_description, gallery
 from repro.codegen import compile_generated, generate_source
-from repro.core.io import FixedWidthRecords
+from repro.core.io import FixedWidthRecords, NoRecords
 from repro.plan import ENCODINGS, analyze, encoding_for, format_plan
 from repro.dsl.parser import parse_description
 from repro.dsl.typecheck import check_description
@@ -290,3 +290,95 @@ class TestPlanIsShared:
         from repro.codegen.emitter import generate_source as emit
         assert emit(desc, "ascii", source_text=gallery.CLF,
                     plan=plan) == src_shared
+
+
+# ---------------------------------------------------------------------------
+# Work bound: steps per input byte, None when a parsed value sets the work
+# ---------------------------------------------------------------------------
+
+_UNBOUNDED = {
+    "quantifier over a parsed value":
+        "Precord Pstruct r_t { Puint32 n; } "
+        "Pwhere { Pforall (i Pin [0..n] : i >= 0) };",
+    "helper loop":
+        "bool f(int n) { int i = 0; while (i < n) { i += 1; } return true; };"
+        "Precord Pstruct r_t { Puint32 n : f(n); };",
+    "recursive helper":
+        "bool f(int n) { return f(n - 1); };"
+        "Precord Pstruct r_t { Puint32 n : f(n); };",
+    "Pre field": 'Precord Pstruct r_t { Pre "/a*b/" x; };',
+    "regex base type": 'Precord Pstruct r_t { Pstring_SE(:"a*b":) x; };',
+    "Popt element":
+        "Parray a_t { Popt Puint32[] : Psep(','); };"
+        "Precord Pstruct r_t { a_t a; };",
+    "union element":
+        "Punion u_t { Puint32 a; Pstring(:',':) b; };"
+        "Parray a_t { u_t[] : Psep(','); };"
+        "Precord Pstruct r_t { a_t a; };",
+    "empty separator":
+        'Parray a_t { Puint8[] : Psep(""); }; Precord Pstruct r_t { a_t a; };',
+    "repeat by a parsed count":
+        'Precord Pstruct r_t { Puint32 n; Pcompute Pstring s = "ab" * n; };',
+    "shift by a parsed count":
+        "Precord Pstruct r_t { Puint32 n; Pcompute Puint64 s = 1 << n; };",
+    "kept concatenation":
+        "Precord Pstruct r_t { Pstring(:' ':) s; "
+        "Pcompute Pstring t = s + s; };",
+    "kept repetition":
+        "Precord Pstruct r_t { Pstring(:' ':) s; "
+        "Pcompute Pstring t = s * 2; };",
+    "nested length quantifiers":
+        "Parray a_t { Puint8[] : Psep(','); } Pwhere { "
+        "Pforall (i Pin [0..length-1] : Pforall (j Pin [0..length-1] : "
+        "i > j || elts[i] <= elts[j])) };"
+        "Precord Pstruct r_t { a_t a; };",
+    "length quantifier per element":
+        "Parray a_t { Puint8[] : Psep(',') && "
+        "Plast(Pforall (i Pin [0..length-1] : elts[i] > 0)); };"
+        "Precord Pstruct r_t { a_t a; };",
+}
+
+
+class TestWorkBound:
+    @pytest.mark.parametrize("text", _UNBOUNDED.values(), ids=_UNBOUNDED)
+    def test_unbounded(self, text):
+        assert compile_description(text).work_per_byte is None
+
+    @pytest.mark.parametrize("name,ambient,bound", [
+        ("CALL_DETAIL", "binary", 12), ("CLF", "ascii", 85),
+        ("NETFLOW", "binary", 33), ("REGULUS", "ascii", 32),
+        ("SIRIUS", "ascii", 73)])
+    def test_gallery_descriptions_are_bounded(self, name, ambient, bound):
+        desc = compile_description(getattr(gallery, name), ambient=ambient)
+        assert desc.work_per_byte == bound
+
+    def test_length_quantifier_in_an_array_where_is_linear(self):
+        # Sirius's sortedness check: one body per element parsed.
+        text = ("Parray a_t { Puint8[] : Psep(','); } Pwhere { "
+                "Pforall (i Pin [0..length-2] : elts[i] <= elts[i+1]) };"
+                "Precord Pstruct r_t { a_t a; };")
+        assert compile_description(text).work_per_byte == 18
+
+    def test_literal_span_counts_its_iterations(self):
+        small, large = (compile_description(
+            "Precord Pstruct r_t { Puint32 n; } "
+            f"Pwhere {{ Pforall (i Pin [0..{hi}] : i >= 0) }};").work_per_byte
+            for hi in (9, 999_999))
+        assert large - small == 3 * (1_000_000 - 10)
+
+    def test_a_literal_factor_costs_its_magnitude(self):
+        small, large = (compile_description(
+            f"Precord Pstruct r_t {{ Puint32 x : x * {k} > 5; }};"
+        ).work_per_byte for k in (2, 1000))
+        assert large - small == 998
+        kept = compile_description(
+            "Precord Pstruct r_t { Puint32 x; Pcompute Puint32 y = x + 1; };")
+        assert kept.work_per_byte is not None
+
+    def test_a_record_element_rescans_only_its_record(self):
+        text = ("Precord Punion u_t { Puint32 a; Pstring(:',':) b; };"
+                "Psource Parray a_t { u_t[]; };")
+        assert compile_description(text).work_per_byte == 5
+        # with no record discipline the one record is the whole input
+        assert compile_description(
+            text, discipline=NoRecords()).work_per_byte is None
