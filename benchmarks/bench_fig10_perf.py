@@ -104,7 +104,7 @@ def test_vet_write_pads(benchmark, sirius_gen, sirius_body):
 def test_vet_fast_fn_only(benchmark, sirius_gen, sirius_body):
     """The compiled fast function alone over every record's bytes: no
     record discipline, no record loop, no parse descriptors."""
-    fast = sirius_gen.module.FAST["entry_t"]
+    fast = sirius_gen.node("entry_t").fast_fn
     lines = sirius_body.split(b"\n")[:-1]
     misses = benchmark(lambda: sum(fast(line, True) is None
                                    for line in lines))

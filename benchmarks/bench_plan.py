@@ -1,7 +1,8 @@
 """Plan IR fast paths: plan-driven engines vs reference mode.
 
 The plan layer compiles record and member fast functions (anchored
-regex / fixed-width slicing) and record writers.  ``fastpath=False``
+regex, or a static record's batch kernel over one record) and record
+writers.  ``fastpath=False``
 disables them, leaving the general parse and write paths — the
 reference each pair below is measured against.
 
@@ -16,8 +17,8 @@ CLF records (compiled against the formatting walk), the interpreter's
 general path over the CLF records that miss the record fast function
 (member fast functions against none), the record loop framing Sirius
 records a buffered block at a time (against one ``bounds`` step per
-record), plus the fixed-width call-detail stream that exercises the
-slicing path.  **Correctness is asserted inside
+record), plus the fixed-width call-detail stream whose record fast function is
+its batch kernel over one record.  **Correctness is asserted inside
 every benchmark**: plan-driven and reference runs must agree on error
 totals (or reports) before their timings mean anything.
 
@@ -257,7 +258,7 @@ def test_frame_reference(benchmark, sirius_per_record, sirius_body):
     assert tally.records == N_RECORDS
 
 
-# -- fixed-width slicing (binary call-detail records) -----------------------
+# -- fixed-width records (binary call-detail, kernel fast function) ---------
 
 
 @pytest.fixture(scope="module")
@@ -286,7 +287,7 @@ def _count_clean(description, body):
     return good
 
 
-@pytest.mark.benchmark(group="plan-slicing")
+@pytest.mark.benchmark(group="plan-fixed-width")
 def test_interp_calls_plan(benchmark, calls_interp, calls_interp_ref,
                            calls_body):
     base = _count_clean(calls_interp_ref, calls_body)
@@ -294,7 +295,7 @@ def test_interp_calls_plan(benchmark, calls_interp, calls_interp_ref,
     assert good == base == N_RECORDS
 
 
-@pytest.mark.benchmark(group="plan-slicing")
+@pytest.mark.benchmark(group="plan-fixed-width")
 def test_interp_calls_reference(benchmark, calls_interp_ref, calls_body):
     assert benchmark(_count_clean, calls_interp_ref, calls_body) == N_RECORDS
 

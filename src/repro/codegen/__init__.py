@@ -4,8 +4,8 @@ Mirrors the paper's compile-don't-interpret design decision ("we compile
 the PADS description rather than simply interpret it to reduce run-time
 overhead", Section 1): every expression site, record parser, record
 writer and batch kernel is compiled to Python when the description is
-bound (:mod:`repro.plan.runtime`).  This package emits that compiled
-code as one importable module with the paper's Figure 6 surface.
+bound (:mod:`repro.plan.runtime`).  This package emits the paper's
+Figure 6 surface over that bound description as one importable module.
 
 Typical use::
 
@@ -42,8 +42,8 @@ def generate_source(text: str, *, ambient: str = "ascii",
                     check: bool = True, fastpath: bool = True) -> str:
     """Compile description source to Python module source.
 
-    ``fastpath=False`` leaves out the plan-compiled fragments and makes
-    the module's description reference mode (differential testing).
+    ``fastpath=False`` makes the module's ``_interp()`` compile its
+    description in reference mode (differential testing).
     """
     desc = parse_description(text, filename)
     if check:
@@ -79,9 +79,8 @@ class GeneratedDescription(CompiledDescription):
     @cached_property
     def module(self):
         """The generated module over this description, loaded on first
-        access: the bind already compiled the fragments it carries, so a
-        description used only through ``parse``/``records``/``write``
-        never compiles them twice."""
+        access, so a description used only through ``parse``/``records``
+        /``write`` never execs its source."""
         module = load_source(self.py_source)
         module._INTERP = self
         return module

@@ -12,11 +12,11 @@ surface.  Per declared type it defines the paper's Figure 6 functions —
 ``_interp()`` returns: the one the loader preset, or one compiled from
 the embedded ``SOURCE`` on first use.
 
-The module also carries the enum constants (``E_*``), the helper
-functions (``fn_*``) and the plan-compiled record parsers, writers and
-batch kernels (``_fp_*``/``_fw_*``/``_bt_*``, tabled in ``FAST`` and
-``BATCH``): the same fragments the binder loads into the description's
-runtime namespace (:mod:`repro.plan.runtime`).
+The module also carries the enum constants (``E_*``) and the helper
+functions (``fn_*``).  The plan-compiled record parsers, writers and
+batch kernels are not written into it: the bound description loads them
+into its runtime namespace (:mod:`repro.plan.runtime`), and ``padsc
+plan`` shows which records have them.
 """
 
 from __future__ import annotations
@@ -29,20 +29,13 @@ from ..expr.pycompile import compile_function
 from ..plan import analyze
 from ..plan.ir import DeclPlan, Plan
 
-#: The imports a generated module runs on: the mask constructor, and the
-#: names the plan-compiled fragments use (``plan.runtime_namespace``).
+#: The imports a generated module runs on: the mask constructor, the
+#: enum constant class and the names compiled helper functions use.
 _IMPORTS = '''\
 from repro.core.masks import Mask, P_CheckAndSet
-from repro.core.values import (DateVal, EnumVal, FloatVal, UnionVal,
-                               rec_class as _rec_class)
-from repro.core.basetypes.temporal import parse_date_value as _fp_parse_date
+from repro.core.values import EnumVal
 from repro.expr.runtime import (BUILTINS as _B, cdiv as _cdiv,
                                 cmod as _cmod, member as _member)
-from repro.plan import resolve_base as _resolve
-from repro.plan.runtime import (convert_packed as _fp_packed,
-                                convert_zoned as _fp_zoned)
-
-_onew = object.__new__
 '''
 
 #: ``_interp()``: the bound description every per-type function runs on.
@@ -142,8 +135,9 @@ def _surface(dp: DeclPlan) -> str:
 def generate_source(desc: D.Description, ambient: str = "ascii",
                     source_text: str = "", plan: Optional[Plan] = None,
                     fastpath: bool = True) -> str:
-    """The module source for a checked description; ``fastpath=False``
-    leaves out the plan-compiled fragments (reference mode)."""
+    """The module source for a checked description; with
+    ``fastpath=False`` its ``_interp()`` compiles ``SOURCE`` in reference
+    mode."""
     plan = plan if plan is not None else analyze(desc, ambient)
     out: List[str] = [
         '"""Generated by padsc (repro PADS compiler) — do not edit.\n\n'
@@ -158,8 +152,6 @@ def generate_source(desc: D.Description, ambient: str = "ascii",
     ]
     out += [f"E_{name} = EnumVal({lit!r}, {code}, {phys!r})"
             for name, (lit, code, phys) in plan.enum_literals.items()]
-    fast: List[str] = []
-    batch: List[str] = []
     types: List[str] = []
     for kind, entry in plan.order:
         out.append("\n")
@@ -167,23 +159,11 @@ def generate_source(desc: D.Description, ambient: str = "ascii",
             out.append(compile_function(entry.func, plan.resolver({}),
                                         name_prefix="fn_"))
             continue
-        dp = entry
-        if fastpath and dp.verdict.eligible and dp.fast_fn is not None:
-            fast.append(f"    {dp.name!r}: {dp.fast_fn[0]},")
-            for _name, lines in filter(None, (dp.fast_fn, dp.write_fn)):
-                out += lines + [""]
-        if fastpath and dp.batch_verdict.eligible and dp.batch_fn is not None:
-            batch.append(f"    {dp.name!r}: ({dp.width}, {dp.batch_fn[0]}),")
-            out += dp.batch_fn[1] + [""]
-        out.append(_surface(dp))
-        types.append(f"    {dp.name!r}: {tuple(dp.param_names)!r},")
+        out.append(_surface(entry))
+        types.append(f"    {entry.name!r}: {tuple(entry.param_names)!r},")
     out += ["",
             "# Declared types: name -> parameter names.",
             "TYPES = {", *types, "}",
-            "# Fast-path record types: name -> compiled fast function.",
-            "FAST = {", *fast, "}",
-            "# Batch-eligible record types: name -> (static width, kernel).",
-            "BATCH = {", *batch, "}",
             f"SOURCE_TYPE = {plan.source_name!r}"]
     return "\n".join(out) + "\n"
 

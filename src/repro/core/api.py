@@ -279,8 +279,9 @@ class CompiledDescription:
 
     def batch_kernel(self, type_name: str):
         """``(static width, batch kernel)`` for a batch-eligible record
-        type, or None.  The kernels are materialised from the same plan
-        fragments a generated module carries in its ``BATCH`` table."""
+        type, or None.  The kernel is materialised from the plan fragment
+        in the description's runtime namespace; the record's fast
+        function is the same kernel over one record."""
         dp = self.plan.decls.get(type_name)
         if dp is None or not dp.batch_verdict.eligible:
             return None

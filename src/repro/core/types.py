@@ -985,6 +985,12 @@ class ArrayNode(PType):
             if src.at_end():
                 break
 
+            # Progress mark: an iteration in which neither the separator
+            # nor the element consumes input ends the array.  A separated
+            # array's first element may be empty; the next separator
+            # must then consume.
+            start = src.pos if not first or self.sep is None else None
+
             # Separator between elements.
             if not first and self.sep is not None:
                 n = self.sep.matches_at(src)
@@ -1020,8 +1026,9 @@ class ArrayNode(PType):
 
             if self.last is not None and holds(self.last):
                 break
-            if src.pos == before and self.sep is None:
-                # Zero-width element and no separator: avoid spinning.
+            if src.pos == start:
+                # Neither the separator nor the element consumed input:
+                # another iteration would do the same.
                 break
 
         if lo is not None and len(elts) < lo and mask.do_syn:
@@ -1066,6 +1073,7 @@ class ArrayNode(PType):
                 return
             if self._at_term(src) or src.at_end():
                 return
+            start = src.pos if not first or self.sep is None else None
             if not first and self.sep is not None:
                 n = self.sep.matches_at(src)
                 if n < 0:
@@ -1077,6 +1085,8 @@ class ArrayNode(PType):
             yield self.elt.unset(value, emask, s), child
             s["length"] = len(elts)
             if self.last is not None and self.last(s):
+                return
+            if src.pos == start:  # no progress, as in parse
                 return
 
     def write(self, rep, out: List[bytes], scope: Scope) -> None:

@@ -1,8 +1,7 @@
 """Helpers imported by code compiled from PADS expressions.
 
 A bound description's runtime namespace (:mod:`repro.plan.runtime`)
-and the generated module carrying the same fragments run expressions
-compiled by
+and a generated module's helper functions run expressions compiled by
 :mod:`repro.expr.pycompile`; the few places where C semantics and Python
 semantics differ are routed through these helpers, and the builtin
 functions descriptions may call live here.

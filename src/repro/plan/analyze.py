@@ -67,15 +67,10 @@ def analyze(desc: D.Description, ambient: str = "ascii") -> Plan:
     if src is not None:
         plan.source_name = src.name
 
-    # Passes 2..5: analysis and optimization over the IR.
-    from .passes import (
-        attach_batchpaths,
-        attach_fastpaths,
-        compute_widths,
-    )
+    # Passes 2 and 3: analysis and optimization over the IR.
+    from .passes import attach_fastpaths, compute_widths
     compute_widths(plan)
     attach_fastpaths(plan)
-    attach_batchpaths(plan)
     return plan
 
 

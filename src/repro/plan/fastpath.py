@@ -3,13 +3,16 @@
 The paper's Section 9 proposes "partially evaluating the current PADS
 library" to produce application-specific instances.  This module does
 exactly that for the overwhelmingly common case — a uniform mask over a
-``Precord`` type — in two flavours, tried in order:
+``Precord`` type — with one of two compilers per record:
 
-* **Fixed-width slicing** (:class:`SlicePath`): when the size analysis
-  proves the whole record static, the grammar compiles to straight-line
-  code — a length check, literal ``startswith`` probes, and byte-slice
-  conversions at constant offsets.  This is the Cobol/binary layout
-  case (the paper's ``Pb_`` and ``Pebc_``/``Pbcd_`` families).
+* **Batch kernel** (:class:`BatchPath`): when the size analysis proves
+  the whole record static, the grammar compiles to a columnar kernel over
+  a grid of records at a constant pitch — one ``struct`` unpack of the
+  fixed columns, strided literal compares, and per-record conversions.
+  This is the Cobol/binary layout case (the paper's ``Pb_`` and
+  ``Pebc_``/``Pbcd_`` families).  The batch engine runs the kernel over
+  whole grids, and the record fast function is the same kernel over one
+  record (:func:`compile_fast`).
 * **Anchored regex** (:class:`FastPath`): otherwise the record grammar
   is compiled into a single anchored regular expression (Python 3.11
   atomic groups ``(?>...)`` emulate the parser's maximal-munch /
@@ -22,10 +25,8 @@ clean parse descriptor**, or ``None`` — in which case the caller
 re-parses the record with the general (error-reporting) parser.  Errors
 therefore cost one extra parse, while clean records — the vast majority
 in the paper's workloads — run at compiled speed.  The compiled
-function is a plain source fragment over a small runtime namespace:
-:mod:`repro.plan.runtime` materialises it for the bound description,
-and a generated module carries it verbatim (its globals are the same
-namespace).
+function is a plain source fragment over a small runtime namespace,
+which :mod:`repro.plan.runtime` materialises for the bound description.
 
 The regex compiler also emits *member* fast functions
 (:func:`compile_member`), one per data member of a struct, under the
@@ -86,12 +87,6 @@ class NotEligible(Exception):
     message becomes the plan verdict's reason."""
 
 
-class _NotFixed(Exception):
-    """Internal: the slicing compiler hit a construct it cannot lay out
-    at constant offsets; fall back to the regex compiler (which decides
-    real eligibility)."""
-
-
 class _W:
     def __init__(self, depth: int = 0):
         self.lines: List[str] = []
@@ -130,9 +125,9 @@ def _cls(value: bytes) -> bytes:
     return re.escape(value)
 
 
-def base_conv(inst, var: str, ref: str, w: _W, exc=NotEligible) -> None:
+def base_conv(inst, var: str, ref: str, w: _W) -> None:
     """Conversion code for a fixed-width base type from raw bytes in
-    ``ref`` (slicing fast path and fixed-array elements)."""
+    ``ref`` (batch-kernel columns and fixed-array elements)."""
     if isinstance(inst, _ints.BinaryInt):
         w.w(f"{var} = int.from_bytes({ref}, {inst.byteorder!r}, "
             f"signed={inst.signed})")
@@ -163,7 +158,7 @@ def base_conv(inst, var: str, ref: str, w: _W, exc=NotEligible) -> None:
                      f"({inst.lo} <= {var} <= {inst.hi}):"):
             w.w("return None")
     else:
-        raise exc(type(inst).__name__)
+        raise NotEligible(type(inst).__name__)
 
 
 def _static_fixed(use: Use) -> Optional[Tuple[object, int]]:
@@ -742,170 +737,6 @@ class FastPath:
         raise NotEligible(type(inst).__name__)
 
 
-class SlicePath:
-    """Compiles a record the size analysis proves static to straight-line
-    slicing code: a length check, literal probes and byte-slice
-    conversions at constant offsets.  No regex engine in the loop."""
-
-    def __init__(self, plan: Plan, decl: StructPlan):
-        self.plan = plan
-        self.decl = decl
-        self.tmpid = 0
-        self.auxid = 0
-        self.aux: List[str] = []
-
-    def temp(self) -> str:
-        self.tmpid += 1
-        return f"_t{self.tmpid}"
-
-    def build(self) -> Tuple[str, List[str], str]:
-        """(fast function name, module source lines, verdict reason);
-        raises _NotFixed when the layout is not sliceable."""
-        decl = self.decl
-        total = decl.width
-        if total is None or total <= 0:
-            raise _NotFixed("record width not static")
-        w = _W(depth=2)  # inside def + try
-        var = self.temp()
-        end = self.compile_struct(decl, var, w, 0)
-        if end != total:
-            raise _NotFixed("layout does not cover the record")  # paranoia
-        name = decl.name
-        fn_name = f"_fp_{name}"
-        out: List[str] = []
-        out.append(f"def {fn_name}(_line, dosem):")
-        out.append(f'    """Compiled fast path for {name}: fixed-width '
-                   f'slicing over {total} bytes."""')
-        out.append(f"    if len(_line) != {total}:")
-        out.append("        return None")
-        out.append("    try:")
-        out.extend(w.lines)
-        out.append(f"        return {var}")
-        out.append("    except Exception:")
-        out.append("        return None")
-        out.extend(self.aux)
-        return fn_name, out, f"fixed-width slicing over {total} bytes"
-
-    # -- struct --------------------------------------------------------------
-
-    def compile_struct(self, decl: StructPlan, var: str, w: _W,
-                       off: int) -> int:
-        scope: Dict[str, str] = {}
-        field_vars: List[Tuple[str, str]] = []
-        for item in decl.items:
-            if isinstance(item, LitItem):
-                lit = item.literal
-                if lit.kind in ("char", "string"):
-                    with w.block(f"if not _line.startswith({lit.raw!r}, "
-                                 f"{off}):"):
-                        w.w("return None")
-                    off += len(lit.raw)
-                elif lit.kind in ("eor", "eof"):
-                    # The length check is the end-of-record anchor; a
-                    # mid-record Peor would make the width non-static.
-                    if lit.kind == "eof":
-                        raise _NotFixed("eof literal")
-                else:
-                    raise _NotFixed(f"literal kind {lit.kind}")
-                continue
-            if isinstance(item, ComputeItem):
-                fvar = self.temp()
-                w.w(f"{fvar} = {self.plan.cexpr(item.expr, scope)}")
-                scope[item.name] = fvar
-                field_vars.append((item.name, fvar))
-                if item.constraint is not None:
-                    _check(w, self.plan, item.constraint, scope, "return None")
-                continue
-            assert isinstance(item, DataItem)
-            fvar = self.temp()
-            off = self.compile_use(item.type, fvar, w, off, scope)
-            scope[item.name] = fvar
-            field_vars.append((item.name, fvar))
-            if item.constraint is not None:
-                _check(w, self.plan, item.constraint, scope, "return None")
-        _build_rec(w, var, _rec_binding(self.aux, decl), field_vars)
-        if decl.where is not None:
-            _check(w, self.plan, decl.where, scope, "return None")
-        return off
-
-    # -- type uses -----------------------------------------------------------
-
-    def compile_use(self, use: Use, var: str, w: _W, off: int,
-                    scope: Dict[str, str]) -> int:
-        if isinstance(use, BaseUse):
-            inst = use.static
-            if inst is None:
-                raise _NotFixed(f"dynamic parameters on {use.name}")
-            if isinstance(inst, _misc.Empty):
-                w.w(f"{var} = None")
-                return off
-            width = fixed_width_of(inst)
-            if not width:
-                raise _NotFixed(f"variable-width {type(inst).__name__}")
-            ref = f"_line[{off}:{off + width}]"
-            base_conv(inst, var, ref, w, exc=_NotFixed)
-            return off + width
-        if isinstance(use, RefUse):
-            decl = self.plan.decls[use.name]
-            if decl.params or decl.is_record:
-                raise _NotFixed(f"nested {use.name}")
-            return self.compile_decl_use(decl, var, w, off, scope)
-        raise _NotFixed(type(use).__name__)
-
-    def compile_decl_use(self, decl, var: str, w: _W, off: int,
-                         scope: Dict[str, str]) -> int:
-        if isinstance(decl, StructPlan):
-            return self.compile_struct(decl, var, w, off)
-        if isinstance(decl, EnumPlan):
-            lens = {len(item.raw) for item in decl.items}
-            if len(lens) != 1:
-                raise _NotFixed("enum spellings of differing widths")
-            width = lens.pop()
-            self.auxid += 1
-            map_name = f"_fpenum_{self.decl.name}_s{self.auxid}"
-            entries = ", ".join(f"{item.raw!r}: E_{item.name}"
-                                for item in decl.ordered)
-            self.aux.append(f"{map_name} = {{{entries}}}")
-            # A miss raises KeyError -> the outer except returns None,
-            # exactly like a failed alternation in the regex flavour.
-            w.w(f"{var} = {map_name}[_line[{off}:{off + width}]]")
-            return off + width
-        if isinstance(decl, TypedefPlan):
-            off = self.compile_use(decl.base, var, w, off, scope)
-            if decl.constraint is not None:
-                cscope = {decl.var: var}
-                _check(w, self.plan, decl.constraint, cscope, "return None")
-            return off
-        if isinstance(decl, ArrayPlan):
-            return self.compile_array(decl, var, w, off)
-        raise _NotFixed(type(decl).__name__)
-
-    def compile_array(self, decl: ArrayPlan, var: str, w: _W,
-                      off: int) -> int:
-        if (decl.last is not None or decl.ended is not None or decl.longest
-                or decl.sep is not None or decl.term is not None):
-            raise _NotFixed("array termination is data-dependent")
-        count = decl.fixed_count
-        if count is None or count <= 0:
-            raise _NotFixed("array count not static")
-        fixed = _static_fixed(decl.elt)
-        if fixed is None:
-            raise _NotFixed("array of variable-width elements")
-        inst, width = fixed
-        raw = self.temp()
-        evar = self.temp()
-        w.w(f"{var} = []")
-        with w.block(f"for _ai in range({count}):"):
-            w.w(f"{raw} = _line[{off} + _ai * {width}:"
-                f"{off} + (_ai + 1) * {width}]")
-            base_conv(inst, evar, raw, w, exc=_NotFixed)
-            w.w(f"{var}.append({evar})")
-        if decl.where is not None:
-            ascope = {"elts": var, "length": f"len({var})"}
-            _check(w, self.plan, decl.where, ascope, "return None")
-        return off + count * width
-
-
 class BatchPath:
     """Compiles a statically-sized record to a *batch kernel*: one
     function parsing a whole grid of ``_n`` records laid out at a
@@ -957,8 +788,10 @@ class BatchPath:
         NotEligible."""
         decl = self.decl
         total = decl.width
-        if total is None or total <= 0:
+        if total is None:
             raise NotEligible("record width is not static")
+        if total == 0:
+            raise NotEligible("record has zero static width")
         w = _W(depth=0)               # re-indented under both loop bodies
         var = self.temp()
         end = self.compile_struct(decl, var, w, 0)
@@ -1129,7 +962,7 @@ class BatchPath:
                 return
         ref = self.slot(f"{width}s")
         sub = _W(w.depth)
-        base_conv(inst, var, ref, sub, exc=NotEligible)
+        base_conv(inst, var, ref, sub)
         w.lines.extend(_miss_on_failure(sub.lines))
 
     def compile_decl_use(self, decl, var: str, w: _W, off: int,
@@ -1562,16 +1395,23 @@ def compile_member(plan: Plan, decl: StructPlan, item: DataItem
     return fragment, Verdict(True, "anchored regex over the member")
 
 
-def compile_fast(plan: Plan, decl: StructPlan) -> Tuple[str, List[str], str]:
+def compile_fast(plan: Plan, decl: StructPlan,
+                 kernel: Optional[str]) -> Tuple[str, List[str], str]:
     """Compile the fast path for an unparameterised Precord struct plan.
 
-    Tries fixed-width slicing first (when the size analysis proved the
-    record static), falling back to the anchored-regex compiler; raises
-    :class:`NotEligible` (with the reason) when neither applies.
+    A record with a batch kernel (``kernel``, its name) runs that kernel
+    over one record, after a length check; any other record is compiled
+    by the anchored-regex compiler, which raises :class:`NotEligible`
+    (with the reason) when the record is outside its subset.
     """
-    if decl.width is not None:
-        try:
-            return SlicePath(plan, decl).build()
-        except _NotFixed:
-            pass
-    return FastPath(plan, decl).build()
+    if kernel is None:
+        return FastPath(plan, decl).build()
+    name, total = decl.name, decl.width
+    return f"_fp_{name}", [
+        f"def _fp_{name}(_line, dosem):",
+        f'    """Compiled fast path for {name}: its batch kernel over one '
+        f'{total}-byte record."""',
+        f"    if len(_line) != {total}:",
+        "        return None",
+        f"    return {kernel}(_line, 1, {total}, dosem)[0][0]",
+    ], f"batch kernel over one {total}-byte record"

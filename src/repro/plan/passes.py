@@ -1,17 +1,16 @@
 """Analysis and optimization passes over the plan IR.
 
-Three passes run after lowering, in order:
+Two passes run after lowering, in order:
 
 * :func:`compute_widths` — static-size analysis: annotates every
   declaration and type use with its byte width when the physical form
   is provably fixed (binary words, packed/zoned decimals, fixed-width
   strings and integers, structs/arrays/enums built only from those).
-* :func:`attach_fastpaths` — record the fastpath-eligibility verdict
-  (with its reason) for every declaration, and compile the fast
-  function for eligible ``Precord`` structs.  The binder, the emitter
-  and ``padsc plan`` read the verdict instead of re-deriving
-  eligibility structurally.
-* :func:`attach_batchpaths` — the same for the columnar batch kernels.
+* :func:`attach_fastpaths` — record the batch-engine and fastpath
+  verdicts (with their reasons) for every declaration, and compile the
+  batch kernel, fast function and writer of eligible ``Precord``
+  structs.  The binder, the batch engine and ``padsc plan`` read the
+  verdicts instead of re-deriving eligibility structurally.
 """
 
 from __future__ import annotations
@@ -138,26 +137,46 @@ def _decl_width(plan: Plan, dp) -> Optional[int]:
     return None
 
 
-# -- fastpath verdicts -------------------------------------------------------
+# -- compiled-path verdicts ---------------------------------------------------
 
 
 def attach_fastpaths(plan: Plan) -> None:
+    """Record the batch-engine and fastpath verdicts of every
+    declaration, each with its reason, and compile the eligible records.
+
+    The batch verdict comes first and is the stricter one: the whole
+    record layout must be provably static (fixed columns at fixed
+    offsets), because the batch engine strides a ``memoryview`` across
+    thousands of records at a constant pitch.  Its geometry fit against
+    the record discipline is decided at run time by :mod:`repro.batch`.
+    A record with a kernel gets that kernel over one record as its fast
+    function; any other record is tried on the anchored-regex compiler.
+    """
     import re
-    from .fastpath import NotEligible, compile_fast, compile_write
+    from .fastpath import (NotEligible, compile_batch, compile_fast,
+                           compile_write)
     for dp in plan.decls.values():
         if dp.params:
-            dp.verdict = Verdict(False, "parameterised type")
+            dp.verdict = dp.batch_verdict = Verdict(False, "parameterised type")
             continue
         if not dp.is_record:
-            dp.verdict = Verdict(False, "not a Precord type")
+            dp.verdict = dp.batch_verdict = Verdict(False, "not a Precord type")
             continue
         if not isinstance(dp, StructPlan):
-            dp.verdict = Verdict(
-                False, f"Precord {dp.kind} (the fast path covers Pstruct "
+            dp.verdict = dp.batch_verdict = Verdict(
+                False, f"Precord {dp.kind} (compiled paths cover Pstruct "
                 "records)")
             continue
+        kernel = None
         try:
-            fn_name, lines, reason = compile_fast(plan, dp)
+            kernel, lines, reason = compile_batch(plan, dp)
+        except NotEligible as exc:
+            dp.batch_verdict = Verdict(False, str(exc) or "not eligible")
+        else:
+            dp.batch_verdict = Verdict(True, reason)
+            dp.batch_fn = (kernel, lines)
+        try:
+            fn_name, lines, reason = compile_fast(plan, dp, kernel)
         except NotEligible as exc:
             dp.verdict = Verdict(False, str(exc) or "not eligible")
         except re.error as exc:
@@ -169,46 +188,3 @@ def attach_fastpaths(plan: Plan) -> None:
                 dp.write_fn = compile_write(plan, dp)
             except NotEligible:
                 pass  # the general writer serves this record
-
-
-# -- batch-engine verdicts ----------------------------------------------------
-
-
-def attach_batchpaths(plan: Plan) -> None:
-    """Record the batch-engine verdict for every declaration and compile
-    the columnar kernel for eligible records.
-
-    Stricter than the record fast path: the whole record layout must be
-    provably static (fixed columns at fixed offsets), because the batch
-    engine strides a ``memoryview`` across thousands of records at a
-    constant pitch.  The geometry fit against the record discipline
-    (pitch = width, or width + terminator) is decided at run time by
-    :mod:`repro.batch` — this verdict is the data-layout half.
-    """
-    from .fastpath import NotEligible, compile_batch
-    for dp in plan.decls.values():
-        if dp.params:
-            dp.batch_verdict = Verdict(False, "parameterised type")
-            continue
-        if not dp.is_record:
-            dp.batch_verdict = Verdict(False, "not a Precord type")
-            continue
-        if not isinstance(dp, StructPlan):
-            dp.batch_verdict = Verdict(
-                False, f"Precord {dp.kind} (the batch engine covers Pstruct "
-                "records)")
-            continue
-        if dp.width is None:
-            dp.batch_verdict = Verdict(False, "record width is not static")
-            continue
-        if dp.width <= 0:
-            dp.batch_verdict = Verdict(False, "record has zero static width")
-            continue
-        try:
-            fn_name, lines, reason = compile_batch(plan, dp)
-        except NotEligible as exc:
-            dp.batch_verdict = Verdict(False, str(exc) or "not eligible")
-        else:
-            dp.batch_verdict = Verdict(True, reason)
-            dp.batch_fn = (fn_name, lines)
-

@@ -3,10 +3,9 @@
 The fast-path compilers in :mod:`repro.plan.fastpath` emit plain source
 fragments over a small runtime namespace (the rep-class factory,
 ``UnionVal``, enum constants, helper functions, the packed/zoned/date
-converters).  A generated module (:mod:`repro.codegen`) imports the
-same names and carries the same fragments; here they are exec'd into
-one namespace per bound description, which also holds the member fast
-functions, loaded lazily.
+converters).  This module is the one owner of that namespace: the
+fragments are exec'd into one namespace per bound description, which
+also holds the member fast functions, loaded lazily.
 
 Every expression site of the description (constraints, ``Pwhere``,
 selectors, array bounds and predicates, type arguments) is compiled
@@ -23,8 +22,8 @@ from .ir import DataItem, Plan, StructPlan, SwitchPlan
 
 
 def runtime_namespace(plan: Plan) -> Dict[str, Any]:
-    """Globals a plan-compiled fast function needs, mirroring the
-    preamble of a generated module."""
+    """Globals the plan-compiled fragments and expression sites of one
+    description run on."""
     from ..core.basetypes.temporal import parse_date_value
     from ..core.values import DateVal, EnumVal, FloatVal, UnionVal, rec_class
     from ..expr.pycompile import compile_function
@@ -177,8 +176,9 @@ class Runtime:
 
     def tables(self) -> Tuple[Fns, Fns, Fns]:
         """``(fast functions, record writers, batch kernels)``, each
-        ``{type name: function}`` — the ``_fp_*``/``_fw_*``/``_bt_*``
-        functions a generated module also carries."""
+        ``{type name: function}``: the ``_fp_*``/``_fw_*``/``_bt_*``
+        functions.  A fast function that is its record's batch kernel
+        over one record calls the kernel loaded beside it."""
         tables: Tuple[Fns, Fns, Fns] = ({}, {}, {})
         for dp in self.plan.decls.values():
             fast = dp.verdict.eligible

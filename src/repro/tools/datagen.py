@@ -131,7 +131,8 @@ def double_literal(raw: bytes) -> Mutator:
 
 def misalign_fixed_width(width: int) -> Mutator:
     """Break a statically-sized record's width by one byte (the exact
-    corruption the fixed-width slicing fast path must reject)."""
+    corruption the length check of a batch-kernel fast function must
+    reject)."""
     def mutate(record: bytes, rng: random.Random) -> bytes:
         body, nl = ((record[:-1], record[-1:])
                     if record.endswith(b"\n") else (record, b""))

@@ -134,7 +134,8 @@ class TestCodegenAndTools:
                                      discipline=FixedWidthRecords(2))
         gen = compile_generated(desc_text, ambient="binary",
                                 discipline=FixedWidthRecords(2))
-        assert "_fp_row_t" in gen.py_source  # bitfields are fast-path eligible
+        # bitfields are fast-path eligible
+        assert gen.node("row_t").fast_fn is not None
         for word in range(0, 256, 7):
             data = bytes([word, word ^ 0xFF])
             ri, pi = interp.parse(data, "row_t")

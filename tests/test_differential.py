@@ -180,12 +180,12 @@ class TestPlanDrivenAgainstReference:
         interp, gen, _data, rtype = cases[name]
         verdict = interp.plan.decl(rtype).verdict
         assert verdict.eligible, verdict
-        assert f"_fp_{rtype}" in gen.py_source
+        assert gen.node(rtype).fast_fn is not None
         ref_i, ref_g = self._reference_pair(interp)
         # Reference mode disables materialisation, not analysis: the plan
         # still carries the verdict, but no fast fn reaches the engines.
         assert ref_i.plan.decl(rtype).verdict.eligible
-        assert f"_fp_{rtype}" not in ref_g.py_source
+        assert ref_g.node(rtype).fast_fn is None
 
     def test_reps_and_pds_match_reference(self, cases, name):
         interp, gen, data, rtype = cases[name]

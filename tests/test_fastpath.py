@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Mask, P_Check, P_CheckAndSet, P_Set, compile_description, gallery
-from repro.codegen import compile_generated, generate_source
+from repro.codegen import compile_generated
 from repro.core.errors import ErrCode
 from repro.core.io import FixedWidthRecords, NewlineRecords, Source
 from repro.core.limits import ParseLimits
@@ -47,51 +47,51 @@ def assert_equiv(interp, gen, data, type_name, mask=None):
     return ri, pi
 
 
+def has_fast_fn(desc_text, rtype, **kw):
+    """Whether the bound description gives ``rtype`` a record fast
+    function."""
+    return compile_description(desc_text, **kw).node(rtype).fast_fn is not None
+
+
 class TestEligibility:
     def test_fastpath_generated_for_paper_records(self):
-        assert "_fp_entry_t" in generate_source(gallery.CLF)
-        assert "_fp_entry_t" in generate_source(gallery.SIRIUS)
-        assert "_fp_summary_header_t" in generate_source(gallery.SIRIUS)
-        assert "_fp_call_t" in generate_source(gallery.CALL_DETAIL,
-                                               ambient="binary")
+        assert has_fast_fn(gallery.CLF, "entry_t")
+        assert has_fast_fn(gallery.SIRIUS, "entry_t")
+        assert has_fast_fn(gallery.SIRIUS, "summary_header_t")
+        assert has_fast_fn(gallery.CALL_DETAIL, "call_t", ambient="binary")
 
     def test_parameterised_records_not_eligible(self):
-        src = generate_source("""
+        assert not has_fast_fn("""
             Precord Pstruct row_t(:int n:) {
                 Pstring_FW(:n:) s;
             };
-        """)
-        assert "_fp_row_t" not in src
+        """, "row_t")
 
     def test_switched_union_not_eligible(self):
-        src = generate_source("""
+        assert not has_fast_fn("""
             Punion u(:int t:) {
                 Pswitch (t) { Pcase 0: Puint8 a; Pdefault: Pchar b; }
             };
             Precord Pstruct row_t { Puint8 tag; ':'; u(:tag:) v; };
-        """)
-        assert "_fp_row_t" not in src
+        """, "row_t")
 
     def test_mid_record_array_not_eligible(self):
-        src = generate_source("""
+        assert not has_fast_fn("""
             Parray xs_t { Puint8[] : Psep(',') && Pterm(';'); };
             Precord Pstruct row_t { xs_t xs; ';'; Puint8 z; };
-        """)
-        assert "_fp_row_t" not in src
+        """, "row_t")
 
     def test_tail_eor_array_is_eligible(self):
-        src = generate_source("""
+        assert has_fast_fn("""
             Parray xs_t { Puint8[] : Psep(',') && Pterm(Peor); };
             Precord Pstruct row_t { Puint8 z; ':'; xs_t xs; };
-        """)
-        assert "_fp_row_t" in src
+        """, "row_t")
 
     def test_dynamic_size_not_eligible(self):
-        src = generate_source("""
+        assert not has_fast_fn("""
             Parray xs_t(:int n:) { Puint8[n] : Psep(','); };
             Precord Pstruct row_t { Puint8 n; ':'; xs_t(:n:) xs; };
-        """)
-        assert "_fp_row_t" not in src
+        """, "row_t")
 
 
 class TestMaximalMunch:
@@ -222,7 +222,7 @@ class TestCobolFastPath:
         interp = tr.compile()
         gen = compile_generated(tr.pads_source, ambient="ebcdic",
                                 discipline=FixedWidthRecords(tr.record_width))
-        assert "_fp_billing_record_t" in gen.py_source
+        assert gen.node(tr.record_type).fast_fn is not None
         reps = [interp.generate(tr.record_type, rng) for _ in range(20)]
         data = b"".join(interp.write(r, tr.record_type) for r in reps)
         out_g = list(gen.records(data, tr.record_type))
@@ -288,7 +288,7 @@ FP_DESC = """
 def fp_pair():
     interp = compile_description(FP_DESC)
     gen = compile_generated(FP_DESC)
-    assert "_fp_row_t" in gen.py_source
+    assert gen.node("row_t").fast_fn is not None
     return interp, gen
 
 
@@ -366,8 +366,6 @@ def _build(case, engine, fastpath):
 
 def _writer(desc, rtype):
     """The record's compiled writer on either engine, or None."""
-    if hasattr(desc, "module"):
-        return getattr(desc.module, f"_fw_{rtype}", None)
     return desc.node(rtype).write_fn
 
 
@@ -449,8 +447,8 @@ def test_write2io_output_unchanged():
     import io
     fast = _build("sirius", "source", True)
     ref = _build("sirius", "source", False)
-    assert "_fw_entry_t(rep)" in fast.py_source
-    assert "_fw_" not in ref.py_source
+    assert fast.node("entry_t").write_fn is not None
+    assert ref.node("entry_t").write_fn is None
     for rep, _pd in fast.records(_sirius_inputs()["entry_t"], "entry_t"):
         a, b = io.BytesIO(), io.BytesIO()
         assert fast.module.entry_t_write2io(a, rep) == \
@@ -759,7 +757,8 @@ CHECKED_WORDS = """
 
 
 def _namespace(desc, engine):
-    return desc.bound.runtime.ns if engine == "interp" else vars(desc.module)
+    # Both engines load the compiled fragments into the bound runtime.
+    return desc.bound.runtime.ns
 
 
 @pytest.mark.parametrize("engine", ["interp", "gen"])

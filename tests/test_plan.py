@@ -132,7 +132,7 @@ class TestWidthsAndVerdicts:
         plan = _analyze(gallery.CALL_DETAIL, "binary")
         verdict = plan.decl("call_t").verdict
         assert verdict.eligible
-        assert verdict.reason == "fixed-width slicing over 24 bytes"
+        assert verdict.reason == "batch kernel over one 24-byte record"
 
     def test_non_record_types_are_ineligible_with_reason(self):
         plan = _analyze(gallery.CLF)
@@ -155,7 +155,7 @@ Psource Parray rows_t {
 
 
 # ---------------------------------------------------------------------------
-# Adjacent literals + fixed-width slicing
+# Adjacent literals and kernel-backed fast functions
 # ---------------------------------------------------------------------------
 
 FUSED_DESC = """
@@ -231,6 +231,92 @@ class TestSlicePath:
         assert any(p.nerr for _, p in ref_out)  # the corruption registered
 
 
+    # The record fast function of a static layout is its batch kernel
+    # over one record; each case below must match reference mode
+    # exactly, reps and pd summaries.
+
+    def _matches_reference(self, text, data, rtype, **kw):
+        fast = compile_description(text, **kw)
+        ref = compile_description(text, fastpath=False, **kw)
+        assert fast.plan.decl(rtype).verdict.reason.startswith(
+            "batch kernel over one ")
+        assert fast.node(rtype).fast_fn is not None
+        ref_out = list(ref.records(data, rtype))
+        got = [(r, pd_summary(p)) for r, p in fast.records(data, rtype)]
+        assert got == [(r, pd_summary(p)) for r, p in ref_out]
+        return fast, [p for _, p in ref_out]
+
+    STATIC_DESC = """
+Precord Pstruct fw_t {
+  "ID"; Pstring_FW(:4:) id; ':'; Puint16_FW(:3:) n : n < 500; '|'; Pchar c;
+};
+"""
+
+    def test_short_and_long_lines_take_the_general_path(self):
+        data = (b"IDabcd:123|x\n"      # clean
+                b"IDabc:123|x\n"       # one byte short
+                b"IDabcd:123|xy\n"     # one byte long
+                b"IDabcd:042|z\n")     # clean
+        fast, pds = self._matches_reference(self.STATIC_DESC, data, "fw_t")
+        assert [p.nerr > 0 for p in pds] == [False, True, True, False]
+        fn = fast.node("fw_t").fast_fn
+        assert fn(b"IDabc:123|x", True) is None
+        assert fn(b"IDabcd:123|xy", True) is None
+        assert fn(b"IDabcd:123|x", True).n == 123
+
+    def test_literal_mismatch_and_constraint_miss(self):
+        data = (b"IDabcd:123|x\n"
+                b"IDabcd;123|x\n"      # ':' column broken
+                b"IDabcd:999|x\n"      # n < 500 fails
+                b"JDabcd:001|x\n")     # "ID" column broken
+        _, pds = self._matches_reference(self.STATIC_DESC, data, "fw_t")
+        assert [p.nerr > 0 for p in pds] == [False, True, True, True]
+
+    def test_big_endian_majority_layout(self):
+        text = """
+Precord Pstruct be_t {
+  Pb_uint32_be a; Pb_uint16_be b; Pb_int32_be c : c > -1000000;
+  Pb_uint16 d; Pb_uint8 e;
+};
+"""
+        # Three big-endian columns outvote two little-endian ones: the
+        # kernel unpacks big-endian and converts d per record.
+        plan = _analyze(text, "binary")
+        assert "_btfmt_be_t = '>" in "\n".join(plan.decl("be_t").batch_fn[1])
+        rng = random.Random(11)
+        data = bytes(rng.randrange(256) for _ in range(13 * 80))
+        _, pds = self._matches_reference(text, data, "be_t", ambient="binary",
+                                         discipline=FixedWidthRecords(13))
+        assert any(p.nerr for p in pds) and not all(p.nerr for p in pds)
+
+    def test_call_detail_under_ebcdic(self):
+        from repro.tools.datagen import call_detail_workload
+        data = bytearray(call_detail_workload(60, random.Random(5)))
+        data[22] = 0xFF  # call_type of record 0 breaks its constraint
+        _, pds = self._matches_reference(
+            gallery.CALL_DETAIL, bytes(data), "call_t", ambient="ebcdic",
+            discipline=FixedWidthRecords(24))
+        assert pds[0].nerr and not any(p.nerr for p in pds[1:])
+
+    def test_cobol_billing_with_garbled_bytes(self):
+        import importlib.resources as res
+        from repro.tools.cobol import translate
+        from repro.tools.datagen import garble_byte
+        tr = translate((res.files("repro.gallery") / "billing.cpy")
+                       .read_text(), "billing.cpy")
+        kw = {"ambient": "ebcdic",
+              "discipline": FixedWidthRecords(tr.record_width)}
+        writer = compile_description(tr.pads_source, **kw)
+        rng = random.Random(23)
+        records = [writer.write(writer.generate(tr.record_type, rng),
+                                tr.record_type) for _ in range(60)]
+        data = b"".join(garble_byte(r, rng) if i % 3 == 0 else r
+                        for i, r in enumerate(records))
+        _, pds = self._matches_reference(tr.pads_source, data,
+                                         tr.record_type, **kw)
+        assert any(p.nerr for p in pds)
+
+
 # ---------------------------------------------------------------------------
 # padsc plan (CLI pretty-printer)
 # ---------------------------------------------------------------------------
@@ -268,7 +354,8 @@ class TestPlanCLI:
         plan = _analyze(gallery.CALL_DETAIL, "binary")
         text = format_plan(plan, "call_t")
         assert "width: 24 bytes" in text
-        assert "fastpath: eligible: fixed-width slicing over 24 bytes" in text
+        assert ("fastpath: eligible: batch kernel over one 24-byte record"
+                in text)
 
 
 # ---------------------------------------------------------------------------

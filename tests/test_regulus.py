@@ -98,7 +98,7 @@ class TestGenerated:
         from repro.codegen import compile_generated
         from .test_codegen import pd_summary
         gen = compile_generated(gallery.REGULUS)
-        assert "_fp_util_t" in gen.py_source
+        assert gen.node("util_t").fast_fn is not None
         ri, pi = regulus.parse(SAMPLE)
         rg, pg = gen.parse(SAMPLE)
         assert pd_summary(pi) == pd_summary(pg)

@@ -349,6 +349,26 @@ class TestArray:
         seen = [v for v, pd in d.array_elements(b"1,2,3", "a")]
         assert seen == [1, 2, 3]
 
+    ZERO_WIDTH = """
+      Pstruct z_t { Pcompute Puint8 x = 1; };
+      Parray zs_t(:Puint32 n:) { z_t[n] : Psep(Pre "/x*/"); };
+      Precord Pstruct r_t { Puint32 n; ' '; zs_t(:n:) zs; };
+      Psource Parray all_t { z_t[] : Psep(Pre "/x*/"); };
+    """
+
+    @pytest.mark.parametrize("fastpath", [True, False])
+    def test_zero_width_separator_and_element_stop(self, fastpath):
+        # Neither the separator nor the element consumes input: the
+        # array stops instead of building n empty elements.
+        import time
+        d = c(self.ZERO_WIDTH, fastpath=fastpath)
+        t0 = time.perf_counter()
+        (rep, pd), = d.records(b"1000000 ab\n", "r_t")
+        assert time.perf_counter() - t0 < 1.0
+        assert len(rep.zs) == 2
+        assert pd.err_code == ErrCode.ARRAY_SIZE_ERR
+        assert len(list(d.array_elements(b"ab", "all_t"))) == 2
+
 
 class TestEnum:
     DESC = 'Penum m { GET, PUT, POST, POSTER Pfrom("POSTER") };'
