@@ -49,7 +49,6 @@ from .core import (
 )
 
 from . import gallery  # noqa: E402  (the paper's descriptions, ready to use)
-from . import parallel  # noqa: E402  (chunked map-reduce over records)
 
 __version__ = "1.0.0"
 
@@ -59,6 +58,19 @@ __all__ = [
     "NewlineRecords", "NoRecords", "P_Check", "P_CheckAndSet", "P_Ignore",
     "P_SemCheck", "P_Set", "P_SynCheck", "PadsError", "Pd", "Pstate",
     "Rec", "Source", "UnionVal", "DateVal", "EnumVal",
-    "compile_description", "compile_file", "mask_init", "parallel",
-    "__version__",
+    "compile_description", "compile_file", "mask_init", "gallery",
+    "parallel", "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # ``repro.parallel`` (chunked map-reduce over records) brings in the
+    # process pool, which a serial run never uses: it loads on first use.
+    if name == "parallel":
+        from importlib import import_module
+        return import_module(f"{__name__}.parallel")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | {"parallel"})

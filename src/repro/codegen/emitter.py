@@ -26,7 +26,7 @@ from typing import List, Optional
 
 from ..dsl import ast as D
 from ..expr.pycompile import compile_function
-from ..plan import analyze
+from ..plan import lower
 from ..plan.ir import DeclPlan, Plan
 
 #: The imports a generated module runs on: the mask constructor, the
@@ -138,7 +138,7 @@ def generate_source(desc: D.Description, ambient: str = "ascii",
     """The module source for a checked description; with
     ``fastpath=False`` its ``_interp()`` compiles ``SOURCE`` in reference
     mode."""
-    plan = plan if plan is not None else analyze(desc, ambient)
+    plan = plan if plan is not None else lower(desc, ambient)
     out: List[str] = [
         '"""Generated by padsc (repro PADS compiler) — do not edit.\n\n'
         f"Source description: {desc.filename}\n"

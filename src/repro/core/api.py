@@ -15,7 +15,6 @@ verification and random data generation.
 
 from __future__ import annotations
 
-import hashlib
 import random
 import threading
 from collections import OrderedDict
@@ -398,6 +397,16 @@ def discipline_key(discipline) -> tuple:
             getattr(d, "inclusive", None))
 
 
+def _sha256():
+    """A new ``hashlib.sha256`` object.  Only the serving path keys its
+    compile cache, so ``hashlib`` loads on the first key and this
+    function then rebinds itself to the constructor."""
+    global _sha256
+    from hashlib import sha256
+    _sha256 = sha256
+    return sha256()
+
+
 def description_cache_key(text: str, *, ambient: str = "ascii",
                           discipline=None, fastpath: bool = True) -> str:
     """Content hash over every plan-relevant compile input: the source,
@@ -405,7 +414,7 @@ def description_cache_key(text: str, *, ambient: str = "ascii",
     fastpath/reference-mode switch."""
     parts = (text, ambient, str(bool(fastpath)),
              repr(discipline_key(discipline)))
-    h = hashlib.sha256()
+    h = _sha256()
     for part in parts:
         h.update(part.encode("utf-8", "surrogateescape"))
         h.update(b"\x00")

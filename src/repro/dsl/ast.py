@@ -13,32 +13,33 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..expr import ast as E
+from ..util.fieldwise import Fieldwise
 
 
 # ---------------------------------------------------------------------------
 # Type expressions (uses of types)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TypeExpr:
+@dataclass(eq=False, repr=False)
+class TypeExpr(Fieldwise):
     line: int = field(default=0, kw_only=True)
     col: int = field(default=0, kw_only=True)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class TypeRef(TypeExpr):
     """Use of a named type, possibly with value parameters: ``Puint16_FW(:3:)``."""
     name: str
     args: List[E.Expr] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class OptType(TypeExpr):
     """``Popt T`` — sugar for a union of T and the void type (paper §3)."""
     inner: TypeExpr
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class RegexType(TypeExpr):
     """``Pre "pattern"`` used as an anonymous string-matching type."""
     pattern: str
@@ -48,8 +49,8 @@ class RegexType(TypeExpr):
 # Literals appearing as data (struct literal fields, separators, terminators)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LiteralSpec:
+@dataclass(eq=False, repr=False)
+class LiteralSpec(Fieldwise):
     """A physical literal: a char, string, or regex; or the EOR/EOF markers."""
     kind: str  # 'char' | 'string' | 'regex' | 'eor' | 'eof' | 'expr'
     value: object = None  # str for char/string/regex; E.Expr for 'expr'
@@ -70,14 +71,14 @@ class LiteralSpec:
 # Struct / union members
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LiteralField:
+@dataclass(eq=False, repr=False)
+class LiteralField(Fieldwise):
     """An anonymous literal member of a Pstruct, e.g. ``"HTTP/";``."""
     literal: LiteralSpec
 
 
-@dataclass
-class DataField:
+@dataclass(eq=False, repr=False)
+class DataField(Fieldwise):
     """A named member: ``Puint8 major;`` possibly with a constraint.
 
     ``constraint`` is evaluated with all earlier fields and this field in
@@ -91,8 +92,8 @@ class DataField:
     col: int = 0
 
 
-@dataclass
-class ComputeField:
+@dataclass(eq=False, repr=False)
+class ComputeField(Fieldwise):
     """``Pcompute`` member: a value computed from earlier fields, consuming
     no input.  An optional constraint checks the computed value."""
     name: str
@@ -110,8 +111,8 @@ StructItem = object  # LiteralField | DataField | ComputeField
 # Declarations
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Decl:
+@dataclass(eq=False, repr=False)
+class Decl(Fieldwise):
     name: str
     params: List[Tuple[str, str]] = field(default_factory=list)  # (type, name)
     is_record: bool = False
@@ -121,7 +122,7 @@ class Decl:
     col: int = 0
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class StructDecl(Decl):
     items: List[StructItem] = field(default_factory=list)
 
@@ -129,13 +130,13 @@ class StructDecl(Decl):
         return [i for i in self.items if isinstance(i, DataField)]
 
 
-@dataclass
-class SwitchCase:
+@dataclass(eq=False, repr=False)
+class SwitchCase(Fieldwise):
     value: Optional[E.Expr]  # None for Pdefault
     field: DataField
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class UnionDecl(Decl):
     branches: List[DataField] = field(default_factory=list)
     switch: Optional[E.Expr] = None  # selector expression for Pswitch form
@@ -146,7 +147,7 @@ class UnionDecl(Decl):
         return self.switch is not None
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ArrayDecl(Decl):
     elt_type: TypeExpr = None
     elt_name: Optional[str] = None
@@ -159,15 +160,15 @@ class ArrayDecl(Decl):
     longest: bool = False           # parse as many elements as possible
 
 
-@dataclass
-class BitfieldItem:
+@dataclass(eq=False, repr=False)
+class BitfieldItem(Fieldwise):
     """One field of a Pbitfields declaration: ``width : name (: constraint)``."""
     width: int
     name: str
     constraint: Optional[E.Expr] = None
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class BitfieldsDecl(Decl):
     """``Pbitfields`` — the bit-field construct from the paper's Section 9
     ("we intend to add bit-field and overlay constructs ... in a fashion
@@ -210,27 +211,27 @@ def lower_bitfields(decl: "BitfieldsDecl") -> "StructDecl":
                       line=decl.line, col=decl.col)
 
 
-@dataclass
-class EnumItem:
+@dataclass(eq=False, repr=False)
+class EnumItem(Fieldwise):
     name: str
     value: Optional[int] = None      # integer code (defaults to position)
     physical: Optional[str] = None   # Pfrom("...") alternate spelling
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class EnumDecl(Decl):
     items: List[EnumItem] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class TypedefDecl(Decl):
     base: TypeExpr = None
     var: Optional[str] = None        # the `x` in `response_t x => {...}`
     constraint: Optional[E.Expr] = None
 
 
-@dataclass
-class FuncDecl:
+@dataclass(eq=False, repr=False)
+class FuncDecl(Fieldwise):
     func: E.FuncDef
     line: int = 0
     col: int = 0
@@ -240,8 +241,8 @@ class FuncDecl:
         return self.func.name
 
 
-@dataclass
-class Description:
+@dataclass(eq=False, repr=False)
+class Description(Fieldwise):
     """A complete PADS description: an ordered list of declarations.
 
     ``source`` names the Psource type (the totality of the data source);

@@ -20,7 +20,7 @@ located diagnostics.
 from __future__ import annotations
 
 import keyword as _kw
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Set
 
 from ..core.basetypes.base import base_type_arity, is_base_type
 from ..core.errors import DescriptionError

@@ -14,9 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from ..util.fieldwise import Fieldwise
 
-@dataclass
-class Node:
+
+@dataclass(eq=False, repr=False)
+class Node(Fieldwise):
     line: int = field(default=0, kw_only=True)
     col: int = field(default=0, kw_only=True)
 
@@ -29,76 +31,76 @@ class Expr(Node):
     pass
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class IntLit(Expr):
     value: int
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class FloatLit(Expr):
     value: float
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class StrLit(Expr):
     value: str
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class CharLit(Expr):
     """A character literal; the value is a one-character string."""
     value: str
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class BoolLit(Expr):
     value: bool
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Name(Expr):
     ident: str
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Unary(Expr):
     op: str  # '-', '!', '~', '+'
     operand: Expr
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Binary(Expr):
     op: str  # '||' '&&' '|' '^' '&' '==' '!=' '<' '<=' '>' '>=' '<<' '>>' '+' '-' '*' '/' '%'
     left: Expr
     right: Expr
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Ternary(Expr):
     cond: Expr
     then: Expr
     other: Expr
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Call(Expr):
     func: str
     args: List[Expr]
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Member(Expr):
     obj: Expr
     name: str
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Index(Expr):
     obj: Expr
     index: Expr
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Forall(Expr):
     """``Pforall (i Pin [lo..hi] : body)`` — universally quantified range.
 
@@ -112,7 +114,7 @@ class Forall(Expr):
     body: Expr
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Exists(Expr):
     """``Pexists (i Pin [lo..hi] : body)`` — existential counterpart."""
     var: str
@@ -129,39 +131,39 @@ class Stmt(Node):
     pass
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Block(Stmt):
     stmts: List[Stmt]
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class VarDecl(Stmt):
     type_name: str
     name: str
     init: Optional[Expr]
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Assign(Stmt):
     target: Expr  # Name, Member or Index
     op: str  # '=', '+=', '-=', '*=', '/=', '%='
     value: Expr
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class If(Stmt):
     cond: Expr
     then: Stmt
     other: Optional[Stmt]
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class While(Stmt):
     cond: Expr
     body: Stmt
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ForStmt(Stmt):
     init: Optional[Stmt]
     cond: Optional[Expr]
@@ -169,17 +171,17 @@ class ForStmt(Stmt):
     body: Stmt
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Return(Stmt):
     value: Optional[Expr]
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ExprStmt(Stmt):
     expr: Expr
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class FuncDef(Node):
     """A user-defined helper function, e.g. ``chkVersion`` in Figure 4."""
     ret_type: str

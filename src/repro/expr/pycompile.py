@@ -8,9 +8,9 @@ helper function is translated to Python source here (through
 then embedded in a generated parser module or exec'd into the
 interpreter's runtime namespace (:mod:`repro.plan.runtime`).
 
-:mod:`repro.expr.eval` is kept only as the reference semantics:
-``tests/test_expr.py`` cross-checks the two on randomly generated
-expressions.
+The tests keep a tree-walking interpreter as the reference semantics
+(``tests/reference_eval.py``): ``tests/test_expr.py`` cross-checks the
+two on randomly generated expressions.
 """
 
 from __future__ import annotations

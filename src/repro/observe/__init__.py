@@ -56,7 +56,6 @@ from .metrics import (
     MetricsRegistry,
     SIZE_BUCKETS,
 )
-from .exposition import to_prometheus
 from .trace import TraceEvent, Tracer
 
 __all__ = [
@@ -64,6 +63,16 @@ __all__ = [
     "MetricsRegistry", "Counter", "Gauge", "Histogram", "Tracer",
     "TraceEvent", "LATENCY_BUCKETS", "SIZE_BUCKETS", "to_prometheus",
 ]
+
+
+
+def __getattr__(name: str):
+    # The Prometheus renderer serves ``/metrics`` only; it loads on first use.
+    if name == "to_prometheus":
+        from .exposition import to_prometheus
+        return to_prometheus
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 #: The process-global observer, or None when observability is disabled.
 #: Hot paths read this exactly once per record (or hoist it to a local),

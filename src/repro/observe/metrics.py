@@ -24,7 +24,7 @@ spreads, which are not).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
            "LATENCY_BUCKETS", "SIZE_BUCKETS"]

@@ -13,7 +13,7 @@ Consumers:
 * :mod:`repro.plan.runtime` — materialises the compiled fast functions
   and expression sites for those nodes;
 * :mod:`repro.codegen.emitter` — emits the Figure 6 module over a bound
-  description (including the fast functions, verbatim);
+  description (given none, it builds the plan with :func:`lower`);
 * the AST-walking tools (``tools/xsd.py``, ``tools/datagen.py``,
   ``tools/cobol.py``) and the ``padsc plan`` pretty-printer.
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Tuple
 
-from .analyze import analyze
+from .analyze import analyze, lower
 from .encodings import ENCODINGS, encoding_for
 from .ir import (
     ArrayPlan,
@@ -49,7 +49,14 @@ from .ir import (
     Use,
     Verdict,
 )
-from .pprint import describe_use, format_plan
+
+
+def __getattr__(name: str) -> Any:
+    # The pretty-printer serves ``padsc plan`` only; it loads on first use.
+    if name in ("describe_use", "format_plan"):
+        from . import pprint
+        return getattr(pprint, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def resolve_base(name: str, args: Tuple[Any, ...] = (),
@@ -68,6 +75,7 @@ __all__ = [
     "ENCODINGS",
     "encoding_for",
     "analyze",
+    "lower",
     "resolve_base",
     "format_plan",
     "describe_use",

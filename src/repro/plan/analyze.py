@@ -6,7 +6,8 @@ PADS types are declared before use), ``Pbitfields`` are expanded to
 their struct form, enum members are normalized (positional codes,
 name-defaulted spellings), literals are encoded under the ambient
 coding, and the optimization passes (static-width analysis, literal
-fusion, fastpath compilation) are run.
+fusion, fastpath compilation) are run.  :func:`lower` stops before those
+passes; the module emitter needs nothing they derive.
 """
 
 from __future__ import annotations
@@ -43,6 +44,18 @@ _STATIC_ARG_TYPES = (E.IntLit, E.StrLit, E.CharLit, E.FloatLit, E.BoolLit)
 
 def analyze(desc: D.Description, ambient: str = "ascii") -> Plan:
     """Analyze ``desc`` under ``ambient`` and return the plan IR."""
+    plan = lower(desc, ambient)
+    # Passes 2 and 3: analysis and optimization over the IR.
+    from .passes import attach_fastpaths, compute_widths
+    compute_widths(plan)
+    attach_fastpaths(plan)
+    return plan
+
+
+def lower(desc: D.Description, ambient: str = "ascii") -> Plan:
+    """The plan IR of ``desc`` before the analysis passes: declarations
+    lowered, no widths, verdicts or compiled functions.  Enough for the
+    module emitter, which carries none of them."""
     plan = Plan(desc, ambient)
 
     # Pass 0: names visible everywhere (helper functions, enum literals).
@@ -66,11 +79,6 @@ def analyze(desc: D.Description, ambient: str = "ascii") -> Plan:
     src = desc.source
     if src is not None:
         plan.source_name = src.name
-
-    # Passes 2 and 3: analysis and optimization over the IR.
-    from .passes import attach_fastpaths, compute_widths
-    compute_widths(plan)
-    attach_fastpaths(plan)
     return plan
 
 

@@ -26,11 +26,12 @@ from ..dsl import ast as D
 from ..expr import ast as E
 from ..expr.runtime import BUILTINS
 from ..expr.pycompile import compile_check, compile_expr
+from ..util.fieldwise import Fieldwise
 from .encodings import encoding_for
 
 
-@dataclass
-class Verdict:
+@dataclass(eq=False, repr=False)
+class Verdict(Fieldwise):
     """Fastpath eligibility for one declaration, with the reason."""
 
     eligible: bool
@@ -43,8 +44,8 @@ class Verdict:
 # -- literals -----------------------------------------------------------------
 
 
-@dataclass
-class LitPlan:
+@dataclass(eq=False, repr=False)
+class LitPlan(Fieldwise):
     """An analyzed literal: kind, source value and encoded byte form."""
 
     kind: str                   # 'char' | 'string' | 'regex' | 'eor' | 'eof' | 'expr'
@@ -75,8 +76,8 @@ class Use:
     ast: Optional[D.TypeExpr] = None
 
 
-@dataclass
-class BaseUse(Use):
+@dataclass(eq=False, repr=False)
+class BaseUse(Use, Fieldwise):
     """A base-type use, with the instance pre-resolved when arguments are
     literals (the common case)."""
 
@@ -88,8 +89,8 @@ class BaseUse(Use):
     ast: Optional[D.TypeExpr] = None
 
 
-@dataclass
-class RegexUse(Use):
+@dataclass(eq=False, repr=False)
+class RegexUse(Use, Fieldwise):
     """An inline ``Pre "pattern"`` use."""
 
     pattern: str
@@ -97,8 +98,8 @@ class RegexUse(Use):
     ast: Optional[D.TypeExpr] = None
 
 
-@dataclass
-class OptUse(Use):
+@dataclass(eq=False, repr=False)
+class OptUse(Use, Fieldwise):
     """``Popt inner``."""
 
     inner: Use
@@ -106,8 +107,8 @@ class OptUse(Use):
     ast: Optional[D.TypeExpr] = None
 
 
-@dataclass
-class RefUse(Use):
+@dataclass(eq=False, repr=False)
+class RefUse(Use, Fieldwise):
     """A reference to a declared type (possibly parameterised)."""
 
     name: str
@@ -119,14 +120,14 @@ class RefUse(Use):
 # -- struct items -------------------------------------------------------------
 
 
-@dataclass
-class LitItem:
+@dataclass(eq=False, repr=False)
+class LitItem(Fieldwise):
     kind = "literal"
     literal: LitPlan
 
 
-@dataclass
-class ComputeItem:
+@dataclass(eq=False, repr=False)
+class ComputeItem(Fieldwise):
     kind = "compute"
     name: str
     type_name: str
@@ -134,8 +135,8 @@ class ComputeItem:
     constraint: Optional[E.Expr]
 
 
-@dataclass
-class DataItem:
+@dataclass(eq=False, repr=False)
+class DataItem(Fieldwise):
     kind = "data"
     name: str
     type: Use
@@ -145,8 +146,8 @@ class DataItem:
 Item = Any  # LitItem | ComputeItem | DataItem
 
 
-@dataclass
-class BranchPlan:
+@dataclass(eq=False, repr=False)
+class BranchPlan(Fieldwise):
     """One ordered-union branch."""
 
     name: str
@@ -154,8 +155,8 @@ class BranchPlan:
     constraint: Optional[E.Expr]
 
 
-@dataclass
-class CasePlan:
+@dataclass(eq=False, repr=False)
+class CasePlan(Fieldwise):
     """One ``Pswitch`` case (``value is None`` for the default case)."""
 
     value: Optional[E.Expr]
@@ -164,8 +165,8 @@ class CasePlan:
     constraint: Optional[E.Expr]
 
 
-@dataclass
-class EnumItemPlan:
+@dataclass(eq=False, repr=False)
+class EnumItemPlan(Fieldwise):
     """A normalized enum member: code defaulted by position, physical
     spelling defaulted to the name, plus its encoded byte form."""
 
@@ -178,8 +179,8 @@ class EnumItemPlan:
 # -- declarations -------------------------------------------------------------
 
 
-@dataclass
-class DeclPlan:
+@dataclass(eq=False, repr=False)
+class DeclPlan(Fieldwise):
     """Common head of every analyzed declaration."""
 
     name: str
@@ -206,7 +207,7 @@ class DeclPlan:
         return [p for _, p in self.params]
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class StructPlan(DeclPlan):
     kind = "struct"
     items: List[Item] = field(default_factory=list)
@@ -214,20 +215,20 @@ class StructPlan(DeclPlan):
     scan_literals: List[bytes] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class UnionPlan(DeclPlan):
     kind = "union"
     branches: List[BranchPlan] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class SwitchPlan(DeclPlan):
     kind = "switch"
     selector: Optional[E.Expr] = None
     cases: List[CasePlan] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ArrayPlan(DeclPlan):
     kind = "array"
     elt: Use = field(default_factory=Use)
@@ -250,7 +251,7 @@ class ArrayPlan(DeclPlan):
         return None
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class EnumPlan(DeclPlan):
     kind = "enum"
     items: List[EnumItemPlan] = field(default_factory=list)
@@ -261,7 +262,7 @@ class EnumPlan(DeclPlan):
         return sorted(self.items, key=lambda it: -len(it.physical))
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class TypedefPlan(DeclPlan):
     kind = "typedef"
     base: Use = field(default_factory=Use)

@@ -1,0 +1,206 @@
+"""Cold start: ``import repro`` loads only what the run uses, and the
+node classes that load cheaper still behave as before.
+
+* The import budget runs in a fresh interpreter: after ``import repro``
+  and compiling SIRIUS on both engines, no process-pool machinery, no
+  accumulator, no plan pretty-printer and no Prometheus renderer is
+  loaded, yet each still resolves on first use.
+* The golden digests pin, for every gallery description, the ``repr``
+  of the parsed AST, the ``repr`` of the analyzed declaration plans and
+  the ``padsc compile`` output.  They were taken before the AST and plan
+  classes dropped their generated ``__eq__``/``__repr__``, so they show
+  the shared field-wise methods change nothing.
+"""
+
+import hashlib
+import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro import gallery
+from repro.codegen import generate_source
+from repro.dsl import ast as D
+from repro.dsl.parser import parse_description
+from repro.dsl.typecheck import check_description
+from repro.expr import ast as E
+from repro.plan import analyze, ir
+from repro.tools.padsc import main
+
+#: Modules a serial compile-and-parse run never touches.
+UNUSED = ["repro.parallel", "repro.execute", "repro.tools.accum",
+          "repro.plan.pprint", "repro.observe.exposition",
+          "multiprocessing", "concurrent.futures.process"]
+
+BUDGET = """
+import json, sys
+import repro, repro.stream
+from repro.codegen import compile_generated
+repro.compile_description(repro.gallery.SIRIUS)
+compile_generated(repro.gallery.SIRIUS)
+loaded = sorted(m for m in json.loads(sys.argv[1]) if m in sys.modules)
+listed = "parallel" in dir(repro)
+from repro import parallel
+from repro.observe import to_prometheus
+from repro.plan import format_plan
+print(json.dumps({"loaded": loaded, "listed": listed,
+                  "drive": callable(repro.parallel.drive),
+                  "same": parallel is sys.modules["repro.parallel"],
+                  "lazy": [callable(to_prometheus), callable(format_plan)],
+                  "all": "parallel" in repro.__all__}))
+"""
+
+
+def test_import_budget_in_a_fresh_process():
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", BUDGET, json.dumps(UNUSED)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    assert doc == {"loaded": [], "listed": True, "drive": True, "same": True,
+                   "lazy": [True, True], "all": True}
+
+
+def test_an_unknown_attribute_is_still_an_attribute_error():
+    with pytest.raises(AttributeError):
+        repro.no_such_module
+    with pytest.raises(AttributeError):
+        from repro import plan
+        plan.no_such_name
+
+
+# -- golden digests -------------------------------------------------------------
+
+TARGETS = [("clf", gallery.CLF, "ascii"), ("sirius", gallery.SIRIUS, "ascii"),
+           ("calldetail", gallery.CALL_DETAIL, "binary"),
+           ("netflow", gallery.NETFLOW, "binary"),
+           ("regulus", gallery.REGULUS, "ascii")]
+
+#: sha256 of ``repr(parse_description(text, "<name>.pads"))``.
+AST_SHA = {
+    "clf": "cf1bff591e84a2f9efdd484a5052cc17ee99ce3956fcea752f2edb768e23aa1f",
+    "sirius": "81f82e6bf6106ace54ab7a086e8c0879e82578c6403c825f59e44f9de641b0bc",
+    "calldetail": "62731bc17ac88b91ea9ef4f95869d98a76f45a979670b06528fd407a54512253",
+    "netflow": "5406b7c67ce0dd4afeb1e8fed48ed4b417f1c1b38609ac7611ecb12fb0333620",
+    "regulus": "751c755dee619a44058cdc1294162a2fe0c09f718fc985970f5a04c02d8deb8a",
+}
+
+#: sha256 of ``repr(list(analyze(desc, ambient).decls.values()))``.  The
+#: regex fast functions need atomic groups (Python 3.11+), so on 3.10 the
+#: three text formats analyze to other verdicts and other digests.
+PLAN_SHA = {
+    "clf": "ab7e4209bfc0b7977f5b4ce0ff89d8df26864a82f588606e3e6bb825a268b627",
+    "sirius": "4c488ee54d93abda0826c59ad5cd3ecbe3415a53cb2d7e0aedf0858b36228a92",
+    "calldetail": "baf8d75432f826a9279601cd37ee8ec907b2dfec3bae99c681ab7b2007a7b52f",
+    "netflow": "d092ecde6c6b496d72a5c787a46157139edffbb4a23b8f2e0fc400dd4ac71fec",
+    "regulus": "05a452c2ddc5495b7ed8e55a1508b5a465a221a558f34f1975e54727cb2ee7d2",
+}
+if sys.version_info < (3, 11):
+    PLAN_SHA.update({
+        "clf": "2d601bf8b6c4a2a18bcd040ff971d6b8da75a14d8436aa4550942f3d7230ada4",
+        "sirius": "07d4e54833c295e2f2aa48cbc02754b5729a5bff581b8fe0bf483d810764e6ee",
+        "regulus": "862502d9b3eca736a82b4f7cee28d621eb7f679c3b53972aa3286de60d8c5639",
+    })
+
+#: sha256 of ``padsc compile <name>.pads --ambient <ambient>``'s output.
+COMPILE_SHA = {
+    "clf": "688302164afc1269d5e8430d9249e2460d6d38aa4375ede30336610a867af6b7",
+    "sirius": "dbb50263f6a386c9f5f1d08dd319d776afa6a3fcee4373bcfa76639ed6c3ac2a",
+    "calldetail": "d61babb10f08e2aab311911fd6576d317d2c3538569f977193b0aa5d9acde43f",
+    "netflow": "ccf56e2552c373ed1fce6d96b6c30b821ed5dbd3e3578ad6df346208eab7f75b",
+    "regulus": "50498a7c18c06970204cdbeb41b4f0218124bfb78c8c931b5f08122cb2bc482e",
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name,text,ambient", TARGETS,
+                         ids=[t[0] for t in TARGETS])
+def test_ast_and_plan_reprs_are_unchanged(name, text, ambient):
+    desc = parse_description(text, f"{name}.pads")
+    assert _sha(repr(desc)) == AST_SHA[name]
+    check_description(desc, ambient)
+    plan = analyze(desc, ambient)
+    assert _sha(repr(list(plan.decls.values()))) == PLAN_SHA[name]
+
+
+@pytest.mark.parametrize("name,text,ambient", TARGETS,
+                         ids=[t[0] for t in TARGETS])
+def test_padsc_compile_output_is_unchanged(name, text, ambient, tmp_path,
+                                           monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / f"{name}.pads").write_text(text, encoding="utf-8")
+    assert main(["compile", f"{name}.pads", "--ambient", ambient,
+                 "-o", "out.py"]) == 0
+    out = (tmp_path / "out.py").read_text(encoding="utf-8")
+    assert _sha(out) == COMPILE_SHA[name]
+
+
+def test_compile_runs_no_fastpath_pass(monkeypatch):
+    """``padsc compile`` lowers the plan without compiling the record
+    functions the module does not carry."""
+    def refuse(plan):
+        raise AssertionError("attach_fastpaths ran")
+    monkeypatch.setattr("repro.plan.passes.attach_fastpaths", refuse)
+    source = generate_source(gallery.SIRIUS, filename="sirius.pads")
+    assert _sha(source) == COMPILE_SHA["sirius"]
+
+
+# -- node behaviour ---------------------------------------------------------------
+
+def test_equal_nodes_compare_equal():
+    one = E.Binary("+", E.IntLit(1, line=2, col=3), E.Name("x"))
+    assert one == E.Binary("+", E.IntLit(1, line=2, col=3), E.Name("x"))
+    assert one != E.Binary("+", E.IntLit(1, line=2, col=4), E.Name("x"))
+    assert D.DataField("n", D.TypeRef("Puint8")) == \
+        D.DataField("n", D.TypeRef("Puint8"))
+    assert ir.Verdict(True, "ok") == ir.Verdict(True, "ok")
+    assert ir.Verdict(True, "ok") != ir.Verdict(False, "ok")
+    assert parse_description(gallery.SIRIUS) == \
+        parse_description(gallery.SIRIUS)
+
+
+def test_nodes_of_other_classes_differ_even_with_equal_fields():
+    assert E.StrLit("a") != E.CharLit("a")
+    assert E.Forall("i", E.IntLit(0), E.IntLit(1), E.Name("i")) != \
+        E.Exists("i", E.IntLit(0), E.IntLit(1), E.Name("i"))
+    assert ir.RegexUse("a") != ir.BaseUse("a", (), None, None)
+    assert E.IntLit(1).__eq__(E.FloatLit(1)) is NotImplemented
+    assert E.IntLit(1) != 1
+
+
+@pytest.mark.parametrize("node", [
+    E.IntLit(1), E.Block([]), D.TypeRef("Puint8"), D.LiteralSpec("eor"),
+    D.StructDecl("s"), D.Description(), ir.Verdict(True, "ok"),
+    ir.BaseUse("Puint8", (), None, None),
+    ir.StructPlan("s", [], True, False, None, D.StructDecl("s")),
+], ids=lambda n: type(n).__name__)
+def test_nodes_stay_unhashable(node):
+    with pytest.raises(TypeError):
+        hash(node)
+
+
+def test_repr_and_constructor_signatures():
+    assert repr(E.Binary("+", E.IntLit(1), E.Name("x", line=4))) == (
+        "Binary(line=0, col=0, op='+', "
+        "left=IntLit(line=0, col=0, value=1), "
+        "right=Name(line=4, col=0, ident='x'))")
+    assert repr(ir.Verdict(True, "ok")) == "Verdict(eligible=True, reason='ok')"
+    assert str(inspect.signature(E.IntLit)) == \
+        "(value: 'int', *, line: 'int' = 0, col: 'int' = 0) -> None"
+    assert str(inspect.signature(D.TypeRef)) == (
+        "(name: 'str', args: 'List[E.Expr]' = <factory>, *, "
+        "line: 'int' = 0, col: 'int' = 0) -> None")
+    with pytest.raises(TypeError):
+        E.IntLit(1, 2)

@@ -22,7 +22,7 @@ from .test_codegen import pd_summary
 import keyword as _kw
 
 from repro.dsl.lexer import KEYWORDS
-from repro.expr.eval import BUILTINS
+from repro.expr.runtime import BUILTINS
 
 _RESERVED = (KEYWORDS | set(BUILTINS) | {"elts", "length"}
              | set(_kw.kwlist) | set(_kw.softkwlist))

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.expr import ast as E
-from repro.expr.eval import BUILTINS, Env, EvalError, call_function, eval_expr
 from repro.expr.pycompile import compile_expr, compile_function
-from repro.expr.runtime import cdiv, cmod, member
+from repro.expr.runtime import BUILTINS, cdiv, cmod, member
 from repro.dsl.parser import parse_description
+
+from .reference_eval import Env, EvalError, call_function, eval_expr
 
 
 def parse_expr(text):

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dsl.parser import parse_description
-from repro.expr.eval import BUILTINS, Env, EvalError, call_function
 from repro.expr.pycompile import compile_function
-from repro.expr.runtime import cdiv, cmod, member
+from repro.expr.runtime import BUILTINS, cdiv, cmod, member
+
+from .reference_eval import Env, call_function
 
 FUNCTIONS = """
     int clamp(int x, int lo, int hi) {
