@@ -1,19 +1,24 @@
 #!/usr/bin/env python
-"""Batch engine: cursor vs columnar-kernel throughput on call-detail.
+"""Grid block step: the record loop with and without it on call-detail.
 
-The batch engine's acceptance bar is a measured one: on a plan-proven
-fixed-width gallery entry (the call-detail stream, 24-byte records) the
-grid driver must parse at least **5x** the records/second of the PR-5
-cursor engines.  This bench times both paths through both engines
-(interpreted and generated), plus the record-counting floor, and writes
-the results to ``BENCH_batch.json`` for ``check_plan_regression.py``
-to gate.
+The record loop (``repro.core.api._record_loop``) parses a record whose
+layout is provably static either one record at a time, through the
+record's fast function (its batch kernel over one record), or a block
+of buffered records at a time, through one batch-kernel call per block
+(the grid block step, ``Source.grid_frames``).  This bench times both
+sides of that one switch — the loop's ``grid`` argument — on the
+plan-proven fixed-width gallery entry (the call-detail stream, 24-byte
+records) and writes the ratio to ``BENCH_batch.json`` for
+``check_plan_regression.py`` to gate against its 5x bar.
 
 Methodology notes (they matter at these speeds):
 
 * every iteration drains through ``collections.deque(it, maxlen=0)`` —
-  a C-level sink, so the harness measures the engines, not a Python
+  a C-level sink, so the harness measures the loop, not a Python
   ``for`` loop;
+* both sides read the same in-memory bytes through a fresh Source, with
+  the same fast function, general parser and mask, so the grid is the
+  only difference;
 * one warm-up run per timer before measuring (the first kernel call
   pays ``struct.Struct`` compilation and code-object warm-up);
 * best of ``PADS_BENCH_REPEATS`` runs (default 7) — the minimum is the
@@ -31,16 +36,14 @@ import random
 import sys
 import time
 from collections import deque
+from functools import partial
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro import gallery  # noqa: E402
-from repro.batch import batch_verdict, count_records_batch  # noqa: E402
-from repro.codegen import compile_generated  # noqa: E402
-from repro.core.io import FixedWidthRecords  # noqa: E402
+from repro.core.api import _parsed_or, _record_loop  # noqa: E402
+from repro.core.masks import Mask, P_CheckAndSet  # noqa: E402
 from repro.tools.datagen import call_detail_workload  # noqa: E402
-
-WIDTH = 24
 
 
 def best_seconds(fn, repeats: int) -> float:
@@ -53,69 +56,53 @@ def best_seconds(fn, repeats: int) -> float:
     return best
 
 
-def drain(iterable) -> None:
-    deque(iterable, maxlen=0)
-
-
 def main() -> int:
     out_path = sys.argv[1] if len(sys.argv) > 1 else "BENCH_batch.json"
     n = int(os.environ.get("PADS_BENCH_RECORDS", "20000"))
     repeats = int(os.environ.get("PADS_BENCH_REPEATS", "7"))
     data = call_detail_workload(n, random.Random(13))
 
-    disc = FixedWidthRecords(WIDTH)
-    engines = {
-        "interp": gallery.load_call_detail(),
-        "gen": compile_generated(gallery.CALL_DETAIL, ambient="binary",
-                                 discipline=disc),
-    }
+    desc = gallery.load_call_detail()
+    grid = desc.grid("call_t")
+    assert isinstance(grid, tuple), grid.reason
+    node = desc.node("call_t")
+    mask = Mask(P_CheckAndSet)
+    body = partial(node.inner.parse, scope={})
+    default = partial(node.inner.default, {})
+
+    def loop(step):
+        fast = node.fast_fn if step is None else _parsed_or(node.fast_fn)
+        return _record_loop(desc.open(data), mask, fast, body, default,
+                            step)
+
+    record_s = best_seconds(lambda: deque(loop(None), maxlen=0), repeats)
+    grid_s = best_seconds(lambda: deque(loop(grid), maxlen=0), repeats)
 
     from conftest import machine_line
     doc = {"machine": machine_line(),
            "records": n, "bytes": len(data), "repeats": repeats,
-           "engines": {}}
-    for name, d in engines.items():
-        verdict = batch_verdict(d, "call_t")
-        assert verdict.eligible, verdict.reason
-        cursor_s = best_seconds(
-            lambda d=d: drain(d.records(data, "call_t")), repeats)
-        batch_s = best_seconds(
-            lambda d=d: drain(d.records_batch(data, "call_t")), repeats)
-        doc["engines"][name] = {
-            "cursor_seconds": round(cursor_s, 6),
-            "batch_seconds": round(batch_s, 6),
-            "cursor_records_per_sec": round(n / cursor_s, 1),
-            "batch_records_per_sec": round(n / batch_s, 1),
-            "speedup": round(cursor_s / batch_s, 3),
-        }
-
-    interp = engines["interp"]
-    count_cursor = best_seconds(
-        lambda: interp.count_records(data), repeats)
-    count_batch = best_seconds(
-        lambda: count_records_batch(interp, data), repeats)
-    doc["count"] = {
-        "cursor_seconds": round(count_cursor, 6),
-        "batch_seconds": round(count_batch, 6),
-        "speedup": round(count_cursor / count_batch, 1),
-    }
+           "engines": {"interp": {
+               "per_record_seconds": round(record_s, 6),
+               "grid_seconds": round(grid_s, 6),
+               "per_record_records_per_sec": round(n / record_s, 1),
+               "grid_records_per_sec": round(n / grid_s, 1),
+               "speedup": round(record_s / grid_s, 3),
+           }}}
 
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, indent=2, sort_keys=True)
 
+    e = doc["engines"]["interp"]
     print(f"call-detail, {n} records x {repeats} runs (best):")
-    for name, e in doc["engines"].items():
-        print(f"  {name:6s} cursor {e['cursor_records_per_sec']:>12,.0f} rec/s"
-              f"   batch {e['batch_records_per_sec']:>12,.0f} rec/s"
-              f"   -> {e['speedup']:.2f}x")
-    print(f"  count  {doc['count']['speedup']:.0f}x "
-          f"(arithmetic vs record framing)")
+    print(f"  per record {e['per_record_records_per_sec']:>12,.0f} rec/s"
+          f"   grid {e['grid_records_per_sec']:>12,.0f} rec/s"
+          f"   -> {e['speedup']:.2f}x")
     print(f"wrote {out_path}")
 
     # Sanity, not the gate (check_plan_regression.py owns the gate):
-    # both paths must agree on the record count.
-    total_b = sum(1 for _ in interp.records_batch(data, "call_t"))
-    assert total_b == n, (total_b, n)
+    # both sides must yield the same records.
+    got = [r for r, _ in loop(grid)]
+    assert len(got) == n and got == [r for r, _ in loop(None)]
     return 0
 
 

@@ -25,9 +25,11 @@ from typing import Dict, Iterator, Optional, Tuple, Union
 from .. import observe
 from ..dsl.parser import parse_description
 from ..dsl.typecheck import check_description
+from ..plan.ir import Verdict
 from .binding import BoundDescription, bind_description
 from .errors import ErrCode, PadsError, Pd
-from .io import NewlineRecords, NoRecords, RecordDiscipline, Source
+from .io import (FixedWidthRecords, NewlineRecords, NoRecords,
+                 RecordDiscipline, Source)
 from .limits import ParseLimits, fastpath_applies, record_guard
 from .masks import Mask, P_CheckAndSet
 from .types import ArrayNode, PType, RecordNode
@@ -35,7 +37,7 @@ from .types import ArrayNode, PType, RecordNode
 Data = Union[bytes, str, Source]
 
 
-def _record_loop(src: Source, mask: Mask, fast, body, default):
+def _record_loop(src: Source, mask: Mask, fast, body, default, grid=None):
     """The record loop.
 
     ``fast`` is the record's compiled fast function, already cleared by
@@ -44,11 +46,19 @@ def _record_loop(src: Source, mask: Mask, fast, body, default):
     ``default()`` the value a limit-refused record yields.  Records are
     framed a buffered block at a time (``Source.frames``); record
     numbering and the index sink stay inside the source.
+
+    ``grid`` is the pass's grid block step, ``(kernel, width, stride)``
+    (:meth:`CompiledDescription.grid`), or None: with it, each block of
+    grid-aligned buffered records is parsed by one kernel call
+    (``Source.grid_frames``), a record's payload may be the kernel's
+    rep, and ``fast`` must pass such a payload through (``_parsed_or``).
     """
     dosem = (mask.bits & 4) != 0
     do_syn = mask.bits & 2
     limits = src.limits
-    for payload in src.frames():
+    frames = src.frames() if grid is None \
+        else src.grid_frames(*grid, dosem)
+    for payload in frames:
         if limits is not None:
             pd = Pd()
             if not record_guard(src, pd):
@@ -71,6 +81,16 @@ def _record_loop(src: Source, mask: Mask, fast, body, default):
         if limits is not None:
             src.note_errors(pd.nerr)
         yield rep, pd
+
+
+def _parsed_or(fast):
+    """``fast`` for a grid pass: a payload the kernel already parsed is
+    its rep (so the metered pass counts it as a hit); record bytes still
+    go through ``fast``."""
+    def step(payload, dosem):
+        return fast(payload, dosem) if payload.__class__ is bytes \
+            else payload
+    return step
 
 
 def _counting(fast, metrics, type_name: str):
@@ -201,26 +221,31 @@ class CompiledDescription:
         (:func:`~repro.core.limits.fastpath_applies`); a non-``Precord``
         type has none, and neither has a traced pass, since the fast
         function would skip the per-field trace events the general parse
-        emits.
+        emits.  So is the grid block step (:meth:`grid`), right next to
+        it.
         """
         src = self.open(data)
         use_mask = mask or Mask(P_CheckAndSet)
         node = body = self.node(type_name)
-        fast = None
+        fast = grid = None
         if isinstance(node, RecordNode):
             body = node.inner
             if (fastpath_applies(use_mask, src.limits)
                     and observe.current_tracer() is None):
                 fast = node.fast_fn
+                step = self.grid(type_name, use_mask, src.limits,
+                                 src.discipline)
+                if not isinstance(step, Verdict):
+                    grid, fast = step, _parsed_or(fast)
         parse, default = partial(body.parse, scope={}), partial(body.default, {})
         # One global load decides between the plain loop and the metered
         # one, keeping the disabled path free of per-record bookkeeping.
         obs = observe.CURRENT
         if obs is None:
-            pairs = _record_loop(src, use_mask, fast, parse, default)
+            pairs = _record_loop(src, use_mask, fast, parse, default, grid)
         else:
             pairs = self._metered(src, use_mask, fast, parse, default,
-                                  obs, type_name)
+                                  obs, type_name, grid)
         if use_mask.sets_all:
             yield from pairs
             return
@@ -230,11 +255,12 @@ class CompiledDescription:
             yield node.unset(rep, use_mask, {}), pd
 
     @staticmethod
-    def _metered(src, mask, fast, body, default, obs, type_name: str):
+    def _metered(src, mask, fast, body, default, obs, type_name: str,
+                 grid=None):
         if fast is not None:
             fast = _counting(fast, obs.metrics, type_name)
         start, t0 = src.pos, perf_counter()
-        for rep, pd in _record_loop(src, mask, fast, body, default):
+        for rep, pd in _record_loop(src, mask, fast, body, default, grid):
             obs.record_parsed(type_name, pd, src.pos - start,
                               perf_counter() - t0, start=start,
                               record=src.record_idx)
@@ -243,8 +269,9 @@ class CompiledDescription:
 
     def count_records(self, data: Data) -> int:
         """Count records using only the record discipline (no field
-        parsing) — the analogue of the paper's record-counting program."""
-        return sum(1 for _ in self.open(data).boundaries())
+        parsing) — the analogue of the paper's record-counting program
+        (``Source.count_rest``: arithmetic where the discipline allows)."""
+        return self.open(data).count_rest()
 
     def records_stream(self, data, type_name: str,
                        mask: Optional[Mask] = None, **opts):
@@ -255,14 +282,11 @@ class CompiledDescription:
         from ..stream import records_stream
         return records_stream(self, data, type_name, mask, **opts)
 
-    def records_batch(self, data, type_name: str,
-                      mask: Optional[Mask] = None, *,
-                      strict: bool = False):
-        """Vectorized record stream (:mod:`repro.batch`): eligible input
-        parses grid-at-a-time through a columnar kernel, the rest falls
-        back to the cursor (same results)."""
-        from ..batch import records_batch
-        return records_batch(self, data, type_name, mask, strict=strict)
+    def records_batch(self, data: Data, type_name: str,
+                      mask: Optional[Mask] = None):
+        """An alias of :meth:`records`, whose loop already parses
+        grid-aligned records a block at a time (:meth:`grid`)."""
+        return self.records(data, type_name, mask)
 
     def array_elements(self, data: Data, type_name: str,
                        mask: Optional[Mask] = None):
@@ -288,6 +312,44 @@ class CompiledDescription:
         if fn is None:
             return None
         return dp.width, fn
+
+    def grid(self, type_name: str, mask: Optional[Mask] = None,
+             limits: Optional[ParseLimits] = None,
+             discipline: Optional[RecordDiscipline] = None):
+        """The record loop's grid block step for a pass over
+        ``type_name`` under ``mask`` and ``limits``: ``(kernel, width,
+        stride)`` when the pass parses its ``width``-byte records a
+        block at a time, at ``stride``-byte pitch under ``discipline``
+        (default: the description's); otherwise a :class:`Verdict`
+        saying why every record takes its own step.  :meth:`records`
+        decides with it once per pass; the execution planner quotes it.
+        """
+        if limits is not None:
+            return Verdict(False, "parse limits attached (budgets are "
+                                  "accounted per record)")
+        if observe.current_tracer() is not None:
+            return Verdict(False, "active tracer (the event stream needs "
+                                  "the per-record parse)")
+        if not fastpath_applies(mask or Mask(P_CheckAndSet), None):
+            return Verdict(False, "non-uniform or non-materialising mask")
+        info = self.batch_kernel(type_name)
+        if info is None:
+            dp = self.plan.decls.get(type_name)
+            if dp is not None and not dp.batch_verdict.eligible:
+                return dp.batch_verdict
+            return Verdict(False, "batch kernels disabled (fastpath=False)"
+                           if dp is not None
+                           else f"no batch kernel for {type_name!r}")
+        width, kernel = info
+        disc = discipline or self.discipline
+        stride = disc.pitch(width)
+        if stride is None:
+            if isinstance(disc, FixedWidthRecords):
+                return Verdict(False, f"static record width {width} != "
+                                      f"fixed-width discipline {disc.width}")
+            return Verdict(False, f"{type(disc).__name__} records have no "
+                                  "constant pitch")
+        return kernel, width, stride
 
     # -- writing -------------------------------------------------------------------
 

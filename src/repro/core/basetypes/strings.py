@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import random
 import re
-import string as _stringmod
 
-from ...util.regexgen import RegexSampleError, sample_regex
 from ..errors import ErrCode
 from ..io import Source
 from .base import (
@@ -30,7 +28,9 @@ from .base import (
     register_base_type,
 )
 
-_GEN_CHARS = _stringmod.ascii_letters + _stringmod.digits + "._-/"
+# ``string.ascii_letters + string.digits + "._-/"``, spelled out so
+# parsing never loads ``string``.
+_GEN_CHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-/"
 
 
 def _term_byte(term, encoding: str = "latin-1") -> bytes:
@@ -188,6 +188,8 @@ class RegexMatchString(BaseType):
         return ""
 
     def generate(self, rng: random.Random):
+        # The sampler loads on first use: parsing never needs it.
+        from ...util.regexgen import RegexSampleError, sample_regex
         try:
             return sample_regex(self.pattern, rng)
         except RegexSampleError:

@@ -41,7 +41,6 @@ the underlying bytes, matching the paper's byte-oriented C runtime.
 
 from __future__ import annotations
 
-import io as _stdio
 import os
 from time import monotonic, sleep
 from typing import BinaryIO, Iterator, List, Optional, Tuple
@@ -84,8 +83,8 @@ class RecordDiscipline:
     starts — or ``None`` when no complete record begins at ``pos`` (at end
     of input).  Implementations may call ``src._ensure``/``src._find`` to
     pull more data from the underlying stream.  ``bounds`` is the one
-    definition of a record; ``frame_block`` is a bulk shortcut that must
-    agree with it.
+    definition of a record; ``frame_block``, ``grid`` and ``count`` are
+    bulk shortcuts that must agree with it.
     """
 
     name = "none"
@@ -110,6 +109,28 @@ class RecordDiscipline:
         may be framed here.
         """
         return None
+
+    def pitch(self, width: int) -> Optional[int]:
+        """The constant distance between record starts when every
+        record's payload is ``width`` bytes, or None when the discipline
+        gives records no constant pitch (then the record loop has no
+        grid block step)."""
+        return None
+
+    def grid(self, src: "Source", pos: int, width: int, stride: int) -> int:
+        """How many records at ``pos`` are already buffered (at most
+        ``_CHUNK`` bytes, never refilling) and laid out as a grid: each
+        ``width`` payload bytes at ``stride`` pitch, framed exactly as
+        ``bounds`` would frame them.  0 when the record at ``pos`` is
+        not (torn, short, or not yet buffered).  Only disciplines with a
+        ``pitch`` implement it."""
+        return 0
+
+    #: ``count(src)``: how many records are left at ``src``'s cursor,
+    #: by arithmetic over the rest of the input (which it consumes), for
+    #: disciplines whose records a count need not frame one by one;
+    #: None for the rest (``Source.count_rest`` then frames them).
+    count = None
 
     def align(self, handle: BinaryIO, offset: int, size: int,
               origin: int = 0) -> Optional[int]:
@@ -197,6 +218,44 @@ class NewlineRecords(RecordDiscipline):
             return None
         return _newline_frames(bytes(buf[lo:cut]).split(b"\n"), pos)
 
+    def pitch(self, width: int) -> Optional[int]:
+        return width + 1
+
+    def grid(self, src: "Source", pos: int, width: int, stride: int) -> int:
+        # A record frames at ``width`` when its newline sits right after
+        # ``width`` payload bytes that hold no newline and do not end in
+        # the ``\r`` that ``bounds`` would strip.
+        buf = src._buf
+        lo = pos - src._base
+        n = min(len(buf) - lo, _CHUNK) // stride
+        if (not n or buf.find(b"\n", lo, lo + stride) != lo + width
+                or buf[lo + width - 1] == 0x0D):
+            return 0
+        hi = lo + n * stride
+        # The whole block at once: a newline at every pitch and no other
+        # newline or stripped ``\r``.
+        if (buf[lo + width:hi:stride] == b"\n" * n
+                and buf.count(b"\n", lo, hi) == n
+                and 0x0D not in buf[lo + width - 1:hi:stride]):
+            return n
+        # Torn somewhere: the aligned prefix.
+        k, cur = 1, lo + stride
+        while k < n:
+            nxt = buf.find(b"\n", cur, hi)
+            if nxt != cur + width or buf[nxt - 1] == 0x0D:
+                break
+            cur = nxt + 1
+            k += 1
+        return k
+
+    def count(self, src: "Source") -> int:
+        n, last = 0, 0x0A
+        for buf, lo, hi in src._rest():
+            if hi > lo:
+                n += buf.count(b"\n", lo, hi)
+                last = buf[hi - 1]
+        return n + (last != 0x0A)  # an unterminated final record
+
     def trailer(self, content: bytes) -> bytes:
         return b"\n"
 
@@ -252,6 +311,17 @@ class FixedWidthRecords(RecordDiscipline):
         data = bytes(src._buf[lo:lo + size])
         return ((pos + i, pos + i + w, pos + i + w, data[i:i + w])
                 for i in range(0, size, w))
+
+    def pitch(self, width: int) -> Optional[int]:
+        return width if width == self.width else None
+
+    def grid(self, src: "Source", pos: int, width: int, stride: int) -> int:
+        # Whole records only: a short final record is left to ``bounds``.
+        return min(len(src._buf) - (pos - src._base), _CHUNK) // stride
+
+    def count(self, src: "Source") -> int:
+        # A short final record is still a record.
+        return -(-sum(hi - lo for _buf, lo, hi in src._rest()) // self.width)
 
 
 class LengthPrefixedRecords(RecordDiscipline):
@@ -771,12 +841,92 @@ class Source:
                 if self.pos != nxt:
                     break
 
+    def grid_frames(self, kernel, width: int, stride: int,
+                    dosem: bool) -> Iterator[object]:
+        """``frames`` with a grid block step, for a record whose batch
+        ``kernel`` parses ``width``-byte payloads at ``stride`` pitch.
+
+        Each block of records already buffered at the cursor that the
+        discipline lays out as a grid (``discipline.grid``) is parsed by
+        one kernel call; its records are then opened in turn, each with
+        the kernel's rep as payload, or None where the kernel missed.
+        Any record no block takes (torn, short, or the first one past the
+        buffered bytes, whose step refills) is opened by one
+        ``begin_record`` step, payload None.  The state at each yield is
+        exactly what ``frames`` leaves.  Under an observer the
+        ``batch.*`` counters say which records the grid took
+        (``records``) and which it did not (``fallback_records``).
+        """
+        discipline = self.discipline
+        while True:
+            self._trim()
+            pos = self.pos
+            k = 0 if self.in_record else discipline.grid(self, pos, width,
+                                                         stride)
+            if not k:
+                if not self.begin_record():
+                    return
+                observe.count("batch.fallback_records")
+                yield None
+                continue
+            lo = pos - self._base
+            reps, _miss = kernel(self._buf[lo:lo + k * stride], k, stride,
+                                 dosem)
+            meter = observe.CURRENT is not None
+            if meter:
+                observe.count("batch.batches")
+                observe.count("batch.bytes", n=k * stride)
+            for rep in reps:
+                nxt = pos + stride
+                self.rec_start = self.pos = pos
+                self.rec_end = pos + width
+                self.rec_next = nxt
+                self.in_record = True
+                self.record_idx += 1
+                if meter:
+                    # Per record, so a checkpoint taken mid-block holds
+                    # exactly the records before it.
+                    observe.count("batch.records" if rep is not None
+                                  else "batch.fallback_records")
+                yield rep
+                if self.pos != nxt:
+                    break
+                pos = nxt
+
     def boundaries(self) -> Iterator[None]:
         """Seal every remaining record without parsing it, yielding after
-        each — the record-counting floor, index builds and seeks."""
+        each — index builds, seeks and checkpointed counts."""
         for _ in self.frames():
             self.end_record()
             yield
+
+    def count_rest(self) -> int:
+        """Seal every remaining record without parsing it and return how
+        many there were — the record-counting floor.  A discipline with
+        a ``count`` counts by arithmetic, unless something watches each
+        boundary (an index sink, limits, an open record or checkpoint);
+        otherwise every record is framed (``boundaries``)."""
+        count = self.discipline.count
+        if (count is None or self.index_sink is not None
+                or self.limits is not None or self.in_record
+                or self._checkpoints):
+            return sum(1 for _ in self.boundaries())
+        n = count(self)
+        self.record_idx += n
+        self.rec_start = self.rec_end = self.rec_next = self.pos
+        return n
+
+    def _rest(self) -> Iterator[Tuple[bytearray, int, int]]:
+        """Consume the rest of the input one buffered span at a time:
+        yields ``(buffer, lo, hi)`` with the unread bytes at
+        ``buffer[lo:hi]``, then retires them and refills."""
+        while True:
+            yield self._buf, self.pos - self._base, len(self._buf)
+            self._base = self.pos = self._end()
+            del self._buf[:]
+            self._fill(self.pos + self._readahead)
+            if self._end() == self.pos:
+                return
 
     def skip_to_eor(self) -> int:
         """Panic recovery: jump to end-of-record.  Returns bytes skipped."""

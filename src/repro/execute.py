@@ -23,7 +23,7 @@ Ops (one fold each):
 * ``"count"`` — ``Result.count`` (record discipline only, no fields).
 
 Drivers (:data:`DRIVERS`, one per mode): the in-process driver
-(``serial``, ``stream``, ``batch``) feeds the fold the engine's pair
+(``serial``, ``stream``) feeds the fold the record loop's pair
 iterator; :func:`repro.parallel.drive` (``parallel``,
 ``parallel-stream``) folds record-aligned windows on a worker pool and
 merges the partial results in input order; :func:`repro.durable.drive`
@@ -35,11 +35,13 @@ any readable binary object (a pipe, ``sys.stdin.buffer``), or an open
 :class:`~repro.core.io.Source` (read in place by the cursor).
 
 :func:`choose_engine` is the only place an execution mode is chosen.
-It composes the engines' own predicates —
-:func:`repro.batch.batch_gate` and :func:`repro.parallel.split_gate` —
-and every invalid flag combination raises :class:`PadsError` from here.
-The decision table is in ``docs/ARCHITECTURE.md``.  Engines import
-lazily, so ``import repro.execute`` never loads ``durable`` or ``serve``.
+It composes :func:`repro.parallel.split_gate`, and every invalid flag
+combination raises :class:`PadsError` from here.  Every mode runs the
+one record loop, whose grid block step is decided per pass
+(:meth:`~repro.core.api.CompiledDescription.grid`); the mode's reason
+quotes that decision.  The decision table is in
+``docs/ARCHITECTURE.md``.  Engines import lazily, so ``import
+repro.execute`` never loads ``durable`` or ``serve``.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ from .tools.accum import (DEFAULT_TRACKED, Accumulator, header_accumulator,
                           record_accumulator)
 
 __all__ = ["ExecOptions", "Choice", "Result", "Fold", "OPS", "DRIVERS",
-           "choose_engine", "run", "open_input", "fold_cursor"]
+           "choose_engine", "step_reason", "run", "open_input",
+           "fold_cursor"]
 
 OPS = ("records", "accum", "tally", "count")
 
@@ -67,7 +70,7 @@ class ExecOptions:
     ``follow`` is None (read to EOF), negative (tail forever) or the
     idle seconds after which a tail stops.  ``checkpoint`` is None (no
     checkpoints), a positive record interval, or any other int for the
-    default interval.  ``engine`` is ``auto``, ``batch`` or ``cursor``.
+    default interval.
     """
 
     jobs: int = 1
@@ -75,7 +78,6 @@ class ExecOptions:
     follow: Optional[float] = None
     checkpoint: Optional[int] = None
     resume: bool = False
-    engine: str = "auto"
 
     def __post_init__(self):
         if self.jobs < 1:
@@ -83,15 +85,12 @@ class ExecOptions:
         if self.window is not None and self.window < 1:
             raise PadsError(f"--window {self.window} makes no sense; use a "
                             "positive byte count")
-        if self.engine not in ("auto", "batch", "cursor"):
-            raise PadsError(f"unknown engine {self.engine!r} (expected "
-                            "auto, batch or cursor)")
 
 
 class Choice(NamedTuple):
     """The mode :func:`choose_engine` picked — one of ``serial``,
-    ``stream``, ``batch``, ``parallel``, ``parallel-stream``,
-    ``durable`` — and why."""
+    ``stream``, ``parallel``, ``parallel-stream``, ``durable`` — and
+    why, including whether the record loop's grid block step runs."""
 
     mode: str
     reason: str
@@ -252,6 +251,27 @@ def _kind(data) -> str:
     return "stream"
 
 
+def step_reason(desc, op: str, record_type: Optional[str] = None) -> str:
+    """How the record loop takes each record of ``op``: counted by
+    arithmetic or framed one by one (``count``), or parsed a grid block
+    at a time or one record at a time (the rest), and why — the
+    decision :meth:`~repro.core.api.CompiledDescription.grid` makes for
+    the pass, in words."""
+    disc = desc.discipline
+    limits = getattr(desc, "limits", None)
+    if op == "count":
+        if disc.count is None:
+            return f"{type(disc).__name__}: counted record by record"
+        if limits is not None:
+            return "counted record by record: parse limits attached"
+        return f"{type(disc).__name__}: counted by arithmetic"
+    step = desc.grid(record_type, None, limits)
+    if isinstance(step, tuple):
+        _kernel, width, stride = step
+        return f"grid: {width}-byte columns at {stride}-byte pitch"
+    return f"per record: {step.reason}"
+
+
 def choose_engine(desc, data, op: str, record_type: Optional[str] = None,
                   options: ExecOptions = ExecOptions(), *,
                   header: Optional[str] = None) -> Choice:
@@ -260,12 +280,9 @@ def choose_engine(desc, data, op: str, record_type: Optional[str] = None,
     In order: ``checkpoint``/``resume`` → ``durable``; ``jobs > 1`` →
     ``parallel`` (file or in-memory input) or ``parallel-stream`` (a
     live stream), unless :func:`repro.parallel.split_gate` pins the run
-    to one core; then ``batch`` when :func:`repro.batch.batch_gate`
-    allows and nothing else needs the cursor (``engine='cursor'``,
-    ``follow``, an accum ``header``, an open Source); otherwise the
-    cursor, ``stream`` (sliding window) for streams and tails and
-    ``serial`` for the rest.  Invalid combinations raise
-    :class:`PadsError`.
+    to one core; otherwise ``stream`` (sliding window) for streams and
+    tails and ``serial`` for the rest.  The reason ends with
+    :func:`step_reason`.  Invalid combinations raise :class:`PadsError`.
     """
     if op not in OPS:
         raise PadsError(f"unknown op {op!r} (expected one of {OPS})")
@@ -273,6 +290,7 @@ def choose_engine(desc, data, op: str, record_type: Optional[str] = None,
     kind = _kind(data)
     follow = o.follow is not None
     header = header if op == "accum" else None
+    step = step_reason(desc, op, record_type)
     if o.checkpoint is not None or o.resume:
         if kind != "file":
             raise PadsError("--checkpoint/--resume need a seekable file, "
@@ -281,25 +299,16 @@ def choose_engine(desc, data, op: str, record_type: Optional[str] = None,
         if follow:
             raise PadsError("--follow tails an unbounded stream and cannot "
                             "be checkpointed; drop one of the two")
-        if o.engine == "batch":
-            raise PadsError("--engine batch has no mid-grid cursor to "
-                            "checkpoint; use --engine auto or cursor")
         if header is not None:
             raise PadsError("--header needs a serial prefix parse and "
                             "cannot be combined with --checkpoint/--resume")
-        return Choice("durable", "--resume: continue from the last valid "
-                      "checkpoint" if o.resume
-                      else "--checkpoint: atomic resume checkpoints")
-    if o.jobs > 1 and o.engine == "cursor":
-        raise PadsError("--engine cursor pins the serial cursor loop and "
-                        "cannot be combined with --jobs")
-    if o.jobs > 1 and o.engine == "batch":
-        # Without this, --jobs would win and the forced batch engine be
-        # silently ignored: every invalid combination is a diagnostic.
-        raise PadsError("--engine batch runs the in-process columnar "
-                        "kernels and cannot be combined with --jobs; drop "
-                        "one of the two")
-    pinned = None
+        if op == "count" and o.jobs <= 1:
+            step = "counted record by record: each boundary is checkpointed"
+        return Choice("durable", ("--resume: continue from the last valid "
+                                  "checkpoint" if o.resume
+                                  else "--checkpoint: atomic resume "
+                                  "checkpoints") + f"; {step}")
+    pinned = ""
     if o.jobs > 1:
         if follow:
             raise PadsError("--follow tails an unbounded stream and cannot "
@@ -314,32 +323,12 @@ def choose_engine(desc, data, op: str, record_type: Optional[str] = None,
             if kind == "stream":
                 return Choice("parallel-stream", f"--jobs {o.jobs}: chunks "
                               "pipelined into the pool as the stream "
-                              "delivers them")
+                              f"delivers them; {step}")
             return Choice("parallel", f"--jobs {o.jobs}: record-aligned "
-                          "chunks map-reduced over the pool")
-        pinned = f"--jobs {o.jobs} stays on one core: {why}"
-    if o.engine == "cursor":
-        reason = "--engine cursor"
-    else:
-        from .batch import batch_gate
-        gate = batch_gate(desc, None if op == "count" else record_type)
-        reason = pinned or (None if gate.eligible else gate.reason)
-        if reason is None and follow:
-            reason = "--follow tails an unbounded stream (cursor only)"
-        if reason is None and kind == "source":
-            reason = "an open Source has no grid feed (cursor only)"
-        if o.engine == "batch":
-            if reason is not None:
-                raise PadsError(f"--engine batch: {reason}")
-            if header is not None:
-                raise PadsError("--header needs a serial prefix parse; use "
-                                "--engine cursor")
-        elif reason is None and header is not None:
-            reason = "--header needs a serial prefix parse"
-        if reason is None:
-            return Choice("batch", gate.reason)
+                          f"chunks map-reduced over the pool; {step}")
+        pinned = f"--jobs {o.jobs} stays on one core: {why}; "
     return Choice("stream" if follow or kind == "stream" else "serial",
-                  reason)
+                  pinned + step)
 
 
 def open_input(desc, data, options: ExecOptions = ExecOptions()) -> Source:
@@ -387,21 +376,10 @@ def fold_cursor(desc, fold: Fold, src: Source, *, owned: bool,
 
 def _in_process(desc, data, fold: Fold, options: ExecOptions, mode: str,
                 header: Optional[str], on_record) -> tuple:
-    """The in-process driver (``serial``, ``stream``, ``batch``): open the
-    input, parse the header if there is one, and feed the fold the
-    engine's pair iterator (``count``: record boundaries, or the batch
-    engine's arithmetic).  Returns ``(state, header_acc)``."""
-    if mode == "batch":
-        from . import batch
-        state = fold.zero(desc)
-        if fold.op == "count":
-            state.records = batch.count_records_batch(desc, data, strict=True)
-            return state, None
-        pairs = batch.records_batch(desc, data, fold.record_type, fold.mask,
-                                    strict=True)
-        if fold.op == "records":
-            return pairs, None
-        return fold.feed(state, pairs, on_record), None
+    """The in-process modes (``serial``, ``stream``): open the input,
+    parse the header if there is one, and feed the fold the record
+    loop's pairs (``count``: ``Source.count_rest``).  Returns
+    ``(state, header_acc)``."""
     src = open_input(desc, data, options)
     header_acc = None if header is None else header_accumulator(
         desc, src, header, fold.tracked)
@@ -429,8 +407,8 @@ def _durable(desc, data, fold: Fold, options: ExecOptions, mode: str,
 #: Mode -> driver.  ``on_record`` reaches only the in-process driver:
 #: the map-reduce and checkpointed modes fold in their own loops.
 DRIVERS = {"serial": _in_process, "stream": _in_process,
-           "batch": _in_process, "parallel": _parallel,
-           "parallel-stream": _parallel, "durable": _durable}
+           "parallel": _parallel, "parallel-stream": _parallel,
+           "durable": _durable}
 
 
 def run(desc, data, op: str, record_type: Optional[str] = None,
@@ -443,7 +421,7 @@ def run(desc, data, op: str, record_type: Optional[str] = None,
     records; ``tracked`` bounds the distinct values each accumulator
     keeps; ``summaries`` attaches streaming histograms/quantiles.
     ``on_record(pd, tally)`` runs after every record an in-process
-    accum folds (serial, stream, batch); raising from it ends the run
+    accum folds (serial, stream); raising from it ends the run
     there.  Map-reduce and checkpointed modes fold in their own workers.
     """
     mode, reason = choose_engine(desc, data, op, record_type, options,

@@ -200,16 +200,6 @@ class ParseObserver:
                 "bytes_buffered": self.metrics.value("stream.bytes_buffered"),
                 "high_water": self.metrics.value("stream.high_water"),
             },
-            # Vectorized batch engine (repro.batch).  ``records`` counts
-            # records the columnar kernels parsed clean;
-            # ``fallback_records`` the ones re-parsed by the cursor
-            # engine (failed constraints, torn grids).
-            "batch": {
-                "records": self.metrics.value("batch.records"),
-                "batches": self.metrics.value("batch.batches"),
-                "fallback_records": self.metrics.value("batch.fallback_records"),
-                "bytes": self.metrics.value("batch.bytes"),
-            },
             # Durable runs (repro.durable).  Rejections are the load-
             # bearing numbers: a stale/torn index or checkpoint must show
             # up here rather than skew a result.
@@ -224,15 +214,27 @@ class ParseObserver:
             },
         }
         if not deterministic:
-            # Record fast-function outcomes per type: an execution
-            # decision, not a parse result (the batch engine and the
-            # reference build never consult it), so it stays out of the
-            # deterministic projection the differential tests compare.
+            # Record fast-function outcomes per type and the record
+            # loop's grid block step (``Source.grid_frames``): execution
+            # decisions, not parse results (the reference build never
+            # consults them, and grid blocks follow buffering, so window,
+            # chunk and resume points move them), so they stay out of
+            # the deterministic projection the differential tests
+            # compare.  ``batch.records`` counts records a batch kernel
+            # parsed clean a block at a time; ``fallback_records`` the
+            # ones each taking their own step (kernel misses, torn or
+            # short records, the first record past the buffered bytes).
             hits = snap.get("fastpath.hit", {})
             misses = snap.get("fastpath.miss", {})
             doc["fastpath"] = {t: {"hit": hits.get(t, 0),
                                    "miss": misses.get(t, 0)}
                                for t in sorted(set(hits) | set(misses))}
+            doc["batch"] = {
+                "records": self.metrics.value("batch.records"),
+                "batches": self.metrics.value("batch.batches"),
+                "fallback_records": self.metrics.value("batch.fallback_records"),
+                "bytes": self.metrics.value("batch.bytes"),
+            }
             wall = self.elapsed()
             doc["throughput"] = {
                 "wall_seconds": wall,

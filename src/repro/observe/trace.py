@@ -17,10 +17,19 @@ multi-gigabyte inputs.
 
 from __future__ import annotations
 
-import json
 from typing import IO, List, NamedTuple, Optional
 
 __all__ = ["TraceEvent", "Tracer"]
+
+
+def _dumps(obj, **kwargs) -> str:
+    """``json.dumps``.  Only trace output needs ``json``, so it loads
+    with the first event written and this function then rebinds itself
+    to ``json.dumps``."""
+    global _dumps
+    from json import dumps
+    _dumps = dumps
+    return dumps(obj, **kwargs)
 
 
 class TraceEvent(NamedTuple):
@@ -36,7 +45,7 @@ class TraceEvent(NamedTuple):
     err_code: str      # first error code name ("" when clean)
 
     def to_json(self) -> str:
-        return json.dumps({
+        return _dumps({
             "kind": self.kind, "path": self.path, "type": self.type_name,
             "start": self.start, "end": self.end, "record": self.record,
             "outcome": self.outcome, "err": self.err_code,

@@ -15,7 +15,7 @@ runs any :class:`~repro.execute.Fold` on a process pool:
 2. **Map** — one map function, :func:`_fold_window`: each worker
    compiles the description once (or, under ``fork``, inherits the
    parent's already-compiled description) and folds its window through
-   the batch engine or the ordinary cursor.
+   the record loop, grid block step included, as a serial pass does.
 3. **Reduce** — one ordered loop, :func:`_reduce`: each partial result
    is rebased past the records before it and merged in window order
    (``records`` parts are emitted in order instead).
@@ -337,10 +337,8 @@ def _open_window(window: tuple, discipline: RecordDiscipline,
 
 
 def _fold_window(task) -> tuple:
-    """Fold one record-aligned window: the batch engine when the window
-    is grid-eligible (:func:`repro.batch.window_records` /
-    :func:`~repro.batch.window_count`), the cursor otherwise.  Returns
-    ``(part, metrics registry or None)``."""
+    """Fold one record-aligned window through the record loop over a
+    windowed Source.  Returns ``(part, metrics registry or None)``."""
     spec, window, fold, meter = task
     if _WORKER_FAULT is not None:
         _WORKER_FAULT(task)
@@ -353,19 +351,8 @@ def _fold_window(task) -> tuple:
 
 
 def _fold_one(desc, window: tuple, fold: Fold, limits) -> object:
-    from .batch import window_count, window_records
-    state = fold.zero(desc)
-    if fold.op == "count":
-        n = window_count(desc, window)
-        if n is not None:
-            state.records = n
-            return state
-    else:
-        pairs = window_records(desc, window, fold.record_type, fold.mask)
-        if pairs is not None:
-            return fold.feed(state, pairs)
     with _open_window(window, desc.discipline, limits) as src:
-        return fold.over(desc, src, state)
+        return fold.over(desc, src, fold.zero(desc))
 
 
 def _seed(description, spec: DescSpec) -> None:

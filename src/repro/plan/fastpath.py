@@ -10,9 +10,9 @@ exactly that for the overwhelmingly common case — a uniform mask over a
   a grid of records at a constant pitch — one ``struct`` unpack of the
   fixed columns, strided literal compares, and per-record conversions.
   This is the Cobol/binary layout case (the paper's ``Pb_`` and
-  ``Pebc_``/``Pbcd_`` families).  The batch engine runs the kernel over
-  whole grids, and the record fast function is the same kernel over one
-  record (:func:`compile_fast`).
+  ``Pebc_``/``Pbcd_`` families).  The record loop's grid block step runs
+  the kernel over a buffered block of records, and the record fast
+  function is the same kernel over one record (:func:`compile_fast`).
 * **Anchored regex** (:class:`FastPath`): otherwise the record grammar
   is compiled into a single anchored regular expression (Python 3.11
   atomic groups ``(?>...)`` emulate the parser's maximal-munch /
@@ -752,8 +752,8 @@ class BatchPath:
 
     Contract (mirrors the record fast path, per *record* rather than per
     call): slot ``i`` of the returned list is either the rep the general
-    parser would produce with a clean pd, or ``None`` — the batch driver
-    re-parses ``None`` slots individually with the cursor engine, so
+    parser would produce with a clean pd, or ``None`` — the record loop
+    re-parses ``None`` slots individually with the general parser, so
     error accounting stays byte-identical to reference.
     """
 
@@ -833,7 +833,7 @@ class BatchPath:
                                f"if _col[_j] != {byte})")
         out.append("    _reps = []")
         out.append("    _ap = _reps.append")
-        # _miss counts None slots so the driver's clean-window test costs
+        # _miss counts None slots so the caller's clean-block test costs
         # nothing (scanning the rep list for None would call each rep's
         # __eq__).  Bumped only on the failure paths.
         out.append("    _miss = 0")

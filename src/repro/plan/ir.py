@@ -196,7 +196,7 @@ class DeclPlan(Fieldwise):
     #: The record writer compiled beside ``fast_fn`` (``_fw_<name>``);
     #: None when some member has no compiled writer.
     write_fn: Optional[Tuple[str, List[str]]] = None
-    #: Batch-engine eligibility (columnar kernel over whole record grids);
+    #: Batch-kernel eligibility (columnar kernel over whole record grids);
     #: stricter than ``verdict`` — requires a fully static record width.
     batch_verdict: Verdict = field(
         default_factory=lambda: Verdict(False, "not analyzed"))

@@ -6,10 +6,10 @@ Two passes run after lowering, in order:
   declaration and type use with its byte width when the physical form
   is provably fixed (binary words, packed/zoned decimals, fixed-width
   strings and integers, structs/arrays/enums built only from those).
-* :func:`attach_fastpaths` — record the batch-engine and fastpath
+* :func:`attach_fastpaths` — record the batch-kernel and fastpath
   verdicts (with their reasons) for every declaration, and compile the
   batch kernel, fast function and writer of eligible ``Precord``
-  structs.  The binder, the batch engine and ``padsc plan`` read the
+  structs.  The binder, the record loop and ``padsc plan`` read the
   verdicts instead of re-deriving eligibility structurally.
 """
 
@@ -141,14 +141,15 @@ def _decl_width(plan: Plan, dp) -> Optional[int]:
 
 
 def attach_fastpaths(plan: Plan) -> None:
-    """Record the batch-engine and fastpath verdicts of every
+    """Record the batch-kernel and fastpath verdicts of every
     declaration, each with its reason, and compile the eligible records.
 
     The batch verdict comes first and is the stricter one: the whole
     record layout must be provably static (fixed columns at fixed
-    offsets), because the batch engine strides a ``memoryview`` across
-    thousands of records at a constant pitch.  Its geometry fit against
-    the record discipline is decided at run time by :mod:`repro.batch`.
+    offsets), because the record loop's grid block step unpacks a block
+    of records at a constant pitch in one call.  Its geometry fit
+    against the record discipline is decided per pass at run time
+    (:meth:`~repro.core.api.CompiledDescription.grid`).
     A record with a kernel gets that kernel over one record as its fast
     function; any other record is tried on the anchored-regex compiler.
     """

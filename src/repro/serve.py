@@ -17,8 +17,8 @@ composition of existing library pieces:
   so one cached description serves every budget; a limit hit fails the
   request with a structured 4xx/5xx body, it never takes the server down;
 * **execution** — every request runs through :func:`repro.execute.run`,
-  whose planner picks the engine — batch for eligible descriptions,
-  the cursor otherwise — and whose decision each reply reports; large
+  whose planner picks the mode and says whether the record loop parses
+  the payload a grid block at a time; each reply reports both; large
   accum/count payloads get ``jobs`` and so the self-healing parallel
   pool (:mod:`repro.parallel`), which persists across requests.  A
   parse runs on the event loop itself only when its work is bounded (a

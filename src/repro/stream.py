@@ -36,7 +36,6 @@ Memory model, window sizing and the follow discipline are documented in
 from __future__ import annotations
 
 import os
-import pathlib as _pathlib
 from typing import Iterator, Optional, Tuple
 
 from .core.errors import PadsError, Pd
@@ -124,26 +123,10 @@ def records_stream(description, data, type_name: str, mask=None, *,
     O(window) memory.  The source is closed when the iterator is
     exhausted or dropped.
 
-    Batch-eligible descriptions (:mod:`repro.batch`) hand the feed to
-    the grid driver instead, record-aligned chunk by chunk — still
-    bounded memory, but without the sliding-window bookkeeping (so the
-    ``stream.*`` metrics stay at zero on that path).  ``follow=True``
-    and already-open :class:`StreamSource` inputs always take the
-    cursor path.
+    Records with a batch kernel take the record loop's grid block step
+    over each refill, as every other pass does.
     """
     builder, index_path = _index_sink_for(data, follow, index)
-    if (builder is None and not follow and not isinstance(data, StreamSource)
-            and not isinstance(data, (bytes, bytearray))):
-        from .batch import BATCH_BYTES, batch_gate, records_batch
-        if batch_gate(description, type_name, mask).eligible:
-            # A str names a *path* here (open_stream semantics), while
-            # the batch feeder would read it as literal data.
-            feed = _pathlib.Path(data) if isinstance(data, str) else data
-            chunk = (max(1, min(window, BATCH_BYTES)) if window
-                     else BATCH_BYTES)
-            yield from records_batch(description, feed, type_name, mask,
-                                     chunk_bytes=chunk)
-            return
     src = open_stream(data, description.discipline, window=window,
                       follow=follow, poll_interval=poll_interval,
                       idle_timeout=idle_timeout,
@@ -169,16 +152,9 @@ def count_records_stream(description, data, *,
                          index=False) -> int:
     """Bounded-memory record count (record discipline only, no field
     parsing) — the paper's record-counting floor over a live stream.
-    Constant-pitch disciplines count by arithmetic over record-aligned
-    chunks (:func:`repro.batch.count_records_batch`) when the feed is
-    finite."""
+    Constant-pitch disciplines count by arithmetic over each refill
+    (``Source.count_rest``) unless an index is being built."""
     builder, index_path = _index_sink_for(data, follow, index)
-    if (builder is None and not follow and not isinstance(data, StreamSource)
-            and not isinstance(data, (bytes, bytearray))):
-        from .batch import batch_gate, count_records_batch
-        if batch_gate(description).eligible:
-            feed = _pathlib.Path(data) if isinstance(data, str) else data
-            return count_records_batch(description, feed)
     src = open_stream(data, description.discipline, window=window,
                       follow=follow, poll_interval=poll_interval,
                       idle_timeout=idle_timeout,
@@ -186,7 +162,7 @@ def count_records_stream(description, data, *,
     if builder is not None:
         src.index_sink = builder
     with src:
-        count = sum(1 for _ in src.boundaries())
+        count = src.count_rest()
     if builder is not None:
         _publish_index(builder, index_path, description.discipline)
     return count

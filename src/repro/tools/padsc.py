@@ -22,14 +22,16 @@ import json
 import pathlib
 import sys
 from itertools import islice
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .. import observe
 from ..core.api import compile_file
 from ..core.errors import DescriptionError, PadsError
 from ..core.io import discipline_from_spec
 from ..core.limits import ParseLimits
-from ..execute import ExecOptions, Result, open_input, run
+
+if TYPE_CHECKING:
+    from ..execute import Result
 
 
 def _discipline(args):
@@ -61,10 +63,13 @@ def _input(args):
 def _execute(args, op: str, record_type: Optional[str] = None, **op_args):
     """``(description, Result)`` for a data subcommand: map its flags to
     :class:`~repro.execute.ExecOptions` (validated before the
-    description compiles) and hand the op to :func:`repro.execute.run`."""
+    description compiles) and hand the op to :func:`repro.execute.run`
+    (imported here: the subcommands that run no fold never load the
+    execution planner)."""
+    from ..execute import ExecOptions, run
     options = ExecOptions(jobs=args.jobs, window=args.window,
                           follow=args.follow, checkpoint=args.checkpoint,
-                          resume=args.resume, engine=args.engine)
+                          resume=args.resume)
     d = _load(args)
     return d, run(d, _input(args), op, record_type, options, **op_args)
 
@@ -185,6 +190,7 @@ def cmd_xsd(args) -> int:
 
 
 def cmd_query(args) -> int:
+    from ..execute import open_input
     from .dataapi import node_new
     from .query import query, query_records
     d = _load(args)
@@ -233,6 +239,7 @@ def cmd_drift(args) -> int:
 
 
 def cmd_view(args) -> int:
+    from ..execute import open_input
     from .view import render_record
     d = _load(args)
     # Skip to the requested record (streaming; only one record resident).
@@ -299,6 +306,7 @@ def cmd_fuzz(args) -> int:
 
 def cmd_serve(args) -> int:
     """Run the multi-tenant parse service (:mod:`repro.serve`)."""
+    from ..execute import ExecOptions
     from ..serve import ServeConfig, run_server
     if not 0 <= args.port <= 65535:
         raise PadsError(f"--port {args.port} is out of range 0..65535")
@@ -397,15 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(stdin/--follow; default 1 MiB) — peak "
                             "buffered bytes stay within 2x this")
 
-    def engine_flag(p):
-        p.add_argument("--engine", choices=["auto", "batch", "cursor"],
-                       default="auto",
-                       help="record engine: 'batch' forces the vectorized "
-                            "columnar kernels (exit 2 if the description "
-                            "is not batch-eligible), 'cursor' pins the "
-                            "ordinary serial loop, 'auto' (default) picks "
-                            "batch whenever eligible")
-
     def durable_flags(p):
         p.add_argument("--checkpoint", nargs="?", const=-1, type=int,
                        default=None, metavar="INTERVAL",
@@ -454,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(paper Section 9)")
     jobs_flag(p)
     stream_flags(p)
-    engine_flag(p)
     durable_flags(p)
     obs_flags(p)
     p.set_defaults(fn=cmd_accum)
@@ -467,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip-errors", action="store_true")
     jobs_flag(p)
     stream_flags(p)
-    engine_flag(p)
     durable_flags(p)
     obs_flags(p)
     p.set_defaults(fn=cmd_fmt)
@@ -477,7 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--record", required=True)
     jobs_flag(p)
     stream_flags(p)
-    engine_flag(p)
     durable_flags(p)
     obs_flags(p)
     p.set_defaults(fn=cmd_xml)
@@ -487,7 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     jobs_flag(p)
     stream_flags(p)
-    engine_flag(p)
     durable_flags(p)
     obs_flags(p)
     p.set_defaults(fn=cmd_count)
@@ -629,7 +624,7 @@ def _run(args) -> int:
     trace = getattr(args, "trace", None)
     if stats is None and trace is None:
         ret = args.fn(args)
-        return 0 if isinstance(ret, Result) else ret
+        return ret if isinstance(ret, int) else 0
     opened = sink = None
     if trace is not None:
         if trace == "-":
@@ -639,7 +634,7 @@ def _run(args) -> int:
     try:
         with observe.observed(trace_sink=sink) as obs:
             ret = args.fn(args)
-        result = ret if isinstance(ret, Result) else None
+        result = None if isinstance(ret, int) else ret
         if stats == "json":
             doc = obs.stats()
             if result is not None:

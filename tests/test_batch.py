@@ -1,46 +1,53 @@
-"""Tests for ``repro.batch`` — the vectorized batch engine.
+"""Tests for the record loop's grid block step.
 
-The batch engine's whole contract is "faster, never different": for
-plan-proven column-regular descriptions it must yield the identical
-``(rep, pd)`` stream — values, parse descriptors, error locations,
-accumulators and deterministic metrics (modulo the ``batch.*``
-counters) — that the cursor engines produce, and fall back to them
-per-record wherever the grid assumption breaks.  This suite pins:
+A record whose layout is provably static compiles to a *batch kernel*
+(:mod:`repro.plan.fastpath`); when the record discipline gives its
+records a constant pitch, the one record loop
+(``repro.core.api._record_loop``) parses each block of grid-aligned
+buffered records with one kernel call (``Source.grid_frames``) and
+takes every other record — a kernel miss, a torn or short record, the
+first one past the buffered bytes — one step at a time.  The whole
+contract is "faster, never different": every mode must yield the
+``(rep, pd)`` stream, reports and deterministic metrics of a
+``fastpath=False`` build, which parses every record with the general
+parser (the ``batch.*`` counters, which follow buffering, stay out of
+the deterministic projection).  This suite
+pins:
 
-* the eligibility verdicts (engine- and plan-level) and their reasons;
+* the grid decision (:meth:`CompiledDescription.grid`), its plan-level
+  half and the reasons either gives;
 * eligibility edges: zero-width ``Pcompute`` fields, nested fixed
   arrays, cp037/EBCDIC columns, width-mismatched disciplines;
-* differential equality against serial, parallel and streaming cursor
-  runs on clean, constraint-violating (fallback-forcing) and truncated
-  inputs, through both the interpreted and generated engines;
 * the newline-pitch grid: CRLF terminators, ragged lines, unterminated
-  tails;
-* the strict (``--engine batch``) contract and the counting floor;
-* the worker-window helpers ``repro.parallel`` delegates to;
+  tails, and the record-counting floor;
+* worker windows (the parallel map function) and the streaming entry
+  point;
+* one grid differential: call-detail and a newline fixed-payload
+  description, over clean records, constraint misses, a torn record
+  mid-block, a short tail and CRLF, through serial, stream, ``--follow``,
+  ``--header`` accum, parallel and durable checkpoint + resume runs;
 * a hypothesis sweep hammering random corruption, when available.
 """
 
+import io
 import random
 
 import pytest
 
-from repro import compile_description, gallery, observe
-from repro.batch import (
-    batch_verdict,
-    count_records_batch,
-    records_batch,
-    window_count,
-    window_records,
-)
+from repro import compile_description, durable, gallery, observe
 from repro.codegen import compile_generated
-from repro.core.errors import ErrorTally, PadsError
-from repro.core.io import FixedWidthRecords, NewlineRecords
-from repro.execute import run
+from repro.core.errors import ErrorTally, Pd
+from repro.core.io import FixedWidthRecords, NewlineRecords, Source
+from repro.core.masks import Mask, P_Check, P_CheckAndSet
+from repro.execute import ExecOptions, Fold, run, step_reason
+from repro.parallel import _fold_one
 from repro.plan import format_plan
+from repro.plan.ir import Verdict
 from repro.stream import count_records_stream
 from repro.tools.datagen import call_detail_workload
 
 from .test_codegen import pd_summary
+from .test_durable import _crash_at
 from .test_plan import EBCDIC_DESC
 
 try:
@@ -53,17 +60,8 @@ except ImportError:
 WIDTH = 24            # call_t static width
 CALL_TYPE_OFF = 22    # call_type column: Ptypedef constraint t <= 4
 
-#: Stats sections that legitimately differ between the engines: wall
-#: clock (latency/throughput) and the batch engine's own counters.
-_ENGINE_LOCAL = ("latency", "throughput", "batch")
-
-
-def _scrub(stats: dict) -> dict:
-    return {k: v for k, v in stats.items() if k not in _ENGINE_LOCAL}
-
-
 def _fingerprint(pairs):
-    """Everything the fallback contract promises is byte-identical."""
+    """Everything the grid contract promises is byte-identical."""
     return [(rep, pd_summary(pd), str(pd.loc)) for rep, pd in pairs]
 
 
@@ -81,6 +79,13 @@ def _tally_fields(tally: ErrorTally):
     return doc
 
 
+def _plain(d):
+    """``d`` rebuilt without compiled fast paths: the reference that
+    parses every record with the general parser."""
+    return compile_description(d.source_text, ambient=d.ambient,
+                               discipline=d.discipline, fastpath=False)
+
+
 def clean_data(n: int) -> bytes:
     return call_detail_workload(n, random.Random(13))
 
@@ -88,7 +93,7 @@ def clean_data(n: int) -> bytes:
 def dirty_data(n: int, every: int = 37) -> bytes:
     """Clean workload with every ``every``-th call_type forced over the
     ``t <= 4`` constraint — the kernel must hand exactly those records
-    to the cursor."""
+    to the general parser."""
     raw = bytearray(clean_data(n))
     for i in range(0, n, every):
         raw[i * WIDTH + CALL_TYPE_OFF] = 99
@@ -105,16 +110,24 @@ def cd(request):
                              discipline=disc)
 
 
+@pytest.fixture(scope="module")
+def cd_plain():
+    return compile_description(gallery.CALL_DETAIL, ambient="binary",
+                               discipline=FixedWidthRecords(WIDTH),
+                               fastpath=False)
+
+
 # ---------------------------------------------------------------------------
-# Verdicts: plan pass, engine gate, pretty-printer
+# The grid decision: plan pass, per-pass step, pretty-printer
 # ---------------------------------------------------------------------------
 
 
 class TestVerdicts:
     def test_call_detail_is_eligible(self, cd):
-        v = batch_verdict(cd, "call_t")
-        assert v.eligible
-        assert "24-byte columns at 24-byte pitch" in v.reason
+        kernel, width, stride = cd.grid("call_t")
+        assert (width, stride) == (WIDTH, WIDTH)
+        assert "grid: 24-byte columns at 24-byte pitch" in \
+            step_reason(cd, "records", "call_t")
 
     def test_plan_level_verdict(self, cd):
         v = cd.plan.decl("call_t").batch_verdict
@@ -122,23 +135,23 @@ class TestVerdicts:
         assert "columnar kernel" in v.reason
 
     def test_clf_is_not_eligible(self, clf):
-        v = batch_verdict(clf, "entry_t")
-        assert not v.eligible
+        v = clf.grid("entry_t")
+        assert isinstance(v, Verdict) and not v.eligible
         assert "not static" in v.reason
 
     def test_width_mismatched_discipline(self):
         d = compile_description(gallery.CALL_DETAIL, ambient="binary",
                                 discipline=FixedWidthRecords(WIDTH - 1))
-        v = batch_verdict(d, "call_t")
-        assert not v.eligible
+        v = d.grid("call_t")
+        assert isinstance(v, Verdict) and not v.eligible
         assert "static record width 24" in v.reason
 
     def test_fastpath_off_disables_kernels(self):
         d = compile_description(gallery.CALL_DETAIL, ambient="binary",
                                 discipline=FixedWidthRecords(WIDTH),
                                 fastpath=False)
-        v = batch_verdict(d, "call_t")
-        assert not v.eligible
+        v = d.grid("call_t")
+        assert isinstance(v, Verdict) and not v.eligible
         assert "disabled" in v.reason
         # ...but the plan-level layout verdict is engine-independent.
         assert d.plan.decl("call_t").batch_verdict.eligible
@@ -149,13 +162,23 @@ class TestVerdicts:
 
     def test_kernel_reports_misses(self, cd):
         """The kernel contract: ``(reps, miss)`` with ``miss`` counting
-        the None (fallback) slots, so the driver never scans for them."""
+        the None (fallback) slots, so the loop never scans for them."""
         width, kernel = cd.batch_kernel("call_t")
         assert width == WIDTH
         data = dirty_data(64, every=8)
         reps, miss = kernel(memoryview(data), 64, WIDTH, True)
         assert len(reps) == 64
         assert miss == sum(1 for r in reps if r is None) == 8
+
+    def test_per_pass_conditions(self, cd):
+        """Limits, a tracer and a non-uniform mask each take every record
+        one step at a time, and say so."""
+        from repro.core.limits import ParseLimits
+        limits = ParseLimits(max_record_bytes=1 << 16)
+        assert "limits" in cd.grid("call_t", limits=limits).reason
+        assert "mask" in cd.grid("call_t", Mask(P_Check)).reason
+        with observe.observed(trace=True):
+            assert "tracer" in cd.grid("call_t").reason
 
 
 # ---------------------------------------------------------------------------
@@ -186,21 +209,19 @@ class TestEligibilityEdges:
     def test_zero_width_compute_field(self):
         d = compile_description(ZERO_WIDTH_DESC, ambient="binary",
                                 discipline=FixedWidthRecords(4))
-        v = batch_verdict(d, "z_t")
-        assert v.eligible, v.reason
+        assert not isinstance(d.grid("z_t"), Verdict)
         data = bytes(range(64)) * 4
         got = list(d.records_batch(data, "z_t"))
-        _assert_same_stream(got, d.records(data, "z_t"))
+        _assert_same_stream(got, _plain(d).records(data, "z_t"))
         assert all(rep.total == rep.a + 1 for rep, _ in got)
 
     def test_nested_fixed_array(self):
         d = compile_description(NESTED_ARRAY_DESC, ambient="binary",
                                 discipline=FixedWidthRecords(7))
-        v = batch_verdict(d, "point_t")
-        assert v.eligible, v.reason
+        assert not isinstance(d.grid("point_t"), Verdict)
         data = bytes(range(256))[:7 * 30]
-        got = list(d.records_batch(data, "point_t"))
-        _assert_same_stream(got, d.records(data, "point_t"))
+        got = list(d.records(data, "point_t"))
+        _assert_same_stream(got, _plain(d).records(data, "point_t"))
         assert all(len(rep.xs) == 3 for rep, _ in got)
 
     @pytest.mark.parametrize("engine", [compile_description, compile_generated])
@@ -208,71 +229,69 @@ class TestEligibilityEdges:
         width = 15
         disc = FixedWidthRecords(width)
         d = engine(EBCDIC_DESC, ambient="ebcdic", discipline=disc)
-        v = batch_verdict(d, "item_t")
-        assert v.eligible, v.reason
+        assert not isinstance(d.grid("item_t"), Verdict)
         writer = compile_description(EBCDIC_DESC, ambient="ebcdic",
-                                     discipline=disc)
+                                     discipline=disc, fastpath=False)
         rng = random.Random(2005)
         reps = [writer.generate("item_t", rng) for _ in range(40)]
         data = b"".join(writer.write(r, "item_t") for r in reps)
-        got = list(d.records_batch(data, "item_t"))
+        got = list(d.records(data, "item_t"))
         assert [r for r, _ in got] == reps
-        _assert_same_stream(got, d.records(data, "item_t"))
-        # Corruption inside the zoned column falls back identically.
+        _assert_same_stream(got, writer.records(data, "item_t"))
+        # Corruption inside the zoned column misses identically.
         raw = bytearray(data)
         raw[3 * width + 8] = 0x40
-        _assert_same_stream(d.records_batch(bytes(raw), "item_t"),
-                            d.records(bytes(raw), "item_t"))
+        _assert_same_stream(d.records(bytes(raw), "item_t"),
+                            writer.records(bytes(raw), "item_t"))
 
 
 # ---------------------------------------------------------------------------
-# Differential: batch ≡ cursor on clean, dirty and truncated input
+# Differential: the grid ≡ the general parser on clean, dirty, truncated
 # ---------------------------------------------------------------------------
 
 
 class TestDifferential:
-    def test_clean(self, cd):
+    def test_clean(self, cd, cd_plain):
         data = clean_data(3000)
         _assert_same_stream(cd.records_batch(data, "call_t"),
-                            cd.records(data, "call_t"))
+                            cd_plain.records(data, "call_t"))
 
-    def test_constraint_violations_fall_back(self, cd):
+    def test_constraint_violations_fall_back(self, cd, cd_plain):
         data = dirty_data(2000)
-        got = list(cd.records_batch(data, "call_t"))
+        got = list(cd.records(data, "call_t"))
         bad = sum(1 for _, pd in got if pd.nerr)
         assert bad >= 2000 // 37  # the corruption actually bit
-        _assert_same_stream(got, cd.records(data, "call_t"))
+        _assert_same_stream(got, cd_plain.records(data, "call_t"))
 
-    def test_truncated_final_record(self, cd):
+    def test_truncated_final_record(self, cd, cd_plain):
         data = clean_data(1500)[:1499 * WIDTH + 11]
-        _assert_same_stream(cd.records_batch(data, "call_t"),
-                            cd.records(data, "call_t"))
+        _assert_same_stream(cd.records(data, "call_t"),
+                            cd_plain.records(data, "call_t"))
 
-    def test_small_chunks_preserve_offsets(self, cd):
-        """Feeding the grid in tiny record-aligned chunks must not
+    def test_small_chunks_preserve_offsets(self, cd, cd_plain):
+        """Blocks cut by a sliding window of a few records must not
         disturb absolute locations or record indices."""
-        import io
         data = dirty_data(400)
-        got = list(records_batch(cd, io.BytesIO(data), "call_t",
-                                 chunk_bytes=7 * WIDTH))
-        _assert_same_stream(got, cd.records(data, "call_t"))
+        got = list(cd.records_stream(io.BytesIO(data), "call_t",
+                                     window=7 * WIDTH))
+        _assert_same_stream(got, cd_plain.records(data, "call_t"))
 
-    def test_deterministic_stats_match(self, cd):
+    def test_deterministic_stats_match(self, cd, cd_plain):
         data = dirty_data(800)
         with observe.observed() as obs_s:
-            for _ in cd.records(data, "call_t"):
+            for _ in cd_plain.records(data, "call_t"):
                 pass
         with observe.observed() as obs_b:
-            for _ in cd.records_batch(data, "call_t"):
+            for _ in cd.records(data, "call_t"):
                 pass
-        assert (_scrub(obs_b.stats(deterministic=True))
-                == _scrub(obs_s.stats(deterministic=True)))
+        assert (obs_b.stats(deterministic=True)
+                == obs_s.stats(deterministic=True))
 
     def test_batch_metrics_account_for_every_record(self, cd):
         data = dirty_data(800)
         with observe.observed() as obs:
-            total = sum(1 for _ in cd.records_batch(data, "call_t"))
-        s = obs.stats(deterministic=True)
+            total = sum(1 for _ in cd.records(data, "call_t"))
+        s = obs.stats()
         assert s["batch"]["batches"] > 0
         assert s["batch"]["bytes"] > 0
         assert s["batch"]["fallback_records"] > 0
@@ -280,28 +299,23 @@ class TestDifferential:
                 == s["records"]["total"] == total == 800)
         assert "batch:" in obs.summary()
 
-    def test_accumulate_batch(self, cd):
+    def test_accumulate_batch(self, cd, cd_plain):
         data = dirty_data(600)
         res = run(cd, data, "accum", "call_t")
-        assert res.mode == "batch"
-        acc_b, tally_b = res.acc, res.tally
-        from repro.tools.accum import Accumulator
-        acc_s = Accumulator(cd.node("call_t"), "<top>", 1000)
-        tally_s = ErrorTally()
-        for rep, pd in cd.records(data, "call_t"):
-            acc_s.add(rep, pd)
-            tally_s.add(pd)
-        assert _tally_fields(tally_b) == _tally_fields(tally_s)
-        assert acc_b.report() == acc_s.report()
+        assert res.mode == "serial" and "grid:" in res.reason
+        ref = run(cd_plain, data, "accum", "call_t")
+        assert "per record:" in ref.reason
+        assert _tally_fields(res.tally) == _tally_fields(ref.tally)
+        assert res.acc.report() == ref.acc.report()
 
     def test_flyweight_pds_are_clean(self, cd):
-        """Unmetered clean windows share one flyweight Pd; it must be
-        content-identical to a fresh descriptor."""
-        from repro.core.errors import Pd
+        """Records the grid parsed clean get descriptors content-identical
+        to a fresh one, one each."""
         data = clean_data(200)
         fresh = pd_summary(Pd())
-        for _, pd in cd.records_batch(data, "call_t"):
-            assert pd_summary(pd) == fresh
+        pds = [pd for _, pd in cd.records(data, "call_t")]
+        assert all(pd_summary(pd) == fresh for pd in pds)
+        assert len({id(pd) for pd in pds}) == len(pds)
 
 
 # ---------------------------------------------------------------------------
@@ -325,20 +339,20 @@ class TestNewlineGrid:
         return compile_description(ROW_DESC, discipline=NewlineRecords())
 
     def test_eligible_at_width_plus_one_pitch(self, rows):
-        v = batch_verdict(rows, "row_t")
-        assert v.eligible
-        assert "8-byte columns at 9-byte pitch" in v.reason
+        assert rows.grid("row_t")[1:] == (8, 9)
+        assert "8-byte columns at 9-byte pitch" in \
+            step_reason(rows, "records", "row_t")
 
     @pytest.mark.parametrize("blob", [
         b"abc|0001\nxyz|0042\npqr|9999\n",       # clean grid
-        b"abc|0001\r\nxyz|0042\r\n",             # CRLF: cursor fallback
+        b"abc|0001\r\nxyz|0042\r\n",             # CRLF: one step each
         b"abc|0001\nlong-line|123\nxyz|0042\n",  # ragged tear mid-grid
         b"abc|0001\nxyz|0042",                   # unterminated tail
         b"",
     ])
     def test_differential(self, rows, blob):
-        _assert_same_stream(rows.records_batch(blob, "row_t"),
-                            rows.records(blob, "row_t"))
+        _assert_same_stream(rows.records(blob, "row_t"),
+                            _plain(rows).records(blob, "row_t"))
 
     @pytest.mark.parametrize("blob", [
         b"abc|0001\nxyz|0042\npqr|9999\n",
@@ -347,61 +361,38 @@ class TestNewlineGrid:
         b"",
     ])
     def test_count_parity(self, rows, blob):
-        assert (count_records_batch(rows, blob)
-                == rows.count_records(blob))
+        framed = sum(1 for _ in Source(blob).boundaries())
+        assert rows.count_records(blob) == framed
 
 
 # ---------------------------------------------------------------------------
-# Strict mode, fallback inputs, counting
+# Inputs without a grid, counting
 # ---------------------------------------------------------------------------
 
 
 class TestStrictAndCount:
-    def test_strict_raises_at_call_time(self, clf):
-        with pytest.raises(PadsError, match="batch engine"):
-            records_batch(clf, b"x\n", "entry_t", strict=True)
-
     def test_silent_fallback_matches_serial(self, clf, rng):
         reps = [clf.generate("entry_t", rng) for _ in range(10)]
         data = b"".join(clf.write(r, "entry_t") + b"\n" for r in reps)
-        _assert_same_stream(records_batch(clf, data, "entry_t"),
+        _assert_same_stream(clf.records_batch(data, "entry_t"),
                             clf.records(data, "entry_t"))
-
-    def test_open_source_keeps_cursor_path(self, cd):
-        data = clean_data(50)
-        src = cd.open_bytes(data) if hasattr(cd, "open_bytes") else None
-        if src is None:
-            from repro.core.io import Source
-            src = Source(data, discipline=cd.discipline)
-        with pytest.raises(PadsError, match="cannot feed"):
-            records_batch(cd, src, "call_t", strict=True)
 
     def test_count_parity_fixed_width(self, cd, tmp_path):
         data = clean_data(700)
-        assert count_records_batch(cd, data) == 700
+        assert cd.count_records(data) == 700
         truncated = data[:699 * WIDTH + 3]
-        assert (count_records_batch(cd, truncated)
-                == cd.count_records(truncated) == 700)
-        assert count_records_batch(cd, b"") == 0
+        assert (cd.count_records(truncated)
+                == sum(1 for _ in Source(truncated,
+                                         discipline=cd.discipline)
+                       .boundaries()) == 700)
+        assert cd.count_records(b"") == 0
         path = tmp_path / "cd.dat"
         path.write_bytes(data)
-        assert count_records_batch(cd, path) == 700
-
-    def test_count_strict(self, cd):
-        d = compile_description(gallery.CALL_DETAIL, ambient="binary",
-                                discipline=FixedWidthRecords(WIDTH))
-        from repro.core.limits import ParseLimits
-        limited = compile_description(
-            gallery.CALL_DETAIL, ambient="binary",
-            discipline=FixedWidthRecords(WIDTH),
-            limits=ParseLimits(max_record_bytes=1 << 16))
-        assert count_records_batch(d, clean_data(10)) == 10
-        with pytest.raises(PadsError, match="limits"):
-            count_records_batch(limited, clean_data(10), strict=True)
+        assert run(cd, path, "count").count == 700
 
 
 # ---------------------------------------------------------------------------
-# Worker-window helpers (the parallel engine's handoff)
+# Worker windows (the parallel map function)
 # ---------------------------------------------------------------------------
 
 
@@ -410,10 +401,10 @@ class TestWindows:
         data = dirty_data(300)
         lo, hi = 100, 220
         window = ("bytes", data[lo * WIDTH:hi * WIDTH], lo * WIDTH)
-        got = list(window_records(cd, window, "call_t"))
+        got = _fold_one(cd, window, Fold("records", "call_t"), None)
         want = list(cd.records(data, "call_t"))[lo:hi]
         assert [r for r, _ in got] == [r for r, _ in want]
-        # Fallback pds carry chunk-local record indices (the parallel
+        # Error pds carry chunk-local record indices (the parallel
         # reduce rebases them) but absolute byte offsets.
         bad = [(i, pd) for i, (_, pd) in enumerate(got) if pd.nerr]
         assert bad
@@ -427,30 +418,29 @@ class TestWindows:
         path = tmp_path / "cd.dat"
         path.write_bytes(data)
         window = ("file", str(path), 200 * WIDTH, 450 * WIDTH)
-        got = list(window_records(cd, window, "call_t"))
+        got = _fold_one(cd, window, Fold("records", "call_t"), None)
         want = list(cd.records(data, "call_t"))[200:450]
         assert [r for r, _ in got] == [r for r, _ in want]
 
     def test_window_count(self, cd, tmp_path):
+        def count(window):
+            return _fold_one(cd, window, Fold("count"), None).records
+
         data = clean_data(123)
-        assert window_count(cd, ("bytes", data, 0)) == 123
+        assert count(("bytes", data, 0)) == 123
         path = tmp_path / "cd.dat"
         path.write_bytes(data)
-        assert window_count(cd, ("file", str(path), 0, len(data))) == 123
-        assert window_count(cd, ("file", str(path), 0, 10 * WIDTH + 1)) == 11
-
-    def test_ineligible_returns_none(self, clf):
-        assert window_records(clf, ("bytes", b"x\n", 0), "entry_t") is None
+        assert count(("file", str(path), 0, len(data))) == 123
+        assert count(("file", str(path), 0, 10 * WIDTH + 1)) == 11
 
 
 # ---------------------------------------------------------------------------
-# Integration: the parallel and streaming engines take the batch path
+# Integration: the parallel and streaming entry points run the same loop
 # ---------------------------------------------------------------------------
 
 
 class TestEngineIntegration:
     def test_parallel_matches_batch_and_serial(self, call_detail, tmp_path):
-        from repro.execute import ExecOptions, run
         jobs = ExecOptions(jobs=2)
         data = dirty_data(2000)
         want = _fingerprint(call_detail.records(data, "call_t"))
@@ -462,28 +452,199 @@ class TestEngineIntegration:
             run(call_detail, path, "records", "call_t", jobs).pairs) == want
         assert run(call_detail, path, "count", options=jobs).count == 2000
 
-    def test_stream_hands_off_to_batch(self, call_detail, tmp_path):
+    def test_stream_hands_off_to_batch(self, call_detail, cd_plain,
+                                       tmp_path):
         data = dirty_data(1500)
         path = tmp_path / "cd.dat"
         path.write_bytes(data)
         with observe.observed() as obs:
             got = list(call_detail.records_stream(str(path), "call_t"))
-        _assert_same_stream(got, call_detail.records(data, "call_t"))
-        s = obs.stats(deterministic=True)
-        # The grid driver replaced the sliding window entirely.
+        _assert_same_stream(got, cd_plain.records(data, "call_t"))
+        s = obs.stats()
+        # The grid runs over the sliding window's refills.
         assert s["batch"]["batches"] > 0
-        assert s["stream"]["refills"] == 0
+        assert s["stream"]["refills"] > 0
         assert count_records_stream(call_detail, str(path)) == 1500
 
-    def test_follow_keeps_the_cursor_path(self, call_detail, tmp_path):
-        data = clean_data(40)
-        path = tmp_path / "cd.dat"
-        path.write_bytes(data)
+
+# ---------------------------------------------------------------------------
+# The grid differential: every mode ≡ fastpath=False
+# ---------------------------------------------------------------------------
+
+
+FIXED_ROW_DESC = """
+Precord Pstruct row_t {
+  Puint32_FW(:4:) n : n < 9000;
+  '|';
+  Pstring_FW(:3:) tag;
+};
+Psource Parray rows_t { row_t[]; };
+"""
+
+#: Rows per newline case: past ``MIN_CHUNK_BYTES``, so ``jobs=2`` splits.
+N_ROWS = 9000
+#: Records per call-detail case, likewise.
+N_CALLS = 3500
+
+
+def _rows(n: int, rng: random.Random) -> list:
+    return [b"%04d|%s" % (rng.randrange(9000),
+                          bytes(rng.choice(b"abcxyz") for _ in range(3)))
+            for _ in range(n)]
+
+
+def _newline_case(case: str) -> bytes:
+    rows = _rows(N_ROWS, random.Random(7))
+    if case == "misses":
+        for i in range(0, N_ROWS, 41):
+            rows[i] = b"9%03d" % (i % 1000) + rows[i][4:]
+    elif case == "torn":
+        # A long line and a short one inside the first block.
+        rows[500] += b"-extra"
+        rows[501] = rows[501][:5]
+    elif case == "crlf":
+        # Every third line CRLF: a 9-byte payload whose last byte is the
+        # stripped ``\r`` must not pass as an 8-byte grid record.
+        for i in range(0, N_ROWS, 3):
+            rows[i] = rows[i][:7] + b"\r"
+    blob = b"".join(r + b"\n" for r in rows)
+    if case == "short-tail":
+        blob += b"12|a"
+    return blob
+
+
+def _calls_case(case: str) -> bytes:
+    raw = bytearray(call_detail_workload(N_CALLS, random.Random(11)))
+    if case == "misses":
+        for i in range(0, N_CALLS, 29):
+            raw[i * WIDTH + CALL_TYPE_OFF] = 99
+    elif case == "torn":
+        # One byte lost mid-block shifts every later record.
+        del raw[700 * WIDTH + 5]
+    elif case == "crlf":
+        for i in range(0, N_CALLS, 5):
+            raw[i * WIDTH + WIDTH - 2:i * WIDTH + WIDTH] = b"\r\n"
+    elif case == "short-tail":
+        raw += b"\x01\x02\x03"
+    return bytes(raw)
+
+
+GRID_CASES = ("clean", "misses", "torn", "short-tail", "crlf")
+
+
+@pytest.fixture(scope="module", params=["calldetail", "rows"])
+def grid_pair(request):
+    """``(description with the grid, fastpath=False twin, record type,
+    case -> data)``."""
+    if request.param == "calldetail":
+        disc = FixedWidthRecords(WIDTH)
+        d = compile_description(gallery.CALL_DETAIL, ambient="binary",
+                                discipline=disc)
+        return d, _plain(d), "call_t", _calls_case
+    d = compile_description(FIXED_ROW_DESC, discipline=NewlineRecords())
+    return d, _plain(d), "row_t", _newline_case
+
+
+def _accounted(desc, rtype, obs, records: int) -> None:
+    """The ``batch`` counters of a grid pass account for every record
+    the loop yielded: each was taken by a grid block or by its own
+    step."""
+    grid = obs.stats()["batch"]
+    taken = grid["records"] + grid["fallback_records"]
+    assert taken == (records if isinstance(desc.grid(rtype), tuple) else 0)
+
+
+def _observed_records(desc, data, rtype, options):
+    with observe.observed() as obs:
+        pairs = list(run(desc, data, "records", rtype, options).pairs)
+    _accounted(desc, rtype, obs, len(pairs))
+    return _fingerprint(pairs), obs.stats(deterministic=True)
+
+
+def _observed_accum(desc, data, rtype, options, header=None):
+    with observe.observed() as obs:
+        res = run(desc, data, "accum", rtype, options, header=header)
+    _accounted(desc, rtype, obs, res.tally.records)
+    head = None if header is None else res.header_acc.full_report()
+    return ((res.acc.full_report(), _tally_fields(res.tally), head),
+            obs.stats(deterministic=True))
+
+
+@pytest.mark.parametrize("case", GRID_CASES)
+@pytest.mark.parametrize("mode", ["serial", "stream", "follow", "header",
+                                  "parallel", "durable"])
+def test_grid_differential(grid_pair, tmp_path, case, mode):
+    desc, plain, rtype, make = grid_pair
+    assert not isinstance(desc.grid(rtype), Verdict)
+    data = make(case)
+    path = tmp_path / "in.dat"
+    path.write_bytes(data)
+    ref_pairs, ref_stats = _observed_records(plain, data, rtype,
+                                             ExecOptions())
+    ref_report, ref_acc_stats = _observed_accum(plain, data, rtype,
+                                                ExecOptions())
+    assert ref_stats["records"]["total"] > 0
+    if mode == "serial":
+        # Bytes in memory, a file, and an open Source all run the grid.
+        for source in (data, path, Source(data, discipline=desc.discipline)):
+            assert _observed_records(desc, source, rtype, ExecOptions()) \
+                == (ref_pairs, ref_stats)
+        assert _observed_accum(desc, path, rtype, ExecOptions()) \
+            == (ref_report, ref_acc_stats)
+    elif mode in ("stream", "follow"):
+        # A window smaller than one grid block: blocks end at refills.
+        opts = (ExecOptions(window=4000) if mode == "stream"
+                else ExecOptions(window=4000, follow=0.05))
+
+        def source():
+            return io.BytesIO(data) if mode == "stream" else path
+
+        assert run(desc, source(), "records", rtype, opts).mode == "stream"
+        got_pairs, got_stats = _observed_records(desc, source(), rtype, opts)
+        ref_stream_pairs, ref_stream_stats = _observed_records(
+            plain, source(), rtype, opts)
+        assert got_pairs == ref_pairs == ref_stream_pairs
+        # Bytes behind the cursor are retired at block starts, and grid
+        # blocks start elsewhere than ``frames`` blocks: the buffer
+        # gauges may differ, within the bounded-memory contract; the
+        # refill pattern may not.
+        got_window, ref_window = got_stats.pop("stream"), \
+            ref_stream_stats.pop("stream")
+        assert got_stats == ref_stream_stats
+        assert (got_window["refills"], got_window["stalls"]) == \
+            (ref_window["refills"], ref_window["stalls"])
+        assert got_window["high_water"] <= 2 * opts.window
+    elif mode == "header":
+        assert _observed_accum(desc, data, rtype, ExecOptions(),
+                               header=rtype) \
+            == _observed_accum(plain, data, rtype, ExecOptions(),
+                               header=rtype)
+    elif mode == "parallel":
+        jobs = ExecOptions(jobs=2)
+        assert run(desc, path, "records", rtype, jobs).mode == "parallel"
+        assert _observed_records(desc, path, rtype, jobs) \
+            == (ref_pairs, ref_stats)
+        assert _observed_accum(desc, data, rtype, jobs) \
+            == (ref_report, ref_acc_stats)
+    else:
+        fold = Fold("accum", rtype)
+        with _crash_at(1000), observe.observed():
+            with pytest.raises(durable._InjectedCrash):
+                durable.drive(desc, str(path), fold, interval=333)
         with observe.observed() as obs:
-            got = list(call_detail.records_stream(
-                str(path), "call_t", follow=True, idle_timeout=0.1))
-        assert len(got) == 40
-        assert obs.stats(deterministic=True)["batch"]["batches"] == 0
+            acc, tally = durable.drive(desc, str(path), fold, interval=333,
+                                       resume=True)
+        _accounted(desc, rtype, obs, tally.records)
+        stats = obs.stats(deterministic=True)
+        assert stats.pop("durable")["checkpoint_resumes"] == 1
+        ref_acc_stats = dict(ref_acc_stats)
+        ref_acc_stats.pop("durable")
+        assert stats == ref_acc_stats
+        assert (acc.full_report(), _tally_fields(tally), None) == ref_report
+        # The resumed run sealed the index it began before the crash.
+        index = durable.load_index(str(path), desc.discipline)
+        assert index is not None and index.records == \
+            ref_stats["records"]["total"]
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +654,8 @@ class TestEngineIntegration:
 
 if HAVE_HYPOTHESIS:
 
+    _HYPO_PLAIN = {}
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
            hits=st.lists(st.tuples(st.integers(0, 120 * WIDTH - 1),
@@ -501,11 +664,12 @@ if HAVE_HYPOTHESIS:
            trunc=st.integers(0, WIDTH))
     def test_hypothesis_differential(seed, hits, trunc):
         d = gallery.load_call_detail()
+        plain = _HYPO_PLAIN.setdefault("d", _plain(d))
         raw = bytearray(call_detail_workload(120, random.Random(seed)))
         for off, val in hits:
             raw[off] = val
         data = bytes(raw[:len(raw) - trunc])
-        got = list(d.records_batch(data, "call_t"))
-        want = list(d.records(data, "call_t"))
+        got = list(d.records(data, "call_t", Mask(P_CheckAndSet)))
+        want = list(plain.records(data, "call_t"))
         assert [r for r, _ in got] == [r for r, _ in want]
         assert _fingerprint(got) == _fingerprint(want)

@@ -304,14 +304,12 @@ class TestObservabilityFlags:
         assert "records/sec" in captured.err
         assert "records/sec" not in captured.out  # stdout stays data-only
 
-    #: extra flags -> the mode ``count`` and ``accum`` report on CLF
-    #: (newline records count by arithmetic; CLF fields need the cursor).
+    #: extra flags -> the mode ``count`` and ``accum`` report on CLF.
     MODE_CASES = [
-        ([], {"count": "batch", "accum": "serial"}),
+        ([], {"count": "serial", "accum": "serial"}),
         (["-j", "2"], {"count": "parallel", "accum": "parallel"}),
         (["-", "-j", "2"], {"count": "parallel-stream",
                             "accum": "parallel-stream"}),
-        (["--engine", "cursor"], {"count": "serial", "accum": "serial"}),
         (["--checkpoint"], {"count": "durable", "accum": "durable"}),
     ]
 
@@ -404,9 +402,10 @@ class TestObservabilityFlags:
 
 
 class TestHeaderOnBatchEligible:
-    """``--header`` forces a serial prefix parse, so ``--engine auto``
-    must pick the cursor on a batch-eligible description (it used to
-    pick batch and then exit 2)."""
+    """``--header`` parses a serial prefix first; on a description with a
+    batch kernel the records after it still take the record loop's grid
+    block step, and ``--engine`` (which once pinned a separate batch
+    mode) is gone."""
 
     @pytest.fixture
     def calls(self, tmp_path):
@@ -427,13 +426,15 @@ class TestHeaderOnBatchEligible:
         engine = [ln for ln in captured.err.splitlines()
                   if ln.startswith("engine:")]
         assert len(engine) == 1
-        assert "serial" in engine[0] and "--header" in engine[0]
+        assert "serial" in engine[0]
+        assert "grid: 24-byte columns at 24-byte pitch" in engine[0]
+        assert "batch:   records: 39 " in captured.err
 
     def test_explicit_batch_with_header_exits_2(self, calls, capsys):
         assert main(["accum"] + calls + ["--header", "call_t",
                                           "--engine", "batch"]) == 2
         err = capsys.readouterr().err
-        assert "--header needs a serial prefix parse" in err
+        assert "unrecognized arguments: --engine batch" in err
         assert err.strip().count("\n") == 0
 
 
@@ -442,7 +443,8 @@ class TestFlagConflictMatrix:
     one diagnostic line on stderr and exit code 2 — never a traceback,
     never a silently different run.  Before the audit, several of these
     tracebacked (``--records fixed:abc``) or silently ignored a flag
-    (``--engine batch --jobs 2`` ran the parallel pool)."""
+    (``--engine batch --jobs 2`` ran the parallel pool; ``--engine`` is
+    gone since every mode runs the one record loop)."""
 
     CASES = [
         # malformed record-discipline specs used to escape as ValueError
@@ -455,13 +457,16 @@ class TestFlagConflictMatrix:
         (["--jobs", "-3"], "--jobs -3"),
         (["--window", "0"], "--window 0"),
         (["--window", "-1"], "--window -1"),
-        # engine pinning vs. process fan-out
-        (["--engine", "cursor", "--jobs", "2"], "--engine cursor"),
-        (["--engine", "batch", "--jobs", "2"], "--engine batch"),
+        # one record loop: there is no engine to pin
+        (["--engine", "cursor", "--jobs", "2"],
+         "unrecognized arguments: --engine cursor"),
+        (["--engine", "batch", "--jobs", "2"],
+         "unrecognized arguments: --engine batch"),
         # unbounded tails cannot fan out or checkpoint
         (["--follow", "--jobs", "2"], "--follow"),
         (["--checkpoint", "--follow"], "cannot be checkpointed"),
-        (["--checkpoint", "--engine", "batch"], "no mid-grid cursor"),
+        (["--checkpoint", "--engine", "batch"],
+         "unrecognized arguments: --engine batch"),
         # budgets with malformed specs
         (["--limits", "nope=1"], "bad --limits entry"),
         (["--limits", "deadline=soon"], "bad --limits value"),

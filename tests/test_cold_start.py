@@ -3,8 +3,10 @@ node classes that load cheaper still behave as before.
 
 * The import budget runs in a fresh interpreter: after ``import repro``
   and compiling SIRIUS on both engines, no process-pool machinery, no
-  accumulator, no plan pretty-printer and no Prometheus renderer is
-  loaded, yet each still resolves on first use.
+  accumulator, no plan pretty-printer, no Prometheus renderer, no data
+  generator's regex sampler and no ``json`` is loaded, yet each still
+  resolves on first use; after ``import repro.tools.padsc`` neither the
+  execution planner nor the accumulator is.
 * The golden digests pin, for every gallery description, the ``repr``
   of the parsed AST, the ``repr`` of the analyzed declaration plans and
   the ``padsc compile`` output.  They were taken before the AST and plan
@@ -35,15 +37,17 @@ from repro.tools.padsc import main
 #: Modules a serial compile-and-parse run never touches.
 UNUSED = ["repro.parallel", "repro.execute", "repro.tools.accum",
           "repro.plan.pprint", "repro.observe.exposition",
+          "repro.util.regexgen", "json",
           "multiprocessing", "concurrent.futures.process"]
 
 BUDGET = """
-import json, sys
+import sys
 import repro, repro.stream
 from repro.codegen import compile_generated
 repro.compile_description(repro.gallery.SIRIUS)
 compile_generated(repro.gallery.SIRIUS)
-loaded = sorted(m for m in json.loads(sys.argv[1]) if m in sys.modules)
+loaded = sorted(m for m in sys.argv[1].split(",") if m in sys.modules)
+import json
 listed = "parallel" in dir(repro)
 from repro import parallel
 from repro.observe import to_prometheus
@@ -56,18 +60,31 @@ print(json.dumps({"loaded": loaded, "listed": listed,
 """
 
 
-def test_import_budget_in_a_fresh_process():
+def _fresh(script: str, *args: str) -> str:
+    """The last line ``script`` prints in a fresh interpreter."""
     env = dict(os.environ)
     src = str(Path(repro.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", BUDGET, json.dumps(UNUSED)],
+    proc = subprocess.run([sys.executable, "-c", script, *args],
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    doc = json.loads(proc.stdout.splitlines()[-1])
+    return proc.stdout.splitlines()[-1]
+
+
+def test_import_budget_in_a_fresh_process():
+    doc = json.loads(_fresh(BUDGET, ",".join(UNUSED)))
     assert doc == {"loaded": [], "listed": True, "drive": True, "same": True,
                    "lazy": [True, True], "all": True}
+
+
+def test_padsc_loads_the_planner_only_to_run_a_fold():
+    """``padsc compile``/``plan``/``check`` run no fold, so importing the
+    CLI loads neither the execution planner nor the accumulator."""
+    script = ("import sys, repro.tools.padsc; print(sorted(m for m in "
+              "('repro.execute', 'repro.tools.accum') if m in sys.modules))")
+    assert _fresh(script) == "[]"
 
 
 def test_an_unknown_attribute_is_still_an_attribute_error():

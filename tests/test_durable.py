@@ -617,8 +617,6 @@ class TestCLI:
         _desc, path, _rt, _d = _gallery_file(tmp_path, "clf")
         assert main(["accum", desc_file, "-", "--record", "entry_t",
                      "--checkpoint"]) == 2
-        assert main(["count", desc_file, path, "--checkpoint",
-                     "--engine", "batch"]) == 2
         assert main(["accum", desc_file, path, "--record", "entry_t",
                      "--checkpoint", "--follow", "0.1"]) == 2
         assert main(["index", desc_file, "-"]) == 2

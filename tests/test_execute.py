@@ -2,11 +2,12 @@
 :func:`choose_engine`, plus :func:`run` returning the same results on
 every mode it picks.
 
-The table crosses op × {jobs, follow, window, checkpoint, engine,
-header, limits, tracer} × {call-detail (batch-eligible fixed-width),
-CLF (newline records, dynamic fields)} and pins the chosen mode, the
-reason it gives, and every flag-combination diagnostic — all raised
-from the library, so ``padsc`` and library callers share them.
+The table crosses op × {jobs, follow, window, checkpoint, header,
+limits, tracer} × {call-detail (fixed-width, with a batch kernel), CLF
+(newline records, dynamic fields)} and pins the chosen mode, the
+reason it gives (which says whether the record loop's grid block step
+runs), and every flag-combination diagnostic — all raised from the
+library, so ``padsc`` and library callers share them.
 """
 
 import contextlib
@@ -29,12 +30,14 @@ from .test_codegen import pd_summary
 FILE = pathlib.Path("input.dat")  # choose_engine never opens its input
 
 
-def _desc(name, limits=None):
+def _desc(name, limits=None, fastpath=True):
     if name == "calls":
         return compile_description(
             gallery.CALL_DETAIL, ambient="binary", limits=limits,
-            discipline=FixedWidthRecords(gallery.CALL_DETAIL_WIDTH))
-    return compile_description(gallery.CLF, limits=limits)
+            discipline=FixedWidthRecords(gallery.CALL_DETAIL_WIDTH),
+            fastpath=fastpath)
+    return compile_description(gallery.CLF, limits=limits,
+                               fastpath=fastpath)
 
 
 def _input(kind):
@@ -49,46 +52,40 @@ BUDGET = ParseLimits(max_record_bytes=1 << 16)
 ERROR_BUDGET = ParseLimits(max_errors=5)
 
 #: (id, description, op, input, ExecOptions kwargs, extra) -> expected
-#: ``(mode, reason substring)``, or ``PadsError`` with a substring.
+#: ``(mode, reason substring)``, or ``PadsError`` (``TypeError`` for an
+#: option that does not exist) with a substring.
 #: ``extra`` may carry ``header``, ``limits`` and ``tracer``.
 TABLE = [
-    # auto: batch whenever the batch gate allows
+    # every in-process mode runs the one record loop; the reason says
+    # whether its grid block step runs
     ("calls-records", "calls", "records", "file", {}, {},
-     ("batch", CALLS_GRID)),
-    ("calls-accum", "calls", "accum", "file", {}, {}, ("batch", CALLS_GRID)),
+     ("serial", CALLS_GRID)),
+    ("calls-accum", "calls", "accum", "file", {}, {}, ("serial", CALLS_GRID)),
     ("calls-count", "calls", "count", "file", {}, {},
-     ("batch", "FixedWidthRecords: counted by arithmetic")),
+     ("serial", "FixedWidthRecords: counted by arithmetic")),
     ("calls-stdin", "calls", "records", "stdin", {}, {},
-     ("batch", CALLS_GRID)),
-    ("calls-bytes", "calls", "accum", "bytes", {}, {}, ("batch", CALLS_GRID)),
+     ("stream", CALLS_GRID)),
+    ("calls-bytes", "calls", "accum", "bytes", {}, {},
+     ("serial", CALLS_GRID)),
     ("clf-records", "clf", "records", "file", {}, {}, ("serial", CLF_WHY)),
     ("clf-accum", "clf", "accum", "file", {}, {}, ("serial", CLF_WHY)),
     ("clf-count", "clf", "count", "file", {}, {},
-     ("batch", "NewlineRecords: counted by arithmetic")),
+     ("serial", "NewlineRecords: counted by arithmetic")),
     ("clf-stdin", "clf", "accum", "stdin", {}, {}, ("stream", CLF_WHY)),
     ("clf-source", "clf", "records", "source", {}, {},
      ("serial", CLF_WHY)),
     ("calls-source", "calls", "records", "source", {}, {},
-     ("serial", "open Source")),
+     ("serial", CALLS_GRID)),
     # window sizes only the sliding window; it forces nothing
     ("calls-window", "calls", "records", "stdin", {"window": 4096}, {},
-     ("batch", CALLS_GRID)),
+     ("stream", CALLS_GRID)),
     ("clf-window", "clf", "records", "stdin", {"window": 4096}, {},
      ("stream", CLF_WHY)),
-    # follow tails need the cursor
+    # follow tails read through the sliding window
     ("calls-follow", "calls", "records", "file", {"follow": 0.5}, {},
-     ("stream", "--follow")),
+     ("stream", CALLS_GRID)),
     ("calls-follow-count", "calls", "count", "file", {"follow": -1.0}, {},
-     ("stream", "--follow")),
-    # engine pinning
-    ("calls-cursor", "calls", "records", "file", {"engine": "cursor"}, {},
-     ("serial", "--engine cursor")),
-    ("calls-cursor-stdin", "calls", "count", "stdin", {"engine": "cursor"},
-     {}, ("stream", "--engine cursor")),
-    ("calls-batch", "calls", "accum", "file", {"engine": "batch"}, {},
-     ("batch", CALLS_GRID)),
-    ("clf-count-batch", "clf", "count", "stdin", {"engine": "batch"}, {},
-     ("batch", "NewlineRecords")),
+     ("stream", "counted by arithmetic")),
     # jobs
     ("calls-jobs", "calls", "records", "file", {"jobs": 2}, {},
      ("parallel", "--jobs 2")),
@@ -100,31 +97,31 @@ TABLE = [
      ("serial", "open Source")),
     ("clf-jobs-header", "clf", "accum", "file", {"jobs": 2},
      {"header": "entry_t"}, ("parallel", "--jobs 2")),
-    # header: a serial prefix parse (accum only)
+    # header: a serial prefix parse (accum only), then the same loop
     ("calls-header", "calls", "accum", "file", {}, {"header": "call_t"},
-     ("serial", "--header needs a serial prefix parse")),
+     ("serial", CALLS_GRID)),
     ("calls-header-stdin", "calls", "accum", "stdin", {},
-     {"header": "call_t"}, ("stream", "--header")),
+     {"header": "call_t"}, ("stream", CALLS_GRID)),
     ("calls-header-records", "calls", "records", "file", {},
-     {"header": "call_t"}, ("batch", CALLS_GRID)),
-    # limits are accounted per cursor
+     {"header": "call_t"}, ("serial", CALLS_GRID)),
+    # limits are accounted per record
     ("calls-limits", "calls", "records", "file", {}, {"limits": BUDGET},
-     ("serial", "parse limits attached")),
+     ("serial", "per record: parse limits attached")),
     ("calls-limits-count", "calls", "count", "bytes", {},
      {"limits": BUDGET}, ("serial", "parse limits attached")),
     ("clf-limits-jobs", "clf", "accum", "file", {"jobs": 2},
      {"limits": BUDGET}, ("parallel", "--jobs 2")),
     ("clf-errors-jobs", "clf", "accum", "file", {"jobs": 2},
      {"limits": ERROR_BUDGET}, ("serial", "max_errors")),
-    # an active tracer pins the serial cursor (count parses no fields)
+    # an active tracer pins one record at a time (count parses no fields)
     ("calls-tracer", "calls", "records", "file", {}, {"tracer": True},
-     ("serial", "active tracer")),
+     ("serial", "per record: active tracer")),
     ("calls-tracer-jobs", "calls", "accum", "file", {"jobs": 2},
      {"tracer": True}, ("serial", "stays on one core: active tracer")),
     ("clf-tracer-stdin-jobs", "clf", "records", "stdin", {"jobs": 2},
      {"tracer": True}, ("stream", "active tracer")),
     ("calls-tracer-count", "calls", "count", "file", {}, {"tracer": True},
-     ("batch", "counted by arithmetic")),
+     ("serial", "counted by arithmetic")),
     # checkpoints
     ("calls-checkpoint", "calls", "accum", "file", {"checkpoint": 100}, {},
      ("durable", "--checkpoint")),
@@ -133,8 +130,6 @@ TABLE = [
     ("clf-checkpoint-jobs-window", "clf", "records", "file",
      {"checkpoint": -1, "jobs": 2, "window": 4096}, {},
      ("durable", "--checkpoint")),
-    ("clf-checkpoint-cursor", "clf", "records", "file",
-     {"checkpoint": -1, "engine": "cursor"}, {}, ("durable", "--checkpoint")),
     # the flag-combination diagnostics
     ("jobs-0", "clf", "count", "file", {"jobs": 0}, {},
      (PadsError, "--jobs 0 makes no sense")),
@@ -142,21 +137,12 @@ TABLE = [
      (PadsError, "--jobs -3")),
     ("window-0", "clf", "count", "file", {"window": 0}, {},
      (PadsError, "--window 0 makes no sense")),
-    ("engine-unknown", "clf", "count", "file", {"engine": "gpu"}, {},
-     (PadsError, "unknown engine 'gpu'")),
-    ("cursor-jobs", "calls", "records", "file",
-     {"engine": "cursor", "jobs": 2}, {}, (PadsError, "--engine cursor")),
-    ("batch-jobs", "calls", "records", "file",
-     {"engine": "batch", "jobs": 2}, {}, (PadsError, "--engine batch")),
     ("follow-jobs", "clf", "count", "file", {"follow": -1.0, "jobs": 2}, {},
      (PadsError, "--follow tails an unbounded stream and cannot be "
                  "combined with --jobs")),
     ("checkpoint-follow", "clf", "count", "file",
      {"checkpoint": -1, "follow": -1.0}, {},
      (PadsError, "cannot be checkpointed")),
-    ("checkpoint-batch", "calls", "count", "file",
-     {"checkpoint": -1, "engine": "batch"}, {},
-     (PadsError, "no mid-grid cursor")),
     ("checkpoint-stdin", "clf", "count", "stdin", {"checkpoint": -1}, {},
      (PadsError, "need a seekable file, not stdin")),
     ("resume-bytes", "clf", "count", "bytes", {"resume": True}, {},
@@ -167,20 +153,10 @@ TABLE = [
     ("header-jobs-stdin", "clf", "accum", "stdin", {"jobs": 2},
      {"header": "entry_t"},
      (PadsError, "cannot be combined with --jobs on stdin")),
-    ("batch-header", "calls", "accum", "file", {"engine": "batch"},
-     {"header": "call_t"},
-     (PadsError, "--header needs a serial prefix parse; use --engine "
-                 "cursor")),
-    ("batch-ineligible", "clf", "records", "file", {"engine": "batch"}, {},
-     (PadsError, f"--engine batch: {CLF_WHY}")),
-    ("batch-follow", "calls", "records", "file",
-     {"engine": "batch", "follow": 1.0}, {},
-     (PadsError, "--engine batch: --follow tails")),
-    ("batch-limits", "calls", "count", "file", {"engine": "batch"},
-     {"limits": BUDGET}, (PadsError, "--engine batch: parse limits")),
-    ("batch-tracer", "calls", "records", "file", {"engine": "batch"},
-     {"tracer": True}, (PadsError, "--engine batch: active tracer")),
     ("unknown-op", "clf", "fmt", "file", {}, {}, (PadsError, "unknown op")),
+    # one record loop: there is no engine to pick
+    ("engine-unknown", "clf", "count", "file", {"engine": "gpu"}, {},
+     (TypeError, "unexpected keyword argument 'engine'")),
 ]
 
 
@@ -196,8 +172,8 @@ def test_decision_table(name, op, kind, opts, extra, expect):
 
     with (observe.observed(trace=True) if extra.get("tracer")
           else contextlib.nullcontext()):
-        if expect[0] is PadsError:
-            with pytest.raises(PadsError, match=expect[1].replace(
+        if expect[0] in (PadsError, TypeError):
+            with pytest.raises(expect[0], match=expect[1].replace(
                     "(", r"\(").replace(")", r"\)")):
                 choose()
             return
@@ -231,8 +207,8 @@ def clf_log():
 
 @pytest.mark.parametrize("name", ["calls", "clf"])
 @pytest.mark.parametrize("kind,opts,mode", [
-    ("file", {"engine": "cursor"}, "serial"),
-    ("stdin", {"engine": "cursor", "window": 512}, "stream"),
+    ("file", {}, "serial"),
+    ("stdin", {"window": 512}, "stream"),
     ("file", {"jobs": 2}, "parallel"),
     ("stdin", {"jobs": 2}, "parallel-stream"),
     ("file", {"checkpoint": 50}, "durable"),
@@ -243,8 +219,11 @@ def test_run_agrees_with_the_serial_reference(tmp_path, calls_data, clf_log,
     data = calls_data if name == "calls" else clf_log
     path = tmp_path / "in.dat"
     path.write_bytes(data)
-    want_pairs, want_count = _reference(desc, data, RECORD[name])
-    ref = run(desc, data, "accum", RECORD[name], ExecOptions(engine="cursor"))
+    # The reference runs without compiled fast paths: one record at a
+    # time through the general parser, no grid.
+    plain = _desc(name, fastpath=False)
+    want_pairs, want_count = _reference(plain, data, RECORD[name])
+    ref = run(plain, data, "accum", RECORD[name])
     for op in ("records", "accum", "tally", "count"):
         source = path if kind == "file" else io.BytesIO(data)
         res = run(desc, source, op, RECORD[name], ExecOptions(**opts))

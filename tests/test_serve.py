@@ -616,7 +616,7 @@ class TestConcurrentDifferential:
             "sirius": ({"source": SIRIUS}, SIRIUS_SAMPLE.encode("latin-1"),
                        "entry_t", ("accum",), "serial"),
             "calls": (calls_fields, calls, "call_t",
-                      ("records", "accum", "count"), "batch"),
+                      ("records", "accum", "count"), "serial"),
         }
         clients_per_job = 4
         references = {}
