@@ -20,7 +20,7 @@ import threading
 from collections import OrderedDict
 from functools import cached_property, partial
 from time import perf_counter
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, Optional, Tuple, Union
 
 from .. import observe
 from ..dsl.parser import parse_description
@@ -353,8 +353,27 @@ class CompiledDescription:
 
     # -- writing -------------------------------------------------------------------
 
+    @cached_property
+    def _framed_writers(self) -> Dict[str, Callable]:
+        """Per record type with a compiled writer and no parameters, that
+        writer with the discipline's framing folded in
+        (:meth:`RecordDiscipline.framed`)."""
+        frame = self.discipline.framed
+        return {name: frame(node.write_fn)
+                for name, node in self.bound.nodes.items()
+                if isinstance(node, RecordNode) and node.write_fn is not None
+                and not self.bound.params[name]}
+
     def write(self, rep, type_name: Optional[str] = None, *params) -> bytes:
-        """Render ``rep`` back into its physical form (``write2io``)."""
+        """Render ``rep`` back into its physical form (``write2io``).  A
+        record with a compiled writer goes straight to it, framing
+        included; where that writer declines (None), and for every other
+        type, the node's general writer runs."""
+        framed = self._framed_writers.get(type_name)
+        if framed is not None and not params:
+            out = framed(rep)
+            if out is not None:
+                return out
         node, scope = self._entry(type_name, params)
         out = []
         node.write(rep, out, scope)

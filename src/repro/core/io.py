@@ -163,6 +163,19 @@ class RecordDiscipline:
         """Bytes to prepend before a record's payload when writing."""
         return b""
 
+    def framed(self, content):
+        """``content(rep) -> payload | None`` (a compiled record writer)
+        as a writer of whole records: header, payload and trailer, or
+        None where ``content`` declines."""
+        header, trailer = self.header, self.trailer
+
+        def write(rep):
+            payload = content(rep)
+            if payload is None:
+                return None
+            return header(payload) + payload + trailer(payload)
+        return write
+
 
 class NewlineRecords(RecordDiscipline):
     """Newline-terminated records (the paper's ASCII default).
@@ -258,6 +271,16 @@ class NewlineRecords(RecordDiscipline):
 
     def trailer(self, content: bytes) -> bytes:
         return b"\n"
+
+    def framed(self, content):
+        if (type(self).trailer is not NewlineRecords.trailer
+                or type(self).header is not RecordDiscipline.header):
+            return super().framed(content)
+
+        def write(rep):
+            payload = content(rep)
+            return None if payload is None else payload + b"\n"
+        return write
 
 
 def _newline_frames(lines: List[bytes], pos: int):
@@ -593,6 +616,10 @@ class Source:
             del self._buf[:drop]
             self._base = keep_from
 
+    #: Retire what a record step (``begin_record``) leaves behind the
+    #: cursor; a sliding window retires all of it (:class:`StreamSource`).
+    _retire = _trim
+
     # -- limits --------------------------------------------------------------
 
     def _limit(self) -> Optional[int]:
@@ -784,7 +811,7 @@ class Source:
         """
         if self.in_record:
             return True
-        self._trim()
+        self._retire()
         b = self.discipline.bounds(self, self.pos)
         if b is None:
             return False
@@ -1112,7 +1139,7 @@ class StreamSource(Source):
             if self._end() == before:
                 break
 
-    def _trim(self) -> None:
+    def _trim(self, at_least: Optional[int] = None) -> None:
         if self._checkpoints:
             return
         keep_from = min(self.pos, self.rec_start if self.in_record else self.pos)
@@ -1120,12 +1147,18 @@ class StreamSource(Source):
         # Retire eagerly (half a refill instead of a whole chunk): the
         # memmove is amortized and the buffer never holds more than the
         # window plus one refill of already-consumed bytes.
-        if drop >= self._trim_at:
+        if drop >= (self._trim_at if at_least is None else at_least):
             del self._buf[:drop]
             self._base = keep_from
             obs = observe.CURRENT
             if obs is not None:
                 obs.metrics.gauge("stream.bytes_buffered").set(len(self._buf))
+
+    def _retire(self) -> None:
+        # A record step may refill (``bounds``): retiring every consumed
+        # byte first keeps a refill's buffer at the unread bytes plus the
+        # refill, wherever the last block of records began.
+        self._trim(at_least=1)
 
 
 # -- chunk planning -----------------------------------------------------------

@@ -18,6 +18,9 @@ exactly that for the overwhelmingly common case — a uniform mask over a
   atomic groups ``(?>...)`` emulate the parser's maximal-munch /
   ordered-choice commitments) plus a generated *converter* that builds
   the in-memory representation and evaluates semantic constraints.
+  A delimited record gets the same walk's converter behind one
+  ``bytes.split`` instead of the regex: the *split kernel*
+  (:mod:`repro.plan.split`).
 
 Both compilers share one conservative contract: the fast function
 either returns a rep the general parser would have produced **with a
@@ -283,15 +286,7 @@ class FastPath:
         for i, item in enumerate(decl.items):
             tail_here = is_tail and i == last_idx
             if isinstance(item, LitItem):
-                lit = item.literal
-                if lit.kind == "char" or lit.kind == "string":
-                    pattern += re.escape(lit.raw)
-                elif lit.kind == "eor":
-                    # The end of the subject: the record's end under
-                    # fullmatch, the match's ``end`` bound for a member.
-                    pattern += b"\\Z"
-                else:
-                    raise NotEligible(f"literal kind {lit.kind}")
+                pattern += self.literal(item.literal, tail_here)
                 continue
             if isinstance(item, ComputeItem):
                 fvar = self.temp()
@@ -303,7 +298,7 @@ class FastPath:
                 continue
             assert isinstance(item, DataItem)
             fvar = self.temp()
-            pattern += self.compile_use(item.type, fvar, w, scope, tail_here)
+            pattern += self.member_use(item, fvar, w, scope, tail_here)
             scope[item.name] = fvar
             field_vars.append((item.name, fvar))
             if item.constraint is not None:
@@ -312,6 +307,22 @@ class FastPath:
         if decl.where is not None:
             _check(w, self.plan, decl.where, scope, "return None")
         return pattern
+
+    def literal(self, lit, is_tail: bool) -> bytes:
+        """The pattern of a struct's literal member."""
+        if lit.kind == "char" or lit.kind == "string":
+            return re.escape(lit.raw)
+        if lit.kind == "eor":
+            # The end of the subject: the record's end under fullmatch,
+            # the match's ``end`` bound for a member.
+            return b"\\Z"
+        raise NotEligible(f"literal kind {lit.kind}")
+
+    def member_use(self, item: DataItem, var: str, w: _W,
+                   scope: Dict[str, str], is_tail: bool) -> bytes:
+        """The pattern of a struct's data member (its converter goes to
+        ``w``, leaving the value in ``var``)."""
+        return self.compile_use(item.type, var, w, scope, is_tail)
 
     # -- type uses -----------------------------------------------------------
 
@@ -1395,17 +1406,31 @@ def compile_member(plan: Plan, decl: StructPlan, item: DataItem
     return fragment, Verdict(True, "anchored regex over the member")
 
 
-def compile_fast(plan: Plan, decl: StructPlan,
-                 kernel: Optional[str]) -> Tuple[str, List[str], str]:
+def compile_fast(plan: Plan, decl: StructPlan, kernel: Optional[str],
+                 split: bool = True) -> Tuple[str, List[str], str]:
     """Compile the fast path for an unparameterised Precord struct plan.
 
     A record with a batch kernel (``kernel``, its name) runs that kernel
-    over one record, after a length check; any other record is compiled
-    by the anchored-regex compiler, which raises :class:`NotEligible`
-    (with the reason) when the record is outside its subset.
+    over one record, after a length check.  Otherwise a delimited record
+    gets the split kernel (:mod:`repro.plan.split`); any other record is
+    compiled by the anchored-regex compiler, whose verdict then says why
+    the split kernel declined, and which raises :class:`NotEligible`
+    (with the reason) when the record is outside its subset.  ``split``
+    False skips the split kernel (the differential tests compare the two
+    forms with it).
     """
     if kernel is None:
-        return FastPath(plan, decl).build()
+        declined = None
+        if split:
+            from .split import compile_split
+            try:
+                return compile_split(plan, decl)
+            except (NotEligible, re.error) as exc:
+                declined = str(exc) or "not eligible"
+        name, lines, reason = FastPath(plan, decl).build()
+        if declined is not None:
+            reason += f"; split kernel declined: {declined}"
+        return name, lines, reason
     name, total = decl.name, decl.width
     return f"_fp_{name}", [
         f"def _fp_{name}(_line, dosem):",

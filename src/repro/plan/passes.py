@@ -151,7 +151,9 @@ def attach_fastpaths(plan: Plan) -> None:
     against the record discipline is decided per pass at run time
     (:meth:`~repro.core.api.CompiledDescription.grid`).
     A record with a kernel gets that kernel over one record as its fast
-    function; any other record is tried on the anchored-regex compiler.
+    function; any other record gets the split kernel when it is a run of
+    separated tokens, else the anchored-regex compiler
+    (:func:`~repro.plan.fastpath.compile_fast`).
     """
     import re
     from .fastpath import (NotEligible, compile_batch, compile_fast,

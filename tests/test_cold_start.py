@@ -112,14 +112,15 @@ AST_SHA = {
 }
 
 #: sha256 of ``repr(list(analyze(desc, ambient).decls.values()))``.  The
-#: regex fast functions need atomic groups (Python 3.11+), so on 3.10 the
-#: three text formats analyze to other verdicts and other digests.
+#: regex fast functions and split kernels need atomic groups (Python
+#: 3.11+), so on 3.10 the three text formats analyze to other verdicts
+#: and other digests.
 PLAN_SHA = {
-    "clf": "ab7e4209bfc0b7977f5b4ce0ff89d8df26864a82f588606e3e6bb825a268b627",
-    "sirius": "4c488ee54d93abda0826c59ad5cd3ecbe3415a53cb2d7e0aedf0858b36228a92",
+    "clf": "e914ef6a46a5a9ce4f70a9a18d316378036351146e69141105bb1a9fa046fbe7",
+    "sirius": "a6c35ab615d968d841a8e44042594ca79aa50bc965a2b7f4042cb77ec9c2575d",
     "calldetail": "baf8d75432f826a9279601cd37ee8ec907b2dfec3bae99c681ab7b2007a7b52f",
     "netflow": "d092ecde6c6b496d72a5c787a46157139edffbb4a23b8f2e0fc400dd4ac71fec",
-    "regulus": "05a452c2ddc5495b7ed8e55a1508b5a465a221a558f34f1975e54727cb2ee7d2",
+    "regulus": "a6ab0cf30033e139af5b2671ed91e22fbf8d5ed8dc14b1681a343e33beae87fe",
 }
 if sys.version_info < (3, 11):
     PLAN_SHA.update({

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Mask, P_Check, P_CheckAndSet, P_Set, compile_description, gallery
 from repro.codegen import compile_generated
-from repro.core.errors import ErrCode
+from repro.core.errors import ErrCode, PadsError
 from repro.core.io import FixedWidthRecords, NewlineRecords, Source
 from repro.core.limits import ParseLimits
 from repro.core.masks import MaskFlag
@@ -443,12 +443,117 @@ def test_bad_reps_raise_the_general_writers_error(mutate, exc,
     assert str(got.value) == str(want.value)
 
 
+#: Regulus's missing-value union (tagged, float, blank) at both
+#: measurements, with near misses of each branch.
+REGULUS_MISSING = [b"1005022860|nyc-core-1|ge-0/0/1|07|%s|%s|0" % (a, b)
+                   for a in (b"NONE", b"Nothing", b"Nothingx", b"", b"0",
+                             b"12.5", b"-3e2", b".5", b"NONEx", b"1.")
+                   for b in (b"Nothing", b"", b"7.25", b"Nothin")]
+
+
+def _regex_form(desc, rtype):
+    """The record's anchored-regex fast function (the compiler's
+    internal ``split`` argument), beside the kernel it chose."""
+    from repro.plan.fastpath import compile_fast
+    from repro.plan.runtime import runtime_namespace
+    plan = desc.plan
+    name, lines, _ = compile_fast(plan, plan.decls[rtype], None, split=False)
+    ns = runtime_namespace(plan)
+    exec("\n".join(lines), ns)
+    return ns[name]
+
+
+def _sirius_rows():
+    """Workload rows plus text ``int()`` would take where the regex
+    wants digits: a sign, a blank or an underscore in a digit field."""
+    rows = sirius_workload(400, random.Random(20050612), syntax_errors=40,
+                           sort_violations=4).split(b"\n")[1:-1]
+    bent = []
+    for row in rows[:30]:
+        first, rest = row.split(b"|", 1)
+        bent += [b"+" + row, b" " + row, first[:1] + b"_" + first[1:] + b"|"
+                 + rest, row[:-1] + b"+" + row[-1:], row + b" "]
+    return rows + bent
+
+
+@pytest.mark.parametrize("text,rtype,rows", [
+    (gallery.SIRIUS, "entry_t", _sirius_rows),
+    (gallery.REGULUS, "util_t", lambda: REGULUS_MISSING + [
+        row.replace(b"|07|", b"|7|") for row in REGULUS_MISSING[:8]] + [
+        row.replace(b"|07|", b"|24|") for row in REGULUS_MISSING[:8]])],
+    ids=["sirius", "regulus"])
+def test_split_kernel_on_the_gallery(text, rtype, rows):
+    """The gallery's delimited records get the split kernel; wherever it
+    returns a rep, the regex form returns the same and the general
+    parser parses the record clean to it, and the records it declines
+    parse as before."""
+    desc = compile_description(text)
+    ref = compile_description(text, fastpath=False)
+    assert desc.plan.decls[rtype].verdict.reason.startswith(
+        "split kernel over '|' tokens")
+    kernel, regex = desc.node(rtype).fast_fn, _regex_form(desc, rtype)
+    hits = 0
+    rows = rows()
+    for row in rows:
+        for dosem in (True, False):
+            got = kernel(row, dosem)
+            assert got == regex(row, dosem) or got is None, row
+            hits += got is not None
+        want, got = ref.parse(row + b"\n", rtype), desc.parse(row + b"\n",
+                                                           rtype)
+        assert got[0] == want[0], row
+        assert pd_summary(got[1]) == pd_summary(want[1]), row
+        if kernel(row, True) is not None:
+            assert want[1].nerr == 0 and want[0] == kernel(row, True)
+    assert 0 < hits < 2 * len(rows)
+
+
+def test_write_entry_matches_the_node_writer():
+    """``write`` goes straight to the framed compiled writer: same bytes
+    as the node's general writer under newline, length-prefixed and
+    fixed-width disciplines, for a writer that declines, and for a
+    parameterised type (which keeps the general path)."""
+    from repro.core.io import LengthPrefixedRecords
+    sirius_rows = _sirius_inputs()["entry_t"]
+    for disc in (NewlineRecords(), LengthPrefixedRecords(prefix=2),
+                 LengthPrefixedRecords(prefix=4, inclusive=True)):
+        fast = compile_description(gallery.SIRIUS, discipline=disc)
+        ref = compile_description(gallery.SIRIUS, discipline=disc,
+                                  fastpath=False)
+        assert "entry_t" in fast._framed_writers
+        reps = [rep for rep, _pd in compile_description(
+            gallery.SIRIUS).records(sirius_rows, "entry_t")]
+        for rep in reps:
+            assert fast.write(rep, "entry_t") == ref.write(rep, "entry_t")
+        # Declined by the compiled writer: the general writer's error.
+        rep = reps[0]
+        rep.header.order_type = "a|b"
+        assert fast.node("entry_t").write_fn(rep) is None
+        with pytest.raises(ValueError):
+            fast.write(rep, "entry_t")
+    param = """
+        Precord Pstruct row_t(:int n:) { Pstring_FW(:n:) body; };
+        Psource Parray rows_t { row_t(:3:)[]; };
+    """
+    fast = compile_description(param)
+    assert "row_t" not in fast._framed_writers
+    rep, _pd = fast.parse(b"abc\n", "row_t", None, 3)
+    assert fast.write(rep, "row_t", 3) == \
+        compile_description(param, fastpath=False).write(rep, "row_t", 3) \
+        == b"abc\n"
+    with pytest.raises(PadsError):
+        compile_description(gallery.SIRIUS).write(reps[1], "entry_t", 3)
+
+
 def test_write2io_output_unchanged():
     import io
     fast = _build("sirius", "source", True)
     ref = _build("sirius", "source", False)
     assert fast.node("entry_t").write_fn is not None
     assert ref.node("entry_t").write_fn is None
+    # ``write2io`` reaches the framed compiled writer through ``write``.
+    assert "entry_t" in fast._framed_writers
+    assert "entry_t" not in ref._framed_writers
     for rep, _pd in fast.records(_sirius_inputs()["entry_t"], "entry_t"):
         a, b = io.BytesIO(), io.BytesIO()
         assert fast.module.entry_t_write2io(a, rep) == \
@@ -789,8 +894,8 @@ def test_padsc_plan_shows_each_tail_array_form():
     from repro.plan import format_plan
     sirius = format_plan(compile_description(gallery.SIRIUS).bound.plan,
                          "entry_t")
-    assert ("fastpath: eligible: anchored regex over the record (tail "
-            "array eventSeq: one fullmatch + findall)") in sirius
+    assert ("fastpath: eligible: split kernel over '|' tokens (tail "
+            "array eventSeq: 2 tokens per element)") in sirius
     words = format_plan(compile_description(CHECKED_WORDS).bound.plan,
                         "row_t")
     assert ("(tail array words_t: per-element loop (an element, or an "
@@ -861,11 +966,15 @@ def _tails(draw):
 
 def test_tail_array_forms():
     # An element that may match empty, or whose optional member may, keeps
-    # the per-element loop; every other shape gets the one-call form.
+    # the per-element loop; every other shape gets the one-call form,
+    # except the one whose separator is the record's: it is a run of
+    # '|'-separated tokens, so it gets the split kernel.
     for shape in TAIL_SHAPES:
         verdict = compile_description(_tail_desc(shape)).bound.plan \
             .decls["row_t"].verdict
         form = ("per-element loop" if shape in ("min_width_0", "popt_empty")
+                else "split kernel over '|' tokens (tail array tail_t: 2 "
+                "tokens per element)" if shape == "sirius_event"
                 else "one fullmatch + findall")
         assert form in verdict.reason, (shape, verdict)
 

@@ -126,7 +126,9 @@ class TestWidthsAndVerdicts:
         decl = plan.decl("entry_t")
         assert decl.width is None
         assert decl.verdict.eligible
-        assert decl.verdict.reason == "anchored regex over the record"
+        assert decl.verdict.reason == (
+            "anchored regex over the record; split kernel declined: "
+            "literal ' [' holds the separator ' '")
 
     def test_fixed_width_records_get_the_slice_path(self):
         plan = _analyze(gallery.CALL_DETAIL, "binary")
@@ -356,6 +358,25 @@ class TestPlanCLI:
         assert "width: 24 bytes" in text
         assert ("fastpath: eligible: batch kernel over one 24-byte record"
                 in text)
+
+    def test_format_plan_names_the_fast_function_form(self, tmp_path,
+                                                      capsys):
+        from repro.tools.padsc import main
+        path = tmp_path / "sirius.pads"
+        path.write_text(gallery.SIRIUS)
+        assert main(["plan", str(path), "--type", "entry_t"]) == 0
+        assert ("fastpath: eligible: split kernel over '|' tokens (tail "
+                "array eventSeq: 2 tokens per element)"
+                in capsys.readouterr().out)
+        # A delimited record whose member may hold the separator keeps
+        # the regex form, and the plan names the member and why.
+        text = format_plan(_analyze("""
+            Precord Pstruct row_t {
+              Puint32 n; '|'; Pstring_FW(:3:) tag; '|'; Pchar c;
+            };"""), "row_t")
+        assert ("fastpath: eligible: anchored regex over the record; split "
+                "kernel declined: member tag: Pstring_FW(:3:) may contain "
+                "'|'") in text
 
 
 # ---------------------------------------------------------------------------
