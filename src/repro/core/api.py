@@ -367,13 +367,16 @@ class CompiledDescription:
     def write(self, rep, type_name: Optional[str] = None, *params) -> bytes:
         """Render ``rep`` back into its physical form (``write2io``).  A
         record with a compiled writer goes straight to it, framing
-        included; where that writer declines (None), and for every other
-        type, the node's general writer runs."""
+        included; where that writer declines (None), the record's general
+        content writer runs, once framed, and for every other type the
+        node's general writer."""
         framed = self._framed_writers.get(type_name)
         if framed is not None and not params:
             out = framed(rep)
             if out is not None:
                 return out
+            node = self.node(type_name)
+            return node.discipline.frame(node.content(rep, {}))
         node, scope = self._entry(type_name, params)
         out = []
         node.write(rep, out, scope)

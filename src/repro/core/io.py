@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import os
 from time import monotonic, sleep
-from typing import BinaryIO, Iterator, List, Optional, Tuple
+from typing import BinaryIO, Callable, Iterator, List, Optional, Tuple
 
 from .. import observe
 from .errors import ErrCode as _EC
@@ -163,17 +163,19 @@ class RecordDiscipline:
         """Bytes to prepend before a record's payload when writing."""
         return b""
 
+    def frame(self, payload: bytes) -> bytes:
+        """A whole written record: header, payload and trailer."""
+        return self.header(payload) + payload + self.trailer(payload)
+
     def framed(self, content):
         """``content(rep) -> payload | None`` (a compiled record writer)
-        as a writer of whole records: header, payload and trailer, or
-        None where ``content`` declines."""
-        header, trailer = self.header, self.trailer
+        as a writer of whole records (:meth:`frame`), or None where
+        ``content`` declines."""
+        frame = self.frame
 
         def write(rep):
             payload = content(rep)
-            if payload is None:
-                return None
-            return header(payload) + payload + trailer(payload)
+            return None if payload is None else frame(payload)
         return write
 
 
@@ -1178,20 +1180,34 @@ def plan_chunks(handle: BinaryIO, size: int, discipline: RecordDiscipline,
     not worthwhile (discipline not chunkable, input too small, fewer than
     two resulting chunks) — the caller should then use the serial path.
     """
+    if not discipline.chunkable:
+        return None
+    return tile_chunks(start, size, n_chunks, min_chunk,
+                       lambda offset: discipline.align(handle, offset, size,
+                                                       origin=start))
+
+
+def tile_chunks(start: int, size: int, n_chunks: int, min_chunk: int,
+                boundary: Callable[[int], Optional[int]]
+                ) -> Optional[List[Tuple[int, int]]]:
+    """Up to ``n_chunks`` ranges tiling ``[start, size)``, each at least
+    ``min_chunk`` bytes before alignment, cut at ``boundary(offset)``:
+    the first record boundary at or after ``offset`` (``size`` past the
+    last), or None when there is no way to find one.  None when splitting
+    is not possible or leaves fewer than two chunks."""
     span = size - start
-    if span <= 0 or n_chunks <= 1 or not discipline.chunkable:
+    if span <= 0 or n_chunks <= 1:
         return None
     n_chunks = min(n_chunks, max(1, span // max(1, min_chunk)))
     if n_chunks <= 1:
         return None
     cuts = [start]
     for i in range(1, n_chunks):
-        boundary = discipline.align(handle, start + span * i // n_chunks, size,
-                                    origin=start)
-        if boundary is None:
+        cut = boundary(start + span * i // n_chunks)
+        if cut is None:
             return None
-        if cuts[-1] < boundary < size:
-            cuts.append(boundary)
+        if cuts[-1] < cut < size:
+            cuts.append(cut)
     cuts.append(size)
     if len(cuts) <= 2:
         return None

@@ -38,7 +38,7 @@ from .. import observe
 from ..expr import ast as E
 from .basetypes.base import BaseType
 from .errors import ErrCode, Pd, Pstate
-from .io import Source
+from .io import NewlineRecords, Source
 from .limits import fastpath_applies, note_limit, record_guard
 from .masks import Mask
 from .values import EnumVal, UnionVal, rec_class
@@ -1265,8 +1265,8 @@ class RecordNode(PType):
     #: fast way" — the general writer runs and raises any error.
     write_fn: Optional[Callable] = None
     #: The description's record discipline, framing written records
-    #: (set by the compiled description; None means newline records).
-    discipline = None
+    #: (set by the compiled description).
+    discipline = NewlineRecords()
 
     def __init__(self, inner: PType):
         self.inner = inner
@@ -1305,19 +1305,15 @@ class RecordNode(PType):
         return rep, pd
 
     def write(self, rep, out: List[bytes], scope: Scope) -> None:
-        content = None
-        if self.write_fn is not None:
-            content = self.write_fn(rep)
-        if content is None:
-            inner: List[bytes] = []
-            self.inner.write(rep, inner, scope)
-            content = b"".join(inner)
-        discipline = self.discipline
-        if discipline is None:
-            out.append(content + b"\n")
-        else:
-            out.append(discipline.header(content) + content
-                       + discipline.trailer(content))
+        content = None if self.write_fn is None else self.write_fn(rep)
+        out.append(self.discipline.frame(
+            self.content(rep, scope) if content is None else content))
+
+    def content(self, rep, scope: Scope) -> bytes:
+        """The general writer's bytes for the record's content."""
+        inner: List[bytes] = []
+        self.inner.write(rep, inner, scope)
+        return b"".join(inner)
 
     def default(self, scope: Scope):
         return self.inner.default(scope)

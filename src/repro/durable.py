@@ -50,7 +50,8 @@ from typing import Iterator, List, Optional, Tuple
 
 from . import observe
 from .core.errors import PadsError
-from .core.io import MIN_CHUNK_BYTES, RecordDiscipline, Source, StreamSource
+from .core.io import (MIN_CHUNK_BYTES, RecordDiscipline, Source, StreamSource,
+                      tile_chunks)
 from .observe.metrics import MetricsRegistry
 
 __all__ = [
@@ -369,29 +370,17 @@ def plan_chunks_indexed(index: BoundaryIndex, n_chunks: int,
                         min_chunk: int = MIN_CHUNK_BYTES,
                         start: int = 0) -> Optional[List[Tuple[int, int]]]:
     """Record-aligned ``(start, end)`` ranges tiling ``[start, size)``
-    from sampled boundaries alone — no file IO.  Mirrors
-    :func:`repro.core.io.plan_chunks` semantics (None when splitting is
-    not worthwhile); cuts land on sampled boundaries, which is an
-    equally valid record-aligned tiling."""
+    from sampled boundaries alone — no file IO.  The tiling of
+    :func:`repro.core.io.plan_chunks` (:func:`~repro.core.io.tile_chunks`);
+    cuts land on sampled boundaries, which is an equally valid
+    record-aligned tiling."""
     size = index.binding["size"]
-    span = size - start
-    if span <= 0 or n_chunks <= 1:
-        return None
-    n_chunks = min(n_chunks, max(1, span // max(1, min_chunk)))
-    if n_chunks <= 1:
-        return None
-    boundaries = index.offsets
-    cuts = [start]
-    for i in range(1, n_chunks):
-        target = start + span * i // n_chunks
-        j = bisect_left(boundaries, target)
-        boundary = boundaries[j] if j < len(boundaries) else size
-        if cuts[-1] < boundary < size:
-            cuts.append(boundary)
-    cuts.append(size)
-    if len(cuts) <= 2:
-        return None
-    return list(zip(cuts, cuts[1:]))
+    offsets = index.offsets
+
+    def boundary(offset: int) -> int:
+        j = bisect_left(offsets, offset)
+        return offsets[j] if j < len(offsets) else size
+    return tile_chunks(start, size, n_chunks, min_chunk, boundary)
 
 
 def indexed_file_chunks(path: str, discipline: RecordDiscipline,

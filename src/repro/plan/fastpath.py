@@ -20,7 +20,9 @@ exactly that for the overwhelmingly common case — a uniform mask over a
   the in-memory representation and evaluates semantic constraints.
   A delimited record gets the same walk's converter behind one
   ``bytes.split`` instead of the regex: the *split kernel*
-  (:mod:`repro.plan.split`).
+  (:mod:`repro.plan.split`).  A tail array of a regex record is matched
+  one element at a time, each element by its own anchored regex and
+  converter.
 
 Both compilers share one conservative contract: the fast function
 either returns a rep the general parser would have produced **with a
@@ -30,6 +32,11 @@ therefore cost one extra parse, while clean records — the vast majority
 in the paper's workloads — run at compiled speed.  The compiled
 function is a plain source fragment over a small runtime namespace,
 which :mod:`repro.plan.runtime` materialises for the bound description.
+Every compiler here, and the record writer (:class:`WritePath`), emits
+through the shared line writer (:mod:`repro.plan.lines`); the writer's
+fail statement is how a fragment gives up, so the same conversion code
+serves a fast function (``return None``), a batch kernel (``raise
+_BT_MISS``) and a tail element's converter (``return (False, None)``).
 
 The regex compiler also emits *member* fast functions
 (:func:`compile_member`), one per data member of a struct, under the
@@ -48,11 +55,6 @@ from __future__ import annotations
 
 import re
 from typing import Dict, List, Optional, Tuple
-
-try:  # the regex parser, for its width analysis
-    from re import _parser  # type: ignore[attr-defined]
-except ImportError:  # Python 3.10
-    import sre_parse as _parser  # type: ignore[no-redef]
 
 from ..core.basetypes import cobol as _cobol
 from ..core.basetypes import integers as _ints
@@ -79,6 +81,7 @@ from .ir import (
     Use,
     Verdict,
 )
+from .lines import Fresh, Lines
 from .passes import fixed_width_of
 
 _HOST_GUARD = rb"(?![A-Za-z0-9.\-])"
@@ -90,37 +93,13 @@ class NotEligible(Exception):
     message becomes the plan verdict's reason."""
 
 
-class _W:
-    def __init__(self, depth: int = 0):
-        self.lines: List[str] = []
-        self.depth = depth
-
-    def w(self, text: str) -> None:
-        self.lines.append("    " * self.depth + text)
-
-    def block(self, header: str):
-        self.w(header)
-        return _I(self)
-
-
-def _check(w: _W, plan: Plan, expr: E.Expr, scope: Dict[str, str],
-           fail: str) -> None:
+def _check(w: Lines, plan: Plan, expr: E.Expr,
+           scope: Dict[str, str]) -> None:
     """Emit, under ``dosem``, the check form of ``expr``
-    (:meth:`Plan.check`) running ``fail`` when it is false."""
+    (:meth:`Plan.check`) running the writer's fail statement when it is
+    false."""
     with w.block("if dosem:"):
-        for line in plan.check(expr, scope, fail):
-            w.w(line)
-
-
-class _I:
-    def __init__(self, w):
-        self.w = w
-
-    def __enter__(self):
-        self.w.depth += 1
-
-    def __exit__(self, *exc):
-        self.w.depth -= 1
+        w.extend(plan.check(expr, scope, w.fail_stmt))
 
 
 def _cls(value: bytes) -> bytes:
@@ -128,7 +107,7 @@ def _cls(value: bytes) -> bytes:
     return re.escape(value)
 
 
-def base_conv(inst, var: str, ref: str, w: _W) -> None:
+def base_conv(inst, var: str, ref: str, w: Lines) -> None:
     """Conversion code for a fixed-width base type from raw bytes in
     ``ref`` (batch-kernel columns and fixed-array elements)."""
     if isinstance(inst, _ints.BinaryInt):
@@ -140,12 +119,10 @@ def base_conv(inst, var: str, ref: str, w: _W) -> None:
         w.w(f"{var} = __import__('struct').unpack({inst.fmt!r}, {ref})[0]")
     elif isinstance(inst, _cobol.PackedDecimal):
         w.w(f"{var} = _fp_packed({ref}, {inst.digits}, {inst.decimals})")
-        with w.block(f"if {var} is None:"):
-            w.w("return None")
+        w.fail(f"{var} is None")
     elif isinstance(inst, _cobol.ZonedDecimal):
         w.w(f"{var} = _fp_zoned({ref}, {inst.digits}, {inst.decimals})")
-        with w.block(f"if {var} is None:"):
-            w.w("return None")
+        w.fail(f"{var} is None")
     elif isinstance(inst, _strs.FixedString):
         w.w(f"{var} = {ref}.decode({inst.encoding!r})")
     elif isinstance(inst, _strs.AsciiChar):
@@ -155,11 +132,8 @@ def base_conv(inst, var: str, ref: str, w: _W) -> None:
     elif isinstance(inst, _ints.AsciiIntFW):
         w.w(f"{var} = int({ref}.decode('ascii', 'replace').strip(), 10)")
         if not inst.signed:
-            with w.block(f"if {var} < 0:"):
-                w.w("return None")
-        with w.block(f"if dosem and not "
-                     f"({inst.lo} <= {var} <= {inst.hi}):"):
-            w.w("return None")
+            w.fail(f"{var} < 0")
+        w.fail(f"dosem and not ({inst.lo} <= {var} <= {inst.hi})")
     else:
         raise NotEligible(type(inst).__name__)
 
@@ -198,21 +172,13 @@ class FastPath:
         self.member = member
         #: Namespaces every module-level name this compiler emits.
         self.tag = decl.name if member is None else f"{decl.name}__{member}"
-        self.gid = 0
-        self.tmpid = 0
+        self.group = Fresh("g")
+        self.temp = Fresh("_t")
         self.aux: List[str] = []  # extra module-level sources
         #: Which form each compiled tail array took, for the verdict.
         self.tail_forms: List[str] = []
 
     # -- small helpers -------------------------------------------------------
-
-    def group(self) -> str:
-        self.gid += 1
-        return f"g{self.gid}"
-
-    def temp(self) -> str:
-        self.tmpid += 1
-        return f"_t{self.tmpid}"
 
     def auxname(self, stem: str, g: str) -> str:
         # Namespaced by record type (and member) so two fast functions in
@@ -225,7 +191,7 @@ class FastPath:
         """(fast function name, module source lines, verdict reason);
         raises NotEligible."""
         decl = self.decl
-        w = _W(depth=2)  # inside def + try
+        w = Lines(depth=2)  # inside def + try
         var = self.temp()
         pattern = self.compile_struct_body(decl, var, w, is_tail=True)
         reason = "anchored regex over the record"
@@ -237,13 +203,13 @@ class FastPath:
         """(member fast function name, module source lines); raises
         NotEligible.  The member is never the record's tail: a Peor
         terminator is only compiled against the end of a whole record."""
-        w = _W(depth=2)
+        w = Lines(depth=2)
         var = self.temp()
         pattern = self.compile_use(item.type, var, w, {}, is_tail=False)
         return self.emit(pattern, var, w,
                          f"member {self.decl.name}.{item.name}")
 
-    def emit(self, pattern: bytes, var: str, w: _W,
+    def emit(self, pattern: bytes, var: str, w: Lines,
              what: str) -> Tuple[str, List[str]]:
         """Wrap a converter body (``w``, leaving the value in ``var``)
         into the fast function of this compiler's flavour: the compiled
@@ -277,7 +243,7 @@ class FastPath:
 
     # -- struct --------------------------------------------------------------
 
-    def compile_struct_body(self, decl: StructPlan, var: str, w: _W,
+    def compile_struct_body(self, decl: StructPlan, var: str, w: Lines,
                             is_tail: bool) -> bytes:
         pattern = b""
         scope: Dict[str, str] = {}
@@ -294,7 +260,7 @@ class FastPath:
                 scope[item.name] = fvar
                 field_vars.append((item.name, fvar))
                 if item.constraint is not None:
-                    _check(w, self.plan, item.constraint, scope, "return None")
+                    _check(w, self.plan, item.constraint, scope)
                 continue
             assert isinstance(item, DataItem)
             fvar = self.temp()
@@ -302,10 +268,10 @@ class FastPath:
             scope[item.name] = fvar
             field_vars.append((item.name, fvar))
             if item.constraint is not None:
-                _check(w, self.plan, item.constraint, scope, "return None")
+                _check(w, self.plan, item.constraint, scope)
         _build_rec(w, var, _rec_binding(self.aux, decl), field_vars)
         if decl.where is not None:
-            _check(w, self.plan, decl.where, scope, "return None")
+            _check(w, self.plan, decl.where, scope)
         return pattern
 
     def literal(self, lit, is_tail: bool) -> bytes:
@@ -318,7 +284,7 @@ class FastPath:
             return b"\\Z"
         raise NotEligible(f"literal kind {lit.kind}")
 
-    def member_use(self, item: DataItem, var: str, w: _W,
+    def member_use(self, item: DataItem, var: str, w: Lines,
                    scope: Dict[str, str], is_tail: bool) -> bytes:
         """The pattern of a struct's data member (its converter goes to
         ``w``, leaving the value in ``var``)."""
@@ -326,7 +292,7 @@ class FastPath:
 
     # -- type uses -----------------------------------------------------------
 
-    def compile_use(self, use: Use, var: str, w: _W,
+    def compile_use(self, use: Use, var: str, w: Lines,
                     scope: Dict[str, str], is_tail: bool) -> bytes:
         if isinstance(use, OptUse):
             return self.compile_opt(use, var, w, scope, is_tail)
@@ -342,7 +308,7 @@ class FastPath:
             raise NotEligible(f"dynamic parameters on {use.name}")
         return self.base_fragment(use.static, var, w, capture=True)
 
-    def compile_decl_use(self, decl, var: str, w: _W,
+    def compile_decl_use(self, decl, var: str, w: Lines,
                          scope: Dict[str, str], is_tail: bool) -> bytes:
         if isinstance(decl, StructPlan):
             return self.compile_struct_body(decl, var, w, is_tail)
@@ -360,15 +326,12 @@ class FastPath:
 
     # -- Popt / Punion -------------------------------------------------------
 
-    def compile_opt(self, use: OptUse, var: str, w: _W,
+    def compile_opt(self, use: OptUse, var: str, w: Lines,
                     scope: Dict[str, str], is_tail: bool) -> bytes:
         g = self.group()
         inner = self.temp()
-        sub = _W(w.depth + 1)
-        pattern = self.compile_use(use.inner, inner, sub, dict(scope), False)
-        w.w(f"if _m.group({g!r}) is not None:")
-        w.lines.extend(sub.lines)
-        with _I(w):
+        with w.block(f"if _m.group({g!r}) is not None:"):
+            pattern = self.compile_use(use.inner, inner, w, dict(scope), False)
             w.w(f"{var} = {inner}")
         with w.block("else:"):
             w.w(f"{var} = None")
@@ -376,53 +339,41 @@ class FastPath:
         # parser; a failure later in the record must not make it absent.
         return b"(?>(?P<" + g.encode() + b">" + pattern + b")?)"
 
-    def compile_union(self, decl: UnionPlan, var: str, w: _W,
+    def compile_union(self, decl: UnionPlan, var: str, w: Lines,
                       is_tail: bool) -> bytes:
         alts: List[bytes] = []
-        first = True
-        for br in decl.branches:
+        for i, br in enumerate(decl.branches):
             g = self.group()
             bvar = self.temp()
-            sub = _W(w.depth + 1)
-            substituted = False
-            lit = _guard_literal(br.constraint, br.name)
-            if lit is not None and isinstance(lit, str):
-                # `branch == 'literal'` guard on a char/string branch:
-                # bake the literal into the pattern.
-                kind = _string_kind(br.type)
-                if kind is not None:
+            with w.block(f"{'elif' if i else 'if'} _m.group({g!r}) "
+                         "is not None:"):
+                lit = _guard_literal(br.constraint, br.name)
+                if isinstance(lit, str) and _string_kind(br.type) is not None:
+                    # `branch == 'literal'` guard on a char/string branch:
+                    # bake the literal into the pattern.
                     pattern = (b"(?>" + re.escape(self.plan.encode(lit))
                                + b")")
-                    sub.w(f"{bvar} = {lit!r}")
-                    substituted = True
-            if not substituted:
-                pattern = self.compile_use(br.type, bvar, sub, {}, False)
-                if br.constraint is not None:
-                    # Branch guards steer *selection*; a guard failure means
-                    # the general parser would pick a later branch, so the
-                    # fast path must bail out.
-                    bscope = {br.name: bvar}
-                    for line in self.plan.check(br.constraint, bscope,
-                                                "return None"):
-                        sub.w(line)
-            if decl.where is not None:
-                # Checked after the choice, as the general parser does.
-                _check(sub, self.plan, decl.where, {br.name: bvar},
-                       "return None")
-            header = "if" if first else "elif"
-            w.w(f"{header} _m.group({g!r}) is not None:")
-            w.lines.extend(sub.lines)
-            with _I(w):
+                    w.w(f"{bvar} = {lit!r}")
+                else:
+                    pattern = self.compile_use(br.type, bvar, w, {}, False)
+                    if br.constraint is not None:
+                        # Branch guards steer *selection*; a guard failure
+                        # means the general parser would pick a later
+                        # branch, so the fast path must bail out.
+                        w.extend(self.plan.check(br.constraint,
+                                                 {br.name: bvar}, w.fail_stmt))
+                if decl.where is not None:
+                    # Checked after the choice, as the general parser does.
+                    _check(w, self.plan, decl.where, {br.name: bvar})
                 w.w(f"{var} = UnionVal({br.name!r}, {bvar})")
             alts.append(b"(?P<" + g.encode() + b">" + pattern + b")")
-            first = False
         with w.block("else:"):
-            w.w("return None")
+            w.fail()
         return b"(?>" + b"|".join(alts) + b")"
 
     # -- Parray --------------------------------------------------------------
 
-    def compile_array(self, decl: ArrayPlan, var: str, w: _W,
+    def compile_array(self, decl: ArrayPlan, var: str, w: Lines,
                       is_tail: bool) -> bytes:
         if decl.last is not None or decl.ended is not None or decl.longest:
             raise NotEligible("predicate-terminated array")
@@ -446,102 +397,50 @@ class FastPath:
         raise NotEligible("array outside the supported forms")
 
     def _tail_array(self, decl: ArrayPlan, sep: Optional[bytes],
-                    var: str, w: _W) -> bytes:
+                    var: str, w: Lines) -> bytes:
+        """One anchored ``match`` and one converter call per element.  The
+        converter answers ``(ok, value)``, so it fails with ``(False,
+        None)``."""
         g = self.group()
         evar = self.temp()
-        sub = _W()
-        elt_pattern = self.compile_use(decl.elt, evar, sub, {}, False)
-        elt_full = b"(?s:" + elt_pattern + b")"
+        sub = Lines(depth=2, fail="return (False, None)")  # def + try
+        elt_full = (b"(?s:" + self.compile_use(decl.elt, evar, sub, {}, False)
+                    + b")")
         groupindex = re.compile(elt_full).groupindex
         span_var = self.temp()
         w.w(f"{span_var} = _m.group({g!r})")
         w.w(f"{var} = []")
-        if _one_call(elt_full, groupindex, sub.lines):
-            self.tail_forms.append(f"tail array {decl.name}: one fullmatch "
-                                   "+ findall")
-            self._tail_one_call(elt_pattern, groupindex, sub, sep, g, evar,
-                                span_var, var, w)
-        else:
-            self.tail_forms.append(f"tail array {decl.name}: per-element "
-                                   "loop (an element, or an optional part "
-                                   "of one, may match empty)")
-            self._tail_loop(elt_full, groupindex, sub, sep, g, evar,
-                            span_var, var, w)
-        if decl.where is not None:
-            ascope = {"elts": var, "length": f"len({var})"}
-            _check(w, self.plan, decl.where, ascope, "return None")
-        # The span is everything to end-of-record.
-        return b"(?P<" + g.encode() + b">.*)"
-
-    def _tail_one_call(self, elt_pattern: bytes, groupindex, sub: _W,
-                       sep: Optional[bytes], g: str, evar: str,
-                       span_var: str, var: str, w: _W) -> None:
-        """One ``fullmatch`` checks the whole tail is ``E (sep E)*`` with
-        each ``E`` committed (atomic) to the match the general parser's
-        element parse picks; one ``findall`` then yields every element's
-        groups, converted inline.  Sound only when ``E`` never matches
-        empty (see :func:`_one_call`)."""
-        bare = _GROUP_OPEN.sub(b"(?:", elt_pattern)
-        s = re.escape(sep) if sep is not None else b""
-        check = b"(?s:(?:(?>" + bare + b")(?:" + s + b"(?>" + bare + b"))*)?)"
-        rows = (b"(?s:(?>" + elt_pattern + b")"
-                + (b"(?:" + s + b"|\\Z)" if sep is not None else b"") + b")")
-        check_name = self.auxname("fpav", g)
-        rows_name = self.auxname("fpfa", g)
-        self.aux.append(f"{check_name} = __import__('re').compile("
-                        f"{check!r}).fullmatch")
-        self.aux.append(f"{rows_name} = __import__('re').compile("
-                        f"{rows!r}).findall")
-        with w.block(f"if {span_var}:"):
-            with w.block(f"if {check_name}({span_var}) is None:"):
-                w.w("return None")
-            with w.block(f"for _eg in {rows_name}({span_var}):"):
-                w.lines.extend("    " * w.depth + line
-                               for line in _row_groups(sub.lines, groupindex))
-                w.w(f"{var}.append({evar})")
-
-    def _tail_loop(self, elt_full: bytes, groupindex, sub: _W,
-                   sep: Optional[bytes], g: str, evar: str, span_var: str,
-                   var: str, w: _W) -> None:
-        """One anchored ``match`` and one converter call per element."""
+        self.tail_forms.append(f"tail array {decl.name}: per-element loop")
         conv_name = self.auxname("fpelt", g)
         rx_name = self.auxname("fperx", g)
-        self.aux.append(f"{rx_name} = __import__('re').compile({elt_full!r})")
-        self.aux.append(f"def {conv_name}(_m, dosem):")
-        self.aux.append("    _gs = _m.groups()")
-        self.aux.append("    try:")
-        # The converter answers ``(ok, value)``: a failed element check
-        # emitted as ``return None`` must fail the pair, not the unpack.
-        self.aux.extend(
-            "        " + (line.replace("return None", "return (False, None)")
-                          if line.strip() == "return None" else line)
-            for line in _index_groups(sub.lines, groupindex))
-        self.aux.append(f"        return (True, {evar})")
-        self.aux.append("    except Exception:")
-        self.aux.append("        return (False, None)")
+        self.aux += [f"{rx_name} = __import__('re').compile({elt_full!r})",
+                     f"def {conv_name}(_m, dosem):", "    _gs = _m.groups()",
+                     "    try:", *_index_groups(sub.lines, groupindex),
+                     f"        return (True, {evar})", "    except Exception:",
+                     f"        {sub.fail_stmt}"]
         with w.block(f"if {span_var}:"):
             w.w("_apos = 0")
             w.w(f"_alen = len({span_var})")
             with w.block("while True:"):
                 w.w(f"_aem = {rx_name}.match({span_var}, _apos)")
-                with w.block("if _aem is None or _aem.end() == _apos "
-                             "and _alen > _apos:"):
-                    w.w("return None")
+                w.fail("_aem is None or _aem.end() == _apos and _alen > _apos")
                 w.w(f"_aok, _aval = {conv_name}(_aem, dosem)")
-                with w.block("if not _aok:"):
-                    w.w("return None")
+                w.fail("not _aok")
                 w.w(f"{var}.append(_aval)")
                 w.w("_apos = _aem.end()")
                 with w.block("if _apos >= _alen:"):
                     w.w("break")
                 if sep is not None:
-                    with w.block(f"if not {span_var}.startswith({sep!r}, "
-                                 "_apos):"):
-                        w.w("return None")
+                    w.fail(f"not {span_var}.startswith({sep!r}, _apos)")
                     w.w(f"_apos += {len(sep)}")
+        if decl.where is not None:
+            ascope = {"elts": var, "length": f"len({var})"}
+            _check(w, self.plan, decl.where, ascope)
+        # The span is everything to end-of-record.
+        return b"(?P<" + g.encode() + b">.*)"
 
     def _fixed_array(self, decl: ArrayPlan, count: int, var: str,
-                     w: _W) -> bytes:
+                     w: Lines) -> bytes:
         fixed = _static_fixed(decl.elt)
         if fixed is None:
             raise NotEligible("fixed-count array of variable-width elements")
@@ -556,19 +455,17 @@ class FastPath:
         with w.block(f"for _ai in range({count}):"):
             w.w(f"{raw} = {span}[_ai * {width}:(_ai + 1) * {width}]")
             evar = self.temp()
-            sub = _W(w.depth)
-            base_conv(inst, evar, raw, sub)
-            w.lines.extend(sub.lines)
+            base_conv(inst, evar, raw, w)
             w.w(f"{var}.append({evar})")
         if decl.where is not None:
             ascope = {"elts": var, "length": f"len({var})"}
-            _check(w, self.plan, decl.where, ascope, "return None")
+            _check(w, self.plan, decl.where, ascope)
         return (b"(?P<" + g.encode() + b">" +
                 b".{%d}" % (width * count) + b")")
 
     # -- Penum / Ptypedef ----------------------------------------------------
 
-    def compile_enum(self, decl: EnumPlan, var: str, w: _W) -> bytes:
+    def compile_enum(self, decl: EnumPlan, var: str, w: Lines) -> bytes:
         ordered = decl.ordered
         g = self.group()
         map_name = self.auxname("fpenum", g)
@@ -579,17 +476,17 @@ class FastPath:
         w.w(f"{var} = {map_name}[_m.group({g!r})]")
         return b"(?P<" + g.encode() + b">(?>" + alternation + b"))"
 
-    def compile_typedef(self, decl: TypedefPlan, var: str, w: _W,
+    def compile_typedef(self, decl: TypedefPlan, var: str, w: Lines,
                         scope: Dict[str, str], is_tail: bool) -> bytes:
         pattern = self.compile_use(decl.base, var, w, scope, is_tail)
         if decl.constraint is not None:
             cscope = {decl.var: var}
-            _check(w, self.plan, decl.constraint, cscope, "return None")
+            _check(w, self.plan, decl.constraint, cscope)
         return pattern
 
     # -- regex-typed fields --------------------------------------------------
 
-    def compile_regex_type(self, pattern: str, var: str, w: _W) -> bytes:
+    def compile_regex_type(self, pattern: str, var: str, w: Lines) -> bytes:
         raw = pattern.encode(self.plan.encoding)
         if b"(" in raw.replace(b"(?:", b"").replace(b"\\(", b""):
             raise NotEligible("regex field with groups")
@@ -601,7 +498,7 @@ class FastPath:
 
     # -- base types ----------------------------------------------------------
 
-    def base_fragment(self, inst, var: str, w: _W, capture: bool) -> bytes:
+    def base_fragment(self, inst, var: str, w: Lines, capture: bool) -> bytes:
         g = self.group()
         ref = f"_m.group({g!r})"
 
@@ -612,9 +509,7 @@ class FastPath:
             body = b"(?>[-+]?\\d+)" if inst.signed else b"(?>\\d+)"
             w.w(f"{var} = int({ref})")
             if inst.lo is not None:
-                with w.block(f"if dosem and not "
-                             f"({inst.lo} <= {var} <= {inst.hi}):"):
-                    w.w("return None")
+                w.fail(f"dosem and not ({inst.lo} <= {var} <= {inst.hi})")
             return grp(body)
 
         if isinstance(inst, _ints.AsciiIntFW):
@@ -623,10 +518,8 @@ class FastPath:
             w.w(f"{raw} = {ref}.decode('ascii', 'replace').strip()")
             w.w(f"{var} = int({raw}, 10)")
             if not inst.signed:
-                with w.block(f"if {var} < 0:"):
-                    w.w("return None")
-            with w.block(f"if dosem and not ({inst.lo} <= {var} <= {inst.hi}):"):
-                w.w("return None")
+                w.fail(f"{var} < 0")
+            w.fail(f"dosem and not ({inst.lo} <= {var} <= {inst.hi})")
             return grp(body)
 
         if isinstance(inst, _ints.BinaryInt):
@@ -644,8 +537,7 @@ class FastPath:
             digits = b"[\\xf0-\\xf9]"
             sign = b"[\\x60\\x4e]?" if inst.signed else b""
             w.w(f"{var} = int({ref}.decode('cp037'))")
-            with w.block(f"if dosem and not ({inst.lo} <= {var} <= {inst.hi}):"):
-                w.w("return None")
+            w.fail(f"dosem and not ({inst.lo} <= {var} <= {inst.hi})")
             return grp(b"(?>" + sign + digits + b"+)")
 
         if isinstance(inst, _ints.AsciiFloat):
@@ -693,8 +585,7 @@ class FastPath:
             raw = self.temp()
             w.w(f"{raw} = {ref}.decode({inst.encoding!r})")
             w.w(f"{var} = _fp_parse_date({raw})")
-            with w.block(f"if {var} is None:"):
-                w.w("return None")
+            w.fail(f"{var} is None")
             return grp(body)
 
         if isinstance(inst, _tmp.EpochSeconds):
@@ -713,9 +604,8 @@ class FastPath:
         if isinstance(inst, _net.Hostname):
             body = b"(?>[A-Za-z0-9.\\-]+)" + _HOST_GUARD
             w.w(f"{var} = {ref}.decode('ascii')")
-            with w.block(f"if not any(_c.isalpha() for _c in {var}) or "
-                         f"{var}.startswith('.') or {var}.endswith('.'):"):
-                w.w("return None")
+            w.fail(f"not any(_c.isalpha() for _c in {var}) or "
+                   f"{var}.startswith('.') or {var}.endswith('.')")
             return grp(body)
 
         if isinstance(inst, _net.ZipCode):
@@ -725,20 +615,17 @@ class FastPath:
 
         if isinstance(inst, _net.PhoneNumber):
             w.w(f"{var} = int({ref})")
-            with w.block(f"if dosem and len({ref}) not in (1, 10):"):
-                w.w("return None")
+            w.fail(f"dosem and len({ref}) not in (1, 10)")
             return grp(b"(?>\\d+)")
 
         if isinstance(inst, _cobol.PackedDecimal):
             w.w(f"{var} = _fp_packed({ref}, {inst.digits}, {inst.decimals})")
-            with w.block(f"if {var} is None:"):
-                w.w("return None")
+            w.fail(f"{var} is None")
             return grp(b".{%d}" % inst.nbytes)
 
         if isinstance(inst, _cobol.ZonedDecimal):
             w.w(f"{var} = _fp_zoned({ref}, {inst.digits}, {inst.decimals})")
-            with w.block(f"if {var} is None:"):
-                w.w("return None")
+            w.fail(f"{var} is None")
             return grp(b".{%d}" % inst.digits)
 
         if isinstance(inst, _misc.Empty):
@@ -775,17 +662,14 @@ class BatchPath:
         self.plan = plan
         self.decl = decl
         self.prefix = prefix          # struct byte-order prefix, '<' or '>'
-        self.tmpid = 0
-        self.auxid = 0
+        self.temp = Fresh("_f")
+        #: Names of the enum maps, one per enum column.
+        self.enum_map = Fresh(f"_btenum_{decl.name}_s")
         self.aux: List[str] = []
         self.fmt: List[str] = []      # struct format parts, layout order
         self.nslots = 0               # tuple arity so far
         self.lits: List[Tuple[int, bytes]] = []  # literal columns: (off, raw)
         self.votes = {"<": 0, ">": 0}  # byte-order preferences seen
-
-    def temp(self) -> str:
-        self.tmpid += 1
-        return f"_f{self.tmpid}"
 
     def slot(self, code: str) -> str:
         """Allocate one unpacked column; returns its tuple reference."""
@@ -803,7 +687,7 @@ class BatchPath:
             raise NotEligible("record width is not static")
         if total == 0:
             raise NotEligible("record has zero static width")
-        w = _W(depth=0)               # re-indented under both loop bodies
+        w = Lines(fail="raise _BT_MISS")  # placed under both loop bodies
         var = self.temp()
         end = self.compile_struct(decl, var, w, 0)
         if end != total:
@@ -814,80 +698,73 @@ class BatchPath:
             raise NotEligible("column format does not cover the record")
         name = decl.name
         fn_name = f"_bt_{name}"
-        body = ["            " + ln for ln in w.lines]
-        tail = f"            _ap({var})"
-        out: List[str] = []
-        out.append("_BT_MISS = ValueError")
-        out.append(f"_btfmt_{name} = {fmt!r}")
-        out.append(f"_btst_{name} = {{}}")
-        out.append(f"def {fn_name}(_mv, _n, _stride, dosem):")
-        out.append(f'    """Batch kernel for {name}: columnar parse of _n '
-                   f'{total}-byte records at _stride-byte pitch."""')
-        out.append(f"    _st = _btst_{name}.get(_stride)")
-        out.append("    if _st is None:")
-        out.append(f"        _pad = _stride - {total}")
-        out.append(f"        _st = _btst_{name}[_stride] = "
-                   f"__import__('struct').Struct(_btfmt_{name}"
-                   " + (str(_pad) + 'x' if _pad else ''))")
-        if self.lits:
-            out.append("    _bad = None")
+        out = Lines()
+        out.w("_BT_MISS = ValueError")
+        out.w(f"_btfmt_{name} = {fmt!r}")
+        out.w(f"_btst_{name} = {{}}")
+        with out.block(f"def {fn_name}(_mv, _n, _stride, dosem):"):
+            out.w(f'"""Batch kernel for {name}: columnar parse of _n '
+                  f'{total}-byte records at _stride-byte pitch."""')
+            out.w(f"_st = _btst_{name}.get(_stride)")
+            with out.block("if _st is None:"):
+                out.w(f"_pad = _stride - {total}")
+                out.w(f"_st = _btst_{name}[_stride] = __import__('struct')"
+                      f".Struct(_btfmt_{name} + (str(_pad) + 'x' if _pad "
+                      "else ''))")
+            if self.lits:
+                out.w("_bad = None")
             for off, raw in self.lits:
                 for j, byte in enumerate(raw):
                     # One strided pass over the whole batch per literal
                     # byte column; the per-record membership set is built
                     # only on the (rare) mismatch path.
-                    out.append(f"    _col = bytes(_mv[{off + j}::_stride])")
-                    out.append(f"    if _col != {bytes([byte])!r} * _n:")
-                    out.append("        if _bad is None:")
-                    out.append("            _bad = set()")
-                    out.append("        _bad.update(_j for _j in range(_n) "
-                               f"if _col[_j] != {byte})")
-        out.append("    _reps = []")
-        out.append("    _ap = _reps.append")
-        # _miss counts None slots so the caller's clean-block test costs
-        # nothing (scanning the rep list for None would call each rep's
-        # __eq__).  Bumped only on the failure paths.
-        out.append("    _miss = 0")
-        if self.lits:
-            deep = ["    " + ln for ln in body]
-            out.append("    if _bad is None:")
-            out.append("        for _t in _st.iter_unpack(_mv):")
-            out.append("            try:")
-            out.extend(deep)
-            out.append("    " + tail)
-            out.append("            except Exception:")
-            out.append("                _ap(None)")
-            out.append("                _miss += 1")
-            out.append("    else:")
-            out.append("        _ui = _st.iter_unpack(_mv)")
-            out.append("        for _j in range(_n):")
-            out.append("            _t = next(_ui)")
-            out.append("            if _j in _bad:")
-            out.append("                _ap(None)")
-            out.append("                _miss += 1")
-            out.append("                continue")
-            out.append("            try:")
-            out.extend(deep)
-            out.append("    " + tail)
-            out.append("            except Exception:")
-            out.append("                _ap(None)")
-            out.append("                _miss += 1")
-        else:
-            out.append("    for _t in _st.iter_unpack(_mv):")
-            out.append("        try:")
-            out.extend(body)
-            out.append(tail)
-            out.append("        except Exception:")
-            out.append("            _ap(None)")
-            out.append("            _miss += 1")
-        out.append("    return _reps, _miss")
-        out.extend(self.aux)
-        return fn_name, out, (f"columnar kernel over {total}-byte records"
-                              f" ({self.nslots} unpacked columns)")
+                    out.w(f"_col = bytes(_mv[{off + j}::_stride])")
+                    with out.block(f"if _col != {bytes([byte])!r} * _n:"):
+                        with out.block("if _bad is None:"):
+                            out.w("_bad = set()")
+                        out.w(f"_bad.update(_j for _j in range(_n) "
+                              f"if _col[_j] != {byte})")
+            out.w("_reps = []")
+            out.w("_ap = _reps.append")
+            # _miss counts None slots so the caller's clean-block test
+            # costs nothing (scanning the rep list for None would call each
+            # rep's __eq__).  Bumped only on the failure paths.
+            out.w("_miss = 0")
+
+            def miss() -> None:
+                out.w("_ap(None)")
+                out.w("_miss += 1")
+
+            def record() -> None:
+                with out.block("try:"):
+                    out.extend(w.lines)
+                    out.w(f"_ap({var})")
+                with out.block("except Exception:"):
+                    miss()
+
+            if self.lits:
+                with out.block("if _bad is None:"):
+                    with out.block("for _t in _st.iter_unpack(_mv):"):
+                        record()
+                with out.block("else:"):
+                    out.w("_ui = _st.iter_unpack(_mv)")
+                    with out.block("for _j in range(_n):"):
+                        out.w("_t = next(_ui)")
+                        with out.block("if _j in _bad:"):
+                            miss()
+                            out.w("continue")
+                        record()
+            else:
+                with out.block("for _t in _st.iter_unpack(_mv):"):
+                    record()
+            out.w("return _reps, _miss")
+        out.lines += self.aux
+        return fn_name, out.lines, (f"columnar kernel over {total}-byte records"
+                                    f" ({self.nslots} unpacked columns)")
 
     # -- struct --------------------------------------------------------------
 
-    def compile_struct(self, decl: StructPlan, var: str, w: _W,
+    def compile_struct(self, decl: StructPlan, var: str, w: Lines,
                        off: int) -> int:
         scope: Dict[str, str] = {}
         field_vars: List[Tuple[str, str]] = []
@@ -909,7 +786,7 @@ class BatchPath:
                 scope[item.name] = fvar
                 field_vars.append((item.name, fvar))
                 if item.constraint is not None:
-                    _check(w, self.plan, item.constraint, scope, "raise _BT_MISS")
+                    _check(w, self.plan, item.constraint, scope)
                 continue
             assert isinstance(item, DataItem)
             fvar = self.temp()
@@ -917,15 +794,15 @@ class BatchPath:
             scope[item.name] = fvar
             field_vars.append((item.name, fvar))
             if item.constraint is not None:
-                _check(w, self.plan, item.constraint, scope, "raise _BT_MISS")
+                _check(w, self.plan, item.constraint, scope)
         _build_rec(w, var, _rec_binding(self.aux, decl), field_vars)
         if decl.where is not None:
-            _check(w, self.plan, decl.where, scope, "raise _BT_MISS")
+            _check(w, self.plan, decl.where, scope)
         return off
 
     # -- type uses -----------------------------------------------------------
 
-    def compile_use(self, use: Use, var: str, w: _W, off: int,
+    def compile_use(self, use: Use, var: str, w: Lines, off: int,
                     scope: Dict[str, str]) -> int:
         if isinstance(use, BaseUse):
             inst = use.static
@@ -946,7 +823,7 @@ class BatchPath:
             return self.compile_decl_use(decl, var, w, off, scope)
         raise NotEligible(type(use).__name__)
 
-    def compile_base(self, inst, width: int, var: str, w: _W) -> None:
+    def compile_base(self, inst, width: int, var: str, w: Lines) -> None:
         """One fixed-width base column: a native struct code when the
         byte order matches the kernel prefix (the value comes out of the
         unpacked tuple ready to use), a raw ``{w}s`` column plus the
@@ -971,12 +848,9 @@ class BatchPath:
             if inst.fmt[0] == self.prefix:
                 w.w(f"{var} = {self.slot(inst.fmt[1])}")
                 return
-        ref = self.slot(f"{width}s")
-        sub = _W(w.depth)
-        base_conv(inst, var, ref, sub)
-        w.lines.extend(_miss_on_failure(sub.lines))
+        base_conv(inst, var, self.slot(f"{width}s"), w)
 
-    def compile_decl_use(self, decl, var: str, w: _W, off: int,
+    def compile_decl_use(self, decl, var: str, w: Lines, off: int,
                          scope: Dict[str, str]) -> int:
         if isinstance(decl, StructPlan):
             return self.compile_struct(decl, var, w, off)
@@ -985,8 +859,7 @@ class BatchPath:
             if len(lens) != 1:
                 raise NotEligible("enum spellings of differing widths")
             width = lens.pop()
-            self.auxid += 1
-            map_name = f"_btenum_{self.decl.name}_s{self.auxid}"
+            map_name = self.enum_map()
             entries = ", ".join(f"{item.raw!r}: E_{item.name}"
                                 for item in decl.ordered)
             self.aux.append(f"{map_name} = {{{entries}}}")
@@ -998,13 +871,13 @@ class BatchPath:
             off = self.compile_use(decl.base, var, w, off, scope)
             if decl.constraint is not None:
                 cscope = {decl.var: var}
-                _check(w, self.plan, decl.constraint, cscope, "raise _BT_MISS")
+                _check(w, self.plan, decl.constraint, cscope)
             return off
         if isinstance(decl, ArrayPlan):
             return self.compile_array(decl, var, w, off)
         raise NotEligible(type(decl).__name__)
 
-    def compile_array(self, decl: ArrayPlan, var: str, w: _W,
+    def compile_array(self, decl: ArrayPlan, var: str, w: Lines,
                       off: int) -> int:
         if (decl.last is not None or decl.ended is not None or decl.longest
                 or decl.sep is not None or decl.term is not None):
@@ -1026,7 +899,7 @@ class BatchPath:
         w.w(f"{var} = [{', '.join(evars)}]")
         if decl.where is not None:
             ascope = {"elts": var, "length": f"len({var})"}
-            _check(w, self.plan, decl.where, ascope, "raise _BT_MISS")
+            _check(w, self.plan, decl.where, ascope)
         return off + count * width
 
 
@@ -1049,34 +922,27 @@ class WritePath:
     def __init__(self, plan: Plan, decl: StructPlan):
         self.plan = plan
         self.decl = decl
-        self.tmpid = 0
+        self.temp = Fresh("_w")
         self.aux: List[str] = []
-
-    def temp(self) -> str:
-        self.tmpid += 1
-        return f"_w{self.tmpid}"
 
     def build(self) -> Tuple[str, List[str]]:
         """(writer name, module source lines); raises NotEligible."""
-        w = _W(depth=2)  # inside def + try
+        w = Lines(depth=2)  # inside def + try
         parts = self.struct_parts(self.decl.items, "rep", w)
         name = self.decl.name
         fn_name = f"_fw_{name}"
-        out = [f"def {fn_name}(rep):",
-               f'    """Compiled writer for {name}: one str, encoded once."""',
-               "    try:"]
         content = self.concat(parts, w)
-        out.extend(w.lines)
-        out.append(f"        return {content}.encode('latin-1')")
-        out.append("    except Exception:")
-        out.append("        return None")
-        out.extend(self.aux)
-        return fn_name, out
+        return fn_name, [
+            f"def {fn_name}(rep):",
+            f'    """Compiled writer for {name}: one str, encoded once."""',
+            "    try:", *w.lines,
+            f"        return {content}.encode('latin-1')",
+            "    except Exception:", "        return None", *self.aux]
 
     # -- parts: (kind, text) with kind "lit" (literal text), "str" (an
     # expression yielding a str) or "fmt" (one an f-string formats) -----
 
-    def concat(self, parts: List[Tuple[str, str]], w: _W) -> str:
+    def concat(self, parts: List[Tuple[str, str]], w: Lines) -> str:
         """One str expression joining ``parts`` (an f-string unless it is
         a lone literal or str; expressions an f-string cannot hold are
         bound first)."""
@@ -1097,7 +963,7 @@ class WritePath:
             template += "{" + text + "}"
         return "f" + repr(template)
 
-    def bind(self, val: str, w: _W) -> str:
+    def bind(self, val: str, w: Lines) -> str:
         """``val`` as a name, so it is evaluated once."""
         if val.isidentifier():
             return val
@@ -1105,18 +971,17 @@ class WritePath:
         w.w(f"{var} = {val}")
         return var
 
-    def checked(self, expr: str, fails, w: _W) -> List[Tuple[str, str]]:
+    def checked(self, expr: str, fails, w: Lines) -> List[Tuple[str, str]]:
         """Bind ``expr``; the writer returns None when ``fails(name)``
         holds."""
         var = self.temp()
         w.w(f"{var} = {expr}")
-        with w.block(f"if {fails(var)}:"):
-            w.w("return None")
+        w.fail(fails(var))
         return [("str", var)]
 
     # -- struct --------------------------------------------------------------
 
-    def struct_parts(self, items, ref: str, w: _W) -> List[Tuple[str, str]]:
+    def struct_parts(self, items, ref: str, w: Lines) -> List[Tuple[str, str]]:
         parts: List[Tuple[str, str]] = []
         for item in items:
             if isinstance(item, LitItem):
@@ -1134,7 +999,7 @@ class WritePath:
 
     # -- type uses -----------------------------------------------------------
 
-    def use_parts(self, use: Use, val: str, w: _W) -> List[Tuple[str, str]]:
+    def use_parts(self, use: Use, val: str, w: Lines) -> List[Tuple[str, str]]:
         if isinstance(use, OptUse):
             v = self.bind(val, w)
             out = self.temp()
@@ -1153,7 +1018,7 @@ class WritePath:
             return self.base_parts(use, val, w)
         raise NotEligible(f"cannot write {type(use).__name__}")
 
-    def decl_parts(self, decl, val: str, w: _W) -> List[Tuple[str, str]]:
+    def decl_parts(self, decl, val: str, w: Lines) -> List[Tuple[str, str]]:
         if isinstance(decl, StructPlan):
             return self.struct_parts(decl.items, self.bind(val, w), w)
         if isinstance(decl, TypedefPlan):
@@ -1175,7 +1040,7 @@ class WritePath:
                     sub = self.use_parts(br.type, f"{v}.value", w)
                     w.w(f"{out} = {self.concat(sub, w)}")
             with w.block("else:"):
-                w.w("return None")
+                w.fail()
             return [("str", out)]
         if isinstance(decl, ArrayPlan):
             sep = ""
@@ -1195,7 +1060,7 @@ class WritePath:
         raise NotEligible(f"cannot write {type(decl).__name__}")
 
     def base_parts(self, use: BaseUse, val: str,
-                   w: _W) -> List[Tuple[str, str]]:
+                   w: Lines) -> List[Tuple[str, str]]:
         inst = use.static
         kind = type(inst)
         if kind in (_ints.AsciiInt, _net.PhoneNumber):
@@ -1236,15 +1101,6 @@ class WritePath:
 _FSTRING_SAFE = re.compile(r"[\w.(), ]+")
 
 
-def _miss_on_failure(lines: List[str]) -> List[str]:
-    """Rewrite :func:`base_conv`'s bail-out idiom (``return None``) to
-    the batch kernels' per-record one (``raise _BT_MISS``), keeping one
-    source of truth for conversion semantics."""
-    return [ln.replace("return None", "raise _BT_MISS")
-            if ln.strip() == "return None" else ln
-            for ln in lines]
-
-
 def compile_batch(plan: Plan, decl: StructPlan) -> Tuple[str, List[str], str]:
     """Compile the batch kernel for an unparameterised Precord struct
     plan whose width analysis proved the record fully static; raises
@@ -1280,7 +1136,7 @@ def _rec_binding(aux: List[str], decl: StructPlan) -> str:
     return name
 
 
-def _build_rec(w: _W, var: str, cls: str,
+def _build_rec(w: Lines, var: str, cls: str,
                field_vars: List[Tuple[str, str]]) -> None:
     """Construct rep ``var`` of class ``cls``: allocate it and store each
     slot (cheaper than a call to the class's constructor)."""
@@ -1301,62 +1157,6 @@ def _index_groups(lines: List[str], groupindex: Dict[str, int]) -> List[str]:
         return f"_gs[{groupindex[m.group(1)] - 1}]"
 
     return [_GROUP_REF.sub(repl, line) for line in lines]
-
-
-#: The opening of one of the compiler's own (named) capture groups; an
-#: escaped literal never contains ``(?P<`` since ``re.escape`` escapes ``?``.
-_GROUP_OPEN = re.compile(rb"\(\?P<g\d+>")
-#: A presence test on an optional member's or a union branch's group.
-_PRESENT = re.compile(r"_m\.group\('(g\d+)'\) is not None")
-
-
-def _min_widths(pattern: bytes) -> Tuple[int, Dict[int, int]]:
-    """``(minimum match width of pattern, {group number: minimum width of
-    that group})``, from the regex parser's own width analysis."""
-    widths: Dict[int, int] = {}
-
-    def visit(node) -> None:
-        if isinstance(node, _parser.SubPattern):
-            for op, av in node.data:
-                if op is _parser.SUBPATTERN and av[0] is not None:
-                    widths[av[0]] = av[-1].getwidth()[0]
-                visit(av)
-        elif isinstance(node, (tuple, list)):
-            for child in node:
-                visit(child)
-
-    tree = _parser.parse(pattern)
-    visit(tree)
-    return tree.getwidth()[0], widths
-
-
-def _one_call(elt_full: bytes, groupindex: Dict[str, int],
-              lines: List[str]) -> bool:
-    """Whether a tail array of this element may take the one-call form.
-
-    ``findall`` reports a group that did not take part as ``b""``, where
-    a ``match`` reports None, and it yields an extra empty match at the
-    end of the span when the element can match empty.  So the element
-    must never match empty, and neither may any group the converter tests
-    for presence (an optional member, a union branch)."""
-    total, widths = _min_widths(elt_full)
-    if total == 0:
-        return False
-    return all(widths[groupindex[name]] > 0
-               for line in lines for name in _PRESENT.findall(line))
-
-
-def _row_groups(lines: List[str], groupindex: Dict[str, int]) -> List[str]:
-    """Rewrite an element converter's group references to one ``findall``
-    row ``_eg``: a tuple, or the lone group's bytes when the element has
-    one group.  A presence test becomes a truth test, which
-    :func:`_one_call` made exact."""
-    lone = len(groupindex) == 1
-
-    def ref(m: "re.Match") -> str:
-        return "_eg" if lone else f"_eg[{groupindex[m.group(1)] - 1}]"
-
-    return [_GROUP_REF.sub(ref, _PRESENT.sub(ref, line)) for line in lines]
 
 
 def _guard_literal(constraint: Optional[E.Expr], name: str):

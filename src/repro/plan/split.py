@@ -33,20 +33,27 @@ from __future__ import annotations
 import re
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+try:  # the regex parser, for its width analysis
+    from re import _parser  # type: ignore[attr-defined]
+except ImportError:  # Python 3.10
+    import sre_parse as _parser  # type: ignore[no-redef]
+
 from ..core.basetypes import integers as _ints
 from ..core.basetypes import network as _net
 from ..core.basetypes import strings as _strs
 from ..core.basetypes import temporal as _tmp
-from .fastpath import (_GROUP_REF, _PRESENT, FastPath, NotEligible, _check,
-                       _min_widths, _parser, _W)
+from .fastpath import _GROUP_REF, FastPath, NotEligible, _check
 from .ir import (ArrayPlan, BaseUse, DataItem, EnumPlan, LitItem, OptUse,
                  Plan, RefUse, RegexUse, StructPlan, TypedefPlan, Use)
+from .lines import Lines
 
 #: A token's parts: ``(pattern, shape)`` per member or literal in it;
 #: the shape names a test cheaper than a fullmatch, or is None.
 Token = List[Tuple[bytes, Optional[str]]]
 
 _GROUP_NAME = re.compile(rb"\(\?P<(g\d+)>")
+#: A presence test on an optional member's or a union branch's group.
+_PRESENT = re.compile(r"_m\.group\('(g\d+)'\) is not None")
 
 #: The regex parser's categories as tests of one byte (bytes patterns
 #: are ASCII: ``\d`` is ``isdigit``, ``\s`` ``isspace``, ``\w`` alnum or _).
@@ -205,7 +212,7 @@ class SplitPath(FastPath):
             self.tokens[-1].append((pattern, None))
         return pattern
 
-    def member_use(self, item: DataItem, var: str, w: _W,
+    def member_use(self, item: DataItem, var: str, w: Lines,
                    scope: Dict[str, str], is_tail: bool) -> bytes:
         use = item.type
         if not self.flat:
@@ -223,7 +230,7 @@ class SplitPath(FastPath):
         finally:
             self.path.pop()
 
-    def token_member(self, use: Use, var: str, w: _W,
+    def token_member(self, use: Use, var: str, w: Lines,
                      scope: Dict[str, str], is_tail: bool) -> bytes:
         """Compile a member that lies inside one token, as the regex
         compiler does; raises NotEligible when it may hold the
@@ -265,7 +272,7 @@ class SplitPath(FastPath):
         return None
 
     def _tail_array(self, decl: ArrayPlan, sep: Optional[bytes],
-                    var: str, w: _W) -> bytes:
+                    var: str, w: Lines) -> bytes:
         if sep != self.sep:
             raise NotEligible(f"tail array {decl.name}: separator "
                               f"{(sep or b'').decode('latin-1')!r} is not "
@@ -276,7 +283,7 @@ class SplitPath(FastPath):
         self.tail_at = len(self.tokens) - 1
         outer, self.tokens = self.tokens, [[]]
         evar = self.temp()
-        sub = _W()
+        sub = Lines()
         self.path.append("[]")
         try:
             if isinstance(decl.elt, RefUse) and \
@@ -287,7 +294,7 @@ class SplitPath(FastPath):
         finally:
             self.path.pop()
             elts, self.tokens = self.tokens, outer
-        if _min_widths(b"(?s:" + elt + b")")[0] == 0:
+        if _parser.parse(b"(?s:" + elt + b")").getwidth()[0] == 0:
             raise NotEligible(f"tail array {decl.name}: an element may "
                               "match empty")
         k = len(elts)
@@ -300,20 +307,18 @@ class SplitPath(FastPath):
             if k == 1:
                 loop = "for _e0 in _kt:"
             else:
-                with w.block(f"if len(_kt) % {k}:"):
-                    w.w("return None")
+                w.fail(f"len(_kt) % {k}")
                 w.w("_ki = iter(_kt)")
                 loop = (f"for {', '.join(names)} in "
                         f"zip({', '.join(['_ki'] * k)}):")
             with w.block(loop):
                 if tests:
-                    with w.block(f"if not ({' and '.join(tests)}):"):
-                        w.w("return None")
-                w.lines.extend("    " * w.depth + line for line in lines)
+                    w.fail(f"not ({' and '.join(tests)})")
+                w.extend(lines)
                 w.w(f"{var}.append({evar})")
         if decl.where is not None:
             ascope = {"elts": var, "length": f"len({var})"}
-            _check(w, self.plan, decl.where, ascope, "return None")
+            _check(w, self.plan, decl.where, ascope)
         return b"(?P<" + self.group().encode() + b">.*)"
 
     # -- tokens ---------------------------------------------------------------
@@ -364,7 +369,7 @@ class SplitPath(FastPath):
 
     def build(self) -> Tuple[str, List[str], str]:
         decl = self.decl
-        w = _W(depth=2)  # inside def + try
+        w = Lines(depth=2)  # inside def + try
         var = self.temp()
         self.compile_struct_body(decl, var, w, is_tail=True)
         tokens = self.tokens if self.tail_at is None \

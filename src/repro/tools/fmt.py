@@ -15,13 +15,16 @@ The tree walk (:func:`_pieces`/:func:`_join`) is the reference semantics.
 Like the paper's generated function, :func:`formatter` also compiles it
 once per record shape into one straight-line function (the formatting
 twin of :mod:`repro.tools.adder`), used whenever no custom formatter or
-per-field mask applies; any exception in it re-runs the walk.
+per-field mask applies; any exception in it re-runs the walk.  The source
+is written with the plan's line writer and loaded by its template step
+(:mod:`repro.plan.lines`), as the adder's is.
 """
 
 from __future__ import annotations
 
 import functools
 import sys
+from contextlib import nullcontext
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.masks import Mask, MaskFlag, P_CheckAndSet
@@ -39,6 +42,7 @@ from ..core.types import (
     UnionNode,
 )
 from ..core.values import DateVal
+from ..plan.lines import MAX_DEPTH, Fresh, Lines, template
 
 Formatter = Callable[[object], str]
 
@@ -124,17 +128,13 @@ def _join(node: PType, rep, spec: FormatSpec, mask: Mask, depth: int) -> str:
 
 # -- the compiled formatter ------------------------------------------------
 
-#: Deepest compound nesting the compiled formatter inlines; a subtree
-#: below it is handed to the walk, keeping the source within CPython's
-#: limits on nested indentation (100) and blocks (20) for any description.
-_MAX_DEPTH = 16
 #: Compiled formatters kept per top node (one per distinct option set).
 _NODE_MEMO = 16
 
 
 def _shape(node: PType, walked: List[PType], level: int = 0):
     """The template key of ``node``'s tree.  Record, typedef and app nodes
-    unwrap, as in :func:`_pieces`; a compound below ``_MAX_DEPTH`` is
+    unwrap, as in :func:`_pieces`; a compound below ``MAX_DEPTH`` is
     ``("walk", i)``, its node appended to ``walked`` at ``i``."""
     while isinstance(node, (RecordNode, AppNode, TypedefNode)):
         node = (node.inner if isinstance(node, RecordNode) else
@@ -142,7 +142,7 @@ def _shape(node: PType, walked: List[PType], level: int = 0):
     if not isinstance(node, (StructNode, UnionNode, SwitchUnionNode,
                              OptNode, ArrayNode)):
         return ("enum" if isinstance(node, EnumNode) else "scalar", None)
-    if level > _MAX_DEPTH:
+    if level > MAX_DEPTH:
         walked.append(node)
         return ("walk", len(walked) - 1)
     level += 1
@@ -184,25 +184,18 @@ class _FormatterSource:
 
     def __init__(self, delims: Tuple[str, ...]):
         self.delims = delims
-        self.lines: List[str] = []
-        self.nvars = 0
-
-    def w(self, indent: int, text: str) -> None:
-        self.lines.append("    " * indent + text)
-
-    def var(self, prefix: str = "v") -> str:
-        self.nvars += 1
-        return f"{prefix}{self.nvars}"
+        self.out = Lines(depth=3)
+        self.var = Fresh("v")
 
     def delim(self, depth: int) -> str:
         return repr(self.delims[min(depth, len(self.delims) - 1)])
 
     def source(self, shape) -> str:
-        pieces = self.pieces(shape, "rep", 0, 3)
-        self.w(3, f"return {self.delim(0)}.join({self.seq(pieces)})")
+        pieces = self.pieces(shape, "rep", 0)
+        self.out.w(f"return {self.delim(0)}.join({self.seq(pieces)})")
         return "\n".join(
             ["def _make(N, _walk):", "    def fmt(rep):", "        try:"]
-            + self.lines
+            + self.out.lines
             + ["        except Exception:", "            return _walk(rep)",
                "    return fmt", ""])
 
@@ -218,23 +211,17 @@ class _FormatterSource:
         return (f"({v} if type({v}) is str else str({v}) "
                 f"if type({v}) is int else _st({v}, _spec))")
 
-    def apart(self, emit, *args):
-        """``(lines, result)`` of ``emit(*args)``, its lines kept apart."""
-        saved, self.lines = self.lines, []
-        result = emit(*args)
-        lines, self.lines = self.lines, saved
-        return lines, result
-
-    def text(self, shape, var: str, depth: int, indent: int) -> str:
+    def text(self, shape, var: str, depth: int) -> str:
         """An expression for ``_join(node, var, depth)``; a single piece
         stands for itself (a non-``str`` one still fails a later join)."""
-        pieces = self.pieces(shape, var, depth, indent)
+        pieces = self.pieces(shape, var, depth)
         if isinstance(pieces, list) and len(pieces) == 1:
             return pieces[0]
         return f"{self.delim(depth)}.join({self.seq(pieces)})"
 
-    def pieces(self, shape, var: str, depth: int, indent: int):
-        """Emit ``_pieces(node, var, depth)``'s statements at ``indent``."""
+    def pieces(self, shape, var: str, depth: int):
+        """Emit ``_pieces(node, var, depth)``'s statements."""
+        w = self.out
         form, sub = shape
         if form == "scalar":
             return [self.scalar(var)]
@@ -242,59 +229,57 @@ class _FormatterSource:
             return [f"str({var})"]
         if form == "walk":
             out = self.var("p")
-            self.w(indent, f"{out} = _pieces(N[{sub}], {var}, _spec, _mask, "
-                           f"{depth})")
+            w.w(f"{out} = _pieces(N[{sub}], {var}, _spec, _mask, {depth})")
             return out
         if form == "struct":
             out = []
             for name, child in sub:
                 value = self.var()
-                self.w(indent, f"{value} = getattr({var}, {name!r}, None)")
+                w.w(f"{value} = getattr({var}, {name!r}, None)")
                 out.append(self.scalar(value) if child is None
-                           else self.text(child, value, depth + 1, indent))
+                           else self.text(child, value, depth + 1))
             return out
         if form == "array":
             elt = self.var("e")
-            lines, text = self.apart(self.text, sub, elt, depth + 1,
-                                     indent + 1)
+            lines, text = w.apart(self.text, sub, elt, depth + 1)
             out = self.var("p")
             if not lines:
-                self.w(indent, f"{out} = [{text} for {elt} in {var} or ()]")
+                w.w(f"{out} = [{text} for {elt} in {var} or ()]")
             else:
-                self.w(indent, f"{out} = []")
-                self.w(indent, f"for {elt} in {var} or ():")
-                self.lines += lines
-                self.w(indent + 1, f"{out}.append({text})")
+                w.w(f"{out} = []")
+                with w.block(f"for {elt} in {var} or ():"):
+                    w.lines += lines
+                    w.w(f"{out}.append({text})")
             return out
         if form == "opt":
             arms = [(f"if {var} is not None:",
-                     *self.apart(self.pieces, sub, var, depth, indent + 1))]
+                     *w.apart(self.pieces, sub, var, depth))]
         else:  # union: the first branch of a name wins, as in the walk
             tag = self.var("t")
-            self.w(indent, f"{tag} = {var}.tag")
+            w.w(f"{tag} = {var}.tag")
             arms = []
             for n, (name, child) in enumerate(sub):
                 value = self.var()
-                lines, pieces = self.apart(self.pieces, child, value, depth,
-                                           indent + 1)
+
+                def branch(child=child, value=value):
+                    w.w(f"{value} = {var}.value")
+                    return self.pieces(child, value, depth)
+
                 arms.append((f"{'elif' if n else 'if'} {name!r} == {tag}:",
-                             [f"{'    ' * (indent + 1)}{value} = {var}.value"]
-                             + lines, pieces))
+                             *w.apart(branch)))
         # An arm of one piece each keeps the pieces fixed: one variable.
         one = all(isinstance(p, list) and len(p) == 1 for _, _, p in arms)
         if form == "opt" and one and not arms[0][1]:
             return [f"(_none if {var} is None else {arms[0][2][0]})"]
         out = self.var("x" if one else "p")
         for head, lines, pieces in arms:
-            self.w(indent, head)
-            self.lines += lines
-            self.w(indent + 1, f"{out} = " + (
-                pieces[0] if one else pieces if isinstance(pieces, str)
-                else "[" + ", ".join(pieces) + "]"))
-        if arms:
-            self.w(indent, "else:")
-        self.w(indent + bool(arms), f"{out} = " + ("_none" if one
-                                                   else "[_none]"))
+            with w.block(head):
+                w.lines += lines
+                w.w(f"{out} = " + (
+                    pieces[0] if one else pieces if isinstance(pieces, str)
+                    else "[" + ", ".join(pieces) + "]"))
+        with w.block("else:") if arms else nullcontext():
+            w.w(f"{out} = " + ("_none" if one else "[_none]"))
         return [out] if one else out
 
 
@@ -304,11 +289,10 @@ def _template(shape, delims: Tuple[str, ...], date_format: Optional[str],
     """Compile the formatter source for one tree shape and the options it
     prints with; every tree of that shape, of any description, binds it."""
     spec = FormatSpec(delims, date_format, None, none_text)
-    source = _FormatterSource(delims).source(shape)
-    namespace = {"_st": _scalar_text, "_spec": spec, "_mask": spec.mask,
-                 "_pieces": _pieces, "_none": none_text}
-    exec(compile(source, "<delimited formatter>", "exec"), namespace)
-    return namespace["_make"]
+    return template(_FormatterSource(delims).source(shape),
+                    "<delimited formatter>",
+                    {"_st": _scalar_text, "_spec": spec, "_mask": spec.mask,
+                     "_pieces": _pieces, "_none": none_text})
 
 
 def _compiled(node: PType, delims: Tuple[str, ...],

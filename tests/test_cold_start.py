@@ -11,7 +11,10 @@ node classes that load cheaper still behave as before.
   of the parsed AST, the ``repr`` of the analyzed declaration plans and
   the ``padsc compile`` output.  They were taken before the AST and plan
   classes dropped their generated ``__eq__``/``__repr__``, so they show
-  the shared field-wise methods change nothing.
+  the shared field-wise methods change nothing.  Further digests pin the
+  member fast functions, the accumulator adders and the delimited
+  formatters generated for the gallery, taken before those generators
+  moved onto one line writer (:mod:`repro.plan.lines`).
 """
 
 import hashlib
@@ -32,6 +35,10 @@ from repro.dsl.parser import parse_description
 from repro.dsl.typecheck import check_description
 from repro.expr import ast as E
 from repro.plan import analyze, ir
+from repro.plan.fastpath import compile_member
+from repro.plan.lines import template
+from repro.tools import adder, fmt
+from repro.tools.accum import record_accumulator
 from repro.tools.padsc import main
 
 #: Modules a serial compile-and-parse run never touches.
@@ -139,6 +146,50 @@ COMPILE_SHA = {
 }
 
 
+#: sha256 of every member fast function fragment and verdict
+#: (:func:`compile_member`) of every struct, in declaration order.  The
+#: regex fragments need atomic groups, so on 3.10 the three text formats
+#: get other verdicts.
+MEMBER_SHA = {
+    "clf": "5ad45df86bb304ed7c90bfae83a58f9d54ad7c9d93fea2f0beaa442403b8b63f",
+    "sirius": "1a5614aae3de979323059f1e1f7d508b7f6cb62d4144e38b0d1eda88b360af4f",
+    "calldetail": "25133391f937309b483fbee3698167df96043daf4bcf6031cdf982614e19ff74",
+    "netflow": "a80cc7c69c800f999b1bcfff38b9998d262644c721ce3aa22cf01c057ba8b464",
+    "regulus": "08c909afa2ccbcf3fa629c597fdc76009c1d562dbc0fbda1ea8aac7e705c0554",
+}
+if sys.version_info < (3, 11):
+    MEMBER_SHA.update({
+        "clf": "ef6d5de51e70bb59ed43c054bc80177335a857f7fa3873dc177beb769ed63e5a",
+        "sirius": "fb3f8bcf2475cf642be3c18048d234415315e7459803a4d7698f442d60b6e265",
+        "regulus": "1fde9a3a71a042537450ab890b9afd93b3aab51403f756475c3cb61f74e408fc",
+    })
+
+#: sha256 of the accumulator adder source of each record type, and of
+#: its delimited formatter source under the default options and under
+#: ``FMT_OPTIONS`` (netflow has no record type).
+ADDER_SHA = {
+    "clf": "159722b534bfe6a3c42e79fda42efd33ffdd13c5afc22f6032bb8467c18e0317",
+    "sirius": "9c2f0eb1b6514a87069eb033b2ba6d809386cca5eab3330fcde72c45afc1c29d",
+    "calldetail": "c72700fb4a7bb3261c874623f22e092f0207ea87cea671a21501083de92dbfe9",
+    "regulus": "9cfcea34e2cd7f5c50741ef955f5699176863494d77e2eb544b76f208079ea1d",
+}
+FMT_SHA = {
+    "clf": "cc195a812176c3ff1959ce2f21244a12260b2f7ba07595d679b21abcc02f8501",
+    "sirius": "d4907e9b85e3304753ec0622a032bb202f4f5c17e91d63d0ed3b3f891317a87c",
+    "calldetail": "e249e82b73ffa1e46023539bafc2eb5c1d20176952eb85d5ce87f60d734c111b",
+    "regulus": "b28dd1de7eacd76ff264a56f267bede85e4ed05c5a3342fd7caa7cadb556cbd5",
+}
+FMT_OPTIONS_SHA = {
+    "clf": "87f8199ed58a77d8cb6ef9c9ac5337937af28e6d6701d646f46d7143c3e203a3",
+    "sirius": "6714ad0f1f0fee71060d365affab6a826247d09668182eb4b8bf891233865f22",
+    "calldetail": "e249e82b73ffa1e46023539bafc2eb5c1d20176952eb85d5ce87f60d734c111b",
+    "regulus": "b28dd1de7eacd76ff264a56f267bede85e4ed05c5a3342fd7caa7cadb556cbd5",
+}
+#: Several delimiters, a date format and a text for absent values.
+FMT_OPTIONS = {"delims": ("|", ";", ",", ":"), "date_format": "%D:%T",
+               "none_text": "-"}
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -163,6 +214,53 @@ def test_padsc_compile_output_is_unchanged(name, text, ambient, tmp_path,
                  "-o", "out.py"]) == 0
     out = (tmp_path / "out.py").read_text(encoding="utf-8")
     assert _sha(out) == COMPILE_SHA[name]
+
+
+@pytest.mark.parametrize("name,text,ambient", TARGETS,
+                         ids=[t[0] for t in TARGETS])
+def test_member_fast_functions_are_unchanged(name, text, ambient):
+    desc = parse_description(text, f"{name}.pads")
+    check_description(desc, ambient)
+    plan = analyze(desc, ambient)
+    members = [repr((decl.name, item.name,
+                     *compile_member(plan, decl, item)))
+               for decl in plan.decls.values()
+               if isinstance(decl, ir.StructPlan)
+               for item in decl.items if isinstance(item, ir.DataItem)]
+    assert _sha("\n".join(members)) == MEMBER_SHA[name]
+
+
+def _formatter_source(node, monkeypatch, delims=("|",), date_format=None,
+                      none_text="") -> str:
+    """The source the compiled formatter of ``node`` under these options
+    is built from, caught at the template step (past the template cache)."""
+    sources = []
+
+    def spy(source, filename, namespace):
+        sources.append(source)
+        return template(source, filename, namespace)
+    monkeypatch.setattr(fmt, "template", spy)
+    shape = fmt._shape(node, [])
+    fmt._template.__wrapped__(shape, delims[:fmt._max_depth(shape) + 1],
+                              date_format, none_text)
+    return sources[0]
+
+
+@pytest.mark.parametrize("name,text,ambient",
+                         [t for t in TARGETS if t[0] in ADDER_SHA],
+                         ids=[t[0] for t in TARGETS if t[0] in ADDER_SHA])
+def test_adder_and_formatter_sources_are_unchanged(name, text, ambient,
+                                                  monkeypatch):
+    desc = repro.compile_description(text, ambient=ambient)
+    records = [dp.name for dp in desc.plan.decls.values() if dp.is_record]
+    adders = [adder._AdderSource().source(
+        adder._shape(record_accumulator(desc, record), []))
+        for record in records]
+    assert _sha("\n".join(adders)) == ADDER_SHA[name]
+    for options, want in (({}, FMT_SHA), (FMT_OPTIONS, FMT_OPTIONS_SHA)):
+        sources = [_formatter_source(desc.node(record), monkeypatch,
+                                     **options) for record in records]
+        assert _sha("\n".join(sources)) == want[name]
 
 
 def test_compile_runs_no_fastpath_pass(monkeypatch):

@@ -13,7 +13,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import Mask, P_Check, P_CheckAndSet, P_Set, compile_description, gallery
+from repro import Mask, P_CheckAndSet, P_Set, compile_description, gallery
 from repro.codegen import compile_generated
 from repro.core.errors import ErrCode, PadsError
 from repro.core.io import FixedWidthRecords, NewlineRecords, Source
@@ -545,6 +545,24 @@ def test_write_entry_matches_the_node_writer():
         compile_description(gallery.SIRIUS).write(reps[1], "entry_t", 3)
 
 
+@pytest.mark.parametrize("engine", ["interp", "gen"])
+def test_a_declined_compiled_writer_runs_once(engine):
+    """A rep the compiled writer declines goes straight to the general
+    content writer, which raises its error; the compiled writer is not
+    asked again."""
+    build = compile_description if engine == "interp" else compile_generated
+    desc = build(gallery.SIRIUS)
+    node = desc.node("entry_t")
+    calls = []
+    compiled = node.write_fn
+    node.write_fn = lambda rep: calls.append(rep) or compiled(rep)
+    rep = next(iter(desc.records(_sirius_inputs()["entry_t"], "entry_t")))[0]
+    rep.header.unused = "a|b"
+    with pytest.raises(ValueError):
+        desc.write(rep, "entry_t")
+    assert len(calls) == 1
+
+
 def test_write2io_output_unchanged():
     import io
     fast = _build("sirius", "source", True)
@@ -852,8 +870,8 @@ OVERFLOW_EVENT = (b"9153|9153|1|0|0|0|0||152268|LOC_6|0|FRDW1|DUO|"
                   b"LOC_CRTE|1001476800|x|99999999999\n")
 
 
-#: A tail array whose element may match empty keeps the per-element loop
-#: and its converter; its constraint fails on "bad".
+#: A regex-record tail array takes the per-element loop and its
+#: converter; the element's constraint fails on "bad".
 CHECKED_WORDS = """
     Ptypedef Pstring(:';':) word_t : word_t w => { w != "bad" };
     Parray words_t { word_t[] : Psep(';') && Pterm(Peor); };
@@ -881,7 +899,7 @@ def test_tail_array_element_converter_always_returns_a_pair(engine):
     for data in (b"1|a;bad;c\n", b"1|a;;c\n", b"1|\n", b"1|a;\n"):
         assert parsed(desc, data, "row_t") == parsed(ref, data, "row_t")
     # The Sirius event's Puint32 check fails on 99999999999 inside the
-    # one-call form: the record falls back to the general parser.
+    # split kernel: the record falls back to the general parser.
     desc = build(gallery.SIRIUS)
     assert not [k for k in _namespace(desc, engine) if k.startswith("_fpelt")]
     ref = compile_description(gallery.SIRIUS, fastpath=False)
@@ -898,8 +916,7 @@ def test_padsc_plan_shows_each_tail_array_form():
             "array eventSeq: 2 tokens per element)") in sirius
     words = format_plan(compile_description(CHECKED_WORDS).bound.plan,
                         "row_t")
-    assert ("(tail array words_t: per-element loop (an element, or an "
-            "optional part of one, may match empty))") in words
+    assert "(tail array words_t: per-element loop)" in words
 
 
 #: Tail-array element shapes for the differential property: ``(element
@@ -965,17 +982,15 @@ def _tails(draw):
 
 
 def test_tail_array_forms():
-    # An element that may match empty, or whose optional member may, keeps
-    # the per-element loop; every other shape gets the one-call form,
-    # except the one whose separator is the record's: it is a run of
-    # '|'-separated tokens, so it gets the split kernel.
+    # Every shape gets the regex form's per-element loop, except the one
+    # whose separator is the record's: it is a run of '|'-separated
+    # tokens, so it gets the split kernel.
     for shape in TAIL_SHAPES:
         verdict = compile_description(_tail_desc(shape)).bound.plan \
             .decls["row_t"].verdict
-        form = ("per-element loop" if shape in ("min_width_0", "popt_empty")
-                else "split kernel over '|' tokens (tail array tail_t: 2 "
-                "tokens per element)" if shape == "sirius_event"
-                else "one fullmatch + findall")
+        form = ("split kernel over '|' tokens (tail array tail_t: 2 tokens "
+                "per element)" if shape == "sirius_event"
+                else "(tail array tail_t: per-element loop)")
         assert form in verdict.reason, (shape, verdict)
 
 
@@ -992,8 +1007,8 @@ def test_tail_array_fast_path_equals_the_general_parser(tail_builds, case):
 
 @pytest.mark.parametrize("engine", ["interp", "gen"])
 def test_min_width_0_tail_keeps_the_general_parsers_elements(engine):
-    # findall would add an empty match at the end of "1|;n1034": the
-    # general parser reads two elements.
+    # The element matches empty: the general parser reads two elements
+    # of "1|;n1034", the first one empty.
     build = compile_description if engine == "interp" else compile_generated
     desc = build(_tail_desc("min_width_0"))
     ref = compile_description(_tail_desc("min_width_0"), fastpath=False)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro import Mask, P_CheckAndSet, P_Ignore, compile_description, gallery
 from repro.core.values import DateVal, EnumVal, FloatVal
 from repro.faults import GALLERY_TARGETS
+from repro.plan.lines import MAX_DEPTH
 from repro.tools import fmt
 from repro.tools.datagen import clf_workload, plan_injector, sirius_workload
 from repro.tools.datagen import generate_source as generate_data
@@ -370,7 +371,7 @@ def test_only_reachable_delimiters_key_the_template():
 
 
 def test_deep_trees_hand_subtrees_to_the_walk():
-    depth = fmt._MAX_DEPTH + 6
+    depth = MAX_DEPTH + 6
     lines = ["Pstruct pair_t { Puint8 x; ':'; Puint8 y; };",
              "Pstruct leaf_t { Puint8 a; ','; pair_t b; };",
              "Punion u0_t { leaf_t n; Pstring(:';':) s; };"]
