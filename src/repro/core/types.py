@@ -68,6 +68,19 @@ def _with(node: "PType", scope: Scope, name: str, value) -> Scope:
     return s
 
 
+def _traced(tracer: "observe.Tracer", step: str, node: "PType", src: Source,
+            mask: Mask, scope: Scope):
+    """``node.parse`` as the trace position ``step`` (a field name, a
+    branch ``<name>`` or an element ``[i]``), entered before the parse so
+    that the events of its children nest inside it."""
+    start = src.pos
+    tracer.enter(step, node.name, start, src.record_idx)
+    value, pd = node.parse(src, mask, scope)
+    tracer.exit(node.name, start, src.pos, src.record_idx,
+                *observe.outcome_of(pd))
+    return value, pd
+
+
 def _depth_guarded(parse):
     """Wrap a compound node's ``parse`` with the ``max_depth`` budget.
 
@@ -401,22 +414,12 @@ class StructNode(PType):
             hit = None
             if members is not None and members[i] is not None:
                 hit = src.match_member(members[i], dosem)
-            if tracer is not None:
-                tracer.enter(f.name, getattr(f.node, "name", f.node.kind),
-                             start, src.record_idx)
-            if hit is None:
+            if hit is not None:
+                value, child = hit[0], Pd()
+            elif tracer is None:
                 value, child = f.node.parse(src, fmask, s)
             else:
-                value, child = hit[0], Pd()
-            if tracer is not None:
-                if child.nerr == 0:
-                    outcome, code = "ok", ""
-                elif child.pstate & Pstate.PANIC:
-                    outcome, code = "panic", child.err_code.name
-                else:
-                    outcome, code = "err", child.err_code.name
-                tracer.exit(getattr(f.node, "name", f.node.kind), start,
-                            src.pos, src.record_idx, outcome, code)
+                value, child = _traced(tracer, f.name, f.node, src, fmask, s)
             stuck = child.nerr > 0 and child.err_code.is_syntactic() and src.pos == start
             values[slots[i]] = s[f.name] = value
             if f.constraint is not None and fmask.do_sem and child.nerr == 0 \
@@ -680,31 +683,32 @@ class UnionNode(PType):
     def parse(self, src: Source, mask: Mask, scope: Scope):
         pd = Pd()
         start_loc = src.here()
+        tracer = observe.current_tracer()
         for br in self.branches:
             state = src.mark()
             bmask = mask.for_field(br.name)
-            value, child = br.node.parse(src, bmask, scope)
+            if tracer is None:
+                value, child = br.node.parse(src, bmask, scope)
+            else:
+                trial = tracer.mark()
+                value, child = _traced(tracer, f"<{br.name}>", br.node, src,
+                                       bmask, scope)
             # A failing branch guard redirects to the next branch even
             # when semantic checking is masked off — the guard decides
             # *which* branch the data belongs to (paper: auth_id_t).
             if child.nerr == 0 and self._guard(br, value, scope):
                 src.commit(state)
+                if tracer is not None:
+                    tracer.commit()
                 pd.tag = br.name
                 if self.where is not None and mask.level_sem \
                         and not self.where(_with(self, scope, br.name, value)):
                     pd.record_error(ErrCode.WHERE_CLAUSE_VIOLATION,
                                     src.here())
-                tracer = observe.current_tracer()
-                if tracer is not None:
-                    # The taken branch, emitted after the fact so rejected
-                    # branches leave no trace (they consume no input).
-                    tracer.enter(br.name, getattr(br.node, "name", br.node.kind),
-                                 start_loc.offset, src.record_idx)
-                    tracer.exit(getattr(br.node, "name", br.node.kind),
-                                start_loc.offset, src.pos, src.record_idx,
-                                "ok", "")
                 return UnionVal(br.name, value), pd
             src.restore(state)
+            if tracer is not None:
+                tracer.rewind(trial)
         pd.record_error(ErrCode.UNION_MATCH_FAILURE, start_loc, panic=True)
         return UnionVal("<none>", None), pd
 
@@ -810,7 +814,13 @@ class SwitchUnionNode(PType):
         if case is None:
             pd.record_error(ErrCode.SWITCH_NO_CASE, src.here(), panic=True)
             return UnionVal("<none>", None), pd
-        value, child = case.node.parse(src, mask.for_field(case.name), scope)
+        tracer = observe.current_tracer()
+        if tracer is None:
+            value, child = case.node.parse(src, mask.for_field(case.name),
+                                           scope)
+        else:
+            value, child = _traced(tracer, f"<{case.name}>", case.node, src,
+                                   mask.for_field(case.name), scope)
         pd.branch = child
         pd.tag = case.name
         pd.absorb(child)
@@ -876,14 +886,20 @@ class OptNode(PType):
         self.name = f"Popt {inner.name}"
 
     def parse(self, src: Source, mask: Mask, scope: Scope):
+        tracer = observe.current_tracer()
         state = src.mark()
+        trial = 0 if tracer is None else tracer.mark()
         value, child = self.inner.parse(src, mask, scope)
         if child.nerr == 0:
             src.commit(state)
+            if tracer is not None:
+                tracer.commit()
             pd = Pd()
             pd.tag = "some"
             return value, pd
         src.restore(state)
+        if tracer is not None:
+            tracer.rewind(trial)
         pd = Pd()
         pd.tag = "none"
         return None, pd
@@ -964,6 +980,7 @@ class ArrayNode(PType):
             pd.record_error(ErrCode.ARRAY_SIZE_ERR, src.here(), panic=True)
             return [], pd
         alim = src.limits.max_array_elems if src.limits is not None else None
+        tracer = observe.current_tracer()
 
         def holds(pred: Site) -> bool:
             s["length"] = len(elts)
@@ -1000,15 +1017,24 @@ class ArrayNode(PType):
                     break
 
             before = src.pos
-            if self.longest or (first and (lo is None or lo == 0)):
+            trial = self.longest or (first and (lo is None or lo == 0))
+            if trial:
                 state = src.mark()
+                mark = 0 if tracer is None else tracer.mark()
+            if tracer is None:
                 value, child = self.elt.parse(src, emask, s)
+            else:
+                value, child = _traced(tracer, f"[{len(elts)}]", self.elt,
+                                       src, emask, s)
+            if trial:
                 if child.nerr > 0 and self.longest:
                     src.restore(state)
+                    if tracer is not None:
+                        tracer.rewind(mark)
                     break
                 src.commit(state)
-            else:
-                value, child = self.elt.parse(src, emask, s)
+                if tracer is not None:
+                    tracer.commit()
 
             if child.nerr > 0:
                 pd.neerr += 1
@@ -1066,6 +1092,7 @@ class ArrayNode(PType):
         emask = mask.for_elements()
         elts: List[object] = []
         s = _with(self, scope, "elts", elts)
+        tracer = observe.current_tracer()
         first = True
         while True:
             s["length"] = len(elts)
@@ -1079,7 +1106,11 @@ class ArrayNode(PType):
                 if n < 0:
                     return
                 src.skip(n)
-            value, child = self.elt.parse(src, emask, s)
+            if tracer is None:
+                value, child = self.elt.parse(src, emask, s)
+            else:
+                value, child = _traced(tracer, f"[{len(elts)}]", self.elt,
+                                       src, emask, s)
             elts.append(value)
             first = False
             yield self.elt.unset(value, emask, s), child

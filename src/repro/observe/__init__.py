@@ -9,11 +9,12 @@ adds the three facilities any serving stack grows:
   fixed-bucket histograms that merge across process-pool workers with
   the same homomorphism the accumulators use, so the parallel engine
   reports byte-identical counts to the serial one;
-* a **parse tracer** (:mod:`.trace`): structured per-field enter/exit
-  events with byte spans, outcomes and error codes, rendered as JSONL;
+* a **parse tracer** (:mod:`.trace`): structured enter/exit events per
+  field, taken branch and array element, with byte spans, outcomes and
+  error codes, rendered as JSONL (``padsc view`` renders them too);
 * **profiling hooks**: records/sec and bytes/sec, per-type latency
-  histograms, and resynchronisation/recovery counters wired into both
-  the interpreted combinators and the generated-parser runtime.
+  histograms, and resynchronisation/recovery counters wired into the
+  record loop and the type combinators.
 
 Observability is *off* by default and the disabled path is near-free:
 the hot loops check one module global (``CURRENT is None``) per record,
@@ -56,7 +57,7 @@ from .metrics import (
     MetricsRegistry,
     SIZE_BUCKETS,
 )
-from .trace import TraceEvent, Tracer
+from .trace import TraceEvent, Tracer, outcome_of
 
 __all__ = [
     "CURRENT", "ParseObserver", "observed", "current_tracer", "count",
@@ -116,14 +117,8 @@ class ParseObserver:
         """Fold one parsed value (usually one record) into the metrics
         and, when tracing, emit the whole-record trace event."""
         if self.tracer is not None:
-            if pd.nerr == 0:
-                outcome, code = "ok", ""
-            elif int(pd.pstate) & 2:
-                outcome, code = "panic", pd.err_code.name
-            else:
-                outcome, code = "err", pd.err_code.name
             self.tracer.record_event(type_name, start, start + nbytes,
-                                     record, outcome, code)
+                                     record, *outcome_of(pd))
         m = self.metrics
         m.counter("records.total").inc()
         m.counter("bytes.total").inc(nbytes)

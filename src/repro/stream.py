@@ -11,9 +11,9 @@ without waiting for EOF (:func:`repro.parallel.drive` with
 ``stream=True``, the ``parallel-stream`` mode of
 :func:`repro.execute.run`).
 
-Entry points (``records_stream`` is also a method on both
-compiled-description engines; :func:`repro.execute.run` reads stdin and
-``follow`` tails through :func:`open_stream`)::
+Entry points (``records_stream`` is also a method of
+:class:`~repro.core.api.CompiledDescription`; :func:`repro.execute.run`
+reads stdin and ``follow`` tails through :func:`open_stream`)::
 
     import sys
     from repro import compile_description
