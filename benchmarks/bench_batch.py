@@ -1,12 +1,12 @@
 #!/usr/bin/env python
 """Grid block step: the record loop with and without it on call-detail.
 
-The record loop (``repro.core.api._record_loop``) parses a record whose
+The record loop (``repro.core.types.record_loop``) parses a record whose
 layout is provably static either one record at a time, through the
 record's fast function (its batch kernel over one record), or a block
 of buffered records at a time, through one batch-kernel call per block
 (the grid block step, ``Source.grid_frames``).  This bench times both
-sides of that one switch — the loop's ``grid`` argument — on the
+sides of that one switch — the frames the loop is handed — on the
 plan-proven fixed-width gallery entry (the call-detail stream, 24-byte
 records) and writes the ratio to ``BENCH_batch.json`` for
 ``check_plan_regression.py`` to gate against its 5x bar.
@@ -36,13 +36,13 @@ import random
 import sys
 import time
 from collections import deque
-from functools import partial
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro import gallery  # noqa: E402
-from repro.core.api import _parsed_or, _record_loop  # noqa: E402
+from repro.core.api import _parsed_or  # noqa: E402
 from repro.core.masks import Mask, P_CheckAndSet  # noqa: E402
+from repro.core.types import record_loop  # noqa: E402
 from repro.tools.datagen import call_detail_workload  # noqa: E402
 
 
@@ -67,13 +67,14 @@ def main() -> int:
     assert isinstance(grid, tuple), grid.reason
     node = desc.node("call_t")
     mask = Mask(P_CheckAndSet)
-    body = partial(node.inner.parse, scope={})
-    default = partial(node.inner.default, {})
 
     def loop(step):
-        fast = node.fast_fn if step is None else _parsed_or(node.fast_fn)
-        return _record_loop(desc.open(data), mask, fast, body, default,
-                            step)
+        src = desc.open(data)
+        if step is None:
+            return record_loop(src, src.frames(), mask, node.fast_fn,
+                               node.inner, {})
+        return record_loop(src, src.grid_frames(*step, True), mask,
+                           _parsed_or(node.fast_fn), node.inner, {})
 
     record_s = best_seconds(lambda: deque(loop(None), maxlen=0), repeats)
     grid_s = best_seconds(lambda: deque(loop(grid), maxlen=0), repeats)

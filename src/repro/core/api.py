@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 import threading
 from collections import OrderedDict
-from functools import cached_property, partial
+from functools import cached_property
 from time import perf_counter
 from typing import Callable, Dict, Iterator, Optional, Tuple, Union
 
@@ -27,60 +27,14 @@ from ..dsl.parser import parse_description
 from ..dsl.typecheck import check_description
 from ..plan.ir import Verdict
 from .binding import BoundDescription, bind_description
-from .errors import ErrCode, PadsError, Pd
+from .errors import PadsError, Pd
 from .io import (FixedWidthRecords, NewlineRecords, NoRecords,
                  RecordDiscipline, Source)
-from .limits import ParseLimits, fastpath_applies, record_guard
+from .limits import ParseLimits, fastpath_applies
 from .masks import Mask, P_CheckAndSet
-from .types import ArrayNode, PType, RecordNode
+from .types import ArrayNode, PType, RecordNode, record_loop
 
 Data = Union[bytes, str, Source]
-
-
-def _record_loop(src: Source, mask: Mask, fast, body, default, grid=None):
-    """The record loop.
-
-    ``fast`` is the record's compiled fast function, already cleared by
-    the caller when it does not apply to this pass; ``body(src, mask)``
-    is the general parse of one value inside an open record and
-    ``default()`` the value a limit-refused record yields.  Records are
-    framed a buffered block at a time (``Source.frames``); record
-    numbering and the index sink stay inside the source.
-
-    ``grid`` is the pass's grid block step, ``(kernel, width, stride)``
-    (:meth:`CompiledDescription.grid`), or None: with it, each block of
-    grid-aligned buffered records is parsed by one kernel call
-    (``Source.grid_frames``), a record's payload may be the kernel's
-    rep, and ``fast`` must pass such a payload through (``_parsed_or``).
-    """
-    dosem = (mask.bits & 4) != 0
-    do_syn = mask.bits & 2
-    limits = src.limits
-    frames = src.frames() if grid is None \
-        else src.grid_frames(*grid, dosem)
-    for payload in frames:
-        if limits is not None:
-            pd = Pd()
-            if not record_guard(src, pd):
-                src.note_errors(pd.nerr)
-                yield default(), pd
-                continue
-        if fast is not None:
-            rep = fast(src.record_bytes() if payload is None else payload,
-                       dosem)
-            if rep is not None:
-                # Clean record: empty descriptor, identical to the general
-                # parse (clean children are omitted from descriptors).
-                src.end_record()
-                yield rep, Pd()
-                continue
-        rep, pd = body(src, mask)
-        if not src.at_eor() and do_syn and pd.nerr == 0:
-            pd.record_error(ErrCode.EXTRA_DATA_AT_EOR, src.here())
-        src.end_record()
-        if limits is not None:
-            src.note_errors(pd.nerr)
-        yield rep, pd
 
 
 def _parsed_or(fast):
@@ -213,39 +167,38 @@ class CompiledDescription:
                 mask: Optional[Mask] = None) -> Iterator[Tuple[object, Pd]]:
         """Record-at-a-time entry point (paper Section 4).
 
-        Repeatedly parses ``type_name`` until end of input.  The type need
-        not be declared ``Precord``; when it isn't, each iteration opens a
-        record scope around it, matching how the paper's loop in Figure 7
-        drives ``entry_t_read``.  Whether the record's compiled fast
-        function applies is decided here, once per call
-        (:func:`~repro.core.limits.fastpath_applies`); a non-``Precord``
-        type has none, and neither has a traced pass, since the fast
-        function would skip the per-field trace events the general parse
-        emits.  So is the grid block step (:meth:`grid`), right next to
-        it.
+        Repeatedly parses ``type_name`` until end of input: the record
+        step (:func:`~repro.core.types.record_loop`) over every record
+        the source frames.  The type need not be declared ``Precord``;
+        when it isn't, each iteration opens a record scope around it,
+        matching how the paper's loop in Figure 7 drives
+        ``entry_t_read``.  Whether the record's compiled fast function
+        applies is decided here, once per call
+        (:func:`~repro.core.limits.fastpath_applies`; a non-``Precord``
+        type has none), and so is the grid block step (:meth:`grid`),
+        right next to it.
         """
         src = self.open(data)
         use_mask = mask or Mask(P_CheckAndSet)
         node = body = self.node(type_name)
-        fast = grid = None
+        fast, frames = None, src.frames()
         if isinstance(node, RecordNode):
             body = node.inner
-            if (fastpath_applies(use_mask, src.limits)
-                    and observe.current_tracer() is None):
+            if fastpath_applies(use_mask, src.limits):
                 fast = node.fast_fn
-                step = self.grid(type_name, use_mask, src.limits,
+                grid = self.grid(type_name, use_mask, src.limits,
                                  src.discipline)
-                if not isinstance(step, Verdict):
-                    grid, fast = step, _parsed_or(fast)
-        parse, default = partial(body.parse, scope={}), partial(body.default, {})
+                if not isinstance(grid, Verdict):
+                    fast = _parsed_or(fast)
+                    frames = src.grid_frames(*grid, (use_mask.bits & 4) != 0)
         # One global load decides between the plain loop and the metered
         # one, keeping the disabled path free of per-record bookkeeping.
         obs = observe.CURRENT
-        if obs is None:
-            pairs = _record_loop(src, use_mask, fast, parse, default, grid)
-        else:
-            pairs = self._metered(src, use_mask, fast, parse, default,
-                                  obs, type_name, grid)
+        if obs is not None and fast is not None:
+            fast = _counting(fast, obs.metrics, type_name)
+        pairs = record_loop(src, frames, use_mask, fast, body, {})
+        if obs is not None:
+            pairs = self._metered(src, pairs, obs, type_name)
         if use_mask.sets_all:
             yield from pairs
             return
@@ -255,12 +208,9 @@ class CompiledDescription:
             yield node.unset(rep, use_mask, {}), pd
 
     @staticmethod
-    def _metered(src, mask, fast, body, default, obs, type_name: str,
-                 grid=None):
-        if fast is not None:
-            fast = _counting(fast, obs.metrics, type_name)
+    def _metered(src, pairs, obs, type_name: str):
         start, t0 = src.pos, perf_counter()
-        for rep, pd in _record_loop(src, mask, fast, body, default, grid):
+        for rep, pd in pairs:
             obs.record_parsed(type_name, pd, src.pos - start,
                               perf_counter() - t0, start=start,
                               record=src.record_idx)

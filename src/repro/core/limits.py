@@ -125,16 +125,15 @@ class ParseLimits:
 
 
 def fastpath_applies(mask, limits: Optional[ParseLimits]) -> bool:
-    """Whether a record's plan-compiled fast function may stand in for
-    the general parse under ``mask`` and ``limits``: a uniform mask that
-    materialises values and no limit a clean record could trip.
-    ``RecordNode.parse`` and the struct member fast path test this per
-    call; the record loop (``CompiledDescription.records``) tests it
-    once per pass.  Each also requires that no tracer is installed,
-    because only the general parse emits per-field trace events."""
+    """The fast-or-general test: whether compiled fast functions may stand
+    in for the general parse — a uniform mask that materialises values,
+    no limit a clean record could trip, no tracer (only the general parse
+    emits trace events).  Asked per pass by ``CompiledDescription.records``
+    and ``grid``, per call by ``RecordNode.parse`` and the struct members."""
     return bool((mask.bits & 1) and not mask.fields
                 and mask.compound_level is None and mask.elts is None
-                and (limits is None or limits.fastpath_safe))
+                and (limits is None or limits.fastpath_safe)
+                and observe.current_tracer() is None)
 
 
 def note_limit(pd: Pd, code: ErrCode, loc: Loc) -> None:
@@ -147,8 +146,8 @@ def note_limit(pd: Pd, code: ErrCode, loc: Loc) -> None:
 def record_guard(src, pd: Pd) -> bool:
     """Enforce record-boundary limits on an open record.
 
-    Called (by the record loop and ``RecordNode.parse``) right after
-    ``begin_record`` succeeds, with the record's pd.  Returns True when
+    Its one caller is the record step (``core.types.record_loop``), right
+    after the record opened, with the record's pd.  Returns True when
     parsing may proceed.  On a limit hit it records the 5xx error and
     repositions the cursor — past the offending record for
     ``RECORD_LIMIT``, to end-of-input for the run-terminating budgets —

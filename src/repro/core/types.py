@@ -68,17 +68,34 @@ def _with(node: "PType", scope: Scope, name: str, value) -> Scope:
     return s
 
 
+def _enter(tracer: "observe.Tracer", step: str, node: "PType",
+           src: Source) -> int:
+    """Enter the trace position ``step`` (a field name, a branch
+    ``<name>`` or an element ``[i]``) before ``node`` parses, so its
+    children's events nest inside; return the record its enter and exit
+    carry (for a record type outside a record, the one it opens)."""
+    record = src.record_idx + (node.opens_record and not src.in_record)
+    tracer.enter(step, node.name, src.pos, record)
+    return record
+
+
 def _traced(tracer: "observe.Tracer", step: str, node: "PType", src: Source,
             mask: Mask, scope: Scope):
-    """``node.parse`` as the trace position ``step`` (a field name, a
-    branch ``<name>`` or an element ``[i]``), entered before the parse so
-    that the events of its children nest inside it."""
+    """``node.parse`` as the trace position ``step``."""
     start = src.pos
-    tracer.enter(step, node.name, start, src.record_idx)
+    record = _enter(tracer, step, node, src)
     value, pd = node.parse(src, mask, scope)
-    tracer.exit(node.name, start, src.pos, src.record_idx,
-                *observe.outcome_of(pd))
+    tracer.exit(node.name, start, src.pos, record, *observe.outcome_of(pd))
     return value, pd
+
+
+def _drain(loop):
+    """Run the generator ``loop`` to its end; return what it returns."""
+    try:
+        while True:
+            next(loop)
+    except StopIteration as stop:
+        return stop.value
 
 
 def _depth_guarded(parse):
@@ -113,6 +130,8 @@ class PType:
     plan: Optional[object] = None
     #: The declaration's parameter names (set by the binder).
     params: Tuple[str, ...] = ()
+    #: Whether parsing this type outside a record opens one (``Precord``).
+    opens_record: bool = False
 
     def parse(self, src: Source, mask: Mask, scope: Scope) -> Tuple[object, Pd]:
         raise NotImplementedError
@@ -351,8 +370,8 @@ class StructNode(PType):
         # buffered) record; a None result leaves the member to its
         # combinator, which stays the only error path.
         members = None
-        if (self.compile_members is not None and tracer is None
-                and src.in_record and fastpath_applies(mask, src.limits)):
+        if (self.compile_members is not None and src.in_record
+                and fastpath_applies(mask, src.limits)):
             members = self.members
             if members is None:
                 # Threads racing here each build an equivalent tuple.
@@ -416,16 +435,19 @@ class StructNode(PType):
                 hit = src.match_member(members[i], dosem)
             if hit is not None:
                 value, child = hit[0], Pd()
-            elif tracer is None:
-                value, child = f.node.parse(src, fmask, s)
             else:
-                value, child = _traced(tracer, f.name, f.node, src, fmask, s)
+                if tracer is not None:  # its span holds the constraint
+                    record = _enter(tracer, f.name, f.node, src)
+                value, child = f.node.parse(src, fmask, s)
             stuck = child.nerr > 0 and child.err_code.is_syntactic() and src.pos == start
             values[slots[i]] = s[f.name] = value
             if f.constraint is not None and fmask.do_sem and child.nerr == 0 \
                     and not f.constraint(s):
                 child.record_error(ErrCode.USER_CONSTRAINT_VIOLATION,
                                    src.loc_from(start))
+            if tracer is not None:
+                tracer.exit(f.node.name, start, src.pos, record,
+                            *observe.outcome_of(child))
             if child.nerr:
                 # Clean children are omitted from the descriptor: one Pd per
                 # *errored* position keeps descriptors cheap on clean data.
@@ -965,20 +987,43 @@ class ArrayNode(PType):
             hi = int(self.max_size(scope))
         return lo, hi
 
-    def _at_term(self, src: Source) -> bool:
-        return self.term is not None and self.term.matches_at(src) >= 0
-
     @_depth_guarded
     def parse(self, src: Source, mask: Mask, scope: Scope):
         pd = Pd()
-        emask = mask.for_elements()
         elts: List[object] = []
         s = _with(self, scope, "elts", elts)
+        lo = _drain(self._elements(src, mask.for_elements(), s, pd))
+        if lo is not None and len(elts) < lo and mask.do_syn:
+            pd.record_error(ErrCode.ARRAY_SIZE_ERR, src.here())
+        if self.where is not None and mask.level_sem and pd.nerr == 0:
+            s["length"] = len(elts)
+            if not self.where(s):
+                pd.record_error(ErrCode.WHERE_CLAUSE_VIOLATION, src.here())
+        return elts, pd
+
+    def parse_elements(self, src: Source, mask: Mask, scope: Scope):
+        """Element-at-a-time entry point (paper Section 4, for very large
+        sources): :meth:`parse`'s element loop, each rep with the mask's
+        unset positions defaulted; minimum size and ``Pwhere`` are whole
+        array checks and stay with :meth:`parse`."""
+        emask = mask.for_elements()
+        s = _with(self, scope, "elts", [])
+        for value, child in self._elements(src, emask, s, Pd()):
+            yield self.elt.unset(value, emask, s), child
+
+    def _elements(self, src: Source, emask: Mask, s: Scope, pd: Pd):
+        """The element loop: parses elements into ``s["elts"]``, their
+        pds into the array's ``pd``, and yields each ``(rep, pd)``.  A
+        refused element (unevaluable size bounds, ``max_array_elems``)
+        is yielded as the type's default with the refusal pd, and the
+        loop stops.  Returns the minimum size, for :meth:`parse`."""
+        elts = s["elts"]
         try:
             lo, hi = self._size_bounds(s)
         except Exception:
             pd.record_error(ErrCode.ARRAY_SIZE_ERR, src.here(), panic=True)
-            return [], pd
+            yield self.elt.default(s), pd
+            return None
         alim = src.limits.max_array_elems if src.limits is not None else None
         tracer = observe.current_tracer()
 
@@ -989,13 +1034,18 @@ class ArrayNode(PType):
         first = True
         while True:
             if alim is not None and len(elts) >= alim:
-                note_limit(pd, ErrCode.ARRAY_LIMIT, src.here())
+                refused = Pd()
+                note_limit(refused, ErrCode.ARRAY_LIMIT, src.here())
+                # The array's pd as note_limit leaves one, counted once.
+                pd.record_error(ErrCode.ARRAY_LIMIT, refused.loc, panic=True)
+                pd.pstate |= Pstate.LIMIT
+                yield self.elt.default(s), refused
                 break
             if hi is not None and len(elts) >= hi:
                 break
             if self.ended is not None and holds(self.ended):
                 break
-            if self._at_term(src):
+            if self.term is not None and self.term.matches_at(src) >= 0:
                 # The terminator is left unconsumed (it belongs to the
                 # enclosing type); Peor/Peof consume nothing anyway.
                 break
@@ -1049,6 +1099,7 @@ class ArrayNode(PType):
             pd.elts.append(child)
             elts.append(value)
             first = False
+            yield value, child
 
             if self.last is not None and holds(self.last):
                 break
@@ -1056,13 +1107,7 @@ class ArrayNode(PType):
                 # Neither the separator nor the element consumed input:
                 # another iteration would do the same.
                 break
-
-        if lo is not None and len(elts) < lo and mask.do_syn:
-            pd.record_error(ErrCode.ARRAY_SIZE_ERR, src.here())
-        if self.where is not None and mask.level_sem and pd.nerr == 0 \
-                and not holds(self.where):
-            pd.record_error(ErrCode.WHERE_CLAUSE_VIOLATION, src.here())
-        return elts, pd
+        return lo
 
     def _resync(self, src: Source) -> bool:
         """Skip junk up to the next separator/terminator.  False => panic."""
@@ -1083,42 +1128,6 @@ class ArrayNode(PType):
             src.skip_to_eor()
             return True
         return False
-
-    def parse_elements(self, src: Source, mask: Mask, scope: Scope):
-        """Element-at-a-time entry point (paper Section 4: reading an array
-        one element at a time to support very large sources).  Yields
-        ``(rep, pd)`` per element; the predicates see the parsed
-        values."""
-        emask = mask.for_elements()
-        elts: List[object] = []
-        s = _with(self, scope, "elts", elts)
-        tracer = observe.current_tracer()
-        first = True
-        while True:
-            s["length"] = len(elts)
-            if self.ended is not None and self.ended(s):
-                return
-            if self._at_term(src) or src.at_end():
-                return
-            start = src.pos if not first or self.sep is None else None
-            if not first and self.sep is not None:
-                n = self.sep.matches_at(src)
-                if n < 0:
-                    return
-                src.skip(n)
-            if tracer is None:
-                value, child = self.elt.parse(src, emask, s)
-            else:
-                value, child = _traced(tracer, f"[{len(elts)}]", self.elt,
-                                       src, emask, s)
-            elts.append(value)
-            first = False
-            yield self.elt.unset(value, emask, s), child
-            s["length"] = len(elts)
-            if self.last is not None and self.last(s):
-                return
-            if src.pos == start:  # no progress, as in parse
-                return
 
     def write(self, rep, out: List[bytes], scope: Scope) -> None:
         for i, value in enumerate(rep):
@@ -1242,6 +1251,7 @@ class TypedefNode(PType):
         self.base = base
         self.var = var
         self.constraint = constraint
+        self.opens_record = base.opens_record
 
     def parse(self, src: Source, mask: Mask, scope: Scope):
         start = src.pos
@@ -1298,6 +1308,7 @@ class RecordNode(PType):
     #: The description's record discipline, framing written records
     #: (set by the compiled description).
     discipline = NewlineRecords()
+    opens_record = True
 
     def __init__(self, inner: PType):
         self.inner = inner
@@ -1311,29 +1322,8 @@ class RecordNode(PType):
             pd = Pd()
             pd.record_error(ErrCode.AT_EOF, src.here(), panic=True)
             return self.inner.default(scope), pd
-        limits = src.limits
-        if limits is not None:
-            pd = Pd()
-            if not record_guard(src, pd):
-                src.note_errors(pd.nerr)
-                return self.inner.default(scope), pd
-        fast = self.fast_fn
-        if (fast is not None and fastpath_applies(mask, limits)
-                and observe.current_tracer() is None):
-            rep = fast(src.record_bytes(), (mask.bits & 4) != 0)
-            if rep is not None:
-                # Clean record: empty descriptor, identical to the general
-                # parse (clean children are omitted from descriptors).
-                src.pos = src.rec_end
-                src.end_record()
-                return rep, Pd()
-        rep, pd = self.inner.parse(src, mask, scope)
-        if not src.at_eor() and mask.do_syn and pd.nerr == 0:
-            pd.record_error(ErrCode.EXTRA_DATA_AT_EOR, src.here())
-        src.end_record()
-        if limits is not None:
-            src.note_errors(pd.nerr)
-        return rep, pd
+        fast = self.fast_fn if fastpath_applies(mask, src.limits) else None
+        return next(record_loop(src, (None,), mask, fast, self.inner, scope))
 
     def write(self, rep, out: List[bytes], scope: Scope) -> None:
         content = None if self.write_fn is None else self.write_fn(rep)
@@ -1359,6 +1349,44 @@ class RecordNode(PType):
         return self.inner.generate(rng, scope)
 
 
+def record_loop(src: Source, frames, mask: Mask, fast, body: PType,
+                scope: Scope):
+    """The record step, for each record ``frames`` opens: the
+    record-at-a-time loop passes ``src.frames()`` or
+    ``src.grid_frames(...)``, :meth:`RecordNode.parse` the one record it
+    opened, ``(None,)``.  An item is the record's payload: its bytes, a
+    rep the grid kernel parsed, or None (``src.record_bytes()``).
+    ``fast`` is the record's fast function, None where it does not apply;
+    ``body`` parses the value inside the record (``default`` on a limit
+    refusal).  Yields ``(rep, pd)`` per record, once it is sealed."""
+    dosem = (mask.bits & 4) != 0
+    do_syn = mask.bits & 2
+    limits = src.limits
+    for payload in frames:
+        if limits is not None:
+            pd = Pd()
+            if not record_guard(src, pd):
+                src.note_errors(pd.nerr)
+                yield body.default(scope), pd
+                continue
+        if fast is not None:
+            rep = fast(src.record_bytes() if payload is None else payload,
+                       dosem)
+            if rep is not None:
+                # Clean record: empty descriptor, identical to the general
+                # parse (clean children are omitted from descriptors).
+                src.end_record()
+                yield rep, Pd()
+                continue
+        rep, pd = body.parse(src, mask, scope)
+        if not src.at_eor() and do_syn and pd.nerr == 0:
+            pd.record_error(ErrCode.EXTRA_DATA_AT_EOR, src.here())
+        src.end_record()
+        if limits is not None:
+            src.note_errors(pd.nerr)
+        yield rep, pd
+
+
 class AppNode(PType):
     """Application of a parameterised declared type: ``foo(:x, y:)``.
 
@@ -1374,6 +1402,7 @@ class AppNode(PType):
         self.name = name
         self.decl_node = decl_node
         self.param_names = list(param_names)
+        self.opens_record = decl_node.opens_record
 
     def _callee(self, scope: Scope) -> Scope:
         return dict(zip(self.param_names, self.args(scope)))

@@ -677,9 +677,9 @@ def _plan(description, path: str, st: _RunState, jobs: int,
         return None  # resumed mid-serial-pass: stay serial
     from pathlib import Path
     from .parallel import _plan_windows
-    st.windows = _plan_windows(description, Path(path), jobs)
-    if st.windows is not None:
+    windows = _plan_windows(description, Path(path), jobs)
+    if isinstance(windows, list):
         # Chunked workers sample no boundaries; the index side effect is
         # the serial/stream passes' job.
-        st.index_builder = None
+        st.windows, st.index_builder = windows, None
     return st.windows

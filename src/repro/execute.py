@@ -379,12 +379,12 @@ def _in_process(desc, data, fold: Fold, options: ExecOptions, mode: str,
     """The in-process modes (``serial``, ``stream``): open the input,
     parse the header if there is one, and feed the fold the record
     loop's pairs (``count``: ``Source.count_rest``).  Returns
-    ``(state, header_acc)``."""
+    ``(state, header_acc, None)``."""
     src = open_input(desc, data, options)
     header_acc = None if header is None else header_accumulator(
         desc, src, header, fold.tracked)
     return fold_cursor(desc, fold, src, on_record=on_record,
-                       owned=_kind(data) in ("file", "stream")), header_acc
+                       owned=_kind(data) in ("file", "stream")), header_acc, None
 
 
 def _parallel(desc, data, fold: Fold, options: ExecOptions, mode: str,
@@ -401,11 +401,12 @@ def _durable(desc, data, fold: Fold, options: ExecOptions, mode: str,
     return durable.drive(desc, data, fold, resume=options.resume,
                          jobs=options.jobs, window=options.window,
                          interval=every if every is not None and every > 0
-                         else durable.DEFAULT_CHECKPOINT_INTERVAL), None
+                         else durable.DEFAULT_CHECKPOINT_INTERVAL), None, None
 
 
-#: Mode -> driver.  ``on_record`` reaches only the in-process driver:
-#: the map-reduce and checkpointed modes fold in their own loops.
+#: Mode -> driver, each returning ``(state, header_acc, declined)``:
+#: ``declined`` says why a parallel mode ran in process, else None.
+#: ``on_record`` reaches only the in-process driver.
 DRIVERS = {"serial": _in_process, "stream": _in_process,
            "parallel": _parallel, "parallel-stream": _parallel,
            "durable": _durable}
@@ -423,13 +424,18 @@ def run(desc, data, op: str, record_type: Optional[str] = None,
     ``on_record(pd, tally)`` runs after every record an in-process
     accum folds (serial, stream); raising from it ends the run
     there.  Map-reduce and checkpointed modes fold in their own workers.
+    A parallel mode with no window plan reports the mode that ran.
     """
     mode, reason = choose_engine(desc, data, op, record_type, options,
                                  header=header)
     fold = Fold(op, record_type, tracked=tracked, summaries=summaries)
-    state, header_acc = DRIVERS[mode](desc, data, fold, options, mode,
-                                      header if op == "accum" else None,
-                                      on_record)
+    state, header_acc, declined = DRIVERS[mode](
+        desc, data, fold, options, mode, header if op == "accum" else None,
+        on_record)
+    if declined is not None:
+        mode = "stream" if mode == "parallel-stream" else "serial"
+        reason = (f"--jobs {options.jobs} stays on one core: {declined}; "
+                  + step_reason(desc, op, record_type))
     out = Result(mode, reason, header_acc=header_acc)
     if op == "records":
         out.pairs = state

@@ -45,11 +45,12 @@ from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FutTimeout
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
 from . import observe
 from .core.errors import PadsError
-from .core.io import RecordDiscipline, Source, plan_chunks
+from .core.io import MIN_CHUNK_BYTES, RecordDiscipline, Source, plan_chunks
 from .core.limits import ParseLimits
 from .execute import Fold, _kind, fold_cursor, open_input
 from .tools.accum import header_accumulator
@@ -284,12 +285,17 @@ def split_gate(description, *, stream: bool = False) -> Optional[str]:
 
 
 def _plan_windows(description, data, jobs: int,
-                  start: int = 0) -> Optional[List[tuple]]:
-    """Record-aligned windows for ``data`` (from offset ``start``), or
-    None when the serial path should be used instead."""
-    if jobs <= 1 or split_gate(description) is not None:
-        return None
+                  start: int = 0) -> Union[List[tuple], str]:
+    """Record-aligned windows for ``data`` (from offset ``start``), or,
+    when the serial path should be used instead, why."""
+    if jobs <= 1:
+        return "one job"
+    why = split_gate(description)
+    if why is not None:
+        return why
     discipline = description.discipline
+    unscannable = f"{type(discipline).__name__} records have no scannable " \
+        "boundaries"
     if isinstance(data, os.PathLike):
         path = os.fspath(data)
         size = os.path.getsize(path)
@@ -300,25 +306,27 @@ def _plan_windows(description, data, jobs: int,
         chunks = indexed_file_chunks(path, discipline, jobs, start=start)
         if chunks is None:
             if not discipline.chunkable:
-                return None
+                return unscannable + " and no boundary index splits the file"
             with open(path, "rb") as handle:
                 chunks = plan_chunks(handle, size, discipline, jobs,
                                      start=start)
-        if not chunks:
-            return None
-        return [("file", path, s, e) for s, e in chunks]
-    if not discipline.chunkable:
-        return None
-    if isinstance(data, (bytes, bytearray, str)):
+        windows = [("file", path, s, e) for s, e in chunks or ()]
+    elif not isinstance(data, (bytes, bytearray, str)):
+        return "an open Source is read in place"
+    elif not discipline.chunkable:
+        return unscannable
+    else:
         raw = data.encode("latin-1") if isinstance(data, str) else bytes(data)
-        chunks = plan_chunks(_stdio.BytesIO(raw), len(raw), discipline, jobs,
+        size = len(raw)
+        chunks = plan_chunks(_stdio.BytesIO(raw), size, discipline, jobs,
                              start=start)
-        if not chunks:
-            return None
         # Each worker receives only its slice; ``start`` keeps reported
         # byte offsets absolute.
-        return [("bytes", raw[s:e], s) for s, e in chunks]
-    return None  # an open Source (or anything else): serial only
+        windows = [("bytes", raw[s:e], s) for s, e in chunks or ()]
+    if windows:
+        return windows
+    return f"{size - start} bytes is too small to split" \
+        if size - start < 2 * MIN_CHUNK_BYTES else "no record boundary splits it"
 
 
 def _open_window(window: tuple, discipline: RecordDiscipline,
@@ -412,8 +420,10 @@ def fold_windows(description, fold: Fold, windows, jobs: int, state, *,
 
 def drive(description, data, fold: Fold, jobs: int, *,
           stream: bool = False, header: Optional[str] = None) -> tuple:
-    """The parallel driver: ``(state, header_acc)`` for ``fold`` over
-    ``data`` (see :func:`fold_windows` for the state).
+    """The parallel driver: ``(state, header_acc, declined)`` for
+    ``fold`` over ``data`` (see :func:`fold_windows` for the state);
+    ``declined`` is None when the pool ran, else why the in-process
+    cursor ran instead (:func:`_plan_windows`).
 
     Windows are planned over a seekable input (a file, bytes) or, with
     ``stream``, carved from a live stream as it delivers them.  A
@@ -422,7 +432,9 @@ def drive(description, data, fold: Fold, jobs: int, *,
     continuing where the header ended.
     """
     owned = _kind(data) in ("file", "stream")
-    src = header_acc = windows = None
+    src = header_acc = None
+    windows = "one job, a header, an open Source or a tracer keeps the " \
+        "stream in process"
     start = base = 0
     if header is not None:
         src = open_input(description, data)
@@ -435,14 +447,15 @@ def drive(description, data, fold: Fold, jobs: int, *,
             and split_gate(description, stream=True) is None:
         _require_streamable(description, _spec_for(description))
         windows = _stream_windows(data, description.discipline)
-    if windows is None:
+    if isinstance(windows, str):
         if src is None:
             src = open_input(description, data)
-        return fold_cursor(description, fold, src, owned=owned), header_acc
+        return (fold_cursor(description, fold, src, owned=owned), header_acc,
+                windows)
     if src is not None and owned:
         src.close()
     return fold_windows(description, fold, windows, jobs,
-                        fold.zero(description), base=base), header_acc
+                        fold.zero(description), base=base), header_acc, None
 
 
 # -- live streams -----------------------------------------------------------------

@@ -62,3 +62,15 @@ def netflow():
 @pytest.fixture
 def rng():
     return random.Random(20050612)  # PLDI 2005 week
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Shrink the parallel planner's minimum chunk to 1 KiB, so inputs of
+    a few hundred records split over the worker pool."""
+    from repro import parallel
+    from repro.core.io import plan_chunks
+    monkeypatch.setattr(parallel, "plan_chunks",
+                        lambda h, size, d, n, start=0:
+                        plan_chunks(h, size, d, n, min_chunk=1 << 10,
+                                    start=start))

@@ -318,8 +318,8 @@ class TestObservabilityFlags:
                              ids=[" ".join(c[0]) or "default"
                                   for c in MODE_CASES])
     def test_stats_report_the_mode_that_ran(self, clf_file, big_log, capsys,
-                                            monkeypatch, command, extra,
-                                            modes):
+                                            monkeypatch, small_chunks,
+                                            command, extra, modes):
         import io
         import json
         mode = modes[command]

@@ -11,7 +11,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import compile_description
+from repro import Mask, P_Check, P_CheckAndSet, Pstate, compile_description
+from repro.core.limits import ParseLimits
 from repro.dsl.parser import parse_description
 from repro.dsl.pprint import pp_description
 
@@ -218,3 +219,28 @@ def test_split_kernel_agrees_with_the_regex_form_and_interpreter(text, seed):
             if dosem:
                 rep, pd = plain.parse(row + b"\n", "row_t")
                 assert pd.nerr == 0 and rep == got, row
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=array_source(), seed=st.integers(0, 10**6),
+       limit=st.none() | st.integers(0, 6), sets=st.booleans())
+def test_array_elements_read_parse_element_loop(text, seed, limit, sets):
+    """``array_elements`` yields, before any refused element, the values
+    of ``parse``'s rep (after unset) and the element pds of ``pd.elts``;
+    a refusal is the ``max_array_elems`` limit ``parse`` reports."""
+    limits = None if limit is None else ParseLimits(max_array_elems=limit)
+    desc = compile_description(text, limits=limits)
+    rng = random.Random(seed)
+    data = bytearray(desc.write(desc.generate("xs_t", rng), "xs_t"))
+    if data and seed % 3 == 0:
+        data[seed % len(data)] = 33 + (seed % 90)  # one mutation
+    mask = Mask(P_CheckAndSet if sets else P_Check)
+    rep, pd = desc.parse(bytes(data), "xs_t", mask)
+    pairs = list(desc.array_elements(bytes(data), "xs_t", mask))
+    refused = bool(pairs) and bool(pairs[-1][1].pstate & Pstate.LIMIT)
+    if refused:
+        pairs.pop()
+    assert refused == bool(pd.pstate & Pstate.LIMIT)
+    assert [value for value, _ in pairs] == rep
+    assert [pd_summary(p) for _, p in pairs] == \
+        [pd_summary(p) for p in pd.elts]

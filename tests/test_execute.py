@@ -19,7 +19,7 @@ import pytest
 
 from repro import compile_description, gallery, observe
 from repro.core.errors import PadsError
-from repro.core.io import FixedWidthRecords, Source
+from repro.core.io import FixedWidthRecords, LengthPrefixedRecords, Source
 from repro.core.limits import ParseLimits
 from repro.execute import ExecOptions, choose_engine, run
 from repro.tools.datagen import (call_detail_workload, clf_workload,
@@ -214,7 +214,8 @@ def clf_log():
     ("file", {"checkpoint": 50}, "durable"),
 ], ids=["serial", "stream", "parallel", "parallel-stream", "durable"])
 def test_run_agrees_with_the_serial_reference(tmp_path, calls_data, clf_log,
-                                              name, kind, opts, mode):
+                                              small_chunks, name, kind, opts,
+                                              mode):
     desc = _desc(name)
     data = calls_data if name == "calls" else clf_log
     path = tmp_path / "in.dat"
@@ -258,7 +259,8 @@ def test_parallel_header_on_a_file_too_small_to_split(tmp_path, limits):
     path.write_bytes(sirius_workload(40, random.Random(20050612)))
     serial, par = (run(desc, path, "accum", "entry_t", ExecOptions(jobs=jobs),
                        header="summary_header_t") for jobs in (1, 2))
-    assert (serial.mode, par.mode) == ("serial", "parallel")
+    assert (serial.mode, par.mode) == ("serial", "serial")
+    assert par.reason.startswith("--jobs 2 stays on one core: ")
     assert serial.tally.first_error_loc is not None
     assert par.tally.first_error_loc == serial.tally.first_error_loc
     assert par.tally.first_error_code == serial.tally.first_error_code
@@ -266,6 +268,43 @@ def test_parallel_header_on_a_file_too_small_to_split(tmp_path, limits):
         (serial.tally.records, serial.tally.bad_records, serial.tally.by_code)
     assert par.acc.full_report() == serial.acc.full_report()
     assert par.header_acc.full_report() == serial.header_acc.full_report()
+
+
+ROWS = "Precord Pstruct r_t { Puint32 n; };"
+
+
+@pytest.mark.parametrize("on_file", [False, True], ids=["bytes", "file"])
+def test_run_reports_the_serial_cursor_when_no_window_plan(tmp_path,
+                                                           on_file):
+    # choose_engine picks `parallel`, but 100 short records make no
+    # window plan: the result names the mode that ran, and why.
+    desc = compile_description(ROWS)
+    data = b"".join(b"%d\n" % i for i in range(100))
+    path = tmp_path / "rows.txt"
+    path.write_bytes(data)
+    assert choose_engine(desc, FILE, "tally", "r_t",
+                         ExecOptions(jobs=2)).mode == "parallel"
+    res = run(desc, path if on_file else data, "tally", "r_t",
+              ExecOptions(jobs=2))
+    assert res.mode == "serial"
+    assert res.reason == ("--jobs 2 stays on one core: 290 bytes is too "
+                          "small to split; per record: "
+                          + desc.grid("r_t").reason)
+    assert res.tally.records == 100
+
+
+def test_run_reports_an_unindexed_length_prefixed_file(tmp_path):
+    desc = compile_description(
+        'Psource Pstruct rec_t { Pstring_ME(:"[a-z]+":) body; };',
+        ambient="binary", discipline=LengthPrefixedRecords())
+    path = tmp_path / "tlv.bin"
+    path.write_bytes(b"".join(len(p).to_bytes(4, "big") + p
+                              for p in (b"abcdefghij",) * 20000))
+    res = run(desc, path, "count", options=ExecOptions(jobs=2))
+    assert (res.mode, res.count) == ("serial", 20000)
+    assert res.reason.startswith(
+        "--jobs 2 stays on one core: LengthPrefixedRecords records have no "
+        "scannable boundaries and no boundary index splits the file; ")
 
 
 class _Stop(Exception):

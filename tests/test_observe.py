@@ -196,7 +196,7 @@ class TestTracer:
     def test_tracer_forces_serial_fallback(self, desc):
         data = "".join(f"{ln}\n" for ln in make_lines(30))
         with observe.observed(trace=True) as obs:
-            pairs, _hdr = drive(desc, data, Fold("records", "entry_t"), 4)
+            pairs, _hdr, _why = drive(desc, data, Fold("records", "entry_t"), 4)
             out = list(pairs)
         # Worker-side events could never reach this tracer; a complete
         # event stream proves the serial path ran.

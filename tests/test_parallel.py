@@ -152,19 +152,8 @@ def clf_desc(request):
     return compile_generated(gallery.CLF)
 
 
-def small_chunks(monkeypatch):
-    """Shrink the minimum chunk so 1500-record test inputs split."""
-    monkeypatch.setattr(parallel, "plan_chunks",
-                        lambda h, size, d, n, start=0:
-                        plan_chunks(h, size, d, n, min_chunk=1 << 12,
-                                    start=start))
-
-
+@pytest.mark.usefixtures("small_chunks")
 class TestParallelEquivalence:
-    @pytest.fixture(autouse=True)
-    def _small_chunks(self, monkeypatch):
-        small_chunks(monkeypatch)
-
     def test_count(self, clf_desc, clf_data, clf_file):
         serial = clf_desc.count_records(clf_data)
         assert _par(clf_desc, clf_data, "count").count == serial
@@ -237,31 +226,36 @@ class TestSerialFallback:
         raise AssertionError("serial fallback reached the worker pool")
 
     def test_jobs_one_is_serial(self, clf_desc, clf_data):
-        assert parallel._plan_windows(clf_desc, clf_data, 1) is None
-        count, _hdr = parallel.drive(clf_desc, clf_data, Fold("count"), 1)
+        assert parallel._plan_windows(clf_desc, clf_data, 1) == "one job"
+        count, _hdr, why = parallel.drive(clf_desc, clf_data, Fold("count"), 1)
+        assert why == "one job"
         assert count.records == clf_desc.count_records(clf_data)
 
     def test_unchunkable_discipline_is_serial(self):
         desc = gallery.load_netflow()  # NoRecords: one packed binary blob
         assert not desc.discipline.chunkable
         data = bytes(20) * 400
-        assert parallel._plan_windows(desc, data, JOBS) is None
+        assert parallel._plan_windows(desc, data, JOBS) == \
+            "NoRecords records have no scannable boundaries"
 
     def test_small_input_is_serial(self, clf_desc):
         data = clf_workload(5, random.Random(1))
-        assert parallel._plan_windows(clf_desc, data, JOBS) is None
-        assert _par(clf_desc, data, "tally", "entry_t").tally.records == 5
+        assert "too small to split" in parallel._plan_windows(clf_desc, data,
+                                                            JOBS)
+        res = run(clf_desc, data, "tally", "entry_t", ExecOptions(jobs=JOBS))
+        assert (res.mode, res.tally.records) == ("serial", 5)
 
     def test_open_source_is_serial(self, clf_desc, clf_data):
         src = clf_desc.open(clf_data)
-        assert parallel._plan_windows(clf_desc, src, JOBS) is None
-        count, _hdr = parallel.drive(clf_desc, src, Fold("count"), JOBS)
+        assert parallel._plan_windows(clf_desc, src, JOBS) == \
+            "an open Source is read in place"
+        count, _hdr, _why = parallel.drive(clf_desc, src, Fold("count"), JOBS)
         assert count.records == clf_desc.count_records(clf_data)
 
     def test_specless_description_is_serial(self, clf_desc, clf_data,
                                             monkeypatch):
         monkeypatch.setattr(parallel, "_spec_for", lambda d: None)
-        pairs, _hdr = parallel.drive(clf_desc, clf_data,
+        pairs, _hdr, _why = parallel.drive(clf_desc, clf_data,
                                      Fold("records", "entry_t"), JOBS)
         assert len(list(pairs)) == clf_desc.count_records(clf_data)
 

@@ -78,6 +78,36 @@ def _check_branches(events, reps):
                 value = value.value
 
 
+def _pd_at(pd, path):
+    """The descriptor at trace position ``path`` below ``pd``, or None
+    where it is omitted (a clean position, or a ``Punion``'s branch,
+    which is kept only when clean)."""
+    for field, _branch, index in _STEP.findall(path):
+        if pd is None:
+            return None
+        if index:
+            elts = pd.elts
+            pd = elts[int(index)] if int(index) < len(elts) else None
+        elif field:
+            pd = pd.fields.get(field)
+        else:
+            pd = pd.branch
+    return pd
+
+
+def _check_outcomes(events, reps):
+    """Every exit's outcome is that of the descriptor at its path, and
+    every record event's that of its record's descriptor."""
+    for e in events:
+        if e.kind == "enter":
+            continue
+        pd = reps[e.record][1]
+        if e.kind == "exit":
+            pd = _pd_at(pd, e.path)
+        want = ("ok", "") if pd is None else observe.outcome_of(pd)
+        assert (e.outcome, e.err_code) == want, (e.record, e.path)
+
+
 @pytest.mark.parametrize("name", sorted(GALLERY))
 def test_gallery_trace_is_well_formed(name):
     load, rtype, sample = GALLERY[name]
@@ -92,6 +122,7 @@ def test_gallery_trace_is_well_formed(name):
     assert sum(e.kind == "record" for e in events) == len(reps)
     _check_nesting(events)
     _check_branches(events, reps)
+    _check_outcomes(events, reps)
     assert tracer.dropped == 0
     assert [e.to_json() for e in events] == sink_lines
 
@@ -126,6 +157,30 @@ def test_array_elements_are_positions(sirius):
         list(sirius.array_elements(line.split("|", 13)[-1], "eventSeq"))
     assert _paths(obs.tracer.events) == [
         "[0].state", "[0].tstamp", "[0]", "[1].state", "[1].tstamp", "[1]"]
+
+
+def test_record_elements_carry_their_record(clf):
+    # The elements of a Psource array of records: element [i] opens
+    # record i, and both its events say so.
+    with observe.observed(trace=True) as obs:
+        clf.parse(gallery.CLF_SAMPLE)
+    assert [(e.kind, e.path, e.record) for e in obs.tracer.events
+            if re.fullmatch(r"\[\d+\]", e.path)] == [
+        ("enter", "[0]", 0), ("exit", "[0]", 0),
+        ("enter", "[1]", 1), ("exit", "[1]", 1)]
+
+
+def test_field_constraint_is_inside_its_span(clf):
+    # `version` parses, then fails its constraint (chkVersion: LINK
+    # needs HTTP/1.1): the field exits with the violation.
+    line = gallery.CLF_SAMPLE.splitlines()[0].replace("GET", "LINK")
+    with observe.observed(trace=True) as obs:
+        _rep, pd = clf.parse(line + "\n", "entry_t")
+    version = pd.fields["request"].fields["version"]
+    assert version.err_code.name == "USER_CONSTRAINT_VIOLATION"
+    assert [(e.outcome, e.err_code) for e in obs.tracer.events
+            if e.kind == "exit" and e.path == "request.version"] == [
+        ("err", "USER_CONSTRAINT_VIOLATION")]
 
 
 def test_rejected_branch_leaves_no_events():

@@ -8,12 +8,16 @@ from repro import (
     Mask,
     P_Check,
     P_CheckAndSet,
-    P_Ignore,
     P_Set,
     Pstate,
     compile_description,
 )
+from repro import gallery
+from repro.core.limits import ParseLimits
 from repro.core.masks import MaskFlag
+from repro.tools.datagen import ErrorInjector, generate_source
+
+from .test_codegen import pd_summary
 
 
 def c(text, **kw):
@@ -369,6 +373,31 @@ class TestArray:
         assert pd.err_code == ErrCode.ARRAY_SIZE_ERR
         assert len(list(d.array_elements(b"ab", "all_t"))) == 2
 
+    # Element-at-a-time reading runs parse's element loop.
+
+    def test_elements_stop_at_the_size_bound(self):
+        d = c("Parray a { Puint32[3] : Psep(','); };")
+        assert d.parse(b"1,2,3,4,5", "a")[0] == [1, 2, 3]
+        assert [v for v, _ in d.array_elements(b"1,2,3,4,5", "a")] == [1, 2, 3]
+
+    def test_elements_refused_at_the_array_limit(self):
+        d = c("Parray a { Puint32[] : Psep(','); };",
+              limits=ParseLimits(max_array_elems=2))
+        rep, pd = d.parse(b"1,2,3,4,5", "a")
+        assert rep == [1, 2] and pd.err_code == ErrCode.ARRAY_LIMIT
+        out = list(d.array_elements(b"1,2,3,4,5", "a"))
+        assert [v for v, _ in out] == [1, 2, 0]
+        assert [p.err_code for _, p in out] == [
+            ErrCode.NO_ERR, ErrCode.NO_ERR, ErrCode.ARRAY_LIMIT]
+        assert out[-1][1].pstate & Pstate.LIMIT
+
+    def test_elements_resync_past_a_bad_element(self):
+        d = c("Parray a { Puint32[] : Psep(','); };")
+        assert d.parse(b"1,x,3", "a")[0] == [1, 0, 3]
+        out = list(d.array_elements(b"1,x,3", "a"))
+        assert [v for v, _ in out] == [1, 0, 3]
+        assert [p.nerr for _, p in out] == [0, 1, 0]
+
 
 class TestEnum:
     DESC = 'Penum m { GET, PUT, POST, POSTER Pfrom("POSTER") };'
@@ -453,3 +482,31 @@ class TestRecords:
         whole, pd = d.parse(data)
         one_at_a_time = [rep for rep, _ in d.records(data, "line_t")]
         assert [r.n for r in whole] == [r.n for r in one_at_a_time]
+
+
+#: gallery loader -> (record type, sample data opening the source)
+GALLERY_SOURCES = {
+    "clf": (gallery.load_clf, "entry_t", gallery.CLF_SAMPLE),
+    "sirius": (gallery.load_sirius, "entry_t", gallery.SIRIUS_SAMPLE),
+    "calldetail": (gallery.load_call_detail, "call_t", ""),
+    "netflow": (gallery.load_netflow, "nf_packet_t", ""),
+    "regulus": (gallery.load_regulus, "util_t", ""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY_SOURCES))
+def test_whole_source_parse_is_the_same_with_and_without_fast_paths(name):
+    # The source's records run the record step, whose fast function
+    # stands in for the general parse only where it agrees with it.
+    import random
+    load, rtype, sample = GALLERY_SOURCES[name]
+    d = load()
+    plain = compile_description(d.source_text, ambient=d.ambient,
+                                discipline=d.discipline, fastpath=False)
+    data = sample.encode("latin-1") + generate_source(
+        d, rtype, 30, random.Random(5), ErrorInjector(0.3))
+    rep, pd = d.parse(data)
+    want, want_pd = plain.parse(data)
+    assert rep == want
+    assert pd_summary(pd) == pd_summary(want_pd)
+

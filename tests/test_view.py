@@ -1,7 +1,5 @@
 """Tests for the field-annotated record viewer (tools.view)."""
 
-import pytest
-
 from repro import gallery
 from repro.tools.view import hex_dump, render_record, trace_record
 
