@@ -15,26 +15,19 @@ Typical use::
     gen.module.entry_t_verify(rep)
 
 ``generate_source`` returns the module source (what ``padsc compile``
-writes to disk); ``compile_generated`` binds the description once and
-returns it as a :class:`GeneratedDescription`, whose ``module`` is that
-source loaded, on first access, with the description preset as the one
-its functions run on.
+writes to disk).  ``compile_generated`` is ``compile_description``: every
+:class:`~repro.core.api.CompiledDescription` emits its ``py_source`` and
+loads its ``module`` on first access, with itself preset as the
+description the module's functions run on.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import Optional
-
-from ..core.api import CompiledDescription, bind_text
-from ..core.io import RecordDiscipline
-from ..core.limits import ParseLimits
+from ..core.api import compile_description as compile_generated
 from ..dsl.parser import parse_description
 from ..dsl.typecheck import check_description
-from .emitter import generate_source as _emit
-from .emitter import load_source
 
-__all__ = ["generate_source", "compile_generated", "GeneratedDescription"]
+__all__ = ["generate_source", "compile_generated"]
 
 
 def generate_source(text: str, *, ambient: str = "ascii",
@@ -45,45 +38,8 @@ def generate_source(text: str, *, ambient: str = "ascii",
     ``fastpath=False`` makes the module's ``_interp()`` compile its
     description in reference mode (differential testing).
     """
+    from .emitter import generate_source as emit
     desc = parse_description(text, filename)
     if check:
         check_description(desc, ambient)
-    return _emit(desc, ambient, source_text=text, fastpath=fastpath)
-
-
-def compile_generated(text: str, *, ambient: str = "ascii",
-                      discipline: Optional[RecordDiscipline] = None,
-                      filename: str = "<description>",
-                      check: bool = True,
-                      fastpath: bool = True,
-                      limits: Optional[ParseLimits] = None) -> "GeneratedDescription":
-    """Bind ``text`` once and load its generated module over it."""
-    bound = bind_text(text, ambient=ambient, filename=filename, check=check,
-                      fastpath=fastpath)
-    py_source = _emit(bound.desc, ambient, source_text=text, plan=bound.plan,
-                      fastpath=fastpath)
-    return GeneratedDescription(bound, discipline, text, limits, py_source)
-
-
-class GeneratedDescription(CompiledDescription):
-    """A compiled description plus its generated module, whose per-type
-    functions run on this description (the module's ``_interp()``)."""
-
-    def __init__(self, bound, discipline: Optional[RecordDiscipline] = None,
-                 source_text: Optional[str] = None,
-                 limits: Optional[ParseLimits] = None, py_source: str = ""):
-        super().__init__(bound, discipline, source_text, limits)
-        #: The module source that is ``exec``'d to build ``module``.
-        self.py_source = py_source
-
-    @cached_property
-    def module(self):
-        """The generated module over this description, loaded on first
-        access, so a description used only through ``parse``/``records``
-        /``write`` never execs its source."""
-        module = load_source(self.py_source)
-        module._INTERP = self
-        return module
-
-    def dump(self) -> str:
-        return self.py_source
+    return emit(desc, ambient, source_text=text, fastpath=fastpath)

@@ -107,6 +107,24 @@ class CompiledDescription:
         return work_per_byte(self.plan, record_scoped=not isinstance(
             self.discipline, NoRecords))
 
+    @cached_property
+    def py_source(self) -> str:
+        """The Figure 6 library module source for this description (what
+        ``padsc compile`` writes), emitted on first access."""
+        from ..codegen.emitter import generate_source
+        return generate_source(self.desc, self.ambient,
+                               source_text=self.source_text or "",
+                               plan=self.plan, fastpath=self.bound.fastpath)
+
+    @cached_property
+    def module(self):
+        """``py_source`` loaded on first access, with this description
+        preset as the one its functions run on (its ``_interp()``)."""
+        from ..codegen.emitter import load_source
+        module = load_source(self.py_source)
+        module._INTERP = self
+        return module
+
     def node(self, name: Optional[str] = None) -> PType:
         if name is None:
             return self.bound.source_node

@@ -1057,8 +1057,9 @@ class StreamSource(Source):
                  poll_interval: float = 0.05,
                  idle_timeout: Optional[float] = None,
                  limits: Optional[ParseLimits] = None,
-                 owns_stream: bool = False):
-        super().__init__(stream=stream, discipline=discipline, limits=limits)
+                 owns_stream: bool = False, start: int = 0):
+        super().__init__(stream=stream, discipline=discipline, limits=limits,
+                         start=start)
         self._owns_stream = owns_stream
         if limits is not None and limits.max_scan:
             window = max(window, limits.max_scan)
@@ -1140,6 +1141,17 @@ class StreamSource(Source):
             self._fill(before + self._refill)
             if self._end() == before:
                 break
+
+    def abort_to_eof(self) -> None:
+        # Drain the rest of the stream without keeping it: a run ended by
+        # its budget still holds only the window.
+        self.in_record = False
+        while True:
+            self.pos = before = self._end()
+            self._retire()
+            self._fill(before + self._refill)
+            if self._end() == before:
+                return
 
     def _trim(self, at_least: Optional[int] = None) -> None:
         if self._checkpoints:

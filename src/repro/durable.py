@@ -506,15 +506,9 @@ def _open_resume_source(description, path: str, offset: int,
     ``Source.from_file`` otherwise."""
     limits = getattr(description, "limits", None)
     if window is not None:
-        handle = open(path, "rb")
-        handle.seek(offset)
-        src = StreamSource(handle, description.discipline, window=window,
-                           limits=limits, owns_stream=True)
-        # StreamSource has no ``start``: rebase the absolute cursor onto
-        # the pre-seeked handle (the buffer is still empty here).
-        src._base = src.pos = offset
-        src.rec_start = src.rec_end = src.rec_next = offset
-        return src
+        return StreamSource(open(path, "rb"), description.discipline,
+                            window=window, limits=limits, owns_stream=True,
+                            start=offset)
     return Source.from_file(path, description.discipline, start=offset,
                             limits=limits)
 

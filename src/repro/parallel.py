@@ -45,7 +45,7 @@ from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FutTimeout
 from dataclasses import dataclass
 from itertools import islice
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Union)
 
 from . import observe
@@ -482,21 +482,6 @@ def _require_streamable(description, spec: Optional[DescSpec]) -> None:
                         "parsing; run with jobs=1")
 
 
-def _binary_stream(data) -> Tuple[object, bool]:
-    """Normalise feeder input to a readable binary object.  Returns
-    ``(stream, owns)``; ``owns`` means the feeder should close it."""
-    if hasattr(data, "read"):
-        return data, False
-    if isinstance(data, (str, os.PathLike)):
-        return open(os.fspath(data), "rb"), True
-    if isinstance(data, int) and not isinstance(data, bool):
-        return os.fdopen(data, "rb"), True
-    if hasattr(data, "makefile"):  # socket.socket
-        return data.makefile("rb"), True
-    raise PadsError(f"cannot stream from {type(data).__name__!r}: need a "
-                    "path, fd, socket, or a readable binary object")
-
-
 def _stream_chunks(stream, discipline: RecordDiscipline,
                    chunk_bytes: int) -> Iterator[tuple]:
     """Carve a live stream into record-aligned ``(chunk, offset)`` pieces.
@@ -527,7 +512,8 @@ def _stream_chunks(stream, discipline: RecordDiscipline,
 
 
 def _stream_windows(data, discipline: RecordDiscipline) -> Iterator[tuple]:
-    stream, owns = _binary_stream(data)
+    from .stream import binary_stream
+    stream, owns = binary_stream(data)
     try:
         for chunk, offset in _stream_chunks(stream, discipline,
                                             STREAM_CHUNK_BYTES):

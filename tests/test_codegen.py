@@ -1,9 +1,11 @@
 """Tests for the code generator.
 
-``compile_generated`` binds a description once and loads its generated
-Figure 6 module over it: the description and the module's functions must
-give exactly what ``compile_description`` gives — same reps, same
-parse-descriptor summaries, same write-back bytes — over clean and
+``compile_generated`` is ``compile_description``: every compiled
+description emits its Figure 6 module (``py_source``, what ``padsc
+compile`` writes) and loads it (``module``) on first access, with itself
+as the description the module's functions run on.  The module's
+functions must give exactly what the description gives — same reps,
+same parse-descriptor summaries, same write-back bytes — over clean and
 corrupted inputs.
 """
 
@@ -15,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro import FixedWidthRecords, Mask, NoRecords, P_Check, P_CheckAndSet, P_Set
 from repro import PadsError, compile_description, gallery
 from repro.codegen import compile_generated, generate_source
+from repro.core.api import CompiledDescription
 from repro.core.masks import MaskFlag
 from repro.tools.datagen import clf_workload, sirius_workload
 
@@ -51,13 +54,11 @@ class TestGeneratedCLF:
         rep, _ = clf_gen.parse(gallery.CLF_SAMPLE)
         assert clf_gen.write(rep) == gallery.CLF_SAMPLE.encode()
 
-    def test_matches_interpreter_on_clean_and_dirty_data(self, clf, clf_gen):
-        rng = random.Random(77)
-        data = clf_workload(300, rng)
-        for (ri, pi), (rg, pg) in zip(clf.records(data, "entry_t"),
-                                      clf_gen.records(data, "entry_t")):
-            assert pd_summary(pi) == pd_summary(pg)
-            assert ri == rg
+    def test_matches_interpreter_on_clean_and_dirty_data(self, tmp_path):
+        from . import test_oracle as oracle
+        key = oracle.data_key(
+            "clf-300-77", lambda: clf_workload(300, random.Random(77)))
+        oracle.agree(oracle.GALLERY["clf"], key, "records", "serial", tmp_path)
 
     def test_constraint_inlined(self, clf_gen):
         bad = gallery.CLF_SAMPLE.replace('"GET /tk/p.txt HTTP/1.0"',
@@ -78,14 +79,12 @@ class TestGeneratedSirius:
         assert sirius_gen.verify(rep)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_matches_interpreter_on_workload(self, sirius, sirius_gen, seed):
-        data = sirius_workload(150, random.Random(seed)).split(b"\n", 1)[1]
-        interp = list(sirius.records(data, "entry_t"))
-        gen = list(sirius_gen.records(data, "entry_t"))
-        assert len(interp) == len(gen)
-        for (ri, pi), (rg, pg) in zip(interp, gen):
-            assert pd_summary(pi) == pd_summary(pg)
-            assert ri == rg
+    def test_matches_interpreter_on_workload(self, seed, tmp_path):
+        from . import test_oracle as oracle
+        key = oracle.data_key(f"sirius-150-{seed}", lambda: sirius_workload(
+            150, random.Random(seed)).split(b"\n", 1)[1])
+        oracle.agree(oracle.GALLERY["sirius"], key, "records", "serial",
+                     tmp_path)
 
     def test_mask_behaviour_matches(self, sirius, sirius_gen):
         bad = gallery.SIRIUS_SAMPLE.replace(
@@ -145,6 +144,7 @@ class TestGeneratedModuleSurface:
     def test_module_runs_on_the_bound_description(self, clf_gen):
         # One bind: the module's functions reach the nodes gen.records runs.
         module = clf_gen.module
+        assert type(clf_gen) is CompiledDescription
         assert module._interp() is clf_gen
         assert clf_gen.node("entry_t").fast_fn is not None
         rep, pd = module.entry_t_read(gallery.CLF_SAMPLE)
@@ -274,7 +274,9 @@ PROP_DESC = """
 
 @pytest.fixture(scope="module")
 def prop_pair():
-    return (compile_description(PROP_DESC), compile_generated(PROP_DESC))
+    """The ``fastpath=False`` reference and the fast build."""
+    return (compile_description(PROP_DESC, fastpath=False),
+            compile_generated(PROP_DESC))
 
 
 @settings(max_examples=120, deadline=None)

@@ -2,9 +2,10 @@
 node classes that load cheaper still behave as before.
 
 * The import budget runs in a fresh interpreter: after ``import repro``
-  and compiling SIRIUS on both engines, no process-pool machinery, no
-  accumulator, no plan pretty-printer, no Prometheus renderer, no data
-  generator's regex sampler and no ``json`` is loaded, yet each still
+  and compiling SIRIUS twice, once through ``compile_generated``, no
+  process-pool machinery, no accumulator, no plan pretty-printer, no
+  Prometheus renderer, no data generator's regex sampler, no module
+  emitter and no ``json`` is loaded, yet each still
   resolves on first use; after ``import repro.tools.padsc`` neither the
   execution planner nor the accumulator is.
 * The golden digests pin, for every gallery description, the ``repr``
@@ -44,7 +45,7 @@ from repro.tools.padsc import main
 #: Modules a serial compile-and-parse run never touches.
 UNUSED = ["repro.parallel", "repro.execute", "repro.tools.accum",
           "repro.plan.pprint", "repro.observe.exposition",
-          "repro.util.regexgen", "json",
+          "repro.util.regexgen", "repro.codegen.emitter", "json",
           "multiprocessing", "concurrent.futures.process"]
 
 BUDGET = """

@@ -151,3 +151,30 @@ class TestBinaryWorkload:
         rep, _ = call_detail.parse(data, "calls_t")
         times = [c.connect_time for c in rep]
         assert times == sorted(times)
+
+
+# -- the regex sampler ---------------------------------------------------------
+
+#: The patterns the test descriptions use (``Pre``, ``Pstring_ME``,
+#: ``Pstring_SE``), and ``resolve_base_type``'s.
+DESCRIPTION_PATTERNS = ["[a-z]+", "[A-Z]+", "x*", "a*b", "[0-9]+", "a+"]
+
+_ATOMS = st.sampled_from([
+    "a", "Z", "7", r"\.", r"\d", r"\w", r"\s", r"\W", ".", "[a-f]", "[^,|]",
+    "[0-9A-F]", r"[\d_]", "(ab|cd)", "(?:x|yz)",
+])
+_QUANTIFIERS = st.sampled_from(["", "?", "*", "+", "{2}", "{1,3}", "{2,}",
+                                "*?"])
+_PATTERNS = st.lists(st.tuples(_ATOMS, _QUANTIFIERS), min_size=1,
+                     max_size=5).map(lambda parts: "".join(
+                         atom + q for atom, q in parts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pattern=st.sampled_from(DESCRIPTION_PATTERNS) | _PATTERNS,
+       seed=st.integers(0, 2**32 - 1))
+def test_every_regex_sample_fullmatches(pattern, seed):
+    import re
+    from repro.util.regexgen import sample_regex
+    sample = sample_regex(pattern, random.Random(seed))
+    assert re.fullmatch(pattern, sample), (pattern, sample)

@@ -21,11 +21,11 @@ from repro import compile_description, gallery, observe
 from repro.core.errors import PadsError
 from repro.core.io import FixedWidthRecords, LengthPrefixedRecords, Source
 from repro.core.limits import ParseLimits
-from repro.execute import ExecOptions, choose_engine, run
+from repro.execute import OPS, ExecOptions, choose_engine, run
 from repro.tools.datagen import (call_detail_workload, clf_workload,
                                  sirius_workload)
 
-from .test_codegen import pd_summary
+from . import test_oracle as oracle
 
 FILE = pathlib.Path("input.dat")  # choose_engine never opens its input
 
@@ -184,17 +184,6 @@ def test_decision_table(name, op, kind, opts, extra, expect):
 # -- run(): one result shape, identical outcomes on every mode ------------------
 
 
-def _reference(desc, data, record_type):
-    pairs = [(rep, pd_summary(pd)) for rep, pd in desc.records(data,
-                                                               record_type)]
-    return pairs, desc.count_records(data)
-
-
-def _tally_key(tally):
-    return (tally.records, tally.bad_records, tally.total_errors,
-            tally.by_code, tally.first_error_code, tally.first_error_loc)
-
-
 @pytest.fixture(scope="module")
 def calls_data():
     return call_detail_workload(300, random.Random(3))
@@ -205,40 +194,29 @@ def clf_log():
     return clf_workload(300, random.Random(3))
 
 
+#: name -> (oracle subject, oracle data key).
+SUBJECTS = {
+    "calls": (oracle.GALLERY["calldetail"], oracle.data_key(
+        "calls-300", lambda: call_detail_workload(300, random.Random(3)))),
+    "clf": (oracle.GALLERY["clf"], oracle.data_key(
+        "clf-300-3", lambda: clf_workload(300, random.Random(3)))),
+}
+
+
 @pytest.mark.parametrize("name", ["calls", "clf"])
-@pytest.mark.parametrize("kind,opts,mode", [
-    ("file", {}, "serial"),
-    ("stdin", {"window": 512}, "stream"),
-    ("file", {"jobs": 2}, "parallel"),
-    ("stdin", {"jobs": 2}, "parallel-stream"),
-    ("file", {"checkpoint": 50}, "durable"),
+@pytest.mark.parametrize("mode,window", [
+    ("serial", None), ("stream", 512), ("parallel", None),
+    ("parallel-stream", None), ("durable", None),
 ], ids=["serial", "stream", "parallel", "parallel-stream", "durable"])
-def test_run_agrees_with_the_serial_reference(tmp_path, calls_data, clf_log,
-                                              small_chunks, name, kind, opts,
-                                              mode):
-    desc = _desc(name)
-    data = calls_data if name == "calls" else clf_log
-    path = tmp_path / "in.dat"
-    path.write_bytes(data)
-    # The reference runs without compiled fast paths: one record at a
-    # time through the general parser, no grid.
-    plain = _desc(name, fastpath=False)
-    want_pairs, want_count = _reference(plain, data, RECORD[name])
-    ref = run(plain, data, "accum", RECORD[name])
-    for op in ("records", "accum", "tally", "count"):
-        source = path if kind == "file" else io.BytesIO(data)
-        res = run(desc, source, op, RECORD[name], ExecOptions(**opts))
-        assert res.mode == mode and res.reason
-        if op == "records":
-            got = [(rep, pd_summary(pd)) for rep, pd in res.pairs]
-            assert got == want_pairs
-        elif op == "accum":
-            assert res.tally.records == want_count
-            assert res.acc.full_report() == ref.acc.full_report()
-        elif op == "tally":
-            assert _tally_key(res.tally) == _tally_key(ref.tally)
-        else:
-            assert res.count == want_count
+def test_run_agrees_with_the_serial_reference(tmp_path, pool_chunks, name,
+                                              mode, window):
+    """Every op through ``run`` on every mode (a file for the serial and
+    parallel modes, stdin for the stream modes) against the oracle's
+    serial reference."""
+    subject, key = SUBJECTS[name]
+    for op in OPS:
+        oracle.agree(subject, key, op, "file" if mode == "serial" else mode,
+                     tmp_path, window=window, expect=mode)
 
 
 def test_run_accum_folds_header_then_records(clf_log):

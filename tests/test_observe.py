@@ -273,9 +273,7 @@ class TestFastpathCounters:
 
     @pytest.mark.parametrize("engine", ["interp", "source"])
     def test_sirius_hits_and_misses(self, engine):
-        from repro.codegen import compile_generated
-        d = (compile_description(gallery.SIRIUS) if engine == "interp"
-             else compile_generated(gallery.SIRIUS))
+        d = compile_description(gallery.SIRIUS)
         with observe.observed() as obs:
             n = sum(1 for _ in d.records(self._sirius(1000), "entry_t"))
         assert n == 1000

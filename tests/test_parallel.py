@@ -7,14 +7,12 @@ impossible.
 """
 
 import io
-import pathlib
 import random
 
 import pytest
 
 from repro import gallery, parallel
 from repro.codegen import compile_generated
-from repro.core.errors import ErrorTally
 from repro.execute import ExecOptions, Fold, run
 from repro.core.io import (
     FixedWidthRecords,
@@ -24,8 +22,9 @@ from repro.core.io import (
     plan_chunks,
     plan_file_chunks,
 )
-from repro.tools.accum import accumulate_records
 from repro.tools.datagen import clf_workload, sirius_workload
+
+from . import test_oracle as oracle
 
 JOBS = 2  # keep pools small; correctness, not throughput, is under test
 
@@ -129,83 +128,52 @@ class TestPlanChunks:
 
 @pytest.fixture(scope="module")
 def clf_data() -> bytes:
-    return clf_workload(1500, random.Random(20050612))
+    return oracle._DATA[CLF_1500]()
 
 
-@pytest.fixture(scope="module")
-def clf_file(clf_data, tmp_path_factory) -> pathlib.Path:
-    path = tmp_path_factory.mktemp("parallel") / "clf.log"
-    path.write_bytes(clf_data)
-    return path
-
-
-def _par(desc, data, op, record_type=None, **kw):
-    res = run(desc, data, op, record_type, ExecOptions(jobs=JOBS), **kw)
-    assert res.mode == "parallel", res.reason
-    return res
+CLF = oracle.GALLERY["clf"]
+CLF_1500 = oracle.data_key(
+    "clf-1500", lambda: clf_workload(1500, random.Random(20050612)))
+SIRIUS_1500 = oracle.data_key(
+    "sirius-1500", lambda: sirius_workload(1500, random.Random(20050612)))
 
 
 @pytest.fixture(scope="module", params=["interp", "generated"])
 def clf_desc(request):
-    if request.param == "interp":
-        return gallery.load_clf()
-    return compile_generated(gallery.CLF)
+    """One build under both ids: ``compile_generated`` is
+    ``compile_description``."""
+    return gallery.load_clf()
 
 
 @pytest.mark.usefixtures("small_chunks")
 class TestParallelEquivalence:
-    def test_count(self, clf_desc, clf_data, clf_file):
-        serial = clf_desc.count_records(clf_data)
-        assert _par(clf_desc, clf_data, "count").count == serial
-        assert _par(clf_desc, clf_file, "count").count == serial
+    """Files and bytes in memory on the pool against the oracle's serial
+    reference (``tests/test_oracle.py``)."""
 
-    def test_records_order_and_parity(self, clf_desc, clf_data):
-        serial = list(clf_desc.records(clf_data, "entry_t"))
-        par = list(_par(clf_desc, clf_data, "records", "entry_t").pairs)
-        assert len(par) == len(serial)
-        for (s_rep, s_pd), (p_rep, p_pd) in zip(serial, par):
-            assert p_pd.nerr == s_pd.nerr
-            assert p_pd.loc == s_pd.loc  # absolute offsets AND record index
-            assert p_rep.client.tag == s_rep.client.tag
-            assert str(p_rep.remoteID) == str(s_rep.remoteID)
+    def agree(self, op, tmp_path, modes=("parallel", "parallel-memory")):
+        for mode in modes:
+            oracle.agree(CLF, CLF_1500, op, mode, tmp_path,
+                         expect="parallel")
 
-    def test_records_from_file(self, clf_desc, clf_data, clf_file):
-        serial = [pd.nerr for _, pd in clf_desc.records(clf_data, "entry_t")]
-        par = [pd.nerr for _, pd in
-               _par(clf_desc, clf_file, "records", "entry_t").pairs]
-        assert par == serial
+    def test_count(self, clf_desc, tmp_path):
+        self.agree("count", tmp_path)
 
-    def test_tally(self, clf_desc, clf_data, clf_file):
-        serial = ErrorTally()
-        for _rep, pd in clf_desc.records(clf_data, "entry_t"):
-            serial.add(pd)
-        for data in (clf_data, clf_file):
-            par = _par(clf_desc, data, "tally", "entry_t").tally
-            assert par.records == serial.records
-            assert par.bad_records == serial.bad_records
-            assert par.total_errors == serial.total_errors
-            assert par.by_code == serial.by_code
-            assert par.first_error_code == serial.first_error_code
-            assert par.first_error_loc == serial.first_error_loc
+    def test_records_order_and_parity(self, clf_desc, tmp_path):
+        self.agree("records", tmp_path, ["parallel-memory"])
 
-    def test_accumulate(self, clf_desc, clf_data, clf_file):
-        serial_acc, _hdr, n = accumulate_records(clf_desc, clf_data, "entry_t")
-        for data in (clf_data, clf_file):
-            res = _par(clf_desc, data, "accum", "entry_t")
-            assert res.header_acc is None
-            assert res.tally.records == n
-            assert res.acc.full_report() == serial_acc.full_report()
+    def test_records_from_file(self, clf_desc, tmp_path):
+        self.agree("records", tmp_path, ["parallel"])
 
-    def test_accumulate_with_header(self):
-        desc = gallery.load_sirius()
-        data = sirius_workload(1500, random.Random(20050612))
-        serial_acc, serial_hdr, n = accumulate_records(
-            desc, data, "entry_t", header_type="summary_header_t")
-        res = _par(desc, data, "accum", "entry_t", header="summary_header_t")
-        assert res.header_acc is not None
-        assert res.header_acc.full_report() == serial_hdr.full_report()
-        assert res.tally.records == n
-        assert res.acc.full_report() == serial_acc.full_report()
+    def test_tally(self, clf_desc, tmp_path):
+        self.agree("tally", tmp_path)
+
+    def test_accumulate(self, clf_desc, tmp_path):
+        self.agree("accum", tmp_path)
+
+    def test_accumulate_with_header(self, tmp_path):
+        oracle.agree(oracle.GALLERY["sirius"], SIRIUS_1500, "accum",
+                     "parallel", tmp_path, header="summary_header_t",
+                     expect="parallel")
 
 
 # -- serial fallback -----------------------------------------------------------

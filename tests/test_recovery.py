@@ -10,13 +10,14 @@ both engines.
 import pytest
 
 from repro import ErrCode, Pstate, compile_description
-from repro.codegen import compile_generated
 
 from .test_codegen import pd_summary
 
 
 def both(desc_text, **kw):
-    return compile_description(desc_text, **kw), compile_generated(desc_text, **kw)
+    """The ``fastpath=False`` reference and the fast build."""
+    return (compile_description(desc_text, fastpath=False, **kw),
+            compile_description(desc_text, **kw))
 
 
 THREE_FIELDS = """

@@ -21,10 +21,8 @@ import time
 import pytest
 
 from repro import gallery, observe, parallel
-from repro.codegen import compile_generated
 from repro.core.api import compile_description
 from repro.core.errors import ErrCode, Pstate
-from repro.core.io import FixedWidthRecords
 from repro.core.limits import ParseLimits
 from repro.execute import ExecOptions, run
 from repro.faults import (
@@ -37,87 +35,55 @@ from repro.faults import (
 from repro.tools.datagen import call_detail_workload, clf_workload, sirius_workload
 from repro.tools.padsc import main
 
+from . import test_oracle as oracle
 from .test_codegen import pd_summary
 
 JOBS = 3
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 
 
-def _engine_pairs():
-    """(name, interp, gen, data, record_type) per gallery case."""
-    cd_disc = FixedWidthRecords(gallery.CALL_DETAIL_WIDTH)
-    return [
-        ("clf", gallery.load_clf(), compile_generated(gallery.CLF),
-         clf_workload(200, random.Random(5)), "entry_t"),
-        ("sirius", gallery.load_sirius(), compile_generated(gallery.SIRIUS),
-         sirius_workload(60, random.Random(6)).split(b"\n", 1)[1], "entry_t"),
-        ("call_detail", gallery.load_call_detail(),
-         compile_generated(gallery.CALL_DETAIL, ambient="binary",
-                           discipline=cd_disc),
-         call_detail_workload(100, random.Random(7)), "call_t"),
-    ]
-
-
-@pytest.fixture(scope="module")
-def engine_pairs():
-    return _engine_pairs()
-
-
 def _par_records(engine, data, rtype):
     return run(engine, data, "records", rtype, ExecOptions(jobs=JOBS)).pairs
 
 
-def _four_ways(interp, gen, data, rtype):
-    """(engine label, path label, reps, pd summaries) for serial and
-    parallel runs of both engines."""
-    out = []
-    for engine_label, engine in (("interp", interp), ("gen", gen)):
-        for path_label, parallel_ in (("serial", False), ("parallel", True)):
-            if parallel_:
-                pairs = list(_par_records(engine, data, rtype))
-            else:
-                pairs = list(engine.records(data, rtype))
-            out.append((engine_label, path_label,
-                        [r for r, _ in pairs],
-                        [pd_summary(p) for _, p in pairs]))
-    return out
-
-
+@pytest.mark.usefixtures("pool_chunks")
 class TestEdgeInputsPinned:
     """Truncated-final-record and empty-input behaviour is pinned
-    identical across serial, parallel, interpreter, and generated runs."""
+    identical across the serial and parallel runs (the oracle's
+    ``serial`` and ``parallel-memory`` modes)."""
 
-    def test_truncated_final_record_identical_four_ways(self, engine_pairs):
-        for name, interp, gen, data, rtype in engine_pairs:
-            truncated = data[:-9]  # cut mid-way through the last record
-            runs = _four_ways(interp, gen, truncated, rtype)
-            _, _, base_reps, base_pds = runs[0]
-            for engine_label, path_label, reps, pds in runs[1:]:
-                assert reps == base_reps, (name, engine_label, path_label)
-                assert pds == base_pds, (name, engine_label, path_label)
+    CASES = {
+        "clf": ("clf", lambda: clf_workload(200, random.Random(5))),
+        "sirius": ("sirius", lambda: sirius_workload(
+            60, random.Random(6)).split(b"\n", 1)[1]),
+        "call_detail": ("calldetail",
+                        lambda: call_detail_workload(100, random.Random(7))),
+    }
+
+    def agree(self, key, tmp_path):
+        for name, (subject, make) in self.CASES.items():
+            data_key = oracle.data_key(f"{name}-{key}", lambda make=make: {
+                "truncated": make()[:-9], "empty": b""}[key])
+            for mode in ("serial", "parallel-memory"):
+                yield oracle.agree(oracle.GALLERY[subject], data_key,
+                                   "records", mode, tmp_path)
+
+    def test_truncated_final_record_identical_four_ways(self, tmp_path):
+        for got in self.agree("truncated", tmp_path):
             # The cut record surfaces as a pd error, not silence: the
             # last parsed record carries errors.
-            assert base_pds, name
-            assert base_pds[-1][1] > 0, name  # nerr of the final record
+            assert got.result and got.result[-1][1][1] > 0
 
-    def test_truncation_chunked_parallel_matches_serial(self):
+    def test_truncation_chunked_parallel_matches_serial(self, tmp_path):
         # Big enough to really chunk (>= 3 * 64KiB windows).
-        interp = gallery.load_clf()
-        data = clf_workload(4000, random.Random(8))[:-11]
-        assert isinstance(parallel._plan_windows(interp, data, JOBS), list)
-        serial = [(r, pd_summary(p)) for r, p in interp.records(data, "entry_t")]
-        par = [(r, pd_summary(p))
-               for r, p in _par_records(interp, data, "entry_t")]
-        assert par == serial
+        key = oracle.data_key("clf-4000-cut", lambda: clf_workload(
+            4000, random.Random(8))[:-11])
+        oracle.agree(oracle.GALLERY["clf"], key, "records", "parallel",
+                     tmp_path, expect="parallel")
 
-    def test_empty_input_identical_four_ways(self, engine_pairs):
-        for name, interp, gen, _data, rtype in engine_pairs:
-            for engine_label, path_label, reps, pds in _four_ways(
-                    interp, gen, b"", rtype):
-                assert reps == [], (name, engine_label, path_label)
-                assert pds == [], (name, engine_label, path_label)
-            assert interp.count_records(b"") == 0
-            assert gen.count_records(b"") == 0
+    def test_empty_input_identical_four_ways(self, tmp_path):
+        for got in self.agree("empty", tmp_path):
+            assert got.result == []
 
 
 class TestResourceLimits:
@@ -144,13 +110,13 @@ class TestResourceLimits:
         assert ErrCode.RECORD_LIMIT.is_limit()
         assert not ErrCode.MISSING_LITERAL.is_limit()
 
-    def _both(self, limits, data, rtype="entry_t"):
-        interp = compile_description(gallery.CLF, limits=limits)
-        gen = compile_generated(gallery.CLF, limits=limits)
-        i = [(r, pd_summary(p)) for r, p in interp.records(data, rtype)]
-        g = [(r, pd_summary(p)) for r, p in gen.records(data, rtype)]
-        assert i == g
-        return i
+    def _both(self, limits, data, rtype="entry_t", text=gallery.CLF):
+        """The fast build's pairs, asserted equal to the reference's."""
+        out = [[(r, pd_summary(p)) for r, p in compile_description(
+            text, limits=limits, fastpath=fast).records(data, rtype)]
+            for fast in (False, True)]
+        assert out[0] == out[1]
+        return out[1]
 
     def test_record_bytes_limit(self):
         data = clf_workload(20, random.Random(9))
@@ -169,15 +135,9 @@ class TestResourceLimits:
 
     def test_array_limit(self):
         sirius = sirius_workload(30, random.Random(11)).split(b"\n", 1)[1]
-        interp = compile_description(gallery.SIRIUS,
-                                     limits=ParseLimits(max_array_elems=1))
-        gen = compile_generated(gallery.SIRIUS,
-                                limits=ParseLimits(max_array_elems=1))
-        i = [pd_summary(p) for _r, p in interp.records(sirius, "entry_t")]
-        g = [pd_summary(p) for _r, p in gen.records(sirius, "entry_t")]
-        assert i == g
-        flat = repr(i)
-        assert str(int(ErrCode.ARRAY_LIMIT)) in flat
+        out = self._both(ParseLimits(max_array_elems=1), sirius,
+                         text=gallery.SIRIUS)
+        assert str(int(ErrCode.ARRAY_LIMIT)) in repr(out)
 
     def test_error_budget_aborts_run(self):
         data = b"garbage line one\ngarbage line two\ngarbage three\n" * 10
