@@ -31,17 +31,13 @@ verdict of a record that does not qualify names the member and why.
 from __future__ import annotations
 
 import re
-from typing import Any, Callable, Dict, List, Optional, Tuple
-
-try:  # the regex parser, for its width analysis
-    from re import _parser  # type: ignore[attr-defined]
-except ImportError:  # Python 3.10
-    import sre_parse as _parser  # type: ignore[no-redef]
+from typing import Dict, List, Optional, Tuple
 
 from ..core.basetypes import integers as _ints
 from ..core.basetypes import network as _net
 from ..core.basetypes import strings as _strs
 from ..core.basetypes import temporal as _tmp
+from ..util.retree import CATEGORIES, REPEATS, sre
 from .fastpath import _GROUP_REF, FastPath, NotEligible, _check
 from .ir import (ArrayPlan, BaseUse, DataItem, EnumPlan, LitItem, OptUse,
                  Plan, RefUse, RegexUse, StructPlan, TypedefPlan, Use)
@@ -55,59 +51,42 @@ _GROUP_NAME = re.compile(rb"\(\?P<(g\d+)>")
 #: A presence test on an optional member's or a union branch's group.
 _PRESENT = re.compile(r"_m\.group\('(g\d+)'\) is not None")
 
-#: The regex parser's categories as tests of one byte (bytes patterns
-#: are ASCII: ``\d`` is ``isdigit``, ``\s`` ``isspace``, ``\w`` alnum or _).
-_CATEGORIES: Dict[Any, Callable[[bytes], bool]] = {
-    _parser.CATEGORY_DIGIT: bytes.isdigit,
-    _parser.CATEGORY_NOT_DIGIT: lambda b: not b.isdigit(),
-    _parser.CATEGORY_SPACE: bytes.isspace,
-    _parser.CATEGORY_NOT_SPACE: lambda b: not b.isspace(),
-    _parser.CATEGORY_WORD: lambda b: b.isalnum() or b == b"_",
-    _parser.CATEGORY_NOT_WORD: lambda b: not (b.isalnum() or b == b"_"),
-}
-_REPEATS = tuple(getattr(_parser, op) for op in
-                 ("MAX_REPEAT", "MIN_REPEAT", "POSSESSIVE_REPEAT")
-                 if hasattr(_parser, op))
-
-
 def may_hold(pattern: bytes, byte: int) -> bool:
     """Whether a match of ``pattern`` may consume ``byte``, or may
     depend on the text around the match (anchors, back references,
     case folding); False only when neither can happen."""
-    one = bytes([byte])
-
     def in_set(items) -> bool:
         negate = hit = False
         for op, av in items:
-            if op is _parser.NEGATE:
+            if op is sre.NEGATE:
                 negate = True
-            elif op is _parser.LITERAL:
+            elif op is sre.LITERAL:
                 hit = hit or av == byte
-            elif op is _parser.RANGE:
+            elif op is sre.RANGE:
                 hit = hit or av[0] <= byte <= av[1]
-            elif op is _parser.CATEGORY and av in _CATEGORIES:
-                hit = hit or _CATEGORIES[av](one)
+            elif op is sre.CATEGORY and av in CATEGORIES:
+                hit = hit or CATEGORIES[av](byte)
             else:
                 return True
         return hit != negate
 
     def visit(sub) -> bool:
         for op, av in sub:
-            if op is _parser.LITERAL:
+            if op is sre.LITERAL:
                 held = av == byte
-            elif op is _parser.NOT_LITERAL:
+            elif op is sre.NOT_LITERAL:
                 held = av != byte
-            elif op is _parser.IN:
+            elif op is sre.IN:
                 held = in_set(av)
-            elif op is _parser.SUBPATTERN:
+            elif op is sre.SUBPATTERN:
                 held = bool(av[1] & re.IGNORECASE) or visit(av[-1])
-            elif op in _REPEATS:
+            elif op in REPEATS:
                 held = visit(av[2])
-            elif op is getattr(_parser, "ATOMIC_GROUP", None):
+            elif op is getattr(sre, "ATOMIC_GROUP", None):
                 held = visit(av)
-            elif op is _parser.BRANCH:
+            elif op is sre.BRANCH:
                 held = any(visit(alt) for alt in av[1])
-            elif op in (_parser.ASSERT, _parser.ASSERT_NOT):
+            elif op in (sre.ASSERT, sre.ASSERT_NOT):
                 held = visit(av[1])
             else:  # ANY, anchors, back references
                 held = True
@@ -115,7 +94,7 @@ def may_hold(pattern: bytes, byte: int) -> bool:
                 return True
         return False
 
-    tree = _parser.parse(pattern)
+    tree = sre.parse(pattern)
     return bool(tree.state.flags & re.IGNORECASE) or visit(tree)
 
 
@@ -294,7 +273,7 @@ class SplitPath(FastPath):
         finally:
             self.path.pop()
             elts, self.tokens = self.tokens, outer
-        if _parser.parse(b"(?s:" + elt + b")").getwidth()[0] == 0:
+        if sre.parse(b"(?s:" + elt + b")").getwidth()[0] == 0:
             raise NotEligible(f"tail array {decl.name}: an element may "
                               "match empty")
         k = len(elts)

@@ -85,7 +85,7 @@ class ScalarAccum:
         self.tracked_count = 0  # adds that landed in self.values
         self.min = None
         self.max = None
-        self.total = 0.0
+        self.total = 0
         self.err_codes: Dict[str, int] = {}
         self.summaries = None  # NumericSummaries, set by attach_summaries
 
@@ -120,8 +120,9 @@ class ScalarAccum:
     def merge(self, other: "ScalarAccum") -> "ScalarAccum":
         """Combine another scalar accumulator into this one.
 
-        Counts, numeric stats (min/max/sum) and the error-code histogram
-        merge exactly: merging accumulators built over any split of a
+        Counts, numeric stats (min/max/sum; integer sums are exact, so
+        their order does not matter) and the error-code histogram merge
+        exactly: merging accumulators built over any split of a
         record stream gives the same values as accumulating the whole
         stream.  The value-distribution table is exact as long as the
         number of distinct values stays within ``tracked_limit``.  Under
