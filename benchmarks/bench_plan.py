@@ -15,7 +15,7 @@ through the compiled adder; its reference is the same fold through the
 tree walk, ``Accumulator.walk``), the delimited formatter over the clean
 CLF records (compiled against the formatting walk), the interpreter's
 general path over the CLF records that miss the record fast function
-(member fast functions against none), the record loop framing Sirius
+(struct functions against the walk), the record loop framing Sirius
 records a buffered block at a time (against one ``bounds`` step per
 record), plus the fixed-width call-detail stream whose record fast function is
 its batch kernel over one record.  **Correctness is asserted inside
@@ -167,12 +167,14 @@ def test_fmt_reference(benchmark, clf_interp, clf_clean_reps):
     assert len(lines) == len(clf_clean_reps) > N_RECORDS // 2
 
 
-# -- the general path on error records (member fast functions) --------------
+# -- the general path on error records (struct functions) -------------------
 #
 # Only the `-` byte-count records of the CLF workload: each one misses the
-# record fast function on its last member.  The plan side runs the member
-# fast functions for the six clean members and interprets ``length``; the
-# reference interprets all seven.
+# record fast function on its last member.  The plan side runs entry_t's
+# struct function, which calls the member fast functions of the six clean
+# members and interprets ``length``; the reference walks all seven.  The
+# clean row parses as many clean CLF records on the plan side: an error
+# record should cost at most twice a clean one.
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +217,23 @@ def test_interp_errors_reference(benchmark, clf_interp_ref,
                                  clf_dash_records):
     pairs = benchmark(_parse_all, clf_interp_ref, clf_dash_records)
     assert pairs and all(pd.nerr for _, pd in pairs)
+
+
+@pytest.fixture(scope="module")
+def clf_clean_records(clf_interp, clf_file, clf_dash_records):
+    """As many clean CLF records as ``clf_dash_records`` holds."""
+    lines = clf_file.split(b"\n")
+    pairs = clf_interp.records(clf_file, "entry_t")
+    clean = [ln for ln, (_, pd) in zip(lines, pairs) if pd.nerr == 0]
+    return b"\n".join(clean[:clf_dash_records.count(b"\n")]) + b"\n"
+
+
+@pytest.mark.benchmark(group="plan-interp-errors")
+def test_interp_clean_plan(benchmark, clf_interp, clf_clean_records,
+                           clf_dash_records):
+    pairs = benchmark(_parse_all, clf_interp, clf_clean_records)
+    assert len(pairs) == clf_dash_records.count(b"\n")
+    assert not any(pd.nerr for _, pd in pairs)
 
 
 # -- block framing in the shared record loop ---------------------------------

@@ -13,6 +13,10 @@ compiled record writer, the compiled adder, the compiled formatter and
 the block framer, so it should be *faster*; the gate fails if any pair
 is more than 5% slower than its reference.
 
+It also bounds the general path on error records: the CLF records
+with a ``-`` byte count (``test_interp_errors_plan``) may take at most
+**2x** as long as as many clean CLF records (``test_interp_clean_plan``).
+
 Optionally cross-checks against BENCH_parallel.json: its serial vetting
 benchmark (``test_vet_serial``) measures the identical workload as
 ``test_interp_vet_plan``, so the two medians must agree within a
@@ -55,6 +59,7 @@ PAIRS = [
 ]
 
 TOLERANCE = 1.05          # >5% regression fails
+ERROR_RECORD_RATIO = 2.0  # error records vs as many clean ones
 CROSS_TOLERANCE = 2.0     # sanity band for the BENCH_parallel cross-check
 BATCH_SPEEDUP = 5.0       # the grid block step's acceptance bar
 SEEK_SPEEDUP = 5.0        # indexed seek vs full scan floor (ISSUE PR 9)
@@ -91,6 +96,22 @@ def main(argv):
             failures.append(
                 f"{fast_name} is {ratio:.3f}x its reference "
                 f"(limit {TOLERANCE}x)")
+
+    errors, clean = (plan.get("test_interp_errors_plan"),
+                     plan.get("test_interp_clean_plan"))
+    if errors is None or clean is None:
+        failures.append(f"missing test_interp_errors_plan/"
+                        f"test_interp_clean_plan in {argv[0]}")
+    else:
+        ratio = errors / clean if clean else float("inf")
+        verdict = "OK" if ratio <= ERROR_RECORD_RATIO else "SLOW"
+        print(f"error records: {errors:.4f}s vs as many clean records: "
+              f"{clean:.4f}s -> {ratio:.3f}x (bar {ERROR_RECORD_RATIO}x) "
+              f"({verdict})")
+        if ratio > ERROR_RECORD_RATIO:
+            failures.append(
+                f"error records take {ratio:.3f}x as long as clean ones "
+                f"(limit {ERROR_RECORD_RATIO}x)")
 
     if len(argv) > 1:
         par = medians(argv[1])

@@ -53,50 +53,55 @@ _MONTHS = "Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split()
 _MONTH = {name: i for i, name in enumerate(_MONTHS, 1)}
 _CLF_DATE = re.compile(
     r"(0[1-9]|[12][0-9]|3[01])/(%s)/([0-9]{4}):([01][0-9]|2[0-3]):"
-    r"([0-5][0-9]):([0-5][0-9]) ([+-][0-9]{2}[0-5][0-9])" % "|".join(_MONTHS))
-_OFFSETS: dict = {}  # "-0700" -> timezone, filled as offsets are seen
-
-
-def parse_date_text(text: str):
-    """Parse ``text`` with the ad hoc format list; None when nothing fits.
-
-    The strict CLF kernel answers first; on any miss the ``DATE_FORMATS``
-    loop decides.  Like ``strptime`` under Python's default ``LC_TIME``,
-    the kernel's month names are English.
-    """
-    text = text.strip()
-    if not text:
-        return None
-    m = _CLF_DATE.fullmatch(text)
-    if m is not None:
-        day, month, year, hour, minute, second, offset = m.groups()
-        try:
-            tz = _OFFSETS.get(offset)
-            if tz is None:  # the sign applies to hours and minutes alike
-                tz = _OFFSETS[offset] = _dt.timezone(_dt.timedelta(
-                    hours=int(offset[:3]), minutes=int(offset[0] + offset[3:])))
-            return _dt.datetime(int(year), _MONTH[month], int(day), int(hour),
-                                int(minute), int(second), tzinfo=tz)
-        except ValueError:
-            pass  # 31/Feb, year 0000, offset >= 24h: the loop decides
-    for fmt in DATE_FORMATS:
-        try:
-            dt = _dt.datetime.strptime(text, fmt)
-        except ValueError:
-            continue
-        if fmt == "%H:%M:%S":
-            dt = dt.replace(year=1970, month=1, day=1)
-        if dt.tzinfo is None:
-            dt = dt.replace(tzinfo=_dt.timezone.utc)
-        return dt
-    return None
+    r"([0-5][0-9]):([0-5][0-9]) ([+-])([0-9]{2})([0-5][0-9])" % "|".join(_MONTHS))
+#: Per month: its days in a leap year, and the days of a common year
+#: before it.
+_MONTH_DAYS = (0, 31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+_DAYS_BEFORE = (0, 0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334)
+#: The proleptic Gregorian ordinal of 1970-01-01 (1 is 0001-01-01).
+_EPOCH_ORDINAL = 719163
+#: Two ASCII digits -> their value (a lookup costs less than ``int``).
+_TWO = {f"{i:02d}": i for i in range(100)}
 
 
 def parse_date_value(text: str):
     """``text`` as a :class:`DateVal` (UTC epoch plus the raw text), or
-    None when no format fits."""
-    dt = parse_date_text(text)
-    return None if dt is None else DateVal.from_datetime(dt, text)
+    None when no format fits.
+
+    The strict CLF kernel answers first: the epoch is the day count from
+    the civil date plus the time of day, less the offset, by integer
+    arithmetic.  Where ``datetime`` would refuse the fields (year 0000, a
+    day past its month's end, an offset of 24h or more), and on any other
+    miss, the ``DATE_FORMATS`` loop decides.  Like ``strptime`` under
+    Python's default ``LC_TIME``, the kernel's month names are English.
+    """
+    stripped = text.strip()
+    if not stripped:
+        return None
+    m = _CLF_DATE.fullmatch(stripped)
+    if m is not None:
+        day, month, year, hour, minute, second, sign, oh, om = m.groups()
+        y, mo, d = int(year), _MONTH[month], _TWO[day]
+        leap = y % 4 == 0 and (y % 100 != 0 or y % 400 == 0)
+        if y and d <= _MONTH_DAYS[mo] and (leap or mo != 2 or d < 29) \
+                and _TWO[oh] < 24:
+            prior = y - 1
+            days = (prior * 365 + prior // 4 - prior // 100 + prior // 400
+                    + _DAYS_BEFORE[mo] + (mo > 2 and leap) + d
+                    - _EPOCH_ORDINAL)
+            offset = _TWO[oh] * 3600 + _TWO[om] * 60
+            return DateVal(days * 86400 + _TWO[hour] * 3600
+                           + _TWO[minute] * 60 + _TWO[second]
+                           + (offset if sign == "-" else -offset), text)
+    for fmt in DATE_FORMATS:
+        try:
+            dt = _dt.datetime.strptime(stripped, fmt)
+        except ValueError:
+            continue
+        if fmt == "%H:%M:%S":
+            dt = dt.replace(year=1970, month=1, day=1)
+        return DateVal.from_datetime(dt, text)
+    return None
 
 
 class AsciiDate(BaseType):

@@ -181,8 +181,9 @@ class BoundDescription:
             node = StructNode(dp.name, fields)
             self.runtime.site(node, "where", dp.where, names, True)
             if self.fastpath:
-                # Member fast functions, compiled on first use.
-                node.compile_members = partial(self.runtime.members, dp)
+                # The struct function, compiled on first use.
+                node.compile_struct_fn = \
+                    lambda: self.runtime.struct(dp, node)
             return node
 
         if isinstance(dp, SwitchPlan):

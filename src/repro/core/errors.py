@@ -13,8 +13,7 @@ This module defines the Python equivalents: :class:`ErrCode`, :class:`Loc`,
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 class ErrCode(enum.IntEnum):
@@ -77,14 +76,15 @@ class ErrCode(enum.IntEnum):
     DEADLINE_EXCEEDED = 504
     ERROR_BUDGET_EXCEEDED = 505
 
+    # Compared as ints directly: these run on every error path.
     def is_syntactic(self) -> bool:
-        return 100 <= int(self) < 300 or 400 <= int(self) < 500
+        return 100 <= self < 300 or 400 <= self < 500
 
     def is_semantic(self) -> bool:
-        return 300 <= int(self) < 400
+        return 300 <= self < 400
 
     def is_limit(self) -> bool:
-        return int(self) >= 500
+        return self >= 500
 
 
 class Pstate(enum.IntFlag):
@@ -105,13 +105,18 @@ class Pstate(enum.IntFlag):
     LIMIT = 4
 
 
-@dataclass(frozen=True)
-class Loc:
+#: Every Pstate, by value: an operator on the flag enum costs a
+#: microsecond or more, an index into this tuple a tenth of that.
+_PSTATES = tuple(Pstate(v) for v in range(8))
+
+
+class Loc(NamedTuple):
     """A source location: byte offsets plus record/line coordinates.
 
     ``offset`` and ``end`` are absolute byte offsets into the data source.
     ``record`` is the 0-based index of the record being parsed (or -1 when
-    no record discipline is active).
+    no record discipline is active).  Immutable; a tuple, so building one
+    on an error path costs a fraction of a frozen dataclass.
     """
 
     offset: int = 0
@@ -187,10 +192,11 @@ class Pd:
             self.err_code = code
             self.loc = loc
         self.nerr += 1
-        if panic:
-            self.pstate |= Pstate.PANIC
-        else:
-            self.pstate |= Pstate.PARTIAL
+        self.pstate = _PSTATES[int(self.pstate) | (2 if panic else 1)]
+
+    def add_state(self, flags: int) -> None:
+        """Set the Pstate bits ``flags`` on this node."""
+        self.pstate = _PSTATES[int(self.pstate) | int(flags)]
 
     def absorb(self, child: "Pd") -> None:
         """Fold a child's error summary into this node."""
@@ -199,11 +205,9 @@ class Pd:
                 self.err_code = child.err_code
                 self.loc = child.loc
             self.nerr += child.nerr
-            self.pstate |= Pstate.PARTIAL
-            if child.pstate & Pstate.PANIC:
-                self.pstate |= Pstate.PANIC
-            if child.pstate & Pstate.LIMIT:
-                self.pstate |= Pstate.LIMIT
+            # PARTIAL, plus the child's PANIC and LIMIT bits.
+            self.pstate = _PSTATES[int(self.pstate) | 1
+                                   | int(child.pstate) & 6]
 
     def summary(self) -> str:
         """One-line human-readable summary of this descriptor."""

@@ -765,6 +765,13 @@ class Source:
         byte by byte.
         """
         start = self.pos
+        if self.in_record:  # an open record is wholly buffered
+            base, buf = self._base, self._buf
+            i, stop = start - base, self.rec_end - base
+            while i < stop and buf[i] in allowed:
+                i += 1
+            self.pos = i + base
+            return bytes(buf[start - base:i])
         limit = self._limit()
         while True:
             hi = self._end() if limit is None else min(self._end(), limit)
@@ -969,18 +976,6 @@ class Source:
     def record_bytes(self) -> bytes:
         """The full payload of the current record."""
         return self._slice(self.rec_start, self.rec_end)
-
-    def match_member(self, fn, dosem: bool):
-        """Run a compiled member fast function at the cursor of the open
-        record, whose bytes are all buffered.  ``fn(buf, pos, end, dosem)
-        -> (rep, end_pos) | None`` reads the buffer in place, bounded by
-        the record's end.  On a hit the cursor moves to the member's end
-        and the hit is returned; on None nothing moves."""
-        base = self._base
-        hit = fn(self._buf, self.pos - base, self.rec_end - base, dosem)
-        if hit is not None:
-            self.pos = hit[1] + base
-        return hit
 
     # -- checkpoints -------------------------------------------------------------
 

@@ -47,6 +47,10 @@ from .values import EnumVal, UnionVal, rec_class
 # panicking to end-of-record.
 MAX_RESYNC_SCAN = 4096
 
+#: Read once: an enum member lookup costs more than the rest of a skipped
+#: member's descriptor.
+_PANIC = Pstate.PANIC
+
 
 #: The flat expression scope nodes pass down; see the module docstring.
 Scope = Dict[str, object]
@@ -196,7 +200,7 @@ class BaseNode(PType):
             return None, pd
         start = src.pos
         value, code = base.parse(src, mask.do_sem)
-        if code != ErrCode.NO_ERR:
+        if code:  # not NO_ERR
             pd.record_error(code, src.loc_from(start))
         return value, pd
 
@@ -321,17 +325,24 @@ class StructNode(PType):
     literal member; if found it skips the garbage and continues in
     ``PARTIAL`` state, otherwise it panics to end-of-record and the
     remaining fields receive default values.
+
+    :meth:`walk` is the reference parse over the members; :meth:`parse`
+    runs the struct's compiled function (:mod:`repro.plan.structfn`)
+    instead where it applies.  The walk's steps past a clean member
+    (:meth:`missing_literal`, :meth:`member`, :meth:`compute`,
+    :meth:`violated`) are also that function's error path.
     """
 
     kind = "struct"
 
-    #: Builds the member fast functions, one per entry of ``fields``
-    #: (None where a member has none): ``fn(buf, pos, end, dosem) ->
-    #: (rep, end_pos) | None``.  Set by the binder when fast paths are on
-    #: and called on the first general parse that may use them; the
-    #: result is kept in ``members``.
-    compile_members: Optional[Callable[[], tuple]] = None
-    members: Optional[tuple] = None
+    #: Builds the struct function ``_fs_<name>(src, mask, scope) -> (rep,
+    #: pd)``: this parse compiled, the member fast functions called
+    #: directly.  Set by the binder when fast paths are on and called on
+    #: the first parse that may use it (inside an open record, under
+    #: :func:`~repro.core.limits.fastpath_applies`); the result is kept in
+    #: ``struct_fn``.
+    compile_struct_fn: Optional[Callable[[], Callable]] = None
+    struct_fn: Optional[Callable] = None
 
     def __init__(self, name: str, fields: Sequence[StructField],
                  where: Optional[Site] = None):
@@ -347,146 +358,177 @@ class StructNode(PType):
             if f.kind != "literal":
                 names.append(f.name)
         self.rec_class = rec_class(tuple(names))
-
-    def _next_literal(self, idx: int) -> Optional[Tuple[int, LiteralNode]]:
-        for j in range(idx + 1, len(self.fields)):
+        #: Per field, the literal member after it that a stuck member
+        #: resynchronises on, ``(index, node)``, or None.
+        self.resync_on: List[Optional[Tuple[int, LiteralNode]]] = []
+        after: Optional[Tuple[int, LiteralNode]] = None
+        for j in range(len(self.fields) - 1, -1, -1):
+            self.resync_on.append(after)
             f = self.fields[j]
             if f.kind == "literal" and f.node.lit_kind in ("char", "string", "regex"):
-                return j, f.node
-        return None
+                after = j, f.node
+        self.resync_on.reverse()
+
+    def parse(self, src: Source, mask: Mask, scope: Scope):
+        # The struct function's conditions rule out a depth limit, so it
+        # needs no depth guard.
+        if (self.compile_struct_fn is not None and src.in_record
+                and fastpath_applies(mask, src.limits)):
+            fn = self.struct_fn
+            if fn is None:
+                # Threads racing here each build an equivalent function.
+                fn = self.struct_fn = self.compile_struct_fn()
+            return fn(src, mask, scope)
+        return self.walk(src, mask, scope)
 
     @_depth_guarded
-    def parse(self, src: Source, mask: Mask, scope: Scope):
+    def walk(self, src: Source, mask: Mask, scope: Scope):
+        """The reference parse: one member node at a time."""
         pd = Pd()
         s = _own(self, scope)
-        slots = self.slots
         values: List[object] = [None] * len(self.rec_class.__rec_fields__)
-        panicked = False
         # Hoisted once per struct parse: the per-field tracing cost when
         # disabled is a single local ``is None`` test.
         tracer = observe.current_tracer()
-        # Member fast functions stand in for clean members under the
-        # record fast path's own conditions, inside an open (so wholly
-        # buffered) record; a None result leaves the member to its
-        # combinator, which stays the only error path.
-        members = None
-        if (self.compile_members is not None and src.in_record
-                and fastpath_applies(mask, src.limits)):
-            members = self.members
-            if members is None:
-                # Threads racing here each build an equivalent tuple.
-                members = self.members = self.compile_members()
-            dosem = (mask.bits & 4) != 0
-
+        fields = self.fields
         i = 0
-        while i < len(self.fields):
-            f = self.fields[i]
-            if panicked:
-                if f.kind == "data":
-                    values[slots[i]] = f.node.default(s)
-                    child = Pd()
-                    child.pstate = Pstate.PANIC
-                    pd.fields[f.name] = child
-                elif f.kind == "compute":
-                    values[slots[i]] = None
-                i += 1
-                continue
-
+        while i < len(fields):
+            f = fields[i]
             if f.kind == "literal":
-                start = src.pos
                 n = f.node.matches_at(src)
                 if n >= 0:
                     src.skip(n)
+                    i += 1
                 else:
-                    # Try to resynchronise on this same literal.
-                    delta = f.node.scan_from(src)
-                    if delta >= 0:
-                        observe.count("resync.literal")
-                        pd.record_error(ErrCode.MISSING_LITERAL, src.loc_from(start))
-                        src.skip(delta)
-                        src.skip(max(0, f.node.matches_at(src)))
-                    else:
-                        pd.record_error(ErrCode.MISSING_LITERAL,
-                                        src.loc_from(start), panic=True)
-                        src.skip_to_eor()
-                        panicked = True
+                    i = self.missing_literal(i, src, s, values, pd)
+            elif f.kind == "compute":
+                self.compute(i, src, mask.do_sem, s, values, pd)
                 i += 1
-                continue
-
-            if f.kind == "compute":
-                try:
-                    value = f.expr(s)
-                except Exception:
-                    value = None
-                    pd.record_error(ErrCode.USER_CONSTRAINT_VIOLATION, src.here())
-                values[slots[i]] = s[f.name] = value
-                if f.constraint is not None and mask.do_sem \
-                        and value is not None and not f.constraint(s):
-                    pd.record_error(ErrCode.USER_CONSTRAINT_VIOLATION,
-                                    src.here())
-                i += 1
-                continue
-
-            # Data field.
-            fmask = mask.for_field(f.name)
-            start = src.pos
-            hit = None
-            if members is not None and members[i] is not None:
-                hit = src.match_member(members[i], dosem)
-            if hit is not None:
-                value, child = hit[0], Pd()
             else:
+                fmask = mask.for_field(f.name)
+                start = src.pos
+                record = 0
                 if tracer is not None:  # its span holds the constraint
                     record = _enter(tracer, f.name, f.node, src)
                 value, child = f.node.parse(src, fmask, s)
-            stuck = child.nerr > 0 and child.err_code.is_syntactic() and src.pos == start
-            values[slots[i]] = s[f.name] = value
-            if f.constraint is not None and fmask.do_sem and child.nerr == 0 \
-                    and not f.constraint(s):
-                child.record_error(ErrCode.USER_CONSTRAINT_VIOLATION,
-                                   src.loc_from(start))
-            if tracer is not None:
-                tracer.exit(f.node.name, start, src.pos, record,
-                            *observe.outcome_of(child))
-            if child.nerr:
-                # Clean children are omitted from the descriptor: one Pd per
-                # *errored* position keeps descriptors cheap on clean data.
-                pd.fields[f.name] = child
-                pd.absorb(child)
-
-            if stuck:
-                # Resynchronise at the next literal member; data members
-                # skipped over receive default values and PANIC-state pds.
-                nxt = self._next_literal(i)
-                if nxt is not None:
-                    j, lit = nxt
-                    delta = lit.scan_from(src)
-                    if delta >= 0:
-                        observe.count("resync.field_skip")
-                        src.skip(delta)
-                        src.skip(max(0, lit.matches_at(src)))
-                        for k in range(i + 1, j):
-                            skipped = self.fields[k]
-                            if skipped.kind == "data":
-                                values[slots[k]] = s[skipped.name] = \
-                                    skipped.node.default(s)
-                                sk_pd = Pd()
-                                sk_pd.pstate = Pstate.PANIC
-                                pd.fields[skipped.name] = sk_pd
-                            elif skipped.kind == "compute":
-                                values[slots[k]] = s[skipped.name] = None
-                        i = j + 1
-                        continue
-                pd.pstate |= Pstate.PANIC
-                src.skip_to_eor()
-                panicked = True
-            i += 1
-
+                i = self.member(i, src, fmask.do_sem, s, values, pd, value,
+                                child, start, tracer, record)
         rep = self.rec_class(*values)
         if self.where is not None and mask.level_sem and pd.nerr == 0 \
                 and not self.where(s):
             pd.record_error(ErrCode.WHERE_CLAUSE_VIOLATION, src.here())
         return rep, pd
+
+    def missing_literal(self, i: int, src: Source, s: Scope,
+                        values: List[object], pd: Pd) -> int:
+        """Literal member ``i`` is not at the cursor: resynchronise on its
+        next occurrence, else panic.  The index of the next member."""
+        lit = self.fields[i].node
+        start = src.pos
+        delta = lit.scan_from(src)
+        if delta >= 0:
+            observe.count("resync.literal")
+            pd.record_error(ErrCode.MISSING_LITERAL, src.loc_from(start))
+            src.skip(delta)
+            src.skip(max(0, lit.matches_at(src)))
+            return i + 1
+        pd.record_error(ErrCode.MISSING_LITERAL, src.loc_from(start),
+                        panic=True)
+        src.skip_to_eor()
+        return self.panic(i + 1, s, values, pd)
+
+    def member(self, i: int, src: Source, dosem: bool, s: Scope,
+               values: List[object], pd: Pd, value, child: Pd, start: int,
+               tracer: Optional["observe.Tracer"] = None,
+               record: int = 0) -> int:
+        """The rest of data member ``i``'s step once its node parsed
+        ``(value, child)`` from ``start``: store the value, check the
+        member's constraint, attach an errored ``child``, and recover
+        when the member left the cursor stuck.  The index of the next
+        member."""
+        f = self.fields[i]
+        values[self.slots[i]] = s[f.name] = value
+        stuck = False
+        if child.nerr:
+            stuck = src.pos == start and child.err_code.is_syntactic()
+        elif f.constraint is not None and dosem and not f.constraint(s):
+            child.record_error(ErrCode.USER_CONSTRAINT_VIOLATION,
+                               src.loc_from(start))
+        if tracer is not None:
+            tracer.exit(f.node.name, start, src.pos, record,
+                        *observe.outcome_of(child))
+        if child.nerr:
+            # Clean children are omitted from the descriptor: one Pd per
+            # *errored* position keeps descriptors cheap on clean data.
+            pd.fields[f.name] = child
+            pd.absorb(child)
+        return self.resync(i, src, s, values, pd) if stuck else i + 1
+
+    def violated(self, i: int, src: Source, pd: Pd, start: int) -> None:
+        """Clean data member ``i``, parsed from ``start`` to the cursor,
+        fails its constraint."""
+        child = Pd()
+        child.record_error(ErrCode.USER_CONSTRAINT_VIOLATION,
+                           src.loc_from(start))
+        pd.fields[self.fields[i].name] = child
+        pd.absorb(child)
+
+    def resync(self, i: int, src: Source, s: Scope, values: List[object],
+               pd: Pd) -> int:
+        """Data member ``i`` left the cursor stuck: resynchronise at the
+        next literal member, giving the data members skipped over default
+        values and PANIC-state pds, else panic.  The index of the next
+        member."""
+        nxt = self.resync_on[i]
+        if nxt is not None:
+            j, lit = nxt
+            delta = lit.scan_from(src)
+            if delta >= 0:
+                observe.count("resync.field_skip")
+                src.skip(delta)
+                src.skip(max(0, lit.matches_at(src)))
+                for k in range(i + 1, j):
+                    skipped = self.fields[k]
+                    if skipped.kind == "data":
+                        values[self.slots[k]] = s[skipped.name] = \
+                            skipped.node.default(s)
+                        sk_pd = Pd()
+                        sk_pd.pstate = _PANIC
+                        pd.fields[skipped.name] = sk_pd
+                    elif skipped.kind == "compute":
+                        values[self.slots[k]] = s[skipped.name] = None
+                return j + 1
+        pd.add_state(_PANIC)
+        src.skip_to_eor()
+        return self.panic(i + 1, s, values, pd)
+
+    def panic(self, i: int, s: Scope, values: List[object], pd: Pd) -> int:
+        """Members ``i`` on are not parsed: data members get default values
+        and PANIC-state pds.  The index past the last member."""
+        for k in range(i, len(self.fields)):
+            f = self.fields[k]
+            if f.kind == "data":
+                values[self.slots[k]] = f.node.default(s)
+                child = Pd()
+                child.pstate = _PANIC
+                pd.fields[f.name] = child
+            elif f.kind == "compute":
+                values[self.slots[k]] = None
+        return len(self.fields)
+
+    def compute(self, i: int, src: Source, dosem: bool, s: Scope,
+                values: List[object], pd: Pd) -> None:
+        """Computed member ``i``: evaluate and check it."""
+        f = self.fields[i]
+        try:
+            value = f.expr(s)
+        except Exception:
+            value = None
+            pd.record_error(ErrCode.USER_CONSTRAINT_VIOLATION, src.here())
+        values[self.slots[i]] = s[f.name] = value
+        if f.constraint is not None and dosem and value is not None \
+                and not f.constraint(s):
+            pd.record_error(ErrCode.USER_CONSTRAINT_VIOLATION, src.here())
 
     def write(self, rep, out: List[bytes], scope: Scope) -> None:
         s = _own(self, scope)

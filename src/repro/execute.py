@@ -47,7 +47,7 @@ repro.execute`` never loads ``durable`` or ``serve``.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
 from .core.errors import ErrorTally, PadsError
@@ -198,8 +198,8 @@ class Fold:
             return
         loc = self._tally(part).first_error_loc
         if loc is not None and loc.record >= 0:
-            self._tally(part).first_error_loc = replace(
-                loc, record=loc.record + base)
+            self._tally(part).first_error_loc = loc._replace(
+                record=loc.record + base)
 
     def merge(self, state, part):
         """``state`` followed by the (rebased) ``part``."""
@@ -217,7 +217,7 @@ def _rebase_pd(pd, offset: int, cache: dict) -> None:
 
     Locations are only attached where errors were reported, so clean
     subtrees (``nerr == 0``) are skipped and the walk costs nothing for
-    the common case.  ``Loc`` is frozen; rebased copies are cached by
+    the common case.  ``Loc`` is immutable; rebased copies are cached by
     identity so locations shared between pd nodes stay shared.
     """
     if pd is None or pd.nerr == 0 or offset == 0:
@@ -226,7 +226,7 @@ def _rebase_pd(pd, offset: int, cache: dict) -> None:
     if loc is not None and loc.record >= 0:
         new = cache.get(id(loc))
         if new is None:
-            new = replace(loc, record=loc.record + offset)
+            new = loc._replace(record=loc.record + offset)
             cache[id(loc)] = new
         pd.loc = new
     if pd._fields:

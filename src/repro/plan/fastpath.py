@@ -40,10 +40,10 @@ _BT_MISS``) and a tail element's converter (``return (False, None)``).
 
 The regex compiler also emits *member* fast functions
 (:func:`compile_member`), one per data member of a struct, under the
-same contract for one member matched inside the buffered record.  The
-interpreter's general struct parse compiles them on first use and runs
-them before each member's combinator, so an error record interprets
-only the members that fail.
+same contract for one member matched inside the buffered record.  A
+struct's compiled general parse, its struct function
+(:mod:`repro.plan.structfn`), calls them before each member's
+combinator, so an error record interprets only the members that fail.
 
 Eligibility is decided here, once, and recorded on the plan node as a
 :class:`~repro.plan.ir.Verdict` with a human-readable reason; anything
@@ -161,8 +161,8 @@ class FastPath:
       None`` fullmatches the whole record;
     * a **member** fast function ``_fm_<type>__<member>(buf, pos, end,
       dosem) -> (rep, end_pos) | None`` matches one member at ``pos`` in
-      the buffered record, without copying it.  The interpreter's general
-      struct parse runs it before a member's combinator.
+      the buffered record, without copying it.  The struct function
+      (:mod:`repro.plan.structfn`) runs it before a member's combinator.
     """
 
     def __init__(self, plan: Plan, decl: StructPlan,

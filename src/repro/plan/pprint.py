@@ -5,7 +5,8 @@ static byte widths, separators/terminators, resync literal sets, and
 the fastpath-eligibility verdict with its reason —
 the answer to "why did (or didn't) my description get the fast path?".
 Each struct data member also shows whether it gets a member fast
-function, which error records' general parses run before interpreting
+function, which the struct's compiled function
+(:mod:`repro.plan.structfn`) calls on error records before interpreting
 the member.
 """
 

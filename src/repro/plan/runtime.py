@@ -5,7 +5,8 @@ fragments over a small runtime namespace (the rep-class factory,
 ``UnionVal``, enum constants, helper functions, the packed/zoned/date
 converters).  This module is the one owner of that namespace: the
 fragments are exec'd into one namespace per bound description, which
-also holds the member fast functions, loaded lazily.
+also holds the struct functions and the member fast functions they
+call, loaded lazily (:mod:`repro.plan.structfn`).
 
 Every expression site of the description (constraints, ``Pwhere``,
 selectors, array bounds and predicates, type arguments) is compiled
@@ -25,6 +26,7 @@ def runtime_namespace(plan: Plan) -> Dict[str, Any]:
     """Globals the plan-compiled fragments and expression sites of one
     description run on."""
     from ..core.basetypes.temporal import parse_date_value
+    from ..core.errors import ErrCode, Pd
     from ..core.values import DateVal, EnumVal, FloatVal, UnionVal, rec_class
     from ..expr.pycompile import compile_function
     from ..expr.runtime import BUILTINS, cdiv, cmod, member
@@ -45,6 +47,8 @@ def runtime_namespace(plan: Plan) -> Dict[str, Any]:
         "_fp_zoned": convert_zoned,
         "_fp_parse_date": parse_date_value,
         "_resolve": resolve_base,
+        "_Pd": Pd,
+        "_WHERE": ErrCode.WHERE_CLAUSE_VIOLATION,
         "AMBIENT": plan.ambient,
     }
     for name, (lit, code, phys) in plan.enum_literals.items():
@@ -110,10 +114,10 @@ class Runtime:
     """The one runtime namespace of a bound description.
 
     The record fast functions, writers and batch kernels are exec'd into
-    it at bind time (:meth:`tables`); the member fast functions of a
-    struct only on that struct's first general parse (:meth:`members`),
-    so binding costs nothing for them.  The namespace itself is built on
-    the first fragment loaded."""
+    it at bind time (:meth:`tables`); a struct's function, and the member
+    fast functions it calls, only on that struct's first parse that may
+    use them (:meth:`struct`), so binding costs nothing for them.  The
+    namespace itself is built on the first fragment loaded."""
 
     def __init__(self, plan: Plan):
         self.plan = plan
@@ -190,12 +194,16 @@ class Runtime:
                     table[dp.name] = self.load(fragment)
         return tables
 
-    def members(self, decl: StructPlan) -> Tuple[Optional[Callable], ...]:
-        """The member fast functions of ``decl``, one per item (None for
-        literals, computed fields and members outside the subset)."""
-        fns: List[Optional[Callable]] = []
+    def struct(self, decl: StructPlan, node: Any) -> Callable:
+        """The struct function of ``decl`` over its bound ``node``
+        (:mod:`repro.plan.structfn`), after the member fast functions it
+        calls."""
+        from .structfn import compile_struct
+        fms: List[Optional[str]] = []
         for item in decl.items:
             fragment = (compile_member(self.plan, decl, item)[0]
                         if isinstance(item, DataItem) else None)
-            fns.append(None if fragment is None else self.load(fragment))
-        return tuple(fns)
+            if fragment is not None:
+                self.load(fragment)
+            fms.append(None if fragment is None else fragment[0])
+        return self.load(compile_struct(decl, fms))(node)

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from repro.core.basetypes import resolve_base_type, base_type_names, is_base_type
 from repro.core.basetypes.base import UnknownBaseType, base_type_arity
-from repro.core.basetypes.temporal import DATE_FORMATS, parse_date_text
+from repro.core.basetypes.temporal import DATE_FORMATS, parse_date_value
 from repro.core.errors import ErrCode
 from repro.core.io import NewlineRecords, Source
 from repro.core.values import DateVal
@@ -261,33 +261,34 @@ class TestDates:
         assert value.epoch == 1005022800
 
     # The strict CLF kernel in front of the DATE_FORMATS loop must return
-    # exactly what the loop alone returns, for every input.
+    # exactly what the loop alone returns, for every input: the same UTC
+    # epoch, and the text as given for the raw form.
 
     @staticmethod
     def _strptime_loop(text):
-        """The ``DATE_FORMATS`` loop alone: the reference the CLF kernel
-        must agree with."""
-        text = text.strip()
-        if not text:
+        """``(epoch, raw)`` by the ``DATE_FORMATS`` loop alone: the
+        reference the CLF kernel must agree with."""
+        stripped = text.strip()
+        if not stripped:
             return None
         for fmt in DATE_FORMATS:
             try:
-                dt = _dt.datetime.strptime(text, fmt)
+                dt = _dt.datetime.strptime(stripped, fmt)
             except ValueError:
                 continue
             if fmt == "%H:%M:%S":
                 dt = dt.replace(year=1970, month=1, day=1)
             if dt.tzinfo is None:
                 dt = dt.replace(tzinfo=_dt.timezone.utc)
-            return dt
+            return int(dt.timestamp()), text
         return None
 
     def _assert_agrees(self, text):
-        got, want = parse_date_text(text), self._strptime_loop(text)
+        got, want = parse_date_value(text), self._strptime_loop(text)
         if want is None:
             assert got is None
         else:
-            assert got == want and got.utcoffset() == want.utcoffset()
+            assert (got.epoch, got.raw) == want
         return got
 
     @given(st.datetimes(
@@ -308,6 +309,9 @@ class TestDates:
         ("\u0661\u0665/Oct/1997:18:46:51 -0700", False),
         ("15/Oct/1997:18:46:51 +2400", False),     # offset >= 24h
         ("31/Feb/1997:18:46:51 -0700", False),
+        ("29/Feb/1900:18:46:51 -0700", False),     # not a leap year
+        ("29/Feb/2000:18:46:51 -0700", True),
+        ("01/Jan/0001:00:00:00 +2359", True),      # before 0001-01-01 UTC
         ("15/Oct/0000:18:46:51 -0700", False),
         ("15/Oct/1997:18:46:60 -0700", False),
         ("15/Oct/1997:18:46:51 -0700x", False),    # trailing junk

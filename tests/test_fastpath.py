@@ -15,25 +15,27 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Mask, P_CheckAndSet, P_Set, compile_description, gallery
 from repro.codegen import compile_generated
-from repro.core.errors import ErrCode, PadsError
+from repro.core.errors import ErrCode, PadsError, Pstate
 from repro.core.io import FixedWidthRecords, NewlineRecords, Source
 from repro.core.limits import ParseLimits
 from repro.core.masks import MaskFlag
 from repro.core.types import StructNode
 from repro.faults import GALLERY_TARGETS
 from repro.observe import observed
+from repro.plan.ir import Verdict
 from repro.plan.runtime import Runtime
 from repro.tools.datagen import (
     ErrorInjector,
     call_detail_workload,
     clf_workload,
+    generate_records,
     plan_injector,
     sirius_workload,
 )
 from repro.tools.datagen import generate_source as generate_data
 
 from .test_codegen import pd_summary  # reuse the structural fingerprint
-from .test_oracle import pd_tree
+from .test_oracle import _random_descriptions, pd_tree
 
 
 def pair(desc_text, **kw):
@@ -594,10 +596,11 @@ def test_writer_equals_general_writer_on_parsed_garbage(fp_pair, payload):
 
 
 # ---------------------------------------------------------------------------
-# Member fast functions: the interpreter's general struct parse runs the
-# compiled function of every clean member and interprets only the member
-# that fails.  Contract: reps, whole pd trees (locations included) and the
-# cursor equal the fastpath=False reference.
+# Struct functions: inside a record, the interpreter's struct parse runs the
+# struct's compiled function, which calls the member fast function of every
+# member and interprets only the member that fails.  Contract: reps, whole
+# pd trees (locations included) and the cursor equal the fastpath=False
+# reference.
 # ---------------------------------------------------------------------------
 
 
@@ -610,16 +613,41 @@ def parsed(desc, data, rtype, mask=None, limits=None, src=None):
 
 
 @pytest.fixture
-def member_calls(monkeypatch):
-    """Names of the member fast functions run, in call order."""
-    calls = []
-    run = Source.match_member
+def compiled_calls(monkeypatch):
+    """Names of the struct functions (``"struct"``) and of the member fast
+    functions they call (``"member"``) run, each in call order."""
+    calls = {"struct": [], "member": []}
+    build = Runtime.struct
 
-    def counted(self, fn, dosem):
-        calls.append(fn.__name__)
-        return run(self, fn, dosem)
-    monkeypatch.setattr(Source, "match_member", counted)
+    def counted(fn, kind):
+        def run(*args):
+            calls[kind].append(fn.__name__)
+            return fn(*args)
+        run.spied = True
+        return run
+
+    def struct(self, decl, node):
+        fn = build(self, decl, node)
+        # The struct function looks its member functions up in the
+        # runtime namespace on each call.
+        for name, value in list(self.ns.items()):
+            if name.startswith("_fm_") and not hasattr(value, "spied"):
+                self.ns[name] = counted(value, "member")
+        return counted(fn, "struct")
+    monkeypatch.setattr(Runtime, "struct", struct)
     return calls
+
+
+@pytest.fixture
+def member_calls(compiled_calls):
+    """Names of the member fast functions run, in call order."""
+    return compiled_calls["member"]
+
+
+@pytest.fixture
+def struct_calls(compiled_calls):
+    """Names of the struct functions run, in call order."""
+    return compiled_calls["struct"]
 
 
 def _gallery_input(name, ref, rtype):
@@ -679,8 +707,9 @@ def test_member_fns_match_the_reference_on_mutated_rows(fp_ref, seed, data):
 
 def test_clean_member_keeps_its_own_constraint(fp_ref, member_calls):
     # Every member is clean, but n fails `n < 200`: the member function
-    # returns 250 and the struct's own check reports the violation.
-    interp, ref = fp_ref
+    # returns 250 and the struct's own check reports the violation.  A
+    # fresh build, so the spy sees its struct function built.
+    interp, ref = compile_description(FP_DESC), fp_ref[1]
     data = b"ALPHA|-|07988|250|1,2\n"
     got = parsed(interp, data, "row_t")
     assert got == parsed(ref, data, "row_t")
@@ -732,17 +761,17 @@ def test_member_fns_read_buffers_that_do_not_start_at_zero(
 
 def test_member_fns_compile_lazily_once_per_struct(monkeypatch, clf_dash):
     compiled = []
-    build = Runtime.members
+    build = Runtime.struct
 
-    def counted(self, decl):
+    def counted(self, decl, node):
         compiled.append(decl.name)
-        return build(self, decl)
-    monkeypatch.setattr(Runtime, "members", counted)
+        return build(self, decl, node)
+    monkeypatch.setattr(Runtime, "struct", counted)
     desc = compile_description(gallery.CLF)
     structs = [n for n in desc.bound.nodes.values()
                if isinstance(getattr(n, "inner", n), StructNode)]
     assert structs and compiled == []
-    assert all(getattr(n, "inner", n).members is None for n in structs)
+    assert all(getattr(n, "inner", n).struct_fn is None for n in structs)
     list(desc.records(clf_dash, "entry_t"))
     list(desc.records(clf_dash, "entry_t"))
     # request_t's general parse never runs: its member function hits.
@@ -755,7 +784,7 @@ def test_member_fns_compile_lazily_once_per_struct(monkeypatch, clf_dash):
 def test_reference_builds_have_no_member_fns():
     ref = compile_description(gallery.SIRIUS, fastpath=False)
     nodes = [getattr(n, "inner", n) for n in ref.bound.nodes.values()]
-    assert all(n.compile_members is None
+    assert all(n.compile_struct_fn is None
                for n in nodes if isinstance(n, StructNode))
 
 
@@ -802,6 +831,92 @@ def test_member_fns_off_outside_a_record(clf_pair, member_calls):
     want = ref.parse(data, "request_t")
     assert got[0] == want[0] and pd_tree(got[1]) == pd_tree(want[1])
     assert member_calls == []
+
+
+#: One clean CLF record, and the error shapes a struct function must
+#: parse exactly as the walk does: ``(shape, record)``.
+CLF_CLEAN = (b'207.136.97.49 - - [15/Oct/1997:18:46:51 -0700] '
+             b'"GET /tk/p.txt HTTP/1.0" 200 30')
+CLF_SHAPES = [
+    ("dash-length", CLF_CLEAN[:-2] + b"-"),
+    ("response-099", CLF_CLEAN.replace(b" 200 ", b" 099 ")),
+    # chkVersion fails: a clean member of request_t breaks its constraint.
+    ("link-http10", CLF_CLEAN.replace(b'"GET ', b'"LINK ')),
+    ("bad-method", CLF_CLEAN.replace(b'"GET ', b'"GOT ')),
+    # The date stops at the first ']', where "] " is missing: the literal
+    # resynchronises on the next "] ".
+    ("missing-bracket", CLF_CLEAN.replace(b"0700] ", b"0700]x] ")),
+    # The date does not parse: the member resynchronises on "] ".
+    ("bad-date", CLF_CLEAN.replace(b"-0700]", b"-0700 junk]")),
+    # No "] " anywhere after the date: panic, the rest defaulted.
+    ("truncated", CLF_CLEAN[:33]),
+]
+
+
+@pytest.mark.parametrize("record", [r for _, r in CLF_SHAPES],
+                         ids=[name for name, _ in CLF_SHAPES])
+def test_struct_fn_parses_clf_error_shapes_like_the_walk(clf_pair,
+                                                         struct_calls,
+                                                         record):
+    desc, ref = clf_pair
+    data = CLF_CLEAN + b"\n" + record + b"\n" + CLF_CLEAN + b"\n"
+    results = []
+    for d in (desc, ref):
+        with observed() as obs:
+            got = parsed(d, data, "entry_t")
+        results.append((got, [obs.metrics.value(f"resync.{kind}")
+                              for kind in ("literal", "field_skip")]))
+    assert results[0] == results[1]
+    (got, _resyncs), _ = results
+    assert got[1][1][1] and not got[0][1][1] and not got[2][1][1]
+    assert "_fs_entry_t" in struct_calls
+
+
+def test_struct_fn_stops_at_the_record_end(clf_pair):
+    # The last record of the input ends, with no newline after it, right
+    # after a member and before a one-byte literal: the literal's compare
+    # must not read past the record.
+    desc, ref = clf_pair
+    data = CLF_CLEAN + b"\n" + CLF_CLEAN[:13]
+    assert parsed(desc, data, "entry_t") == parsed(ref, data, "entry_t")
+
+
+def test_clf_error_shapes_cover_resync_and_panic(clf_pair):
+    # The shapes above reach every recovery the struct function reproduces.
+    _desc, ref = clf_pair
+    seen = set()
+    for _name, record in CLF_SHAPES:
+        with observed() as obs:
+            ((_rep, tree, _pos),) = parsed(ref, record + b"\n", "entry_t")
+        seen |= {kind for kind in ("literal", "field_skip")
+                 if obs.metrics.value(f"resync.{kind}")}
+        if tree[0] & int(Pstate.PANIC):
+            seen.add("panic")
+    assert seen == {"literal", "field_skip", "panic"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=_random_descriptions(), seed=st.integers(0, 10**6))
+def test_struct_fns_match_the_reference_on_random_descriptions(text, seed):
+    desc = compile_description(text)
+    ref = compile_description(text, fastpath=False)
+    rng = random.Random(seed)
+    injector = ErrorInjector(0.3)
+    data = b"".join(injector.maybe_corrupt(record, rng) for record in
+                    generate_records(desc, "row_t", 12, rng))
+    want = parsed(ref, data, "row_t")
+    assert parsed(desc, data, "row_t") == want
+    # With the record fast function missing every record and no grid
+    # block step, every record, clean or not, runs row_t's struct
+    # function.
+    record = desc.node("row_t")
+    record.fast_fn = lambda line, dosem: None
+    desc.grid = lambda *args: Verdict(False, "every record on its own")
+    struct = record.inner
+    run, calls = struct.compile_struct_fn(), []
+    struct.struct_fn = lambda *args: calls.append(args) or run(*args)
+    assert parsed(desc, data, "row_t") == want
+    assert len(calls) == len(want) > 0
 
 
 ZERO_PADDED = (b'61.253.50.051 - - [06/Apr/1997:03:46:37 -0700] '
