@@ -36,12 +36,28 @@ class UnknownBaseType(PadsError):
 
 
 class BaseType:
-    """Protocol for atomic types.  Subclasses override the four hooks."""
+    """Protocol for atomic types.  Subclasses override the four hooks.
+
+    A *fixed-width* type declares its byte width in ``static_width`` and
+    its converter, :meth:`convert`; the shared :meth:`parse` and every
+    compiled path (the static-size analysis, the regex fast path and the
+    batch kernel) read those two.  Every other type, user-defined ones
+    included, leaves ``static_width`` None and overrides :meth:`parse`.
+    """
 
     #: value category, used by accumulators / XML schema / formatting:
     #: 'int', 'float', 'string', 'char', 'date', 'ip', 'none'
     kind = "string"
     name = "Pbase"
+    #: Byte width of a fixed-width type; None for a variable-width one.
+    static_width: Optional[int] = None
+    #: What the shared parse reports for a read short of ``static_width``
+    #: bytes, and for bytes the converter rejects.
+    short_code = ErrCode.WIDTH_NOT_AVAILABLE
+    invalid_code: ErrCode
+    #: Bounds a value must fall within under semantic checking.
+    lo: Optional[int] = None
+    hi: Optional[int] = None
 
     def parse(self, src: Source, sem_check: bool) -> Tuple[object, ErrCode]:
         """Parse one value at the cursor.
@@ -50,7 +66,29 @@ class BaseType:
         (usually unmoved) and the returned value is ``self.default()``.
         ``sem_check`` gates semantic validation such as integer range
         checks, mirroring mask-controlled checking.
+
+        This is the parse of every fixed-width type: ``static_width``
+        bytes through :meth:`convert`, then the range check.
         """
+        width = self.static_width
+        if width is None:
+            raise NotImplementedError
+        start = src.pos
+        raw = src.take(width)
+        if len(raw) < width:
+            src.pos = start
+            return self.default(), self.short_code
+        value = self.convert(raw)
+        if value is None:
+            src.pos = start
+            return self.default(), self.invalid_code
+        if sem_check and self.lo is not None and not self.lo <= value <= self.hi:
+            return value, ErrCode.RANGE_ERR
+        return value, ErrCode.NO_ERR
+
+    def convert(self, raw: bytes) -> object:
+        """A fixed-width type's ``static_width`` raw bytes to its value,
+        or None when they spell none."""
         raise NotImplementedError
 
     def write(self, value: object) -> bytes:

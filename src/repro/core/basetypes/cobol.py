@@ -17,18 +17,15 @@ point scale by ``10**-d`` (the copybook translator passes the scale).
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from ..errors import ErrCode
-from ..io import Source
 from .base import BaseType, register_base_type
 
 
 def _scale(value: int, decimals: int):
-    if decimals == 0:
-        return value
-    scaled = Fraction(value, 10 ** decimals)
-    return float(scaled)
+    # Int true division is correctly rounded: the float nearest the
+    # exact quotient.
+    return value / 10 ** decimals if decimals else value
 
 
 def _unscale(value, decimals: int) -> int:
@@ -37,45 +34,64 @@ def _unscale(value, decimals: int) -> int:
     return round(float(value) * 10 ** decimals)
 
 
-class PackedDecimal(BaseType):
-    """``Pbcd_FW(:digits[, decimals]:)`` — COMP-3 packed decimal."""
+def packed_value(raw: bytes, digits: int, decimals: int):
+    """COMP-3 bytes -> value, or None when invalid: the digits are the
+    hex spelling of the bytes less the sign nibble (0xC positive, 0xD
+    negative, 0xF unsigned) and, for an even digit count, the unchecked
+    leading pad nibble."""
+    text = raw.hex()
+    sign, body = text[-1], text[-1 - digits:-1]
+    if sign not in "cdf" or not body.isdigit():
+        return None
+    return _scale(-int(body) if sign == "d" else int(body), decimals)
+
+
+def zoned_value(raw: bytes, decimals: int):
+    """Zoned-decimal bytes -> value, or None when invalid: one digit per
+    low nibble, every zone 0xF but the last, which may carry the sign
+    (0xC positive, 0xD negative)."""
+    text = raw.hex()
+    zones, body = text[0::2], text[1::2]
+    if not body.isdigit() or zones[-1] not in "cdf" or zones[:-1].strip("f"):
+        return None
+    return _scale(-int(body) if zones[-1] == "d" else int(body), decimals)
+
+
+class _Decimal(BaseType):
+    """A Cobol decimal of ``digits`` digits, ``decimals`` of them after
+    the implied decimal point."""
 
     kind = "int"
+    invalid_code = ErrCode.INVALID_BCD
 
     def __init__(self, digits, decimals=0):
         self.digits = int(digits)
         self.decimals = int(decimals)
         if self.digits <= 0:
             raise ValueError("digit count must be positive")
-        # digits + sign nibble, rounded up to whole bytes.
-        self.nbytes = (self.digits + 2) // 2
         if self.decimals:
             self.kind = "float"
 
-    def parse(self, src: Source, sem_check: bool):
-        start = src.pos
-        raw = src.take(self.nbytes)
-        if len(raw) < self.nbytes:
-            src.pos = start
-            return self.default(), ErrCode.WIDTH_NOT_AVAILABLE
-        nibbles = []
-        for b in raw:
-            nibbles.append(b >> 4)
-            nibbles.append(b & 0x0F)
-        sign_nibble = nibbles[-1]
-        digit_nibbles = nibbles[:-1]
-        # Skip a leading pad nibble when the digit count is even.
-        if len(digit_nibbles) > self.digits:
-            digit_nibbles = digit_nibbles[-self.digits:]
-        if sign_nibble not in (0x0C, 0x0D, 0x0F) or any(n > 9 for n in digit_nibbles):
-            src.pos = start
-            return self.default(), ErrCode.INVALID_BCD
-        value = 0
-        for n in digit_nibbles:
-            value = value * 10 + n
-        if sign_nibble == 0x0D:
-            value = -value
-        return _scale(value, self.decimals), ErrCode.NO_ERR
+    def default(self):
+        return 0.0 if self.decimals else 0
+
+    def generate(self, rng: random.Random):
+        magnitude = rng.randint(0, 10 ** self.digits - 1)
+        if rng.random() < 0.2:
+            magnitude = -magnitude
+        return _scale(magnitude, self.decimals)
+
+
+class PackedDecimal(_Decimal):
+    """``Pbcd_FW(:digits[, decimals]:)`` — COMP-3 packed decimal."""
+
+    def __init__(self, digits, decimals=0):
+        super().__init__(digits, decimals)
+        # digits + sign nibble, rounded up to whole bytes.
+        self.static_width = (self.digits + 2) // 2
+
+    def convert(self, raw: bytes):
+        return packed_value(raw, self.digits, self.decimals)
 
     def write(self, value) -> bytes:
         magnitude = _unscale(value, self.decimals)
@@ -92,20 +108,9 @@ class PackedDecimal(BaseType):
             out.append((nibbles[i] << 4) | nibbles[i + 1])
         return bytes(out)
 
-    def default(self):
-        return 0.0 if self.decimals else 0
 
-    def generate(self, rng: random.Random):
-        magnitude = rng.randint(0, 10 ** self.digits - 1)
-        if rng.random() < 0.2:
-            magnitude = -magnitude
-        return _scale(magnitude, self.decimals)
-
-
-class ZonedDecimal(BaseType):
+class ZonedDecimal(_Decimal):
     """``Pzoned_FW(:digits[, decimals]:)`` — EBCDIC zoned decimal."""
-
-    kind = "int"
 
     # EBCDIC overpunch: zone 0xC (positive) / 0xD (negative) on final digit.
     _POS_ZONE = 0xC0
@@ -113,40 +118,11 @@ class ZonedDecimal(BaseType):
     _DIGIT_ZONE = 0xF0
 
     def __init__(self, digits, decimals=0):
-        self.digits = int(digits)
-        self.decimals = int(decimals)
-        if self.digits <= 0:
-            raise ValueError("digit count must be positive")
-        if self.decimals:
-            self.kind = "float"
+        super().__init__(digits, decimals)
+        self.static_width = self.digits
 
-    def parse(self, src: Source, sem_check: bool):
-        start = src.pos
-        raw = src.take(self.digits)
-        if len(raw) < self.digits:
-            src.pos = start
-            return self.default(), ErrCode.WIDTH_NOT_AVAILABLE
-        value = 0
-        negative = False
-        for i, b in enumerate(raw):
-            zone, digit = b & 0xF0, b & 0x0F
-            if digit > 9:
-                src.pos = start
-                return self.default(), ErrCode.INVALID_BCD
-            last = i == len(raw) - 1
-            if zone == self._DIGIT_ZONE:
-                pass
-            elif last and zone == self._POS_ZONE:
-                pass
-            elif last and zone == self._NEG_ZONE:
-                negative = True
-            else:
-                src.pos = start
-                return self.default(), ErrCode.INVALID_BCD
-            value = value * 10 + digit
-        if negative:
-            value = -value
-        return _scale(value, self.decimals), ErrCode.NO_ERR
+    def convert(self, raw: bytes):
+        return zoned_value(raw, self.decimals)
 
     def write(self, value) -> bytes:
         magnitude = _unscale(value, self.decimals)
@@ -158,15 +134,6 @@ class ZonedDecimal(BaseType):
         zone = self._NEG_ZONE if negative else self._POS_ZONE
         out[-1] = zone | (out[-1] & 0x0F)
         return bytes(out)
-
-    def default(self):
-        return 0.0 if self.decimals else 0
-
-    def generate(self, rng: random.Random):
-        magnitude = rng.randint(0, 10 ** self.digits - 1)
-        if rng.random() < 0.2:
-            magnitude = -magnitude
-        return _scale(magnitude, self.decimals)
 
 
 register_base_type("Pbcd_FW", lambda *a: PackedDecimal(*a), min_args=1, max_args=2)

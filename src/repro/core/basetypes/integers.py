@@ -95,48 +95,37 @@ class AsciiIntFW(BaseType):
     """
 
     kind = "int"
+    invalid_code = ErrCode.INVALID_INT
 
     def __init__(self, width: int, signed: bool, nchars: int):
         if nchars <= 0:
             raise ValueError("fixed width must be positive")
         self.width = width
         self.signed = signed
-        self.nchars = int(nchars)
+        self.static_width = int(nchars)
         self.lo, self.hi = int_bounds(width, signed)
 
-    def parse(self, src: Source, sem_check: bool):
-        start = src.pos
-        raw = src.take(self.nchars)
-        if len(raw) < self.nchars:
-            src.pos = start
-            return self.default(), ErrCode.WIDTH_NOT_AVAILABLE
-        text = raw.decode("ascii", errors="replace").strip()
+    def convert(self, raw: bytes):
         try:
-            value = int(text, 10)
+            value = int(raw.decode("ascii", errors="replace").strip(), 10)
         except ValueError:
-            src.pos = start
-            return self.default(), ErrCode.INVALID_INT
-        if not self.signed and value < 0:
-            src.pos = start
-            return self.default(), ErrCode.INVALID_INT
-        if sem_check and not (self.lo <= value <= self.hi):
-            return value, ErrCode.RANGE_ERR
-        return value, ErrCode.NO_ERR
+            return None
+        return None if value < 0 and not self.signed else value
 
     def write(self, value) -> bytes:
         value = int(value)
         body = str(abs(value))
         sign = "-" if value < 0 else ""
-        text = sign + body.rjust(self.nchars - len(sign), "0")
-        if len(text) > self.nchars:
-            raise ValueError(f"{value} does not fit in {self.nchars} characters")
+        text = sign + body.rjust(self.static_width - len(sign), "0")
+        if len(text) > self.static_width:
+            raise ValueError(f"{value} does not fit in {self.static_width} characters")
         return text.encode("ascii")
 
     def default(self):
         return 0
 
     def generate(self, rng: random.Random):
-        digits = self.nchars - (1 if self.signed else 0)
+        digits = self.static_width - (1 if self.signed else 0)
         hi = min(self.hi, 10 ** max(1, digits) - 1)
         lo = max(self.lo, 0 if not self.signed else -(10 ** max(1, digits - 1) - 1))
         return rng.randint(lo, hi)
@@ -151,20 +140,15 @@ class BinaryInt(BaseType):
         self.width = width
         self.signed = signed
         self.byteorder = byteorder
-        self.nbytes = width // 8
+        self.static_width = width // 8
         self.lo, self.hi = int_bounds(width, signed)
 
-    def parse(self, src: Source, sem_check: bool):
-        start = src.pos
-        raw = src.take(self.nbytes)
-        if len(raw) < self.nbytes:
-            src.pos = start
-            return self.default(), ErrCode.WIDTH_NOT_AVAILABLE
-        value = int.from_bytes(raw, self.byteorder, signed=self.signed)
-        return value, ErrCode.NO_ERR
+    def convert(self, raw: bytes):
+        return int.from_bytes(raw, self.byteorder, signed=self.signed)
 
     def write(self, value) -> bytes:
-        return int(value).to_bytes(self.nbytes, self.byteorder, signed=self.signed)
+        return int(value).to_bytes(self.static_width, self.byteorder,
+                                   signed=self.signed)
 
     def default(self):
         return 0
@@ -173,37 +157,16 @@ class BinaryInt(BaseType):
         return rng.randint(self.lo, self.hi)
 
 
-class BinaryRaw(BaseType):
+class BinaryRaw(BinaryInt):
     """``Pb_raw(:nbytes:)`` — an unsigned big-endian integer over an
     arbitrary number of bytes.  The substrate for ``Pbitfields`` (the
     bit-field construct of the paper's Section 9): the raw word is parsed
     once and individual bit ranges are computed from it."""
 
-    kind = "int"
-
     def __init__(self, nbytes):
-        self.nbytes = int(nbytes)
-        if self.nbytes <= 0:
+        if int(nbytes) <= 0:
             raise ValueError("byte count must be positive")
-        self.lo = 0
-        self.hi = (1 << (self.nbytes * 8)) - 1
-
-    def parse(self, src: Source, sem_check: bool):
-        start = src.pos
-        raw = src.take(self.nbytes)
-        if len(raw) < self.nbytes:
-            src.pos = start
-            return self.default(), ErrCode.WIDTH_NOT_AVAILABLE
-        return int.from_bytes(raw, "big"), ErrCode.NO_ERR
-
-    def write(self, value) -> bytes:
-        return int(value).to_bytes(self.nbytes, "big")
-
-    def default(self):
-        return 0
-
-    def generate(self, rng: random.Random):
-        return rng.randint(0, self.hi)
+        super().__init__(int(nbytes) * 8, False, "big")
 
 
 class EbcdicInt(BaseType):
@@ -304,16 +267,11 @@ class BinaryFloat(BaseType):
     kind = "float"
 
     def __init__(self, nbytes: int, byteorder: str = "little"):
-        self.nbytes = nbytes
+        self.static_width = nbytes
         self.fmt = ("<" if byteorder == "little" else ">") + ("f" if nbytes == 4 else "d")
 
-    def parse(self, src: Source, sem_check: bool):
-        start = src.pos
-        raw = src.take(self.nbytes)
-        if len(raw) < self.nbytes:
-            src.pos = start
-            return self.default(), ErrCode.WIDTH_NOT_AVAILABLE
-        return struct.unpack(self.fmt, raw)[0], ErrCode.NO_ERR
+    def convert(self, raw: bytes):
+        return struct.unpack(self.fmt, raw)[0]
 
     def write(self, value) -> bytes:
         return struct.pack(self.fmt, float(value))

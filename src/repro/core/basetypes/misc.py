@@ -24,6 +24,7 @@ class Empty(BaseType):
     """Matches always, consumes nothing, value ``None``."""
 
     kind = "none"
+    static_width = 0  # its own parse: nothing to convert
 
     def parse(self, src: Source, sem_check: bool):
         return None, ErrCode.NO_ERR

@@ -48,15 +48,15 @@ class AsciiChar(BaseType):
     """A single character (any byte; decoded latin-1)."""
 
     kind = "char"
+    static_width = 1
+    short_code = ErrCode.INVALID_CHAR
+    encoding = "latin-1"
 
-    def parse(self, src: Source, sem_check: bool):
-        raw = src.take(1)
-        if not raw:
-            return self.default(), ErrCode.INVALID_CHAR
-        return raw.decode("latin-1"), ErrCode.NO_ERR
+    def convert(self, raw: bytes):
+        return raw.decode(self.encoding)
 
     def write(self, value) -> bytes:
-        return str(value).encode("latin-1")
+        return str(value).encode(self.encoding)
 
     def default(self):
         return "\0"
@@ -65,23 +65,10 @@ class AsciiChar(BaseType):
         return rng.choice(_GEN_CHARS)
 
 
-class EbcdicChar(BaseType):
-    kind = "char"
+class EbcdicChar(AsciiChar):
+    """A single EBCDIC (cp037) character."""
 
-    def parse(self, src: Source, sem_check: bool):
-        raw = src.take(1)
-        if not raw:
-            return self.default(), ErrCode.INVALID_CHAR
-        return raw.decode("cp037"), ErrCode.NO_ERR
-
-    def write(self, value) -> bytes:
-        return str(value).encode("cp037")
-
-    def default(self):
-        return "\0"
-
-    def generate(self, rng: random.Random):
-        return rng.choice(_GEN_CHARS)
+    encoding = "cp037"
 
 
 class TerminatedString(BaseType):
@@ -129,36 +116,31 @@ class FixedString(BaseType):
     """``Pstring_FW(:n:)`` — exactly n bytes."""
 
     kind = "string"
+    invalid_code = ErrCode.INVALID_STRING
 
     def __init__(self, nchars, encoding: str = "latin-1"):
-        self.nchars = int(nchars)
-        if self.nchars <= 0:
+        self.static_width = int(nchars)
+        if self.static_width <= 0:
             raise ValueError("fixed width must be positive")
         self.encoding = encoding
 
-    def parse(self, src: Source, sem_check: bool):
-        start = src.pos
-        raw = src.take(self.nchars)
-        if len(raw) < self.nchars:
-            src.pos = start
-            return self.default(), ErrCode.WIDTH_NOT_AVAILABLE
+    def convert(self, raw: bytes):
         try:
-            return raw.decode(self.encoding), ErrCode.NO_ERR
+            return raw.decode(self.encoding)
         except UnicodeDecodeError:
-            src.pos = start
-            return self.default(), ErrCode.INVALID_STRING
+            return None
 
     def write(self, value) -> bytes:
         raw = str(value).encode(self.encoding)
-        if len(raw) != self.nchars:
-            raise ValueError(f"{value!r} is not exactly {self.nchars} bytes")
+        if len(raw) != self.static_width:
+            raise ValueError(f"{value!r} is not exactly {self.static_width} bytes")
         return raw
 
     def default(self):
         return ""
 
     def generate(self, rng: random.Random):
-        return "".join(rng.choice(_GEN_CHARS) for _ in range(self.nchars))
+        return "".join(rng.choice(_GEN_CHARS) for _ in range(self.static_width))
 
 
 class RegexMatchString(BaseType):

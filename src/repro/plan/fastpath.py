@@ -82,7 +82,6 @@ from .ir import (
     Verdict,
 )
 from .lines import Fresh, Lines
-from .passes import fixed_width_of
 
 _HOST_GUARD = rb"(?![A-Za-z0-9.\-])"
 _IP_OCTET = rb"(?:25[0-5]|2[0-4]\d|1\d\d|[1-9]?\d)"
@@ -107,30 +106,30 @@ def _cls(value: bytes) -> bytes:
     return re.escape(value)
 
 
-def base_conv(inst, var: str, ref: str, w: Lines) -> None:
-    """Conversion code for a fixed-width base type from raw bytes in
-    ``ref`` (batch-kernel columns and fixed-array elements)."""
+def base_conv(inst, var: str, ref: str, w: Lines, temp: Fresh) -> None:
+    """The one inline conversion of a fixed-width base type: its
+    converter (:meth:`~repro.core.basetypes.base.BaseType.convert`) over
+    the raw bytes in ``ref``, failing where the converter returns None,
+    then its range check.  The regex fast path, fixed-count arrays and
+    the batch kernel all convert through it."""
     if isinstance(inst, _ints.BinaryInt):
         w.w(f"{var} = int.from_bytes({ref}, {inst.byteorder!r}, "
             f"signed={inst.signed})")
-    elif isinstance(inst, _ints.BinaryRaw):
-        w.w(f"{var} = int.from_bytes({ref}, 'big')")
     elif isinstance(inst, _ints.BinaryFloat):
         w.w(f"{var} = __import__('struct').unpack({inst.fmt!r}, {ref})[0]")
     elif isinstance(inst, _cobol.PackedDecimal):
         w.w(f"{var} = _fp_packed({ref}, {inst.digits}, {inst.decimals})")
         w.fail(f"{var} is None")
     elif isinstance(inst, _cobol.ZonedDecimal):
-        w.w(f"{var} = _fp_zoned({ref}, {inst.digits}, {inst.decimals})")
+        w.w(f"{var} = _fp_zoned({ref}, {inst.decimals})")
         w.fail(f"{var} is None")
-    elif isinstance(inst, _strs.FixedString):
+    elif isinstance(inst, (_strs.FixedString, _strs.AsciiChar)):
+        # A decode error (a multi-byte encoding's) is the fragment's miss.
         w.w(f"{var} = {ref}.decode({inst.encoding!r})")
-    elif isinstance(inst, _strs.AsciiChar):
-        w.w(f"{var} = {ref}.decode('latin-1')")
-    elif isinstance(inst, _strs.EbcdicChar):
-        w.w(f"{var} = {ref}.decode('cp037')")
     elif isinstance(inst, _ints.AsciiIntFW):
-        w.w(f"{var} = int({ref}.decode('ascii', 'replace').strip(), 10)")
+        text = temp()
+        w.w(f"{text} = {ref}.decode('ascii', 'replace').strip()")
+        w.w(f"{var} = int({text}, 10)")
         if not inst.signed:
             w.fail(f"{var} < 0")
         w.fail(f"dosem and not ({inst.lo} <= {var} <= {inst.hi})")
@@ -143,7 +142,7 @@ def _static_fixed(use: Use) -> Optional[Tuple[object, int]]:
     fixed-width atomic base type of nonzero width; None otherwise."""
     if not isinstance(use, BaseUse) or use.static is None:
         return None
-    width = fixed_width_of(use.static)
+    width = use.static.static_width
     if not width:
         return None
     return use.static, width
@@ -455,7 +454,7 @@ class FastPath:
         with w.block(f"for _ai in range({count}):"):
             w.w(f"{raw} = {span}[_ai * {width}:(_ai + 1) * {width}]")
             evar = self.temp()
-            base_conv(inst, evar, raw, w)
+            base_conv(inst, evar, raw, w, self.temp)
             w.w(f"{var}.append({evar})")
         if decl.where is not None:
             ascope = {"elts": var, "length": f"len({var})"}
@@ -505,32 +504,18 @@ class FastPath:
         def grp(body: bytes) -> bytes:
             return b"(?P<" + g.encode() + b">" + body + b")"
 
+        width = inst.static_width
+        if width:
+            # One byte of a char type matches ``.``, any other width
+            # ``.{n}``.
+            base_conv(inst, var, ref, w, self.temp)
+            return grp(b"." if inst.kind == "char" else b".{%d}" % width)
+
         if isinstance(inst, _ints.AsciiInt):
             body = b"(?>[-+]?\\d+)" if inst.signed else b"(?>\\d+)"
             w.w(f"{var} = int({ref})")
             if inst.lo is not None:
                 w.fail(f"dosem and not ({inst.lo} <= {var} <= {inst.hi})")
-            return grp(body)
-
-        if isinstance(inst, _ints.AsciiIntFW):
-            body = b".{%d}" % inst.nchars
-            raw = self.temp()
-            w.w(f"{raw} = {ref}.decode('ascii', 'replace').strip()")
-            w.w(f"{var} = int({raw}, 10)")
-            if not inst.signed:
-                w.fail(f"{var} < 0")
-            w.fail(f"dosem and not ({inst.lo} <= {var} <= {inst.hi})")
-            return grp(body)
-
-        if isinstance(inst, _ints.BinaryInt):
-            body = b".{%d}" % inst.nbytes
-            w.w(f"{var} = int.from_bytes({ref}, {inst.byteorder!r}, "
-                f"signed={inst.signed})")
-            return grp(body)
-
-        if isinstance(inst, _ints.BinaryRaw):
-            body = b".{%d}" % inst.nbytes
-            w.w(f"{var} = int.from_bytes({ref}, 'big')")
             return grp(body)
 
         if isinstance(inst, _ints.EbcdicInt):
@@ -545,24 +530,10 @@ class FastPath:
             w.w(f"{var} = FloatVal(float({ref}), {ref}.decode('ascii'))")
             return grp(body)
 
-        if isinstance(inst, _ints.BinaryFloat):
-            body = b".{%d}" % inst.nbytes
-            w.w(f"{var} = __import__('struct').unpack({inst.fmt!r}, {ref})[0]")
-            return grp(body)
-
-        if isinstance(inst, _strs.AsciiChar) or isinstance(inst, _strs.EbcdicChar):
-            codec = "cp037" if isinstance(inst, _strs.EbcdicChar) else "latin-1"
-            w.w(f"{var} = {ref}.decode({codec!r})")
-            return grp(b".")
-
         if isinstance(inst, _strs.TerminatedString):
             cls = b"[^" + _cls(inst.term) + b"]"
             w.w(f"{var} = {ref}.decode({inst.encoding!r})")
             return grp(b"(?>" + cls + b"*)")
-
-        if isinstance(inst, _strs.FixedString):
-            w.w(f"{var} = {ref}.decode({inst.encoding!r})")
-            return grp(b".{%d}" % inst.nchars)
 
         if isinstance(inst, _strs.RegexMatchString):
             raw = inst.pattern.encode("latin-1")
@@ -617,16 +588,6 @@ class FastPath:
             w.w(f"{var} = int({ref})")
             w.fail(f"dosem and len({ref}) not in (1, 10)")
             return grp(b"(?>\\d+)")
-
-        if isinstance(inst, _cobol.PackedDecimal):
-            w.w(f"{var} = _fp_packed({ref}, {inst.digits}, {inst.decimals})")
-            w.fail(f"{var} is None")
-            return grp(b".{%d}" % inst.nbytes)
-
-        if isinstance(inst, _cobol.ZonedDecimal):
-            w.w(f"{var} = _fp_zoned({ref}, {inst.digits}, {inst.decimals})")
-            w.fail(f"{var} is None")
-            return grp(b".{%d}" % inst.digits)
 
         if isinstance(inst, _misc.Empty):
             w.w(f"{var} = None")
@@ -811,7 +772,7 @@ class BatchPath:
             if isinstance(inst, _misc.Empty):
                 w.w(f"{var} = None")
                 return off
-            width = fixed_width_of(inst)
+            width = inst.static_width
             if not width:
                 raise NotEligible(f"variable-width {type(inst).__name__}")
             self.compile_base(inst, width, var, w)
@@ -831,24 +792,18 @@ class BatchPath:
         if isinstance(inst, _ints.BinaryInt):
             pref = "<" if inst.byteorder == "little" else ">"
             self.votes[pref] += 1
-            code = self._INT_CODES.get(inst.nbytes)
+            code = self._INT_CODES.get(width)
             if code is not None and pref == self.prefix:
                 if not inst.signed:
                     code = code.upper()
                 w.w(f"{var} = {self.slot(code)}")
-                return
-        elif isinstance(inst, _ints.BinaryRaw):
-            self.votes[">"] += 1
-            code = self._INT_CODES.get(inst.nbytes)
-            if code is not None and self.prefix == ">":
-                w.w(f"{var} = {self.slot(code.upper())}")
                 return
         elif isinstance(inst, _ints.BinaryFloat):
             self.votes[inst.fmt[0]] += 1
             if inst.fmt[0] == self.prefix:
                 w.w(f"{var} = {self.slot(inst.fmt[1])}")
                 return
-        base_conv(inst, var, self.slot(f"{width}s"), w)
+        base_conv(inst, var, self.slot(f"{width}s"), w, self.temp)
 
     def compile_decl_use(self, decl, var: str, w: Lines, off: int,
                          scope: Dict[str, str]) -> int:
@@ -1079,14 +1034,14 @@ class WritePath:
             return [("str", f"({v}.raw if isinstance({v}, DateVal) "
                             f"else str({v}))")]
         if kind is _ints.AsciiIntFW:
-            n = inst.nchars
+            n = inst.static_width
             v = self.temp()
             w.w(f"{v} = int({val})")
             return self.checked(
                 f"'-' + str(-{v}).rjust({n - 1}, '0') if {v} < 0 "
                 f"else str({v}).rjust({n}, '0')", lambda t: f"len({t}) > {n}", w)
         if kind is _ints.BinaryInt:
-            return [("str", f"int({val}).to_bytes({inst.nbytes}, "
+            return [("str", f"int({val}).to_bytes({inst.static_width}, "
                             f"{inst.byteorder!r}, signed={inst.signed})"
                             ".decode('latin-1')")]
         # Any other base type: its own write, spelled as latin-1 text.

@@ -4,8 +4,9 @@ Two passes run after lowering, in order:
 
 * :func:`compute_widths` — static-size analysis: annotates every
   declaration and type use with its byte width when the physical form
-  is provably fixed (binary words, packed/zoned decimals, fixed-width
-  strings and integers, structs/arrays/enums built only from those).
+  is provably fixed (a base type's ``static_width``: binary words,
+  packed/zoned decimals, fixed-width strings and integers; structs,
+  arrays and enums built only from those).
 * :func:`attach_fastpaths` — record the batch-kernel and fastpath
   verdicts (with their reasons) for every declaration, and compile the
   batch kernel, fast function and writer of eligible ``Precord``
@@ -15,7 +16,7 @@ Two passes run after lowering, in order:
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 from .ir import (
     ArrayPlan,
@@ -36,28 +37,6 @@ from .ir import (
 )
 
 
-def fixed_width_of(inst: Any) -> Optional[int]:
-    """Byte width of a base-type instance when statically fixed, else None."""
-    from ..core.basetypes import cobol as _cobol
-    from ..core.basetypes import integers as _ints
-    from ..core.basetypes import misc as _misc
-    from ..core.basetypes import strings as _strs
-    if isinstance(inst, (_ints.BinaryInt, _ints.BinaryFloat, _ints.BinaryRaw,
-                         _cobol.PackedDecimal)):
-        return inst.nbytes
-    if isinstance(inst, _cobol.ZonedDecimal):
-        return inst.digits
-    if isinstance(inst, _strs.FixedString):
-        return inst.nchars
-    if isinstance(inst, (_strs.AsciiChar, _strs.EbcdicChar)):
-        return 1
-    if isinstance(inst, _ints.AsciiIntFW):
-        return inst.nchars
-    if isinstance(inst, _misc.Empty):
-        return 0
-    return None
-
-
 # -- static-size analysis ----------------------------------------------------
 
 
@@ -69,7 +48,7 @@ def compute_widths(plan: Plan) -> None:
 
 def _use_width(plan: Plan, use: Use) -> Optional[int]:
     if isinstance(use, BaseUse):
-        use.width = (fixed_width_of(use.static)
+        use.width = (use.static.static_width
                      if use.static is not None else None)
     elif isinstance(use, RefUse):
         target = plan.decls.get(use.name)

@@ -2,8 +2,8 @@
 
 The fast-path compilers in :mod:`repro.plan.fastpath` emit plain source
 fragments over a small runtime namespace (the rep-class factory,
-``UnionVal``, enum constants, helper functions, the packed/zoned/date
-converters).  This module is the one owner of that namespace: the
+``UnionVal``, enum constants, helper functions, the Cobol base types'
+packed/zoned converters, the date converter).  This module is the one owner of that namespace: the
 fragments are exec'd into one namespace per bound description, which
 also holds the struct functions and the member fast functions they
 call, loaded lazily (:mod:`repro.plan.structfn`).
@@ -25,6 +25,7 @@ from .ir import DataItem, Plan, StructPlan, SwitchPlan
 def runtime_namespace(plan: Plan) -> Dict[str, Any]:
     """Globals the plan-compiled fragments and expression sites of one
     description run on."""
+    from ..core.basetypes.cobol import packed_value, zoned_value
     from ..core.basetypes.temporal import parse_date_value
     from ..core.errors import ErrCode, Pd
     from ..core.values import DateVal, EnumVal, FloatVal, UnionVal, rec_class
@@ -43,8 +44,8 @@ def runtime_namespace(plan: Plan) -> Dict[str, Any]:
         "_cdiv": cdiv,
         "_cmod": cmod,
         "_member": member,
-        "_fp_packed": convert_packed,
-        "_fp_zoned": convert_zoned,
+        "_fp_packed": packed_value,
+        "_fp_zoned": zoned_value,
         "_fp_parse_date": parse_date_value,
         "_resolve": resolve_base,
         "_Pd": Pd,
@@ -56,55 +57,6 @@ def runtime_namespace(plan: Plan) -> Dict[str, Any]:
     exec("\n".join(compile_function(fn, plan.resolver({}), name_prefix="fn_")
                    for fn in plan.functions.values()), ns)
     return ns
-
-
-def convert_packed(raw: bytes, digits: int, decimals: int):
-    """COMP-3 bytes -> value, or None when invalid (fast-path converter)."""
-    nibbles = []
-    for b in raw:
-        nibbles.append(b >> 4)
-        nibbles.append(b & 0x0F)
-    sign = nibbles[-1]
-    body = nibbles[:-1]
-    if len(body) > digits:
-        body = body[-digits:]
-    if sign not in (0x0C, 0x0D, 0x0F) or any(n > 9 for n in body):
-        return None
-    value = 0
-    for n in body:
-        value = value * 10 + n
-    if sign == 0x0D:
-        value = -value
-    if decimals:
-        from fractions import Fraction
-        return float(Fraction(value, 10 ** decimals))
-    return value
-
-
-def convert_zoned(raw: bytes, digits: int, decimals: int):
-    """Zoned-decimal bytes -> value, or None when invalid."""
-    value = 0
-    negative = False
-    last = len(raw) - 1
-    for i, b in enumerate(raw):
-        zone, digit = b & 0xF0, b & 0x0F
-        if digit > 9:
-            return None
-        if zone == 0xF0:
-            pass
-        elif i == last and zone == 0xC0:
-            pass
-        elif i == last and zone == 0xD0:
-            negative = True
-        else:
-            return None
-        value = value * 10 + digit
-    if negative:
-        value = -value
-    if decimals:
-        from fractions import Fraction
-        return float(Fraction(value, 10 ** decimals))
-    return value
 
 
 Fns = Dict[str, Callable]

@@ -408,21 +408,17 @@ def header_accumulator(description, src, header_type: str,
 
 
 def accumulate_records(description, data, record_type: str,
-                       mask=None, tracked: int = DEFAULT_TRACKED,
+                       tracked: int = DEFAULT_TRACKED,
                        header_type: Optional[str] = None):
     """Build an accumulator program from minimal extra information.
 
     The paper (Section 5.2): "given only the names of the optional header
     type and the record type, the PADS system will generate an accumulator
     program."  Returns ``(record_accumulator, header_accumulator_or_None,
-    n_records)``.
+    n_records)``: the ``accum`` fold of :func:`repro.execute.run`, the
+    one ``padsc accum`` runs.
     """
-    src = description.open(data)
-    header_acc = None if header_type is None else header_accumulator(
-        description, src, header_type, tracked, mask)
-    acc = record_accumulator(description, record_type, tracked)
-    count = 0
-    for rep, pd in description.records(src, record_type, mask):
-        acc.add(rep, pd)
-        count += 1
-    return acc, header_acc, count
+    from ..execute import run
+    res = run(description, data, "accum", record_type, header=header_type,
+              tracked=tracked)
+    return res.acc, res.header_acc, res.tally.records

@@ -154,8 +154,8 @@ def compare(old: Accumulator, new: Accumulator, *,
 
 
 def profile_and_compare(description, record_type: str,
-                        old_data, new_data, mask=None, **thresholds) -> DriftReport:
+                        old_data, new_data, **thresholds) -> DriftReport:
     """Profile two files and diff the profiles (the Altair daily check)."""
-    old_acc = accumulate_records(description, old_data, record_type, mask)[0]
-    new_acc = accumulate_records(description, new_data, record_type, mask)[0]
+    old_acc = accumulate_records(description, old_data, record_type)[0]
+    new_acc = accumulate_records(description, new_data, record_type)[0]
     return compare(old_acc, new_acc, **thresholds)

@@ -17,6 +17,7 @@ named cases, each a call into :func:`agree`.
 
 from __future__ import annotations
 
+import importlib.resources as resources
 import io
 import random
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ from repro.core.limits import ParseLimits
 from repro.execute import DRIVERS, OPS, ExecOptions, Fold, choose_engine, run
 from repro.faults import GALLERY_TARGETS
 from repro.tools.accum import Accumulator
+from repro.tools.cobol import translate
 from repro.tools.datagen import (ErrorInjector, call_detail_workload,
                                  generate_records)
 
@@ -73,8 +75,18 @@ class Subject:
                                    fastpath=fastpath, limits=limits)
 
 
+def _billing() -> Subject:
+    """The Cobol billing copybook (Figure 1's Altair feed): zoned and
+    packed decimals, EBCDIC strings and a binary OCCURS array."""
+    tr = translate((resources.files("repro.gallery") / "billing.cpy")
+                   .read_text(), "billing.cpy")
+    return Subject("billing", tr.pads_source, tr.record_type, "ebcdic",
+                   FixedWidthRecords(tr.record_width))
+
+
 GALLERY = {target[0]: Subject(*target[:4], target[4])
            for target in GALLERY_TARGETS}
+GALLERY["billing"] = _billing()
 #: Records per gallery case: a few KiB, so 1 KiB chunks split it.
 N_GALLERY = 300
 
