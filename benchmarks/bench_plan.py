@@ -12,7 +12,9 @@ records through the compiled record writer (``_fw_entry_t``, against
 the general writer), the
 Section 5.2 accumulator fold over parsed CLF records (clean records
 through the compiled adder; its reference is the same fold through the
-tree walk, ``Accumulator.walk``), the delimited formatter over the clean
+tree walk, ``Accumulator.walk``), the accum fold of ``execute.run`` over
+the CLF file (clean records counted inside the record function; its
+reference is ``records()`` plus the compiled adder), the delimited formatter over the clean
 CLF records (compiled against the formatting walk), the interpreter's
 general path over the CLF records that miss the record fast function
 (struct functions against the walk), the record loop framing Sirius
@@ -131,6 +133,38 @@ def test_interp_accum_plan(benchmark, clf_interp, clf_pairs):
 def test_interp_accum_reference(benchmark, clf_interp, clf_pairs):
     acc = benchmark(_accum, clf_interp, clf_pairs, walk=True)
     assert acc.self_acc.total_count == N_RECORDS and acc._adder is None
+
+
+# -- the accum fold counting clean records in the record function -----------
+#
+# Parse and fold together: ``execute.run``'s accum fold, whose record step
+# counts each clean CLF record inside the record function, against the
+# same fold written as ``records()`` plus ``acc.add`` per pair (every
+# clean record built as a rep and counted by the compiled adder).
+
+
+def _accum_fold(description, data):
+    acc = record_accumulator(description, "entry_t")
+    tally = ErrorTally()
+    for rep, pd in description.records(data, "entry_t"):
+        acc.add(rep, pd)
+        tally.add(pd)
+    return acc, tally
+
+
+@pytest.mark.benchmark(group="plan-interp-accum-fold")
+def test_interp_accum_fold_plan(benchmark, clf_interp, clf_file):
+    base, _ = _accum_fold(clf_interp, clf_file)
+    res = benchmark(run, clf_interp, clf_file, "accum", "entry_t")
+    assert res.reason.endswith("accum: counted in the record function")
+    assert res.tally.records == N_RECORDS
+    assert res.acc.full_report() == base.full_report()
+
+
+@pytest.mark.benchmark(group="plan-interp-accum-fold")
+def test_interp_accum_fold_reference(benchmark, clf_interp, clf_file):
+    _acc, tally = benchmark(_accum_fold, clf_interp, clf_file)
+    assert tally.records == N_RECORDS
 
 
 # -- the compiled delimited formatter (Section 5.3.1's <type>_fmt2io) ------

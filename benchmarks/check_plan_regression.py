@@ -5,7 +5,9 @@ Reads the pytest-benchmark JSON produced by ``bench_plan.py`` and
 compares each plan-driven benchmark's median against its reference-mode
 twin (``fastpath=False``, the pre-refactor parse path; for the
 accumulator pair, the same fold through the tree walk instead of the
-compiled adder; for the formatter pair, the formatting walk instead of
+compiled adder; for the accum-fold pair, ``records()`` plus the compiled
+adder instead of the record function that counts clean records itself;
+for the formatter pair, the formatting walk instead of
 the compiled formatter; for the framing pair, a newline discipline that
 frames one record per ``bounds`` step instead of a block at a time).
 The plan-driven side carries the record and member fast functions, the
@@ -53,6 +55,7 @@ PAIRS = [
     ("test_interp_calls_plan", "test_interp_calls_reference"),
     ("test_interp_write_plan", "test_interp_write_reference"),
     ("test_interp_accum_plan", "test_interp_accum_reference"),
+    ("test_interp_accum_fold_plan", "test_interp_accum_fold_reference"),
     ("test_interp_errors_plan", "test_interp_errors_reference"),
     ("test_fmt_plan", "test_fmt_reference"),
     ("test_frame_plan", "test_frame_reference"),

@@ -182,7 +182,8 @@ class CompiledDescription:
         return self.parse(data, None, mask)
 
     def records(self, data: Data, type_name: str,
-                mask: Optional[Mask] = None) -> Iterator[Tuple[object, Pd]]:
+                mask: Optional[Mask] = None, fast: Optional[Callable] = None
+                ) -> Iterator[Tuple[object, Pd]]:
         """Record-at-a-time entry point (paper Section 4).
 
         Repeatedly parses ``type_name`` until end of input: the record
@@ -194,27 +195,30 @@ class CompiledDescription:
         applies is decided here, once per call
         (:func:`~repro.core.limits.fastpath_applies`; a non-``Precord``
         type has none), and so is the grid block step (:meth:`grid`),
-        right next to it.
+        right next to it.  ``fast`` stands in for the record's fast
+        function where that applies and no grid step runs: the accum
+        fold's counting function, whose clean records come out as
+        :data:`~repro.tools.accum.COUNTED` with a clean pd.
         """
         src = self.open(data)
         use_mask = mask or Mask(P_CheckAndSet)
         node = body = self.node(type_name)
-        fast, frames = None, src.frames()
+        step, frames = None, src.frames()
         if isinstance(node, RecordNode):
             body = node.inner
             if fastpath_applies(use_mask, src.limits):
-                fast = node.fast_fn
+                step = fast or node.fast_fn
                 grid = self.grid(type_name, use_mask, src.limits,
                                  src.discipline)
                 if not isinstance(grid, Verdict):
-                    fast = _parsed_or(fast)
+                    step = _parsed_or(node.fast_fn)
                     frames = src.grid_frames(*grid, (use_mask.bits & 4) != 0)
         # One global load decides between the plain loop and the metered
         # one, keeping the disabled path free of per-record bookkeeping.
         obs = observe.CURRENT
-        if obs is not None and fast is not None:
-            fast = _counting(fast, obs.metrics, type_name)
-        pairs = record_loop(src, frames, use_mask, fast, body, {})
+        if obs is not None and step is not None:
+            step = _counting(step, obs.metrics, type_name)
+        pairs = record_loop(src, frames, use_mask, step, body, {})
         if obs is not None:
             pairs = self._metered(src, pairs, obs, type_name)
         if use_mask.sets_all:

@@ -1351,6 +1351,10 @@ class RecordNode(PType):
     #: (set by the compiled description).
     discipline = NewlineRecords()
     opens_record = True
+    #: The accum fold's counting function for this record, ``(shape,
+    #: template or reason)`` (:func:`repro.tools.adder.counter_template`):
+    #: compiled on the first accumulate.
+    counter: Optional[tuple] = None
 
     def __init__(self, inner: PType):
         self.inner = inner

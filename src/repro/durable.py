@@ -640,7 +640,8 @@ def _steps(description, path: str, fold, st: _RunState,
                 _maybe_crash(st.records_done)
 
             with src:
-                items = _ticking(fold.items(description, src), tick)
+                items = _ticking(fold.items(description, src, st.fold),
+                                 tick)
                 if fold.op == "records":
                     yield from items
                 else:

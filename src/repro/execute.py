@@ -50,15 +50,18 @@ import os
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
+from . import observe
 from .core.errors import ErrorTally, PadsError
 from .core.io import Source
-from .core.masks import Mask
-from .tools.accum import (DEFAULT_TRACKED, Accumulator, header_accumulator,
-                          record_accumulator)
+from .core.limits import fastpath_applies
+from .core.masks import Mask, P_CheckAndSet
+from .plan.ir import Verdict
+from .tools.accum import (COUNTED, DEFAULT_TRACKED, Accumulator,
+                          header_accumulator, record_accumulator)
 
 __all__ = ["ExecOptions", "Choice", "Result", "Fold", "OPS", "DRIVERS",
-           "choose_engine", "step_reason", "run", "open_input",
-           "fold_cursor"]
+           "choose_engine", "step_reason", "count_step", "accum_text", "run",
+           "open_input", "fold_cursor"]
 
 OPS = ("records", "accum", "tally", "count")
 
@@ -144,11 +147,20 @@ class Fold:
                                        self.summaries), ErrorTally())
         return [] if self.op == "records" else ErrorTally()
 
-    def items(self, desc, src: Source) -> Iterator:
-        """What the fold consumes at cursor ``src``: ``(rep, pd)`` pairs,
-        or bare record boundaries for ``count``."""
+    def items(self, desc, src: Source, state) -> Iterator:
+        """What the fold consumes at cursor ``src`` into ``state``:
+        ``(rep, pd)`` pairs, or bare record boundaries for ``count``.
+        For ``accum`` the record step counts each clean record into the
+        state's accumulator where :func:`count_step` says so, and yields
+        :data:`~repro.tools.accum.COUNTED` for it."""
         if self.op == "count":
             return src.boundaries()
+        if self.op == "accum":
+            _verdict, fast = count_step(desc, self.record_type, state[0],
+                                        self.mask, src.limits, src.discipline)
+            if fast is not None:
+                return desc.records(src, self.record_type, self.mask,
+                                    fast=fast)
         return desc.records(src, self.record_type, self.mask)
 
     def feed(self, state, items, on_record=None):
@@ -159,7 +171,8 @@ class Fold:
         if op == "accum":
             acc, tally = state
             for rep, pd in items:
-                acc.add(rep, pd)
+                if rep is not COUNTED:
+                    acc.add(rep, pd)
                 tally.add(pd)
                 if on_record is not None:
                     on_record(pd, tally)
@@ -178,7 +191,7 @@ class Fold:
         if self.op == "count":  # the counting floor: no per-record frame
             state.records += desc.count_records(src)
             return state
-        return self.feed(state, self.items(desc, src), on_record)
+        return self.feed(state, self.items(desc, src, state), on_record)
 
     def _tally(self, state) -> ErrorTally:
         return state[1] if self.op == "accum" else state
@@ -251,12 +264,52 @@ def _kind(data) -> str:
     return "stream"
 
 
+def count_step(desc, record_type: Optional[str], acc=None,
+               mask: Optional[Mask] = None, limits=None, discipline=None):
+    """How the accum fold takes a clean record of ``record_type`` in a
+    pass under ``mask``, ``limits`` and ``discipline``: counted inside
+    the record function (its fast function compiled with the accumulator
+    sink, :func:`repro.tools.adder.bind_counter`), or declined — a
+    tracer, a mask or limits the fast function does not serve, the grid
+    block step, or a shape that is not compiled — and then counted from
+    its rep by the compiled adder.  Returns ``(verdict, the counting
+    function bound to acc)``; the function is None when declined or
+    without ``acc``.  The template compiles on the first call."""
+    use_mask = mask or Mask(P_CheckAndSet)
+    if not fastpath_applies(use_mask, limits):
+        why = ("active tracer" if observe.current_tracer() is not None
+               else "parse limits a clean record could trip"
+               if fastpath_applies(use_mask, None)
+               else "non-uniform or non-materialising mask")
+        return Verdict(False, why), None
+    grid = desc.grid(record_type, mask, limits, discipline)
+    if isinstance(grid, tuple):
+        return Verdict(False, f"grid step: {grid[1]}-byte columns at "
+                              f"{grid[2]}-byte pitch"), None
+    from .plan.fastpath import NotEligible
+    from .tools.adder import bind_counter, counter_template
+    try:
+        counter_template(desc, record_type)
+        fn = None if acc is None else bind_counter(desc, record_type, acc)
+    except NotEligible as exc:
+        return Verdict(False, f"shape not compiled: {exc}"), None
+    return Verdict(True, "counted in the record function"), fn
+
+
+def accum_text(verdict: Verdict) -> str:
+    """A :func:`count_step` verdict as ``padsc plan`` and the accum
+    reason print it."""
+    return verdict.reason if verdict.eligible \
+        else f"declined: {verdict.reason}"
+
+
 def step_reason(desc, op: str, record_type: Optional[str] = None) -> str:
     """How the record loop takes each record of ``op``: counted by
     arithmetic or framed one by one (``count``), or parsed a grid block
     at a time or one record at a time (the rest), and why — the
     decision :meth:`~repro.core.api.CompiledDescription.grid` makes for
-    the pass, in words."""
+    the pass, in words.  An ``accum`` adds the :func:`count_step`
+    verdict."""
     disc = desc.discipline
     limits = getattr(desc, "limits", None)
     if op == "count":
@@ -268,8 +321,13 @@ def step_reason(desc, op: str, record_type: Optional[str] = None) -> str:
     step = desc.grid(record_type, None, limits)
     if isinstance(step, tuple):
         _kernel, width, stride = step
-        return f"grid: {width}-byte columns at {stride}-byte pitch"
-    return f"per record: {step.reason}"
+        reason = f"grid: {width}-byte columns at {stride}-byte pitch"
+    else:
+        reason = f"per record: {step.reason}"
+    if op == "accum":
+        verdict, _ = count_step(desc, record_type, limits=limits)
+        reason += f"; accum: {accum_text(verdict)}"
+    return reason
 
 
 def choose_engine(desc, data, op: str, record_type: Optional[str] = None,

@@ -45,6 +45,17 @@ struct's compiled general parse, its struct function
 (:mod:`repro.plan.structfn`), calls them before each member's
 combinator, so an error record interprets only the members that fail.
 
+The regex and split compilers' converter ends in one of two *sinks*.
+The **rep sink** builds the rep (a record object per struct, a
+``UnionVal`` per union) and returns it.  The **accumulator sink**
+(:func:`compile_counter`) builds a sub-rep only where a constraint, a
+``Pwhere`` or a ``Pcompute`` reads it (and for options and arrays, which
+are counted from their reps); every other struct and union stays in the
+converter's local values.  Its function leaves the ``try`` only once the
+record is accepted, and the accumulator adder (:mod:`repro.tools.adder`)
+appends the counting code over those locals: a rejected record is
+re-parsed and walked, so it must not have counted anything.
+
 Eligibility is decided here, once, and recorded on the plan node as a
 :class:`~repro.plan.ir.Verdict` with a human-readable reason; anything
 out of scope (switched unions, parameterised types, dynamic sizes,
@@ -54,7 +65,7 @@ mid-record arrays, regex terminators) simply keeps the general path.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.basetypes import cobol as _cobol
 from ..core.basetypes import integers as _ints
@@ -165,10 +176,17 @@ class FastPath:
     """
 
     def __init__(self, plan: Plan, decl: StructPlan,
-                 member: Optional[str] = None):
+                 member: Optional[str] = None, accum: bool = False):
         self.plan = plan
         self.decl = decl
         self.member = member
+        #: The accumulator sink's unbuilt values (None: the rep sink): a
+        #: struct's variable -> ``("struct", [(member, variable), ...])``
+        #: over its data members; a union's variable, which holds the
+        #: branch name -> ``("union", {branch: variable})``.
+        self.parts: Optional[Dict[str, tuple]] = {} if accum else None
+        #: Nesting depth of subtrees the accumulator sink builds as reps.
+        self.reps = 0
         #: Namespaces every module-level name this compiler emits.
         self.tag = decl.name if member is None else f"{decl.name}__{member}"
         self.group = Fresh("g")
@@ -178,6 +196,41 @@ class FastPath:
         self.tail_forms: List[str] = []
 
     # -- small helpers -------------------------------------------------------
+
+    def counting(self) -> bool:
+        """Whether the value compiled now goes to the accumulator sink
+        unbuilt."""
+        return self.parts is not None and not self.reps
+
+    def built(self, emit, *args):
+        """``emit(*args)`` with the subtree built as a rep: a check reads
+        it, or it is an option or array, which the adder counts from its
+        rep.  Under the rep sink everything is built anyway."""
+        self.reps += 1
+        try:
+            return emit(*args)
+        finally:
+            self.reps -= 1
+
+    def sealed(self, body: List[str], result: str) -> List[str]:
+        """Converter ``body`` in the ``try`` that turns any exception into
+        a miss.  The rep sink returns ``result`` from inside it; the
+        accumulator sink falls out of it once the record is accepted, to
+        the counting code the adder appends."""
+        end = [f"        return {result}"] if self.parts is None \
+            else [] if body else ["        pass"]
+        return ["    try:", *body, *end, "    except Exception:",
+                "        return None"]
+
+    def fragment(self, head: List[str], fn: List[str]) -> List[str]:
+        """The module lines of function ``fn``, after ``head`` and before
+        the auxiliary lines.  Under the accumulator sink, ``fn`` alone:
+        ``head`` joins ``aux``, and the adder's template places ``fn``
+        inside its binder."""
+        if self.parts is None:
+            return [*head, *fn, *self.aux]
+        self.aux[:0] = head
+        return fn
 
     def auxname(self, stem: str, g: str) -> str:
         # Namespaced by record type (and member) so two fast functions in
@@ -191,7 +244,7 @@ class FastPath:
         raises NotEligible."""
         decl = self.decl
         w = Lines(depth=2)  # inside def + try
-        var = self.temp()
+        var = self.result = self.temp()
         pattern = self.compile_struct_body(decl, var, w, is_tail=True)
         reason = "anchored regex over the record"
         if self.tail_forms:
@@ -216,29 +269,31 @@ class FastPath:
         None``."""
         full = b"(?s:" + pattern + b")"
         compiled = re.compile(full)  # fail analysis, not import
-        stem = "fp" if self.member is None else "fm"
+        stem = self.stem()
         rx_name, fn_name = f"_{stem}rx_{self.tag}", f"_{stem}_{self.tag}"
         if self.member is None:
             args, call, result = "_line", "fullmatch(_line)", var
         else:
             args, call, result = ("_buf, _pos, _end", "match(_buf, _pos, _end)",
                                   f"({var}, _m.end())")
-        return fn_name, [
-            f"{rx_name} = __import__('re').compile({full!r})",
-            f"def {fn_name}({args}, dosem):",
-            f'    """Compiled fast path for {what}: one anchored regex plus '
-            'conversion."""',
-            f"    _m = {rx_name}.{call}",
-            "    if _m is None:",
-            "        return None",
-            "    _gs = _m.groups()",
-            "    try:",
-            *_index_groups(w.lines, compiled.groupindex),
-            f"        return {result}",
-            "    except Exception:",
-            "        return None",
-            *self.aux,
-        ]
+        return fn_name, self.fragment(
+            [f"{rx_name} = __import__('re').compile({full!r})"], [
+                f"def {fn_name}({args}, dosem):",
+                f'    """Compiled fast path for {what}: one anchored regex '
+                'plus conversion."""',
+                f"    _m = {rx_name}.{call}",
+                "    if _m is None:",
+                "        return None",
+                "    _gs = _m.groups()",
+                *self.sealed(_index_groups(w.lines, compiled.groupindex),
+                             result)])
+
+    def stem(self) -> str:
+        """The function name's stem: ``fp`` (record), ``fm`` (member) or
+        ``fa`` (the accumulator sink's record function)."""
+        if self.parts is not None:
+            return "fa"
+        return "fp" if self.member is None else "fm"
 
     # -- struct --------------------------------------------------------------
 
@@ -247,6 +302,9 @@ class FastPath:
         pattern = b""
         scope: Dict[str, str] = {}
         field_vars: List[Tuple[str, str]] = []
+        counting = self.counting()
+        read = _read_members(decl) if counting else set()
+        data_vars: List[Tuple[str, str]] = []
         last_idx = len(decl.items) - 1
         for i, item in enumerate(decl.items):
             tail_here = is_tail and i == last_idx
@@ -263,12 +321,18 @@ class FastPath:
                 continue
             assert isinstance(item, DataItem)
             fvar = self.temp()
-            pattern += self.member_use(item, fvar, w, scope, tail_here)
+            args = (item, fvar, w, scope, tail_here)
+            pattern += self.built(self.member_use, *args) \
+                if item.name in read else self.member_use(*args)
             scope[item.name] = fvar
             field_vars.append((item.name, fvar))
+            data_vars.append((item.name, fvar))
             if item.constraint is not None:
                 _check(w, self.plan, item.constraint, scope)
-        _build_rec(w, var, _rec_binding(self.aux, decl), field_vars)
+        if counting:
+            self.parts[var] = ("struct", data_vars)
+        else:
+            _build_rec(w, var, _rec_binding(self.aux, decl), field_vars)
         if decl.where is not None:
             _check(w, self.plan, decl.where, scope)
         return pattern
@@ -294,7 +358,7 @@ class FastPath:
     def compile_use(self, use: Use, var: str, w: Lines,
                     scope: Dict[str, str], is_tail: bool) -> bytes:
         if isinstance(use, OptUse):
-            return self.compile_opt(use, var, w, scope, is_tail)
+            return self.built(self.compile_opt, use, var, w, scope, is_tail)
         if isinstance(use, RegexUse):
             return self.compile_regex_type(use.pattern, var, w)
         if isinstance(use, RefUse):
@@ -316,7 +380,7 @@ class FastPath:
         if isinstance(decl, UnionPlan):
             return self.compile_union(decl, var, w, is_tail)
         if isinstance(decl, ArrayPlan):
-            return self.compile_array(decl, var, w, is_tail)
+            return self.built(self.compile_array, decl, var, w, is_tail)
         if isinstance(decl, EnumPlan):
             return self.compile_enum(decl, var, w)
         if isinstance(decl, TypedefPlan):
@@ -341,6 +405,8 @@ class FastPath:
     def compile_union(self, decl: UnionPlan, var: str, w: Lines,
                       is_tail: bool) -> bytes:
         alts: List[bytes] = []
+        counting = self.counting()
+        arms: Dict[str, str] = {}
         for i, br in enumerate(decl.branches):
             g = self.group()
             bvar = self.temp()
@@ -354,7 +420,11 @@ class FastPath:
                                + b")")
                     w.w(f"{bvar} = {lit!r}")
                 else:
-                    pattern = self.compile_use(br.type, bvar, w, {}, False)
+                    args = (br.type, bvar, w, {}, False)
+                    # A branch a check reads is built.
+                    pattern = self.built(self.compile_use, *args) \
+                        if br.constraint is not None or decl.where is not None \
+                        else self.compile_use(*args)
                     if br.constraint is not None:
                         # Branch guards steer *selection*; a guard failure
                         # means the general parser would pick a later
@@ -364,10 +434,16 @@ class FastPath:
                 if decl.where is not None:
                     # Checked after the choice, as the general parser does.
                     _check(w, self.plan, decl.where, {br.name: bvar})
-                w.w(f"{var} = UnionVal({br.name!r}, {bvar})")
+                if counting:
+                    w.w(f"{var} = {br.name!r}")
+                    arms[br.name] = bvar
+                else:
+                    w.w(f"{var} = UnionVal({br.name!r}, {bvar})")
             alts.append(b"(?P<" + g.encode() + b">" + pattern + b")")
         with w.block("else:"):
             w.fail()
+        if counting:
+            self.parts[var] = ("union", arms)
         return b"(?>" + b"|".join(alts) + b")"
 
     # -- Parray --------------------------------------------------------------
@@ -477,7 +553,9 @@ class FastPath:
 
     def compile_typedef(self, decl: TypedefPlan, var: str, w: Lines,
                         scope: Dict[str, str], is_tail: bool) -> bytes:
-        pattern = self.compile_use(decl.base, var, w, scope, is_tail)
+        args = (decl.base, var, w, scope, is_tail)
+        pattern = self.compile_use(*args) if decl.constraint is None \
+            else self.built(self.compile_use, *args)
         if decl.constraint is not None:
             cscope = {decl.var: var}
             _check(w, self.plan, decl.constraint, cscope)
@@ -1080,6 +1158,15 @@ def rec_names(decl: StructPlan) -> Tuple[str, ...]:
                  if isinstance(item, (DataItem, ComputeItem)))
 
 
+def _read_members(decl: StructPlan) -> set:
+    """The names a check or ``Pcompute`` of ``decl`` reads: the members
+    the accumulator sink must build."""
+    exprs = [decl.where] + [
+        e for item in decl.items if isinstance(item, (DataItem, ComputeItem))
+        for e in (item.constraint, getattr(item, "expr", None))]
+    return set().union(*(E.free_names(e) for e in exprs if e is not None))
+
+
 def _rec_binding(aux: List[str], decl: StructPlan) -> str:
     """Module-level name of ``decl``'s rep class; its binding is added to
     ``aux`` once, so the class is looked up when the fragment is loaded,
@@ -1159,6 +1246,43 @@ def compile_member(plan: Plan, decl: StructPlan, item: DataItem
     except re.error as exc:
         return None, Verdict(False, f"regex error: {exc}")
     return fragment, Verdict(True, "anchored regex over the member")
+
+
+class Counter(NamedTuple):
+    """The accumulator sink's record function (:func:`compile_counter`)."""
+
+    name: str
+    #: The function, ending after its converter's ``try`` block.
+    lines: List[str]
+    #: Module-level lines it uses (regexes, enum maps, rep classes).
+    aux: List[str]
+    #: The record's value, and the unbuilt values (:attr:`FastPath.parts`).
+    var: str
+    parts: Dict[str, tuple]
+
+
+def compile_counter(plan: Plan, decl: StructPlan) -> Counter:
+    """The accumulator sink's record function of ``decl``, from the
+    compiler :func:`compile_fast` picks for a record without a batch
+    kernel: the split kernel when it applies, else the anchored regex.
+    Raises :class:`NotEligible` when neither does."""
+    from .split import SplitPath, separator_of
+    sep = separator_of(plan, decl)
+    if sep is not None:
+        try:
+            return _counter(SplitPath(plan, decl, sep, accum=True))
+        except (NotEligible, re.error):
+            pass
+    try:
+        return _counter(FastPath(plan, decl, accum=True))
+    except re.error as exc:
+        raise NotEligible(f"regex error: {exc}") from None
+
+
+def _counter(compiler: FastPath) -> Counter:
+    name, lines, _reason = compiler.build()
+    return Counter(name, lines, compiler.aux, compiler.result,
+                   compiler.parts)
 
 
 def compile_fast(plan: Plan, decl: StructPlan, kernel: Optional[str],

@@ -12,7 +12,7 @@ the member.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from .ir import (
     ArrayPlan,
@@ -74,7 +74,7 @@ def _lit_text(lit: LitPlan) -> str:
     return text
 
 
-def _decl_lines(plan: Plan, dp) -> List[str]:
+def _decl_lines(plan: Plan, dp, accum=None) -> List[str]:
     head = f"{_KEYWORDS.get(dp.kind, dp.kind)} {dp.name}"
     if dp.params:
         head += "(:" + ", ".join(n for _, n in dp.params) + ":)"
@@ -89,6 +89,8 @@ def _decl_lines(plan: Plan, dp) -> List[str]:
              f"  width: {_width(dp.width)}",
              f"  fastpath: {dp.verdict}",
              f"  batch: {dp.batch_verdict}"]
+    if accum is not None and dp.is_record:
+        lines.append(f"  accum: {accum(dp.name)}")
 
     if isinstance(dp, StructPlan):
         from .fastpath import compile_member
@@ -144,9 +146,12 @@ def _decl_lines(plan: Plan, dp) -> List[str]:
     return lines
 
 
-def format_plan(plan: Plan, type_name: Optional[str] = None) -> str:
+def format_plan(plan: Plan, type_name: Optional[str] = None,
+                accum: Optional[Callable[[str], str]] = None) -> str:
     """Human-readable rendering of the analyzed IR; ``type_name``
-    restricts the output to one declaration."""
+    restricts the output to one declaration.  ``accum(name)``, when
+    given, is each record type's ``accum:`` line (how the accum fold
+    counts its clean records)."""
     out: List[str] = [
         f"plan: ambient={plan.ambient} encoding={plan.encoding} "
         f"source={plan.source_name or '<none>'}",
@@ -155,13 +160,13 @@ def format_plan(plan: Plan, type_name: Optional[str] = None) -> str:
     if type_name is not None:
         if type_name not in plan.decls:
             raise KeyError(f"no declaration named {type_name!r}")
-        out.extend(_decl_lines(plan, plan.decls[type_name]))
+        out.extend(_decl_lines(plan, plan.decls[type_name], accum))
         return "\n".join(out) + "\n"
     for kind, entry in plan.order:
         if kind == "func":
             out.append(f"Pfunction {entry.name}")
             out.append("")
             continue
-        out.extend(_decl_lines(plan, entry))
+        out.extend(_decl_lines(plan, entry, accum))
         out.append("")
     return "\n".join(out).rstrip("\n") + "\n"

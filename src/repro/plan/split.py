@@ -24,7 +24,9 @@ rep construction are the regex compiler's own, with each group
 reference pointed at its token.
 
 Contract: the kernel returns the rep the anchored-regex fast function
-would return, or ``None`` (the general parser then decides).  The
+would return, or ``None`` (the general parser then decides).  With the
+accumulator sink (:func:`~repro.plan.fastpath.compile_counter`) the same
+kernel counts the record instead of returning its rep.  The
 verdict of a record that does not qualify names the member and why.
 """
 
@@ -163,8 +165,9 @@ class SplitPath(FastPath):
     in :class:`FastPath`.
     """
 
-    def __init__(self, plan: Plan, decl: StructPlan, sep: bytes):
-        super().__init__(plan, decl)
+    def __init__(self, plan: Plan, decl: StructPlan, sep: bytes,
+                 accum: bool = False):
+        super().__init__(plan, decl, accum=accum)
         self.sep = sep
         self.sep_text = repr(sep.decode("latin-1"))
         self.flat = True
@@ -349,7 +352,7 @@ class SplitPath(FastPath):
     def build(self) -> Tuple[str, List[str], str]:
         decl = self.decl
         w = Lines(depth=2)  # inside def + try
-        var = self.temp()
+        var = self.result = self.temp()
         self.compile_struct_body(decl, var, w, is_tail=True)
         tokens = self.tokens if self.tail_at is None \
             else self.tokens[:self.tail_at]
@@ -358,7 +361,7 @@ class SplitPath(FastPath):
         n = len(tokens)
         names = [f"_k{i}" for i in range(n)]
         tests, lines = self.bind_tokens(tokens, names, w.lines)
-        fn_name = f"_fp_{decl.name}"
+        fn_name = f"_{self.stem()}_{decl.name}"
         out = [f"def {fn_name}(_line, dosem):",
                f'    """Compiled fast path for {decl.name}: split kernel '
                f'over {self.sep_text} tokens."""',
@@ -375,12 +378,11 @@ class SplitPath(FastPath):
         if tests:
             out += [f"    if not ({' and '.join(tests)}):",
                     "        return None"]
-        out += ["    try:", *lines, f"        return {var}",
-                "    except Exception:", "        return None", *self.aux]
+        out += self.sealed(lines, var)
         reason = f"split kernel over {self.sep_text} tokens"
         if self.tail_forms:
             reason += f" ({'; '.join(self.tail_forms)})"
-        return fn_name, out, reason
+        return fn_name, self.fragment([], out), reason
 
 
 def compile_split(plan: Plan, decl: StructPlan) -> Tuple[str, List[str], str]:

@@ -48,6 +48,19 @@ DEFAULT_TRACKED = 1000
 DEFAULT_REPORTED = 10
 
 
+class _Counted:
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "COUNTED"
+
+
+#: The rep a record's counting function (:func:`repro.tools.adder.
+#: bind_counter`) returns for a clean record it has already counted: the
+#: accum fold only tallies it.
+COUNTED = _Counted()
+
+
 def _unwrap(node: PType) -> PType:
     """The type under any ``Precord``, ``Ptypedef`` and type application:
     the one whose shape an accumulator mirrors."""
@@ -215,8 +228,12 @@ class Accumulator:
     bound on the first add (:mod:`repro.tools.adder`) — and a record with
     errors through ``walk``, the tree walk chosen from the node's shape
     when the tree is built.  The walk is the reference semantics and the
-    only error path.  An unpickled copy has neither, since it is only
-    merged and reported."""
+    only error path.  The accum fold may also bind the record's counting
+    function to the tree (``_counter``), which counts a clean record
+    before any rep exists.  An unpickled copy has none of the three,
+    since it is only merged and reported."""
+
+    _counter = None
 
     def __init__(self, node: PType, name: str = "<top>",
                  tracked: int = DEFAULT_TRACKED):
@@ -335,9 +352,11 @@ class Accumulator:
         # Type nodes may close over interpreter environments and are not
         # picklable; a transferred accumulator only needs its counters
         # (the receiving side merges it into a tree that kept its nodes),
-        # so the bound ``walk`` and the compiled adder are dropped too.
+        # so the bound ``walk``, the compiled adder and the counting
+        # function are dropped too.
         state = dict(self.__dict__, node=None, _adder=None)
         state.pop("walk", None)  # absent on a copy that was unpickled
+        state.pop("_counter", None)
         return state
 
     # -- reporting ----------------------------------------------------------------

@@ -15,6 +15,14 @@ shape by its template step (:mod:`repro.plan.lines`), and cached; an
 accumulator binds its own positions into the cached template on its
 first add.  The module
 is imported then too, so programs that never accumulate do not load it.
+
+The same counting code also ends the record's *counting function*
+(:func:`bind_counter`): the record fast function compiled with the
+accumulator sink (:func:`~repro.plan.fastpath.compile_counter`), which
+counts a clean record from the converter's own local values once the
+record is accepted, and returns :data:`~repro.tools.accum.COUNTED`
+instead of a rep.  Its template is compiled on the first accumulate of
+the record type, cached on the record node, and bound like the adder's.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ import keyword
 from typing import Dict, List
 
 from ..core.values import DateVal, EnumVal, FloatVal
+from ..plan.fastpath import NotEligible, compile_counter
 from ..plan.lines import MAX_DEPTH, Fresh, Lines, template
 
 #: Scalar kind -> (exact-type guard, key expression, numeric?) for the
@@ -78,10 +87,15 @@ class _AdderSource:
 
     def source(self, shape) -> str:
         self.node(shape, "rep")
+        return self.binder(["    def add(rep):", *self.out.lines], "add")
+
+    def binder(self, fn: List[str], name: str) -> str:
+        """``_make(N)``: binds the positions of ``N`` and returns the
+        function ``name`` that the lines ``fn`` define."""
         return "\n".join(
             ["def _make(N):"]
-            + [f"    {name} = {expr}" for name, expr in self.binds.items()]
-            + ["    def add(rep):"] + self.out.lines + ["    return add", ""])
+            + [f"    {bound} = {expr}" for bound, expr in self.binds.items()]
+            + fn + [f"    return {name}", ""])
 
     def count(self, slot: str, key: str, numeric: bool) -> None:
         """``ScalarAccum.add(key, None)`` for a key that passed its guard."""
@@ -145,6 +159,38 @@ class _AdderSource:
                 with w.block(f"for {elt} in {var}:"):
                     self.node(sub, elt)
 
+    def local(self, shape, var: str, parts: Dict[str, tuple]) -> None:
+        """:meth:`node` for a value the accumulator sink left unbuilt in
+        the converter's locals (``parts``, see
+        :attr:`~repro.plan.fastpath.FastPath.parts`): a struct counts
+        ``None`` and then its members' variables, a union its branch
+        name (``var`` holds it) and then the branch's variable.  A built
+        value is counted as :meth:`node` counts it."""
+        part = parts.get(var)
+        if part is None:
+            self.node(shape, var)
+            return
+        w, i = self.out, self.next
+        (form, sub), (kind, members) = shape, part
+        if w.depth > MAX_DEPTH:
+            raise NotEligible(f"{kind} position {i} nests past the inline "
+                              "depth")
+        if form != kind or [name for name, _ in sub] != list(
+                members if kind == "union" else dict(members)):
+            raise NotEligible(f"{kind} position {i} does not match the "
+                              "accumulator")
+        self.next += 1
+        s = self.bind(f"s{i}", "self_acc", i)
+        if form == "struct":
+            self.count(s, "None", False)
+            for (_, child), (_, value) in zip(sub, members):
+                self.local(child, value, parts)
+            return
+        self.count(s, var, False)
+        for n, (name, child) in enumerate(sub):
+            with w.block(f"{'elif' if n else 'if'} {var} == {name!r}:"):
+                self.local(child, members[name], parts)
+
     def scalar(self, s: str, kind: str, var: str) -> None:
         w = self.out
         if kind not in _INLINE:
@@ -183,13 +229,16 @@ class _AdderSource:
                 self.node(child, value)
 
 
+#: The types the inlined guards test (:data:`_INLINE`).
+_GUARDS = {"_DateVal": DateVal, "_EnumVal": EnumVal, "_FloatVal": FloatVal}
+
+
 @functools.lru_cache(maxsize=256)
 def _adder_template(shape):
     """Compile the adder source for one tree shape; every accumulator of
     that shape, of any description, then binds the cached ``_make``."""
     return template(_AdderSource().source(shape), "<accumulator adder>",
-                    {"_DateVal": DateVal, "_EnumVal": EnumVal,
-                     "_FloatVal": FloatVal})
+                    dict(_GUARDS))
 
 
 def bind_adder(acc):
@@ -197,3 +246,58 @@ def bind_adder(acc):
     positions (a tree walk and one dict lookup, no compilation)."""
     nodes: List = []
     return _adder_template(_shape(acc, nodes))(nodes)
+
+
+def counter_template(desc, record_type: str):
+    """``(shape, make)`` for ``record_type``'s counting function:
+    ``make(N)`` binds it to the positions ``N`` of an accumulator of
+    ``shape`` (:func:`_shape`).  Compiled on the first call, in a copy of
+    the description's runtime namespace, and cached on the record node
+    with the reason there is none, which it raises as
+    :class:`~repro.plan.fastpath.NotEligible`."""
+    node = desc.node(record_type)
+    if getattr(node, "fast_fn", None) is None:
+        raise NotEligible("no record fast function")
+    if node.counter is None:
+        node.counter = _counter_template(desc, record_type, node)
+    shape, make = node.counter
+    if isinstance(make, str):
+        raise NotEligible(make)
+    return shape, make
+
+
+def _counter_template(desc, record_type: str, node):
+    from .accum import COUNTED, Accumulator
+    shape = _shape(Accumulator(node, "<top>"), [])
+    decl = desc.plan.decls[record_type]
+    if decl.batch_fn is not None:
+        return shape, "the record fast function is its batch kernel"
+    try:
+        counter = compile_counter(desc.plan, decl)
+        src = _AdderSource()
+        src.local(shape, counter.var, counter.parts)
+    except NotEligible as exc:
+        return shape, str(exc)
+    fn = [*("    " + line for line in counter.lines), *src.out.lines,
+          "        return _COUNTED"]
+    return shape, template(
+        "\n".join(counter.aux + [src.binder(fn, counter.name)]),
+        f"<{record_type} counting function>",
+        dict(desc.bound.runtime.ns, _COUNTED=COUNTED, **_GUARDS))
+
+
+def bind_counter(desc, record_type: str, acc):
+    """``acc``'s counting function for ``record_type``: ``fn(line,
+    dosem)`` counts a clean record into ``acc`` and returns
+    :data:`~repro.tools.accum.COUNTED`, or returns None having counted
+    nothing.  Bound once per accumulator (kept as ``acc._counter``);
+    raises :class:`~repro.plan.fastpath.NotEligible` with the reason
+    when the record has none."""
+    fn = acc._counter
+    if fn is None:
+        shape, make = counter_template(desc, record_type)
+        nodes: List = []
+        if _shape(acc, nodes) != shape:
+            raise NotEligible("the accumulator is not the record's shape")
+        fn = acc._counter = make(nodes)
+    return fn

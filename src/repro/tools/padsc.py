@@ -163,7 +163,9 @@ def cmd_count(args) -> Result:
 
 
 def cmd_plan(args) -> int:
-    """Pretty-print the analyzed plan IR for a description."""
+    """Pretty-print the analyzed plan IR for a description, with each
+    record type's accum verdict for a default pass."""
+    from ..execute import accum_text, count_step
     from ..plan import format_plan
     try:
         d = _load(args)
@@ -171,7 +173,8 @@ def cmd_plan(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        print(format_plan(d.plan, args.type))
+        print(format_plan(d.plan, args.type, accum=lambda name: accum_text(
+            count_step(d, name, limits=d.limits)[0])))
     except KeyError:
         print(f"padsc: no type named {args.type!r} in description",
               file=sys.stderr)

@@ -264,6 +264,15 @@ class TestGoldenReports:
             merged.merge(pickle.loads(pickle.dumps(part)))
         assert _digest(merged) == GOLDEN[name][2][2]
 
+    def test_execute_run(self, name):
+        """The accum fold of ``execute.run``, which counts clean records
+        inside the record function where it can."""
+        from repro.execute import run
+        desc, data, rtype = _golden_input(name)
+        for summaries, digest in ((False, 0), (True, 1)):
+            res = run(desc, data, "accum", rtype, summaries=summaries)
+            assert _digest(res.acc) == GOLDEN[name][2][digest]
+
     def test_generated_acc_add(self, name):
         desc, data, rtype = _golden_input(name)
         gen = compile_generated(desc.source_text, ambient=desc.ambient,
@@ -456,3 +465,168 @@ def test_typedef_of_a_struct_is_profiled_by_field():
         assert acc.field("p.a").self_acc.values == {1: 2, 3: 1}
         assert acc.field("p.b").self_acc.max == 9
         assert acc.field("p").self_acc.values == {None: 3}
+
+
+# -- the counting function -------------------------------------------------------
+#
+# The accum fold's record step counts a clean record inside the record
+# function, compiled with the accumulator sink; misses, error records and
+# grid-kernel reps take the rep and the compiled adder.
+
+#: A clean CLF record, then one that converts every member and then fails
+#: ``chkVersion`` (LINK needs HTTP/1.1).
+_CLEAN = (b'207.136.97.49 - - [15/Oct/1997:18:46:51 -0700] '
+          b'"GET /tk/p.txt HTTP/1.0" 200 30\n')
+_LATE = (b'tj62.aol.com - - [16/Oct/1997:14:32:22 -0700] '
+         b'"LINK /x HTTP/1.0" 200 941\n')
+
+
+def _reference_report(data: bytes, tracked: int = 1000) -> str:
+    from repro.execute import run
+    plain = compile_description(gallery.CLF, fastpath=False)
+    return run(plain, data, "accum", "entry_t",
+               tracked=tracked).acc.full_report()
+
+
+def _nodes(acc):
+    yield acc
+    for child in ([acc.elts] if acc.elts is not None else []) + \
+            list(acc.children.values()):
+        yield from _nodes(child)
+
+
+class TestCountingFunction:
+    def test_clean_record_builds_no_rep(self, clf, monkeypatch):
+        """A clean CLF record through the fold calls neither the adder
+        nor any walk, and constructs no ``UnionVal``."""
+        from repro.execute import Fold
+        from repro.tools.adder import counter_template
+
+        def boom(*args):
+            raise AssertionError("called")
+
+        data = _CLEAN * 3
+        want = _reference_report(data)
+        _shape, make = counter_template(clf, "entry_t")
+        monkeypatch.setitem(make.__globals__, "UnionVal", boom)
+        monkeypatch.setattr(Accumulator, "add", boom)
+        fold = Fold("accum", "entry_t")
+        state = fold.zero(clf)
+        for node in _nodes(state[0]):
+            node.walk = boom
+        acc, tally = fold.over(clf, clf.open(data), state)
+        assert tally.records == 3 and tally.bad_records == 0
+        assert acc._counter is not None
+        monkeypatch.undo()
+        assert acc.full_report() == want
+
+    def test_late_rejection_is_counted_once(self, clf):
+        """A record the counting function refuses after converting every
+        member counts nothing there, and once through the walk (the
+        general parse reports the failed ``chkVersion``)."""
+        from repro.execute import run
+        from repro.tools.adder import bind_counter
+        acc = record_accumulator(clf, "entry_t")
+        count = bind_counter(clf, "entry_t", acc)
+        assert count(_LATE.rstrip(b"\n"), True) is None
+        assert all(n.self_acc.total_count == 0 for n in _nodes(acc))
+        data = _CLEAN + _LATE + _CLEAN
+        res = run(clf, data, "accum", "entry_t")
+        assert res.reason.endswith("accum: counted in the record function")
+        assert (res.tally.records, res.tally.bad_records) == (3, 1)
+        assert (res.acc.self_acc.good, res.acc.self_acc.bad) == (2, 1)
+        assert res.acc.field("request.meth").self_acc.total_count == 3
+        assert res.acc.full_report() == _reference_report(data)
+
+    def test_pickled_mid_run_carries_no_function(self, clf):
+        """A parallel part or a durable checkpoint pickles the
+        accumulator mid-run; the bound function stays behind."""
+        from repro.execute import Fold
+        fold = Fold("accum", "entry_t")
+        state = fold.zero(clf)
+        data = _CLEAN + _LATE + _CLEAN * 2
+        src = clf.open(data)
+        items = fold.items(clf, src, state)
+        fold.feed(state, (next(items), next(items)))
+        acc = state[0]
+        assert acc._counter is not None
+        assert "_counter" not in acc.__getstate__()
+        copy = pickle.loads(pickle.dumps(acc))
+        assert copy._counter is None and copy._adder is None
+        fold.feed(state, items)
+        merged = record_accumulator(clf, "entry_t")
+        merged.merge(pickle.loads(pickle.dumps(acc)))
+        assert merged.full_report() == _reference_report(data)
+
+    def test_small_value_table_keeps_admission_order(self, clf, rng):
+        """First-seen admission past ``tracked`` across counted clean
+        records and walked error records."""
+        from repro.execute import run
+        data = clf_workload(300, rng)
+        res = run(clf, data, "accum", "entry_t", tracked=2)
+        assert res.tally.bad_records > 0
+        assert res.acc.full_report() == _reference_report(data, tracked=2)
+
+    def test_hits_match_the_rep_path(self, clf, rng):
+        """Under ``--stats`` a counted record is a ``fastpath.hit``."""
+        from repro import observe
+        from repro.execute import run
+        data = clf_workload(200, rng)
+        hits = {}
+        for op in ("accum", "tally"):
+            with observe.observed() as obs:
+                run(clf, data, op, "entry_t")
+            hits[op] = obs.stats()["fastpath"]["entry_t"]
+        assert hits["accum"] == hits["tally"]
+        assert hits["accum"]["hit"] > 0
+
+    def test_verdicts(self, clf):
+        """Grid-kernel reps, masks, tracers and records with no fast
+        function keep the rep and the adder, and say why."""
+        from repro import observe
+        from repro.core.masks import Mask, P_CheckAndSet
+        from repro.execute import count_step, run
+        calls = gallery.load_call_detail()
+        res = run(calls, b"", "accum", "call_t")
+        assert res.reason.endswith(
+            "accum: declined: grid step: 24-byte columns at 24-byte pitch")
+        mask = Mask(P_CheckAndSet)
+        mask.fields["date"] = Mask(P_CheckAndSet)
+        assert count_step(clf, "entry_t", mask=mask)[0].reason == \
+            "non-uniform or non-materialising mask"
+        with observe.observed(trace=True):
+            assert count_step(clf, "entry_t")[0].reason == "active tracer"
+        from repro.core.limits import ParseLimits
+        assert count_step(clf, "entry_t", limits=ParseLimits(
+            max_depth=8))[0].reason == "parse limits a clean record could trip"
+        assert count_step(clf, "entry_t", limits=ParseLimits(
+            max_record_bytes=4096))[0].eligible
+        plain = compile_description(gallery.CLF, fastpath=False)
+        assert count_step(plain, "entry_t")[0].reason == \
+            "shape not compiled: no record fast function"
+
+    def test_deep_nesting(self):
+        """Nested structs stay flat locals and are counted; unions nested
+        past the inline depth keep the adder.  Both report as the
+        reference does."""
+        from repro.execute import count_step, run
+        structs = ["Pstruct s0_t { Puint8 a; };"] + [
+            f"Pstruct s{i}_t {{ s{i - 1}_t f; ':'; Puint8 n; }};"
+            for i in range(1, 40)] + ["Precord Pstruct rec_t { s39_t top; };"]
+        unions = ["Pstruct s0_t { Puint8 a; };"] + [
+            line for i in range(1, 30) for line in (
+                f"Punion u{i}_t {{ s{i - 1}_t x; Pstring(:';':) y; }};",
+                f"Pstruct s{i}_t {{ u{i}_t f; ':'; Puint8 n; }};")] + [
+            "Precord Pstruct rec_t { s29_t top; };"]
+        for decls, data, counted in (
+                (structs, b"7" + b":1" * 39 + b"\nx\n", True),
+                (unions, b"1" + b":2" * 29 + b"\nabc:1\n", False)):
+            text = "\n".join(decls)
+            desc = compile_description(text)
+            verdict = count_step(desc, "rec_t")[0]
+            assert verdict.eligible is counted, verdict
+            got = run(desc, data, "accum", "rec_t")
+            want = run(compile_description(text, fastpath=False), data,
+                       "accum", "rec_t")
+            assert got.tally.bad_records == 1
+            assert got.acc.full_report() == want.acc.full_report()

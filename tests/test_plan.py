@@ -352,6 +352,19 @@ class TestPlanCLI:
         assert main(["plan", clf_path, "--type", "nope"]) == 2
         assert "no type named" in capsys.readouterr().err
 
+    def test_plan_prints_the_accum_verdict(self, tmp_path, capsys):
+        """Each record type's ``accum:`` line: call detail's grid step
+        keeps the adder; a non-record type has no line."""
+        from repro.tools.padsc import main
+        path = tmp_path / "calls.pads"
+        path.write_text(gallery.CALL_DETAIL)
+        assert main(["plan", str(path), "--ambient", "binary",
+                     "--records", "fixed:24"]) == 0
+        out = capsys.readouterr().out
+        assert ("  accum: declined: grid step: 24-byte columns at 24-byte "
+                "pitch\n") in out
+        assert out.count("accum:") == 1
+
     def test_format_plan_shows_widths(self):
         plan = _analyze(gallery.CALL_DETAIL, "binary")
         text = format_plan(plan, "call_t")
@@ -365,9 +378,10 @@ class TestPlanCLI:
         path = tmp_path / "sirius.pads"
         path.write_text(gallery.SIRIUS)
         assert main(["plan", str(path), "--type", "entry_t"]) == 0
+        out = capsys.readouterr().out
         assert ("fastpath: eligible: split kernel over '|' tokens (tail "
-                "array eventSeq: 2 tokens per element)"
-                in capsys.readouterr().out)
+                "array eventSeq: 2 tokens per element)" in out)
+        assert "  accum: counted in the record function\n" in out
         # A delimited record whose member may hold the separator keeps
         # the regex form, and the plan names the member and why.
         text = format_plan(_analyze("""
